@@ -23,7 +23,7 @@ from .microprog import (
     parse_program,
 )
 from .pipeline import ExecutionTrace, SimulationDeadlock, run
-from .schemes import SchemeId, classify_load, insert_fences, scheme_spec
+from .schemes import SchemeId, insert_fences, scheme_spec
 from .attacks import run_attack, sweep_error_vs_rate, vulnerability_matrix
 from .seccheck import (
     bench_overhead,
@@ -60,7 +60,6 @@ __all__ = [
     "calibrate",
     "check_ideal",
     "check_ideal_differential",
-    "classify_load",
     "format_program",
     "insert_fences",
     "nospec",

@@ -37,10 +37,9 @@ class MachineConfig:
     branch_resolve_extra: int = 1
     writeback_delay: int = 1
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
-    # Sensitivity knobs (see docs): behavior of a non-pipelined unit whose
-    # op is squashed mid-execution, and the advanced-defense NPEU policy.
+    # Sensitivity knob: a non-pipelined unit whose op is squashed
+    # mid-execution frees at the squash (True) or runs to completion.
     npeu_squash_frees: bool = True
-    noninterference_npeu_policy: str = "lookahead"
 
     def validate(self) -> None:
         for name in (

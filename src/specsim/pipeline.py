@@ -15,22 +15,63 @@ Per-cycle phase order (fixed; ties inside a phase go by op id):
   6. issue select + D-cache accesses
   7. frontend: due I-fetch replays, then fetch/dispatch + I-accesses
   8. retirement, occupancy snapshot
+
+Clock advance. A cycle in which no phase appends an event changes no
+state, so every following cycle is event-free too until the clock reaches
+a threshold that some phase compares against:
+  - an MSHR's free_at (phase 1);
+  - an in-flight op's finish (phase 2);
+  - a resolver's complete + branch_resolve_extra (phase 3);
+  - the next attacker access (phase 5);
+  - a waiting op's last producer complete + writeback_delay, and an NPEU
+    unit's busy_until (phase 6);
+  - redirect_at and the due I-fetch replays (phase 7).
+After an event-free cycle the clock jumps to the earliest of these, capped
+at last_progress + deadlock_after + 1 and at max_cycles so that the
+deadlock and max_cycles checks fire on the same cycle as a one-cycle step
+would. The skipped cycles get occupancy rows that repeat the idle row. Once
+the ROB is drained and nothing is left to fetch, only the attacker script
+and I-fetch replays remain: the clock jumps straight to the next of them,
+leaves no rows for the cycles between, and counts the jump as progress.
+
+Incremental state. Instead of rescanning the ROB, the engine keeps these
+views current at the events that change them (dispatch, issue, complete,
+resolve, safe transition, retire, squash):
+  - rob: a deque of op ids in age order (ids ascend; refetch after a
+    squash only appends ids younger than every survivor);
+  - waiting / wakeups / ready: a dispatched, un-issued op sits in exactly
+    one of them: producers still incomplete (count, decremented by
+    dependence wakeup at each producer's completion), all complete but the
+    last write-back still ahead (heap by ready cycle), or inputs ready
+    (ascending ids, the issue candidates; a parked load stays here);
+  - finishing / cdb_queue: issued ops by finish cycle, then the finished
+    ones awaiting the bus by id;
+  - unresolved_done: completed branches not yet resolved;
+  - shadow: one ShadowState whose frontiers (oldest unresolved branch,
+    oldest incomplete load and store, oldest open fence) serve both the
+    load shadow rule and the fetch shadow rule;
+  - unsafe / ifetch_waiting: ROB ops still awaiting their safe transition
+    or their deferred I-access. Under every shadow rule an op is safe only
+    if every older op is, so each cycle's transitions pop a prefix.
+A squash truncates every view to the ops at or older than the branch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import islice
 
 from .machine import MachineConfig
 from .memhier import CacheImage, Level, MemHier, Requester
 from .microprog import AttackScript, MicroOp, MicroProgram, OpKind
 from .schemes import (
-    FenceModel,
     HitPolicy,
     MissPolicy,
     SchemeId,
     SchemeSpec,
-    ShadowRule,
     ShadowState,
     insert_fences,
     scheme_spec,
@@ -111,9 +152,6 @@ class OpRec:
         self.deferred_l1_update = None
         self.ifetch_pending = False
         self.npeu_unit = None
-
-    def active(self) -> bool:
-        return self.dispatch != NEVER and self.retire == NEVER and self.squash == NEVER
 
 
 @dataclass
@@ -201,14 +239,17 @@ class _Engine:
         self.hier = MemHier(cfg.geometry, cfg.l1d_mshrs, image)
         self.force_correct = force_correct
         self.recs = [OpRec(op) for op in program.ops]
-        self.rob: list[int] = []
+        self.consumers: list[list[int]] = [[] for _ in program.ops]
+        for op in program.ops:
+            for d in op.src_deps:
+                self.consumers[d].append(op.id)
+        self.rob: deque[int] = deque()
         self.fetch_pos = 0
         self.redirect_at = 0  # earliest cycle the frontend may fetch
         self.cycle = 0
         self.events: list[TraceEvent] = []
         self.occupancy: list[tuple[int, int, int, int]] = []
         self.shadow = ShadowState()
-        self.fetch_shadow = ShadowState()
         self.last_progress = 0
         self.npeu_busy_until: dict[str, list[int]] = {
             name: [0] * e.count for name, e in cfg.eu.items() if not e.pipelined
@@ -227,6 +268,15 @@ class _Engine:
         # (join position, branch id): fetch holds at the join while the
         # predicted-taken branch whose region ends there is unresolved.
         self.fetch_holds: list[tuple[int, int]] = []
+        # Incremental views of the ROB (see the module docstring).
+        self.waiting: dict[int, int] = {}  # op -> its producers not yet complete
+        self.wakeups: list[tuple[int, int]] = []  # heap of (ready cycle, op)
+        self.ready: list[int] = []  # ascending: un-issued ops whose inputs are ready
+        self.finishing: list[tuple[int, int]] = []  # heap of (finish, op), result not yet due
+        self.cdb_queue: list[int] = []  # heap of ops whose result is due, awaiting the bus
+        self.unresolved_done: list[int] = []  # ascending: completed, unresolved branches
+        self.unsafe: deque[int] = deque()  # ROB ops without a safe transition yet
+        self.ifetch_waiting: deque[int] = deque()  # ROB ops owing a deferred I-access
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -242,70 +292,58 @@ class _Engine:
             raise ValueError(f"op {op.id}: unknown EU class {klass!r}")
         return klass
 
-    def _refresh_shadows(self) -> None:
-        ub = il = ist = None
-        for i in self.rob:
-            r = self.recs[i]
-            k = r.op.kind
-            if ub is None and k is OpKind.BRANCH and r.resolved == NEVER:
-                ub = i
-            if il is None and k is OpKind.LOAD and r.complete == NEVER:
-                il = i
-            if ist is None and k is OpKind.STORE_ADDR and r.complete == NEVER:
-                ist = i
-            if ub is not None and il is not None and ist is not None:
-                break
-        for st in (self.shadow, self.fetch_shadow):
-            st.oldest_unresolved_branch = ub
-            st.oldest_incomplete_load = il
-            st.oldest_incomplete_store = ist
-
-    def _fence_frontier(self) -> int | None:
-        """Oldest op whose trailing fence is still down."""
-        for i in self.rob:
-            r = self.recs[i]
-            if not r.op.fence_after:
-                continue
-            if r.op.kind is OpKind.BRANCH:
-                if r.resolved == NEVER:
-                    return i
-            elif r.complete == NEVER:
-                return i
-        return None
-
     def _is_safe(self, op_id: int) -> bool:
         return self.recs[op_id].safe != NEVER
 
-    # -- phases ----------------------------------------------------------
+    def _wake(self, op_id: int) -> None:
+        """Every producer of op_id has completed: it may issue once the
+        last result has been written back."""
+        deps = self.recs[op_id].op.src_deps
+        at = max((self.recs[d].complete + self.cfg.writeback_delay for d in deps), default=0)
+        if at <= self.cycle:
+            insort(self.ready, op_id)
+        else:
+            heappush(self.wakeups, (at, op_id))
+
+    def _completed(self, op_id: int) -> None:
+        op = self.recs[op_id].op
+        if op.kind is OpKind.BRANCH:
+            insort(self.unresolved_done, op_id)
+        else:
+            self.shadow.settle(op)
+        for k in self.consumers[op_id]:
+            left = self.waiting.get(k)
+            if left is None:
+                continue
+            if left > 1:
+                self.waiting[k] = left - 1
+            else:
+                del self.waiting[k]
+                self._wake(k)
+
+    # -- clock -----------------------------------------------------------
 
     def run(self, max_cycles: int | None) -> ExecutionTrace:
         n = len(self.program.ops)
         deadlock_after = self.cfg.rob_size * self.cfg.max_latency()
         while True:
-            if (
-                self.fetch_pos >= n
-                and not self.rob
-                and not self.ifetch_replays
-                and self.attacker_pos >= len(self.attacker)
-            ):
+            drained = self.fetch_pos >= n and not self.rob
+            if drained and not self.ifetch_replays and self.attacker_pos >= len(self.attacker):
                 break
             if max_cycles is not None and self.cycle >= max_cycles:
                 raise SimulationDeadlock(f"exceeded max_cycles={max_cycles}")
-            if self.fetch_pos >= n and not self.rob:
+            if drained:
                 # Only scheduled external events left: jump to the next one.
-                pending = [c for c, _ in self.ifetch_replays]
-                if self.attacker_pos < len(self.attacker):
-                    pending.append(self.attacker[self.attacker_pos][0])
-                nxt = min(pending)
+                nxt = self._next_event()
                 if nxt > self.cycle:
                     self.cycle = nxt
                     self.last_progress = nxt
             if self.cycle - self.last_progress > deadlock_after:
                 raise SimulationDeadlock(self._deadlock_diagnostic())
+            n_events = len(self.events)
             self._phase_mshr_returns()
             self._phase_cdb()
             self._phase_resolve_and_squash()
-            self._refresh_shadows()
             self._phase_safe_transitions()
             self._phase_attacker()
             self._phase_issue()
@@ -313,48 +351,83 @@ class _Engine:
             self._phase_retire()
             self._snapshot()
             self.cycle += 1
+            if len(self.events) == n_events and (self.rob or self.fetch_pos < n):
+                # Nothing happened, so nothing will until a threshold passes.
+                cap = self.last_progress + deadlock_after + 1
+                if max_cycles is not None:
+                    cap = min(cap, max_cycles)
+                nxt = self._next_event()
+                self._idle_until(cap if nxt is None else min(nxt, cap))
         return self._finish()
+
+    def _next_event(self) -> int | None:
+        """Earliest cycle at which some phase's comparison against the clock
+        can come out differently; None if no such cycle exists. With the
+        ROB drained and nothing left to fetch, only the attacker's script
+        and I-fetch replays remain."""
+        times = [c for c, _ in self.ifetch_replays]
+        if self.attacker_pos < len(self.attacker):
+            times.append(self.attacker[self.attacker_pos][0])
+        if self.rob or self.fetch_pos < len(self.recs):
+            times += [m.free_at for m in self.hier.mshrs.entries]
+            if self.finishing:
+                times.append(self.finishing[0][0])
+            if self.wakeups:
+                times.append(self.wakeups[0][0])
+            later = [self.redirect_at]
+            for busy in self.npeu_busy_until.values():
+                later += busy
+            for i in self.unresolved_done:
+                resolver = self.recs[i].op.branch.resolver
+                if resolver is not None and self.recs[resolver].complete != NEVER:
+                    later.append(self.recs[resolver].complete + self.cfg.branch_resolve_extra)
+            times += [t for t in later if t >= self.cycle]
+        return min(times, default=None)
+
+    def _idle_until(self, target: int) -> None:
+        """Skip the event-free cycles before target: their occupancy rows
+        repeat the current state."""
+        assert target >= self.cycle
+        row = (self.rs_count, self.hier.mshrs.occupancy(), self.inflight)
+        self.occupancy.extend((c, *row) for c in range(self.cycle, target))
+        self.cycle = target
 
     def _deadlock_diagnostic(self) -> str:
         stuck = [
             f"op{i}:{self.recs[i].op.kind.value}"
             f"(issue={self.recs[i].issue},complete={self.recs[i].complete})"
-            for i in self.rob[:8]
+            for i in islice(self.rob, 8)
         ]
         return f"no progress since cycle {self.last_progress}; rob head: {', '.join(stuck)}"
+
+    # -- phases ----------------------------------------------------------
 
     def _phase_mshr_returns(self) -> None:
         for m in self.hier.mshrs.release_due(self.cycle):
             self._event("mshr_free", None, line=m.line)
 
     def _phase_cdb(self) -> None:
-        ready = [
-            i
-            for i in self.rob
-            if self.recs[i].finish != NEVER
-            and self.recs[i].finish <= self.cycle
-            and self.recs[i].complete == NEVER
-        ]
-        ready.sort()
-        for i in ready[: self.cfg.cdb_width]:
-            r = self.recs[i]
-            r.complete = self.cycle
+        while self.finishing and self.finishing[0][0] <= self.cycle:
+            heappush(self.cdb_queue, heappop(self.finishing)[1])
+        for _ in range(min(self.cfg.cdb_width, len(self.cdb_queue))):
+            i = heappop(self.cdb_queue)
+            self.recs[i].complete = self.cycle
             self.inflight -= 1
             self._event("complete", i)
+            self._completed(i)
 
     def _phase_resolve_and_squash(self) -> None:
         squash_branch: int | None = None
-        for i in self.rob:
+        for i in list(self.unresolved_done):
             r = self.recs[i]
-            op = r.op
-            if op.kind is not OpKind.BRANCH or r.resolved != NEVER or r.complete == NEVER:
-                continue
-            b = op.branch
+            b = r.op.branch
             if b.resolver is not None:
                 res = self.recs[b.resolver]
                 if res.complete == NEVER or self.cycle < res.complete + self.cfg.branch_resolve_extra:
                     continue
             r.resolved = self.cycle
+            self.unresolved_done.remove(i)
+            self.shadow.settle(r.op)
             self._event("resolve", i, mispredicted=int(b.mispredicted() and not self.force_correct))
             if b.mispredicted() and not self.force_correct and squash_branch is None:
                 squash_branch = i
@@ -364,9 +437,10 @@ class _Engine:
     def squash(self, branch_id: int) -> None:
         """Kill everything younger than the branch and redirect fetch."""
         b = self.recs[branch_id].op.branch
-        for i in list(self.rob):
-            if i <= branch_id:
-                continue
+        killed: list[int] = []
+        while self.rob and self.rob[-1] > branch_id:
+            killed.append(self.rob.pop())
+        for i in reversed(killed):
             r = self.recs[i]
             if r.in_rs:
                 r.in_rs = False
@@ -383,9 +457,21 @@ class _Engine:
             r.deferred_l1_update = None
             r.ifetch_pending = False
             self._event("squash", i)
-        self.rob = [i for i in self.rob if i <= branch_id]
         self.ifetch_replays = [(c, i) for c, i in self.ifetch_replays if i <= branch_id]
         self.fetch_holds = [(j, b) for j, b in self.fetch_holds if b <= branch_id]
+        self.shadow.squash_after(branch_id)
+        self.waiting = {i: left for i, left in self.waiting.items() if i <= branch_id}
+        self.wakeups = [(t, i) for t, i in self.wakeups if i <= branch_id]
+        heapify(self.wakeups)
+        self.finishing = [(t, i) for t, i in self.finishing if i <= branch_id]
+        heapify(self.finishing)
+        self.cdb_queue = [i for i in self.cdb_queue if i <= branch_id]
+        heapify(self.cdb_queue)
+        for ids in (self.ready, self.unresolved_done):
+            del ids[bisect_right(ids, branch_id) :]
+        for ids in (self.unsafe, self.ifetch_waiting):
+            while ids and ids[-1] > branch_id:
+                ids.pop()
         # Correct-path ops fetched down the wrong direction get refetched.
         resume = branch_id + 1 if b.actual_taken else b.join
         for i in range(resume, len(self.recs)):
@@ -396,35 +482,35 @@ class _Engine:
         self.last_drain_cycle = self.cycle
 
     def _phase_safe_transitions(self) -> None:
-        transitioned: list[int] = []
-        for i in self.rob:
+        # Safety is monotone in age under every rule, so the ops that turn
+        # safe this cycle are a prefix of the age-ordered waiting lists.
+        while self.unsafe and self.shadow.safe(self.spec.shadow, self.unsafe[0]):
+            i = self.unsafe.popleft()
             r = self.recs[i]
-            if r.safe == NEVER and self.shadow.safe(self.spec.shadow, i):
-                r.safe = self.cycle
-                self._event("safe", i)
-                if r.deferred_l1_update is not None:
-                    self.hier.l1_hit_update(r.deferred_l1_update)
-                    r.deferred_l1_update = None
-                if r.pending_replay and r.line is not None:
-                    self._visible_access(r.line, i)
-                    r.pending_replay = False
-                if r.delayed:
-                    r.delayed = False  # parked miss: re-executes this cycle
-                    self._event("reissue", i)
-                if r.in_rs and self.spec.rs_hold and r.issue != NEVER:
-                    r.in_rs = False
-                    self.rs_count -= 1
-            # Fetch-side transition for deferred I-accesses.
-            if r.ifetch_pending and self.fetch_shadow.safe(self.spec.fetch_shadow, i):
-                r.ifetch_pending = False
-                transitioned.append(i)
+            r.safe = self.cycle
+            self._event("safe", i)
+            if r.deferred_l1_update is not None:
+                self.hier.l1_hit_update(r.deferred_l1_update)
+                r.deferred_l1_update = None
+            if r.pending_replay and r.line is not None:
+                self._visible_access(r.line, i)
+                r.pending_replay = False
+            if r.delayed:
+                r.delayed = False  # parked miss: re-executes this cycle
+                self._event("reissue", i)
+            if r.in_rs and self.spec.rs_hold and r.issue != NEVER:
+                r.in_rs = False
+                self.rs_count -= 1
         # Deferred I-accesses replay on a refetch-shaped schedule: starting
         # the cycle after the op left its fetch shadow, fetch-width per
         # cycle. They fire in the frontend phase so a replay and an actual
         # post-squash refetch of the same program point land identically.
-        for idx, op_id in enumerate(sorted(transitioned)):
-            when = self.cycle + 1 + idx // self.cfg.fetch_width
-            self.ifetch_replays.append((when, op_id))
+        idx = 0
+        while self.ifetch_waiting and self.shadow.safe(self.spec.fetch_shadow, self.ifetch_waiting[0]):
+            op_id = self.ifetch_waiting.popleft()
+            self.recs[op_id].ifetch_pending = False
+            self.ifetch_replays.append((self.cycle + 1 + idx // self.cfg.fetch_width, op_id))
+            idx += 1
 
     def _phase_attacker(self) -> None:
         while self.attacker_pos < len(self.attacker) and self.attacker[self.attacker_pos][0] <= self.cycle:
@@ -435,17 +521,13 @@ class _Engine:
 
     # -- issue -----------------------------------------------------------
 
-    def _ready(self, r: OpRec) -> bool:
-        for d in r.op.src_deps:
-            dep = self.recs[d]
-            if dep.complete == NEVER or self.cycle < dep.complete + self.cfg.writeback_delay:
-                return False
-        return True
-
-    def _earliest_ready_lb(self, op_id: int) -> int:
+    def _earliest_ready_lb(self, op_id: int, memo: dict[int, int]) -> int:
         """Lower bound on when an un-issued op could demand a unit; used by
         the advanced-defense look-ahead. Unknown-latency inputs (parked or
-        un-issued loads) bound at next cycle."""
+        un-issued loads) bound at next cycle. memo holds the bounds already
+        derived in this look-ahead, which keeps a dependence DAG linear."""
+        if op_id in memo:
+            return memo[op_id]
         r = self.recs[op_id]
         worst = self.cycle
         for d in r.op.src_deps:
@@ -459,14 +541,16 @@ class _Engine:
             else:
                 klass = self._lat_class(dep.op)
                 lat = self.cfg.eu[klass].latency if klass else 1
-                t = self._earliest_ready_lb(d) + lat + self.cfg.writeback_delay
+                t = self._earliest_ready_lb(d, memo) + lat + self.cfg.writeback_delay
             worst = max(worst, t)
+        memo[op_id] = worst
         return worst
 
     def _lookahead_blocks(self, op_id: int, klass: str) -> bool:
         """Would issuing this op now risk stalling an older op of the same
         non-pipelined class before the unit frees again?"""
         release = self.cycle + self.cfg.eu[klass].latency
+        memo: dict[int, int] = {}
         for i in self.rob:
             if i >= op_id:
                 break
@@ -475,29 +559,24 @@ class _Engine:
                 continue
             if self._lat_class(r.op) != klass:
                 continue
-            if self._earliest_ready_lb(i) < release:
+            if self._earliest_ready_lb(i, memo) < release:
                 return True
         return False
 
     def _phase_issue(self) -> None:
-        fence_frontier = self._fence_frontier()
-        candidates = [
-            i
-            for i in self.rob
-            if self.recs[i].in_rs
-            and self.recs[i].issue == NEVER
-            and not self.recs[i].delayed
-            and self._ready(self.recs[i])
-        ]
-        candidates.sort()
+        while self.wakeups and self.wakeups[0][0] <= self.cycle:
+            insort(self.ready, heappop(self.wakeups)[1])
+        fence_frontier = self.shadow.oldest_open_fence
         issued = 0
         pipelined_used: dict[str, int] = {}
-        for i in candidates:
+        for i in list(self.ready):
             if issued >= self.cfg.issue_width:
                 break
             if fence_frontier is not None and i > fence_frontier:
-                continue
+                break  # so is every younger candidate
             r = self.recs[i]
+            if r.delayed:
+                continue
             op = r.op
             klass = self._lat_class(op)
             eu = self.cfg.eu[klass]
@@ -520,8 +599,7 @@ class _Engine:
                 if outcome != "ok":
                     continue
             else:
-                r.finish = self.cycle + eu.latency
-                self.inflight += 1
+                self._start(i, eu.latency)
                 issued += 1
                 if eu.pipelined:
                     pipelined_used[klass] = pipelined_used.get(klass, 0) + 1
@@ -529,10 +607,17 @@ class _Engine:
                     self.npeu_busy_until[klass][unit] = self.cycle + eu.latency
                     r.npeu_unit = unit
             r.issue = self.cycle
+            self.ready.remove(i)
             if r.in_rs and not (self.spec.rs_hold and not self._is_safe(i)):
                 r.in_rs = False
                 self.rs_count -= 1
             self._event("issue", i)
+
+    def _start(self, op_id: int, latency: int) -> None:
+        """The op executes from this cycle; its result is due after latency."""
+        finish = self.recs[op_id].finish = self.cycle + latency
+        heappush(self.finishing, (finish, op_id))
+        self.inflight += 1
 
     def _issue_load(self, op_id: int) -> str:
         """Access the D-side for a load at its issue point. Returns "ok",
@@ -548,8 +633,7 @@ class _Engine:
                 self.hier.l1_hit_update(line)
             else:
                 r.deferred_l1_update = line
-            r.finish = self.cycle + self.hier.latency(level)
-            self.inflight += 1
+            self._start(op_id, self.hier.latency(level))
             return "ok"
         if not safe and self.spec.miss_policy is MissPolicy.DELAY:
             if not r.delayed:
@@ -568,8 +652,7 @@ class _Engine:
         else:
             r.delayed = False
             self._visible_access(line, op_id)
-        r.finish = self.cycle + lat
-        self.inflight += 1
+        self._start(op_id, lat)
         return "ok"
 
     def _visible_access(self, line: int, op_id: int) -> None:
@@ -596,11 +679,26 @@ class _Engine:
 
     # -- frontend ----------------------------------------------------------
 
-    def _fetch_speculative(self, op_id: int) -> bool:
-        """Is a fetch of this op covered by an unresolved speculation shadow
-        right now (including ops dispatched earlier this same cycle)?"""
-        self._refresh_shadows()
-        return not self.fetch_shadow.safe(self.spec.fetch_shadow, op_id)
+    def _dispatch(self, op: MicroOp) -> None:
+        r = self.recs[op.id]
+        r.fetch = self.cycle
+        r.dispatch = self.cycle
+        self.rob.append(op.id)
+        self.unsafe.append(op.id)
+        if op.kind is OpKind.NOP:
+            r.finish = NEVER
+            r.complete = self.cycle  # markers complete at dispatch
+        else:
+            r.in_rs = True
+            self.rs_count += 1
+            self.shadow.open(op)
+            left = sum(1 for d in op.src_deps if self.recs[d].complete == NEVER)
+            if left:
+                self.waiting[op.id] = left
+            else:
+                self._wake(op.id)
+        self._event("fetch", op.id)
+        self._event("dispatch", op.id)
 
     def _phase_frontend(self) -> None:
         if self.ifetch_replays:
@@ -614,35 +712,24 @@ class _Engine:
         width = min(self.cfg.fetch_width, self.cfg.dispatch_width)
         fetched = 0
         while fetched < width and self.fetch_pos < n:
-            self.fetch_holds = [(j, b) for j, b in self.fetch_holds if self.recs[b].resolved == NEVER]
-            if any(j == self.fetch_pos for j, _ in self.fetch_holds):
-                break  # taken region ended; nothing to fetch until resolution
+            if self.fetch_holds:
+                self.fetch_holds = [(j, b) for j, b in self.fetch_holds if self.recs[b].resolved == NEVER]
+                if any(j == self.fetch_pos for j, _ in self.fetch_holds):
+                    break  # taken region ended; nothing to fetch until resolution
             op = self.program.ops[self.fetch_pos]
-            needs_rs = op.kind is not OpKind.NOP
             if len(self.rob) >= self.cfg.rob_size:
                 break
             # Dispatch is head-of-line: a full RS stalls fetch wholesale,
             # even for ops (markers) that will not occupy an RS slot.
             if self.rs_count >= self.cfg.rs_size:
                 break
-            r = self.recs[op.id]
-            r.fetch = self.cycle
-            r.dispatch = self.cycle
-            self.rob.append(op.id)
-            if needs_rs:
-                r.in_rs = True
-                self.rs_count += 1
-            else:
-                r.finish = NEVER
-                r.complete = self.cycle  # markers complete at dispatch
-            self._event("fetch", op.id)
-            self._event("dispatch", op.id)
+            self._dispatch(op)
             if op.iline is not None:
-                if self._fetch_speculative(op.id):
-                    if self.spec.icache_protected:
-                        r.ifetch_pending = True
-                    else:
-                        self._ifetch_access(op.id)
+                # Is the fetch covered by an unresolved speculation shadow
+                # right now (including ops dispatched earlier this cycle)?
+                if self.spec.icache_protected and not self.shadow.safe(self.spec.fetch_shadow, op.id):
+                    self.recs[op.id].ifetch_pending = True
+                    self.ifetch_waiting.append(op.id)
                 else:
                     self._ifetch_access(op.id)
             if op.kind is OpKind.BRANCH:
@@ -665,7 +752,9 @@ class _Engine:
                 break
             if r.delayed or r.pending_replay or r.ifetch_pending:
                 break
-            self.rob.pop(0)
+            self.rob.popleft()
+            if self.unsafe and self.unsafe[0] == i:
+                self.unsafe.popleft()  # a marker retiring in its dispatch cycle
             if r.in_rs:
                 r.in_rs = False
                 self.rs_count -= 1
@@ -694,8 +783,9 @@ class _Engine:
                 "resolved": r.resolved,
             }
         llc_state: dict[int, tuple[tuple[int | None, int], ...]] = {}
+        empty = [None] * self.cfg.geometry.llc_ways
         for idx, cset in enumerate(self.hier.llc.sets):
-            if any(t is not None for t in cset.tags):
+            if cset.tags != empty:
                 llc_state[idx] = cset.state()
         return ExecutionTrace(
             events=self.events,

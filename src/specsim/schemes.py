@@ -8,6 +8,7 @@ fence gating, and the advanced-defense scheduling/deallocation rules.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -60,11 +61,6 @@ class HitPolicy(Enum):
 class FenceModel(Enum):
     SPECTRE = "spectre"  # fences after branches
     FUTURISTIC = "futuristic"  # fences after anything that can squash
-
-
-class Classification(Enum):
-    SAFE = "safe"
-    PROTECTED = "protected"
 
 
 @dataclass(frozen=True)
@@ -162,20 +158,68 @@ def all_scheme_ids() -> list[SchemeId]:
 
 
 class ShadowState:
-    """O(1)-per-query shadow predicates over a per-cycle summary.
+    """O(1)-per-query shadow predicates over the speculation frontiers.
 
-    The pipeline refreshes the three frontiers once per cycle: the oldest
-    unresolved branch, the oldest un-completed load, and the oldest
-    un-completed store-address op. Safety of op i under each rule is then
-    a comparison against those ids.
+    Safety of op i under each rule is a comparison against three frontiers:
+    the oldest unresolved branch, the oldest un-completed load and the
+    oldest un-completed store-address op in the ROB. A fourth, the oldest
+    op whose trailing fence is still down, gates issue under the fence
+    defenses.
+
+    The engine keeps the frontiers current at the events that move them:
+    ``open`` when an op enters the ROB, ``settle`` when a branch resolves
+    or another op completes, ``squash_after`` when younger ops are killed.
+    Each frontier is the head of an age-ordered list of the open op ids.
     """
 
-    __slots__ = ("oldest_unresolved_branch", "oldest_incomplete_load", "oldest_incomplete_store")
+    __slots__ = (
+        "oldest_unresolved_branch",
+        "oldest_incomplete_load",
+        "oldest_incomplete_store",
+        "oldest_open_fence",
+        "_open",
+        "_fences",
+    )
 
     def __init__(self):
         self.oldest_unresolved_branch: int | None = None
         self.oldest_incomplete_load: int | None = None
         self.oldest_incomplete_store: int | None = None
+        self.oldest_open_fence: int | None = None
+        self._open: dict[OpKind, list[int]] = {OpKind.BRANCH: [], OpKind.LOAD: [], OpKind.STORE_ADDR: []}
+        self._fences: list[int] = []
+
+    def _sync(self) -> None:
+        o = self._open
+        self.oldest_unresolved_branch = o[OpKind.BRANCH][0] if o[OpKind.BRANCH] else None
+        self.oldest_incomplete_load = o[OpKind.LOAD][0] if o[OpKind.LOAD] else None
+        self.oldest_incomplete_store = o[OpKind.STORE_ADDR][0] if o[OpKind.STORE_ADDR] else None
+        self.oldest_open_fence = self._fences[0] if self._fences else None
+
+    def open(self, op: MicroOp) -> None:
+        """A non-marker op entered the ROB (ids enter in increasing order)."""
+        ids = self._open.get(op.kind)
+        if ids is not None:
+            ids.append(op.id)
+        if op.fence_after:
+            self._fences.append(op.id)
+        self._sync()
+
+    def settle(self, op: MicroOp) -> None:
+        """The op no longer casts its shadow: a branch resolved, or another
+        op completed."""
+        ids = self._open.get(op.kind)
+        if ids is not None:
+            ids.remove(op.id)
+        if op.fence_after:
+            self._fences.remove(op.id)
+        self._sync()
+
+    def squash_after(self, op_id: int) -> None:
+        """Everything younger than op_id left the ROB."""
+        for ids in (*self._open.values(), self._fences):
+            del ids[bisect_right(ids, op_id) :]
+        self._sync()
 
     @staticmethod
     def _older(frontier: int | None, op_id: int) -> bool:
@@ -197,11 +241,6 @@ class ShadowState:
                 self.oldest_incomplete_store, op_id
             )
         raise AssertionError(rule)
-
-
-def classify_load(shadow: ShadowState, op_id: int, spec: SchemeSpec) -> Classification:
-    """Safe means the load's cache access may be performed visibly."""
-    return Classification.SAFE if shadow.safe(spec.shadow, op_id) else Classification.PROTECTED
 
 
 def insert_fences(program: MicroProgram, model: FenceModel) -> MicroProgram:

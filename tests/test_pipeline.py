@@ -1,12 +1,16 @@
 """Cycle engine tests: single-op timing, ordering, squash, frontend
 backpressure, determinism, and the interference mechanisms themselves."""
 
+import time
+
 import pytest
 
+from specsim.attacks import attack_image
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheImage, Level
 from specsim.microprog import (
     AttackLayout,
+    AttackParams,
     BranchInfo,
     Gadget,
     Literal,
@@ -21,6 +25,7 @@ from specsim.microprog import (
 )
 from specsim.pipeline import NEVER, SimulationDeadlock, run
 from specsim.schemes import SchemeId
+from specsim.seccheck import FAR_OFFSET
 
 CFG = MachineConfig()
 LAY = AttackLayout(llc_sets=CFG.geometry.llc_sets)
@@ -45,6 +50,21 @@ def npeu_image(secret_hits: bool = True) -> CacheImage:
         s + 1: Level.L1HIT if secret_hits else Level.MEMMISS,
     }
     return CacheImage(scripts=scripts)
+
+
+DIAMOND_LINE = 910_000
+
+
+def diamond_program(n_alu: int) -> tuple[MicroProgram, CacheImage]:
+    """One memory-miss load, an ALU diamond hanging off it (op i depends on
+    i-1 and i-2), an NPEU op fed by the diamond, and a ready younger NPEU op
+    that the no-interference look-ahead must weigh against the older one."""
+    ops = [MicroOp(0, OpKind.LOAD, addr=Literal(DIAMOND_LINE))]
+    for i in range(1, n_alu + 1):
+        ops.append(MicroOp(i, OpKind.ALU, src_deps=(0,) if i == 1 else (i - 2, i - 1)))
+    ops.append(MicroOp(len(ops), OpKind.NPEU, src_deps=(len(ops) - 1,)))
+    ops.append(MicroOp(len(ops), OpKind.NPEU))
+    return prog_of(*ops), CacheImage(scripts={DIAMOND_LINE: Level.MEMMISS})
 
 
 class TestBasics:
@@ -289,3 +309,70 @@ class TestInterference:
         a1 = next(e.cycle for e in t1.events if e.name == "l2access" and e.op == victim)
         a0 = next(e.cycle for e in t0.events if e.name == "l2access" and e.op == victim)
         assert a1 > a0
+
+
+class TestLookahead:
+    DIAMOND_OPS = 150
+
+    def test_dependence_diamond_costs_no_more_than_a_small_multiple_of_unsafe(self):
+        # With the RS as large as the ROB the whole diamond waits behind the
+        # miss, and the look-ahead bound for the older NPEU op walks all of
+        # it. Unmemoized, that walk doubles with every pair of ops.
+        cfg = CFG.with_overrides(rs_size=CFG.rob_size)
+        p, image = diamond_program(self.DIAMOND_OPS)
+
+        def best_time(scheme):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                trace = run(p, cfg, scheme, image=image)
+                times.append(time.perf_counter() - t0)
+            assert sum(e.name == "retire" for e in trace.events) == len(p.ops)
+            return min(times)
+
+        unsafe = best_time(SchemeId.UNSAFE)
+        assert best_time(SchemeId.NOINTERFERENCE) < 10 * unsafe
+
+
+class TestClockEdges:
+    """The engine skips event-free cycles; every check tied to the clock
+    must still fire on the cycle a one-cycle step would reach."""
+
+    def test_max_cycles_inside_an_idle_stretch_raises(self):
+        p = prog_of(MicroOp(0, OpKind.LOAD, addr=Literal(100)), MicroOp(1, OpKind.ALU, src_deps=(0,)))
+        image = CacheImage(scripts={100: Level.MEMMISS})
+        t = run(p, CFG, SchemeId.UNSAFE, image=image)
+        last = t.occupancy[-1][0]
+        assert t.times(0, "complete") - t.times(0, "issue") == CFG.geometry.lat_mem
+        for k in (t.times(0, "issue") + 100, last):
+            with pytest.raises(SimulationDeadlock, match=f"^exceeded max_cycles={k}$"):
+                run(p, CFG, SchemeId.UNSAFE, image=image, max_cycles=k)
+        capped = run(p, CFG, SchemeId.UNSAFE, image=image, max_cycles=last + 1)
+        assert capped.occupancy == t.occupancy and capped.serialize() == t.serialize()
+
+    def test_deadlock_reports_the_last_progress_cycle(self):
+        # A write-back slower than the detector's window: op1 waits with no
+        # event from cycle 2 on. The detector fires at 2 + 4*200 + 1 = 803;
+        # a max_cycles at or below that cycle fires first.
+        cfg = CFG.with_overrides(rob_size=4, writeback_delay=5000)
+        p = prog_of(MicroOp(0, OpKind.ALU), MicroOp(1, OpKind.ALU, src_deps=(0,)))
+        diagnostic = "no progress since cycle 2; rob head: op1:ALU(issue=-1,complete=-1)"
+        for max_cycles in (None, 804):
+            with pytest.raises(SimulationDeadlock) as exc:
+                run(p, cfg, SchemeId.UNSAFE, max_cycles=max_cycles)
+            assert str(exc.value) == diagnostic
+        with pytest.raises(SimulationDeadlock, match="^exceeded max_cycles=803$"):
+            run(p, cfg, SchemeId.UNSAFE, max_cycles=803)
+
+    def test_parked_attacker_access_keeps_the_row_gap(self):
+        # Calibration parks the attacker's reference access far beyond the
+        # victim: the rows stop when the ROB drains and resume only at the
+        # access itself, with no rows for the cycles in between.
+        params = AttackParams(reference_offset=FAR_OFFSET)
+        p, script = build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG, params)
+        image = attack_image(Gadget.NPEU, CFG)
+        t = run(p, CFG, SchemeId.DOM_NONTSO, secrets={"s0": 1}, image=image, attacker=script)
+        assert len(t.occupancy) == 207
+        assert [row[0] for row in t.occupancy[-3:]] == [204, 205, FAR_OFFSET]
+        assert t.total_cycles == 205
+        assert t.events[-1].name == "l2access" and t.events[-1].cycle == FAR_OFFSET
