@@ -34,10 +34,11 @@ from .microprog import (
     build_attack_program,
 )
 from .pipeline import ExecutionTrace, run
-from .schemes import SchemeId
+from .schemes import SchemeId, ShadowRule, scheme_spec
 
 DISCARD = -1
 PRIME_PASSES = 2  # filler passes to saturate ages at 0 (test-asserted minimum)
+INTERLOPER_POOL = 16  # same-set lines a trial's interloper accesses draw from
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,13 @@ class AttackPlan:
     # The simulator is a pure function of its inputs, so a bit's victim
     # trace is shared across trials; only probe noise varies per trial.
     trace_cache: dict[int, ExecutionTrace] = field(default_factory=dict)
+    # With the trace fixed, the noiseless probe outcome is a pure function
+    # of the bit and the interloper lines drawn: (bit, draws) -> outcome.
+    outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = field(default_factory=dict)
+    interloper_pool: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.interloper_pool = self.layout.interlopers(INTERLOPER_POOL)
 
     @property
     def presence_decode(self) -> bool:
@@ -191,6 +199,28 @@ class AttackPlan:
         if bit not in self.trace_cache:
             self.trace_cache[bit] = run_victim(self, bit)
         return self.trace_cache[bit]
+
+    def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[bool, ...]:
+        """The noiseless reading of one trial: copy the victim's target set,
+        touch the drawn interlopers, then read (anchor present,) for the
+        presence decode or probe for (a_hit, b_hit)."""
+        key = (bit, draws)
+        outcome = self.outcome_cache.get(key)
+        if outcome is None:
+            ways = self.victim_trace(bit).llc_state.get(self.layout.set_index, ())
+            cset = CacheSet(self.cfg.geometry.llc_ways)
+            for i, (tag, age) in enumerate(ways):
+                cset.tags[i] = tag
+                cset.ages[i] = age
+            for line in draws:
+                qlru_touch(cset, line)
+            if self.presence_decode:
+                outcome = (cset.resident(self.anchor),)
+            else:
+                obs = probe(cset, self.layout.evs2, self.anchor, self.layout.reference_line)
+                outcome = (obs.a_hit, obs.b_hit)
+            self.outcome_cache[key] = outcome
+        return outcome
 
 
 def plan_attack(
@@ -239,26 +269,22 @@ def _prime_probe_cost(plan: AttackPlan) -> int:
 
 
 def observe_trial(
-    plan: AttackPlan, bit: int, rng: random.Random, noise: float, interlopers: int = 0
+    plan: AttackPlan, bit: int, rng: random.Random | None, noise: float, interlopers: int = 0
 ) -> tuple[int, int]:
-    """One prime+run+probe trial; returns (decoded bit or DISCARD, cycles)."""
+    """One prime+run+probe trial; returns (decoded bit or DISCARD, cycles).
+    rng is read only when noise > 0 or interlopers > 0: first one draw per
+    interloper, then one flip draw per observed line."""
     trace = plan.victim_trace(bit)
-    ways = trace.llc_state.get(plan.layout.set_index, ())
-    cset = CacheSet(plan.cfg.geometry.llc_ways)
-    for i, (tag, age) in enumerate(ways):
-        cset.tags[i] = tag
-        cset.ages[i] = age
+    draws = ()
     if interlopers > 0:
-        pool = plan.layout.interlopers(16)
-        for _ in range(interlopers):
-            qlru_touch(cset, rng.choice(pool))
+        draws = tuple([rng.choice(plan.interloper_pool) for _ in range(interlopers)])
+    outcome = plan.probe_outcome(bit, draws)
     if plan.presence_decode:
-        present = cset.resident(plan.anchor)
+        (present,) = outcome
         if noise > 0 and rng.random() < noise:
             present = not present
         return (0 if present else 1), trace.total_cycles
-    obs = probe(cset, plan.layout.evs2, plan.anchor, plan.layout.reference_line)
-    a_hit, b_hit = obs.a_hit, obs.b_hit
+    a_hit, b_hit = outcome
     if noise > 0:
         if rng.random() < noise:
             a_hit = not a_hit
@@ -300,10 +326,11 @@ def run_attack(
     cfg = cfg or MachineConfig()
     plan = plan_attack(gadget, ordering, scheme, cfg, params, layout)
     trial_cost = _prime_probe_cost(plan)
+    seeded = noise > 0 or interlopers > 0
 
     def one(idx_bit_trial: tuple[int, int, int]) -> tuple[int, int, int, int]:
         idx, bit, trial = idx_bit_trial
-        rng = random.Random(f"{seed}:{idx}:{trial}")
+        rng = random.Random(f"{seed}:{idx}:{trial}") if seeded else None
         decoded, cycles = observe_trial(plan, bit, rng, noise, interlopers)
         return idx, trial, decoded, cycles + trial_cost
 
@@ -360,8 +387,6 @@ def group_orderings(group: str, scheme: SchemeId) -> tuple[Ordering, ...]:
     pair-reordering senders are out of scope by construction."""
     orderings = MATRIX_GROUPS[group]
     if group == "vdvd+vivd":
-        from .schemes import ShadowRule, scheme_spec
-
         shadow = scheme_spec(scheme).shadow
         if shadow in (ShadowRule.OLDEST_LOAD, ShadowRule.FUTURISTIC):
             return (Ordering.VDVD,)

@@ -52,16 +52,16 @@ class CacheSet:
         return c
 
     def find(self, line: int) -> int | None:
-        for i, t in enumerate(self.tags):
-            if t == line:
-                return i
-        return None
+        try:
+            return self.tags.index(line)
+        except ValueError:
+            return None
 
     def is_full(self) -> bool:
-        return all(t is not None for t in self.tags)
+        return None not in self.tags
 
     def resident(self, line: int) -> bool:
-        return self.find(line) is not None
+        return line in self.tags
 
     def occupancy(self) -> int:
         return sum(1 for t in self.tags if t is not None)
@@ -354,6 +354,7 @@ class MemHier:
         self.l1i = CacheArray(geom.l1_sets, geom.l1_ways)
         self.llc = CacheArray(geom.llc_sets, geom.llc_ways)
         self.mshrs = MshrFile(mshrs)
+        self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
         self.scripts: dict[int, Level] = {}
         self.pattern: list[AccessRecord] = []
         if image is not None:
@@ -372,9 +373,6 @@ class MemHier:
             cset.tags[i] = tag
             cset.ages[i] = age
 
-    def scripted(self, line: int) -> Level | None:
-        return self.scripts.get(line)
-
     def service_level(self, line: int, icache: bool = False) -> Level:
         """Where a demand access to this line would be serviced from now."""
         script = self.scripts.get(line)
@@ -388,11 +386,7 @@ class MemHier:
         return Level.MEMMISS
 
     def latency(self, level: Level) -> int:
-        return {
-            Level.L1HIT: self.geom.lat_l1,
-            Level.LLCHIT: self.geom.lat_llc,
-            Level.MEMMISS: self.geom.lat_mem,
-        }[level]
+        return self._latency[level]
 
     def llc_access(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .machine import MachineConfig
 from .memhier import CacheImage, Level
@@ -21,6 +21,7 @@ from .microprog import (
     AttackParams,
     AttackScript,
     BranchInfo,
+    ConstructionError,
     Gadget,
     Literal,
     MicroOp,
@@ -30,7 +31,15 @@ from .microprog import (
     SecretDep,
     build_attack_program,
 )
-from .attacks import anchor_line, attack_image, plan_attack, run_victim
+from .attacks import (
+    MATRIX_GROUPS,
+    REFERENCE_VULNERABLE,
+    anchor_line,
+    attack_image,
+    group_orderings,
+    plan_attack,
+    run_victim,
+)
 from .pipeline import ExecutionTrace, run
 from .schemes import SchemeId
 
@@ -185,9 +194,6 @@ def calibrate(
     cfg = cfg or MachineConfig()
     base = base or AttackParams()
     trace: list[str] = []
-
-    from .microprog import ConstructionError
-
     try:
         return _calibrate_search(gadget, ordering, scheme, cfg, base, layout, trace)
     except ConstructionError as e:
@@ -217,20 +223,14 @@ def _calibrate_search(
 
     if ordering in (Ordering.VDAD, Ordering.VIAD):
         for z in (base.z_len, 16, 20, 8):
-            params = AttackParams(
-                z_len=z, f_len=base.f_len, fp_len=base.fp_len, g_len=base.g_len, m=base.m,
-                reference_offset=FAR_OFFSET,
-            )
+            params = replace(base, z_len=z, reference_offset=FAR_OFFSET)
             plan = plan_attack(gadget, ordering, scheme, cfg, params, layout)
             c0, c1 = _anchor_cycle(plan, 0), _anchor_cycle(plan, 1)
             trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
             if c0 is None or c1 is None or abs(c1 - c0) < 2:
                 continue
             offset = (c0 + c1) // 2
-            final = AttackParams(
-                z_len=z, f_len=base.f_len, fp_len=base.fp_len, g_len=base.g_len, m=base.m,
-                reference_offset=offset,
-            )
+            final = replace(base, z_len=z, reference_offset=offset)
             check = plan_attack(gadget, ordering, scheme, cfg, final, layout)
             p0 = run_victim(check, 0).pattern_keys()
             p1 = run_victim(check, 1).pattern_keys()
@@ -243,10 +243,7 @@ def _calibrate_search(
     g_candidates = [base.g_len] + list(range(4, 64, 4))
     for z in (base.z_len, 16):
         for g in g_candidates:
-            params = AttackParams(
-                z_len=z, f_len=base.f_len, fp_len=base.fp_len, g_len=g, m=base.m,
-                reference_offset=base.reference_offset,
-            )
+            params = replace(base, z_len=z, g_len=g)
             plan = plan_attack(gadget, ordering, scheme, cfg, params, layout)
             if _order_flip(plan):
                 trace.append(f"z={z} g={g}: order flips")
@@ -283,8 +280,6 @@ def matrix_calibrations(
     schemes,
     layout: AttackLayout | None = None,
 ) -> dict[tuple[Gadget, Ordering, SchemeId], AttackParams]:
-    from .attacks import MATRIX_GROUPS, REFERENCE_VULNERABLE, group_orderings
-
     out: dict[tuple[Gadget, Ordering, SchemeId], AttackParams] = {}
     for gadget in Gadget:
         for group in MATRIX_GROUPS:
@@ -329,8 +324,6 @@ class PrunedProgram:
 def _drop_wrong_path(program: MicroProgram) -> PrunedProgram:
     """Remove every transient op and fix the branch predictions, keeping a
     map from old ids to new ones."""
-    from dataclasses import replace
-
     wrong = program.wrong_path_ids()
     remap: dict[int, int] = {}
     kept: list[MicroOp] = []

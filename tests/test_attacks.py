@@ -1,6 +1,8 @@
 """Receiver (prime/probe/decode) and end-to-end channel tests."""
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from specsim.attacks import (
     DISCARD,
     EvictionSet,
     MATRIX_SCHEMES,
+    PRIME_PASSES,
     REFERENCE_VULNERABLE,
     ResidencyObservation,
     derive_decode_table,
@@ -192,6 +195,93 @@ class TestRunAttack:
         a = run_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, bits, **kw)
         b = run_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, bits, **kw)
         assert a.decoded_bits == b.decoded_bits
+
+
+def reference_outcome(plan, state, draws):
+    """One trial's noiseless reading on the independent QLRU model: copy
+    the target-set ways, touch the interlopers, then probe."""
+    ways = new_set(GEOM.llc_ways)
+    for i, (tag, age) in enumerate(state):
+        ways[i] = [tag, age]
+    for line in draws:
+        ref_access(ways, line)
+    if plan.decode is None:
+        return (any(w[0] == plan.anchor for w in ways),)
+    for line in LAY.evs2:
+        ref_access(ways, line)
+    return (any(w[0] == plan.anchor for w in ways), any(w[0] == LAY.reference_line for w in ways))
+
+
+def reference_receiver(gadget, ordering, scheme, secret_bits, trials, noise, seed, interlopers):
+    """The receiver replayed trial by trial, without any per-plan outcome
+    cache: draw the interlopers, read the set, apply the noise flips, then
+    majority-vote each bit. Returns decoded bits, error, discard and cost."""
+    plan = plan_attack(gadget, ordering, scheme, CFG, AttackParams())
+    presence = plan.decode is None
+    lat = GEOM.lat_llc
+    trial_cost = 2 * lat if presence else (len(LAY.evs1) * PRIME_PASSES + 1 + len(LAY.evs2)) * lat
+    decoded_bits, total_cycles = [], 0
+    for idx, bit in enumerate(secret_bits):
+        trace = plan.victim_trace(bit)
+        state = trace.llc_state.get(LAY.set_index, ())
+        votes = []
+        for trial in range(trials):
+            rng = random.Random(f"{seed}:{idx}:{trial}")
+            draws = [rng.choice(LAY.interlopers(16)) for _ in range(interlopers)]
+            outcome = list(reference_outcome(plan, state, draws))
+            if noise > 0:
+                for i, hit in enumerate(outcome):
+                    if rng.random() < noise:
+                        outcome[i] = not hit
+            if presence:
+                votes.append(0 if outcome[0] else 1)
+            else:
+                votes.append(plan.decode.get(tuple(outcome), DISCARD))
+            total_cycles += trace.total_cycles + trial_cost
+        counted = [v for v in votes if v != DISCARD]
+        ones = sum(counted)
+        zeros = len(counted) - ones
+        decoded_bits.append(DISCARD if ones == zeros else int(ones > zeros))
+    kept = [(d, t) for d, t in zip(decoded_bits, secret_bits) if d != DISCARD]
+    return (
+        decoded_bits,
+        sum(d != t for d, t in kept) / len(kept) if kept else 0.5,
+        1 - len(kept) / len(secret_bits),
+        total_cycles / len(secret_bits),
+    )
+
+
+class TestReceiverReference:
+    @pytest.mark.parametrize(
+        "gadget, ordering, scheme",
+        [
+            (Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO),
+            (Gadget.MSHR, Ordering.VDAD, SchemeId.MUONTRAP),
+            (Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO),
+        ],
+    )
+    @pytest.mark.parametrize("noise, interlopers", [(0.0, 0), (0.02, 1), (0.1, 3)])
+    def test_run_attack_matches_per_trial_replay(self, gadget, ordering, scheme, noise, interlopers):
+        bits = bits_for(256, 9)
+        kw = dict(trials_per_bit=3, noise=noise, seed=17, cfg=CFG, params=AttackParams(), interlopers=interlopers)
+        res = run_attack(gadget, ordering, scheme, bits, **kw)
+        expected = reference_receiver(gadget, ordering, scheme, bits, 3, noise, 17, interlopers)
+        assert (res.decoded_bits, res.error_rate, res.discard_rate, res.cycles_per_bit) == expected
+        # The trial threads share the plan's caches.
+        assert run_attack(gadget, ordering, scheme, bits, **kw, workers=2) == res
+
+    def test_outcome_cache_is_keyed_by_the_draws(self):
+        # One free way and the anchor as the leftmost age-3 line: a repeated
+        # interloper hits and the anchor stays, a second distinct one evicts it.
+        plan = plan_attack(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG, AttackParams())
+        state = ((plan.anchor, 3),) + tuple((line, 0) for line in LAY.evs1[:14])
+        plan.trace_cache[0] = replace(plan.victim_trace(0), llc_state={LAY.set_index: state})
+        seen = set()
+        for draws in itertools.product(plan.interloper_pool[:3], repeat=2):
+            outcome = plan.probe_outcome(0, draws)
+            assert outcome == reference_outcome(plan, state, draws)
+            seen.add(outcome)
+        assert seen == {(True,), (False,)}
 
 
 class TestSweep:
