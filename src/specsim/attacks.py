@@ -18,7 +18,6 @@ more-leftward line also hits 3).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import random
 
@@ -125,7 +124,6 @@ def attack_image(
     cfg: MachineConfig,
     layout: AttackLayout | None = None,
     m: int | None = None,
-    primed: bool | None = None,
     anchor: int | None = None,
 ) -> CacheImage:
     """Initial cache contents for one sender: per-gadget hit/miss scripting
@@ -149,9 +147,7 @@ def attack_image(
         for k in range(count):
             scripts[s + k] = Level.MEMMISS
     image = CacheImage(scripts=scripts)
-    if primed is None:
-        primed = gadget is not Gadget.RS
-    if primed:
+    if gadget is not Gadget.RS:
         image.llc[lay.set_index] = primed_ways(lay, cfg.geometry, anchor if anchor is not None else lay.victim_line)
     image.validate(cfg.geometry)
     return image
@@ -316,37 +312,25 @@ def run_attack(
     params: AttackParams | None = None,
     layout: AttackLayout | None = None,
     interlopers: int = 0,
-    workers: int = 1,
 ) -> AttackResult:
     """Transmit the given bits over the configured channel: per bit, run
     trials_per_bit prime/victim/probe rounds and majority-vote the decodes.
-    All randomness derives from the root seed per (bit, trial); trials are
-    independent simulations, so the worker count never changes the result.
+    All randomness derives from the root seed per (bit, trial).
     """
     cfg = cfg or MachineConfig()
     plan = plan_attack(gadget, ordering, scheme, cfg, params, layout)
     trial_cost = _prime_probe_cost(plan)
     seeded = noise > 0 or interlopers > 0
-
-    def one(idx_bit_trial: tuple[int, int, int]) -> tuple[int, int, int, int]:
-        idx, bit, trial = idx_bit_trial
-        rng = random.Random(f"{seed}:{idx}:{trial}") if seeded else None
-        decoded, cycles = observe_trial(plan, bit, rng, noise, interlopers)
-        return idx, trial, decoded, cycles + trial_cost
-
-    jobs = [(i, bit, t) for i, bit in enumerate(secret_bits) for t in range(trials_per_bit)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(one, jobs))
-    else:
-        raw = [one(j) for j in jobs]
-    raw.sort()
-    votes: dict[int, list[int]] = {i: [] for i in range(len(secret_bits))}
+    decoded_bits = []
     total_cycles = 0
-    for idx, _, decoded, cost in raw:
-        votes[idx].append(decoded)
-        total_cycles += cost
-    decoded_bits = [_decode_bit(votes[i]) for i in range(len(secret_bits))]
+    for idx, bit in enumerate(secret_bits):
+        votes = []
+        for trial in range(trials_per_bit):
+            rng = random.Random(f"{seed}:{idx}:{trial}") if seeded else None
+            decoded, cycles = observe_trial(plan, bit, rng, noise, interlopers)
+            votes.append(decoded)
+            total_cycles += cycles + trial_cost
+        decoded_bits.append(_decode_bit(votes))
     counted = [(d, t) for d, t in zip(decoded_bits, secret_bits) if d != DISCARD]
     errors = sum(1 for d, t in counted if d != t)
     error_rate = errors / len(counted) if counted else 0.5
@@ -513,7 +497,6 @@ def vulnerability_matrix(
     trials: int = 3,
     schemes: tuple[SchemeId, ...] = MATRIX_SCHEMES,
     calibrations: dict[tuple[Gadget, Ordering, SchemeId], AttackParams] | None = None,
-    workers: int = 1,
 ) -> MatrixResult:
     """Run every constructible (gadget, ordering-group, scheme) attack at
     zero noise and mark cells whose decode error stays under the working
@@ -542,7 +525,6 @@ def vulnerability_matrix(
                         seed=seed,
                         cfg=cfg,
                         params=params,
-                        workers=workers,
                     )
                     # Undecodable (all-discard) counts as chance level.
                     rate = 0.5 if res.discard_rate >= 0.5 else res.error_rate
@@ -575,7 +557,6 @@ def sweep_error_vs_rate(
     seed: int,
     cfg: MachineConfig | None = None,
     params: AttackParams | None = None,
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Error rate vs cost for increasing trials-per-bit at a fixed flip
     probability; the raw material for the channel quality curve."""
@@ -594,7 +575,6 @@ def sweep_error_vs_rate(
             seed=seed,
             cfg=cfg,
             params=params,
-            workers=workers,
         )
         points.append(SweepPoint(trials, res.error_rate, res.discard_rate, res.cycles_per_bit))
     return points

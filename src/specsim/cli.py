@@ -19,6 +19,7 @@ from dataclasses import replace
 
 from .attacks import (
     MATRIX_SCHEMES,
+    plan_attack,
     run_attack,
     sweep_csv,
     sweep_error_vs_rate,
@@ -38,10 +39,12 @@ from .schemes import SchemeId
 from .seccheck import (
     bench_overhead,
     calibrate,
+    calibrate_for_matrix,
     check_ideal,
     check_ideal_differential,
     matrix_calibrations,
     synth_suite,
+    victim_timing,
 )
 
 EXIT_OK = 0
@@ -179,8 +182,6 @@ def _auto_params(args, cfg, gadget, ordering, scheme, file_params) -> AttackPara
         return file_params
     if args.no_calibrate:
         return AttackParams()
-    from .seccheck import calibrate_for_matrix
-
     return calibrate_for_matrix(gadget, ordering, scheme, cfg)
 
 
@@ -196,7 +197,7 @@ def cmd_attack(args) -> int:
         trial_counts = [int(t) for t in args.sweep_trials.split(",")]
         points = sweep_error_vs_rate(
             gadget, ordering, scheme, args.noise, trial_counts, args.bits,
-            seed=args.seed, cfg=cfg, params=params, workers=args.workers,
+            seed=args.seed, cfg=cfg, params=params,
         )
         text = sweep_csv(points)
         if args.out:
@@ -215,7 +216,6 @@ def cmd_attack(args) -> int:
         seed=args.seed,
         cfg=cfg,
         params=params,
-        workers=args.workers,
     )
     header = "gadget,ordering,scheme,bits,trials,noise,error_rate,discard_rate,cycles_per_bit"
     row = (
@@ -237,7 +237,7 @@ def cmd_matrix(args) -> int:
     cals = matrix_calibrations(cfg, schemes)
     res = vulnerability_matrix(
         cfg, seed=args.seed, bits=args.bits, trials=args.trials, schemes=schemes,
-        calibrations=cals, workers=args.workers,
+        calibrations=cals,
     )
     csv_text = "\n".join(res.csv_lines()) + "\n"
     if args.out:
@@ -300,20 +300,10 @@ def cmd_calibrate(args) -> int:
     if args.timing_csv and gadget is Gadget.NPEU:
         # Plot-ready interference-target timing: victim issue/complete with
         # the gadget executing, inert, and physically removed.
-        from .seccheck import _drop_wrong_path
-        from .attacks import plan_attack
-
-        params = cal.params or AttackParams()
-        plan = plan_attack(gadget, ordering, scheme, cfg, params)
-        victim = plan.program.role_ops("victim_a")[0]
+        plan = plan_attack(gadget, ordering, scheme, cfg, cal.params or AttackParams())
         rows = ["label,victim_issue,victim_complete"]
-        for label, bit in (("gadget_present", 1), ("gadget_inert", 0)):
-            t = plan.victim_trace(bit)
-            rows.append(f"{label},{t.times(victim, 'issue')},{t.times(victim, 'complete')}")
-        pruned = _drop_wrong_path(plan.program)
-        t = run(pruned.program, cfg, scheme, {"s0": 1}, plan.image, None)
-        v2 = pruned.remap[victim]
-        rows.append(f"gadget_removed,{t.times(v2, 'issue')},{t.times(v2, 'complete')}")
+        for label, (issue, complete) in victim_timing(plan).items():
+            rows.append(f"{label},{issue},{complete}")
         _write(args.timing_csv, "\n".join(rows) + "\n")
     if not cal.feasible:
         print("infeasible: no stable secret differential in the searched range")
@@ -378,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-calibrate", action="store_true", help="use builder defaults")
     p.add_argument("--sweep-trials", help="comma-separated trial counts: emit the error-vs-rate curve")
     p.set_defaults(fn=cmd_attack)
@@ -390,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--out")
     p.add_argument("--schemes", help="comma-separated scheme subset")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("check", help="non-interference check of the visible pattern")

@@ -166,18 +166,6 @@ class CacheGeometry:
         return line % self.llc_sets
 
 
-class CacheArray:
-    """All sets of one cache level."""
-
-    def __init__(self, sets: int, ways: int):
-        self.n_sets = sets
-        self.n_ways = ways
-        self.sets = [CacheSet(ways) for _ in range(sets)]
-
-    def set_for(self, index: int) -> CacheSet:
-        return self.sets[index]
-
-
 @dataclass
 class AccessRecord:
     """One visible LLC access. Pattern equality uses (line, requester, kind)
@@ -197,7 +185,6 @@ class AccessRecord:
 class Mshr:
     line: int
     waiters: list[int]
-    allocated_cycle: int
     free_at: int
 
 
@@ -218,7 +205,7 @@ class MshrFile:
                 return m
         return None
 
-    def allocate(self, line: int, op_id: int, cycle: int, free_at: int) -> Mshr | None:
+    def allocate(self, line: int, op_id: int, free_at: int) -> Mshr | None:
         """Allocate or merge; None means Busy (caller retries)."""
         m = self.find(line)
         if m is not None:
@@ -227,7 +214,7 @@ class MshrFile:
             return m
         if len(self.entries) >= self.capacity:
             return None
-        m = Mshr(line=line, waiters=[op_id], allocated_cycle=cycle, free_at=free_at)
+        m = Mshr(line=line, waiters=[op_id], free_at=free_at)
         self.entries.append(m)
         return m
 
@@ -350,9 +337,9 @@ class MemHier:
 
     def __init__(self, geom: CacheGeometry, mshrs: int, image: CacheImage | None = None):
         self.geom = geom
-        self.l1d = CacheArray(geom.l1_sets, geom.l1_ways)
-        self.l1i = CacheArray(geom.l1_sets, geom.l1_ways)
-        self.llc = CacheArray(geom.llc_sets, geom.llc_ways)
+        self.l1d = [CacheSet(geom.l1_ways) for _ in range(geom.l1_sets)]
+        self.l1i = [CacheSet(geom.l1_ways) for _ in range(geom.l1_sets)]
+        self.llc = [CacheSet(geom.llc_ways) for _ in range(geom.llc_sets)]
         self.mshrs = MshrFile(mshrs)
         self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
         self.scripts: dict[int, Level] = {}
@@ -361,11 +348,11 @@ class MemHier:
             image.validate(geom)
             self.scripts = dict(image.scripts)
             for set_idx, ways in image.llc.items():
-                self._load_set(self.llc.set_for(set_idx), ways)
+                self._load_set(self.llc[set_idx], ways)
             for set_idx, ways in image.l1d.items():
-                self._load_set(self.l1d.set_for(set_idx), ways)
+                self._load_set(self.l1d[set_idx], ways)
             for set_idx, ways in image.l1i.items():
-                self._load_set(self.l1i.set_for(set_idx), ways)
+                self._load_set(self.l1i[set_idx], ways)
 
     @staticmethod
     def _load_set(cset: CacheSet, ways: list[tuple[int, int]]) -> None:
@@ -379,9 +366,9 @@ class MemHier:
         if script is not None:
             return script
         l1 = self.l1i if icache else self.l1d
-        if l1.set_for(self.geom.l1_index(line)).resident(line):
+        if l1[self.geom.l1_index(line)].resident(line):
             return Level.L1HIT
-        if self.llc.set_for(self.geom.llc_index(line)).resident(line):
+        if self.llc[self.geom.llc_index(line)].resident(line):
             return Level.LLCHIT
         return Level.MEMMISS
 
@@ -405,14 +392,14 @@ class MemHier:
             if visible and script is not Level.L1HIT:
                 self.pattern.append(AccessRecord(cycle, line, requester, kind, op_id))
             return "hit" if script is Level.LLCHIT else "miss"
-        cset = self.llc.set_for(self.geom.llc_index(line))
+        cset = self.llc[self.geom.llc_index(line)]
         hit = cset.resident(line)
         if visible:
             evicted = qlru_touch(cset, line)
             if evicted is not None:
                 # Inclusive LLC: back-invalidate the L1 copies.
-                self.l1d.set_for(self.geom.l1_index(evicted)).invalidate(evicted)
-                self.l1i.set_for(self.geom.l1_index(evicted)).invalidate(evicted)
+                self.l1d[self.geom.l1_index(evicted)].invalidate(evicted)
+                self.l1i[self.geom.l1_index(evicted)].invalidate(evicted)
             self.pattern.append(AccessRecord(cycle, line, requester, kind, op_id))
         return "hit" if hit else "miss"
 
@@ -421,19 +408,16 @@ class MemHier:
         if line in self.scripts:
             return
         l1 = self.l1i if icache else self.l1d
-        qlru_touch(l1.set_for(self.geom.l1_index(line)), line)
+        qlru_touch(l1[self.geom.l1_index(line)], line)
 
     def l1_hit_update(self, line: int, icache: bool = False) -> None:
         """Apply the replacement-state side of an L1 hit (promotion)."""
         if line in self.scripts:
             return
         l1 = self.l1i if icache else self.l1d
-        cset = l1.set_for(self.geom.l1_index(line))
+        cset = l1[self.geom.l1_index(line)]
         if cset.resident(line):
             qlru_access(cset, line, "hit")
-
-    def pattern_keys(self) -> list[tuple[int, str, str]]:
-        return [r.key() for r in self.pattern]
 
 
 def order_sensitivity(

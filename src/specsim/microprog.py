@@ -344,9 +344,6 @@ class AttackLayout:
     def secret_base(self) -> int:
         return self.phantom_base + 16
 
-    def secret_lines(self, count: int) -> tuple[int, ...]:
-        return tuple(self.secret_base + k for k in range(count))
-
 
 SECRET = "s0"
 

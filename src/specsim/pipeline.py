@@ -135,24 +135,6 @@ class OpRec:
         self.ifetch_pending = False  # protected speculative fetch, replay owed
         self.npeu_unit: int | None = None
 
-    def reset_for_refetch(self) -> None:
-        self.fetch = NEVER
-        self.dispatch = NEVER
-        self.issue = NEVER
-        self.complete = NEVER
-        self.retire = NEVER
-        self.squash = NEVER
-        self.safe = NEVER
-        self.resolved = NEVER
-        self.in_rs = False
-        self.finish = NEVER
-        self.line = None
-        self.delayed = False
-        self.pending_replay = False
-        self.deferred_l1_update = None
-        self.ifetch_pending = False
-        self.npeu_unit = None
-
 
 @dataclass
 class TraceEvent:
@@ -476,7 +458,7 @@ class _Engine:
         resume = branch_id + 1 if b.actual_taken else b.join
         for i in range(resume, len(self.recs)):
             if self.recs[i].squash != NEVER:
-                self.recs[i].reset_for_refetch()
+                self.recs[i] = OpRec(self.recs[i].op)
         self.fetch_pos = resume
         self.redirect_at = self.cycle + 1
         self.last_drain_cycle = self.cycle
@@ -641,7 +623,7 @@ class _Engine:
                 self._event("delayed", op_id, line=line)
             return "delayed"
         lat = self.hier.latency(level)
-        mshr = self.hier.mshrs.allocate(line, op_id, self.cycle, free_at=self.cycle + lat)
+        mshr = self.hier.mshrs.allocate(line, op_id, free_at=self.cycle + lat)
         if mshr is None:
             self._event("mshr_stall", op_id, line=line)
             return "stall"
@@ -784,7 +766,7 @@ class _Engine:
             }
         llc_state: dict[int, tuple[tuple[int | None, int], ...]] = {}
         empty = [None] * self.cfg.geometry.llc_ways
-        for idx, cset in enumerate(self.hier.llc.sets):
+        for idx, cset in enumerate(self.hier.llc):
             if cset.tags != empty:
                 llc_state[idx] = cset.state()
         return ExecutionTrace(

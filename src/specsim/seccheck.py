@@ -29,13 +29,11 @@ from .microprog import (
     OpKind,
     Ordering,
     SecretDep,
-    build_attack_program,
 )
 from .attacks import (
     MATRIX_GROUPS,
     REFERENCE_VULNERABLE,
-    anchor_line,
-    attack_image,
+    AttackPlan,
     group_orderings,
     plan_attack,
     run_victim,
@@ -293,6 +291,22 @@ def matrix_calibrations(
     return out
 
 
+def victim_timing(plan: AttackPlan) -> dict[str, tuple[int, int]]:
+    """(issue, complete) of the sender's interference target, the first
+    victim op, in three runs: gadget executing (bit 1), gadget inert
+    (bit 0), and gadget physically removed (every transient op pruned,
+    bit 1, no attacker access)."""
+    victim = plan.program.role_ops("victim_a")[0]
+    pruned = _drop_wrong_path(plan.program)
+    removed = run(pruned.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, None)
+    runs = (
+        ("gadget_present", plan.victim_trace(1), victim),
+        ("gadget_inert", plan.victim_trace(0), victim),
+        ("gadget_removed", removed, pruned.remap[victim]),
+    )
+    return {label: (t.times(op, "issue"), t.times(op, "complete")) for label, t, op in runs}
+
+
 def interference_gap(
     cfg: MachineConfig | None = None,
     scheme: SchemeId | str = SchemeId.DOM_NONTSO,
@@ -303,16 +317,9 @@ def interference_gap(
     cfg = cfg or MachineConfig()
     cal = calibrate(Gadget.NPEU, Ordering.VDAD, scheme, cfg)
     params = cal.params if cal.feasible else AttackParams()
-    plan = plan_attack(Gadget.NPEU, Ordering.VDAD, scheme, cfg, params)
-    victim = plan.program.role_ops("victim_a")[0]
-    t_present = run_victim(plan, 1)
-    t_inert = run_victim(plan, 0)
-    pruned = _drop_wrong_path(plan.program)
-    t_removed = run(pruned.program, cfg, scheme, {"s0": 1}, plan.image, None)
-    removed_victim = pruned.remap[victim]
-    gap_inert = t_present.times(victim, "complete") - t_inert.times(victim, "complete")
-    gap_removed = t_present.times(victim, "complete") - t_removed.times(removed_victim, "complete")
-    return gap_inert, gap_removed
+    timing = victim_timing(plan_attack(Gadget.NPEU, Ordering.VDAD, scheme, cfg, params))
+    present = timing["gadget_present"][1]
+    return present - timing["gadget_inert"][1], present - timing["gadget_removed"][1]
 
 
 @dataclass

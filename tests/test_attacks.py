@@ -170,14 +170,6 @@ class TestRunAttack:
             differs = t0.pattern_keys() != t1.pattern_keys()
             assert differs == expect_vulnerable
 
-    def test_workers_do_not_change_results(self):
-        bits = bits_for(16, 6)
-        kw = dict(trials_per_bit=3, noise=0.2, seed=11, cfg=CFG)
-        a = run_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, bits, **kw, workers=1)
-        b = run_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, bits, **kw, workers=4)
-        assert a.decoded_bits == b.decoded_bits
-        assert a.error_rate == b.error_rate and a.cycles_per_bit == b.cycles_per_bit
-
     def test_discards_excluded_from_error_denominator(self):
         # With heavy noise some bits discard; the error rate must be over
         # the counted bits only.
@@ -267,8 +259,6 @@ class TestReceiverReference:
         res = run_attack(gadget, ordering, scheme, bits, **kw)
         expected = reference_receiver(gadget, ordering, scheme, bits, 3, noise, 17, interlopers)
         assert (res.decoded_bits, res.error_rate, res.discard_rate, res.cycles_per_bit) == expected
-        # The trial threads share the plan's caches.
-        assert run_attack(gadget, ordering, scheme, bits, **kw, workers=2) == res
 
     def test_outcome_cache_is_keyed_by_the_draws(self):
         # One free way and the anchor as the leftmost age-3 line: a repeated

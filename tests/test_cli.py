@@ -9,6 +9,7 @@ import pytest
 from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
 from specsim.microprog import Gadget, Ordering, build_attack_program, format_program
+from specsim.seccheck import interference_gap
 
 
 def call(argv):
@@ -130,6 +131,23 @@ class TestBenchAndCalibrate:
         code, out, _ = call(["calibrate", "--gadget", "npeu", "--ordering", "vdad", "--scheme", "dom-nontso"])
         assert code == EXIT_OK
         assert "[attack]" in out and "reference_offset" in out
+
+    def test_calibrate_timing_csv_rows_match_interference_gap(self, tmp_path):
+        out_file = tmp_path / "timing.csv"
+        code, _, _ = call(
+            ["calibrate", "--gadget", "npeu", "--ordering", "vdad", "--scheme", "dom-nontso",
+             "--timing-csv", str(out_file)]
+        )
+        assert code == EXIT_OK
+        header, *rows = out_file.read_text().splitlines()
+        assert header == "label,victim_issue,victim_complete"
+        assert [r.split(",")[0] for r in rows] == ["gadget_present", "gadget_inert", "gadget_removed"]
+        complete = {r.split(",")[0]: int(r.split(",")[2]) for r in rows}
+        gaps = (
+            complete["gadget_present"] - complete["gadget_inert"],
+            complete["gadget_present"] - complete["gadget_removed"],
+        )
+        assert gaps == interference_gap(MachineConfig(), "dom-nontso")
 
     def test_calibrate_infeasible_exit_code(self):
         code, out, _ = call(["calibrate", "--gadget", "mshr", "--ordering", "vdad", "--scheme", "dom-nontso"])

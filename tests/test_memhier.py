@@ -144,26 +144,26 @@ class TestMshrFile:
     def test_distinct_lines_exhaust_then_busy(self):
         f = MshrFile(4)
         for k in range(4):
-            assert f.allocate(line=k, op_id=k, cycle=0, free_at=200) is not None
-        assert f.allocate(line=9, op_id=9, cycle=1, free_at=200) is None
+            assert f.allocate(line=k, op_id=k, free_at=200) is not None
+        assert f.allocate(line=9, op_id=9, free_at=200) is None
         f.check_invariants()
 
     def test_same_line_merges(self):
         f = MshrFile(4)
-        m1 = f.allocate(line=7, op_id=1, cycle=0, free_at=200)
-        m2 = f.allocate(line=7, op_id=2, cycle=1, free_at=200)
+        m1 = f.allocate(line=7, op_id=1, free_at=200)
+        m2 = f.allocate(line=7, op_id=2, free_at=200)
         assert m1 is m2 and m1.waiters == [1, 2]
         assert f.occupancy() == 1
 
     def test_first_allocation_takes_entry_zero(self):
         f = MshrFile(4)
-        m = f.allocate(line=3, op_id=0, cycle=0, free_at=10)
+        m = f.allocate(line=3, op_id=0, free_at=10)
         assert f.entries[0] is m
 
     def test_release_due_and_drop_waiter(self):
         f = MshrFile(2)
-        f.allocate(line=1, op_id=1, cycle=0, free_at=5)
-        f.allocate(line=2, op_id=2, cycle=0, free_at=9)
+        f.allocate(line=1, op_id=1, free_at=5)
+        f.allocate(line=2, op_id=2, free_at=9)
         done = f.release_due(5)
         assert [m.line for m in done] == [1]
         f.drop_waiter(2)
@@ -175,7 +175,7 @@ class TestMshrFile:
         outstanding = set()
         for op in range(200):
             line = rng.randrange(12)
-            got = f.allocate(line, op, cycle=op, free_at=op + 50)
+            got = f.allocate(line, op, free_at=op + 50)
             if got is not None:
                 outstanding.add(line)
                 assert f.occupancy() == len({m.line for m in f.entries})
@@ -192,32 +192,32 @@ class TestMemHier:
         h = self._hier()
         res = h.llc_access(5, Requester.VICTIM, visible=True, cycle=3, op_id=1)
         assert res == "miss"
-        assert h.llc.set_for(5).resident(5)
-        assert h.pattern_keys() == [(5, "victim", "fill")]
+        assert h.llc[5].resident(5)
+        assert [r.key() for r in h.pattern] == [(5, "victim", "fill")]
 
     def test_visible_hit_promotes_and_records(self):
         h = self._hier()
         h.llc_access(5, Requester.ATTACKER, visible=True, cycle=0)
         h.llc_access(5, Requester.VICTIM, visible=True, cycle=1)
-        cset = h.llc.set_for(5)
+        cset = h.llc[5]
         assert cset.ages[cset.find(5)] == 0  # inserted at 1, hit to 0
         assert len(h.pattern) == 2
 
     def test_invisible_access_changes_nothing(self):
         image = CacheImage(llc={5: [(5, 1), (133, 2)]})
         h = self._hier(image)
-        before = h.llc.set_for(5).state()
+        before = h.llc[5].state()
         for line in (5, 261, 999):
             h.llc_access(line, Requester.VICTIM, visible=False, cycle=2)
-        assert h.llc.set_for(5).state() == before
+        assert h.llc[5].state() == before
         assert h.pattern == []
 
     def test_scripted_lines_are_phantom(self):
         image = CacheImage(scripts={77: Level.MEMMISS, 78: Level.L1HIT})
         h = self._hier(image)
         assert h.llc_access(77, Requester.VICTIM, visible=True, cycle=1) == "miss"
-        assert not h.llc.set_for(77 % 128).resident(77)
-        assert h.pattern_keys() == [(77, "victim", "fill")]
+        assert not h.llc[77 % 128].resident(77)
+        assert [r.key() for r in h.pattern] == [(77, "victim", "fill")]
         assert h.service_level(78) is Level.L1HIT
 
     def test_inclusive_eviction_invalidates_l1(self):
@@ -225,11 +225,11 @@ class TestMemHier:
         h = MemHier(geom, mshrs=4)
         h.llc_access(0, Requester.VICTIM, visible=True, cycle=0)
         h.l1_fill(0)
-        assert h.l1d.set_for(0).resident(0)
+        assert h.l1d[0].resident(0)
         h.llc_access(2, Requester.VICTIM, visible=True, cycle=1)
         h.llc_access(4, Requester.VICTIM, visible=True, cycle=2)  # evicts line 0
-        assert not h.llc.set_for(0).resident(0)
-        assert not h.l1d.set_for(0).resident(0)
+        assert not h.llc[0].resident(0)
+        assert not h.l1d[0].resident(0)
 
     def test_service_level_walks_hierarchy(self):
         h = self._hier()
