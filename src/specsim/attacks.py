@@ -122,14 +122,13 @@ def derive_decode_table(
 def attack_image(
     gadget: Gadget,
     cfg: MachineConfig,
-    layout: AttackLayout | None = None,
     m: int | None = None,
     anchor: int | None = None,
 ) -> CacheImage:
     """Initial cache contents for one sender: per-gadget hit/miss scripting
     of the phantom lines plus (for the ordering receivers) the primed target
     set. The RS sender's marked line starts flushed instead."""
-    lay = layout or AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
     scripts = {
         lay.resolver_line: Level.MEMMISS,
         lay.access_line: Level.L1HIT,
@@ -225,21 +224,20 @@ def plan_attack(
     scheme: SchemeId | str,
     cfg: MachineConfig,
     params: AttackParams | None = None,
-    layout: AttackLayout | None = None,
 ) -> AttackPlan:
     p = params or AttackParams()
-    lay = layout or AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
     scheme = SchemeId(scheme) if isinstance(scheme, str) else scheme
-    program, script = build_attack_program(ordering, gadget, cfg, p, lay)
+    program, script = build_attack_program(ordering, gadget, cfg, p)
     anchor = anchor_line(ordering, lay)
     probe_pair = (anchor, lay.reference_line)
     EvictionSet(lay.evs1, "EVS1").validate(cfg.geometry, probe_pair + lay.evs2)
     EvictionSet(lay.evs2, "EVS2").validate(cfg.geometry, probe_pair + lay.evs1)
     if gadget is Gadget.RS:
-        image = attack_image(gadget, cfg, lay, m=p.m)
+        image = attack_image(gadget, cfg, m=p.m)
         decode = None
     else:
-        image = attack_image(gadget, cfg, lay, m=p.m, anchor=anchor)
+        image = attack_image(gadget, cfg, m=p.m, anchor=anchor)
         decode = derive_decode_table(lay, cfg.geometry, anchor)
     return AttackPlan(gadget, ordering, scheme, cfg, p, lay, program, script, image, anchor, decode)
 
@@ -310,7 +308,6 @@ def run_attack(
     seed: int,
     cfg: MachineConfig | None = None,
     params: AttackParams | None = None,
-    layout: AttackLayout | None = None,
     interlopers: int = 0,
 ) -> AttackResult:
     """Transmit the given bits over the configured channel: per bit, run
@@ -318,7 +315,7 @@ def run_attack(
     All randomness derives from the root seed per (bit, trial).
     """
     cfg = cfg or MachineConfig()
-    plan = plan_attack(gadget, ordering, scheme, cfg, params, layout)
+    plan = plan_attack(gadget, ordering, scheme, cfg, params)
     trial_cost = _prime_probe_cost(plan)
     seeded = noise > 0 or interlopers > 0
     decoded_bits = []

@@ -182,7 +182,7 @@ def _auto_params(args, cfg, gadget, ordering, scheme, file_params) -> AttackPara
         return file_params
     if args.no_calibrate:
         return AttackParams()
-    return calibrate_for_matrix(gadget, ordering, scheme, cfg)
+    return calibrate_for_matrix(gadget, ordering, [scheme], cfg)[scheme]
 
 
 def cmd_attack(args) -> int:
@@ -294,10 +294,12 @@ def cmd_calibrate(args) -> int:
     gadget = Gadget(args.gadget)
     ordering = Ordering(args.ordering)
     scheme = SchemeId(args.scheme)
+    if args.timing_csv and gadget is Gadget.RS:
+        raise ConfigError("--timing-csv needs a victim op to time: the rs sender has none")
     cal = calibrate(gadget, ordering, scheme, cfg, base=base)
     for line in cal.trace:
         print(f"# {line}")
-    if args.timing_csv and gadget is Gadget.NPEU:
+    if args.timing_csv:
         # Plot-ready interference-target timing: victim issue/complete with
         # the gadget executing, inert, and physically removed.
         plan = plan_attack(gadget, ordering, scheme, cfg, cal.params or AttackParams())
@@ -405,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", required=True, choices=[o.value for o in Ordering])
     p.add_argument("--scheme", required=True, choices=[s.value for s in SchemeId])
     p.add_argument("--out")
-    p.add_argument("--timing-csv", help="write interference-target timing rows (npeu sender)")
+    p.add_argument("--timing-csv",
+                   help="write interference-target timing rows (npeu and mshr senders)")
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("dump-policy", help="replacement-state transcript for one set")

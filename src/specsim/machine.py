@@ -37,9 +37,6 @@ class MachineConfig:
     branch_resolve_extra: int = 1
     writeback_delay: int = 1
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
-    # Sensitivity knob: a non-pipelined unit whose op is squashed
-    # mid-execution frees at the squash (True) or runs to completion.
-    npeu_squash_frees: bool = True
 
     def validate(self) -> None:
         for name in (

@@ -372,7 +372,6 @@ def build_gadget_mshr(
     m: int,
     z_len: int,
     cfg: MachineConfig,
-    layout: AttackLayout | None = None,
 ) -> MicroProgram:
     """MSHR-exhaustion sender: a victim load whose address takes a z-cycle
     chain, a slow-to-resolve mispredicted branch, and m secret-indexed loads
@@ -384,7 +383,7 @@ def build_gadget_mshr(
         raise ConstructionError(f"mshr gadget m={m} exceeds configured L1D MSHRs ({cfg.l1d_mshrs})")
     if z_len < 1:
         raise ConstructionError("z_len must be >= 1")
-    lay = layout or AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
     ops: list[MicroOp] = []
     z_tail = _alu_chain(ops, z_len, ())
     victim = len(ops)
@@ -430,7 +429,6 @@ def build_gadget_npeu(
     fp_len: int,
     z_len: int,
     cfg: MachineConfig,
-    layout: AttackLayout | None = None,
     eu_class: str | None = None,
 ) -> MicroProgram:
     """Non-pipelined-EU contention sender: the victim address comes out of a
@@ -448,7 +446,7 @@ def build_gadget_npeu(
         raise ConstructionError(f"unknown EU class {klass!r}")
     if cfg.eu[klass].pipelined:
         raise ConstructionError(f"EU class {klass!r} is pipelined; chain interference needs a non-pipelined unit")
-    lay = layout or AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
     ops: list[MicroOp] = []
     z_tail = _alu_chain(ops, z_len, ())
     f_ids = []
@@ -503,7 +501,6 @@ def build_gadget_npeu(
 def build_gadget_rs(
     rs_slots: int,
     cfg: MachineConfig,
-    layout: AttackLayout | None = None,
 ) -> MicroProgram:
     """RS-congestion sender: a transmitter load feeds a serial chain of as
     many dependent ALU ops as there are reservation stations; a marked
@@ -513,7 +510,7 @@ def build_gadget_rs(
         raise ConstructionError(
             f"rs gadget needs at least rs_size={cfg.rs_size} dependent ops to guarantee a frontend stall"
         )
-    lay = layout or AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
     ops: list[MicroOp] = []
     resolver = 0
     ops.append(MicroOp(id=resolver, kind=OpKind.LOAD, addr=Literal(lay.resolver_line)))
@@ -594,7 +591,6 @@ def build_attack_program(
     gadget: Gadget,
     cfg: MachineConfig,
     params: AttackParams | None = None,
-    layout: AttackLayout | None = None,
 ) -> tuple[MicroProgram, AttackScript | None]:
     """Assemble a complete sender for one (ordering, gadget) pair.
 
@@ -605,19 +601,19 @@ def build_attack_program(
     post-squash correct path. The RS gadget pairs only with VI-AD.
     """
     p = params or AttackParams()
-    lay = layout or AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
     if not constructible(gadget, ordering):
         raise ConstructionError(f"({gadget.value}, {ordering.value}) is a blocked cell: no sender exists")
 
     if gadget is Gadget.RS:
-        prog = build_gadget_rs(p.rs_slots if p.rs_slots is not None else cfg.rs_size, cfg, lay)
+        prog = build_gadget_rs(p.rs_slots if p.rs_slots is not None else cfg.rs_size, cfg)
         return prog, AttackScript(line=lay.reference_line, offset_cycle=p.reference_offset)
 
     victim_fetch = ordering in (Ordering.VIVD, Ordering.VIAD)
     if gadget is Gadget.NPEU:
-        base = build_gadget_npeu(p.f_len, p.fp_len, p.z_len, cfg, lay)
+        base = build_gadget_npeu(p.f_len, p.fp_len, p.z_len, cfg)
     else:
-        base = build_gadget_mshr(p.m if p.m is not None else cfg.l1d_mshrs, p.z_len, cfg, lay)
+        base = build_gadget_mshr(p.m if p.m is not None else cfg.l1d_mshrs, p.z_len, cfg)
     ops = list(base.ops)
     annotations = dict(base.annotations)
     victim = annotations["victim_a"][0]

@@ -233,9 +233,8 @@ class _Engine:
         self.occupancy: list[tuple[int, int, int, int]] = []
         self.shadow = ShadowState()
         self.last_progress = 0
-        self.npeu_busy_until: dict[str, list[int]] = {
-            name: [0] * e.count for name, e in cfg.eu.items() if not e.pipelined
-        }
+        # Validation allows exactly one non-pipelined class: one busy list.
+        self.npeu_busy_until = [0] * cfg.eu[cfg.npeu_class].count
         self.inflight = 0  # issued, not completed (occupancy reporting)
         self.ifetch_replays: list[tuple[int, int]] = []  # (cycle, op_id)
         if attacker is None:
@@ -356,9 +355,7 @@ class _Engine:
                 times.append(self.finishing[0][0])
             if self.wakeups:
                 times.append(self.wakeups[0][0])
-            later = [self.redirect_at]
-            for busy in self.npeu_busy_until.values():
-                later += busy
+            later = [self.redirect_at, *self.npeu_busy_until]
             for i in self.unresolved_done:
                 resolver = self.recs[i].op.branch.resolver
                 if resolver is not None and self.recs[resolver].complete != NEVER:
@@ -429,9 +426,8 @@ class _Engine:
                 self.rs_count -= 1
             if r.finish != NEVER and r.complete == NEVER:
                 self.inflight -= 1
-            if r.npeu_unit is not None and self.cfg.npeu_squash_frees:
-                klass = self._lat_class(r.op)
-                self.npeu_busy_until[klass][r.npeu_unit] = self.cycle
+            if r.npeu_unit is not None:
+                self.npeu_busy_until[r.npeu_unit] = self.cycle
             self.hier.mshrs.drop_waiter(i)
             r.squash = self.cycle
             r.delayed = False
@@ -569,8 +565,7 @@ class _Engine:
             else:
                 if self.spec.npeu_lookahead and self._lookahead_blocks(i, klass):
                     continue
-                busy = self.npeu_busy_until[klass]
-                unit = next((u for u, until in enumerate(busy) if until <= self.cycle), None)
+                unit = next((u for u, until in enumerate(self.npeu_busy_until) if until <= self.cycle), None)
                 if unit is None:
                     continue
             if op.kind is OpKind.LOAD:
@@ -586,7 +581,7 @@ class _Engine:
                 if eu.pipelined:
                     pipelined_used[klass] = pipelined_used.get(klass, 0) + 1
                 else:
-                    self.npeu_busy_until[klass][unit] = self.cycle + eu.latency
+                    self.npeu_busy_until[unit] = self.cycle + eu.latency
                     r.npeu_unit = unit
             r.issue = self.cycle
             self.ready.remove(i)

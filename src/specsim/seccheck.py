@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 import statistics
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .machine import MachineConfig
 from .memhier import CacheImage, Level
 from .microprog import (
-    AttackLayout,
     AttackParams,
     AttackScript,
     BranchInfo,
@@ -182,7 +182,6 @@ def calibrate(
     scheme: SchemeId | str,
     cfg: MachineConfig | None = None,
     base: AttackParams | None = None,
-    layout: AttackLayout | None = None,
 ) -> Calibration:
     """Search sender parameters until the designated observable shows a
     stable secret differential: the reference-access offset for the
@@ -193,7 +192,7 @@ def calibrate(
     base = base or AttackParams()
     trace: list[str] = []
     try:
-        return _calibrate_search(gadget, ordering, scheme, cfg, base, layout, trace)
+        return _calibrate_search(gadget, ordering, scheme, cfg, base, trace)
     except ConstructionError as e:
         trace.append(f"construction rejected: {e}")
         return Calibration(False, None, trace)
@@ -205,11 +204,10 @@ def _calibrate_search(
     scheme: SchemeId | str,
     cfg: MachineConfig,
     base: AttackParams,
-    layout: AttackLayout | None,
     trace: list[str],
 ) -> Calibration:
     if gadget is Gadget.RS:
-        plan = plan_attack(gadget, ordering, scheme, cfg, base, layout)
+        plan = plan_attack(gadget, ordering, scheme, cfg, base)
         seen = []
         for bit in (0, 1):
             t = run_victim(plan, bit)
@@ -222,14 +220,14 @@ def _calibrate_search(
     if ordering in (Ordering.VDAD, Ordering.VIAD):
         for z in (base.z_len, 16, 20, 8):
             params = replace(base, z_len=z, reference_offset=FAR_OFFSET)
-            plan = plan_attack(gadget, ordering, scheme, cfg, params, layout)
+            plan = plan_attack(gadget, ordering, scheme, cfg, params)
             c0, c1 = _anchor_cycle(plan, 0), _anchor_cycle(plan, 1)
             trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
             if c0 is None or c1 is None or abs(c1 - c0) < 2:
                 continue
             offset = (c0 + c1) // 2
             final = replace(base, z_len=z, reference_offset=offset)
-            check = plan_attack(gadget, ordering, scheme, cfg, final, layout)
+            check = plan_attack(gadget, ordering, scheme, cfg, final)
             p0 = run_victim(check, 0).pattern_keys()
             p1 = run_victim(check, 1).pattern_keys()
             trace.append(f"z={z} offset={offset}: differential={'yes' if p0 != p1 else 'no'}")
@@ -242,7 +240,7 @@ def _calibrate_search(
     for z in (base.z_len, 16):
         for g in g_candidates:
             params = replace(base, z_len=z, g_len=g)
-            plan = plan_attack(gadget, ordering, scheme, cfg, params, layout)
+            plan = plan_attack(gadget, ordering, scheme, cfg, params)
             if _order_flip(plan):
                 trace.append(f"z={z} g={g}: order flips")
                 return Calibration(True, params, trace)
@@ -253,41 +251,43 @@ def _calibrate_search(
 def calibrate_for_matrix(
     gadget: Gadget,
     ordering: Ordering,
-    scheme: SchemeId,
+    schemes: Iterable[SchemeId],
     cfg: MachineConfig,
-    layout: AttackLayout | None = None,
-    base: AttackParams | None = None,
-) -> AttackParams:
-    """Matrix cells need well-formed parameters even when the scheme blocks
-    the channel: fall back to parameters calibrated against the unprotected
-    machine, under which every sender has a differential."""
-    cal = calibrate(gadget, ordering, scheme, cfg, layout=layout)
-    if cal.feasible:
-        return cal.params
-    fallback = calibrate(gadget, ordering, SchemeId.UNSAFE, cfg, layout=layout)
-    if fallback.feasible:
-        return fallback.params
+) -> dict[SchemeId, AttackParams]:
+    """Parameters for one sender under each of the given schemes. Matrix
+    cells need well-formed parameters even when the scheme blocks the
+    channel: a scheme without a feasible calibration of its own falls back
+    to the one found against the unprotected machine, searched at most once
+    per sender and only when some scheme needs it."""
+    cals = {scheme: calibrate(gadget, ordering, scheme, cfg) for scheme in schemes}
+    if all(cal.feasible for cal in cals.values()):
+        return {scheme: cal.params for scheme, cal in cals.items()}
+    if SchemeId.UNSAFE in cals:
+        unsafe = cals[SchemeId.UNSAFE]
+    else:
+        unsafe = calibrate(gadget, ordering, SchemeId.UNSAFE, cfg)
     # No differential even unprotected (the MSHR wait queue serializes the
     # victim-pair ordering): run the well-formed sender with defaults; it
     # decodes at chance, which is the honest verdict.
-    return base or AttackParams()
+    fallback = unsafe.params if unsafe.feasible else AttackParams()
+    return {scheme: cal.params if cal.feasible else fallback for scheme, cal in cals.items()}
 
 
 def matrix_calibrations(
     cfg: MachineConfig,
     schemes,
-    layout: AttackLayout | None = None,
 ) -> dict[tuple[Gadget, Ordering, SchemeId], AttackParams]:
+    """Sender parameters for every matrix cell, calibrated once per
+    (gadget, ordering) over the schemes that evaluate that ordering."""
     out: dict[tuple[Gadget, Ordering, SchemeId], AttackParams] = {}
     for gadget in Gadget:
-        for group in MATRIX_GROUPS:
+        for group, orderings in MATRIX_GROUPS.items():
             if REFERENCE_VULNERABLE[(gadget, group)] is None:
                 continue
-            for scheme in schemes:
-                for ordering in group_orderings(group, scheme):
-                    out[(gadget, ordering, scheme)] = calibrate_for_matrix(
-                        gadget, ordering, scheme, cfg, layout
-                    )
+            for ordering in orderings:
+                cell_schemes = [s for s in schemes if ordering in group_orderings(group, s)]
+                for scheme, params in calibrate_for_matrix(gadget, ordering, cell_schemes, cfg).items():
+                    out[(gadget, ordering, scheme)] = params
     return out
 
 

@@ -1,5 +1,6 @@
-"""Regenerate the golden trace fixtures (tests/golden/*.trace) and the
-corpus trace digests (tests/golden/corpus.sha256).
+"""Regenerate the golden trace fixtures (tests/golden/*.trace), the
+corpus trace digests (tests/golden/corpus.sha256) and the seed-1 matrix
+CSV (tests/golden/matrix_seed1.csv).
 
 Run after an intentional engine change: python3 tests/make_golden.py
 """
@@ -9,7 +10,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from test_acceptance import GOLDEN_DIR, GOLDEN_RUNS, golden_trace_text
+from specsim.attacks import MATRIX_SCHEMES
+from specsim.seccheck import matrix_calibrations
+from test_acceptance import CFG, GOLDEN_DIR, GOLDEN_RUNS, MATRIX_GOLDEN, golden_matrix, golden_trace_text
 from test_corpus_digests import CORPUS_DIGESTS, corpus_digests, format_digests
 
 
@@ -22,6 +25,9 @@ def main() -> None:
     digests = corpus_digests()
     CORPUS_DIGESTS.write_text(format_digests(digests))
     print(f"wrote {CORPUS_DIGESTS} ({len(digests)} runs)")
+    res = golden_matrix(matrix_calibrations(CFG, MATRIX_SCHEMES))
+    MATRIX_GOLDEN.write_text("\n".join(res.csv_lines()) + "\n")
+    print(f"wrote {MATRIX_GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from specsim.microprog import AttackLayout, Gadget, Ordering, build_attack_progr
 from specsim.attacks import (
     MATRIX_SCHEMES,
     REFERENCE_VULNERABLE,
+    MatrixResult,
     attack_image,
     group_orderings,
     plan_attack,
@@ -44,6 +45,7 @@ CFG = MachineConfig()
 GEOM = CFG.geometry
 LAY = AttackLayout(llc_sets=GEOM.llc_sets)
 GOLDEN_DIR = Path(__file__).parent / "golden"
+MATRIX_GOLDEN = GOLDEN_DIR / "matrix_seed1.csv"
 
 DEFENSES = (SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC, SchemeId.NOINTERFERENCE)
 
@@ -143,10 +145,16 @@ def calibrations():
     return matrix_calibrations(CFG, MATRIX_SCHEMES)
 
 
+def golden_matrix(calibrations) -> MatrixResult:
+    return vulnerability_matrix(CFG, seed=1, bits=32, trials=3, calibrations=calibrations)
+
+
 def test_criterion_3_vulnerability_matrix(calibrations):
     t0 = time.time()
-    res = vulnerability_matrix(CFG, seed=1, bits=32, trials=3, calibrations=calibrations)
+    res = golden_matrix(calibrations)
     ok = res.matches_reference()
+    # Per-cell error rates pinned byte for byte, not only the verdicts.
+    ok &= res.csv_lines() == MATRIX_GOLDEN.read_text().splitlines()
     if not ok:
         for line in res.diff_lines():
             print("  " + line)

@@ -140,17 +140,17 @@ class TestRunAttack:
         assert abs(res.error_rate - 0.5) < 0.1
 
     def test_rs_viad_muontrap_fails(self):
-        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, SchemeId.MUONTRAP, CFG)
+        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, [SchemeId.MUONTRAP], CFG)[SchemeId.MUONTRAP]
         res = run_attack(Gadget.RS, Ordering.VIAD, SchemeId.MUONTRAP, bits_for(64, 3), 1, 0.0, seed=5, cfg=CFG, params=params)
         assert abs(res.error_rate - 0.5) < 0.2  # chance-level
 
     def test_rs_viad_dom_decodes(self):
-        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG)
+        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, [SchemeId.DOM_NONTSO], CFG)[SchemeId.DOM_NONTSO]
         res = run_attack(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, bits_for(32, 4), 1, 0.0, seed=5, cfg=CFG, params=params)
         assert res.error_rate == 0.0
 
     def test_vdad_uses_attacker_reference(self):
-        params = calibrate_for_matrix(Gadget.MSHR, Ordering.VDAD, SchemeId.INVISISPEC_SPECTRE, CFG)
+        params = calibrate_for_matrix(Gadget.MSHR, Ordering.VDAD, [SchemeId.INVISISPEC_SPECTRE], CFG)[SchemeId.INVISISPEC_SPECTRE]
         plan = plan_attack(Gadget.MSHR, Ordering.VDAD, SchemeId.INVISISPEC_SPECTRE, CFG, params)
         trace = plan.victim_trace(0)
         attacker_entries = [r for r in trace.pattern if r.requester.value == "attacker"]
@@ -276,7 +276,7 @@ class TestReceiverReference:
 
 class TestSweep:
     def test_majority_vote_monotone_and_noiseless_exact(self):
-        params = calibrate_for_matrix(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, CFG)
+        params = calibrate_for_matrix(Gadget.NPEU, Ordering.VDVD, [SchemeId.DOM_NONTSO], CFG)[SchemeId.DOM_NONTSO]
         noiseless = sweep_error_vs_rate(
             Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, 0.0, [1, 3], 32, seed=3, cfg=CFG, params=params
         )

@@ -149,6 +149,32 @@ class TestBenchAndCalibrate:
         )
         assert gaps == interference_gap(MachineConfig(), "dom-nontso")
 
+    def test_calibrate_timing_csv_mshr_rows(self, tmp_path):
+        out_file = tmp_path / "timing.csv"
+        code, _, _ = call(
+            ["calibrate", "--gadget", "mshr", "--ordering", "vdad", "--scheme", "invisispec-spectre",
+             "--timing-csv", str(out_file)]
+        )
+        assert code == EXIT_OK
+        header, *rows = out_file.read_text().splitlines()
+        assert header == "label,victim_issue,victim_complete"
+        timing = {r.split(",")[0]: tuple(int(x) for x in r.split(",")[1:]) for r in rows}
+        assert list(timing) == ["gadget_present", "gadget_inert", "gadget_removed"]
+        # The executing gadget holds every MSHR, so the victim load issues late.
+        assert timing["gadget_inert"] == timing["gadget_removed"]
+        assert timing["gadget_present"][0] > timing["gadget_inert"][0]
+
+    def test_calibrate_timing_csv_rs_is_a_usage_error(self, tmp_path):
+        out_file = tmp_path / "timing.csv"
+        code, out, err = call(
+            ["calibrate", "--gadget", "rs", "--ordering", "viad", "--scheme", "dom-nontso",
+             "--timing-csv", str(out_file)]
+        )
+        assert code == EXIT_USAGE
+        assert "--timing-csv" in err and "rs" in err
+        assert out == ""  # rejected before calibrating
+        assert not out_file.exists()
+
     def test_calibrate_infeasible_exit_code(self):
         code, out, _ = call(["calibrate", "--gadget", "mshr", "--ordering", "vdad", "--scheme", "dom-nontso"])
         assert code == EXIT_INFEASIBLE

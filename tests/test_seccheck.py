@@ -17,12 +17,15 @@ from specsim.microprog import (
     Ordering,
     SecretDep,
 )
+from specsim import seccheck
 from specsim.schemes import SchemeId
-from specsim.attacks import plan_attack
+from specsim.attacks import MATRIX_GROUPS, MATRIX_SCHEMES, REFERENCE_VULNERABLE, group_orderings, plan_attack
 from specsim.seccheck import (
     Benchmark,
+    Calibration,
     bench_overhead,
     calibrate,
+    calibrate_for_matrix,
     check_ideal,
     check_ideal_differential,
     gen_alu_dense,
@@ -30,6 +33,7 @@ from specsim.seccheck import (
     gen_load_chain,
     gen_random_program,
     interference_gap,
+    matrix_calibrations,
     nospec,
     synth_suite,
 )
@@ -116,7 +120,6 @@ class TestCheckDifferential:
         # Decodable above chance at zero noise iff the differential check
         # is violated, for a sample of cells either way.
         from specsim.attacks import run_attack
-        from specsim.seccheck import calibrate_for_matrix
 
         cases = [
             (Gadget.NPEU, Ordering.VDAD, SchemeId.MUONTRAP, True),
@@ -126,7 +129,7 @@ class TestCheckDifferential:
         ]
         bits = [0, 1] * 8
         for gadget, ordering, scheme, vulnerable in cases:
-            params = calibrate_for_matrix(gadget, ordering, scheme, CFG)
+            params = calibrate_for_matrix(gadget, ordering, [scheme], CFG)[scheme]
             res = run_attack(gadget, ordering, scheme, bits, 1, 0.0, seed=3, cfg=CFG, params=params)
             decodes = res.error_rate < 0.25
             plan = plan_attack(gadget, ordering, scheme, CFG, params)
@@ -183,6 +186,103 @@ class TestCalibrate:
     def test_rs_frontend_stall_differential(self):
         cal = calibrate(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG)
         assert cal.feasible
+
+
+def own_params(gadget, ordering, scheme) -> AttackParams:
+    """Distinct parameters per sender and scheme, so a test can tell whose
+    calibration a cell received."""
+    return AttackParams(
+        z_len=list(Gadget).index(gadget) + 1,
+        g_len=list(Ordering).index(ordering) + 1,
+        reference_offset=list(SchemeId).index(scheme) + 1,
+    )
+
+
+class ScriptedCalibrate:
+    """Stands in for seccheck.calibrate: feasible exactly for the scripted
+    (gadget, ordering, scheme) triples, counting every call; simulates
+    nothing."""
+
+    def __init__(self, feasible):
+        self.feasible = set(feasible)
+        self.calls = []
+
+    def __call__(self, gadget, ordering, scheme, cfg=None, base=None):
+        self.calls.append((gadget, ordering, scheme))
+        if (gadget, ordering, scheme) in self.feasible:
+            return Calibration(True, own_params(gadget, ordering, scheme))
+        return Calibration(False, None)
+
+    def count(self, gadget, ordering, scheme):
+        return self.calls.count((gadget, ordering, scheme))
+
+
+class TestMatrixFallback:
+    G, O = Gadget.NPEU, Ordering.VDAD
+    A, B = SchemeId.DOM_NONTSO, SchemeId.MUONTRAP
+
+    def test_own_params_then_unsafe_then_defaults(self, monkeypatch):
+        fake = ScriptedCalibrate({(self.G, self.O, self.A), (self.G, self.O, SchemeId.UNSAFE)})
+        monkeypatch.setattr(seccheck, "calibrate", fake)
+        got = calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
+        assert got == {
+            self.A: own_params(self.G, self.O, self.A),
+            self.B: own_params(self.G, self.O, SchemeId.UNSAFE),
+        }
+        fake.feasible.discard((self.G, self.O, SchemeId.UNSAFE))
+        got = calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
+        assert got == {self.A: own_params(self.G, self.O, self.A), self.B: AttackParams()}
+
+    def test_every_scheme_feasible_skips_unsafe(self, monkeypatch):
+        fake = ScriptedCalibrate({(self.G, self.O, self.A), (self.G, self.O, self.B)})
+        monkeypatch.setattr(seccheck, "calibrate", fake)
+        calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
+        assert fake.calls == [(self.G, self.O, self.A), (self.G, self.O, self.B)]
+
+    def test_unsafe_alone_calibrates_once(self, monkeypatch):
+        fake = ScriptedCalibrate(set())
+        monkeypatch.setattr(seccheck, "calibrate", fake)
+        got = calibrate_for_matrix(self.G, self.O, [SchemeId.UNSAFE], CFG)
+        assert got == {SchemeId.UNSAFE: AttackParams()}
+        assert fake.calls == [(self.G, self.O, SchemeId.UNSAFE)]
+
+    def test_matrix_calibrates_unsafe_at_most_once_per_sender(self, monkeypatch):
+        # NPEU: DOM_NONTSO needs the fallback. MSHR: every scheme does, and
+        # the unprotected search succeeds only for the attacker orderings.
+        # RS: every scheme has its own calibration.
+        cells = {
+            (g, o, s)
+            for g in Gadget
+            for group in MATRIX_GROUPS
+            if REFERENCE_VULNERABLE[(g, group)] is not None
+            for s in MATRIX_SCHEMES
+            for o in group_orderings(group, s)
+        }
+        feasible = {(g, o, s) for g, o, s in cells if g is Gadget.RS}
+        feasible |= {(g, o, s) for g, o, s in cells if g is Gadget.NPEU and s is not SchemeId.DOM_NONTSO}
+        feasible |= {(g, o, SchemeId.UNSAFE) for g, o, _ in cells if g is Gadget.NPEU}
+        feasible |= {(Gadget.MSHR, o, SchemeId.UNSAFE) for o in (Ordering.VDAD, Ordering.VIAD)}
+        fake = ScriptedCalibrate(feasible)
+        monkeypatch.setattr(seccheck, "calibrate", fake)
+        got = matrix_calibrations(CFG, MATRIX_SCHEMES)
+        assert set(got) == cells
+        defaults = 0
+        for g, o, s in cells:
+            if (g, o, s) in feasible:
+                assert got[(g, o, s)] == own_params(g, o, s)
+            elif (g, o, SchemeId.UNSAFE) in feasible:
+                assert got[(g, o, s)] == own_params(g, o, SchemeId.UNSAFE)
+            else:
+                assert got[(g, o, s)] == AttackParams()
+                defaults += 1
+        assert defaults > 0
+        senders = {(g, o) for g, o, _ in cells}
+        for g, o in senders:
+            needs_fallback = any((g, o, s) not in feasible for gg, oo, s in cells if (gg, oo) == (g, o))
+            assert fake.count(g, o, SchemeId.UNSAFE) == int(needs_fallback)
+            for s in MATRIX_SCHEMES:
+                assert fake.count(g, o, s) == int((g, o, s) in cells)
+        assert 0 < sum(fake.count(g, o, SchemeId.UNSAFE) for g, o in senders) < len(senders)
 
 
 class TestInterferenceGap:
