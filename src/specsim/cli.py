@@ -91,8 +91,13 @@ def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, Attac
     params: AttackParams | None = None
     if path is None:
         return cfg, scheme, params
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    # Values are plain integers and names, so no interpolation.
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        # configparser's message names the file and the line; fold it onto one line.
+        raise ConfigError(" ".join(str(e).split())) from e
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
@@ -149,6 +154,14 @@ def parse_secrets(text: str | None, program) -> dict[str, int] | None:
     return {name: int(bit) for name, bit in zip(names, text)}
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w") as f:
         f.write(text)
@@ -195,6 +208,8 @@ def cmd_attack(args) -> int:
         # Plot-ready channel-quality curve: error rate vs throughput for
         # increasing trials-per-bit at the given noise level.
         trial_counts = [int(t) for t in args.sweep_trials.split(",")]
+        if min(trial_counts) < 1:
+            raise ConfigError(f"--sweep-trials counts must be >= 1: {args.sweep_trials}")
         points = sweep_error_vs_rate(
             gadget, ordering, scheme, args.noise, trial_counts, args.bits,
             seed=args.seed, cfg=cfg, params=params,
@@ -365,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gadget", required=True, choices=[g.value for g in Gadget])
     p.add_argument("--ordering", required=True, choices=[o.value for o in Ordering])
     p.add_argument("--scheme", required=True, choices=[s.value for s in SchemeId])
-    p.add_argument("--bits", type=int, default=64)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--bits", type=positive_int, default=64)
+    p.add_argument("--trials", type=positive_int, default=3)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
@@ -377,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="reproduce the scheme vulnerability matrix")
     common(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bits", type=int, default=32)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--bits", type=positive_int, default=32)
+    p.add_argument("--trials", type=positive_int, default=3)
     p.add_argument("--out")
     p.add_argument("--schemes", help="comma-separated scheme subset")
     p.set_defaults(fn=cmd_matrix)

@@ -51,6 +51,9 @@ class MachineConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("l1_sets", "l1_ways", "llc_sets", "llc_ways", "lat_l1", "lat_llc", "lat_mem"):
+            if getattr(self.geometry, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         nonpipe = [n for n, e in self.eu.items() if not e.pipelined]
         if len(nonpipe) != 1:
             raise ValueError("exactly one EU class must be non-pipelined")

@@ -331,15 +331,33 @@ def format_set(cset: CacheSet, names: dict[int, str] | None = None) -> str:
     return "ways=[" + ",".join(parts) + "]"
 
 
+class SetArray(dict):
+    """One cache level's sets, indexed by set number. A set is built empty
+    on first touch: a run touches few of the LLC's sets."""
+
+    __slots__ = ("n_sets", "ways")
+
+    def __init__(self, n_sets: int, ways: int):
+        super().__init__()
+        self.n_sets = n_sets
+        self.ways = ways
+
+    def __missing__(self, idx: int) -> CacheSet:
+        if not 0 <= idx < self.n_sets:
+            raise IndexError(f"set {idx} out of range")
+        cset = self[idx] = CacheSet(self.ways)
+        return cset
+
+
 class MemHier:
     """The hierarchy owned by one simulation run: victim L1I/L1D, an MSHR
     file, the shared LLC, line scripting, and the visible access pattern."""
 
     def __init__(self, geom: CacheGeometry, mshrs: int, image: CacheImage | None = None):
         self.geom = geom
-        self.l1d = [CacheSet(geom.l1_ways) for _ in range(geom.l1_sets)]
-        self.l1i = [CacheSet(geom.l1_ways) for _ in range(geom.l1_sets)]
-        self.llc = [CacheSet(geom.llc_ways) for _ in range(geom.llc_sets)]
+        self.l1d = SetArray(geom.l1_sets, geom.l1_ways)
+        self.l1i = SetArray(geom.l1_sets, geom.l1_ways)
+        self.llc = SetArray(geom.llc_sets, geom.llc_ways)
         self.mshrs = MshrFile(mshrs)
         self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
         self.scripts: dict[int, Level] = {}

@@ -34,6 +34,16 @@ the ROB is drained and nothing is left to fetch, only the attacker script
 and I-fetch replays remain: the clock jumps straight to the next of them,
 leaves no rows for the cycles between, and counts the jump as progress.
 
+A cycle whose only events are mshr_stall retries changes no state either:
+a refused MSHR allocation leaves everything as it was. Every following
+cycle repeats the same retries until the same earliest threshold, at the
+latest the free_at of an MSHR. So after such a cycle the engine appends,
+for each cycle up to that threshold (capped at max_cycles), the same
+retries in the same op order as fresh events and the same occupancy row,
+sets last_progress to the last repeated cycle, as the retries would have,
+and jumps the clock. A stepped retry is progress, so the deadlock check
+cannot fire inside the stretch, and max_cycles fires where it would.
+
 Incremental state. Instead of rescanning the ROB, the engine keeps these
 views current at the events that change them (dispatch, issue, complete,
 resolve, safe transition, retire, squash):
@@ -91,6 +101,7 @@ _KIND_CLASS = {
 }
 
 NEVER = -1
+_UNSEEN = object()  # an op whose EU class has not been looked up yet
 
 
 class OpRec:
@@ -221,6 +232,7 @@ class _Engine:
         self.hier = MemHier(cfg.geometry, cfg.l1d_mshrs, image)
         self.force_correct = force_correct
         self.recs = [OpRec(op) for op in program.ops]
+        self.lat_classes: list = [_UNSEEN] * len(program.ops)
         self.consumers: list[list[int]] = [[] for _ in program.ops]
         for op in program.ops:
             for d in op.src_deps:
@@ -266,11 +278,16 @@ class _Engine:
         self.last_progress = self.cycle
 
     def _lat_class(self, op: MicroOp) -> str | None:
-        if op.kind is OpKind.NOP:
-            return None
-        klass = op.lat_class or _KIND_CLASS[op.kind]
-        if klass not in self.cfg.eu:
-            raise ValueError(f"op {op.id}: unknown EU class {klass!r}")
+        """The op's EU class (None for a marker), looked up on first use."""
+        klass = self.lat_classes[op.id]
+        if klass is _UNSEEN:
+            if op.kind is OpKind.NOP:
+                klass = None
+            else:
+                klass = op.lat_class or _KIND_CLASS[op.kind]
+                if klass not in self.cfg.eu:
+                    raise ValueError(f"op {op.id}: unknown EU class {klass!r}")
+            self.lat_classes[op.id] = klass
         return klass
 
     def _is_safe(self, op_id: int) -> bool:
@@ -332,13 +349,18 @@ class _Engine:
             self._phase_retire()
             self._snapshot()
             self.cycle += 1
-            if len(self.events) == n_events and (self.rob or self.fetch_pos < n):
-                # Nothing happened, so nothing will until a threshold passes.
-                cap = self.last_progress + deadlock_after + 1
-                if max_cycles is not None:
-                    cap = min(cap, max_cycles)
-                nxt = self._next_event()
-                self._idle_until(cap if nxt is None else min(nxt, cap))
+            if len(self.events) == n_events:
+                if self.rob or self.fetch_pos < n:
+                    # Nothing happened, so nothing will until a threshold passes.
+                    cap = self.last_progress + deadlock_after + 1
+                    if max_cycles is not None:
+                        cap = min(cap, max_cycles)
+                    nxt = self._next_event()
+                    self._idle_until(cap if nxt is None else min(nxt, cap))
+            elif self.events[-1].name == "mshr_stall" and all(
+                e.name == "mshr_stall" for e in islice(self.events, n_events, None)
+            ):
+                self._repeat_stalls(n_events, max_cycles)
         return self._finish()
 
     def _next_event(self) -> int | None:
@@ -364,12 +386,26 @@ class _Engine:
         return min(times, default=None)
 
     def _idle_until(self, target: int) -> None:
-        """Skip the event-free cycles before target: their occupancy rows
-        repeat the current state."""
+        """Jump the clock to target: the cycles before it, event-free or
+        repeated retries, get occupancy rows that repeat the current state."""
         assert target >= self.cycle
         row = (self.rs_count, self.hier.mshrs.occupancy(), self.inflight)
         self.occupancy.extend((c, *row) for c in range(self.cycle, target))
         self.cycle = target
+
+    def _repeat_stalls(self, first: int, max_cycles: int | None) -> None:
+        """The cycle just stepped logged only the MSHR retries from
+        self.events[first:], which change no state: every cycle before the
+        next threshold (at the latest an MSHR's free_at) repeats them."""
+        target = self._next_event()  # not None: every MSHR is held
+        if max_cycles is not None:
+            target = min(target, max_cycles)
+        stalls = [(e.op, e.extra["line"]) for e in islice(self.events, first, None)]
+        for c in range(self.cycle, target):
+            self.events.extend(TraceEvent(c, "mshr_stall", op, {"line": line}) for op, line in stalls)
+        if target > self.cycle:
+            self.last_progress = target - 1
+        self._idle_until(target)
 
     def _deadlock_diagnostic(self) -> str:
         stuck = [
@@ -761,7 +797,8 @@ class _Engine:
             }
         llc_state: dict[int, tuple[tuple[int | None, int], ...]] = {}
         empty = [None] * self.cfg.geometry.llc_ways
-        for idx, cset in enumerate(self.hier.llc):
+        for idx in sorted(self.hier.llc):
+            cset = self.hier.llc[idx]
             if cset.tags != empty:
                 llc_state[idx] = cset.state()
         return ExecutionTrace(

@@ -177,7 +177,9 @@ class ShadowState:
         "oldest_incomplete_load",
         "oldest_incomplete_store",
         "oldest_open_fence",
-        "_open",
+        "_branches",
+        "_loads",
+        "_stores",
         "_fences",
     )
 
@@ -186,19 +188,30 @@ class ShadowState:
         self.oldest_incomplete_load: int | None = None
         self.oldest_incomplete_store: int | None = None
         self.oldest_open_fence: int | None = None
-        self._open: dict[OpKind, list[int]] = {OpKind.BRANCH: [], OpKind.LOAD: [], OpKind.STORE_ADDR: []}
+        self._branches: list[int] = []
+        self._loads: list[int] = []
+        self._stores: list[int] = []
         self._fences: list[int] = []
 
     def _sync(self) -> None:
-        o = self._open
-        self.oldest_unresolved_branch = o[OpKind.BRANCH][0] if o[OpKind.BRANCH] else None
-        self.oldest_incomplete_load = o[OpKind.LOAD][0] if o[OpKind.LOAD] else None
-        self.oldest_incomplete_store = o[OpKind.STORE_ADDR][0] if o[OpKind.STORE_ADDR] else None
+        self.oldest_unresolved_branch = self._branches[0] if self._branches else None
+        self.oldest_incomplete_load = self._loads[0] if self._loads else None
+        self.oldest_incomplete_store = self._stores[0] if self._stores else None
         self.oldest_open_fence = self._fences[0] if self._fences else None
+
+    def _ids(self, kind: OpKind) -> list[int] | None:
+        """The open-id list an op of this kind sits in, if it casts a shadow."""
+        if kind is OpKind.LOAD:
+            return self._loads
+        if kind is OpKind.BRANCH:
+            return self._branches
+        if kind is OpKind.STORE_ADDR:
+            return self._stores
+        return None
 
     def open(self, op: MicroOp) -> None:
         """A non-marker op entered the ROB (ids enter in increasing order)."""
-        ids = self._open.get(op.kind)
+        ids = self._ids(op.kind)
         if ids is not None:
             ids.append(op.id)
         if op.fence_after:
@@ -208,7 +221,7 @@ class ShadowState:
     def settle(self, op: MicroOp) -> None:
         """The op no longer casts its shadow: a branch resolved, or another
         op completed."""
-        ids = self._open.get(op.kind)
+        ids = self._ids(op.kind)
         if ids is not None:
             ids.remove(op.id)
         if op.fence_after:
@@ -217,7 +230,7 @@ class ShadowState:
 
     def squash_after(self, op_id: int) -> None:
         """Everything younger than op_id left the ROB."""
-        for ids in (*self._open.values(), self._fences):
+        for ids in (self._branches, self._loads, self._stores, self._fences):
             del ids[bisect_right(ids, op_id) :]
         self._sync()
 

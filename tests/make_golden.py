@@ -1,6 +1,7 @@
 """Regenerate the golden trace fixtures (tests/golden/*.trace), the
-corpus trace digests (tests/golden/corpus.sha256) and the seed-1 matrix
-CSV (tests/golden/matrix_seed1.csv).
+corpus trace digests (tests/golden/corpus.sha256 and
+tests/golden/config_corpus.sha256) and the seed-1 matrix CSV
+(tests/golden/matrix_seed1.csv).
 
 Run after an intentional engine change: python3 tests/make_golden.py
 """
@@ -13,7 +14,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from specsim.attacks import MATRIX_SCHEMES
 from specsim.seccheck import matrix_calibrations
 from test_acceptance import CFG, GOLDEN_DIR, GOLDEN_RUNS, MATRIX_GOLDEN, golden_matrix, golden_trace_text
-from test_corpus_digests import CORPUS_DIGESTS, corpus_digests, format_digests
+from test_corpus_digests import (
+    CONFIG_CORPUS_DIGESTS,
+    CORPUS_DIGESTS,
+    config_corpus_digests,
+    corpus_digests,
+    format_digests,
+)
 
 
 def main() -> None:
@@ -25,6 +32,9 @@ def main() -> None:
     digests = corpus_digests()
     CORPUS_DIGESTS.write_text(format_digests(digests))
     print(f"wrote {CORPUS_DIGESTS} ({len(digests)} runs)")
+    digests = config_corpus_digests()
+    CONFIG_CORPUS_DIGESTS.write_text(format_digests(digests))
+    print(f"wrote {CONFIG_CORPUS_DIGESTS} ({len(digests)} runs)")
     res = golden_matrix(matrix_calibrations(CFG, MATRIX_SCHEMES))
     MATRIX_GOLDEN.write_text("\n".join(res.csv_lines()) + "\n")
     print(f"wrote {MATRIX_GOLDEN}")

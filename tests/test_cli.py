@@ -88,6 +88,23 @@ class TestAttack:
         b = call(argv)
         assert a == b
 
+    @pytest.mark.parametrize("flag", ["--bits", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_a_usage_error(self, flag, value):
+        argv = ["attack", "--gadget", "npeu", "--ordering", "vdvd", "--scheme", "unsafe",
+                "--seed", "1", "--no-calibrate", flag, value]
+        code, out, err = call(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"argument {flag}: must be >= 1, got {value}" in err
+
+    def test_sweep_trial_count_below_one_is_a_usage_error(self):
+        code, out, err = call(
+            ["attack", "--gadget", "npeu", "--ordering", "vdvd", "--scheme", "unsafe",
+             "--bits", "4", "--seed", "1", "--no-calibrate", "--sweep-trials", "0,1"]
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "--sweep-trials" in err
+
     def test_not_constructible_pair(self):
         code, _, err = call(
             ["attack", "--gadget", "rs", "--ordering", "vdvd", "--scheme", "unsafe",
@@ -95,6 +112,14 @@ class TestAttack:
         )
         assert code == EXIT_INFEASIBLE
         assert "not constructible" in err
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("flag", ["--bits", "--trials"])
+    def test_zero_count_is_a_usage_error(self, flag):
+        code, out, err = call(["matrix", "--seed", "1", flag, "0"])
+        assert code == EXIT_USAGE and out == ""
+        assert f"argument {flag}: must be >= 1, got 0" in err
 
 
 class TestCheck:
@@ -229,6 +254,34 @@ class TestConfig:
         cfg_file.write_text("[machine]\nbogus = 1\n")
         code, _, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
         assert code == EXIT_USAGE and "bogus" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("rs_size = 12\n", "line: 1"),  # no section header
+            ("[machine]\nrs_size = 12\nrs_size = 14\n", "[line 3]"),  # duplicate key
+        ],
+    )
+    def test_malformed_config_file_is_a_usage_error(self, tmp_path, program_file, text, line):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(text)
+        code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and line in err and len(err.splitlines()) == 1
+
+    def test_percent_in_a_value_is_not_interpolated(self, tmp_path, program_file):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text("[machine]\nrs_size = 12%\n")
+        code, _, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE and "12%" in err
+
+    @pytest.mark.parametrize("key", ["l1_sets", "l1_ways", "llc_sets", "llc_ways", "lat_l1", "lat_llc", "lat_mem"])
+    def test_zero_cache_geometry_is_a_usage_error(self, tmp_path, program_file, key):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(f"[machine]\n{key} = 0\n")
+        code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE and out == ""
+        assert f"{key} must be >= 1" in err
 
     def test_usage_error_exit_two(self):
         code, _, _ = call(["attack", "--gadget", "npeu"])  # missing required args

@@ -1,28 +1,52 @@
-"""Corpus-wide byte-identity pin for the cycle engine.
+"""Corpus-wide byte-identity pins for the cycle engine.
 
 Every run below is reduced to one sha256 digest of its complete observable
 output: the event log, the occupancy CSV, the per-op timestamps, the final
 LLC state and the total cycle count. The digests in tests/golden/corpus.sha256
 were recorded from the stepping engine; an engine change that moves any
-byte of any of these traces fails here. Regenerate only after an intended
-behaviour change: python3 tests/make_golden.py
+byte of any of these traces fails here.
+
+tests/golden/config_corpus.sha256 pins the same digests over the corners of
+the configuration space: mutated random programs (NPEU and NOP ops, fence
+points, marked I-lines, taken-stream ends) under small ROB/RS/CDB/MSHR
+sizes, slow write-back and branch resolution, attacker scripts, forced
+predictions and max_cycles. A run that raises is pinned by the exact text
+of its exception, so deadlock diagnostics and the max_cycles cycle are
+pinned too. Both files were recorded before the MSHR-stall stretches were
+batched.
+
+Regenerate only after an intended behaviour change: python3 tests/make_golden.py
 """
 
 import hashlib
+import random
+from dataclasses import replace
 from pathlib import Path
 
 from specsim.attacks import attack_image
 from specsim.machine import MachineConfig
-from specsim.microprog import ConstructionError, Gadget, Ordering, build_attack_program
-from specsim.pipeline import ExecutionTrace, run
-from specsim.schemes import all_scheme_ids
+from specsim.memhier import CacheImage, Level
+from specsim.microprog import (
+    ConstructionError,
+    Gadget,
+    Literal,
+    MicroOp,
+    MicroProgram,
+    OpKind,
+    Ordering,
+    build_attack_program,
+)
+from specsim.pipeline import ExecutionTrace, SimulationDeadlock, run
+from specsim.schemes import SchemeId, all_scheme_ids
 from specsim.seccheck import gen_random_program, synth_suite
 
-from test_pipeline import diamond_program
+from test_pipeline import diamond_program, stall_stretch_program
 
 CFG = MachineConfig()
 CORPUS_DIGESTS = Path(__file__).parent / "golden" / "corpus.sha256"
+CONFIG_CORPUS_DIGESTS = Path(__file__).parent / "golden" / "config_corpus.sha256"
 RANDOM_SEEDS = 60
+CONFIG_SEEDS = 64
 
 
 def trace_digest(trace: ExecutionTrace) -> str:
@@ -82,3 +106,102 @@ def test_corpus_traces_match_pinned_digests():
     assert actual.keys() == pinned.keys()
     moved = [label for label in actual if actual[label] != pinned[label]]
     assert not moved, f"{len(moved)} traces changed, first: {moved[:5]}"
+
+
+ILINES = [800_000 + k for k in range(6)]
+ATTACKER_LINES = [900_000 + k for k in range(4)] + ILINES[:3]
+
+
+def mutated_program(seed: int) -> tuple[MicroProgram, CacheImage]:
+    """A gen_random_program program with some ALU ops turned into NPEU ops
+    or NOP markers, fence points, marked I-lines (scripted, LLC-resident
+    and absent) and taken-stream ends on predicted-taken branches."""
+    program, image = gen_random_program(seed, max_ops=40)
+    rng = random.Random(f"mutate:{seed}")
+    ops = []
+    for op in program.ops:
+        if op.kind is OpKind.ALU and op.id > 0:
+            roll = rng.random()
+            if roll < 0.15:
+                op = replace(op, kind=OpKind.NPEU)
+            elif roll < 0.3:
+                op = replace(op, kind=OpKind.NOP, src_deps=())
+        if op.branch is not None and op.branch.predicted_taken and rng.random() < 0.5:
+            op = replace(op, branch=replace(op.branch, taken_stream_ends=True))
+        if rng.random() < 0.1:
+            op = replace(op, fence_after=True)
+        if rng.random() < 0.15:
+            op = replace(op, iline=rng.choice(ILINES))
+        ops.append(op)
+    mutated = MicroProgram(ops=ops)
+    mutated.validate()
+    scripts = {**image.scripts, ILINES[0]: Level.LLCHIT, ILINES[1]: Level.MEMMISS}
+    llc_set = ILINES[2] % CFG.geometry.llc_sets
+    return mutated, CacheImage(llc={llc_set: [(ILINES[2], rng.randrange(4))]}, scripts=scripts)
+
+
+def corner_config(rng: random.Random) -> MachineConfig:
+    return CFG.with_overrides(
+        issue_width=rng.choice([1, 2, 4]),
+        retire_width=rng.choice([1, 4]),
+        rob_size=rng.choice([4, 6, 8, 16, 192]),
+        rs_size=rng.choice([2, 3, 4, 8, 40]),
+        cdb_width=rng.choice([1, 1, 2, 4]),
+        l1d_mshrs=rng.choice([1, 1, 2, 2, 4]),
+        writeback_delay=rng.choice([1, 1, 2, 7, 120, 450, 850]),
+        branch_resolve_extra=rng.choice([1, 1, 3, 90, 300]),
+    )
+
+
+def config_corpus_runs():
+    """(label, program, config, scheme, run() arguments) for every pinned
+    corner run: each mutated program under one drawn corner config and all
+    ten schemes, the MSHR sender under two MSHRs (it cannot be built with
+    one), and a one-MSHR stall stretch cut by max_cycles before, inside and
+    after the stretches."""
+    for seed in range(CONFIG_SEEDS):
+        rng = random.Random(f"corner:{seed}")
+        program, image = mutated_program(seed)
+        cfg = corner_config(rng)
+        kw = {"image": image, "force_correct_predictions": rng.random() < 0.2}
+        if rng.random() < 0.4:
+            kw["attacker"] = [(rng.randrange(400), rng.choice(ATTACKER_LINES)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            kw["max_cycles"] = rng.randint(1, 600)
+        for scheme in all_scheme_ids():
+            yield f"corner{seed}/{scheme.value}", program, cfg, scheme, kw
+    cfg = CFG.with_overrides(l1d_mshrs=2)
+    image = attack_image(Gadget.MSHR, cfg)
+    for ordering in Ordering:
+        try:
+            program, script = build_attack_program(ordering, Gadget.MSHR, cfg)
+        except ConstructionError:
+            continue
+        for secret in (0, 1):
+            kw = {"image": image, "attacker": script, "secrets": {"s0": secret}}
+            for scheme in all_scheme_ids():
+                yield f"mshr2-{ordering.value}-s{secret}/{scheme.value}", program, cfg, scheme, kw
+    cfg = CFG.with_overrides(l1d_mshrs=1)
+    program, image = stall_stretch_program(4)
+    for max_cycles in (None, 1, 2, 3, 100, 201, 202, 402, 650):
+        kw = {"image": image, "max_cycles": max_cycles}
+        for scheme in (SchemeId.UNSAFE, SchemeId.INVISISPEC_SPECTRE):
+            yield f"stall4-max{max_cycles}/{scheme.value}", program, cfg, scheme, kw
+
+
+def config_corpus_digests() -> dict[str, str]:
+    out = {}
+    for label, program, cfg, scheme, kw in config_corpus_runs():
+        try:
+            out[label] = "trace:" + trace_digest(run(program, cfg, scheme, **kw))
+        except SimulationDeadlock as e:
+            out[label] = f"raise:{e}"
+    return out
+
+
+def test_config_corpus_matches_pinned_digests():
+    pinned = dict(line.split(" ", 1) for line in CONFIG_CORPUS_DIGESTS.read_text().splitlines())
+    actual = config_corpus_digests()
+    assert actual.keys() == pinned.keys()
+    moved = [label for label in actual if actual[label] != pinned[label]]
+    assert not moved, f"{len(moved)} runs changed, first: {[(m, actual[m]) for m in moved[:3]]}"

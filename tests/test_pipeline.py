@@ -67,6 +67,15 @@ def diamond_program(n_alu: int) -> tuple[MicroProgram, CacheImage]:
     return prog_of(*ops), CacheImage(scripts={DIAMOND_LINE: Level.MEMMISS})
 
 
+def stall_stretch_program(n_loads: int) -> tuple[MicroProgram, CacheImage]:
+    """n_loads independent loads, each a memory miss on its own line: with
+    one MSHR, the loads behind the first retry every cycle until its fill
+    returns."""
+    lines = [950_000 + k for k in range(n_loads)]
+    ops = [MicroOp(i, OpKind.LOAD, addr=Literal(line)) for i, line in enumerate(lines)]
+    return prog_of(*ops), CacheImage(scripts={line: Level.MEMMISS for line in lines})
+
+
 class TestBasics:
     def test_empty_program_is_zero_cycles(self):
         trace = run(prog_of(), CFG, SchemeId.UNSAFE)
@@ -376,3 +385,37 @@ class TestClockEdges:
         assert [row[0] for row in t.occupancy[-3:]] == [204, 205, FAR_OFFSET]
         assert t.total_cycles == 205
         assert t.events[-1].name == "l2access" and t.events[-1].cycle == FAR_OFFSET
+
+    def test_max_cycles_inside_a_stall_stretch_raises(self):
+        # Load 0 holds the only MSHR from cycle 1 to 201; loads 1 and 2
+        # retry on every cycle in between, load 3 behind them from 201.
+        cfg = CFG.with_overrides(l1d_mshrs=1)
+        p, image = stall_stretch_program(4)
+        t = run(p, cfg, SchemeId.UNSAFE, image=image)
+        stalled = {e.cycle for e in t.events if e.name == "mshr_stall"}
+        for k in (3, 100, 200, 300, 500):
+            assert k in stalled
+            with pytest.raises(SimulationDeadlock, match=f"^exceeded max_cycles={k}$"):
+                run(p, cfg, SchemeId.UNSAFE, image=image, max_cycles=k)
+        capped = run(p, cfg, SchemeId.UNSAFE, image=image, max_cycles=t.occupancy[-1][0] + 1)
+        assert capped.occupancy == t.occupancy and capped.serialize() == t.serialize()
+
+    def test_stall_stretch_ends_on_the_mshr_fill(self):
+        cfg = CFG.with_overrides(l1d_mshrs=1)
+        p, image = stall_stretch_program(4)
+        t = run(p, cfg, SchemeId.UNSAFE, image=image)
+        free_at = t.times(0, "issue") + cfg.geometry.lat_mem
+        by_cycle: dict[int, list[tuple[str, int | None]]] = {}
+        for e in t.events:
+            by_cycle.setdefault(e.cycle, []).append((e.name, e.op))
+        # One retry per stalled op on every cycle of the stretch, in op
+        # order, and nothing else until the fill returns.
+        for c in range(t.times(0, "issue") + 1, free_at):
+            assert by_cycle[c] == [("mshr_stall", 1), ("mshr_stall", 2)]
+        assert by_cycle[free_at][0] == ("mshr_free", None)
+        assert t.times(1, "issue") == free_at
+        # The stretch keeps one occupancy row per cycle, each equal to the
+        # row of its first cycle.
+        assert [row[0] for row in t.occupancy] == list(range(len(t.occupancy)))
+        first = t.occupancy[t.times(0, "issue") + 1]
+        assert all(t.occupancy[c][1:] == first[1:] for c in range(first[0], free_at))
