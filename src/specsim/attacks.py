@@ -19,6 +19,7 @@ more-leftward line also hits 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 import random
 
 from .machine import MachineConfig
@@ -93,18 +94,26 @@ def probe(cset: CacheSet, evs2: tuple[int, ...], a: int, b: int) -> ResidencyObs
     return ResidencyObservation(a_hit=cset.resident(a), b_hit=cset.resident(b))
 
 
-def primed_ways(layout: AttackLayout, geom: CacheGeometry, anchor: int) -> list[tuple[int, int]]:
+# The receiver constants below are pure in (layout, geometry, anchor), all
+# hashable, and a matrix asks for the same few anchors hundreds of times:
+# derive each once, as an immutable value, and hand every caller a copy.
+
+
+@lru_cache(maxsize=64)
+def _primed_ways(layout: AttackLayout, geom: CacheGeometry, anchor: int) -> tuple[tuple[int, int], ...]:
     cset = CacheSet(geom.llc_ways)
     prime(cset, layout.evs1, anchor)
-    return [(t, a) for t, a in zip(cset.tags, cset.ages) if t is not None]
+    return tuple((t, a) for t, a in zip(cset.tags, cset.ages) if t is not None)
 
 
-def derive_decode_table(
+def primed_ways(layout: AttackLayout, geom: CacheGeometry, anchor: int) -> list[tuple[int, int]]:
+    return list(_primed_ways(layout, geom, anchor))
+
+
+@lru_cache(maxsize=64)
+def _decode_items(
     layout: AttackLayout, geom: CacheGeometry, anchor: int
-) -> dict[tuple[bool, bool], int]:
-    """Replay prime -> victim order -> probe through the replacement model
-    for both orders and map the two survivor pairs to bits. Bit 0 is the
-    anchor-first order (no interference), bit 1 the reference-first order."""
+) -> tuple[tuple[tuple[bool, bool], int], ...]:
     table: dict[tuple[bool, bool], int] = {}
     for bit, order in ((0, (anchor, layout.reference_line)), (1, (layout.reference_line, anchor))):
         cset = CacheSet(geom.llc_ways)
@@ -116,7 +125,16 @@ def derive_decode_table(
         if key in table:
             raise ValueError("replacement state does not distinguish the two orders")
         table[key] = bit
-    return table
+    return tuple(table.items())
+
+
+def derive_decode_table(
+    layout: AttackLayout, geom: CacheGeometry, anchor: int
+) -> dict[tuple[bool, bool], int]:
+    """Replay prime -> victim order -> probe through the replacement model
+    for both orders and map the two survivor pairs to bits. Bit 0 is the
+    anchor-first order (no interference), bit 1 the reference-first order."""
+    return dict(_decode_items(layout, geom, anchor))
 
 
 def attack_image(

@@ -104,44 +104,55 @@ def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, Attac
         if section not in ("machine", "scheme", "attack"):
             raise ConfigError(f"unknown config section [{section}]")
     if parser.has_section("machine"):
-        items = dict(parser.items("machine"))
-        unknown = set(items) - _MACHINE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown [machine] keys: {sorted(unknown)}")
+        items = _int_items(parser, "machine", _MACHINE_KEYS)
         geom_kw = {}
         for key in ("l1_sets", "l1_ways", "llc_sets", "llc_ways", "lat_l1", "lat_llc", "lat_mem"):
             if key in items:
-                geom_kw[key] = int(items.pop(key))
+                geom_kw[key] = items.pop(key)
         eu = dict(cfg.eu)
         if "npeu_latency" in items or "npeu_count" in items:
             eu["npeu"] = EuClass(
                 False,
-                int(items.pop("npeu_latency", eu["npeu"].latency)),
-                int(items.pop("npeu_count", eu["npeu"].count)),
+                items.pop("npeu_latency", eu["npeu"].latency),
+                items.pop("npeu_count", eu["npeu"].count),
             )
         if "alu_count" in items:
-            eu["alu"] = EuClass(True, eu["alu"].latency, int(items.pop("alu_count")))
+            eu["alu"] = EuClass(True, eu["alu"].latency, items.pop("alu_count"))
         if "lsu_count" in items:
-            eu["lsu"] = EuClass(True, eu["lsu"].latency, int(items.pop("lsu_count")))
-        kw = {k: int(v) for k, v in items.items()}
+            eu["lsu"] = EuClass(True, eu["lsu"].latency, items.pop("lsu_count"))
         if geom_kw:
-            kw["geometry"] = replace(CacheGeometry(), **geom_kw)
-        kw["eu"] = eu
-        cfg = cfg.with_overrides(**kw)
+            items["geometry"] = replace(CacheGeometry(), **geom_kw)
+        cfg = cfg.with_overrides(eu=eu, **items)
     if parser.has_section("scheme"):
         items = dict(parser.items("scheme"))
         unknown = set(items) - _SCHEME_KEYS
         if unknown:
             raise ConfigError(f"unknown [scheme] keys: {sorted(unknown)}")
         if "id" in items:
-            scheme = SchemeId(items["id"])
+            try:
+                scheme = SchemeId(items["id"])
+            except ValueError:
+                known = ", ".join(s.value for s in SchemeId)
+                raise ConfigError(f"[scheme] id: unknown scheme {items['id']!r} (known: {known})") from None
     if parser.has_section("attack"):
-        items = dict(parser.items("attack"))
-        unknown = set(items) - _ATTACK_KEYS
-        if unknown:
-            raise ConfigError(f"unknown [attack] keys: {sorted(unknown)}")
-        params = AttackParams(**{k: int(v) for k, v in items.items()})
+        params = AttackParams(**_int_items(parser, "attack", _ATTACK_KEYS))
     return cfg, scheme, params
+
+
+def _int_items(parser: configparser.ConfigParser, section: str, keys: set[str]) -> dict[str, int]:
+    """A section's integer values, keyed by name; an unknown key or a value
+    that is not an integer names the section and the key."""
+    items = dict(parser.items(section))
+    unknown = set(items) - keys
+    if unknown:
+        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
+    out = {}
+    for key, value in items.items():
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: expected an integer, got {value!r}") from None
+    return out
 
 
 def parse_secrets(text: str | None, program) -> dict[str, int] | None:
@@ -160,6 +171,14 @@ def positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def probability(text: str) -> float:
+    """argparse type for a probability: a float in [0, 1]."""
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return p
 
 
 def _write(path: str, text: str) -> None:
@@ -382,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=[s.value for s in SchemeId])
     p.add_argument("--bits", type=positive_int, default=64)
     p.add_argument("--trials", type=positive_int, default=3)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=probability, default=0.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--no-calibrate", action="store_true", help="use builder defaults")
@@ -427,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("dump-policy", help="replacement-state transcript for one set")
-    p.add_argument("--ways", type=int, default=4)
+    p.add_argument("--ways", type=positive_int, default=4)
     p.add_argument("--accesses", required=True, help="space-separated line names, e.g. 'L L A B'")
     p.set_defaults(fn=cmd_dump_policy)
 

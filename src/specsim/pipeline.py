@@ -39,7 +39,7 @@ a refused MSHR allocation leaves everything as it was. Every following
 cycle repeats the same retries until the same earliest threshold, at the
 latest the free_at of an MSHR. So after such a cycle the engine appends,
 for each cycle up to that threshold (capped at max_cycles), the same
-retries in the same op order as fresh events and the same occupancy row,
+retries in the same op order as new records and the same occupancy row,
 sets last_progress to the last repeated cycle, as the retries would have,
 and jumps the clock. A stepped retry is progress, so the deadlock check
 cannot fire inside the stretch, and max_cycles fires where it would.
@@ -64,6 +64,16 @@ resolve, safe transition, retire, squash):
     or their deferred I-access. Under every shadow rule an op is safe only
     if every older op is, so each cycle's transitions pop a prefix.
 A squash truncates every view to the ops at or older than the branch.
+
+Event log. Each event is logged as a plain tuple record (cycle, name, op,
+extra): op is None for events of no op, and extra is None or a dict of the
+fields that six kinds carry (l2access, mshr_stall, mshr_free, delayed,
+resolve, ifetch). Records are never mutated, so repeated stall records
+share one extra dict. ExecutionTrace keeps them as `records`, which the
+engine and the oracle's squash test read. `events` is a view that
+builds one TraceEvent per record, each with its own extra dict, on first
+read. serialize() renders the records directly, to the same bytes as
+joining the view's line_text().
 """
 
 from __future__ import annotations
@@ -71,6 +81,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import islice
 
@@ -147,6 +158,21 @@ class OpRec:
         self.npeu_unit: int | None = None
 
 
+# One logged event: (cycle, name, op or None, extra fields or None). The
+# extra dict is shared by repeated records and is never mutated.
+Record = tuple[int, str, int | None, dict | None]
+
+
+def _record_text(cycle: int, name: str, op: int | None, extra: dict | None) -> str:
+    parts = [f"cycle={cycle}", f"event={name}"]
+    if op is not None:
+        parts.append(f"op={op}")
+    if extra:
+        for k in sorted(extra):
+            parts.append(f"{k}={extra[k]}")
+    return " ".join(parts)
+
+
 @dataclass
 class TraceEvent:
     cycle: int
@@ -155,12 +181,7 @@ class TraceEvent:
     extra: dict = field(default_factory=dict)
 
     def line_text(self) -> str:
-        parts = [f"cycle={self.cycle}", f"event={self.name}"]
-        if self.op is not None:
-            parts.append(f"op={self.op}")
-        for k in sorted(self.extra):
-            parts.append(f"{k}={self.extra[k]}")
-        return " ".join(parts)
+        return _record_text(self.cycle, self.name, self.op, self.extra)
 
 
 @dataclass
@@ -169,7 +190,7 @@ class ExecutionTrace:
     timestamps, per-cycle occupancy, the visible-access pattern, and the
     total cycle count (last retirement or squash)."""
 
-    events: list[TraceEvent]
+    records: list[Record]
     op_times: dict[int, dict[str, int]]
     occupancy: list[tuple[int, int, int, int]]  # cycle, rs, mshr, eu_busy
     pattern: list  # AccessRecord list from the hierarchy
@@ -181,8 +202,14 @@ class ExecutionTrace:
     def pattern_keys(self) -> list[tuple[int, str, str]]:
         return [r.key() for r in self.pattern]
 
+    @cached_property
+    def events(self) -> list[TraceEvent]:
+        """The event log as TraceEvent objects, built on first read; each
+        event gets its own extra dict."""
+        return [TraceEvent(c, name, op, dict(extra) if extra else {}) for c, name, op, extra in self.records]
+
     def serialize(self) -> str:
-        return "\n".join(e.line_text() for e in self.events) + "\n"
+        return "\n".join([_record_text(*r) for r in self.records]) + "\n"
 
     def occupancy_csv(self) -> str:
         rows = ["cycle,rs_fill,mshr_fill,eu_busy"]
@@ -241,7 +268,7 @@ class _Engine:
         self.fetch_pos = 0
         self.redirect_at = 0  # earliest cycle the frontend may fetch
         self.cycle = 0
-        self.events: list[TraceEvent] = []
+        self.records: list[Record] = []
         self.occupancy: list[tuple[int, int, int, int]] = []
         self.shadow = ShadowState()
         self.last_progress = 0
@@ -273,8 +300,8 @@ class _Engine:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _event(self, name: str, op: int | None, **extra) -> None:
-        self.events.append(TraceEvent(self.cycle, name, op, extra))
+    def _event(self, name: str, op: int | None, extra: dict | None = None) -> None:
+        self.records.append((self.cycle, name, op, extra))
         self.last_progress = self.cycle
 
     def _lat_class(self, op: MicroOp) -> str | None:
@@ -338,7 +365,7 @@ class _Engine:
                     self.last_progress = nxt
             if self.cycle - self.last_progress > deadlock_after:
                 raise SimulationDeadlock(self._deadlock_diagnostic())
-            n_events = len(self.events)
+            n_events = len(self.records)
             self._phase_mshr_returns()
             self._phase_cdb()
             self._phase_resolve_and_squash()
@@ -349,7 +376,7 @@ class _Engine:
             self._phase_retire()
             self._snapshot()
             self.cycle += 1
-            if len(self.events) == n_events:
+            if len(self.records) == n_events:
                 if self.rob or self.fetch_pos < n:
                     # Nothing happened, so nothing will until a threshold passes.
                     cap = self.last_progress + deadlock_after + 1
@@ -357,8 +384,8 @@ class _Engine:
                         cap = min(cap, max_cycles)
                     nxt = self._next_event()
                     self._idle_until(cap if nxt is None else min(nxt, cap))
-            elif self.events[-1].name == "mshr_stall" and all(
-                e.name == "mshr_stall" for e in islice(self.events, n_events, None)
+            elif self.records[-1][1] == "mshr_stall" and all(
+                r[1] == "mshr_stall" for r in islice(self.records, n_events, None)
             ):
                 self._repeat_stalls(n_events, max_cycles)
         return self._finish()
@@ -395,14 +422,14 @@ class _Engine:
 
     def _repeat_stalls(self, first: int, max_cycles: int | None) -> None:
         """The cycle just stepped logged only the MSHR retries from
-        self.events[first:], which change no state: every cycle before the
+        self.records[first:], which change no state: every cycle before the
         next threshold (at the latest an MSHR's free_at) repeats them."""
         target = self._next_event()  # not None: every MSHR is held
         if max_cycles is not None:
             target = min(target, max_cycles)
-        stalls = [(e.op, e.extra["line"]) for e in islice(self.events, first, None)]
+        stalls = [(op, extra) for _, _, op, extra in islice(self.records, first, None)]
         for c in range(self.cycle, target):
-            self.events.extend(TraceEvent(c, "mshr_stall", op, {"line": line}) for op, line in stalls)
+            self.records.extend([(c, "mshr_stall", op, extra) for op, extra in stalls])
         if target > self.cycle:
             self.last_progress = target - 1
         self._idle_until(target)
@@ -419,7 +446,7 @@ class _Engine:
 
     def _phase_mshr_returns(self) -> None:
         for m in self.hier.mshrs.release_due(self.cycle):
-            self._event("mshr_free", None, line=m.line)
+            self._event("mshr_free", None, {"line": m.line})
 
     def _phase_cdb(self) -> None:
         while self.finishing and self.finishing[0][0] <= self.cycle:
@@ -443,7 +470,7 @@ class _Engine:
             r.resolved = self.cycle
             self.unresolved_done.remove(i)
             self.shadow.settle(r.op)
-            self._event("resolve", i, mispredicted=int(b.mispredicted() and not self.force_correct))
+            self._event("resolve", i, {"mispredicted": int(b.mispredicted() and not self.force_correct)})
             if b.mispredicted() and not self.force_correct and squash_branch is None:
                 squash_branch = i
         if squash_branch is not None:
@@ -531,7 +558,7 @@ class _Engine:
             _, line = self.attacker[self.attacker_pos]
             self.attacker_pos += 1
             res = self.hier.llc_access(line, Requester.ATTACKER, visible=True, cycle=self.cycle)
-            self._event("l2access", None, line=line, requester="attacker", result=res)
+            self._event("l2access", None, {"line": line, "requester": "attacker", "result": res})
 
     # -- issue -----------------------------------------------------------
 
@@ -651,12 +678,12 @@ class _Engine:
         if not safe and self.spec.miss_policy is MissPolicy.DELAY:
             if not r.delayed:
                 r.delayed = True
-                self._event("delayed", op_id, line=line)
+                self._event("delayed", op_id, {"line": line})
             return "delayed"
         lat = self.hier.latency(level)
         mshr = self.hier.mshrs.allocate(line, op_id, free_at=self.cycle + lat)
         if mshr is None:
-            self._event("mshr_stall", op_id, line=line)
+            self._event("mshr_stall", op_id, {"line": line})
             return "stall"
         invisible = not safe and self.spec.miss_policy is MissPolicy.INVISIBLE
         if invisible:
@@ -677,18 +704,18 @@ class _Engine:
             return
         res = self.hier.llc_access(line, Requester.VICTIM, visible=True, cycle=self.cycle, op_id=op_id)
         self.hier.l1_fill(line)
-        self._event("l2access", op_id, line=line, requester="victim", result=res)
+        self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res})
 
     def _ifetch_access(self, op_id: int) -> None:
         line = self.recs[op_id].op.iline
         assert line is not None
         if self.hier.service_level(line, icache=True) is Level.L1HIT:
             self.hier.l1_hit_update(line, icache=True)
-            self._event("ifetch", op_id, line=line, level="l1i")
+            self._event("ifetch", op_id, {"line": line, "level": "l1i"})
             return
         res = self.hier.llc_access(line, Requester.VICTIM, visible=True, cycle=self.cycle, op_id=op_id)
         self.hier.l1_fill(line, icache=True)
-        self._event("l2access", op_id, line=line, requester="victim", result=res, fetch=1)
+        self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res, "fetch": 1})
 
     # -- frontend ----------------------------------------------------------
 
@@ -802,10 +829,10 @@ class _Engine:
             if cset.tags != empty:
                 llc_state[idx] = cset.state()
         return ExecutionTrace(
-            events=self.events,
+            records=self.records,
             op_times=op_times,
             occupancy=self.occupancy,
             pattern=self.hier.pattern,
-            total_cycles=self.last_drain_cycle if self.events else 0,
+            total_cycles=self.last_drain_cycle if self.records else 0,
             llc_state=llc_state,
         )

@@ -76,7 +76,7 @@ def nospec(
     """The no-misspeculation oracle: same program and machine with every
     branch prediction forced correct at fetch; produces zero squashes."""
     trace = run(program, cfg, scheme, secrets, image, attacker, force_correct_predictions=True)
-    assert not any(e.name == "squash" for e in trace.events)
+    assert not any(r[1] == "squash" for r in trace.records)
     return trace
 
 
@@ -172,8 +172,13 @@ def _order_flip(plan) -> bool:
         pair = (plan.anchor, plan.layout.reference_line)
         return tuple(r.line for r in t.pattern if r.line in pair)
 
-    o0, o1 = order(0), order(1)
-    return len(o0) == 2 and len(o1) == 2 and o0 != o1 and o0[0] == plan.anchor
+    # A flip needs bit 0 to see both lines, anchor first; otherwise the
+    # verdict is fixed and bit 1 is not run.
+    o0 = order(0)
+    if len(o0) != 2 or o0[0] != plan.anchor:
+        return False
+    o1 = order(1)
+    return len(o1) == 2 and o1 != o0
 
 
 def calibrate(

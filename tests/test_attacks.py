@@ -121,6 +121,20 @@ class TestProbeAndDecode:
         table = derive_decode_table(LAY, GEOM, LAY.victim_line)
         assert table.get((False, False), DISCARD) == DISCARD
 
+    def test_derived_constants_are_fresh_per_call(self):
+        # Both are memoized; a caller that edits its copy must not change
+        # what the next caller gets.
+        table = derive_decode_table(LAY, GEOM, LAY.victim_line)
+        expected = dict(table)
+        table[(False, False)] = 1
+        table.pop((True, False))
+        assert derive_decode_table(LAY, GEOM, LAY.victim_line) == expected
+        ways = primed_ways(LAY, GEOM, LAY.victim_line)
+        expected_ways = list(ways)
+        ways.append((LAY.reference_line, 0))
+        ways[0] = (LAY.reference_line, 3)
+        assert primed_ways(LAY, GEOM, LAY.victim_line) == expected_ways
+
 
 def bits_for(n, seed):
     rng = random.Random(f"tb:{seed}")

@@ -97,6 +97,14 @@ class TestAttack:
         assert code == EXIT_USAGE and out == ""
         assert f"argument {flag}: must be >= 1, got {value}" in err
 
+    @pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
+    def test_noise_outside_unit_interval_is_a_usage_error(self, value):
+        argv = ["attack", "--gadget", "npeu", "--ordering", "vdvd", "--scheme", "unsafe",
+                "--bits", "2", "--seed", "1", "--no-calibrate", "--noise", value]
+        code, out, err = call(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"argument --noise: must be in [0, 1], got {value}" in err
+
     def test_sweep_trial_count_below_one_is_a_usage_error(self):
         code, out, err = call(
             ["attack", "--gadget", "npeu", "--ordering", "vdvd", "--scheme", "unsafe",
@@ -220,6 +228,12 @@ class TestDumpPolicy:
         assert "(evicted A)" in out  # leftmost age-3 way after uniform aging
 
 
+    def test_zero_ways_is_a_usage_error(self):
+        code, out, err = call(["dump-policy", "--ways", "0", "--accesses", "A"])
+        assert code == EXIT_USAGE and out == ""
+        assert "argument --ways: must be >= 1, got 0" in err
+
+
 class TestConfig:
     def test_machine_overrides(self, tmp_path):
         cfg_file = tmp_path / "m.cfg"
@@ -282,6 +296,22 @@ class TestConfig:
         code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
         assert code == EXIT_USAGE and out == ""
         assert f"{key} must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[machine]\nrs_size = x\n", "[machine] rs_size: expected an integer, got 'x'"),
+            ("[machine]\nnpeu_latency = 2.5\n", "[machine] npeu_latency: expected an integer, got '2.5'"),
+            ("[attack]\nz_len = many\n", "[attack] z_len: expected an integer, got 'many'"),
+            ("[scheme]\nid = dom\n", "[scheme] id: unknown scheme 'dom'"),
+        ],
+    )
+    def test_bad_value_names_section_and_key(self, tmp_path, program_file, text, message):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(text)
+        code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
     def test_usage_error_exit_two(self):
         code, _, _ = call(["attack", "--gadget", "npeu"])  # missing required args

@@ -419,3 +419,47 @@ class TestClockEdges:
         assert [row[0] for row in t.occupancy] == list(range(len(t.occupancy)))
         first = t.occupancy[t.times(0, "issue") + 1]
         assert all(t.occupancy[c][1:] == first[1:] for c in range(first[0], free_at))
+
+
+EVENT_KINDS = {
+    "fetch", "dispatch", "issue", "complete", "retire", "safe", "resolve", "squash",
+    "reissue", "delayed", "mshr_stall", "mshr_free", "l2access", "ifetch",
+}
+
+
+def every_event_program() -> tuple[MicroProgram, CacheImage]:
+    """Under dom-spectre with one MSHR and an attacker access at cycle 3,
+    this logs every event kind: a correct-path miss that stalls on the MSHR,
+    an L1I-hit and an LLC I-fetch, a shadowed miss delayed until its
+    correctly predicted branch resolves, and a mispredicted branch."""
+    ops = [
+        MicroOp(0, OpKind.LOAD, addr=Literal(900)),
+        MicroOp(1, OpKind.LOAD, addr=Literal(901)),
+        MicroOp(2, OpKind.ALU, iline=950),
+        MicroOp(3, OpKind.ALU, iline=951),
+        MicroOp(4, OpKind.BRANCH, branch=BranchInfo(True, True, 0, 6)),
+        MicroOp(5, OpKind.LOAD, addr=Literal(902)),
+        MicroOp(6, OpKind.BRANCH, branch=BranchInfo(True, False, 0, 8)),
+        MicroOp(7, OpKind.ALU),
+        MicroOp(8, OpKind.ALU),
+    ]
+    return prog_of(*ops), CacheImage(scripts={950: Level.L1HIT})
+
+
+class TestTraceRecords:
+    def test_event_view_matches_records(self):
+        p, image = every_event_program()
+        t = run(p, CFG.with_overrides(l1d_mshrs=1), SchemeId.DOM_SPECTRE, image=image, attacker=[(3, 960)])
+        assert {r[1] for r in t.records} == EVENT_KINDS
+        accesses = {(r[3]["requester"], r[3].get("fetch")) for r in t.records if r[1] == "l2access"}
+        assert accesses == {("attacker", None), ("victim", None), ("victim", 1)}
+        assert len(t.events) == len(t.records)
+        for e, (cycle, name, op, extra) in zip(t.events, t.records):
+            assert (e.cycle, e.name, e.op) == (cycle, name, op)
+            assert e.extra == ({} if extra is None else extra)
+        assert t.serialize() == "\n".join(e.line_text() for e in t.events) + "\n"
+        # Each event owns its extra dict: editing the view leaves the log alone.
+        text = t.serialize()
+        for e in t.events:
+            e.extra["edited"] = 1
+        assert t.serialize() == text

@@ -285,6 +285,38 @@ class TestMatrixFallback:
         assert 0 < sum(fake.count(g, o, SchemeId.UNSAFE) for g, o in senders) < len(senders)
 
 
+class CountingRunVictim:
+    """Wraps seccheck.run_victim, recording the secret bit of every run."""
+
+    def __init__(self):
+        self.real = seccheck.run_victim
+        self.bits = []
+
+    def __call__(self, plan, bit, force_correct=False):
+        self.bits.append(bit)
+        return self.real(plan, bit, force_correct)
+
+
+class TestOrderFlip:
+    def test_reference_first_bit0_makes_one_run(self, monkeypatch):
+        # npeu/vivd at default parameters: bit 0 already sees the reference
+        # line first under every searched scheme, so no bit-1 order can flip.
+        runs = CountingRunVictim()
+        monkeypatch.setattr(seccheck, "run_victim", runs)
+        for scheme in (*MATRIX_SCHEMES, SchemeId.UNSAFE):
+            runs.bits.clear()
+            plan = plan_attack(Gadget.NPEU, Ordering.VIVD, scheme, CFG, AttackParams())
+            assert not seccheck._order_flip(plan)
+            assert runs.bits == [0], scheme
+
+    def test_anchor_first_bit0_runs_bit1(self, monkeypatch):
+        runs = CountingRunVictim()
+        monkeypatch.setattr(seccheck, "run_victim", runs)
+        plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG, AttackParams())
+        assert seccheck._order_flip(plan)
+        assert runs.bits == [0, 1]
+
+
 class TestInterferenceGap:
     def test_gap_positive_and_deterministic(self):
         g1a, g2a = interference_gap(CFG)
