@@ -16,9 +16,6 @@ from .microprog import (
     OpKind,
     Ordering,
     build_attack_program,
-    build_gadget_mshr,
-    build_gadget_npeu,
-    build_gadget_rs,
     format_program,
     parse_program,
 )
@@ -54,9 +51,6 @@ __all__ = [
     "SimulationDeadlock",
     "bench_overhead",
     "build_attack_program",
-    "build_gadget_mshr",
-    "build_gadget_npeu",
-    "build_gadget_rs",
     "calibrate",
     "check_ideal",
     "check_ideal_differential",

@@ -210,7 +210,14 @@ class AttackPlan:
 
     def victim_trace(self, bit: int) -> ExecutionTrace:
         if bit not in self.trace_cache:
-            self.trace_cache[bit] = run_victim(self, bit)
+            self.trace_cache[bit] = run(
+                self.program,
+                self.cfg,
+                self.scheme,
+                secrets={"s0": bit},
+                image=self.image,
+                attacker=self.script,
+            )
         return self.trace_cache[bit]
 
     def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[bool, ...]:
@@ -258,18 +265,6 @@ def plan_attack(
         image = attack_image(gadget, cfg, m=p.m, anchor=anchor)
         decode = derive_decode_table(lay, cfg.geometry, anchor)
     return AttackPlan(gadget, ordering, scheme, cfg, p, lay, program, script, image, anchor, decode)
-
-
-def run_victim(plan: AttackPlan, bit: int, force_correct: bool = False) -> ExecutionTrace:
-    return run(
-        plan.program,
-        plan.cfg,
-        plan.scheme,
-        secrets={"s0": bit},
-        image=plan.image,
-        attacker=plan.script,
-        force_correct_predictions=force_correct,
-    )
 
 
 def _prime_probe_cost(plan: AttackPlan) -> int:

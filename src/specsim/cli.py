@@ -173,6 +173,26 @@ def positive_int(text: str) -> int:
     return n
 
 
+def count_list(text: str) -> list[int]:
+    """argparse type for comma-separated counts, each at least 1."""
+    try:
+        return [positive_int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def scheme_list(text: str) -> tuple[SchemeId, ...]:
+    """argparse type for comma-separated scheme ids."""
+    schemes = []
+    for name in text.split(","):
+        try:
+            schemes.append(SchemeId(name))
+        except ValueError:
+            known = ", ".join(s.value for s in SchemeId)
+            raise argparse.ArgumentTypeError(f"unknown scheme {name!r} (known: {known})") from None
+    return tuple(schemes)
+
+
 def probability(text: str) -> float:
     """argparse type for a probability: a float in [0, 1]."""
     p = float(text)
@@ -226,11 +246,8 @@ def cmd_attack(args) -> int:
     if args.sweep_trials:
         # Plot-ready channel-quality curve: error rate vs throughput for
         # increasing trials-per-bit at the given noise level.
-        trial_counts = [int(t) for t in args.sweep_trials.split(",")]
-        if min(trial_counts) < 1:
-            raise ConfigError(f"--sweep-trials counts must be >= 1: {args.sweep_trials}")
         points = sweep_error_vs_rate(
-            gadget, ordering, scheme, args.noise, trial_counts, args.bits,
+            gadget, ordering, scheme, args.noise, args.sweep_trials, args.bits,
             seed=args.seed, cfg=cfg, params=params,
         )
         text = sweep_csv(points)
@@ -265,9 +282,7 @@ def cmd_attack(args) -> int:
 
 def cmd_matrix(args) -> int:
     cfg, _, _ = load_config(args.config)
-    schemes = MATRIX_SCHEMES
-    if args.schemes:
-        schemes = tuple(SchemeId(s) for s in args.schemes.split(","))
+    schemes = args.schemes or MATRIX_SCHEMES
     cals = matrix_calibrations(cfg, schemes)
     res = vulnerability_matrix(
         cfg, seed=args.seed, bits=args.bits, trials=args.trials, schemes=schemes,
@@ -314,8 +329,7 @@ def cmd_bench(args) -> int:
     cfg, _, _ = load_config(args.config)
     if args.suite != "synth":
         raise ConfigError(f"unknown suite {args.suite!r}")
-    schemes = [SchemeId(s) for s in args.schemes.split(",")]
-    report = bench_overhead(synth_suite(args.seed), cfg, schemes)
+    report = bench_overhead(synth_suite(args.seed), cfg, list(args.schemes))
     text = "\n".join(report.csv_lines()) + "\n"
     if args.out:
         _write(args.out, text)
@@ -405,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--no-calibrate", action="store_true", help="use builder defaults")
-    p.add_argument("--sweep-trials", help="comma-separated trial counts: emit the error-vs-rate curve")
+    p.add_argument("--sweep-trials", type=count_list,
+                   help="comma-separated trial counts: emit the error-vs-rate curve")
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("matrix", help="reproduce the scheme vulnerability matrix")
@@ -414,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=positive_int, default=32)
     p.add_argument("--trials", type=positive_int, default=3)
     p.add_argument("--out")
-    p.add_argument("--schemes", help="comma-separated scheme subset")
+    p.add_argument("--schemes", type=scheme_list, help="comma-separated scheme subset")
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("check", help="non-interference check of the visible pattern")
@@ -430,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="defense overhead on the synthetic suite")
     common(p)
     p.add_argument("--suite", default="synth")
-    p.add_argument("--schemes", default="fence-spectre,fence-futuristic")
+    p.add_argument("--schemes", type=scheme_list, default="fence-spectre,fence-futuristic")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)

@@ -1,7 +1,7 @@
 """Micro-program ISA: dependence-annotated straight-line programs with
-scripted branch outcomes, plus builders for the interference senders
-(MSHR exhaustion, non-pipelined-EU contention, RS congestion) and the
-complete attack programs that pair them with a reference access.
+scripted branch outcomes, plus the builder that assembles the complete
+attack programs: an interference sender (MSHR exhaustion,
+non-pipelined-EU contention, RS congestion) paired with a reference access.
 
 Addresses are abstract line numbers (one unit = one cache line). Branch
 bodies are the contiguous ops between a branch and its join id; a taken
@@ -11,7 +11,7 @@ branch falls through into its body, a not-taken branch jumps to the join.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .machine import MachineConfig
@@ -357,204 +357,7 @@ class AttackScript:
     offset_cycle: int
 
 
-# --- gadget builders -------------------------------------------------------
-
-def _alu_chain(ops: list[MicroOp], length: int, first_deps: tuple[int, ...]) -> int:
-    """Append a serial ALU chain; returns the tail op id."""
-    assert length >= 1
-    for i in range(length):
-        deps = first_deps if i == 0 else (ops[-1].id,)
-        ops.append(MicroOp(id=len(ops), kind=OpKind.ALU, src_deps=deps))
-    return ops[-1].id
-
-
-def build_gadget_mshr(
-    m: int,
-    z_len: int,
-    cfg: MachineConfig,
-) -> MicroProgram:
-    """MSHR-exhaustion sender: a victim load whose address takes a z-cycle
-    chain, a slow-to-resolve mispredicted branch, and m secret-indexed loads
-    that occupy m distinct MSHRs when the secret is 1 and one when it is 0.
-    """
-    if m < 2:
-        raise ConstructionError("mshr gadget needs m >= 2: one shared line cannot encode the secret")
-    if m > cfg.l1d_mshrs:
-        raise ConstructionError(f"mshr gadget m={m} exceeds configured L1D MSHRs ({cfg.l1d_mshrs})")
-    if z_len < 1:
-        raise ConstructionError("z_len must be >= 1")
-    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
-    ops: list[MicroOp] = []
-    z_tail = _alu_chain(ops, z_len, ())
-    victim = len(ops)
-    ops.append(MicroOp(id=victim, kind=OpKind.LOAD, src_deps=(z_tail,), addr=Literal(lay.victim_line)))
-    resolver = len(ops)
-    ops.append(MicroOp(id=resolver, kind=OpKind.LOAD, addr=Literal(lay.resolver_line)))
-    branch = len(ops)
-    access = branch + 1
-    gadget_ids = tuple(range(access + 1, access + 1 + m))
-    join = access + 1 + m
-    ops.append(
-        MicroOp(
-            id=branch,
-            kind=OpKind.BRANCH,
-            branch=BranchInfo(predicted_taken=True, actual_taken=False, resolver=resolver, join=join),
-        )
-    )
-    ops.append(MicroOp(id=access, kind=OpKind.LOAD, addr=Literal(lay.access_line)))
-    for k in range(m):
-        ops.append(
-            MicroOp(
-                id=access + 1 + k,
-                kind=OpKind.LOAD,
-                src_deps=(access,),
-                addr=SecretDep(lay.secret_base, SECRET, stride=1, k=k),
-            )
-        )
-    prog = MicroProgram(
-        ops=ops,
-        secret_slots={SECRET: 0},
-        annotations={
-            "victim_a": (victim,),
-            "access": (access,),
-            "gadget": gadget_ids,
-        },
-    )
-    prog.validate()
-    return prog
-
-
-def build_gadget_npeu(
-    f_len: int,
-    fp_len: int,
-    z_len: int,
-    cfg: MachineConfig,
-    eu_class: str | None = None,
-) -> MicroProgram:
-    """Non-pipelined-EU contention sender: the victim address comes out of a
-    dependent chain f on the non-pipelined unit; the gadget is a transmitter
-    load plus fp_len mutually independent ops on the same unit that are
-    ready early exactly when the transmitter hits."""
-    if f_len < 1:
-        raise ConstructionError("npeu gadget needs f_len >= 1: no target chain to interfere with")
-    if fp_len < 1:
-        raise ConstructionError("npeu gadget needs fp_len >= 1")
-    if z_len < 1:
-        raise ConstructionError("z_len must be >= 1")
-    klass = eu_class or cfg.npeu_class
-    if klass not in cfg.eu:
-        raise ConstructionError(f"unknown EU class {klass!r}")
-    if cfg.eu[klass].pipelined:
-        raise ConstructionError(f"EU class {klass!r} is pipelined; chain interference needs a non-pipelined unit")
-    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
-    ops: list[MicroOp] = []
-    z_tail = _alu_chain(ops, z_len, ())
-    f_ids = []
-    for i in range(f_len):
-        deps = (z_tail,) if i == 0 else (ops[-1].id,)
-        ops.append(MicroOp(id=len(ops), kind=OpKind.NPEU, src_deps=deps, lat_class=klass))
-        f_ids.append(ops[-1].id)
-    victim = len(ops)
-    ops.append(MicroOp(id=victim, kind=OpKind.LOAD, src_deps=(f_ids[-1],), addr=Literal(lay.victim_line)))
-    resolver = len(ops)
-    ops.append(MicroOp(id=resolver, kind=OpKind.LOAD, addr=Literal(lay.resolver_line)))
-    branch = len(ops)
-    access = branch + 1
-    transmitter = access + 1
-    fp_ids = tuple(range(transmitter + 1, transmitter + 1 + fp_len))
-    join = transmitter + 1 + fp_len
-    ops.append(
-        MicroOp(
-            id=branch,
-            kind=OpKind.BRANCH,
-            branch=BranchInfo(predicted_taken=True, actual_taken=False, resolver=resolver, join=join),
-        )
-    )
-    ops.append(MicroOp(id=access, kind=OpKind.LOAD, addr=Literal(lay.access_line)))
-    ops.append(
-        MicroOp(
-            id=transmitter,
-            kind=OpKind.LOAD,
-            src_deps=(access,),
-            addr=SecretDep(lay.secret_base, SECRET, stride=1, k=1),
-        )
-    )
-    for i in range(fp_len):
-        # Each interfering op depends only on the transmitter, so the whole
-        # group turns ready the moment the load returns.
-        ops.append(MicroOp(id=fp_ids[i], kind=OpKind.NPEU, src_deps=(transmitter,), lat_class=klass))
-    prog = MicroProgram(
-        ops=ops,
-        secret_slots={SECRET: 0},
-        annotations={
-            "target": tuple(f_ids),
-            "victim_a": (victim,),
-            "access": (access,),
-            "transmitter": (transmitter,),
-            "gadget": fp_ids,
-        },
-    )
-    prog.validate()
-    return prog
-
-
-def build_gadget_rs(
-    rs_slots: int,
-    cfg: MachineConfig,
-) -> MicroProgram:
-    """RS-congestion sender: a transmitter load feeds a serial chain of as
-    many dependent ALU ops as there are reservation stations; a marked
-    fetch-target op sits behind them on the mis-speculated path, so whether
-    its line is ever fetched depends on whether the chain drains."""
-    if rs_slots < cfg.rs_size:
-        raise ConstructionError(
-            f"rs gadget needs at least rs_size={cfg.rs_size} dependent ops to guarantee a frontend stall"
-        )
-    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
-    ops: list[MicroOp] = []
-    resolver = 0
-    ops.append(MicroOp(id=resolver, kind=OpKind.LOAD, addr=Literal(lay.resolver_line)))
-    branch = 1
-    access = 2
-    transmitter = 3
-    adds = tuple(range(4, 4 + rs_slots))
-    marker = 4 + rs_slots
-    join = marker + 1
-    ops.append(
-        MicroOp(
-            id=branch,
-            kind=OpKind.BRANCH,
-            branch=BranchInfo(predicted_taken=True, actual_taken=False, resolver=resolver, join=join),
-        )
-    )
-    ops.append(MicroOp(id=access, kind=OpKind.LOAD, addr=Literal(lay.access_line)))
-    ops.append(
-        MicroOp(
-            id=transmitter,
-            kind=OpKind.LOAD,
-            src_deps=(access,),
-            addr=SecretDep(lay.secret_base, SECRET, stride=1, k=1),
-        )
-    )
-    for i, op_id in enumerate(adds):
-        deps = (transmitter,) if i == 0 else (transmitter, op_id - 1)
-        ops.append(MicroOp(id=op_id, kind=OpKind.ALU, src_deps=deps))
-    ops.append(MicroOp(id=marker, kind=OpKind.NOP, iline=lay.itarget_line))
-    prog = MicroProgram(
-        ops=ops,
-        secret_slots={SECRET: 0},
-        annotations={
-            "access": (access,),
-            "transmitter": (transmitter,),
-            "gadget": adds,
-            "itarget": (marker,),
-        },
-    )
-    prog.validate()
-    return prog
-
-
-# --- complete attack programs ----------------------------------------------
+# --- attack programs -------------------------------------------------------
 
 @dataclass(frozen=True)
 class AttackParams:
@@ -569,21 +372,8 @@ class AttackParams:
     reference_offset: int = 60  # attacker reference cycle for *-AD orderings
 
 
-_CONSTRUCTIBLE = {
-    (Gadget.NPEU, Ordering.VDVD),
-    (Gadget.NPEU, Ordering.VIVD),
-    (Gadget.NPEU, Ordering.VDAD),
-    (Gadget.NPEU, Ordering.VIAD),
-    (Gadget.MSHR, Ordering.VDVD),
-    (Gadget.MSHR, Ordering.VIVD),
-    (Gadget.MSHR, Ordering.VDAD),
-    (Gadget.MSHR, Ordering.VIAD),
-    (Gadget.RS, Ordering.VIAD),
-}
-
-
 def constructible(gadget: Gadget, ordering: Ordering) -> bool:
-    return (gadget, ordering) in _CONSTRUCTIBLE
+    return gadget is not Gadget.RS or ordering is Ordering.VIAD
 
 
 def build_attack_program(
@@ -592,84 +382,119 @@ def build_attack_program(
     cfg: MachineConfig,
     params: AttackParams | None = None,
 ) -> tuple[MicroProgram, AttackScript | None]:
-    """Assemble a complete sender for one (ordering, gadget) pair.
+    """Assemble a complete sender for one (ordering, gadget) pair, in
+    program order:
 
-    VD-VD / VI-VD append a victim reference load B whose address generation
-    g(z) outlasts f(z); VD-AD / VI-AD instead script the attacker core to
-    touch the reference line at a fixed cycle. VI-* variants resolve the
-    branch with the victim load itself and put the marked fetch line on the
-    post-squash correct path. The RS gadget pairs only with VI-AD.
+        z chain -> f chain (npeu) -> victim load A -> [g chain -> load B]
+        -> resolver -> mispredicted branch -> access -> gadget body
+        -> [marked fetch]
+
+    The gadget body runs only transiently. MSHR: m secret-indexed loads
+    that occupy m distinct MSHRs when the secret is 1 and one when it is 0.
+    NPEU: a transmitter load plus fp_len mutually independent ops on the
+    non-pipelined unit that the f chain feeding load A also needs; they
+    turn ready early exactly when the transmitter hits. RS: a transmitter
+    feeding as many dependent ALU ops as there are reservation stations,
+    with the marked fetch behind them, so whether its line is fetched
+    depends on whether the chain drains. The RS sender has no victim chain
+    and pairs only with VI-AD.
+
+    VD-VD / VI-VD add load B, whose address chain g(z) outlasts f(z);
+    VD-AD / VI-AD instead script the attacker core to touch the reference
+    line at a fixed cycle. VI-* senders resolve the branch with load A,
+    steered at a slow phantom line, and put the marked fetch on the
+    post-squash correct path; the taken region does not fall through into
+    it.
     """
     p = params or AttackParams()
-    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
     if not constructible(gadget, ordering):
         raise ConstructionError(f"({gadget.value}, {ordering.value}) is a blocked cell: no sender exists")
-
-    if gadget is Gadget.RS:
-        prog = build_gadget_rs(p.rs_slots if p.rs_slots is not None else cfg.rs_size, cfg)
-        return prog, AttackScript(line=lay.reference_line, offset_cycle=p.reference_offset)
-
-    victim_fetch = ordering in (Ordering.VIVD, Ordering.VIAD)
+    m = p.m if p.m is not None else cfg.l1d_mshrs
+    rs_slots = p.rs_slots if p.rs_slots is not None else cfg.rs_size
+    if gadget is Gadget.RS and rs_slots < cfg.rs_size:
+        raise ConstructionError(
+            f"rs gadget needs at least rs_size={cfg.rs_size} dependent ops to guarantee a frontend stall"
+        )
     if gadget is Gadget.NPEU:
-        base = build_gadget_npeu(p.f_len, p.fp_len, p.z_len, cfg)
+        if p.f_len < 1:
+            raise ConstructionError("npeu gadget needs f_len >= 1: no target chain to interfere with")
+        if p.fp_len < 1:
+            raise ConstructionError("npeu gadget needs fp_len >= 1")
+    if gadget is Gadget.MSHR:
+        if m < 2:
+            raise ConstructionError("mshr gadget needs m >= 2: one shared line cannot encode the secret")
+        if m > cfg.l1d_mshrs:
+            raise ConstructionError(f"mshr gadget m={m} exceeds configured L1D MSHRs ({cfg.l1d_mshrs})")
+    if gadget is not Gadget.RS and p.z_len < 1:
+        raise ConstructionError("z_len must be >= 1")
+    victim_pair = ordering in (Ordering.VDVD, Ordering.VIVD)
+    if victim_pair and p.g_len < 0:
+        raise ValueError(f"g_len must be >= 0, got {p.g_len}")
+
+    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    npeu = cfg.npeu_class
+    ops: list[MicroOp] = []
+    roles: dict[str, tuple[int, ...]] = {}
+
+    def add(kind: OpKind, deps: tuple[int, ...] = (), **kw) -> int:
+        ops.append(MicroOp(id=len(ops), kind=kind, src_deps=deps, **kw))
+        return len(ops) - 1
+
+    def chain(n: int, kind: OpKind, first_deps: tuple[int, ...], **kw) -> tuple[int, ...]:
+        """n serial ops, each consuming the one before."""
+        ids: list[int] = []
+        for _ in range(n):
+            ids.append(add(kind, tuple(ids[-1:]) or first_deps, **kw))
+        return tuple(ids)
+
+    def secret_line(k: int) -> SecretDep:
+        return SecretDep(lay.secret_base, SECRET, stride=1, k=k)
+
+    victim_fetch = gadget is not Gadget.RS and ordering in (Ordering.VIVD, Ordering.VIAD)
+    if gadget is not Gadget.RS:
+        z_tail = chain(p.z_len, OpKind.ALU, ())[-1]
+        if gadget is Gadget.NPEU:
+            roles["target"] = chain(p.f_len, OpKind.NPEU, (z_tail,), lat_class=npeu)
+        victim_line = lay.victim_phantom_line if victim_fetch else lay.victim_line
+        # Load A reads the f tail (npeu) or the z tail; load B reads the g
+        # tail, or load A itself when g_len is 0.
+        victim = add(OpKind.LOAD, (len(ops) - 1,), addr=Literal(victim_line))
+        roles["victim_a"] = (victim,)
+        if victim_pair:
+            chain(p.g_len, OpKind.ALU, (z_tail,))
+            reference_b = add(OpKind.LOAD, (len(ops) - 1,), addr=Literal(lay.reference_line))
+    resolver = add(OpKind.LOAD, addr=Literal(lay.resolver_line))
+    body = {Gadget.MSHR: m, Gadget.NPEU: 1 + p.fp_len, Gadget.RS: 2 + rs_slots}[gadget]
+    info = BranchInfo(
+        predicted_taken=True,
+        actual_taken=False,
+        resolver=victim if victim_fetch else resolver,
+        join=len(ops) + 2 + body,  # past the branch, the access and the body
+        taken_stream_ends=victim_fetch,
+    )
+    add(OpKind.BRANCH, branch=info)
+    access = add(OpKind.LOAD, addr=Literal(lay.access_line))
+    roles["access"] = (access,)
+    if gadget is Gadget.MSHR:
+        roles["gadget"] = tuple(add(OpKind.LOAD, (access,), addr=secret_line(k)) for k in range(m))
     else:
-        base = build_gadget_mshr(p.m if p.m is not None else cfg.l1d_mshrs, p.z_len, cfg)
-    ops = list(base.ops)
-    annotations = dict(base.annotations)
-    victim = annotations["victim_a"][0]
-    z_tail = p.z_len - 1
-    branch_pos = next(i for i, op in enumerate(ops) if op.kind is OpKind.BRANCH)
-
+        transmitter = add(OpKind.LOAD, (access,), addr=secret_line(1))
+        roles["transmitter"] = (transmitter,)
+        if gadget is Gadget.NPEU:
+            roles["gadget"] = tuple(add(OpKind.NPEU, (transmitter,), lat_class=npeu) for _ in range(p.fp_len))
+        else:
+            adds: list[int] = []
+            for _ in range(rs_slots):
+                adds.append(add(OpKind.ALU, (transmitter, *adds[-1:])))
+            roles["gadget"] = tuple(adds)
+            roles["itarget"] = (add(OpKind.NOP, iline=lay.itarget_line),)
+    if victim_pair:
+        roles["reference_b"] = (reference_b,)
     if victim_fetch:
-        # The branch condition depends on the victim load: its delay moves
-        # the squash, hence the correct-path fetch of the marked line. The
-        # victim load itself is steered at a phantom slow line so only the
-        # marked fetch and the reference touch the target set. The taken
-        # region is laid out not to fall through into the marked line.
-        ops[victim] = replace(ops[victim], addr=Literal(lay.victim_phantom_line))
-        old_branch = ops[branch_pos]
-        ops[branch_pos] = replace(
-            old_branch,
-            branch=replace(old_branch.branch, resolver=victim, taken_stream_ends=True),
-        )
+        roles["itarget"] = (add(OpKind.NOP, iline=lay.itarget_line),)
 
-    insert_b = ordering in (Ordering.VDVD, Ordering.VIVD)
-    shift = p.g_len + 1 if insert_b else 0
-    if insert_b:
-        # Reference chain g(z) on the pipelined units, then load B; placed
-        # between the victim load and the resolver/branch block.
-        at = victim + 1
-        head: list[MicroOp] = []
-        for i in range(p.g_len):
-            deps = (z_tail,) if i == 0 else (at + i - 1,)
-            head.append(MicroOp(id=at + i, kind=OpKind.ALU, src_deps=deps))
-        head.append(
-            MicroOp(id=at + p.g_len, kind=OpKind.LOAD, src_deps=(at + p.g_len - 1,), addr=Literal(lay.reference_line))
-        )
-        tail = []
-        for op in ops[at:]:
-            new_deps = tuple(d + shift if d >= at else d for d in op.src_deps)
-            new_branch = op.branch
-            if new_branch is not None:
-                resolver = new_branch.resolver
-                if resolver is not None and resolver >= at:
-                    resolver += shift
-                new_branch = replace(new_branch, resolver=resolver, join=new_branch.join + shift)
-            tail.append(replace(op, id=op.id + shift, src_deps=new_deps, branch=new_branch))
-        ops = ops[:at] + head + tail
-        annotations = {
-            role: tuple(i + shift if i >= at else i for i in ids) for role, ids in annotations.items()
-        }
-        annotations["reference_b"] = (at + p.g_len,)
-
-    if victim_fetch:
-        marker = len(ops)
-        ops.append(MicroOp(id=marker, kind=OpKind.NOP, iline=lay.itarget_line))
-        annotations["itarget"] = (marker,)
-
-    prog = MicroProgram(ops=ops, secret_slots=dict(base.secret_slots), annotations=annotations)
+    prog = MicroProgram(ops=ops, secret_slots={SECRET: 0}, annotations=roles)
     prog.validate()
-    script = None
-    if ordering in (Ordering.VDAD, Ordering.VIAD):
-        script = AttackScript(line=lay.reference_line, offset_cycle=p.reference_offset)
-    return prog, script
+    if victim_pair:
+        return prog, None
+    return prog, AttackScript(line=lay.reference_line, offset_cycle=p.reference_offset)

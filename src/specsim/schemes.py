@@ -172,32 +172,17 @@ class ShadowState:
     Each frontier is the head of an age-ordered list of the open op ids.
     """
 
-    __slots__ = (
-        "oldest_unresolved_branch",
-        "oldest_incomplete_load",
-        "oldest_incomplete_store",
-        "oldest_open_fence",
-        "_branches",
-        "_loads",
-        "_stores",
-        "_fences",
-    )
+    __slots__ = ("_branches", "_loads", "_stores", "_fences")
 
     def __init__(self):
-        self.oldest_unresolved_branch: int | None = None
-        self.oldest_incomplete_load: int | None = None
-        self.oldest_incomplete_store: int | None = None
-        self.oldest_open_fence: int | None = None
         self._branches: list[int] = []
         self._loads: list[int] = []
         self._stores: list[int] = []
         self._fences: list[int] = []
 
-    def _sync(self) -> None:
-        self.oldest_unresolved_branch = self._branches[0] if self._branches else None
-        self.oldest_incomplete_load = self._loads[0] if self._loads else None
-        self.oldest_incomplete_store = self._stores[0] if self._stores else None
-        self.oldest_open_fence = self._fences[0] if self._fences else None
+    @property
+    def oldest_open_fence(self) -> int | None:
+        return self._fences[0] if self._fences else None
 
     def _ids(self, kind: OpKind) -> list[int] | None:
         """The open-id list an op of this kind sits in, if it casts a shadow."""
@@ -216,7 +201,6 @@ class ShadowState:
             ids.append(op.id)
         if op.fence_after:
             self._fences.append(op.id)
-        self._sync()
 
     def settle(self, op: MicroOp) -> None:
         """The op no longer casts its shadow: a branch resolved, or another
@@ -226,33 +210,30 @@ class ShadowState:
             ids.remove(op.id)
         if op.fence_after:
             self._fences.remove(op.id)
-        self._sync()
 
     def squash_after(self, op_id: int) -> None:
         """Everything younger than op_id left the ROB."""
         for ids in (self._branches, self._loads, self._stores, self._fences):
             del ids[bisect_right(ids, op_id) :]
-        self._sync()
 
     @staticmethod
-    def _older(frontier: int | None, op_id: int) -> bool:
-        return frontier is not None and frontier < op_id
+    def _older(ids: list[int], op_id: int) -> bool:
+        """Some op in the age-ordered list is older than op_id."""
+        return ids[0] < op_id if ids else False
 
     def safe(self, rule: ShadowRule, op_id: int) -> bool:
         if rule is ShadowRule.ALWAYS_SAFE:
             return True
-        if self._older(self.oldest_unresolved_branch, op_id):
+        if self._older(self._branches, op_id):
             return False
         if rule is ShadowRule.BRANCH:
             return True
         if rule is ShadowRule.NONTSO:
-            return not self._older(self.oldest_incomplete_store, op_id)
+            return not self._older(self._stores, op_id)
         if rule is ShadowRule.OLDEST_LOAD:
-            return not self._older(self.oldest_incomplete_load, op_id)
+            return not self._older(self._loads, op_id)
         if rule is ShadowRule.FUTURISTIC:
-            return not self._older(self.oldest_incomplete_load, op_id) and not self._older(
-                self.oldest_incomplete_store, op_id
-            )
+            return not self._older(self._loads, op_id) and not self._older(self._stores, op_id)
         raise AssertionError(rule)
 
 

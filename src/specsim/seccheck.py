@@ -36,7 +36,6 @@ from .attacks import (
     AttackPlan,
     group_orderings,
     plan_attack,
-    run_victim,
 )
 from .pipeline import ExecutionTrace, run
 from .schemes import SchemeId
@@ -159,7 +158,7 @@ class Calibration:
 
 
 def _anchor_cycle(plan, bit: int) -> int | None:
-    t = run_victim(plan, bit)
+    t = plan.victim_trace(bit)
     for r in t.pattern:
         if r.line == plan.anchor and r.requester.value == "victim":
             return r.cycle
@@ -168,7 +167,7 @@ def _anchor_cycle(plan, bit: int) -> int | None:
 
 def _order_flip(plan) -> bool:
     def order(bit: int) -> tuple[int, ...]:
-        t = run_victim(plan, bit)
+        t = plan.victim_trace(bit)
         pair = (plan.anchor, plan.layout.reference_line)
         return tuple(r.line for r in t.pattern if r.line in pair)
 
@@ -215,7 +214,7 @@ def _calibrate_search(
         plan = plan_attack(gadget, ordering, scheme, cfg, base)
         seen = []
         for bit in (0, 1):
-            t = run_victim(plan, bit)
+            t = plan.victim_trace(bit)
             seen.append(any(r.line == plan.anchor for r in t.pattern))
         trace.append(f"rs fetch outcomes: bit0={seen[0]} bit1={seen[1]}")
         if seen[0] != seen[1]:
@@ -233,8 +232,8 @@ def _calibrate_search(
             offset = (c0 + c1) // 2
             final = replace(base, z_len=z, reference_offset=offset)
             check = plan_attack(gadget, ordering, scheme, cfg, final)
-            p0 = run_victim(check, 0).pattern_keys()
-            p1 = run_victim(check, 1).pattern_keys()
+            p0 = check.victim_trace(0).pattern_keys()
+            p1 = check.victim_trace(1).pattern_keys()
             trace.append(f"z={z} offset={offset}: differential={'yes' if p0 != p1 else 'no'}")
             if p0 != p1:
                 return Calibration(True, final, trace)

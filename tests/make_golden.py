@@ -1,6 +1,7 @@
 """Regenerate the golden trace fixtures (tests/golden/*.trace), the
 corpus trace digests (tests/golden/corpus.sha256 and
-tests/golden/config_corpus.sha256) and the seed-1 matrix CSV
+tests/golden/config_corpus.sha256), the sender program digests
+(tests/golden/sender_programs.sha256) and the seed-1 matrix CSV
 (tests/golden/matrix_seed1.csv).
 
 Run after an intentional engine change: python3 tests/make_golden.py
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from specsim.attacks import MATRIX_SCHEMES
 from specsim.seccheck import matrix_calibrations
@@ -17,9 +19,11 @@ from test_acceptance import CFG, GOLDEN_DIR, GOLDEN_RUNS, MATRIX_GOLDEN, golden_
 from test_corpus_digests import (
     CONFIG_CORPUS_DIGESTS,
     CORPUS_DIGESTS,
+    SENDER_DIGESTS,
     config_corpus_digests,
     corpus_digests,
     format_digests,
+    sender_digests,
 )
 
 
@@ -35,6 +39,9 @@ def main() -> None:
     digests = config_corpus_digests()
     CONFIG_CORPUS_DIGESTS.write_text(format_digests(digests))
     print(f"wrote {CONFIG_CORPUS_DIGESTS} ({len(digests)} runs)")
+    digests = sender_digests()
+    SENDER_DIGESTS.write_text(format_digests(digests))
+    print(f"wrote {SENDER_DIGESTS} ({len(digests)} senders)")
     res = golden_matrix(matrix_calibrations(CFG, MATRIX_SCHEMES))
     MATRIX_GOLDEN.write_text("\n".join(res.csv_lines()) + "\n")
     print(f"wrote {MATRIX_GOLDEN}")

@@ -113,6 +113,14 @@ class TestAttack:
         assert code == EXIT_USAGE and out == ""
         assert "--sweep-trials" in err
 
+    def test_sweep_trial_count_not_an_integer_is_a_usage_error(self):
+        code, out, err = call(
+            ["attack", "--gadget", "npeu", "--ordering", "vdvd", "--scheme", "unsafe",
+             "--bits", "4", "--seed", "1", "--no-calibrate", "--sweep-trials", "1,x"]
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "argument --sweep-trials: expected comma-separated integers, got '1,x'" in err
+
     def test_not_constructible_pair(self):
         code, _, err = call(
             ["attack", "--gadget", "rs", "--ordering", "vdvd", "--scheme", "unsafe",
@@ -128,6 +136,11 @@ class TestMatrix:
         code, out, err = call(["matrix", "--seed", "1", flag, "0"])
         assert code == EXIT_USAGE and out == ""
         assert f"argument {flag}: must be >= 1, got 0" in err
+
+    def test_unknown_scheme_is_a_usage_error(self):
+        code, out, err = call(["matrix", "--seed", "1", "--schemes", "unsafe,dom"])
+        assert code == EXIT_USAGE and out == ""
+        assert "argument --schemes: unknown scheme 'dom' (known: unsafe," in err
 
 
 class TestCheck:
@@ -159,6 +172,11 @@ class TestBenchAndCalibrate:
         assert code == EXIT_OK
         assert out_file.read_text().startswith("benchmark,baseline_cycles,")
         assert "geomean" in out
+
+    def test_bench_unknown_scheme_is_a_usage_error(self):
+        code, out, err = call(["bench", "--schemes", "fence-spectre,dom", "--seed", "3"])
+        assert code == EXIT_USAGE and out == ""
+        assert "argument --schemes: unknown scheme 'dom' (known: unsafe," in err
 
     def test_calibrate_feasible_prints_params(self):
         code, out, _ = call(["calibrate", "--gadget", "npeu", "--ordering", "vdad", "--scheme", "dom-nontso"])

@@ -15,18 +15,28 @@ of its exception, so deadlock diagnostics and the max_cycles cycle are
 pinned too. Both files were recorded before the MSHR-stall stretches were
 batched.
 
+tests/golden/sender_programs.sha256 pins the attack senders themselves:
+every (gadget, ordering) pair under three machine configs and a grid of
+sender parameters, edge values included. Each case is reduced to the digest
+of its program text, its role annotations in order and its attacker script,
+or to the text of the ConstructionError that rejects it. The file was
+recorded from the builders that spliced the reference chain into a built
+gadget, before senders were assembled in program order.
+
 Regenerate only after an intended behaviour change: python3 tests/make_golden.py
 """
 
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 from pathlib import Path
 
 from specsim.attacks import attack_image
-from specsim.machine import MachineConfig
+from specsim.machine import EuClass, MachineConfig
 from specsim.memhier import CacheImage, Level
 from specsim.microprog import (
+    AttackParams,
     ConstructionError,
     Gadget,
     Literal,
@@ -35,6 +45,7 @@ from specsim.microprog import (
     OpKind,
     Ordering,
     build_attack_program,
+    format_program,
 )
 from specsim.pipeline import ExecutionTrace, SimulationDeadlock, run
 from specsim.schemes import SchemeId, all_scheme_ids
@@ -45,6 +56,7 @@ from test_pipeline import diamond_program, stall_stretch_program
 CFG = MachineConfig()
 CORPUS_DIGESTS = Path(__file__).parent / "golden" / "corpus.sha256"
 CONFIG_CORPUS_DIGESTS = Path(__file__).parent / "golden" / "config_corpus.sha256"
+SENDER_DIGESTS = Path(__file__).parent / "golden" / "sender_programs.sha256"
 RANDOM_SEEDS = 60
 CONFIG_SEEDS = 64
 
@@ -205,3 +217,57 @@ def test_config_corpus_matches_pinned_digests():
     assert actual.keys() == pinned.keys()
     moved = [label for label in actual if actual[label] != pinned[label]]
     assert not moved, f"{len(moved)} runs changed, first: {[(m, actual[m]) for m in moved[:3]]}"
+
+
+SENDER_CONFIGS = {
+    "default": CFG,
+    "small": CFG.with_overrides(rs_size=4, l1d_mshrs=2),
+    "div": CFG.with_overrides(
+        rs_size=16,
+        l1d_mshrs=8,
+        eu={"alu": EuClass(True, 1, 4), "div": EuClass(False, 20, 1), "lsu": EuClass(True, 1, 2)},
+        geometry=replace(CFG.geometry, llc_sets=64),
+    ),
+}
+
+
+def sender_grid(cfg: MachineConfig, gadget: Gadget, ordering: Ordering):
+    """(label, params) over the values each sender reads: below, at and
+    past every bound, with the defaults (None) where there are any."""
+    axes = {
+        Gadget.MSHR: {"z_len": (0, 1, 12), "m": (None, 1, 2, cfg.l1d_mshrs + 1)},
+        Gadget.NPEU: {"z_len": (0, 1, 12), "f_len": (0, 1, 3), "fp_len": (0, 1, 4)},
+        Gadget.RS: {"rs_slots": (None, cfg.rs_size - 1, cfg.rs_size + 2)},
+    }[gadget]
+    if ordering in (Ordering.VDVD, Ordering.VIVD):
+        axes["g_len"] = (0, 1, 25)
+    else:
+        axes["reference_offset"] = (60, 7)
+    for values in itertools.product(*axes.values()):
+        kw = dict(zip(axes, values))
+        yield ",".join(f"{k}={v}" for k, v in kw.items()), AttackParams(**kw)
+
+
+def sender_digests() -> dict[str, str]:
+    out = {}
+    for name, cfg in SENDER_CONFIGS.items():
+        for gadget in Gadget:
+            for ordering in Ordering:
+                for label, params in sender_grid(cfg, gadget, ordering):
+                    key = f"{name}/{gadget.value}-{ordering.value}/{label}"
+                    try:
+                        program, script = build_attack_program(ordering, gadget, cfg, params)
+                    except ConstructionError as e:
+                        out[key] = f"raise:{e}"
+                        continue
+                    text = format_program(program) + repr(list(program.annotations.items())) + repr(script)
+                    out[key] = "program:" + hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_sender_programs_match_pinned_digests():
+    pinned = dict(line.split(" ", 1) for line in SENDER_DIGESTS.read_text().splitlines())
+    actual = sender_digests()
+    assert actual.keys() == pinned.keys()
+    moved = [label for label in actual if actual[label] != pinned[label]]
+    assert not moved, f"{len(moved)} senders changed, first: {[(m, actual[m]) for m in moved[:3]]}"

@@ -18,9 +18,6 @@ from specsim.microprog import (
     Ordering,
     SecretDep,
     build_attack_program,
-    build_gadget_mshr,
-    build_gadget_npeu,
-    build_gadget_rs,
     constructible,
     format_program,
     parse_addr,
@@ -81,7 +78,7 @@ def test_serialization_round_trip_byte_stable():
 
 
 def test_serialization_preserves_branch_and_roles():
-    prog = build_gadget_rs(CFG.rs_size, CFG)
+    prog = build_attack_program(Ordering.VIAD, Gadget.RS, CFG)[0]
     text = format_program(prog)
     again = parse_program(text)
     assert again.annotations == prog.annotations
@@ -93,7 +90,7 @@ def test_serialization_preserves_branch_and_roles():
 
 class TestMshrGadget:
     def test_shape(self):
-        prog = build_gadget_mshr(4, z_len=8, cfg=CFG)
+        prog = build_attack_program(Ordering.VDAD, Gadget.MSHR, CFG, AttackParams(m=4, z_len=8))[0]
         gadget = prog.role_ops("gadget")
         assert len(gadget) == 4
         lines1 = {prog.ops[i].resolve_line({"s0": 1}) for i in gadget}
@@ -104,16 +101,16 @@ class TestMshrGadget:
 
     def test_rejects_single_mshr(self):
         with pytest.raises(ConstructionError):
-            build_gadget_mshr(1, z_len=8, cfg=CFG)
+            build_attack_program(Ordering.VDAD, Gadget.MSHR, CFG, AttackParams(m=1, z_len=8))
 
     def test_rejects_more_than_configured(self):
         with pytest.raises(ConstructionError):
-            build_gadget_mshr(CFG.l1d_mshrs + 1, z_len=8, cfg=CFG)
+            build_attack_program(Ordering.VDAD, Gadget.MSHR, CFG, AttackParams(m=CFG.l1d_mshrs + 1, z_len=8))
 
 
 class TestNpeuGadget:
     def test_shape(self):
-        prog = build_gadget_npeu(f_len=2, fp_len=4, z_len=10, cfg=CFG)
+        prog = build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG, AttackParams(z_len=10))[0]
         target = prog.role_ops("target")
         gadget = prog.role_ops("gadget")
         transmitter = prog.role_ops("transmitter")[0]
@@ -124,16 +121,12 @@ class TestNpeuGadget:
 
     def test_rejects_empty_target_chain(self):
         with pytest.raises(ConstructionError):
-            build_gadget_npeu(f_len=0, fp_len=2, z_len=4, cfg=CFG)
-
-    def test_rejects_pipelined_class(self):
-        with pytest.raises(ConstructionError):
-            build_gadget_npeu(2, 2, 4, CFG, eu_class="alu")
+            build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG, AttackParams(f_len=0, fp_len=2, z_len=4))
 
 
 class TestRsGadget:
     def test_shape(self):
-        prog = build_gadget_rs(CFG.rs_size, CFG)
+        prog = build_attack_program(Ordering.VIAD, Gadget.RS, CFG)[0]
         assert len(prog.role_ops("gadget")) == CFG.rs_size
         marker = prog.role_ops("itarget")[0]
         assert prog.ops[marker].iline is not None
@@ -141,7 +134,7 @@ class TestRsGadget:
 
     def test_rejects_below_capacity(self):
         with pytest.raises(ConstructionError):
-            build_gadget_rs(CFG.rs_size - 1, CFG)
+            build_attack_program(Ordering.VIAD, Gadget.RS, CFG, AttackParams(rs_slots=CFG.rs_size - 1))
 
 
 class TestAttackPrograms:
@@ -173,6 +166,12 @@ class TestAttackPrograms:
         marker = prog.role_ops("itarget")[0]
         assert marker == branch.branch.join  # first correct-path op
         assert marker not in prog.wrong_path_ids()
+
+    def test_rejects_negative_reference_chain(self):
+        for o in (Ordering.VDVD, Ordering.VIVD):
+            with pytest.raises(ValueError, match="g_len must be >= 0"):
+                build_attack_program(o, Gadget.NPEU, CFG, AttackParams(g_len=-1))
+        build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG, AttackParams(g_len=-1))  # no load B
 
     def test_ad_orderings_emit_attacker_script(self):
         for g, o in ((Gadget.NPEU, Ordering.VDAD), (Gadget.MSHR, Ordering.VIAD), (Gadget.RS, Ordering.VIAD)):

@@ -20,8 +20,6 @@ from specsim.microprog import (
     Ordering,
     SecretDep,
     build_attack_program,
-    build_gadget_npeu,
-    build_gadget_rs,
 )
 from specsim.pipeline import NEVER, SimulationDeadlock, run
 from specsim.schemes import SchemeId
@@ -123,7 +121,7 @@ class TestBasics:
         assert a.occupancy_csv() == b.occupancy_csv()
 
     def test_resource_occupancy_bounds(self):
-        p = build_gadget_rs(CFG.rs_size, CFG)
+        p = build_attack_program(Ordering.VIAD, Gadget.RS, CFG)[0]
         t = run(p, CFG, SchemeId.UNSAFE, secrets={"s0": 1}, image=rs_image())
         for _, rs_fill, mshr_fill, _ in t.occupancy:
             assert rs_fill <= CFG.rs_size
@@ -259,7 +257,7 @@ def rs_image(secret_miss_on_1: bool = True) -> CacheImage:
 
 class TestFrontend:
     def test_rs_congestion_stalls_fetch_and_blocks_marked_line(self):
-        p = build_gadget_rs(CFG.rs_size, CFG)
+        p = build_attack_program(Ordering.VIAD, Gadget.RS, CFG)[0]
         marker = p.role_ops("itarget")[0]
         # Transmitter misses: chain never drains, RS fills, marker unfetched.
         t1 = run(p, CFG, SchemeId.UNSAFE, secrets={"s0": 1}, image=rs_image())
@@ -271,7 +269,7 @@ class TestFrontend:
         assert t0.times(marker, "squash") != NEVER  # transient path
 
     def test_marked_fetch_touches_llc_when_line_absent(self):
-        p = build_gadget_rs(CFG.rs_size, CFG)
+        p = build_attack_program(Ordering.VIAD, Gadget.RS, CFG)[0]
         t0 = run(p, CFG, SchemeId.UNSAFE, secrets={"s0": 0}, image=rs_image())
         assert (LAY.itarget_line, "victim", "fill") in t0.pattern_keys()
 
@@ -283,7 +281,7 @@ class TestFrontend:
 
 class TestInterference:
     def test_npeu_gadget_delays_victim_issue_under_dom(self):
-        p = build_gadget_npeu(f_len=2, fp_len=4, z_len=12, cfg=CFG)
+        p = build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG)[0]
         victim = p.role_ops("victim_a")[0]
         t1 = run(p, CFG, SchemeId.DOM_NONTSO, secrets={"s0": 1}, image=npeu_image())
         t0 = run(p, CFG, SchemeId.DOM_NONTSO, secrets={"s0": 0}, image=npeu_image())
@@ -291,7 +289,7 @@ class TestInterference:
         assert gap > 0
 
     def test_npeu_delay_is_deterministic(self):
-        p = build_gadget_npeu(f_len=2, fp_len=4, z_len=12, cfg=CFG)
+        p = build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG)[0]
         victim = p.role_ops("victim_a")[0]
         runs = [
             run(p, CFG, SchemeId.DOM_NONTSO, secrets={"s0": 1}, image=npeu_image()).times(victim, "issue")
@@ -300,9 +298,7 @@ class TestInterference:
         assert len(set(runs)) == 1
 
     def test_mshr_exhaustion_stalls_victim_under_invisispec(self):
-        from specsim.microprog import build_gadget_mshr
-
-        p = build_gadget_mshr(CFG.l1d_mshrs, z_len=12, cfg=CFG)
+        p = build_attack_program(Ordering.VDAD, Gadget.MSHR, CFG)[0]
         victim = p.role_ops("victim_a")[0]
         img = CacheImage(
             scripts={

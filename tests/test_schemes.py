@@ -15,8 +15,6 @@ from specsim.microprog import (
     OpKind,
     Ordering,
     build_attack_program,
-    build_gadget_npeu,
-    build_gadget_rs,
 )
 from specsim.pipeline import NEVER, run
 from specsim.schemes import (
@@ -52,9 +50,9 @@ def shadowed_load(load_level: Level) -> tuple[MicroProgram, CacheImage, int]:
 class TestShadowState:
     def test_rules(self):
         st = ShadowState()
-        st.oldest_unresolved_branch = 10
-        st.oldest_incomplete_load = 3
-        st.oldest_incomplete_store = 8
+        st.open(MicroOp(3, OpKind.LOAD, addr=Literal(900)))
+        st.open(MicroOp(8, OpKind.STORE_ADDR))
+        st.open(MicroOp(10, OpKind.BRANCH, branch=BranchInfo(True, True, resolver=None, join=11)))
         assert st.safe(ShadowRule.ALWAYS_SAFE, 99)
         assert st.safe(ShadowRule.BRANCH, 10) and not st.safe(ShadowRule.BRANCH, 11)
         # Loads cast no shadow under the weak-consistency rule, stores do.
@@ -248,7 +246,7 @@ class TestNoInterference:
             assert t_unsafe.times(i, "issue") == t_ni.times(i, "issue")
 
     def test_npeu_attack_timing_invariant_across_secrets(self):
-        prog = build_gadget_npeu(f_len=2, fp_len=4, z_len=12, cfg=CFG)
+        prog = build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG)[0]
         from specsim.attacks import attack_image
 
         image = attack_image(Gadget.NPEU, CFG)
@@ -259,7 +257,7 @@ class TestNoInterference:
         assert t1.times(victim, "complete") == t0.times(victim, "complete")
 
     def test_rs_hold_makes_occupancy_secret_invariant(self):
-        prog = build_gadget_rs(CFG.rs_size, CFG)
+        prog = build_attack_program(Ordering.VIAD, Gadget.RS, CFG)[0]
         from specsim.attacks import attack_image
 
         image = attack_image(Gadget.RS, CFG)

@@ -17,7 +17,7 @@ from specsim.microprog import (
     Ordering,
     SecretDep,
 )
-from specsim import seccheck
+from specsim import attacks, seccheck
 from specsim.schemes import SchemeId
 from specsim.attacks import MATRIX_GROUPS, MATRIX_SCHEMES, REFERENCE_VULNERABLE, group_orderings, plan_attack
 from specsim.seccheck import (
@@ -285,24 +285,24 @@ class TestMatrixFallback:
         assert 0 < sum(fake.count(g, o, SchemeId.UNSAFE) for g, o in senders) < len(senders)
 
 
-class CountingRunVictim:
-    """Wraps seccheck.run_victim, recording the secret bit of every run."""
+class CountingRun:
+    """Wraps attacks.run, recording the secret bit of every victim run."""
 
     def __init__(self):
-        self.real = seccheck.run_victim
+        self.real = attacks.run
         self.bits = []
 
-    def __call__(self, plan, bit, force_correct=False):
-        self.bits.append(bit)
-        return self.real(plan, bit, force_correct)
+    def __call__(self, program, cfg, scheme, **kw):
+        self.bits.append(kw["secrets"]["s0"])
+        return self.real(program, cfg, scheme, **kw)
 
 
 class TestOrderFlip:
     def test_reference_first_bit0_makes_one_run(self, monkeypatch):
         # npeu/vivd at default parameters: bit 0 already sees the reference
         # line first under every searched scheme, so no bit-1 order can flip.
-        runs = CountingRunVictim()
-        monkeypatch.setattr(seccheck, "run_victim", runs)
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
         for scheme in (*MATRIX_SCHEMES, SchemeId.UNSAFE):
             runs.bits.clear()
             plan = plan_attack(Gadget.NPEU, Ordering.VIVD, scheme, CFG, AttackParams())
@@ -310,8 +310,8 @@ class TestOrderFlip:
             assert runs.bits == [0], scheme
 
     def test_anchor_first_bit0_runs_bit1(self, monkeypatch):
-        runs = CountingRunVictim()
-        monkeypatch.setattr(seccheck, "run_victim", runs)
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG, AttackParams())
         assert seccheck._order_flip(plan)
         assert runs.bits == [0, 1]
