@@ -18,12 +18,14 @@ more-leftward line also hits 3).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 import random
+from types import MappingProxyType
 
 from .machine import MachineConfig
-from .memhier import CacheGeometry, CacheImage, CacheSet, Level, qlru_touch
+from .memhier import CacheImage, CacheSet, Level, qlru_touch
 from .microprog import (
     AttackLayout,
     AttackParams,
@@ -39,29 +41,6 @@ from .schemes import SchemeId, ShadowRule, scheme_spec
 DISCARD = -1
 PRIME_PASSES = 2  # filler passes to saturate ages at 0 (test-asserted minimum)
 INTERLOPER_POOL = 16  # same-set lines a trial's interloper accesses draw from
-
-
-@dataclass(frozen=True)
-class EvictionSet:
-    """Same-set filler lines, one way short of the associativity."""
-
-    lines: tuple[int, ...]
-    label: str
-
-    def validate(self, geom: CacheGeometry, exclude: tuple[int, ...]) -> None:
-        if len(self.lines) != geom.llc_ways - 1:
-            raise ValueError(f"{self.label}: need associativity-1 = {geom.llc_ways - 1} lines")
-        sets = {geom.llc_index(x) for x in self.lines}
-        if len(sets) != 1:
-            raise ValueError(f"{self.label}: lines span multiple sets")
-        if set(self.lines) & set(exclude):
-            raise ValueError(f"{self.label}: collides with probe/anchor lines")
-
-
-@dataclass(frozen=True)
-class ResidencyObservation:
-    a_hit: bool
-    b_hit: bool
 
 
 @dataclass
@@ -87,54 +66,48 @@ def prime(cset: CacheSet, evs1: tuple[int, ...], anchor: int, passes: int = PRIM
     return cset
 
 
-def probe(cset: CacheSet, evs2: tuple[int, ...], a: int, b: int) -> ResidencyObservation:
-    """Access the probe filler set, then report which of a/b survived."""
+def probe(cset: CacheSet, evs2: tuple[int, ...], a: int, b: int) -> tuple[bool, bool]:
+    """Access the probe filler set, then report (a_hit, b_hit): which of
+    a/b survived."""
     for line in evs2:
         qlru_touch(cset, line)
-    return ResidencyObservation(a_hit=cset.resident(a), b_hit=cset.resident(b))
+    return cset.resident(a), cset.resident(b)
 
 
-# The receiver constants below are pure in (layout, geometry, anchor), all
-# hashable, and a matrix asks for the same few anchors hundreds of times:
-# derive each once, as an immutable value, and hand every caller a copy.
+# The receiver constants below are pure in (layout, anchor), both hashable,
+# and a matrix asks for the same few anchors hundreds of times: derive each
+# once, as a read-only value every caller shares.
 
 
 @lru_cache(maxsize=64)
-def _primed_ways(layout: AttackLayout, geom: CacheGeometry, anchor: int) -> tuple[tuple[int, int], ...]:
-    cset = CacheSet(geom.llc_ways)
+def primed_ways(layout: AttackLayout, anchor: int) -> tuple[tuple[int, int], ...]:
+    """The target set's (tag, age) ways right after the prime."""
+    cset = CacheSet(layout.geometry.llc_ways)
     prime(cset, layout.evs1, anchor)
     return tuple((t, a) for t, a in zip(cset.tags, cset.ages) if t is not None)
 
 
-def primed_ways(layout: AttackLayout, geom: CacheGeometry, anchor: int) -> list[tuple[int, int]]:
-    return list(_primed_ways(layout, geom, anchor))
-
-
 @lru_cache(maxsize=64)
-def _decode_items(
-    layout: AttackLayout, geom: CacheGeometry, anchor: int
-) -> tuple[tuple[tuple[bool, bool], int], ...]:
-    table: dict[tuple[bool, bool], int] = {}
-    for bit, order in ((0, (anchor, layout.reference_line)), (1, (layout.reference_line, anchor))):
-        cset = CacheSet(geom.llc_ways)
-        prime(cset, layout.evs1, anchor)
-        for line in order:
-            qlru_touch(cset, line)
-        obs = probe(cset, layout.evs2, anchor, layout.reference_line)
-        key = (obs.a_hit, obs.b_hit)
-        if key in table:
-            raise ValueError("replacement state does not distinguish the two orders")
-        table[key] = bit
-    return tuple(table.items())
-
-
-def derive_decode_table(
-    layout: AttackLayout, geom: CacheGeometry, anchor: int
-) -> dict[tuple[bool, bool], int]:
+def derive_decode_table(layout: AttackLayout, anchor: int) -> Mapping[tuple[bool, ...], int]:
     """Replay prime -> victim order -> probe through the replacement model
     for both orders and map the two survivor pairs to bits. Bit 0 is the
     anchor-first order (no interference), bit 1 the reference-first order."""
-    return dict(_decode_items(layout, geom, anchor))
+    table: dict[tuple[bool, ...], int] = {}
+    for bit, order in ((0, (anchor, layout.reference_line)), (1, (layout.reference_line, anchor))):
+        cset = CacheSet(layout.geometry.llc_ways)
+        prime(cset, layout.evs1, anchor)
+        for line in order:
+            qlru_touch(cset, line)
+        key = probe(cset, layout.evs2, anchor, layout.reference_line)
+        if key in table:
+            raise ValueError("replacement state does not distinguish the two orders")
+        table[key] = bit
+    return MappingProxyType(table)
+
+
+# The RS sender's reload sees the marked line present (bit 0: the chain
+# drained and the line was fetched) or flushed (bit 1: the RS clogged).
+PRESENCE_DECODE: Mapping[tuple[bool, ...], int] = MappingProxyType({(True,): 0, (False,): 1})
 
 
 def attack_image(
@@ -146,7 +119,7 @@ def attack_image(
     """Initial cache contents for one sender: per-gadget hit/miss scripting
     of the phantom lines plus (for the ordering receivers) the primed target
     set. The RS sender's marked line starts flushed instead."""
-    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(cfg.geometry)
     scripts = {
         lay.resolver_line: Level.MEMMISS,
         lay.access_line: Level.L1HIT,
@@ -165,7 +138,7 @@ def attack_image(
             scripts[s + k] = Level.MEMMISS
     image = CacheImage(scripts=scripts)
     if gadget is not Gadget.RS:
-        image.llc[lay.set_index] = primed_ways(lay, cfg.geometry, anchor if anchor is not None else lay.victim_line)
+        image.llc[lay.set_index] = list(primed_ways(lay, anchor if anchor is not None else lay.victim_line))
     image.validate(cfg.geometry)
     return image
 
@@ -192,7 +165,7 @@ class AttackPlan:
     script: AttackScript | None
     image: CacheImage
     anchor: int
-    decode: dict[tuple[bool, bool], int] | None  # None: presence decode (RS)
+    decode: Mapping[tuple[bool, ...], int]  # probe outcome -> bit
     # The simulator is a pure function of its inputs, so a bit's victim
     # trace is shared across trials; only probe noise varies per trial.
     trace_cache: dict[int, ExecutionTrace] = field(default_factory=dict)
@@ -203,10 +176,6 @@ class AttackPlan:
 
     def __post_init__(self) -> None:
         self.interloper_pool = self.layout.interlopers(INTERLOPER_POOL)
-
-    @property
-    def presence_decode(self) -> bool:
-        return self.decode is None
 
     def victim_trace(self, bit: int) -> ExecutionTrace:
         if bit not in self.trace_cache:
@@ -223,7 +192,7 @@ class AttackPlan:
     def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[bool, ...]:
         """The noiseless reading of one trial: copy the victim's target set,
         touch the drawn interlopers, then read (anchor present,) for the
-        presence decode or probe for (a_hit, b_hit)."""
+        RS sender or probe for (a_hit, b_hit)."""
         key = (bit, draws)
         outcome = self.outcome_cache.get(key)
         if outcome is None:
@@ -234,11 +203,10 @@ class AttackPlan:
                 cset.ages[i] = age
             for line in draws:
                 qlru_touch(cset, line)
-            if self.presence_decode:
+            if self.gadget is Gadget.RS:
                 outcome = (cset.resident(self.anchor),)
             else:
-                obs = probe(cset, self.layout.evs2, self.anchor, self.layout.reference_line)
-                outcome = (obs.a_hit, obs.b_hit)
+                outcome = probe(cset, self.layout.evs2, self.anchor, self.layout.reference_line)
             self.outcome_cache[key] = outcome
         return outcome
 
@@ -251,25 +219,22 @@ def plan_attack(
     params: AttackParams | None = None,
 ) -> AttackPlan:
     p = params or AttackParams()
-    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(cfg.geometry)
     scheme = SchemeId(scheme) if isinstance(scheme, str) else scheme
     program, script = build_attack_program(ordering, gadget, cfg, p)
     anchor = anchor_line(ordering, lay)
-    probe_pair = (anchor, lay.reference_line)
-    EvictionSet(lay.evs1, "EVS1").validate(cfg.geometry, probe_pair + lay.evs2)
-    EvictionSet(lay.evs2, "EVS2").validate(cfg.geometry, probe_pair + lay.evs1)
     if gadget is Gadget.RS:
         image = attack_image(gadget, cfg, m=p.m)
-        decode = None
+        decode = PRESENCE_DECODE
     else:
         image = attack_image(gadget, cfg, m=p.m, anchor=anchor)
-        decode = derive_decode_table(lay, cfg.geometry, anchor)
+        decode = derive_decode_table(lay, anchor)
     return AttackPlan(gadget, ordering, scheme, cfg, p, lay, program, script, image, anchor, decode)
 
 
 def _prime_probe_cost(plan: AttackPlan) -> int:
     lat = plan.cfg.geometry.lat_llc
-    if plan.presence_decode:
+    if plan.gadget is Gadget.RS:
         return 2 * lat  # flush + reload
     n = len(plan.layout.evs1) * PRIME_PASSES + 1 + len(plan.layout.evs2)
     return n * lat
@@ -286,18 +251,9 @@ def observe_trial(
     if interlopers > 0:
         draws = tuple([rng.choice(plan.interloper_pool) for _ in range(interlopers)])
     outcome = plan.probe_outcome(bit, draws)
-    if plan.presence_decode:
-        (present,) = outcome
-        if noise > 0 and rng.random() < noise:
-            present = not present
-        return (0 if present else 1), trace.total_cycles
-    a_hit, b_hit = outcome
     if noise > 0:
-        if rng.random() < noise:
-            a_hit = not a_hit
-        if rng.random() < noise:
-            b_hit = not b_hit
-    return plan.decode.get((a_hit, b_hit), DISCARD), trace.total_cycles
+        outcome = tuple([hit != (rng.random() < noise) for hit in outcome])
+    return plan.decode.get(outcome, DISCARD), trace.total_cycles
 
 
 def _decode_bit(votes: list[int]) -> int:

@@ -350,7 +350,7 @@ def cmd_calibrate(args) -> int:
     if args.timing_csv:
         # Plot-ready interference-target timing: victim issue/complete with
         # the gadget executing, inert, and physically removed.
-        plan = plan_attack(gadget, ordering, scheme, cfg, cal.params or AttackParams())
+        plan = plan_attack(gadget, ordering, scheme, cfg, cal.params or base or AttackParams())
         rows = ["label,victim_issue,victim_complete"]
         for label, (issue, complete) in victim_timing(plan).items():
             rows.append(f"{label},{issue},{complete}")

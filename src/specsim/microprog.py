@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .machine import MachineConfig
+from .memhier import CacheGeometry
 
 
 class OpKind(Enum):
@@ -291,17 +292,24 @@ def parse_program(text: str) -> MicroProgram:
 
 # --- attack address layout -------------------------------------------------
 
+PHANTOM_BASE = 100_000  # scripted lines: phantom, never resident in a set
+
+
 @dataclass(frozen=True)
 class AttackLayout:
     """Concrete line addresses for one target LLC set plus the phantom
-    (scripted) lines the sender programs use off to the side."""
+    (scripted) lines the sender programs use off to the side. The target
+    set is 5 % llc_sets and each eviction set holds llc_ways - 1 lines, so
+    every set line is distinct and maps to the target set by construction."""
 
-    set_index: int = 5
-    llc_sets: int = 128
-    phantom_base: int = 100_000
+    geometry: CacheGeometry
+
+    @property
+    def set_index(self) -> int:
+        return 5 % self.geometry.llc_sets
 
     def _member(self, k: int) -> int:
-        return self.set_index + k * self.llc_sets
+        return self.set_index + k * self.geometry.llc_sets
 
     @property
     def victim_line(self) -> int:  # load A
@@ -317,32 +325,23 @@ class AttackLayout:
 
     @property
     def evs1(self) -> tuple[int, ...]:
-        return tuple(self._member(k) for k in range(4, 19))
+        return tuple(self._member(k) for k in range(4, 3 + self.geometry.llc_ways))
 
     @property
     def evs2(self) -> tuple[int, ...]:
-        return tuple(self._member(k) for k in range(19, 34))
+        w = self.geometry.llc_ways
+        return tuple(self._member(k) for k in range(3 + w, 2 + 2 * w))
 
     def interlopers(self, n: int) -> tuple[int, ...]:
-        return tuple(self._member(k) for k in range(34, 34 + n))
+        first = 2 + 2 * self.geometry.llc_ways
+        return tuple(self._member(k) for k in range(first, first + n))
 
     # Phantom lines: resolver miss, secret read, secret-indexed array, and
     # a slow victim-address line for the fetch-observable variants.
-    @property
-    def resolver_line(self) -> int:
-        return self.phantom_base + 1
-
-    @property
-    def access_line(self) -> int:
-        return self.phantom_base + 2
-
-    @property
-    def victim_phantom_line(self) -> int:
-        return self.phantom_base + 3
-
-    @property
-    def secret_base(self) -> int:
-        return self.phantom_base + 16
+    resolver_line = PHANTOM_BASE + 1
+    access_line = PHANTOM_BASE + 2
+    victim_phantom_line = PHANTOM_BASE + 3
+    secret_base = PHANTOM_BASE + 16
 
 
 SECRET = "s0"
@@ -431,7 +430,7 @@ def build_attack_program(
     if victim_pair and p.g_len < 0:
         raise ValueError(f"g_len must be >= 0, got {p.g_len}")
 
-    lay = AttackLayout(llc_sets=cfg.geometry.llc_sets)
+    lay = AttackLayout(cfg.geometry)
     npeu = cfg.npeu_class
     ops: list[MicroOp] = []
     roles: dict[str, tuple[int, ...]] = {}

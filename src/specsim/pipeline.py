@@ -112,7 +112,6 @@ _KIND_CLASS = {
 }
 
 NEVER = -1
-_UNSEEN = object()  # an op whose EU class has not been looked up yet
 
 
 class OpRec:
@@ -259,7 +258,12 @@ class _Engine:
         self.hier = MemHier(cfg.geometry, cfg.l1d_mshrs, image)
         self.force_correct = force_correct
         self.recs = [OpRec(op) for op in program.ops]
-        self.lat_classes: list = [_UNSEEN] * len(program.ops)
+        self.lat_classes: list[str | None] = []  # per op: its EU class, None for a marker
+        for op in program.ops:
+            klass = None if op.kind is OpKind.NOP else op.lat_class or _KIND_CLASS[op.kind]
+            if klass is not None and klass not in cfg.eu:
+                raise ValueError(f"op {op.id}: unknown EU class {klass!r}")
+            self.lat_classes.append(klass)
         self.consumers: list[list[int]] = [[] for _ in program.ops]
         for op in program.ops:
             for d in op.src_deps:
@@ -303,19 +307,6 @@ class _Engine:
     def _event(self, name: str, op: int | None, extra: dict | None = None) -> None:
         self.records.append((self.cycle, name, op, extra))
         self.last_progress = self.cycle
-
-    def _lat_class(self, op: MicroOp) -> str | None:
-        """The op's EU class (None for a marker), looked up on first use."""
-        klass = self.lat_classes[op.id]
-        if klass is _UNSEEN:
-            if op.kind is OpKind.NOP:
-                klass = None
-            else:
-                klass = op.lat_class or _KIND_CLASS[op.kind]
-                if klass not in self.cfg.eu:
-                    raise ValueError(f"op {op.id}: unknown EU class {klass!r}")
-            self.lat_classes[op.id] = klass
-        return klass
 
     def _is_safe(self, op_id: int) -> bool:
         return self.recs[op_id].safe != NEVER
@@ -580,7 +571,7 @@ class _Engine:
             elif dep.op.kind is OpKind.LOAD:
                 t = self.cycle + 1
             else:
-                klass = self._lat_class(dep.op)
+                klass = self.lat_classes[d]
                 lat = self.cfg.eu[klass].latency if klass else 1
                 t = self._earliest_ready_lb(d, memo) + lat + self.cfg.writeback_delay
             worst = max(worst, t)
@@ -598,7 +589,7 @@ class _Engine:
             r = self.recs[i]
             if r.issue != NEVER or r.op.kind is OpKind.NOP:
                 continue
-            if self._lat_class(r.op) != klass:
+            if self.lat_classes[i] != klass:
                 continue
             if self._earliest_ready_lb(i, memo) < release:
                 return True
@@ -619,7 +610,7 @@ class _Engine:
             if r.delayed:
                 continue
             op = r.op
-            klass = self._lat_class(op)
+            klass = self.lat_classes[i]
             eu = self.cfg.eu[klass]
             unit = None
             if eu.pipelined:

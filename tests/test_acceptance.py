@@ -43,7 +43,7 @@ from qlru_ref import new_set, ref_access, ref_state
 
 CFG = MachineConfig()
 GEOM = CFG.geometry
-LAY = AttackLayout(llc_sets=GEOM.llc_sets)
+LAY = AttackLayout(GEOM)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 MATRIX_GOLDEN = GOLDEN_DIR / "matrix_seed1.csv"
 
@@ -133,9 +133,9 @@ def test_criterion_2_noncommutativity_witness():
                 prime(cset, LAY.evs1, x)
                 for line in order:
                     qlru_touch(cset, line)
-                obs = probe(cset, LAY.evs2, x, y)
-                ok &= obs.a_hit != obs.b_hit  # exactly one of the pair
-                survivors.append((obs.a_hit, obs.b_hit))
+                a_hit, b_hit = probe(cset, LAY.evs2, x, y)
+                ok &= a_hit != b_hit  # exactly one of the pair
+                survivors.append((a_hit, b_hit))
             ok &= survivors[0] != survivors[1]
     report(2, "order sensitivity on the primed set, exhaustive pairs", ok, time.time() - t0, 1.0)
 

@@ -5,17 +5,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheGeometry, CacheSet
 from specsim.microprog import AttackLayout, AttackParams, Gadget, Ordering
 from specsim.attacks import (
     DISCARD,
-    EvictionSet,
+    INTERLOPER_POOL,
     MATRIX_SCHEMES,
     PRIME_PASSES,
     REFERENCE_VULNERABLE,
-    ResidencyObservation,
     derive_decode_table,
     group_orderings,
     plan_attack,
@@ -32,23 +32,22 @@ from qlru_ref import new_set, ref_access, ref_state
 
 CFG = MachineConfig()
 GEOM = CFG.geometry
-LAY = AttackLayout(llc_sets=GEOM.llc_sets)
+LAY = AttackLayout(GEOM)
 
 
-class TestEvictionSets:
-    def test_layout_sets_are_valid(self):
-        exclude = (LAY.victim_line, LAY.reference_line, LAY.itarget_line)
-        EvictionSet(LAY.evs1, "EVS1").validate(GEOM, exclude)
-        EvictionSet(LAY.evs2, "EVS2").validate(GEOM, exclude)
-        assert not set(LAY.evs1) & set(LAY.evs2)
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            EvictionSet(LAY.evs1[:-1], "short").validate(GEOM, ())
-
-    def test_collision_rejected(self):
-        with pytest.raises(ValueError):
-            EvictionSet(LAY.evs1, "EVS1").validate(GEOM, (LAY.evs1[0],))
+class TestLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(llc_sets=st.integers(1, 512), llc_ways=st.integers(1, 32))
+    def test_lines_follow_the_geometry(self, llc_sets, llc_ways):
+        geom = CacheGeometry(llc_sets=llc_sets, llc_ways=llc_ways)
+        lay = AttackLayout(geom)
+        named = (lay.victim_line, lay.reference_line, lay.itarget_line)
+        lines = named + lay.evs1 + lay.evs2 + lay.interlopers(INTERLOPER_POOL)
+        assert len(set(lines)) == len(lines)
+        assert {geom.llc_index(x) for x in lines} == {lay.set_index}
+        assert len(lay.evs1) == len(lay.evs2) == llc_ways - 1
+        for anchor in (lay.victim_line, lay.itarget_line):
+            assert derive_decode_table(lay, anchor) == {(False, True): 0, (True, False): 1}
 
 
 class TestPrime:
@@ -107,33 +106,34 @@ class TestProbeAndDecode:
 
             for line in order:
                 qlru_touch(cset, line)
-            obs = probe(cset, LAY.evs2, a, b)
-            assert obs.a_hit != obs.b_hit  # exactly one of the pair survives
+            a_hit, b_hit = probe(cset, LAY.evs2, a, b)
+            assert a_hit != b_hit  # exactly one of the pair survives
 
     def test_decode_table_is_derived_and_injective(self):
-        table = derive_decode_table(LAY, GEOM, LAY.victim_line)
+        table = derive_decode_table(LAY, LAY.victim_line)
         assert sorted(table.values()) == [0, 1]
         # Anchor-first order survives as the reference line, and vice versa.
         assert table[(False, True)] == 0
         assert table[(True, False)] == 1
 
     def test_both_miss_decodes_to_discard(self):
-        table = derive_decode_table(LAY, GEOM, LAY.victim_line)
+        table = derive_decode_table(LAY, LAY.victim_line)
         assert table.get((False, False), DISCARD) == DISCARD
 
-    def test_derived_constants_are_fresh_per_call(self):
-        # Both are memoized; a caller that edits its copy must not change
-        # what the next caller gets.
-        table = derive_decode_table(LAY, GEOM, LAY.victim_line)
-        expected = dict(table)
-        table[(False, False)] = 1
-        table.pop((True, False))
-        assert derive_decode_table(LAY, GEOM, LAY.victim_line) == expected
-        ways = primed_ways(LAY, GEOM, LAY.victim_line)
-        expected_ways = list(ways)
-        ways.append((LAY.reference_line, 0))
-        ways[0] = (LAY.reference_line, 3)
-        assert primed_ways(LAY, GEOM, LAY.victim_line) == expected_ways
+    def test_derived_constants_are_read_only(self):
+        # Both are memoized and shared by every caller, so neither may be
+        # editable in place.
+        table = derive_decode_table(LAY, LAY.victim_line)
+        with pytest.raises(TypeError):
+            table[(False, False)] = 1
+        with pytest.raises(AttributeError):
+            table.pop((True, False))
+        assert derive_decode_table(LAY, LAY.victim_line) is table
+        ways = primed_ways(LAY, LAY.victim_line)
+        assert isinstance(ways, tuple) and all(isinstance(w, tuple) for w in ways)
+        with pytest.raises(TypeError):
+            ways[0] = (LAY.reference_line, 3)
+        assert primed_ways(LAY, LAY.victim_line) is ways
 
 
 def bits_for(n, seed):
@@ -211,7 +211,7 @@ def reference_outcome(plan, state, draws):
         ways[i] = [tag, age]
     for line in draws:
         ref_access(ways, line)
-    if plan.decode is None:
+    if plan.gadget is Gadget.RS:
         return (any(w[0] == plan.anchor for w in ways),)
     for line in LAY.evs2:
         ref_access(ways, line)
@@ -223,7 +223,7 @@ def reference_receiver(gadget, ordering, scheme, secret_bits, trials, noise, see
     cache: draw the interlopers, read the set, apply the noise flips, then
     majority-vote each bit. Returns decoded bits, error, discard and cost."""
     plan = plan_attack(gadget, ordering, scheme, CFG, AttackParams())
-    presence = plan.decode is None
+    presence = plan.gadget is Gadget.RS
     lat = GEOM.lat_llc
     trial_cost = 2 * lat if presence else (len(LAY.evs1) * PRIME_PASSES + 1 + len(LAY.evs2)) * lat
     decoded_bits, total_cycles = [], 0

@@ -6,10 +6,11 @@ import os
 
 import pytest
 
+from specsim.attacks import plan_attack
 from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
 from specsim.microprog import Gadget, Ordering, build_attack_program, format_program
-from specsim.seccheck import interference_gap
+from specsim.seccheck import interference_gap, victim_timing
 
 
 def call(argv):
@@ -129,6 +130,18 @@ class TestAttack:
         assert code == EXIT_INFEASIBLE
         assert "not constructible" in err
 
+    @pytest.mark.parametrize("machine", ["llc_ways = 8", "llc_ways = 32", "llc_sets = 4"])
+    @pytest.mark.parametrize("gadget, ordering", [("npeu", "vdad"), ("rs", "viad")])
+    def test_attack_decodes_at_other_llc_geometries(self, tmp_path, machine, gadget, ordering):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(f"[machine]\n{machine}\n")
+        code, out, _ = call(
+            ["attack", "--gadget", gadget, "--ordering", ordering, "--scheme", "unsafe",
+             "--bits", "8", "--seed", "1", "--config", str(cfg_file)]
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].split(",")[6] == "0.0000"
+
 
 class TestMatrix:
     @pytest.mark.parametrize("flag", ["--bits", "--trials"])
@@ -214,6 +227,22 @@ class TestBenchAndCalibrate:
         # The executing gadget holds every MSHR, so the victim load issues late.
         assert timing["gadget_inert"] == timing["gadget_removed"]
         assert timing["gadget_present"][0] > timing["gadget_inert"][0]
+
+    def test_calibrate_timing_csv_after_infeasible_search_times_the_configured_sender(self, tmp_path):
+        # No flip under any searched candidate: the timing rows come from
+        # the config's [attack] sender (m = 2), not the builder defaults.
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text("[attack]\nm = 2\n")
+        out_file = tmp_path / "timing.csv"
+        code, _, _ = call(
+            ["calibrate", "--gadget", "mshr", "--ordering", "vdvd", "--scheme", "unsafe",
+             "--timing-csv", str(out_file), "--config", str(cfg_file)]
+        )
+        assert code == EXIT_INFEASIBLE
+        cfg, _, params = load_config(str(cfg_file))
+        plan = plan_attack(Gadget.MSHR, Ordering.VDVD, "unsafe", cfg, params)
+        present = victim_timing(plan)["gadget_present"]
+        assert out_file.read_text().splitlines()[1] == f"gadget_present,{present[0]},{present[1]}"
 
     def test_calibrate_timing_csv_rs_is_a_usage_error(self, tmp_path):
         out_file = tmp_path / "timing.csv"

@@ -154,7 +154,7 @@ class TestAttackPrograms:
         a = prog.role_ops("victim_a")[0]
         b = prog.role_ops("reference_b")[0]
         assert a < b
-        lay = AttackLayout(llc_sets=CFG.geometry.llc_sets)
+        lay = AttackLayout(CFG.geometry)
         assert prog.ops[a].resolve_line({"s0": 0}) == lay.victim_line
         assert prog.ops[b].resolve_line({"s0": 0}) == lay.reference_line
 

@@ -26,7 +26,7 @@ from specsim.schemes import SchemeId
 from specsim.seccheck import FAR_OFFSET
 
 CFG = MachineConfig()
-LAY = AttackLayout(llc_sets=CFG.geometry.llc_sets)
+LAY = AttackLayout(CFG.geometry)
 
 
 def prog_of(*ops, secrets=None, annotations=None):
@@ -225,6 +225,18 @@ class TestSquash:
         squash_cycle = t.times(2, "squash")
         assert squash_cycle != NEVER
         assert t.times(3, "issue") <= squash_cycle + 2
+
+    def test_unknown_eu_class_is_rejected_before_the_first_cycle(self):
+        # The bad op waits on the missing resolver on the wrong path, so it
+        # is squashed before it could issue; the program is invalid anyway.
+        ops = [
+            MicroOp(0, OpKind.LOAD, addr=Literal(LAY.resolver_line)),
+            MicroOp(1, OpKind.BRANCH, branch=BranchInfo(True, False, resolver=0, join=3)),
+            MicroOp(2, OpKind.ALU, src_deps=(0,), lat_class="bogus"),
+            MicroOp(3, OpKind.ALU),
+        ]
+        with pytest.raises(ValueError, match="op 2: unknown EU class 'bogus'"):
+            run(prog_of(*ops), CFG, SchemeId.UNSAFE, image=RESOLVER_IMG)
 
     def test_force_correct_predictions_equals_pruned_program(self):
         # Deleting the wrong-path body and fixing the prediction produces

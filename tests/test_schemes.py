@@ -27,7 +27,7 @@ from specsim.schemes import (
 )
 
 CFG = MachineConfig()
-LAY = AttackLayout(llc_sets=CFG.geometry.llc_sets)
+LAY = AttackLayout(CFG.geometry)
 
 
 def prog_of(*ops, secrets=None):

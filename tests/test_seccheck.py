@@ -40,7 +40,7 @@ from specsim.seccheck import (
 from specsim.pipeline import run
 
 CFG = MachineConfig()
-LAY = AttackLayout(llc_sets=CFG.geometry.llc_sets)
+LAY = AttackLayout(CFG.geometry)
 
 
 def prog_of(*ops, secrets=None):
