@@ -197,10 +197,7 @@ class AttackPlan:
         outcome = self.outcome_cache.get(key)
         if outcome is None:
             ways = self.victim_trace(bit).llc_state.get(self.layout.set_index, ())
-            cset = CacheSet(self.cfg.geometry.llc_ways)
-            for i, (tag, age) in enumerate(ways):
-                cset.tags[i] = tag
-                cset.ages[i] = age
+            cset = CacheSet(self.cfg.geometry.llc_ways, ways)
             for line in draws:
                 qlru_touch(cset, line)
             if self.gadget is Gadget.RS:

@@ -5,11 +5,13 @@ access discipline that records the attacker-observable access pattern.
 QLRU_H11_M1_R0_U0 in one breath: lines carry a 2-bit age; inserts land in
 the leftmost free way with age 1; a hit promotes 3->1, 2->1, 1->0, 0->0;
 eviction takes the leftmost way of age 3, aging every line uniformly first
-if no age-3 candidate exists.
+if no age-3 candidate exists. qlru_touch is the one function that applies
+it: every hit, fill and eviction in every set goes through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,20 +38,19 @@ class Requester(Enum):
 class CacheSet:
     """One set: an ordered array of ways, each empty or holding (tag, age).
 
-    Way order is physical position; "leftmost" means lowest index.
+    Way order is physical position; "leftmost" means lowest index. The
+    optional state fills the leftmost ways from (tag | None, age) pairs in
+    way order, the format state() returns.
     """
 
     __slots__ = ("tags", "ages")
 
-    def __init__(self, ways: int):
+    def __init__(self, ways: int, state: Iterable[tuple[int | None, int]] = ()):
         self.tags: list[int | None] = [None] * ways
         self.ages: list[int] = [0] * ways
-
-    def clone(self) -> CacheSet:
-        c = CacheSet(len(self.tags))
-        c.tags = list(self.tags)
-        c.ages = list(self.ages)
-        return c
+        for i, (tag, age) in enumerate(state):
+            self.tags[i] = tag
+            self.ages[i] = age
 
     def find(self, line: int) -> int | None:
         try:
@@ -57,14 +58,8 @@ class CacheSet:
         except ValueError:
             return None
 
-    def is_full(self) -> bool:
-        return None not in self.tags
-
     def resident(self, line: int) -> bool:
         return line in self.tags
-
-    def occupancy(self) -> int:
-        return sum(1 for t in self.tags if t is not None)
 
     def state(self) -> tuple[tuple[int | None, int], ...]:
         return tuple(zip(self.tags, self.ages))
@@ -86,64 +81,30 @@ class CacheSet:
                 seen.add(t)
 
 
-def qlru_evict(cset: CacheSet) -> int:
-    """Pick the eviction way of a full set, applying U0 aging if needed.
-
-    If no line has age 3, every age is incremented uniformly by the minimal
-    amount (3 - max age) so a candidate exists; the increment is atomic and
-    then the leftmost age-3 way is returned. The way is not cleared here.
-    """
-    assert cset.is_full(), "qlru_evict requires a full set"
-    max_age = max(cset.ages)
-    if max_age < AGE_MAX:
-        bump = AGE_MAX - max_age
-        for i in range(len(cset.ages)):
-            cset.ages[i] += bump
-    for i, a in enumerate(cset.ages):
-        if a == AGE_MAX:
-            return i
-    raise AssertionError("unreachable: aging produced no age-3 line")
-
-
-def qlru_access(cset: CacheSet, line: int, mode: str) -> CacheSet:
-    """Apply one access to a set. mode is "hit" or "insert".
-
-    Hits promote per H11. Inserts take the leftmost empty way with age 1,
-    or evict per qlru_evict and reuse the vacated way. Preconditions
-    (hit => present, insert => absent) are programming errors.
-    """
-    if mode == "hit":
-        i = cset.find(line)
-        assert i is not None, f"hit on absent line {line}"
-        cset.ages[i] = _HIT_PROMOTE[cset.ages[i]]
-        return cset
-    assert mode == "insert", f"bad mode {mode!r}"
-    assert cset.find(line) is None, f"insert of resident line {line}"
-    for i, t in enumerate(cset.tags):
-        if t is None:
-            cset.tags[i] = line
-            cset.ages[i] = AGE_INSERT
-            return cset
-    way = qlru_evict(cset)
-    cset.tags[way] = line
-    cset.ages[way] = AGE_INSERT
-    return cset
-
-
 def qlru_touch(cset: CacheSet, line: int) -> int | None:
-    """Access a line, hitting if present else inserting.
+    """One access to a set under QLRU_H11_M1_R0_U0: the whole policy.
 
-    Returns the evicted line when the insert displaced one, else None.
+    A hit promotes the line per H11. A miss fills the leftmost free way at
+    age 1; in a full set it first adds 3 - max age to every age (U0) and
+    then replaces the leftmost age-3 way (R0). Returns the evicted line, or
+    None when nothing was displaced.
     """
-    if cset.resident(line):
-        qlru_access(cset, line, "hit")
+    tags, ages = cset.tags, cset.ages
+    if line in tags:
+        i = tags.index(line)
+        ages[i] = _HIT_PROMOTE[ages[i]]
         return None
     victim = None
-    if cset.is_full():
-        way = qlru_evict(cset)
-        victim = cset.tags[way]
-        cset.tags[way] = None
-    qlru_access(cset, line, "insert")
+    if None in tags:
+        i = tags.index(None)
+    else:
+        bump = AGE_MAX - max(ages)
+        if bump:
+            ages[:] = [a + bump for a in ages]
+        i = ages.index(AGE_MAX)
+        victim = tags[i]
+    tags[i] = line
+    ages[i] = AGE_INSERT
     return victim
 
 
@@ -248,9 +209,9 @@ class CacheImage:
     lines placed in sets.
     """
 
-    llc: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    l1d: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    l1i: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    llc: dict[int, list[tuple[int | None, int]]] = field(default_factory=dict)
+    l1d: dict[int, list[tuple[int | None, int]]] = field(default_factory=dict)
+    l1i: dict[int, list[tuple[int | None, int]]] = field(default_factory=dict)
     scripts: dict[int, Level] = field(default_factory=dict)
 
     def validate(self, geom: CacheGeometry) -> None:
@@ -265,10 +226,12 @@ class CacheImage:
                     raise ValueError(f"{name} set {set_idx} out of range")
                 if len(ways) > n_ways:
                     raise ValueError(f"{name} set {set_idx} lists {len(ways)} ways > {n_ways}")
-                tags = [t for t, _ in ways]
+                tags = [t for t, _ in ways if t is not None]
                 if len(tags) != len(set(tags)):
                     raise ValueError(f"{name} set {set_idx} has duplicate tags")
                 for tag, age in ways:
+                    if tag is None:
+                        continue
                     if not 0 <= age <= AGE_MAX:
                         raise ValueError(f"{name} line {tag} age {age} out of range")
                     if index(tag) != set_idx:
@@ -282,7 +245,7 @@ class CacheImage:
         out: list[str] = []
         for name, content in (("llc", self.llc), ("l1d", self.l1d), ("l1i", self.l1i)):
             for set_idx in sorted(content):
-                ways = ",".join(f"{t}:{a}" for t, a in content[set_idx])
+                ways = ",".join("-" if t is None else f"{t}:{a}" for t, a in content[set_idx])
                 out.append(f"{name} set={set_idx} ways=[{ways}]")
         for line in sorted(self.scripts):
             out.append(f"script line={line} level={self.scripts[line].value}")
@@ -305,6 +268,7 @@ class CacheImage:
                     if body:
                         for part in body.split(","):
                             if part == "-":
+                                ways.append((None, 0))
                                 continue
                             tag, age = part.split(":")
                             ways.append((int(tag), int(age)))
@@ -365,18 +329,9 @@ class MemHier:
         if image is not None:
             image.validate(geom)
             self.scripts = dict(image.scripts)
-            for set_idx, ways in image.llc.items():
-                self._load_set(self.llc[set_idx], ways)
-            for set_idx, ways in image.l1d.items():
-                self._load_set(self.l1d[set_idx], ways)
-            for set_idx, ways in image.l1i.items():
-                self._load_set(self.l1i[set_idx], ways)
-
-    @staticmethod
-    def _load_set(cset: CacheSet, ways: list[tuple[int, int]]) -> None:
-        for i, (tag, age) in enumerate(ways):
-            cset.tags[i] = tag
-            cset.ages[i] = age
+            for sets, content in ((self.llc, image.llc), (self.l1d, image.l1d), (self.l1i, image.l1i)):
+                for set_idx, ways in content.items():
+                    sets[set_idx] = CacheSet(sets.ways, ways)
 
     def service_level(self, line: int, icache: bool = False) -> Level:
         """Where a demand access to this line would be serviced from now."""
@@ -400,7 +355,6 @@ class MemHier:
         visible: bool,
         cycle: int,
         op_id: int | None = None,
-        kind: str = "fill",
     ) -> str:
         """One LLC access. Visible accesses update QLRU state and append to
         the pattern; invisible accesses change nothing anywhere. Returns
@@ -408,7 +362,7 @@ class MemHier:
         script = self.scripts.get(line)
         if script is not None:
             if visible and script is not Level.L1HIT:
-                self.pattern.append(AccessRecord(cycle, line, requester, kind, op_id))
+                self.pattern.append(AccessRecord(cycle, line, requester, "fill", op_id))
             return "hit" if script is Level.LLCHIT else "miss"
         cset = self.llc[self.geom.llc_index(line)]
         hit = cset.resident(line)
@@ -418,7 +372,7 @@ class MemHier:
                 # Inclusive LLC: back-invalidate the L1 copies.
                 self.l1d[self.geom.l1_index(evicted)].invalidate(evicted)
                 self.l1i[self.geom.l1_index(evicted)].invalidate(evicted)
-            self.pattern.append(AccessRecord(cycle, line, requester, kind, op_id))
+            self.pattern.append(AccessRecord(cycle, line, requester, "fill", op_id))
         return "hit" if hit else "miss"
 
     def l1_fill(self, line: int, icache: bool = False) -> None:
@@ -435,7 +389,7 @@ class MemHier:
         l1 = self.l1i if icache else self.l1d
         cset = l1[self.geom.l1_index(line)]
         if cset.resident(line):
-            qlru_access(cset, line, "hit")
+            qlru_touch(cset, line)
 
 
 def order_sensitivity(
@@ -460,10 +414,10 @@ def order_sensitivity(
         qlru_touch(base, line)
     if base.resident(a) or base.resident(b):
         return False
-    ab = base.clone()
+    ab = CacheSet(ways, base.state())
     qlru_touch(ab, a)
     qlru_touch(ab, b)
-    ba = base.clone()
+    ba = CacheSet(ways, base.state())
     qlru_touch(ba, b)
     qlru_touch(ba, a)
     return ab.state() != ba.state()

@@ -233,6 +233,24 @@ def format_program(prog: MicroProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BRANCH_RE = re.compile(r"^([TN]),([TN]),res:(-|\d+),join:(\d+)(,ends:1)?$")
+
+
+def _parse_branch(text: str) -> BranchInfo:
+    """The format_program form: T|N,T|N,res:<id|->,join:<id>[,ends:1]."""
+    m = _BRANCH_RE.match(text)
+    if m is None:
+        raise ValueError(f"branch={text}: want T|N,T|N,res:<id|->,join:<id>[,ends:1]")
+    pred, act, res, join, ends = m.groups()
+    return BranchInfo(
+        predicted_taken=pred == "T",
+        actual_taken=act == "T",
+        resolver=None if res == "-" else int(res),
+        join=int(join),
+        taken_stream_ends=ends is not None,
+    )
+
+
 def parse_program(text: str) -> MicroProgram:
     ops: list[MicroOp] = []
     secrets: dict[str, int] = {}
@@ -267,19 +285,11 @@ def parse_program(text: str) -> MicroProgram:
                 elif key == "iline":
                     kw["iline"] = int(val)
                 elif key == "fence":
+                    if val not in ("0", "1"):
+                        raise ValueError(f"fence={val}: want 0 or 1")
                     kw["fence_after"] = val == "1"
                 elif key == "branch":
-                    parts = val.split(",")
-                    pred, act, res, join = parts[:4]
-                    resolver = None if res == "res:-" else int(res.split(":")[1])
-                    ends = any(p == "ends:1" for p in parts[4:])
-                    kw["branch"] = BranchInfo(
-                        predicted_taken=pred == "T",
-                        actual_taken=act == "T",
-                        resolver=resolver,
-                        join=int(join.split(":")[1]),
-                        taken_stream_ends=ends,
-                    )
+                    kw["branch"] = _parse_branch(val)
                 else:
                     raise ValueError(f"unknown field {key!r}")
             ops.append(MicroOp(id=op_id, kind=kind, src_deps=deps, **kw))

@@ -298,17 +298,15 @@ def matrix_calibrations(
 def victim_timing(plan: AttackPlan) -> dict[str, tuple[int, int]]:
     """(issue, complete) of the sender's interference target, the first
     victim op, in three runs: gadget executing (bit 1), gadget inert
-    (bit 0), and gadget physically removed (every transient op pruned,
-    bit 1, no attacker access)."""
+    (bit 0), and gadget removed (the no-misspeculation oracle, which never
+    fetches a transient op; bit 1, no attacker access)."""
     victim = plan.program.role_ops("victim_a")[0]
-    pruned = _drop_wrong_path(plan.program)
-    removed = run(pruned.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, None)
     runs = (
-        ("gadget_present", plan.victim_trace(1), victim),
-        ("gadget_inert", plan.victim_trace(0), victim),
-        ("gadget_removed", removed, pruned.remap[victim]),
+        ("gadget_present", plan.victim_trace(1)),
+        ("gadget_inert", plan.victim_trace(0)),
+        ("gadget_removed", nospec(plan.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, None)),
     )
-    return {label: (t.times(op, "issue"), t.times(op, "complete")) for label, t, op in runs}
+    return {label: (t.times(victim, "issue"), t.times(victim, "complete")) for label, t in runs}
 
 
 def interference_gap(
@@ -316,7 +314,7 @@ def interference_gap(
     scheme: SchemeId | str = SchemeId.DOM_NONTSO,
 ) -> tuple[int, int]:
     """Victim completion delta for the calibrated non-pipelined-EU sender:
-    (gadget executing vs inert, gadget executing vs physically removed).
+    (gadget executing vs inert, gadget executing vs removed).
     Both are strictly positive when the interference exists."""
     cfg = cfg or MachineConfig()
     cal = calibrate(Gadget.NPEU, Ordering.VDAD, scheme, cfg)
@@ -324,41 +322,6 @@ def interference_gap(
     timing = victim_timing(plan_attack(Gadget.NPEU, Ordering.VDAD, scheme, cfg, params))
     present = timing["gadget_present"][1]
     return present - timing["gadget_inert"][1], present - timing["gadget_removed"][1]
-
-
-@dataclass
-class PrunedProgram:
-    program: MicroProgram
-    remap: dict[int, int]
-
-
-def _drop_wrong_path(program: MicroProgram) -> PrunedProgram:
-    """Remove every transient op and fix the branch predictions, keeping a
-    map from old ids to new ones."""
-    wrong = program.wrong_path_ids()
-    remap: dict[int, int] = {}
-    kept: list[MicroOp] = []
-    for op in program.ops:
-        if op.id in wrong:
-            continue
-        remap[op.id] = len(kept)
-        kept.append(op)
-    new_ops: list[MicroOp] = []
-    for op in kept:
-        deps = tuple(remap[d] for d in op.src_deps if d in remap)
-        branch = op.branch
-        if branch is not None:
-            resolver = remap.get(branch.resolver) if branch.resolver is not None else None
-            branch = replace(
-                branch,
-                predicted_taken=branch.actual_taken,
-                resolver=resolver,
-                join=remap.get(branch.join, len(kept)),
-            )
-        new_ops.append(replace(op, id=remap[op.id], src_deps=deps, branch=branch))
-    pruned = MicroProgram(ops=new_ops, secret_slots=dict(program.secret_slots), annotations={})
-    pruned.validate()
-    return PrunedProgram(pruned, remap)
 
 
 # --- synthetic overhead benchmarks ---------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from specsim.machine import MachineConfig
-from specsim.memhier import AGE_MAX, CacheSet, order_sensitivity, qlru_access, qlru_evict, qlru_touch
+from specsim.memhier import AGE_MAX, CacheSet, order_sensitivity, qlru_touch
 from specsim.microprog import AttackLayout, Gadget, Ordering, build_attack_program
 from specsim.attacks import (
     MATRIX_SCHEMES,
@@ -73,28 +73,24 @@ def test_criterion_1_qlru_fidelity():
     ok = True
     # Rule transcript: insert at age 1, leftmost placement.
     cset = CacheSet(4)
-    qlru_access(cset, 10, "insert")
+    ok &= qlru_touch(cset, 10) is None
     ok &= cset.tags[0] == 10 and cset.ages[0] == 1
-    cset.tags[1], cset.ages[1] = 11, 2
-    qlru_access(cset, 12, "insert")  # leftmost free way is index 2
+    cset = CacheSet(4, ((10, 1), (11, 2)))
+    ok &= qlru_touch(cset, 12) is None  # leftmost free way is index 2
     ok &= cset.tags[2] == 12 and cset.ages[2] == 1
     # Hit promotions 3->1, 2->1, 1->0, 0->0.
     for before, after in ((3, 1), (2, 1), (1, 0), (0, 0)):
-        s = CacheSet(1)
-        s.tags[0], s.ages[0] = 7, before
-        qlru_access(s, 7, "hit")
+        s = CacheSet(1, ((7, before),))
+        ok &= qlru_touch(s, 7) is None
         ok &= s.ages[0] == after
     # Leftmost age-3 eviction.
-    s = CacheSet(4)
-    for i, (t, a) in enumerate(((1, 2), (2, 3), (3, 1), (4, 3))):
-        s.tags[i], s.ages[i] = t, a
-    ok &= qlru_evict(s) == 1
-    # Increment-until-age-3 aging.
-    s = CacheSet(4)
-    for i, (t, a) in enumerate(((1, 1), (2, 2), (3, 0), (4, 2))):
-        s.tags[i], s.ages[i] = t, a
-    way = qlru_evict(s)
-    ok &= s.ages == [2, 3, 1, 3] and way == 1
+    s = CacheSet(4, ((1, 2), (2, 3), (3, 1), (4, 3)))
+    ok &= qlru_touch(s, 10) == 2
+    ok &= s.tags == [1, 10, 3, 4] and s.ages == [2, 1, 1, 3]
+    # Increment-until-age-3 aging: [2, 3, 1, 3], then way 1 is replaced.
+    s = CacheSet(4, ((1, 1), (2, 2), (3, 0), (4, 2)))
+    ok &= qlru_touch(s, 10) == 2
+    ok &= s.tags == [1, 10, 3, 4] and s.ages == [2, 1, 1, 3]
     # 10,000-step randomized property: age range, tag uniqueness, and
     # agreement with the independent reference; plus hit saturation.
     rng = random.Random(0xACCE55)
@@ -107,10 +103,9 @@ def test_criterion_1_qlru_fidelity():
         impl.check_invariants()
         ok &= impl.state() == ref_state(ref)
         ok &= all(0 <= a <= AGE_MAX for a in impl.ages)
-    s = CacheSet(1)
-    s.tags[0], s.ages[0] = 9, 3
-    qlru_access(s, 9, "hit")
-    qlru_access(s, 9, "hit")
+    s = CacheSet(1, ((9, 3),))
+    qlru_touch(s, 9)
+    qlru_touch(s, 9)
     ok &= s.ages[0] == 0  # k >= 2 hits saturate at age 0
     report(1, "QLRU rule transcript + 10k-step property", ok, time.time() - t0, 5.0)
 

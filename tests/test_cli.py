@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,15 @@ class TestRun:
     def test_bad_secrets_usage_error(self, program_file):
         code, _, err = call(["run", "--program", program_file, "--secrets", "01"])
         assert code == EXIT_USAGE and "secrets" in err
+
+    def test_branch_typo_is_a_usage_error(self, program_file, tmp_path):
+        text = Path(program_file).read_text()
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if "branch=T," in line)
+        bad = tmp_path / "typo.mprog"
+        bad.write_text(text.replace("branch=T,", "branch=t,", 1))
+        code, out, err = call(["run", "--program", str(bad)])
+        assert code == EXIT_USAGE and out == ""
+        assert f"program line {lineno}: branch=t," in err
 
 
 class TestAttack:

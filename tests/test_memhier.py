@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from specsim.memhier import (
     AGE_MAX,
     CacheGeometry,
@@ -15,85 +17,78 @@ from specsim.memhier import (
     Requester,
     format_set,
     order_sensitivity,
-    qlru_access,
-    qlru_evict,
     qlru_touch,
 )
 
 from qlru_ref import new_set, ref_access, ref_state, replay
 
 
-def make_set(entries, ways=4):
-    cset = CacheSet(ways)
-    for i, (tag, age) in enumerate(entries):
-        cset.tags[i] = tag
-        cset.ages[i] = age
-    return cset
-
-
 class TestQlruRules:
-    """One test per policy rule sentence."""
+    """One test per policy rule sentence, each through qlru_touch."""
 
     def test_insert_age_is_1(self):
         cset = CacheSet(4)
-        qlru_access(cset, 10, "insert")
+        assert qlru_touch(cset, 10) is None
         assert cset.tags[0] == 10 and cset.ages[0] == 1
 
     def test_insert_leftmost_free_way(self):
-        cset = make_set([(1, 0), (None, 0), (None, 0), (2, 2)])
-        qlru_access(cset, 10, "insert")
+        cset = CacheSet(4, [(1, 0), (None, 0), (None, 0), (2, 2)])
+        assert qlru_touch(cset, 10) is None
         assert cset.tags[1] == 10 and cset.ages[1] == 1
 
     def test_hit_promotes_3_to_1(self):
-        cset = make_set([(1, 3)])
-        qlru_access(cset, 1, "hit")
+        cset = CacheSet(4, [(1, 3)])
+        assert qlru_touch(cset, 1) is None
         assert cset.ages[0] == 1
 
     def test_hit_promotes_2_to_1(self):
-        cset = make_set([(1, 2)])
-        qlru_access(cset, 1, "hit")
+        cset = CacheSet(4, [(1, 2)])
+        assert qlru_touch(cset, 1) is None
         assert cset.ages[0] == 1
 
     def test_hit_promotes_1_to_0(self):
-        cset = make_set([(1, 1)])
-        qlru_access(cset, 1, "hit")
+        cset = CacheSet(4, [(1, 1)])
+        assert qlru_touch(cset, 1) is None
         assert cset.ages[0] == 0
 
     def test_hit_keeps_0_at_0(self):
-        cset = make_set([(1, 0)])
-        qlru_access(cset, 1, "hit")
+        cset = CacheSet(4, [(1, 0)])
+        assert qlru_touch(cset, 1) is None
         assert cset.ages[0] == 0
 
     def test_evict_leftmost_age_3(self):
-        cset = make_set([(1, 2), (2, 3), (3, 1), (4, 3)])
-        assert qlru_evict(cset) == 1
+        cset = CacheSet(4, [(1, 2), (2, 3), (3, 1), (4, 3)])
+        assert qlru_touch(cset, 10) == 2
+        assert cset.tags == [1, 10, 3, 4]
+        assert cset.ages == [2, 1, 1, 3]
 
     def test_aging_increments_until_age_3(self):
-        # Derived with the reference model: max age 2 -> one increment.
-        cset = make_set([(1, 1), (2, 2), (3, 0), (4, 2)])
-        way = qlru_evict(cset)
-        assert cset.ages == [2, 3, 1, 3]
-        assert way == 1
+        # Derived with the reference model: max age 2 -> one increment to
+        # [2, 3, 1, 3], then way 1 is replaced.
+        cset = CacheSet(4, [(1, 1), (2, 2), (3, 0), (4, 2)])
+        assert qlru_touch(cset, 10) == 2
+        assert cset.tags == [1, 10, 3, 4]
+        assert cset.ages == [2, 1, 1, 3]
 
     def test_all_zero_ages_age_to_3_leftmost_wins(self):
-        cset = make_set([(1, 0), (2, 0), (3, 0), (4, 0)])
-        assert qlru_evict(cset) == 0
-        assert cset.ages == [3, 3, 3, 3]
+        cset = CacheSet(4, [(1, 0), (2, 0), (3, 0), (4, 0)])
+        assert qlru_touch(cset, 10) == 1
+        assert cset.tags == [10, 2, 3, 4]
+        assert cset.ages == [1, 3, 3, 3]
 
     def test_insert_into_full_set_evicts_then_places(self):
-        cset = make_set([(1, 3), (2, 0), (3, 0), (4, 0)])
-        qlru_access(cset, 10, "insert")
-        assert cset.tags[0] == 10 and cset.ages[0] == 1
-        assert cset.tags[1:] == [2, 3, 4]
+        cset = CacheSet(4, [(1, 3), (2, 0), (3, 0), (4, 0)])
+        assert qlru_touch(cset, 10) == 1
+        assert cset.tags == [10, 2, 3, 4]
+        assert cset.ages == [1, 0, 0, 0]
 
-    def test_hit_precondition(self):
-        with pytest.raises(AssertionError):
-            qlru_access(CacheSet(2), 5, "hit")
 
-    def test_insert_precondition(self):
-        cset = make_set([(5, 1)], ways=2)
-        with pytest.raises(AssertionError):
-            qlru_access(cset, 5, "insert")
+@st.composite
+def access_runs(draw):
+    """A set size and an access sequence over at most 3 * ways + 2 lines."""
+    ways = draw(st.integers(1, 32))
+    lines = draw(st.integers(1, 3 * ways + 2))
+    return ways, draw(st.lists(st.integers(0, lines - 1), max_size=200))
 
 
 class TestQlruProperties:
@@ -112,12 +107,21 @@ class TestQlruProperties:
             assert impl.state() == ref_state(ref)
             impl.check_invariants()
 
+    @settings(max_examples=300, deadline=None)
+    @given(access_runs())
+    def test_victim_and_state_match_reference_at_every_step(self, run):
+        ways, accesses = run
+        impl, ref = CacheSet(ways), new_set(ways)
+        for line in accesses:
+            assert qlru_touch(impl, line) == ref_access(ref, line)
+            assert impl.state() == ref_state(ref)
+
     def test_hit_saturation_at_age_0(self):
         """Two consecutive hits drive any resident line's age to 0."""
         for start_age in range(AGE_MAX + 1):
-            cset = make_set([(1, start_age)])
-            qlru_access(cset, 1, "hit")
-            qlru_access(cset, 1, "hit")
+            cset = CacheSet(4, [(1, start_age)])
+            qlru_touch(cset, 1)
+            qlru_touch(cset, 1)
             assert cset.ages[0] == 0
 
 
@@ -252,6 +256,18 @@ class TestCacheImage:
         assert again.dump() == text
         assert again.scripts[888] is Level.MEMMISS
 
+    def test_empty_ways_keep_their_position(self):
+        # Way position decides QLRU placement: the next miss to this set
+        # fills the empty way 0, not a way after line 5.
+        img = CacheImage.parse("l1d set=5 ways=[-,5:1]\nllc set=5 ways=[5:0,-,133:2]\n")
+        assert img.l1d[5] == [(None, 0), (5, 1)]
+        assert CacheImage.parse(img.dump()).dump() == img.dump()
+        h = MemHier(CacheGeometry(), mshrs=4, image=img)
+        h.l1_fill(69)
+        assert h.l1d[5].state()[:2] == ((69, 1), (5, 1))
+        h.llc_access(261, Requester.VICTIM, visible=True, cycle=0)
+        assert h.llc[5].state()[:3] == ((5, 0), (261, 1), (133, 2))
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             CacheImage.parse("bogus set=1 ways=[]")
@@ -267,7 +283,7 @@ class TestCacheImage:
             img.validate(CacheGeometry())
 
     def test_format_set_style(self):
-        cset = make_set([(7, 1)], ways=4)
+        cset = CacheSet(4, [(7, 1)])
         assert format_set(cset, names={7: "L"}) == "ways=[L:1,-,-,-]"
 
 

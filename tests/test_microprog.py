@@ -88,6 +88,38 @@ def test_serialization_preserves_branch_and_roles():
     assert nop.iline is not None
 
 
+BRANCH_TEXT = format_program(MicroProgram(ops=[
+    MicroOp(0, OpKind.LOAD, addr=Literal(640)),
+    MicroOp(1, OpKind.BRANCH, branch=BranchInfo(True, False, resolver=0, join=3, taken_stream_ends=True)),
+    MicroOp(2, OpKind.ALU, src_deps=(0,)),
+    MicroOp(3, OpKind.ALU, fence_after=True),
+]))
+
+
+def test_branch_and_fence_tokens_round_trip():
+    assert "branch=T,N,res:0,join:3,ends:1" in BRANCH_TEXT and "fence=1" in BRANCH_TEXT
+    assert format_program(parse_program(BRANCH_TEXT)) == BRANCH_TEXT
+
+
+@pytest.mark.parametrize("good, typo", [
+    ("branch=T,", "branch=t,"),
+    ("branch=T,N,", "branch=Y,Q,"),
+    ("branch=T,N,", "branch=T,x,"),
+    ("res:0", "r:0"),
+    ("join:3", "j:3"),
+    ("ends:1", "bogus"),
+    ("ends:1", "ends:yes"),
+    ("fence=1", "fence=yes"),
+])
+def test_parse_rejects_branch_and_fence_typos(good, typo):
+    # Each typo used to parse as a different program (a mispredicted
+    # branch read as a correct one, a fence read as none).
+    text = BRANCH_TEXT.replace(good, typo, 1)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if typo in line)
+    with pytest.raises(ValueError, match=f"program line {lineno}: "):
+        parse_program(text)
+
+
 class TestMshrGadget:
     def test_shape(self):
         prog = build_attack_program(Ordering.VDAD, Gadget.MSHR, CFG, AttackParams(m=4, z_len=8))[0]
