@@ -34,9 +34,10 @@ from .microprog import (
     MicroProgram,
     Ordering,
     build_attack_program,
+    marks_fetch,
 )
 from .pipeline import ExecutionTrace, run
-from .schemes import SchemeId, ShadowRule, scheme_spec
+from .schemes import SchemeId, ShadowRule, engine_behaviour, scheme_spec
 
 DISCARD = -1
 PRIME_PASSES = 2  # filler passes to saturate ages at 0 (test-asserted minimum)
@@ -464,11 +465,13 @@ def vulnerability_matrix(
     """Run every constructible (gadget, ordering-group, scheme) attack at
     zero noise and mark cells whose decode error stays under the working
     threshold. Calibrations map each cell to sender parameters; missing
-    entries use the builder defaults."""
+    entries use the builder defaults. A cell whose sender, parameters and
+    engine behaviour match an earlier cell's reuses that cell's result."""
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
     cells: list[MatrixCell] = []
     skipped: list[tuple[Gadget, str]] = []
+    results: dict[tuple, AttackResult] = {}
     for gadget in Gadget:
         for group in MATRIX_GROUPS:
             if REFERENCE_VULNERABLE[(gadget, group)] is None:
@@ -478,17 +481,20 @@ def vulnerability_matrix(
                 best = 1.0
                 for ordering in group_orderings(group, scheme):
                     params = (calibrations or {}).get((gadget, ordering, scheme))
-                    res = run_attack(
-                        gadget,
-                        ordering,
-                        scheme,
-                        secret_bits,
-                        trials_per_bit=trials,
-                        noise=0.0,
-                        seed=seed,
-                        cfg=cfg,
-                        params=params,
-                    )
+                    key = (gadget, ordering, params, engine_behaviour(scheme, marks_fetch(gadget, ordering)))
+                    res = results.get(key)
+                    if res is None:
+                        res = results[key] = run_attack(
+                            gadget,
+                            ordering,
+                            scheme,
+                            secret_bits,
+                            trials_per_bit=trials,
+                            noise=0.0,
+                            seed=seed,
+                            cfg=cfg,
+                            params=params,
+                        )
                     # Undecodable (all-discard) counts as chance level.
                     rate = 0.5 if res.discard_rate >= 0.5 else res.error_rate
                     best = min(best, rate)

@@ -258,11 +258,14 @@ class CacheImage:
             s = raw.strip()
             if not s or s.startswith("#"):
                 continue
-            fields = s.split()
+            kind, *rest = s.split()
             try:
-                if fields[0] in ("llc", "l1d", "l1i"):
-                    kv = dict(f.split("=", 1) for f in fields[1:])
+                if kind in ("llc", "l1d", "l1i"):
+                    kv = _record_fields(rest, ("set", "ways"))
                     set_idx = int(kv["set"])
+                    content = getattr(img, kind)
+                    if set_idx in content:
+                        raise ValueError(f"second {kind} record for set {set_idx}")
                     body = kv["ways"].strip("[]")
                     ways = []
                     if body:
@@ -272,15 +275,37 @@ class CacheImage:
                                 continue
                             tag, age = part.split(":")
                             ways.append((int(tag), int(age)))
-                    getattr(img, fields[0])[set_idx] = ways
-                elif fields[0] == "script":
-                    kv = dict(f.split("=", 1) for f in fields[1:])
-                    img.scripts[int(kv["line"])] = Level(kv["level"])
+                    content[set_idx] = ways
+                elif kind == "script":
+                    kv = _record_fields(rest, ("line", "level"))
+                    line = int(kv["line"])
+                    if line in img.scripts:
+                        raise ValueError(f"second script record for line {line}")
+                    img.scripts[line] = Level(kv["level"])
                 else:
-                    raise ValueError(f"unknown record {fields[0]!r}")
-            except (KeyError, ValueError, IndexError) as e:
+                    raise ValueError(f"unknown record {kind!r}")
+            except ValueError as e:
                 raise ValueError(f"cache image line {lineno}: {e}") from e
         return img
+
+
+def _record_fields(fields: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """A cache image record's key=value fields: each of keys exactly once,
+    and nothing else."""
+    kv: dict[str, str] = {}
+    for f in fields:
+        key, sep, val = f.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {f!r}")
+        if key not in keys:
+            raise ValueError(f"unknown field {key!r} (expected {', '.join(keys)})")
+        if key in kv:
+            raise ValueError(f"repeated field {key!r}")
+        kv[key] = val
+    for key in keys:
+        if key not in kv:
+            raise ValueError(f"missing field {key!r}")
+    return kv
 
 
 def format_set(cset: CacheSet, names: dict[int, str] | None = None) -> str:

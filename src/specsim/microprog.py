@@ -385,6 +385,12 @@ def constructible(gadget: Gadget, ordering: Ordering) -> bool:
     return gadget is not Gadget.RS or ordering is Ordering.VIAD
 
 
+def marks_fetch(gadget: Gadget, ordering: Ordering) -> bool:
+    """Whether the sender ends in a marked instruction fetch (an op with an
+    ``iline``): the RS sender always, the others for the VI orderings."""
+    return gadget is Gadget.RS or ordering in (Ordering.VIVD, Ordering.VIAD)
+
+
 def build_attack_program(
     ordering: Ordering,
     gadget: Gadget,
@@ -459,7 +465,8 @@ def build_attack_program(
     def secret_line(k: int) -> SecretDep:
         return SecretDep(lay.secret_base, SECRET, stride=1, k=k)
 
-    victim_fetch = gadget is not Gadget.RS and ordering in (Ordering.VIVD, Ordering.VIAD)
+    marked_fetch = marks_fetch(gadget, ordering)
+    victim_fetch = marked_fetch and gadget is not Gadget.RS
     if gadget is not Gadget.RS:
         z_tail = chain(p.z_len, OpKind.ALU, ())[-1]
         if gadget is Gadget.NPEU:
@@ -496,10 +503,9 @@ def build_attack_program(
             for _ in range(rs_slots):
                 adds.append(add(OpKind.ALU, (transmitter, *adds[-1:])))
             roles["gadget"] = tuple(adds)
-            roles["itarget"] = (add(OpKind.NOP, iline=lay.itarget_line),)
     if victim_pair:
         roles["reference_b"] = (reference_b,)
-    if victim_fetch:
+    if marked_fetch:
         roles["itarget"] = (add(OpKind.NOP, iline=lay.itarget_line),)
 
     prog = MicroProgram(ops=ops, secret_slots={SECRET: 0}, annotations=roles)

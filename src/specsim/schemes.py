@@ -9,7 +9,7 @@ fence gating, and the advanced-defense scheduling/deallocation rules.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .microprog import MicroOp, MicroProgram, OpKind
@@ -70,9 +70,9 @@ class SchemeSpec:
     miss_policy: MissPolicy
     hit_policy: HitPolicy
     icache_protected: bool
-    # Shadow rule used for fetch-side speculation (I-access visibility and
-    # fence issue gating); BRANCH unless the scheme reasons about all
-    # squash sources.
+    # Shadow rule that decides when a protected marked I-fetch may touch
+    # the caches; BRANCH unless the scheme reasons about all squash
+    # sources. Fence issue gating does not read it.
     fetch_shadow: ShadowRule = ShadowRule.BRANCH
     fence_model: FenceModel | None = None
     rs_hold: bool = False  # hold RS entries until safe/squash
@@ -155,6 +155,22 @@ def scheme_spec(scheme: SchemeId | str) -> SchemeSpec:
 
 def all_scheme_ids() -> list[SchemeId]:
     return list(_SPECS)
+
+
+# The engine reads these only at ops that carry an ``iline``.
+_FETCH_FIELDS = ("icache_protected", "fetch_shadow")
+
+
+def engine_behaviour(scheme: SchemeId | str, marked_fetch: bool) -> tuple:
+    """The spec fields the engine reads, as one comparable value. Two
+    schemes with equal behaviour give byte-identical runs, so a caller may
+    simulate one and reuse the result for the other. ``marked_fetch``
+    false promises a program with no marked fetch (no op with an
+    ``iline``): the engine never reads the fetch-side fields there, so
+    they are left out."""
+    spec = scheme_spec(scheme)
+    skip = ("id",) if marked_fetch else ("id", *_FETCH_FIELDS)
+    return tuple(getattr(spec, f.name) for f in fields(spec) if f.name not in skip)
 
 
 class ShadowState:

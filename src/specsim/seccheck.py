@@ -29,6 +29,7 @@ from .microprog import (
     OpKind,
     Ordering,
     SecretDep,
+    marks_fetch,
 )
 from .attacks import (
     MATRIX_GROUPS,
@@ -38,7 +39,7 @@ from .attacks import (
     plan_attack,
 )
 from .pipeline import ExecutionTrace, run
-from .schemes import SchemeId
+from .schemes import SchemeId, engine_behaviour
 
 PatternKey = tuple[int, str, str]
 
@@ -262,14 +263,21 @@ def calibrate_for_matrix(
     cells need well-formed parameters even when the scheme blocks the
     channel: a scheme without a feasible calibration of its own falls back
     to the one found against the unprotected machine, searched at most once
-    per sender and only when some scheme needs it."""
-    cals = {scheme: calibrate(gadget, ordering, scheme, cfg) for scheme in schemes}
+    per sender and only when some scheme needs it. Schemes the engine
+    cannot tell apart on this sender share one search."""
+    marked_fetch = marks_fetch(gadget, ordering)
+    by_behaviour: dict[tuple, Calibration] = {}
+
+    def search(scheme: SchemeId) -> Calibration:
+        key = engine_behaviour(scheme, marked_fetch)
+        if key not in by_behaviour:
+            by_behaviour[key] = calibrate(gadget, ordering, scheme, cfg)
+        return by_behaviour[key]
+
+    cals = {scheme: search(scheme) for scheme in schemes}
     if all(cal.feasible for cal in cals.values()):
         return {scheme: cal.params for scheme, cal in cals.items()}
-    if SchemeId.UNSAFE in cals:
-        unsafe = cals[SchemeId.UNSAFE]
-    else:
-        unsafe = calibrate(gadget, ordering, SchemeId.UNSAFE, cfg)
+    unsafe = search(SchemeId.UNSAFE)
     # No differential even unprotected (the MSHR wait queue serializes the
     # victim-pair ordering): run the well-formed sender with defaults; it
     # decodes at chance, which is the honest verdict.

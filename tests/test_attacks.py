@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsim.machine import MachineConfig
-from specsim.memhier import CacheGeometry, CacheSet
-from specsim.microprog import AttackLayout, AttackParams, Gadget, Ordering
+from specsim.memhier import CacheGeometry, CacheImage, CacheSet
+from specsim.microprog import AttackLayout, AttackParams, Gadget, Ordering, constructible
 from specsim.attacks import (
     DISCARD,
     INTERLOPER_POOL,
@@ -48,6 +48,13 @@ class TestLayout:
         assert len(lay.evs1) == len(lay.evs2) == llc_ways - 1
         for anchor in (lay.victim_line, lay.itarget_line):
             assert derive_decode_table(lay, anchor) == {(False, True): 0, (True, False): 1}
+
+    def test_every_attack_image_round_trips(self):
+        # The strict image parser still loads what attack_image writes.
+        for gadget, ordering in itertools.product(Gadget, Ordering):
+            if constructible(gadget, ordering):
+                text = plan_attack(gadget, ordering, SchemeId.UNSAFE, CFG).image.dump()
+                assert CacheImage.parse(text).dump() == text, (gadget, ordering)
 
 
 class TestPrime:

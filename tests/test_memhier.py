@@ -244,6 +244,25 @@ class TestMemHier:
         assert h.service_level(9) is Level.L1HIT
 
 
+IMAGE_TYPOS = [
+    # (test id, image text, error text after "cache image ")
+    ("second-llc-set", "llc set=5 ways=[5:1]\nllc set=5 ways=[133:2]", "line 2: second llc record for set 5"),
+    ("second-l1d-set", "l1d set=5 ways=[5:1]\nl1d set=05 ways=[69:2]", "line 2: second l1d record for set 5"),
+    ("second-l1i-set", "l1i set=3 ways=[]\n\nl1i set=3 ways=[3:1]", "line 3: second l1i record for set 3"),
+    ("second-script-line", "script line=7 level=l1hit\nscript line=7 level=memmiss", "line 2: second script record for line 7"),
+    ("unknown-set-field", "llc set=5 ways=[5:1] bogus=3", "line 1: unknown field 'bogus'"),
+    ("misspelt-set-field", "llc set=5 ways=[5:1] sets=7", "line 1: unknown field 'sets'"),
+    ("script-field-on-set", "llc set=5 ways=[5:1] line=5", "line 1: unknown field 'line'"),
+    ("set-field-on-script", "script line=7 level=l1hit set=1", "line 1: unknown field 'set'"),
+    ("misspelt-script-field", "script line=7 level=l1hit lvl=memmiss", "line 1: unknown field 'lvl'"),
+    ("repeated-set", "llc set=5 set=6 ways=[5:1]", "line 1: repeated field 'set'"),
+    ("repeated-level", "script line=7 level=l1hit level=memmiss", "line 1: repeated field 'level'"),
+    ("missing-ways", "llc set=5", "line 1: missing field 'ways'"),
+    ("missing-line", "script level=l1hit", "line 1: missing field 'line'"),
+    ("bare-word", "llc set=5 ways=[5:1] extra", "line 1: expected key=value, got 'extra'"),
+]
+
+
 class TestCacheImage:
     def test_round_trip(self):
         img = CacheImage(
@@ -271,6 +290,15 @@ class TestCacheImage:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             CacheImage.parse("bogus set=1 ways=[]")
+
+    @pytest.mark.parametrize("text, message", [pytest.param(t, m, id=i) for i, t, m in IMAGE_TYPOS])
+    def test_parse_rejects_repeated_and_unknown_records(self, text, message):
+        with pytest.raises(ValueError, match=f"^cache image {message}"):
+            CacheImage.parse(text)
+
+    def test_the_same_set_at_another_level_is_not_a_repeat(self):
+        img = CacheImage.parse("llc set=5 ways=[5:1]\nl1d set=5 ways=[5:1]\nl1i set=5 ways=[5:1]\n")
+        assert img.llc[5] == img.l1d[5] == img.l1i[5] == [(5, 1)]
 
     def test_validate_rejects_wrong_set(self):
         img = CacheImage(llc={5: [(6, 1)]})

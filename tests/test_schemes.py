@@ -1,12 +1,17 @@
 """Scheme policy tests: shadow rules, protected-load handling, fences,
-and the advanced no-interference defense."""
+the advanced no-interference defense, and which schemes the engine can
+tell apart."""
+
+import itertools
 
 import pytest
 
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheImage, Level
+from specsim.attacks import plan_attack
 from specsim.microprog import (
     AttackLayout,
+    AttackParams,
     BranchInfo,
     Gadget,
     Literal,
@@ -15,13 +20,17 @@ from specsim.microprog import (
     OpKind,
     Ordering,
     build_attack_program,
+    constructible,
+    marks_fetch,
 )
 from specsim.pipeline import NEVER, run
+from specsim.seccheck import gen_random_program
 from specsim.schemes import (
     FenceModel,
     SchemeId,
     ShadowRule,
     ShadowState,
+    engine_behaviour,
     insert_fences,
     scheme_spec,
 )
@@ -275,3 +284,49 @@ def test_scheme_spec_flags():
     assert scheme_spec(SchemeId.SAFESPEC_WFB).icache_protected is True
     assert scheme_spec(SchemeId.MUONTRAP).icache_protected is True
     assert scheme_spec("fence-futuristic").fence_model is FenceModel.FUTURISTIC
+
+
+def data_side_runs():
+    """(label, program, image, attacker, secrets) with no marked fetch:
+    generated programs, and every vdvd/vdad sender with both secrets."""
+    for seed in range(60):
+        prog, image = gen_random_program(seed)
+        yield f"random:{seed}", prog, image, None, None
+    for gadget, ordering in itertools.product((Gadget.NPEU, Gadget.MSHR), (Ordering.VDVD, Ordering.VDAD)):
+        plan = plan_attack(gadget, ordering, SchemeId.UNSAFE, CFG)
+        for bit in (0, 1):
+            yield f"{gadget.value}/{ordering.value}/{bit}", plan.program, plan.image, plan.script, {"s0": bit}
+
+
+class TestEngineBehaviour:
+    def test_equal_data_side_behaviour_runs_byte_identically(self):
+        classes: dict[tuple, list[SchemeId]] = {}
+        for scheme in SchemeId:
+            classes.setdefault(engine_behaviour(scheme, False), []).append(scheme)
+        shared = [schemes for schemes in classes.values() if len(schemes) > 1]
+        assert shared
+        for label, prog, image, attacker, secrets in data_side_runs():
+            assert all(op.iline is None for op in prog.ops), label
+            for schemes in shared:
+                first, *rest = (run(prog, CFG, s, secrets=secrets, image=image, attacker=attacker) for s in schemes)
+                for scheme, t in zip(schemes[1:], rest):
+                    where = (label, schemes[0].value, scheme.value)
+                    assert t.serialize() == first.serialize(), where
+                    assert t.op_times == first.op_times, where
+                    assert t.occupancy == first.occupancy, where
+                    assert t.llc_state == first.llc_state, where
+                    assert t.pattern_keys() == first.pattern_keys(), where
+                    assert t.total_cycles == first.total_cycles, where
+
+    def test_marked_fetch_tells_every_scheme_apart(self):
+        assert len({engine_behaviour(s, True) for s in SchemeId}) == len(SchemeId)
+
+    def test_marks_fetch_matches_the_built_sender(self):
+        for gadget, ordering in itertools.product(Gadget, Ordering):
+            if not constructible(gadget, ordering):
+                continue
+            for z_len, g_len, m in itertools.product((1, 12), (0, 25), (2, None)):
+                params = AttackParams(z_len=z_len, g_len=g_len, m=m)
+                prog, _ = build_attack_program(ordering, gadget, CFG, params)
+                has_iline = any(op.iline is not None for op in prog.ops)
+                assert marks_fetch(gadget, ordering) == has_iline, (gadget, ordering, params)

@@ -16,9 +16,10 @@ from specsim.microprog import (
     OpKind,
     Ordering,
     SecretDep,
+    marks_fetch,
 )
 from specsim import attacks, seccheck
-from specsim.schemes import SchemeId
+from specsim.schemes import SchemeId, engine_behaviour
 from specsim.attacks import MATRIX_GROUPS, MATRIX_SCHEMES, REFERENCE_VULNERABLE, group_orderings, plan_attack
 from specsim.seccheck import (
     Benchmark,
@@ -246,10 +247,33 @@ class TestMatrixFallback:
         assert got == {SchemeId.UNSAFE: AttackParams()}
         assert fake.calls == [(self.G, self.O, SchemeId.UNSAFE)]
 
+    def test_data_side_sender_searches_once_per_behaviour(self, monkeypatch):
+        # npeu/vdad has no marked fetch, so safespec-wfb and muontrap run as
+        # invisispec-spectre and invisispec-futuristic do.
+        fake = ScriptedCalibrate({(self.G, self.O, s) for s in MATRIX_SCHEMES})
+        monkeypatch.setattr(seccheck, "calibrate", fake)
+        got = calibrate_for_matrix(self.G, self.O, MATRIX_SCHEMES, CFG)
+        assert fake.calls == [
+            (self.G, self.O, SchemeId.INVISISPEC_SPECTRE),
+            (self.G, self.O, SchemeId.INVISISPEC_FUTURISTIC),
+            (self.G, self.O, SchemeId.DOM_NONTSO),
+        ]
+        assert got[SchemeId.SAFESPEC_WFB] == own_params(self.G, self.O, SchemeId.INVISISPEC_SPECTRE)
+        assert got[SchemeId.MUONTRAP] == own_params(self.G, self.O, SchemeId.INVISISPEC_FUTURISTIC)
+
+    def test_marked_fetch_sender_searches_every_scheme(self, monkeypatch):
+        fake = ScriptedCalibrate({(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES})
+        monkeypatch.setattr(seccheck, "calibrate", fake)
+        got = calibrate_for_matrix(self.G, Ordering.VIAD, MATRIX_SCHEMES, CFG)
+        assert fake.calls == [(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES]
+        assert got == {s: own_params(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES}
+
     def test_matrix_calibrates_unsafe_at_most_once_per_sender(self, monkeypatch):
-        # NPEU: DOM_NONTSO needs the fallback. MSHR: every scheme does, and
-        # the unprotected search succeeds only for the attacker orderings.
-        # RS: every scheme has its own calibration.
+        # Feasibility is scripted per behaviour class, since the engine
+        # cannot tell a class's schemes apart. NPEU: DOM_NONTSO's class
+        # needs the fallback. MSHR: every class does, and the unprotected
+        # search succeeds only for the attacker orderings. RS: every class
+        # has its own calibration.
         cells = {
             (g, o, s)
             for g in Gadget
@@ -258,30 +282,46 @@ class TestMatrixFallback:
             for s in MATRIX_SCHEMES
             for o in group_orderings(group, s)
         }
-        feasible = {(g, o, s) for g, o, s in cells if g is Gadget.RS}
-        feasible |= {(g, o, s) for g, o, s in cells if g is Gadget.NPEU and s is not SchemeId.DOM_NONTSO}
-        feasible |= {(g, o, SchemeId.UNSAFE) for g, o, _ in cells if g is Gadget.NPEU}
-        feasible |= {(Gadget.MSHR, o, SchemeId.UNSAFE) for o in (Ordering.VDAD, Ordering.VIAD)}
-        fake = ScriptedCalibrate(feasible)
+
+        def behaviour(g, o, s):
+            return engine_behaviour(s, marks_fetch(g, o))
+
+        feasible_classes = {
+            (g, o, behaviour(g, o, s))
+            for g, o, s in cells
+            if g is Gadget.RS or (g is Gadget.NPEU and s is not SchemeId.DOM_NONTSO)
+        }
+        feasible_classes |= {(g, o, behaviour(g, o, SchemeId.UNSAFE)) for g, o, _ in cells if g is Gadget.NPEU}
+        feasible_classes |= {
+            (Gadget.MSHR, o, behaviour(Gadget.MSHR, o, SchemeId.UNSAFE)) for o in (Ordering.VDAD, Ordering.VIAD)
+        }
+        fake = ScriptedCalibrate(
+            {(g, o, s) for g, o, _ in cells for s in SchemeId if (g, o, behaviour(g, o, s)) in feasible_classes}
+        )
         monkeypatch.setattr(seccheck, "calibrate", fake)
         got = matrix_calibrations(CFG, MATRIX_SCHEMES)
         assert set(got) == cells
-        defaults = 0
-        for g, o, s in cells:
-            if (g, o, s) in feasible:
-                assert got[(g, o, s)] == own_params(g, o, s)
-            elif (g, o, SchemeId.UNSAFE) in feasible:
-                assert got[(g, o, s)] == own_params(g, o, SchemeId.UNSAFE)
-            else:
-                assert got[(g, o, s)] == AttackParams()
-                defaults += 1
-        assert defaults > 0
+        defaults = shared = 0
         senders = {(g, o) for g, o, _ in cells}
         for g, o in senders:
-            needs_fallback = any((g, o, s) not in feasible for gg, oo, s in cells if (gg, oo) == (g, o))
-            assert fake.count(g, o, SchemeId.UNSAFE) == int(needs_fallback)
-            for s in MATRIX_SCHEMES:
-                assert fake.count(g, o, s) == int((g, o, s) in cells)
+            schemes = [s for s in MATRIX_SCHEMES if (g, o, s) in cells]
+            first: dict[tuple, SchemeId] = {}  # behaviour -> the scheme searched for it
+            for s in schemes:
+                first.setdefault(behaviour(g, o, s), s)
+            shared += len(schemes) - len(first)
+            needs_fallback = any((g, o, s) not in fake.feasible for s in schemes)
+            calls = [s for gg, oo, s in fake.calls if (gg, oo) == (g, o)]
+            assert calls == [*first.values(), *[SchemeId.UNSAFE] * needs_fallback]
+            for s in schemes:
+                searched = first[behaviour(g, o, s)]
+                if (g, o, searched) in fake.feasible:
+                    assert got[(g, o, s)] == own_params(g, o, searched)
+                elif (g, o, SchemeId.UNSAFE) in fake.feasible:
+                    assert got[(g, o, s)] == own_params(g, o, SchemeId.UNSAFE)
+                else:
+                    assert got[(g, o, s)] == AttackParams()
+                    defaults += 1
+        assert defaults > 0 and shared > 0
         assert 0 < sum(fake.count(g, o, SchemeId.UNSAFE) for g, o in senders) < len(senders)
 
 
