@@ -217,7 +217,7 @@ def cmd_run(args) -> int:
             image = CacheImage.parse(f.read())
     secrets = parse_secrets(args.secrets, program)
     trace = run(program, cfg, scheme, secrets=secrets, image=image,
-                force_correct_predictions=args.force_correct, max_cycles=args.max_cycles)
+                force_correct_predictions=args.force_correct)
     if args.trace:
         _write(args.trace, trace.serialize())
     if args.occupancy:
@@ -406,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the event trace here")
     p.add_argument("--occupancy", help="write per-cycle occupancy CSV here")
     p.add_argument("--force-correct", action="store_true", help="no-misspeculation oracle run")
-    p.add_argument("--max-cycles", type=positive_int,
-                   help="stop with exit 3 if the run has not finished by this cycle")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("attack", help="run a covert-channel attack end to end")

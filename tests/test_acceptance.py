@@ -145,7 +145,18 @@ def golden_matrix(calibrations) -> MatrixResult:
     return vulnerability_matrix(CFG, seed=1, bits=32, trials=3, calibrations=calibrations)
 
 
-def test_criterion_3_vulnerability_matrix(calibrations):
+def test_criterion_3_vulnerability_matrix(calibrations, monkeypatch):
+    # safespec-wfb and muontrap differ from the two InvisiSpec schemes only
+    # at marked fetches. On the npeu and mshr vdvd/vdad senders, which have
+    # none, they reuse those schemes' results: 2 senders x 2 orderings x 2
+    # fewer run_attack calls than cells x orderings.
+    calls = []
+
+    def counting(gadget, ordering, scheme, *args, **kw):
+        calls.append((gadget, ordering, scheme))
+        return run_attack(gadget, ordering, scheme, *args, **kw)
+
+    monkeypatch.setattr(attacks, "run_attack", counting)
     t0 = time.time()
     res = golden_matrix(calibrations)
     ok = res.matches_reference()
@@ -154,25 +165,10 @@ def test_criterion_3_vulnerability_matrix(calibrations):
     if not ok:
         for line in res.diff_lines():
             print("  " + line)
-    report(3, "vulnerability matrix equals the reference cell-for-cell", ok, time.time() - t0, 300.0)
-
-
-def test_matrix_trials_each_sender_once_per_engine_behaviour(calibrations, monkeypatch):
-    # safespec-wfb and muontrap differ from the two InvisiSpec schemes only
-    # at marked fetches. On the npeu and mshr vdvd/vdad senders, which have
-    # none, they reuse those schemes' results: 2 senders x 2 orderings x 2.
-    calls = []
-
-    def counting(gadget, ordering, scheme, *args, **kw):
-        calls.append((gadget, ordering, scheme))
-        return run_attack(gadget, ordering, scheme, *args, **kw)
-
-    monkeypatch.setattr(attacks, "run_attack", counting)
-    res = golden_matrix(calibrations)
-    assert res.csv_lines() == MATRIX_GOLDEN.read_text().splitlines()
-    assert len(calls) == sum(len(group_orderings(c.group, c.scheme)) for c in res.cells) - 8
+    ok &= len(calls) == sum(len(group_orderings(c.group, c.scheme)) for c in res.cells) - 8
     reused = {SchemeId.SAFESPEC_WFB, SchemeId.MUONTRAP}
-    assert not {s for g, o, s in calls if not marks_fetch(g, o)} & reused
+    ok &= not {s for g, o, s in calls if not marks_fetch(g, o)} & reused
+    report(3, "vulnerability matrix equals the reference cell-for-cell", ok, time.time() - t0, 300.0)
 
 
 def test_criterion_4_interference_gap():

@@ -77,25 +77,6 @@ class TestRun:
         assert code == EXIT_USAGE and out == ""
         assert f"program line {lineno}: branch=t," in err
 
-    def test_max_cycles_hit_exits_three(self, program_file):
-        code, out, err = call(["run", "--program", program_file, "--max-cycles", "5"])
-        assert code == EXIT_INFEASIBLE and out == ""
-        assert err == "simulation deadlock: exceeded max_cycles=5\n"
-
-    def test_max_cycles_not_hit_leaves_the_output_unchanged(self, program_file, tmp_path):
-        outs = []
-        for extra in ([], ["--max-cycles", "100000"]):
-            trace = tmp_path / f"t{len(outs)}.trace"
-            code, out, err = call(["run", "--program", program_file, "--trace", str(trace), *extra])
-            assert code == EXIT_OK and err == ""
-            outs.append((out, trace.read_text()))
-        assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize("value", ["0", "-3", "ten"])
-    def test_max_cycles_below_one_is_a_usage_error(self, program_file, value):
-        code, out, _ = call(["run", "--program", program_file, "--max-cycles", value])
-        assert code == EXIT_USAGE and out == ""
-
     def test_repeated_image_record_is_a_usage_error(self, program_file, image_file, tmp_path):
         text = Path(image_file).read_text()
         first = text.splitlines()[0]
