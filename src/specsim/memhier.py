@@ -182,7 +182,8 @@ class MshrFile:
     def release_due(self, cycle: int) -> list[Mshr]:
         """Drop entries whose fill has returned by this cycle."""
         done = [m for m in self.entries if m.free_at <= cycle]
-        self.entries = [m for m in self.entries if m.free_at > cycle]
+        if done:
+            self.entries = [m for m in self.entries if m.free_at > cycle]
         return done
 
     def drop_waiter(self, op_id: int) -> None:
@@ -266,16 +267,7 @@ class CacheImage:
                     content = getattr(img, kind)
                     if set_idx in content:
                         raise ValueError(f"second {kind} record for set {set_idx}")
-                    body = kv["ways"].strip("[]")
-                    ways = []
-                    if body:
-                        for part in body.split(","):
-                            if part == "-":
-                                ways.append((None, 0))
-                                continue
-                            tag, age = part.split(":")
-                            ways.append((int(tag), int(age)))
-                    content[set_idx] = ways
+                    content[set_idx] = _parse_ways(kind, set_idx, kv["ways"])
                 elif kind == "script":
                     kv = _record_fields(rest, ("line", "level"))
                     line = int(kv["line"])
@@ -287,6 +279,28 @@ class CacheImage:
             except ValueError as e:
                 raise ValueError(f"cache image line {lineno}: {e}") from e
         return img
+
+
+def _parse_ways(kind: str, set_idx: int, text: str) -> list[tuple[int | None, int]]:
+    """One set's ways=[TAG:AGE,-,...] list. Ages and repeated tags are
+    checked here, where the error can name the image line; whether a tag
+    maps to its set depends on the geometry and is left to validate()."""
+    body = text[1:-1]
+    if len(text) < 2 or text[0] != "[" or text[-1] != "]" or "[" in body or "]" in body:
+        raise ValueError(f"ways must be one [...] list, got {text!r}")
+    ways: list[tuple[int | None, int]] = []
+    for part in body.split(",") if body else ():
+        if part == "-":
+            ways.append((None, 0))
+            continue
+        tag_text, age_text = part.split(":")
+        tag, age = int(tag_text), int(age_text)
+        if not 0 <= age <= AGE_MAX:
+            raise ValueError(f"{kind} line {tag} age {age} out of range")
+        if any(t == tag for t, _ in ways):
+            raise ValueError(f"{kind} set {set_idx} has duplicate tags")
+        ways.append((tag, age))
+    return ways
 
 
 def _record_fields(fields: list[str], keys: tuple[str, ...]) -> dict[str, str]:

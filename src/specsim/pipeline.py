@@ -16,6 +16,29 @@ Per-cycle phase order (fixed; ties inside a phase go by op id):
   7. frontend: due I-fetch replays, then fetch/dispatch + I-accesses
   8. retirement, occupancy snapshot
 
+A phase runs only when its trigger holds; otherwise it would change
+nothing and log nothing:
+  1. some MSHR entry is held;
+  2. an in-flight op's finish is due, or the CDB queue is non-empty;
+  3. some completed branch is unresolved;
+  4. some ROB op awaits its safe transition or its deferred I-access;
+  5. the next attacker access is due;
+  6. some op is ready to issue, or a wakeup is due;
+  7. an I-fetch replay is owed, or fetch is open (redirect_at reached)
+     with ops left to fetch;
+  8. the ROB head has completed.
+The occupancy snapshot and its two bounds checks run every stepped cycle.
+
+Secret-free prefix. A secret enters the machine only through the address
+of a SecretDep load, when _issue_load resolves it. So two runs that differ
+only in their secrets take the same path up to that point: both reach the
+first such resolution in the same cycle, and every record, pattern entry
+and occupancy row of an earlier cycle is the same in both. The trace
+reports that cycle as secret_read_cycle; when no load resolves a secret
+address it is None, and the two runs are identical throughout. The
+checker and the calibration skip the second run wherever this fixes its
+outcome.
+
 Clock advance. A cycle in which no phase appends an event changes no
 state, so every following cycle is event-free too until the clock reaches
 a threshold that some phase compares against:
@@ -87,7 +110,7 @@ from itertools import islice
 
 from .machine import MachineConfig
 from .memhier import CacheImage, Level, MemHier, Requester
-from .microprog import AttackScript, MicroOp, MicroProgram, OpKind
+from .microprog import AttackScript, MicroOp, MicroProgram, OpKind, SecretDep
 from .schemes import (
     HitPolicy,
     MissPolicy,
@@ -197,6 +220,10 @@ class ExecutionTrace:
     # Final LLC contents (non-empty sets only), for receiver probes and
     # golden set-state dumps: set index -> ((tag|None, age), ...) per way.
     llc_state: dict[int, tuple[tuple[int | None, int], ...]] = field(default_factory=dict)
+    # First cycle at which a load with a secret-dependent address resolved
+    # its line; None if none did. Runs that differ only in their secrets
+    # agree on everything logged before it, and entirely when it is None.
+    secret_read_cycle: int | None = None
 
     def pattern_keys(self) -> list[tuple[int, str, str]]:
         return [r.key() for r in self.pattern]
@@ -301,12 +328,12 @@ class _Engine:
         self.unresolved_done: list[int] = []  # ascending: completed, unresolved branches
         self.unsafe: deque[int] = deque()  # ROB ops without a safe transition yet
         self.ifetch_waiting: deque[int] = deque()  # ROB ops owing a deferred I-access
+        self.secret_read_cycle: int | None = None
 
     # -- bookkeeping ---------------------------------------------------
 
     def _event(self, name: str, op: int | None, extra: dict | None = None) -> None:
         self.records.append((self.cycle, name, op, extra))
-        self.last_progress = self.cycle
 
     def _is_safe(self, op_id: int) -> bool:
         return self.recs[op_id].safe != NEVER
@@ -342,6 +369,8 @@ class _Engine:
     def run(self, max_cycles: int | None) -> ExecutionTrace:
         n = len(self.program.ops)
         deadlock_after = self.cfg.rob_size * self.cfg.max_latency()
+        mshrs = self.hier.mshrs
+        recs = self.recs
         while True:
             drained = self.fetch_pos >= n and not self.rob
             if drained and not self.ifetch_replays and self.attacker_pos >= len(self.attacker):
@@ -357,16 +386,30 @@ class _Engine:
             if self.cycle - self.last_progress > deadlock_after:
                 raise SimulationDeadlock(self._deadlock_diagnostic())
             n_events = len(self.records)
-            self._phase_mshr_returns()
-            self._phase_cdb()
-            self._phase_resolve_and_squash()
-            self._phase_safe_transitions()
-            self._phase_attacker()
-            self._phase_issue()
-            self._phase_frontend()
-            self._phase_retire()
-            self._snapshot()
-            self.cycle += 1
+            cycle = self.cycle
+            # Each phase runs only when its trigger holds; otherwise it
+            # would change nothing (see the module docstring).
+            if mshrs.entries:
+                self._phase_mshr_returns()
+            if self.cdb_queue or (self.finishing and self.finishing[0][0] <= cycle):
+                self._phase_cdb()
+            if self.unresolved_done:
+                self._phase_resolve_and_squash()
+            if self.unsafe or self.ifetch_waiting:
+                self._phase_safe_transitions()
+            if self.attacker_pos < len(self.attacker) and self.attacker[self.attacker_pos][0] <= cycle:
+                self._phase_attacker()
+            if self.ready or (self.wakeups and self.wakeups[0][0] <= cycle):
+                self._phase_issue()
+            if self.ifetch_replays or (self.fetch_pos < n and cycle >= self.redirect_at):
+                self._phase_frontend()
+            if self.rob and recs[self.rob[0]].complete != NEVER:
+                self._phase_retire()
+            held = mshrs.occupancy()
+            self.occupancy.append((cycle, self.rs_count, held, self.inflight))
+            assert self.rs_count <= self.cfg.rs_size
+            assert held <= self.cfg.l1d_mshrs
+            self.cycle = cycle + 1
             if len(self.records) == n_events:
                 if self.rob or self.fetch_pos < n:
                     # Nothing happened, so nothing will until a threshold passes.
@@ -375,7 +418,9 @@ class _Engine:
                         cap = min(cap, max_cycles)
                     nxt = self._next_event()
                     self._idle_until(cap if nxt is None else min(nxt, cap))
-            elif self.records[-1][1] == "mshr_stall" and all(
+                continue
+            self.last_progress = cycle
+            if self.records[-1][1] == "mshr_stall" and all(
                 r[1] == "mshr_stall" for r in islice(self.records, n_events, None)
             ):
                 self._repeat_stalls(n_events, max_cycles)
@@ -656,6 +701,8 @@ class _Engine:
         parked until safe)."""
         r = self.recs[op_id]
         line = r.op.resolve_line(self.secrets)
+        if self.secret_read_cycle is None and isinstance(r.op.addr, SecretDep):
+            self.secret_read_cycle = self.cycle
         r.line = line
         safe = self._is_safe(op_id)
         level = self.hier.service_level(line)
@@ -794,12 +841,6 @@ class _Engine:
             self._event("retire", i)
             retired += 1
 
-    def _snapshot(self) -> None:
-        eu_busy = self.inflight
-        self.occupancy.append((self.cycle, self.rs_count, self.hier.mshrs.occupancy(), eu_busy))
-        assert self.rs_count <= self.cfg.rs_size
-        assert self.hier.mshrs.occupancy() <= self.cfg.l1d_mshrs
-
     def _finish(self) -> ExecutionTrace:
         op_times: dict[int, dict[str, int]] = {}
         for r in self.recs:
@@ -826,4 +867,5 @@ class _Engine:
             pattern=self.hier.pattern,
             total_cycles=self.last_drain_cycle if self.records else 0,
             llc_state=llc_state,
+            secret_read_cycle=self.secret_read_cycle,
         )

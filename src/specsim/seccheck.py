@@ -123,7 +123,8 @@ def check_ideal_differential(
 ) -> CheckResult:
     """Pattern must be invariant across all secret assignments. Only
     meaningful when secret-dependent loads sit on mis-speculated paths;
-    programs with correct-path secret loads are rejected."""
+    programs with correct-path secret loads are rejected. A first run that
+    reads no secret decides alone: every assignment runs the same."""
     wrong = program.wrong_path_ids()
     for op in program.ops:
         if isinstance(op.addr, SecretDep) and op.id not in wrong:
@@ -131,7 +132,10 @@ def check_ideal_differential(
                 f"op {op.id} reads a secret on the bound-to-retire path; the property does not apply"
             )
     combos = _secret_assignments(program)
-    base = run(program, cfg, scheme, combos[0], image, attacker).pattern_keys()
+    first = run(program, cfg, scheme, combos[0], image, attacker)
+    if first.secret_read_cycle is None:
+        return CheckResult(holds=True)
+    base = first.pattern_keys()
     for assignment in combos[1:]:
         other = run(program, cfg, scheme, assignment, image, attacker).pattern_keys()
         if other != base:
@@ -158,6 +162,15 @@ class Calibration:
     trace: list[str] = field(default_factory=list)
 
 
+def _bit1_agrees(plan, cycle: int | None) -> bool:
+    """Whether bit 1's victim run is known to match bit 0's up to and
+    including bit 0's event at this cycle, without running it. The two runs
+    differ only in the secret, so they agree on every cycle before the
+    secret is first read, and entirely when it never is."""
+    read = plan.victim_trace(0).secret_read_cycle
+    return read is None or (cycle is not None and cycle < read)
+
+
 def _anchor_cycle(plan, bit: int) -> int | None:
     t = plan.victim_trace(bit)
     for r in t.pattern:
@@ -167,18 +180,19 @@ def _anchor_cycle(plan, bit: int) -> int | None:
 
 
 def _order_flip(plan) -> bool:
-    def order(bit: int) -> tuple[int, ...]:
-        t = plan.victim_trace(bit)
-        pair = (plan.anchor, plan.layout.reference_line)
-        return tuple(r.line for r in t.pattern if r.line in pair)
+    """Whether the secret flips the victim's pair of accesses: bit 0 sees
+    the anchor and then the reference line, bit 1 the reverse."""
+    pair = (plan.anchor, plan.layout.reference_line)
 
-    # A flip needs bit 0 to see both lines, anchor first; otherwise the
-    # verdict is fixed and bit 1 is not run.
+    def order(bit: int) -> list:
+        return [r for r in plan.victim_trace(bit).pattern if r.line in pair]
+
+    # Bit 1 is run only when the verdict is still open: bit 0 must see the
+    # anchor first, and bit 1 sees it first too if it agrees that far.
     o0 = order(0)
-    if len(o0) != 2 or o0[0] != plan.anchor:
+    if [r.line for r in o0] != list(pair) or _bit1_agrees(plan, o0[0].cycle):
         return False
-    o1 = order(1)
-    return len(o1) == 2 and o1 != o0
+    return [r.line for r in order(1)] == list(reversed(pair))
 
 
 def calibrate(
@@ -226,7 +240,8 @@ def _calibrate_search(
         for z in (base.z_len, 16, 20, 8):
             params = replace(base, z_len=z, reference_offset=FAR_OFFSET)
             plan = plan_attack(gadget, ordering, scheme, cfg, params)
-            c0, c1 = _anchor_cycle(plan, 0), _anchor_cycle(plan, 1)
+            c0 = _anchor_cycle(plan, 0)
+            c1 = c0 if _bit1_agrees(plan, c0) else _anchor_cycle(plan, 1)
             trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
             if c0 is None or c1 is None or abs(c1 - c0) < 2:
                 continue

@@ -1,7 +1,8 @@
 """Regenerate the golden trace fixtures (tests/golden/*.trace), the
 corpus trace digests (tests/golden/corpus.sha256 and
 tests/golden/config_corpus.sha256), the sender program digests
-(tests/golden/sender_programs.sha256) and the seed-1 matrix CSV
+(tests/golden/sender_programs.sha256), the calibration digests
+(tests/golden/calibrations.sha256) and the seed-1 matrix CSV
 (tests/golden/matrix_seed1.csv).
 
 Run after an intentional engine change: python3 tests/make_golden.py
@@ -17,9 +18,11 @@ from specsim.attacks import MATRIX_SCHEMES
 from specsim.seccheck import matrix_calibrations
 from test_acceptance import CFG, GOLDEN_DIR, GOLDEN_RUNS, MATRIX_GOLDEN, golden_matrix, golden_trace_text
 from test_corpus_digests import (
+    CALIBRATION_DIGESTS,
     CONFIG_CORPUS_DIGESTS,
     CORPUS_DIGESTS,
     SENDER_DIGESTS,
+    calibration_digests,
     config_corpus_digests,
     corpus_digests,
     format_digests,
@@ -42,6 +45,9 @@ def main() -> None:
     digests = sender_digests()
     SENDER_DIGESTS.write_text(format_digests(digests))
     print(f"wrote {SENDER_DIGESTS} ({len(digests)} senders)")
+    digests = calibration_digests()
+    CALIBRATION_DIGESTS.write_text(format_digests(digests))
+    print(f"wrote {CALIBRATION_DIGESTS} ({len(digests)} calibrations)")
     res = golden_matrix(matrix_calibrations(CFG, MATRIX_SCHEMES))
     MATRIX_GOLDEN.write_text("\n".join(res.csv_lines()) + "\n")
     print(f"wrote {MATRIX_GOLDEN}")

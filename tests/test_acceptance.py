@@ -48,6 +48,8 @@ LAY = AttackLayout(GEOM)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 MATRIX_GOLDEN = GOLDEN_DIR / "matrix_seed1.csv"
 
+# run() calls of the seed-1 matrix, calibration included.
+MATRIX_RUNS = 654
 DEFENSES = (SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC, SchemeId.NOINTERFERENCE)
 
 
@@ -136,16 +138,39 @@ def test_criterion_2_noncommutativity_witness():
     report(2, "order sensitivity on the primed set, exhaustive pairs", ok, time.time() - t0, 1.0)
 
 
+class CountingRun:
+    """Wraps attacks.run, through which every calibration and trial run of
+    the matrix goes, and counts the calls."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+
+    def __call__(self, *args, **kw):
+        self.calls += 1
+        return self.real(*args, **kw)
+
+
 @pytest.fixture(scope="module")
-def calibrations():
-    return matrix_calibrations(CFG, MATRIX_SCHEMES)
+def calibration_runs():
+    """The matrix calibrations and the number of run() calls they made."""
+    with pytest.MonkeyPatch.context() as mp:
+        runs = CountingRun(attacks.run)
+        mp.setattr(attacks, "run", runs)
+        cals = matrix_calibrations(CFG, MATRIX_SCHEMES)
+    return cals, runs.calls
+
+
+@pytest.fixture(scope="module")
+def calibrations(calibration_runs):
+    return calibration_runs[0]
 
 
 def golden_matrix(calibrations) -> MatrixResult:
     return vulnerability_matrix(CFG, seed=1, bits=32, trials=3, calibrations=calibrations)
 
 
-def test_criterion_3_vulnerability_matrix(calibrations, monkeypatch):
+def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
     # safespec-wfb and muontrap differ from the two InvisiSpec schemes only
     # at marked fetches. On the npeu and mshr vdvd/vdad senders, which have
     # none, they reuse those schemes' results: 2 senders x 2 orderings x 2
@@ -157,6 +182,9 @@ def test_criterion_3_vulnerability_matrix(calibrations, monkeypatch):
         return run_attack(gadget, ordering, scheme, *args, **kw)
 
     monkeypatch.setattr(attacks, "run_attack", counting)
+    runs = CountingRun(attacks.run)
+    monkeypatch.setattr(attacks, "run", runs)
+    calibrations, calibration_calls = calibration_runs
     t0 = time.time()
     res = golden_matrix(calibrations)
     ok = res.matches_reference()
@@ -168,6 +196,9 @@ def test_criterion_3_vulnerability_matrix(calibrations, monkeypatch):
     ok &= len(calls) == sum(len(group_orderings(c.group, c.scheme)) for c in res.cells) - 8
     reused = {SchemeId.SAFESPEC_WFB, SchemeId.MUONTRAP}
     ok &= not {s for g, o, s in calls if not marks_fetch(g, o)} & reused
+    # Engine runs of the whole seed-1 matrix, calibration included: bit-1
+    # runs the secret cannot reach are skipped.
+    ok &= calibration_calls + runs.calls == MATRIX_RUNS
     report(3, "vulnerability matrix equals the reference cell-for-cell", ok, time.time() - t0, 300.0)
 
 

@@ -86,6 +86,14 @@ class TestRun:
         assert code == EXIT_USAGE and out == ""
         assert f"cache image line {len(text.splitlines()) + 1}: second " in err
 
+    @pytest.mark.parametrize("record", ["llc set=5 ways=[[5:1]]", "l1d set=5 ways=5:1", "llc set=5 ways=[5:1"])
+    def test_malformed_ways_list_is_a_usage_error(self, program_file, tmp_path, record):
+        bad = tmp_path / "ways.image"
+        bad.write_text(f"# one set\n{record}\n")
+        code, out, err = call(["run", "--program", program_file, "--image", str(bad)])
+        assert code == EXIT_USAGE and out == ""
+        assert "cache image line 2: ways must be one [...] list" in err
+
 
 class TestAttack:
     def test_noiseless_attack_csv(self, tmp_path):

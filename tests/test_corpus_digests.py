@@ -23,6 +23,11 @@ or to the text of the ConstructionError that rejects it. The file was
 recorded from the builders that spliced the reference chain into a built
 gadget, before senders were assembled in program order.
 
+tests/golden/calibrations.sha256 pins calibration: every constructible
+sender under all ten schemes on the default machine, each reduced to the
+digest of its (feasible, params, trace) result. The file was recorded
+before calibration skipped the bit-1 runs the secret cannot reach.
+
 Regenerate only after an intended behaviour change: python3 tests/make_golden.py
 """
 
@@ -49,14 +54,15 @@ from specsim.microprog import (
 )
 from specsim.pipeline import ExecutionTrace, SimulationDeadlock, run
 from specsim.schemes import SchemeId, all_scheme_ids
-from specsim.seccheck import gen_random_program, synth_suite
+from specsim.seccheck import calibrate, gen_random_program, synth_suite
 
-from test_pipeline import diamond_program, stall_stretch_program
+from test_pipeline import constructible_senders, diamond_program, stall_stretch_program
 
 CFG = MachineConfig()
 CORPUS_DIGESTS = Path(__file__).parent / "golden" / "corpus.sha256"
 CONFIG_CORPUS_DIGESTS = Path(__file__).parent / "golden" / "config_corpus.sha256"
 SENDER_DIGESTS = Path(__file__).parent / "golden" / "sender_programs.sha256"
+CALIBRATION_DIGESTS = Path(__file__).parent / "golden" / "calibrations.sha256"
 RANDOM_SEEDS = 60
 CONFIG_SEEDS = 64
 
@@ -84,16 +90,11 @@ def corpus_runs():
         programs.append((f"corpus{seed}", program, {"image": image}))
     for bench in synth_suite(1):
         programs.append((f"synth1-{bench.name}", bench.program, {"image": bench.image}))
-    for gadget in Gadget:
+    for gadget, ordering, program, script in constructible_senders():
         image = attack_image(gadget, CFG)
-        for ordering in Ordering:
-            try:
-                program, script = build_attack_program(ordering, gadget, CFG)
-            except ConstructionError:
-                continue  # blocked cell: no sender exists
-            for secret in (0, 1):
-                kw = {"image": image, "attacker": script, "secrets": {"s0": secret}}
-                programs.append((f"attack-{gadget.value}-{ordering.value}-s{secret}", program, kw))
+        for secret in (0, 1):
+            kw = {"image": image, "attacker": script, "secrets": {"s0": secret}}
+            programs.append((f"attack-{gadget.value}-{ordering.value}-s{secret}", program, kw))
     program, image = diamond_program(16)
     programs.append(("diamond16", program, {"image": image}))
     for label, program, kw in programs:
@@ -271,3 +272,21 @@ def test_sender_programs_match_pinned_digests():
     assert actual.keys() == pinned.keys()
     moved = [label for label in actual if actual[label] != pinned[label]]
     assert not moved, f"{len(moved)} senders changed, first: {[(m, actual[m]) for m in moved[:3]]}"
+
+
+def calibration_digests() -> dict[str, str]:
+    out = {}
+    for gadget, ordering, _, _ in constructible_senders():
+        for scheme in all_scheme_ids():
+            cal = calibrate(gadget, ordering, scheme, CFG)
+            text = repr((cal.feasible, cal.params, cal.trace))
+            out[f"{gadget.value}-{ordering.value}/{scheme.value}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_calibrations_match_pinned_digests():
+    pinned = dict(line.split(" ", 1) for line in CALIBRATION_DIGESTS.read_text().splitlines())
+    actual = calibration_digests()
+    assert actual.keys() == pinned.keys()
+    moved = [label for label in actual if actual[label] != pinned[label]]
+    assert not moved, f"{len(moved)} calibrations changed, first: {moved[:5]}"

@@ -260,6 +260,13 @@ IMAGE_TYPOS = [
     ("missing-ways", "llc set=5", "line 1: missing field 'ways'"),
     ("missing-line", "script level=l1hit", "line 1: missing field 'line'"),
     ("bare-word", "llc set=5 ways=[5:1] extra", "line 1: expected key=value, got 'extra'"),
+    ("nested-ways", "llc set=5 ways=[[5:1]]", r"line 1: ways must be one \[\.\.\.\] list, got '\[\[5:1\]\]'"),
+    ("bare-ways", "l1d set=5 ways=5:1", r"line 1: ways must be one \[\.\.\.\] list, got '5:1'"),
+    ("unclosed-ways", "llc set=5 ways=[]\nllc set=6 ways=[6:1", r"line 2: ways must be one \[\.\.\.\] list"),
+    ("empty-ways", "l1i set=5 ways=", r"line 1: ways must be one \[\.\.\.\] list, got ''"),
+    ("age-too-high", "llc set=9 ways=[]\nllc set=5 ways=[5:4]", "line 2: llc line 5 age 4 out of range"),
+    ("age-negative", "l1d set=5 ways=[-,5:-1]", "line 1: l1d line 5 age -1 out of range"),
+    ("duplicate-tag", "llc set=5 ways=[5:1,-,5:2]", "line 1: llc set 5 has duplicate tags"),
 ]
 
 

@@ -4,14 +4,16 @@ backpressure, determinism, and the interference mechanisms themselves."""
 import time
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from specsim.attacks import attack_image
+from specsim.attacks import attack_image, plan_attack
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheImage, Level
 from specsim.microprog import (
     AttackLayout,
     AttackParams,
     BranchInfo,
+    ConstructionError,
     Gadget,
     Literal,
     MicroOp,
@@ -22,8 +24,8 @@ from specsim.microprog import (
     build_attack_program,
 )
 from specsim.pipeline import NEVER, SimulationDeadlock, run
-from specsim.schemes import SchemeId
-from specsim.seccheck import FAR_OFFSET
+from specsim.schemes import SchemeId, all_scheme_ids
+from specsim.seccheck import FAR_OFFSET, gen_random_program
 
 CFG = MachineConfig()
 LAY = AttackLayout(CFG.geometry)
@@ -471,3 +473,72 @@ class TestTraceRecords:
         for e in t.events:
             e.extra["edited"] = 1
         assert t.serialize() == text
+
+
+def constructible_senders():
+    """(gadget, ordering, program, script) for every sender that can be
+    built on the default machine with default parameters; blocked cells
+    have none."""
+    for gadget in Gadget:
+        for ordering in Ordering:
+            try:
+                program, script = build_attack_program(ordering, gadget, CFG)
+            except ConstructionError:
+                continue
+            yield gadget, ordering, program, script
+
+
+SENDERS = [(g, o) for g, o, _, _ in constructible_senders()]
+PREFIX_CONFIGS = [
+    CFG,
+    CFG.with_overrides(rob_size=16, rs_size=4),
+    CFG.with_overrides(l1d_mshrs=2, cdb_width=1),
+    CFG.with_overrides(l1d_mshrs=1, issue_width=1),
+    CFG.with_overrides(writeback_delay=120, branch_resolve_extra=90),
+    CFG.with_overrides(rs_size=3, cdb_width=1, branch_resolve_extra=300),
+]
+
+
+class TestSecretFreePrefix:
+    """Runs that differ only in their secrets are the same machine until a
+    secret-dependent load first resolves its address: the calibration and
+    the differential check skip runs on this invariant."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sender=st.sampled_from(SENDERS),
+        scheme=st.sampled_from(all_scheme_ids()),
+        cfg=st.sampled_from(PREFIX_CONFIGS),
+        z_len=st.sampled_from([1, 8, 12, 16, 20]),
+        g_len=st.integers(0, 64),
+        reference_offset=st.integers(0, 300),
+    )
+    def test_both_bits_agree_before_the_secret_read(self, sender, scheme, cfg, z_len, g_len, reference_offset):
+        gadget, ordering = sender
+        params = AttackParams(z_len=z_len, g_len=g_len, reference_offset=reference_offset)
+        try:
+            plan = plan_attack(gadget, ordering, scheme, cfg, params)
+        except ConstructionError:
+            reject()  # e.g. an MSHR sender on a one-MSHR machine
+        t0, t1 = plan.victim_trace(0), plan.victim_trace(1)
+        read = t0.secret_read_cycle
+        assert t1.secret_read_cycle == read
+        if read is None:
+            assert t0.serialize() == t1.serialize()
+            assert (t0.occupancy, t0.pattern, t0.op_times, t0.llc_state, t0.total_cycles) == (
+                t1.occupancy,
+                t1.pattern,
+                t1.op_times,
+                t1.llc_state,
+                t1.total_cycles,
+            )
+            return
+        assert [r for r in t0.records if r[0] < read] == [r for r in t1.records if r[0] < read]
+        assert [r for r in t0.pattern if r.cycle < read] == [r for r in t1.pattern if r.cycle < read]
+        assert [r for r in t0.occupancy if r[0] < read] == [r for r in t1.occupancy if r[0] < read]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), scheme=st.sampled_from(all_scheme_ids()))
+    def test_programs_without_secrets_never_read_one(self, seed, scheme):
+        program, image = gen_random_program(seed)
+        assert run(program, CFG, scheme, image=image).secret_read_cycle is None

@@ -104,6 +104,29 @@ class TestCheckDifferential:
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.NOINTERFERENCE, CFG)
         assert check_ideal_differential(plan.program, CFG, SchemeId.NOINTERFERENCE, plan.image, plan.script).holds
 
+    @pytest.mark.parametrize(
+        "scheme, runs",
+        [
+            # The fence keeps the wrong-path secret load from ever issuing,
+            # so one run decides: every secret runs the same.
+            (SchemeId.FENCE_SPECTRE, 1),
+            (SchemeId.FENCE_FUTURISTIC, 1),
+            # The secret is read (invisibly), so both secrets are run.
+            (SchemeId.NOINTERFERENCE, 2),
+        ],
+    )
+    def test_unread_secret_costs_one_run(self, monkeypatch, scheme, runs):
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return run(*args, **kw)
+
+        monkeypatch.setattr(seccheck, "run", counting)
+        plan = plan_attack(Gadget.NPEU, Ordering.VDAD, scheme, CFG)
+        assert check_ideal_differential(plan.program, CFG, scheme, plan.image, plan.script).holds
+        assert len(calls) == runs
+
     def test_no_secrets_holds_vacuously(self):
         p = prog_of(MicroOp(0, OpKind.ALU))
         assert check_ideal_differential(p, CFG, SchemeId.UNSAFE).holds
@@ -348,6 +371,18 @@ class TestOrderFlip:
             plan = plan_attack(Gadget.NPEU, Ordering.VIVD, scheme, CFG, AttackParams())
             assert not seccheck._order_flip(plan)
             assert runs.bits == [0], scheme
+
+    def test_anchor_before_secret_read_makes_one_run(self, monkeypatch):
+        # mshr/vdvd with a 60-op reference chain: bit 0 reaches the anchor
+        # at cycle 25, before the secret is first read at cycle 75, so bit 1
+        # reaches it first too and cannot flip the order.
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        plan = plan_attack(Gadget.MSHR, Ordering.VDVD, SchemeId.UNSAFE, CFG, AttackParams(g_len=60))
+        assert not seccheck._order_flip(plan)
+        assert runs.bits == [0]
+        t = plan.victim_trace(0)
+        assert seccheck._anchor_cycle(plan, 0) == 25 and t.secret_read_cycle == 75
 
     def test_anchor_first_bit0_runs_bit1(self, monkeypatch):
         runs = CountingRun()
