@@ -112,7 +112,6 @@ from .machine import MachineConfig
 from .memhier import CacheImage, Level, MemHier, Requester
 from .microprog import AttackScript, MicroOp, MicroProgram, OpKind, SecretDep
 from .schemes import (
-    HitPolicy,
     MissPolicy,
     SchemeId,
     SchemeSpec,
@@ -707,7 +706,7 @@ class _Engine:
         safe = self._is_safe(op_id)
         level = self.hier.service_level(line)
         if level is Level.L1HIT:
-            if safe or self.spec.hit_policy is HitPolicy.VISIBLE:
+            if safe or self.spec.miss_policy is MissPolicy.VISIBLE:
                 self.hier.l1_hit_update(line)
             else:
                 r.deferred_l1_update = line
@@ -805,7 +804,7 @@ class _Engine:
             if op.iline is not None:
                 # Is the fetch covered by an unresolved speculation shadow
                 # right now (including ops dispatched earlier this cycle)?
-                if self.spec.icache_protected and not self.shadow.safe(self.spec.fetch_shadow, op.id):
+                if self.spec.fetch_shadow is not None and not self.shadow.safe(self.spec.fetch_shadow, op.id):
                     self.recs[op.id].ifetch_pending = True
                     self.ifetch_waiting.append(op.id)
                 else:

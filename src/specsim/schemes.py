@@ -1,15 +1,17 @@
 """Invisible-speculation and defense policies.
 
-Each scheme is a bundle of flags the pipeline consults: the shadow rule
-deciding when a load is still protected, what to do with a protected load's
-L1 hit or miss, whether speculative instruction fetches stay invisible,
+Each scheme is the set of choices the pipeline reads, one per axis: the
+shadow rule deciding when a load stops being speculative, what happens to
+a protected load's L1 miss (delayed or serviced invisibly; a protected hit
+defers its replacement update whenever the miss is protected), the shadow
+rule for speculative instruction fetches (or none, leaving them visible),
 fence gating, and the advanced-defense scheduling/deallocation rules.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .microprog import MicroOp, MicroProgram, OpKind
@@ -53,11 +55,6 @@ class MissPolicy(Enum):
     INVISIBLE = "invisible"  # service invisibly now, visible replay when safe
 
 
-class HitPolicy(Enum):
-    VISIBLE = "visible"
-    DEFER_UPDATE = "defer"  # forward data, buffer the replacement update
-
-
 class FenceModel(Enum):
     SPECTRE = "spectre"  # fences after branches
     FUTURISTIC = "futuristic"  # fences after anything that can squash
@@ -65,81 +62,45 @@ class FenceModel(Enum):
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    id: SchemeId
+    """The choices the engine reads, and nothing else: two schemes with
+    equal specs run every program byte-identically.
+
+    A load is protected while ``shadow`` says it is unsafe. Its L1 miss is
+    handled by ``miss_policy``; its L1 hit forwards data at once and, unless
+    the miss policy is VISIBLE, defers the replacement update until the
+    load turns safe.
+    """
+
     shadow: ShadowRule
     miss_policy: MissPolicy
-    hit_policy: HitPolicy
-    icache_protected: bool
-    # Shadow rule that decides when a protected marked I-fetch may touch
-    # the caches; BRANCH unless the scheme reasons about all squash
-    # sources. Fence issue gating does not read it.
-    fetch_shadow: ShadowRule = ShadowRule.BRANCH
+    # Shadow rule that decides when a marked I-fetch may touch the caches;
+    # None: fetches are never protected. Fence issue gating does not read it.
+    fetch_shadow: ShadowRule | None = None
     fence_model: FenceModel | None = None
     rs_hold: bool = False  # hold RS entries until safe/squash
     npeu_lookahead: bool = False  # look-ahead stall on the non-pipelined EU
 
 
 _SPECS: dict[SchemeId, SchemeSpec] = {
-    SchemeId.UNSAFE: SchemeSpec(
-        SchemeId.UNSAFE, ShadowRule.ALWAYS_SAFE, MissPolicy.VISIBLE, HitPolicy.VISIBLE, icache_protected=False
-    ),
-    SchemeId.DOM_SPECTRE: SchemeSpec(
-        SchemeId.DOM_SPECTRE, ShadowRule.BRANCH, MissPolicy.DELAY, HitPolicy.DEFER_UPDATE, icache_protected=False
-    ),
-    SchemeId.DOM_NONTSO: SchemeSpec(
-        SchemeId.DOM_NONTSO, ShadowRule.NONTSO, MissPolicy.DELAY, HitPolicy.DEFER_UPDATE, icache_protected=False
-    ),
-    SchemeId.INVISISPEC_SPECTRE: SchemeSpec(
-        SchemeId.INVISISPEC_SPECTRE,
-        ShadowRule.BRANCH,
-        MissPolicy.INVISIBLE,
-        HitPolicy.DEFER_UPDATE,
-        icache_protected=False,
-    ),
-    SchemeId.INVISISPEC_FUTURISTIC: SchemeSpec(
-        SchemeId.INVISISPEC_FUTURISTIC,
-        ShadowRule.OLDEST_LOAD,
-        MissPolicy.INVISIBLE,
-        HitPolicy.DEFER_UPDATE,
-        icache_protected=False,
-    ),
-    SchemeId.SAFESPEC_WFB: SchemeSpec(
-        SchemeId.SAFESPEC_WFB,
-        ShadowRule.BRANCH,
-        MissPolicy.INVISIBLE,
-        HitPolicy.DEFER_UPDATE,
-        icache_protected=True,
-    ),
-    SchemeId.MUONTRAP: SchemeSpec(
-        SchemeId.MUONTRAP,
-        ShadowRule.OLDEST_LOAD,
-        MissPolicy.INVISIBLE,
-        HitPolicy.DEFER_UPDATE,
-        icache_protected=True,
-    ),
+    SchemeId.UNSAFE: SchemeSpec(ShadowRule.ALWAYS_SAFE, MissPolicy.VISIBLE),
+    SchemeId.DOM_SPECTRE: SchemeSpec(ShadowRule.BRANCH, MissPolicy.DELAY),
+    SchemeId.DOM_NONTSO: SchemeSpec(ShadowRule.NONTSO, MissPolicy.DELAY),
+    SchemeId.INVISISPEC_SPECTRE: SchemeSpec(ShadowRule.BRANCH, MissPolicy.INVISIBLE),
+    SchemeId.INVISISPEC_FUTURISTIC: SchemeSpec(ShadowRule.OLDEST_LOAD, MissPolicy.INVISIBLE),
+    SchemeId.SAFESPEC_WFB: SchemeSpec(ShadowRule.BRANCH, MissPolicy.INVISIBLE, fetch_shadow=ShadowRule.BRANCH),
+    SchemeId.MUONTRAP: SchemeSpec(ShadowRule.OLDEST_LOAD, MissPolicy.INVISIBLE, fetch_shadow=ShadowRule.BRANCH),
     SchemeId.FENCE_SPECTRE: SchemeSpec(
-        SchemeId.FENCE_SPECTRE,
-        ShadowRule.BRANCH,
-        MissPolicy.VISIBLE,
-        HitPolicy.VISIBLE,
-        icache_protected=True,
-        fence_model=FenceModel.SPECTRE,
+        ShadowRule.BRANCH, MissPolicy.VISIBLE, fetch_shadow=ShadowRule.BRANCH, fence_model=FenceModel.SPECTRE
     ),
     SchemeId.FENCE_FUTURISTIC: SchemeSpec(
-        SchemeId.FENCE_FUTURISTIC,
         ShadowRule.FUTURISTIC,
         MissPolicy.VISIBLE,
-        HitPolicy.VISIBLE,
-        icache_protected=True,
         fetch_shadow=ShadowRule.FUTURISTIC,
         fence_model=FenceModel.FUTURISTIC,
     ),
     SchemeId.NOINTERFERENCE: SchemeSpec(
-        SchemeId.NOINTERFERENCE,
         ShadowRule.FUTURISTIC,
         MissPolicy.DELAY,
-        HitPolicy.DEFER_UPDATE,
-        icache_protected=True,
         fetch_shadow=ShadowRule.FUTURISTIC,
         rs_hold=True,
         npeu_lookahead=True,
@@ -153,24 +114,14 @@ def scheme_spec(scheme: SchemeId | str) -> SchemeSpec:
     return _SPECS[scheme]
 
 
-def all_scheme_ids() -> list[SchemeId]:
-    return list(_SPECS)
-
-
-# The engine reads these only at ops that carry an ``iline``.
-_FETCH_FIELDS = ("icache_protected", "fetch_shadow")
-
-
-def engine_behaviour(scheme: SchemeId | str, marked_fetch: bool) -> tuple:
-    """The spec fields the engine reads, as one comparable value. Two
-    schemes with equal behaviour give byte-identical runs, so a caller may
-    simulate one and reuse the result for the other. ``marked_fetch``
-    false promises a program with no marked fetch (no op with an
-    ``iline``): the engine never reads the fetch-side fields there, so
-    they are left out."""
+def engine_behaviour(scheme: SchemeId | str, marked_fetch: bool) -> SchemeSpec:
+    """The scheme as the engine sees it on a program. Two schemes with
+    equal behaviour give byte-identical runs, so a caller may simulate one
+    and reuse the result for the other. ``marked_fetch`` false promises a
+    program with no marked fetch (no op with an ``iline``): the engine
+    never reads ``fetch_shadow`` there, so it is dropped."""
     spec = scheme_spec(scheme)
-    skip = ("id",) if marked_fetch else ("id", *_FETCH_FIELDS)
-    return tuple(getattr(spec, f.name) for f in fields(spec) if f.name not in skip)
+    return spec if marked_fetch else replace(spec, fetch_shadow=None)
 
 
 class ShadowState:

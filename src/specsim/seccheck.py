@@ -90,8 +90,11 @@ def check_ideal(
 ) -> CheckResult:
     """Exact-sequence comparison of the visible access pattern against the
     no-misspeculation oracle; a mismatch returns the first divergent index
-    and both patterns."""
+    and both patterns. A program with no mispredicted branch is its own
+    oracle: forcing predictions correct changes nothing the engine reads."""
     e = run(program, cfg, scheme, secrets, image, attacker)
+    if not any(op.branch is not None and op.branch.mispredicted() for op in program.ops):
+        return CheckResult(holds=True)
     ns = nospec(program, cfg, scheme, secrets, image, attacker)
     pa, pb = e.pattern_keys(), ns.pattern_keys()
     if pa == pb:
@@ -227,12 +230,14 @@ def _calibrate_search(
 ) -> Calibration:
     if gadget is Gadget.RS:
         plan = plan_attack(gadget, ordering, scheme, cfg, base)
-        seen = []
-        for bit in (0, 1):
-            t = plan.victim_trace(bit)
-            seen.append(any(r.line == plan.anchor for r in t.pattern))
-        trace.append(f"rs fetch outcomes: bit0={seen[0]} bit1={seen[1]}")
-        if seen[0] != seen[1]:
+
+        def fetched(bit: int) -> bool:
+            return any(r.line == plan.anchor for r in plan.victim_trace(bit).pattern)
+
+        seen0 = fetched(0)
+        seen1 = seen0 if _bit1_agrees(plan, None) else fetched(1)
+        trace.append(f"rs fetch outcomes: bit0={seen0} bit1={seen1}")
+        if seen0 != seen1:
             return Calibration(True, base, trace)
         return Calibration(False, None, trace)
 

@@ -3,15 +3,19 @@
 import contextlib
 import io
 import os
+import random
 from pathlib import Path
 
 import pytest
 
-from specsim.attacks import plan_attack
+from specsim.attacks import plan_attack, run_attack
 from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
-from specsim.microprog import Gadget, Ordering, build_attack_program, format_program
-from specsim.seccheck import interference_gap, victim_timing
+from specsim.microprog import AttackParams, Gadget, Ordering, build_attack_program, format_program
+from specsim.schemes import SchemeId
+from specsim.seccheck import calibrate, interference_gap, victim_timing
+
+MATRIX_GOLDEN = Path(__file__).parent / "golden" / "matrix_seed1.csv"
 
 
 def call(argv):
@@ -170,7 +174,70 @@ class TestAttack:
         assert out.splitlines()[-1].split(",")[6] == "0.0000"
 
 
+def attack_row(gadget, ordering, scheme, n_bits, trials, noise, seed, params):
+    """The row `specsim attack` prints for these arguments, computed with
+    run_attack on the CLI's secret bits."""
+    rng = random.Random(f"bits:{seed}")
+    bits = [rng.randrange(2) for _ in range(n_bits)]
+    res = run_attack(
+        Gadget(gadget), Ordering(ordering), SchemeId(scheme), bits,
+        trials_per_bit=trials, noise=float(noise), seed=seed, cfg=MachineConfig(), params=params,
+    )
+    return (
+        f"{gadget},{ordering},{scheme},{n_bits},{trials},{noise},"
+        f"{res.error_rate:.4f},{res.discard_rate:.4f},{res.cycles_per_bit:.1f}"
+    )
+
+
+class TestAttackParams:
+    ARGV = ["attack", "--gadget", "npeu", "--ordering", "viad", "--scheme", "muontrap",
+            "--bits", "16", "--trials", "1", "--noise", "0.1", "--seed", "5"]
+
+    @staticmethod
+    def row(params):
+        return attack_row("npeu", "viad", "muontrap", 16, 1, "0.1", 5, params)
+
+    def test_calibrated_by_default(self):
+        code, out, _ = call(self.ARGV)
+        assert code == EXIT_OK
+        params = calibrate(Gadget.NPEU, Ordering.VIAD, SchemeId.MUONTRAP, MachineConfig()).params
+        assert out.splitlines()[1] == self.row(params) != self.row(AttackParams())
+
+    def test_no_calibrate_runs_builder_defaults(self):
+        code, out, _ = call([*self.ARGV, "--no-calibrate"])
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == self.row(AttackParams())
+
+    def test_config_attack_section_overrides_calibration(self, tmp_path):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text("[attack]\nz_len = 16\nreference_offset = 120\n")
+        code, out, _ = call([*self.ARGV, "--config", str(cfg_file)])
+        assert code == EXIT_OK
+        # A row of its own: neither the calibrated nor the default one.
+        assert out.splitlines()[1] == self.row(AttackParams(z_len=16, reference_offset=120))
+
+    def test_sweep_trials_one_row_per_count(self, tmp_path):
+        out_file = tmp_path / "sweep.csv"
+        code, out, _ = call([*self.ARGV, "--sweep-trials", "1,3", "--out", str(out_file)])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "trials,error_rate,discard_rate,cycles_per_bit,bits_per_mcycle"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+        assert out_file.read_text() == out
+
+
 class TestMatrix:
+    def test_seed1_matches_the_reference(self, tmp_path):
+        out_file = tmp_path / "m.csv"
+        code, out, _ = call(["matrix", "--seed", "1", "--out", str(out_file)])
+        assert code == EXIT_OK
+        assert out_file.read_bytes() == MATRIX_GOLDEN.read_bytes()
+        lines = out.splitlines()
+        rows = lines[2 : 2 + len(Gadget)]
+        assert [row.split("|")[0].strip() for row in rows] == [g.value for g in Gadget]
+        assert lines[2 + len(Gadget)] == ""
+        assert lines[-1] == "reference match: yes"
+
     @pytest.mark.parametrize("flag", ["--bits", "--trials"])
     def test_zero_count_is_a_usage_error(self, flag):
         code, out, err = call(["matrix", "--seed", "1", flag, "0"])

@@ -53,7 +53,7 @@ from specsim.microprog import (
     format_program,
 )
 from specsim.pipeline import ExecutionTrace, SimulationDeadlock, run
-from specsim.schemes import SchemeId, all_scheme_ids
+from specsim.schemes import SchemeId
 from specsim.seccheck import calibrate, gen_random_program, synth_suite
 
 from test_pipeline import constructible_senders, diamond_program, stall_stretch_program
@@ -98,7 +98,7 @@ def corpus_runs():
     program, image = diamond_program(16)
     programs.append(("diamond16", program, {"image": image}))
     for label, program, kw in programs:
-        for scheme in all_scheme_ids():
+        for scheme in SchemeId:
             yield f"{label}/{scheme.value}", program, scheme, kw
 
 
@@ -181,7 +181,7 @@ def config_corpus_runs():
             kw["attacker"] = [(rng.randrange(400), rng.choice(ATTACKER_LINES)) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:
             kw["max_cycles"] = rng.randint(1, 600)
-        for scheme in all_scheme_ids():
+        for scheme in SchemeId:
             yield f"corner{seed}/{scheme.value}", program, cfg, scheme, kw
     cfg = CFG.with_overrides(l1d_mshrs=2)
     image = attack_image(Gadget.MSHR, cfg)
@@ -192,7 +192,7 @@ def config_corpus_runs():
             continue
         for secret in (0, 1):
             kw = {"image": image, "attacker": script, "secrets": {"s0": secret}}
-            for scheme in all_scheme_ids():
+            for scheme in SchemeId:
                 yield f"mshr2-{ordering.value}-s{secret}/{scheme.value}", program, cfg, scheme, kw
     cfg = CFG.with_overrides(l1d_mshrs=1)
     program, image = stall_stretch_program(4)
@@ -277,7 +277,7 @@ def test_sender_programs_match_pinned_digests():
 def calibration_digests() -> dict[str, str]:
     out = {}
     for gadget, ordering, _, _ in constructible_senders():
-        for scheme in all_scheme_ids():
+        for scheme in SchemeId:
             cal = calibrate(gadget, ordering, scheme, CFG)
             text = repr((cal.feasible, cal.params, cal.trace))
             out[f"{gadget.value}-{ordering.value}/{scheme.value}"] = hashlib.sha256(text.encode()).hexdigest()

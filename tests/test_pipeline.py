@@ -24,7 +24,7 @@ from specsim.microprog import (
     build_attack_program,
 )
 from specsim.pipeline import NEVER, SimulationDeadlock, run
-from specsim.schemes import SchemeId, all_scheme_ids
+from specsim.schemes import SchemeId
 from specsim.seccheck import FAR_OFFSET, gen_random_program
 
 CFG = MachineConfig()
@@ -507,7 +507,7 @@ class TestSecretFreePrefix:
     @settings(max_examples=60, deadline=None)
     @given(
         sender=st.sampled_from(SENDERS),
-        scheme=st.sampled_from(all_scheme_ids()),
+        scheme=st.sampled_from(list(SchemeId)),
         cfg=st.sampled_from(PREFIX_CONFIGS),
         z_len=st.sampled_from([1, 8, 12, 16, 20]),
         g_len=st.integers(0, 64),
@@ -538,7 +538,7 @@ class TestSecretFreePrefix:
         assert [r for r in t0.occupancy if r[0] < read] == [r for r in t1.occupancy if r[0] < read]
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), scheme=st.sampled_from(all_scheme_ids()))
+    @given(seed=st.integers(0, 10_000), scheme=st.sampled_from(list(SchemeId)))
     def test_programs_without_secrets_never_read_one(self, seed, scheme):
         program, image = gen_random_program(seed)
         assert run(program, CFG, scheme, image=image).secret_read_cycle is None

@@ -3,6 +3,7 @@ the advanced no-interference defense, and which schemes the engine can
 tell apart."""
 
 import itertools
+from dataclasses import fields, replace
 
 import pytest
 
@@ -28,6 +29,7 @@ from specsim.seccheck import gen_random_program
 from specsim.schemes import (
     FenceModel,
     SchemeId,
+    SchemeSpec,
     ShadowRule,
     ShadowState,
     engine_behaviour,
@@ -279,10 +281,20 @@ class TestNoInterference:
 
 
 def test_scheme_spec_flags():
-    assert scheme_spec(SchemeId.DOM_NONTSO).icache_protected is False
-    assert scheme_spec(SchemeId.INVISISPEC_FUTURISTIC).icache_protected is False
-    assert scheme_spec(SchemeId.SAFESPEC_WFB).icache_protected is True
-    assert scheme_spec(SchemeId.MUONTRAP).icache_protected is True
+    # None: the scheme leaves speculative instruction fetches visible.
+    fetch_shadow = {
+        SchemeId.UNSAFE: None,
+        SchemeId.DOM_SPECTRE: None,
+        SchemeId.DOM_NONTSO: None,
+        SchemeId.INVISISPEC_SPECTRE: None,
+        SchemeId.INVISISPEC_FUTURISTIC: None,
+        SchemeId.SAFESPEC_WFB: ShadowRule.BRANCH,
+        SchemeId.MUONTRAP: ShadowRule.BRANCH,
+        SchemeId.FENCE_SPECTRE: ShadowRule.BRANCH,
+        SchemeId.FENCE_FUTURISTIC: ShadowRule.FUTURISTIC,
+        SchemeId.NOINTERFERENCE: ShadowRule.FUTURISTIC,
+    }
+    assert {s: scheme_spec(s).fetch_shadow for s in SchemeId} == fetch_shadow
     assert scheme_spec("fence-futuristic").fence_model is FenceModel.FUTURISTIC
 
 
@@ -320,6 +332,30 @@ class TestEngineBehaviour:
 
     def test_marked_fetch_tells_every_scheme_apart(self):
         assert len({engine_behaviour(s, True) for s in SchemeId}) == len(SchemeId)
+
+    def test_behaviour_is_the_spec_less_unread_fetch_protection(self):
+        for s in SchemeId:
+            assert engine_behaviour(s, True) == scheme_spec(s)
+            assert engine_behaviour(s.value, False) == replace(scheme_spec(s), fetch_shadow=None)
+        classes: dict[SchemeSpec, set[SchemeId]] = {}
+        for s in SchemeId:
+            classes.setdefault(engine_behaviour(s, False), set()).add(s)
+        shared = [c for c in classes.values() if len(c) > 1]
+        assert len(classes) == 8
+        assert shared == [
+            {SchemeId.INVISISPEC_SPECTRE, SchemeId.SAFESPEC_WFB},
+            {SchemeId.INVISISPEC_FUTURISTIC, SchemeId.MUONTRAP},
+        ]
+
+    def test_spec_holds_only_engine_choices(self):
+        assert [f.name for f in fields(SchemeSpec)] == [
+            "shadow",
+            "miss_policy",
+            "fetch_shadow",
+            "fence_model",
+            "rs_hold",
+            "npeu_lookahead",
+        ]
 
     def test_marks_fetch_matches_the_built_sender(self):
         for gadget, ordering in itertools.product(Gadget, Ordering):

@@ -84,6 +84,38 @@ class TestCheckIdeal:
         for bit in (0, 1):
             assert check_ideal(prog, CFG, SchemeId.FENCE_FUTURISTIC, secrets={"s0": bit}, image=image).holds
 
+    def test_program_without_misprediction_costs_one_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return run(*args, **kw)
+
+        monkeypatch.setattr(seccheck, "run", counting)
+        p = prog_of(MicroOp(0, OpKind.LOAD, addr=Literal(LAY.victim_line)), MicroOp(1, OpKind.ALU))
+        assert check_ideal(p, CFG, SchemeId.UNSAFE).holds
+        assert len(calls) == 1
+
+    def test_program_without_misprediction_is_its_own_oracle(self):
+        # The engine reads force_correct_predictions only where a
+        # mispredicted branch resolves and where fetch follows a prediction.
+        programs = [gen_random_program(seed) for seed in range(60)]
+        programs += [(b.program, b.image) for b in synth_suite(1)]
+        programs = [
+            (prog, image)
+            for prog, image in programs
+            if not any(op.branch is not None and op.branch.mispredicted() for op in prog.ops)
+        ]
+        assert len(programs) > 20
+        for prog, image in programs:
+            for scheme in SchemeId:
+                e = run(prog, CFG, scheme, image=image)
+                ns = nospec(prog, CFG, scheme, image=image)
+                assert e.serialize() == ns.serialize(), scheme
+                assert e.op_times == ns.op_times, scheme
+                assert e.occupancy == ns.occupancy, scheme
+                assert e.pattern_keys() == ns.pattern_keys(), scheme
+
     def test_nospec_oracle_of_squash_free_program_is_the_run_itself(self):
         bench = gen_branch_dense(seed=9)
         e = run(bench.program, CFG, SchemeId.UNSAFE, image=bench.image)
@@ -389,6 +421,25 @@ class TestOrderFlip:
         monkeypatch.setattr(attacks, "run", runs)
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG, AttackParams())
         assert seccheck._order_flip(plan)
+        assert runs.bits == [0, 1]
+
+
+class TestRsFetchOutcome:
+    @pytest.mark.parametrize("scheme", [SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC])
+    def test_unread_secret_makes_one_run(self, monkeypatch, scheme):
+        # The fence keeps the wrong-path secret load from issuing, so bit 1
+        # runs as bit 0 does and fetches what bit 0 fetched.
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        cal = calibrate(Gadget.RS, Ordering.VIAD, scheme, CFG)
+        assert not cal.feasible
+        assert cal.trace == ["rs fetch outcomes: bit0=False bit1=False"]
+        assert runs.bits == [0]
+
+    def test_read_secret_runs_bit1(self, monkeypatch):
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        assert calibrate(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG).feasible
         assert runs.bits == [0, 1]
 
 
