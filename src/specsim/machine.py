@@ -71,9 +71,6 @@ class MachineConfig:
                 return name
         raise ValueError("no non-pipelined EU class configured")
 
-    def max_latency(self) -> int:
-        return max(max(e.latency for e in self.eu.values()), self.geometry.lat_mem)
-
     def with_overrides(self, **kw) -> MachineConfig:
         cfg = replace(self, **kw)
         cfg.validate()

@@ -262,10 +262,16 @@ def parse_program(text: str) -> MicroProgram:
         try:
             if s.startswith("!secret"):
                 _, name, bit = s.split()
+                if name in secrets:
+                    raise ValueError(f"second !secret {name}")
+                if bit not in ("0", "1"):
+                    raise ValueError(f"!secret {name} {bit}: want 0 or 1")
                 secrets[name] = int(bit)
                 continue
             if s.startswith("!role"):
                 _, role, ids = s.split()
+                if role in annotations:
+                    raise ValueError(f"second !role {role}")
                 annotations[role] = tuple(int(i) for i in ids.split(",") if i)
                 continue
             fields = s.split()
@@ -273,10 +279,16 @@ def parse_program(text: str) -> MicroProgram:
             kind = OpKind(fields[1])
             kw: dict = {}
             deps: tuple[int, ...] = ()
+            seen: set[str] = set()
             for f in fields[2:]:
                 key, val = f.split("=", 1)
+                if key in seen:
+                    raise ValueError(f"repeated field {key!r}")
+                seen.add(key)
                 if key == "deps":
-                    body = val.strip("[]")
+                    body = val[1:-1]
+                    if val[:1] != "[" or val[-1:] != "]" or "[" in body or "]" in body:
+                        raise ValueError(f"deps must be one [...] list, got {val!r}")
                     deps = tuple(int(d) for d in body.split(",") if d)
                 elif key == "addr":
                     kw["addr"] = parse_addr(val)

@@ -39,9 +39,11 @@ address it is None, and the two runs are identical throughout. The
 checker and the calibration skip the second run wherever this fixes its
 outcome.
 
-Clock advance. A cycle in which no phase appends an event changes no
-state, so every following cycle is event-free too until the clock reaches
-a threshold that some phase compares against:
+Clock advance. A stepped cycle changes no state when it logs no event, or
+only mshr_stall retries (a refused MSHR allocation leaves everything as it
+was). Every following cycle then repeats it, the same retries in the same
+op order included, until the clock reaches a threshold that some phase
+compares against:
   - an MSHR's free_at (phase 1);
   - an in-flight op's finish (phase 2);
   - a resolver's complete + branch_resolve_extra (phase 3);
@@ -49,23 +51,29 @@ a threshold that some phase compares against:
   - a waiting op's last producer complete + writeback_delay, and an NPEU
     unit's busy_until (phase 6);
   - redirect_at and the due I-fetch replays (phase 7).
-After an event-free cycle the clock jumps to the earliest of these, capped
-at last_progress + deadlock_after + 1 and at max_cycles so that the
-deadlock and max_cycles checks fire on the same cycle as a one-cycle step
-would. The skipped cycles get occupancy rows that repeat the idle row. Once
-the ROB is drained and nothing is left to fetch, only the attacker script
-and I-fetch replays remain: the clock jumps straight to the next of them,
-leaves no rows for the cycles between, and counts the jump as progress.
+_next_event names the earliest of these, or max_cycles if that comes
+first. After an unchanged cycle, while the ROB or the frontend still holds
+work, the engine appends the repeated retries and occupancy rows for every
+cycle up to that target and jumps the clock there, so max_cycles fires on
+the cycle a one-cycle step would reach. If _next_event returns None, no
+phase can ever act again: that is a deadlock, raised at once with the
+cycle of the last record. Once the ROB is drained and nothing is left to
+fetch, only the attacker script and I-fetch replays remain: the clock
+jumps to the next of them (or to max_cycles) and leaves no rows for the
+cycles between.
 
-A cycle whose only events are mshr_stall retries changes no state either:
-a refused MSHR allocation leaves everything as it was. Every following
-cycle repeats the same retries until the same earliest threshold, at the
-latest the free_at of an MSHR. So after such a cycle the engine appends,
-for each cycle up to that threshold (capped at max_cycles), the same
-retries in the same op order as new records and the same occupancy row,
-sets last_progress to the last repeated cycle, as the retries would have,
-and jumps the clock. A stepped retry is progress, so the deadlock check
-cannot fire inside the stretch, and max_cycles fires where it would.
+"Logs nothing" means "changes nothing" up to two silent moves. The issue
+phase moves an op whose wakeup is due from wakeups to ready, and the safe
+transitions move an op that has left its fetch shadow from ifetch_waiting
+to ifetch_replays; neither logs an event. Neither hides progress from
+_next_event. An op moved to ready that does not issue in that cycle is held
+by a fence, a parked miss, a busy NPEU unit or the look-ahead (a full
+issue width or pipelined class means another op issued, and a refused
+MSHR logs a retry). Each of these lets go only at a logged event or at an
+NPEU unit's busy_until: the look-ahead's bounds never fall behind the
+clock, so once it holds an op it holds it while the clock alone advances.
+A replay moved to ifetch_replays is due at a cycle that _next_event
+reports.
 
 Incremental state. Instead of rescanning the ROB, the engine keeps these
 views current at the events that change them (dispatch, issue, complete,
@@ -301,7 +309,6 @@ class _Engine:
         self.records: list[Record] = []
         self.occupancy: list[tuple[int, int, int, int]] = []
         self.shadow = ShadowState()
-        self.last_progress = 0
         # Validation allows exactly one non-pipelined class: one busy list.
         self.npeu_busy_until = [0] * cfg.eu[cfg.npeu_class].count
         self.inflight = 0  # issued, not completed (occupancy reporting)
@@ -367,23 +374,17 @@ class _Engine:
 
     def run(self, max_cycles: int | None) -> ExecutionTrace:
         n = len(self.program.ops)
-        deadlock_after = self.cfg.rob_size * self.cfg.max_latency()
         mshrs = self.hier.mshrs
         recs = self.recs
         while True:
-            drained = self.fetch_pos >= n and not self.rob
-            if drained and not self.ifetch_replays and self.attacker_pos >= len(self.attacker):
-                break
+            if self.fetch_pos >= n and not self.rob:
+                # Drained: jump to the next attacker access or I-fetch replay.
+                nxt = self._next_event(max_cycles)
+                if nxt is None:
+                    break
+                self.cycle = max(self.cycle, nxt)
             if max_cycles is not None and self.cycle >= max_cycles:
                 raise SimulationDeadlock(f"exceeded max_cycles={max_cycles}")
-            if drained:
-                # Only scheduled external events left: jump to the next one.
-                nxt = self._next_event()
-                if nxt > self.cycle:
-                    self.cycle = nxt
-                    self.last_progress = nxt
-            if self.cycle - self.last_progress > deadlock_after:
-                raise SimulationDeadlock(self._deadlock_diagnostic())
             n_events = len(self.records)
             cycle = self.cycle
             # Each phase runs only when its trigger holds; otherwise it
@@ -409,27 +410,18 @@ class _Engine:
             assert self.rs_count <= self.cfg.rs_size
             assert held <= self.cfg.l1d_mshrs
             self.cycle = cycle + 1
-            if len(self.records) == n_events:
-                if self.rob or self.fetch_pos < n:
-                    # Nothing happened, so nothing will until a threshold passes.
-                    cap = self.last_progress + deadlock_after + 1
-                    if max_cycles is not None:
-                        cap = min(cap, max_cycles)
-                    nxt = self._next_event()
-                    self._idle_until(cap if nxt is None else min(nxt, cap))
-                continue
-            self.last_progress = cycle
-            if self.records[-1][1] == "mshr_stall" and all(
+            if len(self.records) == n_events or self.records[-1][1] == "mshr_stall" and all(
                 r[1] == "mshr_stall" for r in islice(self.records, n_events, None)
             ):
-                self._repeat_stalls(n_events, max_cycles)
+                if self.rob or self.fetch_pos < n:
+                    self._repeat_unchanged(n_events, max_cycles)
         return self._finish()
 
-    def _next_event(self) -> int | None:
+    def _next_event(self, max_cycles: int | None) -> int | None:
         """Earliest cycle at which some phase's comparison against the clock
-        can come out differently; None if no such cycle exists. With the
-        ROB drained and nothing left to fetch, only the attacker's script
-        and I-fetch replays remain."""
+        can come out differently, or max_cycles if that comes first; None if
+        no phase has such a cycle ahead. With the ROB drained and nothing
+        left to fetch, only the attacker's script and I-fetch replays remain."""
         times = [c for c, _ in self.ifetch_replays]
         if self.attacker_pos < len(self.attacker):
             times.append(self.attacker[self.attacker_pos][0])
@@ -445,29 +437,27 @@ class _Engine:
                 if resolver is not None and self.recs[resolver].complete != NEVER:
                     later.append(self.recs[resolver].complete + self.cfg.branch_resolve_extra)
             times += [t for t in later if t >= self.cycle]
-        return min(times, default=None)
+        if not times:
+            return None
+        nxt = min(times)
+        return nxt if max_cycles is None else min(nxt, max_cycles)
 
-    def _idle_until(self, target: int) -> None:
-        """Jump the clock to target: the cycles before it, event-free or
-        repeated retries, get occupancy rows that repeat the current state."""
+    def _repeat_unchanged(self, first: int, max_cycles: int | None) -> None:
+        """The cycle just stepped changed no state: it logged nothing, or
+        only the MSHR retries in self.records[first:]. Every cycle before
+        the next threshold repeats it, retries and occupancy row alike; with
+        no threshold ahead, the run is deadlocked."""
+        target = self._next_event(max_cycles)
+        if target is None:
+            raise SimulationDeadlock(self._deadlock_diagnostic())
         assert target >= self.cycle
+        if first < len(self.records):
+            stalls = [(op, extra) for _, _, op, extra in islice(self.records, first, None)]
+            for c in range(self.cycle, target):
+                self.records.extend([(c, "mshr_stall", op, extra) for op, extra in stalls])
         row = (self.rs_count, self.hier.mshrs.occupancy(), self.inflight)
         self.occupancy.extend((c, *row) for c in range(self.cycle, target))
         self.cycle = target
-
-    def _repeat_stalls(self, first: int, max_cycles: int | None) -> None:
-        """The cycle just stepped logged only the MSHR retries from
-        self.records[first:], which change no state: every cycle before the
-        next threshold (at the latest an MSHR's free_at) repeats them."""
-        target = self._next_event()  # not None: every MSHR is held
-        if max_cycles is not None:
-            target = min(target, max_cycles)
-        stalls = [(op, extra) for _, _, op, extra in islice(self.records, first, None)]
-        for c in range(self.cycle, target):
-            self.records.extend([(c, "mshr_stall", op, extra) for op, extra in stalls])
-        if target > self.cycle:
-            self.last_progress = target - 1
-        self._idle_until(target)
 
     def _deadlock_diagnostic(self) -> str:
         stuck = [
@@ -475,7 +465,7 @@ class _Engine:
             f"(issue={self.recs[i].issue},complete={self.recs[i].complete})"
             for i in islice(self.rob, 8)
         ]
-        return f"no progress since cycle {self.last_progress}; rob head: {', '.join(stuck)}"
+        return f"no progress since cycle {self.records[-1][0]}; rob head: {', '.join(stuck)}"
 
     # -- phases ----------------------------------------------------------
 

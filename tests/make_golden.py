@@ -6,6 +6,8 @@ tests/golden/config_corpus.sha256), the sender program digests
 (tests/golden/matrix_seed1.csv).
 
 Run after an intentional engine change: python3 tests/make_golden.py
+For each file it prints how many of its lines (one pinned entry per line
+in the digest files) are not in the file it replaces.
 """
 
 import sys
@@ -30,27 +32,25 @@ from test_corpus_digests import (
 )
 
 
+def write(path: Path, text: str) -> None:
+    """Write one golden file and report how far it moved from the old one."""
+    old = set(path.read_text().splitlines()) if path.exists() else set()
+    new = text.splitlines()
+    changed = sum(1 for line in new if line not in old)
+    path.write_text(text)
+    print(f"{path.name}: {changed} of {len(new)} changed")
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in GOLDEN_RUNS:
-        path = GOLDEN_DIR / f"{name}.trace"
-        path.write_text(golden_trace_text(name))
-        print(f"wrote {path}")
-    digests = corpus_digests()
-    CORPUS_DIGESTS.write_text(format_digests(digests))
-    print(f"wrote {CORPUS_DIGESTS} ({len(digests)} runs)")
-    digests = config_corpus_digests()
-    CONFIG_CORPUS_DIGESTS.write_text(format_digests(digests))
-    print(f"wrote {CONFIG_CORPUS_DIGESTS} ({len(digests)} runs)")
-    digests = sender_digests()
-    SENDER_DIGESTS.write_text(format_digests(digests))
-    print(f"wrote {SENDER_DIGESTS} ({len(digests)} senders)")
-    digests = calibration_digests()
-    CALIBRATION_DIGESTS.write_text(format_digests(digests))
-    print(f"wrote {CALIBRATION_DIGESTS} ({len(digests)} calibrations)")
+        write(GOLDEN_DIR / f"{name}.trace", golden_trace_text(name))
+    write(CORPUS_DIGESTS, format_digests(corpus_digests()))
+    write(CONFIG_CORPUS_DIGESTS, format_digests(config_corpus_digests()))
+    write(SENDER_DIGESTS, format_digests(sender_digests()))
+    write(CALIBRATION_DIGESTS, format_digests(calibration_digests()))
     res = golden_matrix(matrix_calibrations(CFG, MATRIX_SCHEMES))
-    MATRIX_GOLDEN.write_text("\n".join(res.csv_lines()) + "\n")
-    print(f"wrote {MATRIX_GOLDEN}")
+    write(MATRIX_GOLDEN, "\n".join(res.csv_lines()) + "\n")
 
 
 if __name__ == "__main__":

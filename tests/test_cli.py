@@ -81,6 +81,13 @@ class TestRun:
         assert code == EXIT_USAGE and out == ""
         assert f"program line {lineno}: branch=t," in err
 
+    def test_repeated_op_field_is_a_usage_error(self, tmp_path):
+        bad = tmp_path / "repeat.mprog"
+        bad.write_text("0 LOAD deps=[] addr=5 addr=7\n")
+        code, out, err = call(["run", "--program", str(bad)])
+        assert code == EXIT_USAGE and out == ""
+        assert "program line 1: repeated field 'addr'" in err
+
     def test_repeated_image_record_is_a_usage_error(self, program_file, image_file, tmp_path):
         text = Path(image_file).read_text()
         first = text.splitlines()[0]

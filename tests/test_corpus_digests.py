@@ -13,7 +13,15 @@ sizes, slow write-back and branch resolution, attacker scripts, forced
 predictions and max_cycles. A run that raises is pinned by the exact text
 of its exception, so deadlock diagnostics and the max_cycles cycle are
 pinned too. Both files were recorded before the MSHR-stall stretches were
-batched.
+batched. When deadlock detection became exact, 30 config-corpus outcomes
+were re-pinned, all ten schemes of three corner seeds:
+  - corner26/* and corner55/*: each raised a false deadlock, because an
+    850-cycle write-back outlasted the old window of rob_size (4) times
+    the largest EU or memory latency (200). Each now pins the trace the
+    old engine gave with that window unbounded.
+  - corner46/*: the ROB drained and the clock jumped past max_cycles=222
+    to an attacker access at cycle 325, which was logged. Each now pins
+    "exceeded max_cycles=222", as stepping one cycle at a time gives.
 
 tests/golden/sender_programs.sha256 pins the attack senders themselves:
 every (gadget, ordering) pair under three machine configs and a grid of
@@ -52,7 +60,7 @@ from specsim.microprog import (
     build_attack_program,
     format_program,
 )
-from specsim.pipeline import ExecutionTrace, SimulationDeadlock, run
+from specsim.pipeline import ExecutionTrace, SimulationDeadlock, _Engine, run
 from specsim.schemes import SchemeId
 from specsim.seccheck import calibrate, gen_random_program, synth_suite
 
@@ -202,14 +210,16 @@ def config_corpus_runs():
             yield f"stall4-max{max_cycles}/{scheme.value}", program, cfg, scheme, kw
 
 
+def run_outcome(program, cfg, scheme, kw) -> str:
+    """One run's digest, or the text of the exception that ended it."""
+    try:
+        return "trace:" + trace_digest(run(program, cfg, scheme, **kw))
+    except SimulationDeadlock as e:
+        return f"raise:{e}"
+
+
 def config_corpus_digests() -> dict[str, str]:
-    out = {}
-    for label, program, cfg, scheme, kw in config_corpus_runs():
-        try:
-            out[label] = "trace:" + trace_digest(run(program, cfg, scheme, **kw))
-        except SimulationDeadlock as e:
-            out[label] = f"raise:{e}"
-    return out
+    return {label: run_outcome(program, cfg, scheme, kw) for label, program, cfg, scheme, kw in config_corpus_runs()}
 
 
 def test_config_corpus_matches_pinned_digests():
@@ -218,6 +228,44 @@ def test_config_corpus_matches_pinned_digests():
     assert actual.keys() == pinned.keys()
     moved = [label for label in actual if actual[label] != pinned[label]]
     assert not moved, f"{len(moved)} runs changed, first: {[(m, actual[m]) for m in moved[:3]]}"
+
+
+def test_max_cycles_bounds_every_config_corpus_run():
+    for label, program, cfg, scheme, kw in config_corpus_runs():
+        k = kw.get("max_cycles")
+        if k is None:
+            continue
+        try:
+            trace = run(program, cfg, scheme, **kw)
+        except SimulationDeadlock:
+            continue
+        assert all(c < k for c, *_ in trace.records), label
+        assert all(c < k for c, *_ in trace.occupancy), label
+
+
+# Every fifth corner seed, the three whose outcomes the old windowed
+# deadlock detector got wrong (26 and 55: false deadlocks; 46: an attacker
+# access past max_cycles), and the one-MSHR stall stretch under max_cycles.
+STEPPED_GROUPS = {f"corner{seed}" for seed in (*range(0, CONFIG_SEEDS, 5), 26, 46, 55)}
+
+
+def test_engine_equals_its_one_cycle_stepper(monkeypatch):
+    # The stepper clamps every jump to the current cycle while the ROB or
+    # the frontend holds work; a drained run still jumps to the attacker's
+    # next access, which leaves no rows by design.
+    runs = [r for r in config_corpus_runs() if r[0].split("/")[0] in STEPPED_GROUPS or r[0].startswith("stall4-")]
+    jumped = {label: run_outcome(program, cfg, scheme, kw) for label, program, cfg, scheme, kw in runs}
+    next_event = _Engine._next_event
+
+    def stepped(self, max_cycles):
+        nxt = next_event(self, max_cycles)
+        if nxt is not None and (self.rob or self.fetch_pos < len(self.recs)):
+            return self.cycle
+        return nxt
+
+    monkeypatch.setattr(_Engine, "_next_event", stepped)
+    for label, program, cfg, scheme, kw in runs:
+        assert run_outcome(program, cfg, scheme, kw) == jumped[label], label
 
 
 SENDER_CONFIGS = {

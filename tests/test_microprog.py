@@ -120,6 +120,22 @@ def test_parse_rejects_branch_and_fence_typos(good, typo):
         parse_program(text)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("0 LOAD deps=[] addr=5 addr=7\n", "program line 1: repeated field 'addr'"),
+    ("!secret s0 0\n!secret s0 1\n0 ALU deps=[]\n", "program line 2: second !secret s0"),
+    ("!role victim 0\n!role victim 1\n0 ALU deps=[]\n1 ALU deps=[]\n", "program line 2: second !role victim"),
+    ("!secret s0 2\n0 ALU deps=[]\n", "program line 1: !secret s0 2: want 0 or 1"),
+    ("0 ALU deps=[\n", "program line 1: deps must be one [...] list, got '['"),
+    ("0 ALU deps=[]\n1 ALU deps=0]\n", "program line 2: deps must be one [...] list, got '0]'"),
+], ids=["repeated-field", "repeated-secret", "repeated-role", "secret-default", "deps-open", "deps-close"])
+def test_parse_rejects_text_that_format_program_never_writes(text, error):
+    # Each used to parse, keeping the last repeat or a default other than
+    # 0 or 1, or reading a half list as a whole one.
+    with pytest.raises(ValueError) as exc:
+        parse_program(text)
+    assert str(exc.value) == error
+
+
 class TestMshrGadget:
     def test_shape(self):
         prog = build_attack_program(Ordering.VDAD, Gadget.MSHR, CFG, AttackParams(m=4, z_len=8))[0]

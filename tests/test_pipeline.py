@@ -2,6 +2,7 @@
 backpressure, determinism, and the interference mechanisms themselves."""
 
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -23,7 +24,7 @@ from specsim.microprog import (
     SecretDep,
     build_attack_program,
 )
-from specsim.pipeline import NEVER, SimulationDeadlock, run
+from specsim.pipeline import NEVER, SimulationDeadlock, _Engine, run
 from specsim.schemes import SchemeId
 from specsim.seccheck import FAR_OFFSET, gen_random_program
 
@@ -129,10 +130,18 @@ class TestBasics:
             assert rs_fill <= CFG.rs_size
             assert mshr_fill <= CFG.l1d_mshrs
 
-    def test_deadlock_detector_raises(self):
-        p = prog_of(MicroOp(0, OpKind.ALU))
-        with pytest.raises(SimulationDeadlock):
-            run(p, CFG, SchemeId.UNSAFE, max_cycles=0)
+    def test_deadlock_detector_raises(self, monkeypatch):
+        # With no threshold ahead while the ROB holds work, the first cycle
+        # that changes nothing is a deadlock, raised there even when a
+        # max_cycles lies ahead. op0 completes and retires at cycle 2;
+        # cycle 3 changes nothing.
+        monkeypatch.setattr(_Engine, "_next_event", lambda self, max_cycles: None)
+        cfg = CFG.with_overrides(writeback_delay=5)
+        p = prog_of(MicroOp(0, OpKind.ALU), MicroOp(1, OpKind.ALU, src_deps=(0,)))
+        for max_cycles in (None, 100):
+            with pytest.raises(SimulationDeadlock) as exc:
+                run(p, cfg, SchemeId.UNSAFE, max_cycles=max_cycles)
+            assert str(exc.value) == "no progress since cycle 2; rob head: op1:ALU(issue=-1,complete=-1)"
 
     def test_cdb_width_staggers_completions_oldest_first(self):
         # Four ALU ops finish together but only two results broadcast per
@@ -369,19 +378,36 @@ class TestClockEdges:
         capped = run(p, CFG, SchemeId.UNSAFE, image=image, max_cycles=last + 1)
         assert capped.occupancy == t.occupancy and capped.serialize() == t.serialize()
 
-    def test_deadlock_reports_the_last_progress_cycle(self):
-        # A write-back slower than the detector's window: op1 waits with no
-        # event from cycle 2 on. The detector fires at 2 + 4*200 + 1 = 803;
-        # a max_cycles at or below that cycle fires first.
+    def test_slow_write_back_completes_unless_max_cycles_cuts_it(self):
+        # No event from cycle 3 until op0's write-back lands, 5000 cycles
+        # after it completes: far longer than rob_size times any unit or
+        # memory latency, and still no deadlock.
         cfg = CFG.with_overrides(rob_size=4, writeback_delay=5000)
         p = prog_of(MicroOp(0, OpKind.ALU), MicroOp(1, OpKind.ALU, src_deps=(0,)))
-        diagnostic = "no progress since cycle 2; rob head: op1:ALU(issue=-1,complete=-1)"
-        for max_cycles in (None, 804):
-            with pytest.raises(SimulationDeadlock) as exc:
-                run(p, cfg, SchemeId.UNSAFE, max_cycles=max_cycles)
-            assert str(exc.value) == diagnostic
-        with pytest.raises(SimulationDeadlock, match="^exceeded max_cycles=803$"):
-            run(p, cfg, SchemeId.UNSAFE, max_cycles=803)
+        t = run(p, cfg, SchemeId.UNSAFE)
+        assert t.times(1, "issue") == t.times(0, "complete") + 5000
+        assert t.times(1, "retire") != NEVER
+        for k in (803, 804):
+            with pytest.raises(SimulationDeadlock, match=f"^exceeded max_cycles={k}$"):
+                run(p, cfg, SchemeId.UNSAFE, max_cycles=k)
+
+    def test_llc_hit_slower_than_memory_completes(self):
+        # An LLC hit of 65 cycles with a memory latency of 10: the wait
+        # exceeds rob_size times the slowest unit or memory latency (64).
+        cfg = CFG.with_overrides(rob_size=4, geometry=replace(CFG.geometry, lat_mem=10, lat_llc=65))
+        p = prog_of(MicroOp(0, OpKind.LOAD, addr=Literal(100)))
+        t = run(p, cfg, SchemeId.UNSAFE, image=CacheImage(scripts={100: Level.LLCHIT}))
+        assert t.times(0, "complete") - t.times(0, "issue") == 65
+        assert t.times(0, "retire") != NEVER
+
+    def test_max_cycles_bounds_the_run_after_the_rob_drains(self):
+        # The ROB drains by cycle 3; the attacker's access at 500 lies
+        # beyond max_cycles, so the run stops at 100 as a step would.
+        p = prog_of(MicroOp(0, OpKind.ALU))
+        t = run(p, CFG, SchemeId.UNSAFE, attacker=[(500, 900_000)])
+        assert t.records[-1][:2] == (500, "l2access")
+        with pytest.raises(SimulationDeadlock, match="^exceeded max_cycles=100$"):
+            run(p, CFG, SchemeId.UNSAFE, attacker=[(500, 900_000)], max_cycles=100)
 
     def test_parked_attacker_access_keeps_the_row_gap(self):
         # Calibration parks the attacker's reference access far beyond the
