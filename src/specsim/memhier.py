@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from math import inf
 
 AGE_MAX = 3
 AGE_INSERT = 1
@@ -156,9 +157,10 @@ class MshrFile:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.entries: list[Mshr] = []
+        self.next_free: int | float = inf  # earliest free_at held; inf when empty
 
-    def occupancy(self) -> int:
-        return len(self.entries)
+    def _refresh_next_free(self) -> None:
+        self.next_free = min([m.free_at for m in self.entries], default=inf)
 
     def find(self, line: int) -> Mshr | None:
         for m in self.entries:
@@ -171,12 +173,15 @@ class MshrFile:
         m = self.find(line)
         if m is not None:
             m.waiters.append(op_id)
-            m.free_at = max(m.free_at, free_at)
+            if free_at > m.free_at:
+                m.free_at = free_at
+                self._refresh_next_free()
             return m
         if len(self.entries) >= self.capacity:
             return None
         m = Mshr(line=line, waiters=[op_id], free_at=free_at)
         self.entries.append(m)
+        self.next_free = min(self.next_free, free_at)
         return m
 
     def release_due(self, cycle: int) -> list[Mshr]:
@@ -184,6 +189,7 @@ class MshrFile:
         done = [m for m in self.entries if m.free_at <= cycle]
         if done:
             self.entries = [m for m in self.entries if m.free_at > cycle]
+            self._refresh_next_free()
         return done
 
     def drop_waiter(self, op_id: int) -> None:
@@ -192,9 +198,11 @@ class MshrFile:
             if op_id in m.waiters:
                 m.waiters.remove(op_id)
         self.entries = [m for m in self.entries if m.waiters]
+        self._refresh_next_free()
 
     def check_invariants(self) -> None:
         assert len(self.entries) <= self.capacity
+        assert self.next_free == min([m.free_at for m in self.entries], default=inf)
         lines = [m.line for m in self.entries]
         assert len(lines) == len(set(lines)), "duplicate MSHR lines"
         assert all(m.waiters for m in self.entries), "waiterless MSHR"

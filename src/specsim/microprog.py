@@ -251,6 +251,16 @@ def _parse_branch(text: str) -> BranchInfo:
     )
 
 
+def _parse_ids(text: str) -> tuple[int, ...]:
+    """A comma-separated id list as format_program writes it; "" is empty."""
+    if not text:
+        return ()
+    items = text.split(",")
+    if "" in items:
+        raise ValueError(f"empty item in list {text!r}")
+    return tuple(int(i) for i in items)
+
+
 def parse_program(text: str) -> MicroProgram:
     ops: list[MicroOp] = []
     secrets: dict[str, int] = {}
@@ -260,7 +270,10 @@ def parse_program(text: str) -> MicroProgram:
         if not s or s.startswith("#"):
             continue
         try:
-            if s.startswith("!secret"):
+            directive = s.split()[0]
+            if directive.startswith("!") and directive not in ("!secret", "!role"):
+                raise ValueError(f"unknown directive {directive!r}")
+            if directive == "!secret":
                 _, name, bit = s.split()
                 if name in secrets:
                     raise ValueError(f"second !secret {name}")
@@ -268,11 +281,11 @@ def parse_program(text: str) -> MicroProgram:
                     raise ValueError(f"!secret {name} {bit}: want 0 or 1")
                 secrets[name] = int(bit)
                 continue
-            if s.startswith("!role"):
+            if directive == "!role":
                 _, role, ids = s.split()
                 if role in annotations:
                     raise ValueError(f"second !role {role}")
-                annotations[role] = tuple(int(i) for i in ids.split(",") if i)
+                annotations[role] = _parse_ids(ids)
                 continue
             fields = s.split()
             op_id = int(fields[0])
@@ -289,10 +302,12 @@ def parse_program(text: str) -> MicroProgram:
                     body = val[1:-1]
                     if val[:1] != "[" or val[-1:] != "]" or "[" in body or "]" in body:
                         raise ValueError(f"deps must be one [...] list, got {val!r}")
-                    deps = tuple(int(d) for d in body.split(",") if d)
+                    deps = _parse_ids(body)
                 elif key == "addr":
                     kw["addr"] = parse_addr(val)
                 elif key == "lat":
+                    if not val:
+                        raise ValueError("lat= needs an EU class name")
                     kw["lat_class"] = val
                 elif key == "iline":
                     kw["iline"] = int(val)

@@ -18,16 +18,40 @@ Per-cycle phase order (fixed; ties inside a phase go by op id):
 
 A phase runs only when its trigger holds; otherwise it would change
 nothing and log nothing:
-  1. some MSHR entry is held;
+  1. the earliest MSHR free_at is due (MshrFile.next_free);
   2. an in-flight op's finish is due, or the CDB queue is non-empty;
-  3. some completed branch is unresolved;
-  4. some ROB op awaits its safe transition or its deferred I-access;
+  3. a completed branch is due to resolve: it has no resolver, or its
+     resolver has completed and complete + branch_resolve_extra is due
+     (resolve_at holds the earliest such cycle);
+  4. shadow_moved: since the phase last ran, the head of the branch, load
+     or store frontier settled, or an op entered an empty unsafe list;
   5. the next attacker access is due;
   6. some op is ready to issue, or a wakeup is due;
-  7. an I-fetch replay is owed, or fetch is open (redirect_at reached)
-     with ops left to fetch;
+  7. an I-fetch replay is owed, or fetch is open: redirect_at reached, ops
+     left to fetch, the ROB and the RS not full, and the branch whose join
+     last held fetch (fetch_held_by) resolved;
   8. the ROB head has completed.
 The occupancy snapshot and its two bounds checks run every stepped cycle.
+
+Why each trigger is exact. Phases 1 and 3 compare the clock with the
+thresholds _next_event lists; resolve_at falls when a branch completes or
+the resolver of a completed, unresolved branch does, and is recomputed
+from unresolved_done whenever phase 3 runs. Phase 4 asks, for the head of
+unsafe and of ifetch_waiting, whether the oldest unresolved branch,
+incomplete load or incomplete store is older; after it runs, both heads
+are unsafe. Neither turns safe until such a frontier head settles: opening
+a frontier or squashing only touches ops younger than every waiting op,
+and an op enters ifetch_waiting only just found unsafe. Only an op that
+enters an empty unsafe list is a new head that may be safe at once. (A
+marker that retires in its dispatch cycle pops the head of unsafe, but the
+ops behind it came in the same cycle, and the first of them entered an
+empty list.) A fetch hold lifts only when its branch resolves or a squash
+redirects fetch, which clears fetch_held_by (the killed branch's OpRec is
+replaced and would read unresolved forever); the ROB and the RS are read
+after every phase of the cycle that frees an entry, except retirement,
+which follows the frontend anyway. So run() logs exactly what calling all
+eight phases on every cycle would log, field for field; a test holds it
+to that reference loop.
 
 Secret-free prefix. A secret enters the machine only through the address
 of a SecretDep load, when _issue_load resolves it. So two runs that differ
@@ -62,10 +86,15 @@ fetch, only the attacker script and I-fetch replays remain: the clock
 jumps to the next of them (or to max_cycles) and leaves no rows for the
 cycles between.
 
-"Logs nothing" means "changes nothing" up to two silent moves. The issue
-phase moves an op whose wakeup is due from wakeups to ready, and the safe
-transitions move an op that has left its fetch shadow from ifetch_waiting
-to ifetch_replays; neither logs an event. Neither hides progress from
+"Logs nothing" means "changes nothing" up to the trigger bookkeeping and
+two silent moves. The bookkeeping (next_free, resolve_at, shadow_moved,
+fetch_held_by, dropping resolved fetch holds) only records when a phase
+can act next; a phase it skips would have logged and changed nothing, so
+a run is the one that calling all eight phases every cycle gives, and the
+rest of this argument is about that run. The issue phase moves an op
+whose wakeup is due from wakeups to ready, and the safe transitions move
+an op that has left its fetch shadow from ifetch_waiting to
+ifetch_replays; neither logs an event. Neither hides progress from
 _next_event. An op moved to ready that does not issue in that cycle is held
 by a fence, a parked miss, a busy NPEU unit or the look-ahead (a full
 issue width or pipelined class means another op issued, and a refused
@@ -100,7 +129,8 @@ Event log. Each event is logged as a plain tuple record (cycle, name, op,
 extra): op is None for events of no op, and extra is None or a dict of the
 fields that six kinds carry (l2access, mshr_stall, mshr_free, delayed,
 resolve, ifetch). Records are never mutated, so repeated stall records
-share one extra dict. ExecutionTrace keeps them as `records`, which the
+share one extra dict. The hot phases append records directly; the rare
+kinds go through _event. ExecutionTrace keeps them as `records`, which the
 engine and the oracle's squash test read. `events` is a view that
 builds one TraceEvent per record, each with its own extra dict, on first
 read. serialize() renders the records directly, to the same bytes as
@@ -114,9 +144,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import islice, repeat
+from math import inf
 
-from .machine import MachineConfig
+from .machine import EuClass, MachineConfig
 from .memhier import CacheImage, Level, MemHier, Requester
 from .microprog import AttackScript, MicroOp, MicroProgram, OpKind, SecretDep
 from .schemes import (
@@ -292,16 +323,22 @@ class _Engine:
         self.hier = MemHier(cfg.geometry, cfg.l1d_mshrs, image)
         self.force_correct = force_correct
         self.recs = [OpRec(op) for op in program.ops]
-        self.lat_classes: list[str | None] = []  # per op: its EU class, None for a marker
+        # Per op: its EU class name and entry, None for a marker.
+        self.lat_classes: list[str | None] = []
+        self.eus: list[EuClass | None] = []
         for op in program.ops:
             klass = None if op.kind is OpKind.NOP else op.lat_class or _KIND_CLASS[op.kind]
             if klass is not None and klass not in cfg.eu:
                 raise ValueError(f"op {op.id}: unknown EU class {klass!r}")
             self.lat_classes.append(klass)
+            self.eus.append(None if klass is None else cfg.eu[klass])
         self.consumers: list[list[int]] = [[] for _ in program.ops]
+        self.resolves: list[list[int]] = [[] for _ in program.ops]  # op -> branches it resolves
         for op in program.ops:
             for d in op.src_deps:
                 self.consumers[d].append(op.id)
+            if op.branch is not None and op.branch.resolver is not None:
+                self.resolves[op.branch.resolver].append(op.id)
         self.rob: deque[int] = deque()
         self.fetch_pos = 0
         self.redirect_at = 0  # earliest cycle the frontend may fetch
@@ -334,6 +371,10 @@ class _Engine:
         self.unresolved_done: list[int] = []  # ascending: completed, unresolved branches
         self.unsafe: deque[int] = deque()  # ROB ops without a safe transition yet
         self.ifetch_waiting: deque[int] = deque()  # ROB ops owing a deferred I-access
+        # Phase triggers (see the module docstring).
+        self.resolve_at: int | float = inf  # earliest due of an unresolved_done branch
+        self.shadow_moved = False  # a frontier or a waiting-list head moved
+        self.fetch_held_by: int | None = None  # branch whose join last held fetch
         self.secret_read_cycle: int | None = None
 
     # -- bookkeeping ---------------------------------------------------
@@ -341,33 +382,50 @@ class _Engine:
     def _event(self, name: str, op: int | None, extra: dict | None = None) -> None:
         self.records.append((self.cycle, name, op, extra))
 
-    def _is_safe(self, op_id: int) -> bool:
-        return self.recs[op_id].safe != NEVER
-
     def _wake(self, op_id: int) -> None:
         """Every producer of op_id has completed: it may issue once the
         last result has been written back."""
-        deps = self.recs[op_id].op.src_deps
-        at = max((self.recs[d].complete + self.cfg.writeback_delay for d in deps), default=0)
+        recs = self.recs
+        deps = recs[op_id].op.src_deps
+        at = max([recs[d].complete for d in deps]) + self.cfg.writeback_delay if deps else 0
         if at <= self.cycle:
             insort(self.ready, op_id)
         else:
             heappush(self.wakeups, (at, op_id))
 
+    def _resolve_due(self, branch_id: int) -> int | float:
+        """First cycle at which a completed branch may resolve: at once
+        without a resolver, inf while its resolver is incomplete."""
+        resolver = self.recs[branch_id].op.branch.resolver
+        if resolver is None:
+            return 0
+        done = self.recs[resolver].complete
+        return inf if done == NEVER else done + self.cfg.branch_resolve_extra
+
     def _completed(self, op_id: int) -> None:
-        op = self.recs[op_id].op
+        recs = self.recs
+        op = recs[op_id].op
         if op.kind is OpKind.BRANCH:
             insort(self.unresolved_done, op_id)
-        else:
-            self.shadow.settle(op)
+            self.resolve_at = min(self.resolve_at, self._resolve_due(op_id))
+        elif self.shadow.settle(op):
+            self.shadow_moved = True
+        for b in self.resolves[op_id]:
+            # A completed, unresolved branch it resolves falls due. (A
+            # marker resolver completes at dispatch, always before the
+            # branch does: validate() puts it older, off every skipped body.)
+            r = recs[b]
+            if r.complete != NEVER and r.resolved == NEVER and r.squash == NEVER:
+                self.resolve_at = min(self.resolve_at, self.cycle + self.cfg.branch_resolve_extra)
+        waiting = self.waiting
         for k in self.consumers[op_id]:
-            left = self.waiting.get(k)
+            left = waiting.get(k)
             if left is None:
                 continue
             if left > 1:
-                self.waiting[k] = left - 1
+                waiting[k] = left - 1
             else:
-                del self.waiting[k]
+                del waiting[k]
                 self._wake(k)
 
     # -- clock -----------------------------------------------------------
@@ -376,8 +434,13 @@ class _Engine:
         n = len(self.program.ops)
         mshrs = self.hier.mshrs
         recs = self.recs
+        rob = self.rob
+        records = self.records
+        occupancy = self.occupancy
+        attacker = self.attacker
+        rob_size, rs_size, n_mshrs = self.cfg.rob_size, self.cfg.rs_size, self.cfg.l1d_mshrs
         while True:
-            if self.fetch_pos >= n and not self.rob:
+            if self.fetch_pos >= n and not rob:
                 # Drained: jump to the next attacker access or I-fetch replay.
                 nxt = self._next_event(max_cycles)
                 if nxt is None:
@@ -385,35 +448,41 @@ class _Engine:
                 self.cycle = max(self.cycle, nxt)
             if max_cycles is not None and self.cycle >= max_cycles:
                 raise SimulationDeadlock(f"exceeded max_cycles={max_cycles}")
-            n_events = len(self.records)
+            n_events = len(records)
             cycle = self.cycle
             # Each phase runs only when its trigger holds; otherwise it
             # would change nothing (see the module docstring).
-            if mshrs.entries:
+            if mshrs.next_free <= cycle:
                 self._phase_mshr_returns()
             if self.cdb_queue or (self.finishing and self.finishing[0][0] <= cycle):
                 self._phase_cdb()
-            if self.unresolved_done:
+            if self.resolve_at <= cycle:
                 self._phase_resolve_and_squash()
-            if self.unsafe or self.ifetch_waiting:
+            if self.shadow_moved:
                 self._phase_safe_transitions()
-            if self.attacker_pos < len(self.attacker) and self.attacker[self.attacker_pos][0] <= cycle:
+            if self.attacker_pos < len(attacker) and attacker[self.attacker_pos][0] <= cycle:
                 self._phase_attacker()
             if self.ready or (self.wakeups and self.wakeups[0][0] <= cycle):
                 self._phase_issue()
-            if self.ifetch_replays or (self.fetch_pos < n and cycle >= self.redirect_at):
-                self._phase_frontend()
-            if self.rob and recs[self.rob[0]].complete != NEVER:
-                self._phase_retire()
-            held = mshrs.occupancy()
-            self.occupancy.append((cycle, self.rs_count, held, self.inflight))
-            assert self.rs_count <= self.cfg.rs_size
-            assert held <= self.cfg.l1d_mshrs
-            self.cycle = cycle + 1
-            if len(self.records) == n_events or self.records[-1][1] == "mshr_stall" and all(
-                r[1] == "mshr_stall" for r in islice(self.records, n_events, None)
+            if self.ifetch_replays or (
+                self.fetch_pos < n
+                and cycle >= self.redirect_at
+                and len(rob) < rob_size
+                and self.rs_count < rs_size
+                and (self.fetch_held_by is None or recs[self.fetch_held_by].resolved != NEVER)
             ):
-                if self.rob or self.fetch_pos < n:
+                self._phase_frontend()
+            if rob and recs[rob[0]].complete != NEVER:
+                self._phase_retire()
+            held = len(mshrs.entries)
+            occupancy.append((cycle, self.rs_count, held, self.inflight))
+            assert self.rs_count <= rs_size
+            assert held <= n_mshrs
+            self.cycle = cycle + 1
+            if len(records) == n_events or records[-1][1] == "mshr_stall" and all(
+                r[1] == "mshr_stall" for r in islice(records, n_events, None)
+            ):
+                if rob or self.fetch_pos < n:
                     self._repeat_unchanged(n_events, max_cycles)
         return self._finish()
 
@@ -455,8 +524,14 @@ class _Engine:
             stalls = [(op, extra) for _, _, op, extra in islice(self.records, first, None)]
             for c in range(self.cycle, target):
                 self.records.extend([(c, "mshr_stall", op, extra) for op, extra in stalls])
-        row = (self.rs_count, self.hier.mshrs.occupancy(), self.inflight)
-        self.occupancy.extend((c, *row) for c in range(self.cycle, target))
+        self.occupancy.extend(
+            zip(
+                range(self.cycle, target),
+                repeat(self.rs_count),
+                repeat(len(self.hier.mshrs.entries)),
+                repeat(self.inflight),
+            )
+        )
         self.cycle = target
 
     def _deadlock_diagnostic(self) -> str:
@@ -470,36 +545,40 @@ class _Engine:
     # -- phases ----------------------------------------------------------
 
     def _phase_mshr_returns(self) -> None:
-        for m in self.hier.mshrs.release_due(self.cycle):
-            self._event("mshr_free", None, {"line": m.line})
+        cycle = self.cycle
+        self.records.extend([(cycle, "mshr_free", None, {"line": m.line}) for m in self.hier.mshrs.release_due(cycle)])
 
     def _phase_cdb(self) -> None:
-        while self.finishing and self.finishing[0][0] <= self.cycle:
-            heappush(self.cdb_queue, heappop(self.finishing)[1])
-        for _ in range(min(self.cfg.cdb_width, len(self.cdb_queue))):
-            i = heappop(self.cdb_queue)
-            self.recs[i].complete = self.cycle
+        cycle = self.cycle
+        finishing, cdb_queue = self.finishing, self.cdb_queue
+        while finishing and finishing[0][0] <= cycle:
+            heappush(cdb_queue, heappop(finishing)[1])
+        recs, records = self.recs, self.records
+        for _ in range(min(self.cfg.cdb_width, len(cdb_queue))):
+            i = heappop(cdb_queue)
+            recs[i].complete = cycle
             self.inflight -= 1
-            self._event("complete", i)
+            records.append((cycle, "complete", i, None))
             self._completed(i)
 
     def _phase_resolve_and_squash(self) -> None:
+        cycle = self.cycle
         squash_branch: int | None = None
         for i in list(self.unresolved_done):
+            if cycle < self._resolve_due(i):
+                continue
             r = self.recs[i]
             b = r.op.branch
-            if b.resolver is not None:
-                res = self.recs[b.resolver]
-                if res.complete == NEVER or self.cycle < res.complete + self.cfg.branch_resolve_extra:
-                    continue
-            r.resolved = self.cycle
+            r.resolved = cycle
             self.unresolved_done.remove(i)
-            self.shadow.settle(r.op)
+            if self.shadow.settle(r.op):
+                self.shadow_moved = True
             self._event("resolve", i, {"mispredicted": int(b.mispredicted() and not self.force_correct)})
             if b.mispredicted() and not self.force_correct and squash_branch is None:
                 squash_branch = i
         if squash_branch is not None:
             self.squash(squash_branch)
+        self.resolve_at = min(map(self._resolve_due, self.unresolved_done), default=inf)
 
     def squash(self, branch_id: int) -> None:
         """Kill everything younger than the branch and redirect fetch."""
@@ -538,6 +617,9 @@ class _Engine:
         for ids in (self.unsafe, self.ifetch_waiting):
             while ids and ids[-1] > branch_id:
                 ids.pop()
+        # Fetch restarts at resume; a hold at the old join no longer applies
+        # and the branch behind it may be killed, its OpRec replaced.
+        self.fetch_held_by = None
         # Correct-path ops fetched down the wrong direction get refetched.
         resume = branch_id + 1 if b.actual_taken else b.join
         for i in range(resume, len(self.recs)):
@@ -550,11 +632,14 @@ class _Engine:
     def _phase_safe_transitions(self) -> None:
         # Safety is monotone in age under every rule, so the ops that turn
         # safe this cycle are a prefix of the age-ordered waiting lists.
-        while self.unsafe and self.shadow.safe(self.spec.shadow, self.unsafe[0]):
-            i = self.unsafe.popleft()
+        self.shadow_moved = False
+        cycle = self.cycle
+        unsafe, safe, rule = self.unsafe, self.shadow.safe, self.spec.shadow
+        while unsafe and safe(rule, unsafe[0]):
+            i = unsafe.popleft()
             r = self.recs[i]
-            r.safe = self.cycle
-            self._event("safe", i)
+            r.safe = cycle
+            self.records.append((cycle, "safe", i, None))
             if r.deferred_l1_update is not None:
                 self.hier.l1_hit_update(r.deferred_l1_update)
                 r.deferred_l1_update = None
@@ -572,10 +657,11 @@ class _Engine:
         # cycle. They fire in the frontend phase so a replay and an actual
         # post-squash refetch of the same program point land identically.
         idx = 0
-        while self.ifetch_waiting and self.shadow.safe(self.spec.fetch_shadow, self.ifetch_waiting[0]):
-            op_id = self.ifetch_waiting.popleft()
+        waiting, rule = self.ifetch_waiting, self.spec.fetch_shadow
+        while waiting and safe(rule, waiting[0]):
+            op_id = waiting.popleft()
             self.recs[op_id].ifetch_pending = False
-            self.ifetch_replays.append((self.cycle + 1 + idx // self.cfg.fetch_width, op_id))
+            self.ifetch_replays.append((cycle + 1 + idx // self.cfg.fetch_width, op_id))
             idx += 1
 
     def _phase_attacker(self) -> None:
@@ -605,8 +691,8 @@ class _Engine:
             elif dep.op.kind is OpKind.LOAD:
                 t = self.cycle + 1
             else:
-                klass = self.lat_classes[d]
-                lat = self.cfg.eu[klass].latency if klass else 1
+                eu = self.eus[d]
+                lat = eu.latency if eu else 1
                 t = self._earliest_ready_lb(d, memo) + lat + self.cfg.writeback_delay
             worst = max(worst, t)
         memo[op_id] = worst
@@ -630,53 +716,57 @@ class _Engine:
         return False
 
     def _phase_issue(self) -> None:
-        while self.wakeups and self.wakeups[0][0] <= self.cycle:
-            insort(self.ready, heappop(self.wakeups)[1])
+        cycle = self.cycle
+        ready, wakeups = self.ready, self.wakeups
+        while wakeups and wakeups[0][0] <= cycle:
+            insort(ready, heappop(wakeups)[1])
         fence_frontier = self.shadow.oldest_open_fence
+        recs, eus, records = self.recs, self.eus, self.records
+        issue_width = self.cfg.issue_width
+        rs_hold = self.spec.rs_hold
+        busy_until = self.npeu_busy_until
         issued = 0
+        started: list[int] = []
         pipelined_used: dict[str, int] = {}
-        for i in list(self.ready):
-            if issued >= self.cfg.issue_width:
+        for i in ready:
+            if issued >= issue_width:
                 break
             if fence_frontier is not None and i > fence_frontier:
                 break  # so is every younger candidate
-            r = self.recs[i]
+            r = recs[i]
             if r.delayed:
                 continue
-            op = r.op
-            klass = self.lat_classes[i]
-            eu = self.cfg.eu[klass]
+            eu = eus[i]
             unit = None
             if eu.pipelined:
-                if pipelined_used.get(klass, 0) >= eu.count:
+                klass = self.lat_classes[i]
+                used = pipelined_used.get(klass, 0)
+                if used >= eu.count:
                     continue
+                pipelined_used[klass] = used + 1
             else:
-                if self.spec.npeu_lookahead and self._lookahead_blocks(i, klass):
+                if self.spec.npeu_lookahead and self._lookahead_blocks(i, self.lat_classes[i]):
                     continue
-                unit = next((u for u, until in enumerate(self.npeu_busy_until) if until <= self.cycle), None)
+                unit = next((u for u, until in enumerate(busy_until) if until <= cycle), None)
                 if unit is None:
                     continue
-            if op.kind is OpKind.LOAD:
-                outcome = self._issue_load(i)
-                issued += 1  # attempts consume the slot whether or not they land
-                if eu.pipelined:
-                    pipelined_used[klass] = pipelined_used.get(klass, 0) + 1
-                if outcome != "ok":
+            issued += 1  # load attempts consume the slot whether or not they land
+            if r.op.kind is OpKind.LOAD:
+                if self._issue_load(i) != "ok":
                     continue
             else:
                 self._start(i, eu.latency)
-                issued += 1
-                if eu.pipelined:
-                    pipelined_used[klass] = pipelined_used.get(klass, 0) + 1
-                else:
-                    self.npeu_busy_until[unit] = self.cycle + eu.latency
+                if unit is not None:
+                    busy_until[unit] = cycle + eu.latency
                     r.npeu_unit = unit
-            r.issue = self.cycle
-            self.ready.remove(i)
-            if r.in_rs and not (self.spec.rs_hold and not self._is_safe(i)):
+            r.issue = cycle
+            started.append(i)
+            if r.in_rs and not (rs_hold and r.safe == NEVER):
                 r.in_rs = False
                 self.rs_count -= 1
-            self._event("issue", i)
+            records.append((cycle, "issue", i, None))
+        for i in started:
+            ready.remove(i)
 
     def _start(self, op_id: int, latency: int) -> None:
         """The op executes from this cycle; its result is due after latency."""
@@ -693,7 +783,7 @@ class _Engine:
         if self.secret_read_cycle is None and isinstance(r.op.addr, SecretDep):
             self.secret_read_cycle = self.cycle
         r.line = line
-        safe = self._is_safe(op_id)
+        safe = r.safe != NEVER
         level = self.hier.service_level(line)
         if level is Level.L1HIT:
             if safe or self.spec.miss_policy is MissPolicy.VISIBLE:
@@ -747,25 +837,29 @@ class _Engine:
     # -- frontend ----------------------------------------------------------
 
     def _dispatch(self, op: MicroOp) -> None:
-        r = self.recs[op.id]
-        r.fetch = self.cycle
-        r.dispatch = self.cycle
-        self.rob.append(op.id)
-        self.unsafe.append(op.id)
+        cycle = self.cycle
+        i = op.id
+        recs = self.recs
+        r = recs[i]
+        r.fetch = cycle
+        r.dispatch = cycle
+        self.rob.append(i)
+        if not self.unsafe:
+            self.shadow_moved = True  # a new head, which may be safe already
+        self.unsafe.append(i)
         if op.kind is OpKind.NOP:
             r.finish = NEVER
-            r.complete = self.cycle  # markers complete at dispatch
+            r.complete = cycle  # markers complete at dispatch
         else:
             r.in_rs = True
             self.rs_count += 1
             self.shadow.open(op)
-            left = sum(1 for d in op.src_deps if self.recs[d].complete == NEVER)
+            left = sum([recs[d].complete == NEVER for d in op.src_deps])
             if left:
-                self.waiting[op.id] = left
+                self.waiting[i] = left
             else:
-                self._wake(op.id)
-        self._event("fetch", op.id)
-        self._event("dispatch", op.id)
+                self._wake(i)
+        self.records += ((cycle, "fetch", i, None), (cycle, "dispatch", i, None))
 
     def _phase_frontend(self) -> None:
         if self.ifetch_replays:
@@ -775,27 +869,35 @@ class _Engine:
                 self._ifetch_access(op_id)
         if self.cycle < self.redirect_at:
             return
-        n = len(self.program.ops)
-        width = min(self.cfg.fetch_width, self.cfg.dispatch_width)
+        ops, recs, rob = self.program.ops, self.recs, self.rob
+        n = len(ops)
+        cfg = self.cfg
+        width = min(cfg.fetch_width, cfg.dispatch_width)
+        fetch_shadow = self.spec.fetch_shadow
         fetched = 0
         while fetched < width and self.fetch_pos < n:
             if self.fetch_holds:
-                self.fetch_holds = [(j, b) for j, b in self.fetch_holds if self.recs[b].resolved == NEVER]
-                if any(j == self.fetch_pos for j, _ in self.fetch_holds):
-                    break  # taken region ended; nothing to fetch until resolution
-            op = self.program.ops[self.fetch_pos]
-            if len(self.rob) >= self.cfg.rob_size:
+                self.fetch_holds = [(j, b) for j, b in self.fetch_holds if recs[b].resolved == NEVER]
+                held = next((b for j, b in self.fetch_holds if j == self.fetch_pos), None)
+                if held is not None:
+                    # Taken region ended; nothing to fetch until resolution.
+                    self.fetch_held_by = held
+                    break
+            op = ops[self.fetch_pos]
+            if len(rob) >= cfg.rob_size:
                 break
             # Dispatch is head-of-line: a full RS stalls fetch wholesale,
             # even for ops (markers) that will not occupy an RS slot.
-            if self.rs_count >= self.cfg.rs_size:
+            if self.rs_count >= cfg.rs_size:
                 break
             self._dispatch(op)
             if op.iline is not None:
                 # Is the fetch covered by an unresolved speculation shadow
                 # right now (including ops dispatched earlier this cycle)?
-                if self.spec.fetch_shadow is not None and not self.shadow.safe(self.spec.fetch_shadow, op.id):
-                    self.recs[op.id].ifetch_pending = True
+                # If so it stays so until a frontier moves: no need to flag
+                # the safe transitions.
+                if fetch_shadow is not None and not self.shadow.safe(fetch_shadow, op.id):
+                    recs[op.id].ifetch_pending = True
                     self.ifetch_waiting.append(op.id)
                 else:
                     self._ifetch_access(op.id)
@@ -809,25 +911,31 @@ class _Engine:
             fetched += 1
 
     def _phase_retire(self) -> None:
+        cycle = self.cycle
+        rob, recs, unsafe = self.rob, self.recs, self.unsafe
         retired = 0
-        while self.rob and retired < self.cfg.retire_width:
-            i = self.rob[0]
-            r = self.recs[i]
+        while rob and retired < self.cfg.retire_width:
+            i = rob[0]
+            r = recs[i]
             if r.complete == NEVER:
                 break
             if r.op.kind is OpKind.BRANCH and r.resolved == NEVER:
                 break
             if r.delayed or r.pending_replay or r.ifetch_pending:
                 break
-            self.rob.popleft()
-            if self.unsafe and self.unsafe[0] == i:
-                self.unsafe.popleft()  # a marker retiring in its dispatch cycle
+            rob.popleft()
+            if unsafe and unsafe[0] == i:
+                # A marker retiring in its dispatch cycle. Every op left in
+                # the list came in this cycle, after the safe transitions
+                # ran, so the first of them entered an empty list and
+                # shadow_moved is still set.
+                unsafe.popleft()
             if r.in_rs:
                 r.in_rs = False
                 self.rs_count -= 1
-            r.retire = self.cycle
-            self.last_drain_cycle = self.cycle
-            self._event("retire", i)
+            r.retire = cycle
+            self.last_drain_cycle = cycle
+            self.records.append((cycle, "retire", i, None))
             retired += 1
 
     def _finish(self) -> ExecutionTrace:

@@ -169,14 +169,18 @@ class ShadowState:
         if op.fence_after:
             self._fences.append(op.id)
 
-    def settle(self, op: MicroOp) -> None:
+    def settle(self, op: MicroOp) -> bool:
         """The op no longer casts its shadow: a branch resolved, or another
-        op completed."""
+        op completed. Returns whether a frontier that ``safe`` reads moved,
+        which is the only way an op in the ROB can turn safe."""
         ids = self._ids(op.kind)
+        moved = False
         if ids is not None:
+            moved = ids[0] == op.id
             ids.remove(op.id)
         if op.fence_after:
             self._fences.remove(op.id)
+        return moved
 
     def squash_after(self, op_id: int) -> None:
         """Everything younger than op_id left the ROB."""

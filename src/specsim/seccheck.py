@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 from .machine import MachineConfig
@@ -211,10 +211,18 @@ def calibrate(
     victim-pair orderings, the fetch outcome for the RS sender. Bounded;
     reports the sweep on failure."""
     cfg = cfg or MachineConfig()
-    base = base or AttackParams()
+    return _calibrate(gadget, ordering, base or AttackParams(), lambda p: plan_attack(gadget, ordering, scheme, cfg, p))
+
+
+# A calibration's source of plans: the sender built with the given
+# parameters, for the scheme under calibration, with no trace run yet.
+PlanFor = Callable[[AttackParams], AttackPlan]
+
+
+def _calibrate(gadget: Gadget, ordering: Ordering, base: AttackParams, plan_for: PlanFor) -> Calibration:
     trace: list[str] = []
     try:
-        return _calibrate_search(gadget, ordering, scheme, cfg, base, trace)
+        return _calibrate_search(gadget, ordering, base, plan_for, trace)
     except ConstructionError as e:
         trace.append(f"construction rejected: {e}")
         return Calibration(False, None, trace)
@@ -223,13 +231,12 @@ def calibrate(
 def _calibrate_search(
     gadget: Gadget,
     ordering: Ordering,
-    scheme: SchemeId | str,
-    cfg: MachineConfig,
     base: AttackParams,
+    plan_for: PlanFor,
     trace: list[str],
 ) -> Calibration:
     if gadget is Gadget.RS:
-        plan = plan_attack(gadget, ordering, scheme, cfg, base)
+        plan = plan_for(base)
 
         def fetched(bit: int) -> bool:
             return any(r.line == plan.anchor for r in plan.victim_trace(bit).pattern)
@@ -244,7 +251,7 @@ def _calibrate_search(
     if ordering in (Ordering.VDAD, Ordering.VIAD):
         for z in (base.z_len, 16, 20, 8):
             params = replace(base, z_len=z, reference_offset=FAR_OFFSET)
-            plan = plan_attack(gadget, ordering, scheme, cfg, params)
+            plan = plan_for(params)
             c0 = _anchor_cycle(plan, 0)
             c1 = c0 if _bit1_agrees(plan, c0) else _anchor_cycle(plan, 1)
             trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
@@ -252,7 +259,7 @@ def _calibrate_search(
                 continue
             offset = (c0 + c1) // 2
             final = replace(base, z_len=z, reference_offset=offset)
-            check = plan_attack(gadget, ordering, scheme, cfg, final)
+            check = plan_for(final)
             p0 = check.victim_trace(0).pattern_keys()
             p1 = check.victim_trace(1).pattern_keys()
             trace.append(f"z={z} offset={offset}: differential={'yes' if p0 != p1 else 'no'}")
@@ -265,7 +272,7 @@ def _calibrate_search(
     for z in (base.z_len, 16):
         for g in g_candidates:
             params = replace(base, z_len=z, g_len=g)
-            plan = plan_attack(gadget, ordering, scheme, cfg, params)
+            plan = plan_for(params)
             if _order_flip(plan):
                 trace.append(f"z={z} g={g}: order flips")
                 return Calibration(True, params, trace)
@@ -284,14 +291,24 @@ def calibrate_for_matrix(
     channel: a scheme without a feasible calibration of its own falls back
     to the one found against the unprotected machine, searched at most once
     per sender and only when some scheme needs it. Schemes the engine
-    cannot tell apart on this sender share one search."""
+    cannot tell apart on this sender share one search, and every search
+    shares one build of each candidate sender."""
     marked_fetch = marks_fetch(gadget, ordering)
     by_behaviour: dict[tuple, Calibration] = {}
+    # One plan per candidate, never run: it holds the build (program,
+    # image, decode table) but no traces. Each search gets a copy for its
+    # scheme with empty caches.
+    builds: dict[AttackParams, AttackPlan] = {}
 
     def search(scheme: SchemeId) -> Calibration:
+        def plan_for(params: AttackParams) -> AttackPlan:
+            if params not in builds:
+                builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
+            return replace(builds[params], scheme=scheme, trace_cache={}, outcome_cache={})
+
         key = engine_behaviour(scheme, marked_fetch)
         if key not in by_behaviour:
-            by_behaviour[key] = calibrate(gadget, ordering, scheme, cfg)
+            by_behaviour[key] = _calibrate(gadget, ordering, AttackParams(), plan_for)
         return by_behaviour[key]
 
     cals = {scheme: search(scheme) for scheme in schemes}

@@ -8,9 +8,18 @@ tests/golden/config_corpus.sha256), the sender program digests
 Run after an intentional engine change: python3 tests/make_golden.py
 For each file it prints how many of its lines (one pinned entry per line
 in the digest files) are not in the file it replaces.
+
+    python3 tests/make_golden.py --check
+
+regenerates every file in memory and writes nothing: it prints the same
+counts and exits 1 if any file's text would change, 0 if every file is
+byte-identical. A change that must not move any output shows it with this
+one command.
 """
 
+import argparse
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -32,26 +41,36 @@ from test_corpus_digests import (
 )
 
 
-def write(path: Path, text: str) -> None:
-    """Write one golden file and report how far it moved from the old one."""
-    old = set(path.read_text().splitlines()) if path.exists() else set()
-    new = text.splitlines()
-    changed = sum(1 for line in new if line not in old)
-    path.write_text(text)
-    print(f"{path.name}: {changed} of {len(new)} changed")
-
-
-def main() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def golden_texts() -> Iterator[tuple[Path, str]]:
+    """Every golden file and its freshly generated text, one at a time."""
     for name in GOLDEN_RUNS:
-        write(GOLDEN_DIR / f"{name}.trace", golden_trace_text(name))
-    write(CORPUS_DIGESTS, format_digests(corpus_digests()))
-    write(CONFIG_CORPUS_DIGESTS, format_digests(config_corpus_digests()))
-    write(SENDER_DIGESTS, format_digests(sender_digests()))
-    write(CALIBRATION_DIGESTS, format_digests(calibration_digests()))
+        yield GOLDEN_DIR / f"{name}.trace", golden_trace_text(name)
+    yield CORPUS_DIGESTS, format_digests(corpus_digests())
+    yield CONFIG_CORPUS_DIGESTS, format_digests(config_corpus_digests())
+    yield SENDER_DIGESTS, format_digests(sender_digests())
+    yield CALIBRATION_DIGESTS, format_digests(calibration_digests())
     res = golden_matrix(matrix_calibrations(CFG, MATRIX_SCHEMES))
-    write(MATRIX_GOLDEN, "\n".join(res.csv_lines()) + "\n")
+    yield MATRIX_GOLDEN, "\n".join(res.csv_lines()) + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Regenerate the golden files under tests/golden/.")
+    ap.add_argument("--check", action="store_true", help="write nothing; exit 1 if any file would change")
+    args = ap.parse_args(argv)
+    if not args.check:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+    moved = False
+    for path, text in golden_texts():
+        old = path.read_text() if path.exists() else ""
+        old_lines = set(old.splitlines())
+        new = text.splitlines()
+        changed = sum(1 for line in new if line not in old_lines)
+        print(f"{path.name}: {changed} of {len(new)} changed")
+        moved |= text != old
+        if not args.check:
+            path.write_text(text)
+    return 1 if args.check and moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

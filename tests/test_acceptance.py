@@ -48,8 +48,10 @@ LAY = AttackLayout(GEOM)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 MATRIX_GOLDEN = GOLDEN_DIR / "matrix_seed1.csv"
 
-# run() calls of the seed-1 matrix, calibration included.
+# run() calls of the seed-1 matrix, calibration included, and the cycles
+# they simulate (occupancy rows).
 MATRIX_RUNS = 654
+MATRIX_CYCLES = 190_161
 DEFENSES = (SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC, SchemeId.NOINTERFERENCE)
 
 
@@ -140,25 +142,28 @@ def test_criterion_2_noncommutativity_witness():
 
 class CountingRun:
     """Wraps attacks.run, through which every calibration and trial run of
-    the matrix goes, and counts the calls."""
+    the matrix goes, and counts the calls and their simulated cycles."""
 
     def __init__(self, real):
         self.real = real
         self.calls = 0
+        self.cycles = 0
 
     def __call__(self, *args, **kw):
         self.calls += 1
-        return self.real(*args, **kw)
+        trace = self.real(*args, **kw)
+        self.cycles += len(trace.occupancy)
+        return trace
 
 
 @pytest.fixture(scope="module")
 def calibration_runs():
-    """The matrix calibrations and the number of run() calls they made."""
+    """The matrix calibrations and the count of the run() calls they made."""
     with pytest.MonkeyPatch.context() as mp:
         runs = CountingRun(attacks.run)
         mp.setattr(attacks, "run", runs)
         cals = matrix_calibrations(CFG, MATRIX_SCHEMES)
-    return cals, runs.calls
+    return cals, runs
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +189,7 @@ def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
     monkeypatch.setattr(attacks, "run_attack", counting)
     runs = CountingRun(attacks.run)
     monkeypatch.setattr(attacks, "run", runs)
-    calibrations, calibration_calls = calibration_runs
+    calibrations, calibration = calibration_runs
     t0 = time.time()
     res = golden_matrix(calibrations)
     ok = res.matches_reference()
@@ -198,7 +203,8 @@ def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
     ok &= not {s for g, o, s in calls if not marks_fetch(g, o)} & reused
     # Engine runs of the whole seed-1 matrix, calibration included: bit-1
     # runs the secret cannot reach are skipped.
-    ok &= calibration_calls + runs.calls == MATRIX_RUNS
+    ok &= calibration.calls + runs.calls == MATRIX_RUNS
+    ok &= calibration.cycles + runs.cycles == MATRIX_CYCLES
     report(3, "vulnerability matrix equals the reference cell-for-cell", ok, time.time() - t0, 300.0)
 
 

@@ -88,6 +88,19 @@ class TestRun:
         assert code == EXIT_USAGE and out == ""
         assert "program line 1: repeated field 'addr'" in err
 
+    @pytest.mark.parametrize("text, error", [
+        ("!secretx s0 1\n0 ALU deps=[]\n", "program line 1: unknown directive '!secretx'"),
+        ("0 ALU deps=[]\n1 ALU deps=[]\n!role victim 0,,1\n", "program line 3: empty item in list '0,,1'"),
+        ("0 ALU deps=[]\n1 ALU deps=[0,,0]\n", "program line 2: empty item in list '0,,0'"),
+        ("0 ALU deps=[] lat=\n", "program line 1: lat= needs an EU class name"),
+    ], ids=["directive-prefix", "role-empty-item", "deps-empty-item", "lat-empty"])
+    def test_malformed_program_text_is_a_usage_error(self, tmp_path, text, error):
+        bad = tmp_path / "bad.mprog"
+        bad.write_text(text)
+        code, out, err = call(["run", "--program", str(bad)])
+        assert code == EXIT_USAGE and out == ""
+        assert error in err
+
     def test_repeated_image_record_is_a_usage_error(self, program_file, image_file, tmp_path):
         text = Path(image_file).read_text()
         first = text.splitlines()[0]

@@ -59,9 +59,10 @@ from specsim.microprog import (
     Ordering,
     build_attack_program,
     format_program,
+    parse_program,
 )
 from specsim.pipeline import ExecutionTrace, SimulationDeadlock, _Engine, run
-from specsim.schemes import SchemeId
+from specsim.schemes import SchemeId, insert_fences, scheme_spec
 from specsim.seccheck import calibrate, gen_random_program, synth_suite
 
 from test_pipeline import constructible_senders, diamond_program, stall_stretch_program
@@ -73,6 +74,7 @@ SENDER_DIGESTS = Path(__file__).parent / "golden" / "sender_programs.sha256"
 CALIBRATION_DIGESTS = Path(__file__).parent / "golden" / "calibrations.sha256"
 RANDOM_SEEDS = 60
 CONFIG_SEEDS = 64
+TRIGGER_SEEDS = 30
 
 
 def trace_digest(trace: ExecutionTrace) -> str:
@@ -249,23 +251,106 @@ def test_max_cycles_bounds_every_config_corpus_run():
 STEPPED_GROUPS = {f"corner{seed}" for seed in (*range(0, CONFIG_SEEDS, 5), 26, 46, 55)}
 
 
-def test_engine_equals_its_one_cycle_stepper(monkeypatch):
-    # The stepper clamps every jump to the current cycle while the ROB or
-    # the frontend holds work; a drained run still jumps to the attacker's
-    # next access, which leaves no rows by design.
-    runs = [r for r in config_corpus_runs() if r[0].split("/")[0] in STEPPED_GROUPS or r[0].startswith("stall4-")]
-    jumped = {label: run_outcome(program, cfg, scheme, kw) for label, program, cfg, scheme, kw in runs}
-    next_event = _Engine._next_event
+def stepped_slice():
+    return [r for r in config_corpus_runs() if r[0].split("/")[0] in STEPPED_GROUPS or r[0].startswith("stall4-")]
 
-    def stepped(self, max_cycles):
-        nxt = next_event(self, max_cycles)
-        if nxt is not None and (self.rob or self.fetch_pos < len(self.recs)):
-            return self.cycle
-        return nxt
 
-    monkeypatch.setattr(_Engine, "_next_event", stepped)
-    for label, program, cfg, scheme, kw in runs:
-        assert run_outcome(program, cfg, scheme, kw) == jumped[label], label
+PHASES = (
+    _Engine._phase_mshr_returns,
+    _Engine._phase_cdb,
+    _Engine._phase_resolve_and_squash,
+    _Engine._phase_safe_transitions,
+    _Engine._phase_attacker,
+    _Engine._phase_issue,
+    _Engine._phase_frontend,
+    _Engine._phase_retire,
+)
+
+
+def reference_run(program, cfg, scheme, secrets=None, image=None, attacker=None,
+                  force_correct_predictions=False, max_cycles=None) -> ExecutionTrace:
+    """run() as the plain definition of the engine: all eight phases on
+    every cycle, with no trigger deciding which of them may act, and one
+    cycle at a time while the ROB or the frontend holds work. Deadlock and
+    the drained jump still go through _next_event."""
+    cfg.validate()
+    program.validate()
+    spec = scheme_spec(scheme)
+    if spec.fence_model is not None:
+        program = insert_fences(program, spec.fence_model)
+    e = _Engine(program, cfg, spec, secrets, image, attacker, force_correct_predictions)
+    n = len(program.ops)
+    while True:
+        if e.fetch_pos >= n and not e.rob:
+            nxt = e._next_event(max_cycles)
+            if nxt is None:
+                break
+            e.cycle = max(e.cycle, nxt)
+        if max_cycles is not None and e.cycle >= max_cycles:
+            raise SimulationDeadlock(f"exceeded max_cycles={max_cycles}")
+        n_events = len(e.records)
+        for phase in PHASES:
+            phase(e)
+        e.occupancy.append((e.cycle, e.rs_count, len(e.hier.mshrs.entries), e.inflight))
+        e.cycle += 1
+        new = e.records[n_events:]
+        if all(r[1] == "mshr_stall" for r in new) and (e.rob or e.fetch_pos < n):
+            if e._next_event(max_cycles) is None:
+                raise SimulationDeadlock(e._deadlock_diagnostic())
+    return e._finish()
+
+
+def run_fields(runner, program, cfg, scheme, kw):
+    """Every observable of one run, or the text of the exception ending it."""
+    try:
+        t = runner(program, cfg, scheme, **kw)
+    except SimulationDeadlock as exc:
+        return f"raise:{exc}"
+    return (t.records, t.op_times, t.occupancy, t.pattern, t.llc_state, t.total_cycles, t.secret_read_cycle)
+
+
+def trigger_runs():
+    """(label, program, config, scheme, run() arguments): random corpus
+    programs and every default sender with both secrets under all ten
+    schemes, plus the stepped slice of the config corpus."""
+    runs = []
+    for seed in range(TRIGGER_SEEDS):
+        program, image = gen_random_program(seed)
+        runs += [(f"corpus{seed}", program, CFG, {"image": image})]
+    for gadget, ordering, program, script in constructible_senders():
+        for secret in (0, 1):
+            kw = {"image": attack_image(gadget, CFG), "attacker": script, "secrets": {"s0": secret}}
+            runs += [(f"attack-{gadget.value}-{ordering.value}-s{secret}", program, CFG, kw)]
+    runs = [(f"{label}/{s.value}", program, cfg, s, kw) for label, program, cfg, kw in runs for s in SchemeId]
+    return runs + stepped_slice()
+
+
+def test_phase_triggers_change_no_outcome():
+    # Each phase of run() is skipped while its trigger says it cannot act;
+    # calling every phase on every cycle must give the same run, field by
+    # field, deadlock and max_cycles texts included.
+    for label, program, cfg, scheme, kw in trigger_runs():
+        expected = run_fields(reference_run, program, cfg, scheme, kw)
+        assert run_fields(run, program, cfg, scheme, kw) == expected, label
+
+
+def test_mshr_and_resolve_phases_run_only_when_due(monkeypatch):
+    # Their triggers are exact: every call frees an MSHR or resolves a
+    # branch, so it logs at least one record.
+    idle = []
+    for name in ("_phase_mshr_returns", "_phase_resolve_and_squash"):
+        phase = getattr(_Engine, name)
+
+        def logged(self, _phase=phase, _name=name):
+            before = len(self.records)
+            _phase(self)
+            if len(self.records) == before:
+                idle.append((_name, self.cycle))
+
+        monkeypatch.setattr(_Engine, name, logged)
+    for label, program, cfg, scheme, kw in trigger_runs():
+        run_fields(run, program, cfg, scheme, kw)
+        assert not idle, (label, idle)
 
 
 SENDER_CONFIGS = {
@@ -322,6 +407,24 @@ def test_sender_programs_match_pinned_digests():
     assert not moved, f"{len(moved)} senders changed, first: {[(m, actual[m]) for m in moved[:3]]}"
 
 
+def test_every_pinned_program_round_trips_through_its_text():
+    programs = {label.split("/")[0]: program for label, program, _, _ in corpus_runs()}
+    programs.update({label.split("/")[0]: program for label, program, *_ in config_corpus_runs()})
+    for name, cfg in SENDER_CONFIGS.items():
+        for gadget in Gadget:
+            for ordering in Ordering:
+                for label, params in sender_grid(cfg, gadget, ordering):
+                    try:
+                        program, _ = build_attack_program(ordering, gadget, cfg, params)
+                    except ConstructionError:
+                        continue
+                    programs[f"{name}/{gadget.value}-{ordering.value}/{label}"] = program
+    for label, program in programs.items():
+        text = format_program(program)
+        again = parse_program(text)
+        assert again == program and format_program(again) == text, label
+
+
 def calibration_digests() -> dict[str, str]:
     out = {}
     for gadget, ordering, _, _ in constructible_senders():
@@ -338,3 +441,18 @@ def test_calibrations_match_pinned_digests():
     assert actual.keys() == pinned.keys()
     moved = [label for label in actual if actual[label] != pinned[label]]
     assert not moved, f"{len(moved)} calibrations changed, first: {moved[:5]}"
+
+
+def test_make_golden_check_writes_nothing_and_exits_1_on_a_change(tmp_path, monkeypatch, capsys):
+    import make_golden
+
+    same, moved = tmp_path / "same.sha256", tmp_path / "moved.sha256"
+    for path in (same, moved):
+        path.write_text("a 1\nb 2\n")
+    texts = [(same, "a 1\nb 2\n"), (moved, "a 1\nb 3\n")]
+    monkeypatch.setattr(make_golden, "golden_texts", lambda: iter(texts))
+    assert make_golden.main(["--check"]) == 1
+    assert moved.read_text() == "a 1\nb 2\n"
+    assert capsys.readouterr().out == "same.sha256: 0 of 2 changed\nmoved.sha256: 1 of 2 changed\n"
+    monkeypatch.setattr(make_golden, "golden_texts", lambda: iter(texts[:1]))
+    assert make_golden.main(["--check"]) == 0

@@ -1,5 +1,6 @@
 """QLRU state machine, MSHR file, cache image, and access-pattern tests."""
 
+import math
 import random
 
 import pytest
@@ -157,7 +158,7 @@ class TestMshrFile:
         m1 = f.allocate(line=7, op_id=1, free_at=200)
         m2 = f.allocate(line=7, op_id=2, free_at=200)
         assert m1 is m2 and m1.waiters == [1, 2]
-        assert f.occupancy() == 1
+        assert len(f.entries) == 1
 
     def test_first_allocation_takes_entry_zero(self):
         f = MshrFile(4)
@@ -170,8 +171,9 @@ class TestMshrFile:
         f.allocate(line=2, op_id=2, free_at=9)
         done = f.release_due(5)
         assert [m.line for m in done] == [1]
+        assert f.next_free == 9
         f.drop_waiter(2)
-        assert f.occupancy() == 0
+        assert f.entries == [] and f.next_free == math.inf
 
     def test_merging_invariant_matches_distinct_lines(self):
         rng = random.Random(7)
@@ -182,8 +184,9 @@ class TestMshrFile:
             got = f.allocate(line, op, free_at=op + 50)
             if got is not None:
                 outstanding.add(line)
-                assert f.occupancy() == len({m.line for m in f.entries})
+                assert len(f.entries) == len({m.line for m in f.entries})
             f.release_due(op - 20)
+            f.check_invariants()
             outstanding = {m.line for m in f.entries}
         f.check_invariants()
 

@@ -255,15 +255,17 @@ def own_params(gadget, ordering, scheme) -> AttackParams:
 
 
 class ScriptedCalibrate:
-    """Stands in for seccheck.calibrate: feasible exactly for the scripted
-    (gadget, ordering, scheme) triples, counting every call; simulates
-    nothing."""
+    """Stands in for seccheck._calibrate, the search behind calibrate and
+    calibrate_for_matrix: feasible exactly for the scripted (gadget,
+    ordering, scheme) triples, counting every call; builds the base sender
+    to learn the scheme, and simulates nothing."""
 
     def __init__(self, feasible):
         self.feasible = set(feasible)
         self.calls = []
 
-    def __call__(self, gadget, ordering, scheme, cfg=None, base=None):
+    def __call__(self, gadget, ordering, base, plan_for):
+        scheme = plan_for(base).scheme
         self.calls.append((gadget, ordering, scheme))
         if (gadget, ordering, scheme) in self.feasible:
             return Calibration(True, own_params(gadget, ordering, scheme))
@@ -279,7 +281,7 @@ class TestMatrixFallback:
 
     def test_own_params_then_unsafe_then_defaults(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, self.O, self.A), (self.G, self.O, SchemeId.UNSAFE)})
-        monkeypatch.setattr(seccheck, "calibrate", fake)
+        monkeypatch.setattr(seccheck, "_calibrate", fake)
         got = calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
         assert got == {
             self.A: own_params(self.G, self.O, self.A),
@@ -291,13 +293,13 @@ class TestMatrixFallback:
 
     def test_every_scheme_feasible_skips_unsafe(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, self.O, self.A), (self.G, self.O, self.B)})
-        monkeypatch.setattr(seccheck, "calibrate", fake)
+        monkeypatch.setattr(seccheck, "_calibrate", fake)
         calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
         assert fake.calls == [(self.G, self.O, self.A), (self.G, self.O, self.B)]
 
     def test_unsafe_alone_calibrates_once(self, monkeypatch):
         fake = ScriptedCalibrate(set())
-        monkeypatch.setattr(seccheck, "calibrate", fake)
+        monkeypatch.setattr(seccheck, "_calibrate", fake)
         got = calibrate_for_matrix(self.G, self.O, [SchemeId.UNSAFE], CFG)
         assert got == {SchemeId.UNSAFE: AttackParams()}
         assert fake.calls == [(self.G, self.O, SchemeId.UNSAFE)]
@@ -306,7 +308,7 @@ class TestMatrixFallback:
         # npeu/vdad has no marked fetch, so safespec-wfb and muontrap run as
         # invisispec-spectre and invisispec-futuristic do.
         fake = ScriptedCalibrate({(self.G, self.O, s) for s in MATRIX_SCHEMES})
-        monkeypatch.setattr(seccheck, "calibrate", fake)
+        monkeypatch.setattr(seccheck, "_calibrate", fake)
         got = calibrate_for_matrix(self.G, self.O, MATRIX_SCHEMES, CFG)
         assert fake.calls == [
             (self.G, self.O, SchemeId.INVISISPEC_SPECTRE),
@@ -318,7 +320,7 @@ class TestMatrixFallback:
 
     def test_marked_fetch_sender_searches_every_scheme(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES})
-        monkeypatch.setattr(seccheck, "calibrate", fake)
+        monkeypatch.setattr(seccheck, "_calibrate", fake)
         got = calibrate_for_matrix(self.G, Ordering.VIAD, MATRIX_SCHEMES, CFG)
         assert fake.calls == [(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES]
         assert got == {s: own_params(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES}
@@ -353,7 +355,7 @@ class TestMatrixFallback:
         fake = ScriptedCalibrate(
             {(g, o, s) for g, o, _ in cells for s in SchemeId if (g, o, behaviour(g, o, s)) in feasible_classes}
         )
-        monkeypatch.setattr(seccheck, "calibrate", fake)
+        monkeypatch.setattr(seccheck, "_calibrate", fake)
         got = matrix_calibrations(CFG, MATRIX_SCHEMES)
         assert set(got) == cells
         defaults = shared = 0
@@ -378,6 +380,20 @@ class TestMatrixFallback:
                     defaults += 1
         assert defaults > 0 and shared > 0
         assert 0 < sum(fake.count(g, o, SchemeId.UNSAFE) for g, o in senders) < len(senders)
+
+    def test_matrix_builds_each_candidate_sender_once(self, monkeypatch):
+        # Every behaviour's search and the unsafe fallback share one build
+        # of each candidate; a build per search made 372.
+        builds = []
+        real = attacks.build_attack_program
+
+        def counting(ordering, gadget, cfg, params=None):
+            builds.append((gadget, ordering, params))
+            return real(ordering, gadget, cfg, params)
+
+        monkeypatch.setattr(attacks, "build_attack_program", counting)
+        matrix_calibrations(CFG, MATRIX_SCHEMES)
+        assert len(builds) == len(set(builds)) == 143
 
 
 class CountingRun:
