@@ -122,7 +122,7 @@ def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, Attac
             eu["lsu"] = EuClass(True, eu["lsu"].latency, items.pop("lsu_count"))
         if geom_kw:
             items["geometry"] = replace(CacheGeometry(), **geom_kw)
-        cfg = cfg.with_overrides(eu=eu, **items)
+        cfg = replace(cfg, eu=eu, **items)
     if parser.has_section("scheme"):
         items = dict(parser.items("scheme"))
         unknown = set(items) - _SCHEME_KEYS

@@ -3,7 +3,7 @@ bus and MSHR capacities, cache geometry and latencies."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .memhier import CacheGeometry
 
@@ -25,6 +25,9 @@ def default_eu_table() -> dict[str, EuClass]:
 
 @dataclass(frozen=True)
 class MachineConfig:
+    """Valid by construction: building one, or deriving one with
+    ``dataclasses.replace``, checks it."""
+
     fetch_width: int = 4
     dispatch_width: int = 4
     issue_width: int = 4
@@ -37,6 +40,9 @@ class MachineConfig:
     branch_resolve_extra: int = 1
     writeback_delay: int = 1
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for name in (
@@ -70,8 +76,3 @@ class MachineConfig:
             if not e.pipelined:
                 return name
         raise ValueError("no non-pipelined EU class configured")
-
-    def with_overrides(self, **kw) -> MachineConfig:
-        cfg = replace(self, **kw)
-        cfg.validate()
-        return cfg

@@ -120,11 +120,18 @@ class MicroOp:
         return None if self.addr is None else self.addr.resolve(secrets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MicroProgram:
-    ops: list[MicroOp]
+    """Valid by construction: building one (directly, by ``replace`` or by
+    parsing) checks it once, so a program in hand needs no further check."""
+
+    ops: tuple[MicroOp, ...]
     secret_slots: dict[str, int] = field(default_factory=dict)
     annotations: dict[str, tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ops", tuple(self.ops))
+        self.validate()
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -322,9 +329,7 @@ def parse_program(text: str) -> MicroProgram:
             ops.append(MicroOp(id=op_id, kind=kind, src_deps=deps, **kw))
         except (ValueError, IndexError) as e:
             raise ValueError(f"program line {lineno}: {e}") from e
-    prog = MicroProgram(ops=ops, secret_slots=secrets, annotations=annotations)
-    prog.validate()
-    return prog
+    return MicroProgram(ops=ops, secret_slots=secrets, annotations=annotations)
 
 
 # --- attack address layout -------------------------------------------------
@@ -536,7 +541,6 @@ def build_attack_program(
         roles["itarget"] = (add(OpKind.NOP, iline=lay.itarget_line),)
 
     prog = MicroProgram(ops=ops, secret_slots={SECRET: 0}, annotations=roles)
-    prog.validate()
     if victim_pair:
         return prog, None
     return prog, AttackScript(line=lay.reference_line, offset_cycle=p.reference_offset)

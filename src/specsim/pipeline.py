@@ -180,7 +180,6 @@ class OpRec:
 
     __slots__ = (
         "op",
-        "fetch",
         "dispatch",
         "issue",
         "complete",
@@ -200,8 +199,7 @@ class OpRec:
 
     def __init__(self, op: MicroOp):
         self.op = op
-        self.fetch = NEVER
-        self.dispatch = NEVER
+        self.dispatch = NEVER  # fetched and dispatched in the same cycle
         self.issue = NEVER
         self.complete = NEVER
         self.retire = NEVER
@@ -269,7 +267,9 @@ class ExecutionTrace:
     @cached_property
     def events(self) -> list[TraceEvent]:
         """The event log as TraceEvent objects, built on first read; each
-        event gets its own extra dict."""
+        event gets its own extra dict. Besides the test that checks it
+        against ``records``, perfbench/layers.py is its only reader, so
+        dropping this view means changing that one file."""
         return [TraceEvent(c, name, op, dict(extra) if extra else {}) for c, name, op, extra in self.records]
 
     def serialize(self) -> str:
@@ -295,9 +295,12 @@ def run(
     max_cycles: int | None = None,
 ) -> ExecutionTrace:
     """Simulate one program to completion. Pure function of its inputs:
-    identical arguments produce an identical trace, bit for bit."""
-    cfg.validate()
-    program.validate()
+    identical arguments produce an identical trace, bit for bit.
+
+    ``program`` and ``cfg`` are valid by construction, so neither is
+    checked again here. Only what pairs one input with another is checked
+    per run: the image against the cache geometry, the secrets against the
+    program's slots, and each op's EU class against the configured table."""
     spec = scheme_spec(scheme)
     if spec.fence_model is not None:
         program = insert_fences(program, spec.fence_model)
@@ -841,7 +844,6 @@ class _Engine:
         i = op.id
         recs = self.recs
         r = recs[i]
-        r.fetch = cycle
         r.dispatch = cycle
         self.rob.append(i)
         if not self.unsafe:
@@ -942,7 +944,7 @@ class _Engine:
         op_times: dict[int, dict[str, int]] = {}
         for r in self.recs:
             op_times[r.op.id] = {
-                "fetch": r.fetch,
+                "fetch": r.dispatch,
                 "dispatch": r.dispatch,
                 "issue": r.issue,
                 "complete": r.complete,

@@ -219,10 +219,8 @@ def insert_fences(program: MicroProgram, model: FenceModel) -> MicroProgram:
         if op.kind in fenced_kinds and not op.fence_after:
             op = replace(op, fence_after=True)
         new_ops.append(op)
-    out = MicroProgram(
+    return MicroProgram(
         ops=new_ops,
         secret_slots=dict(program.secret_slots),
         annotations=dict(program.annotations),
     )
-    out.validate()
-    return out

@@ -222,62 +222,52 @@ PlanFor = Callable[[AttackParams], AttackPlan]
 def _calibrate(gadget: Gadget, ordering: Ordering, base: AttackParams, plan_for: PlanFor) -> Calibration:
     trace: list[str] = []
     try:
-        return _calibrate_search(gadget, ordering, base, plan_for, trace)
+        if gadget is Gadget.RS:
+            plan = plan_for(base)
+
+            def fetched(bit: int) -> bool:
+                return any(r.line == plan.anchor for r in plan.victim_trace(bit).pattern)
+
+            seen0 = fetched(0)
+            seen1 = seen0 if _bit1_agrees(plan, None) else fetched(1)
+            trace.append(f"rs fetch outcomes: bit0={seen0} bit1={seen1}")
+            if seen0 != seen1:
+                return Calibration(True, base, trace)
+            return Calibration(False, None, trace)
+
+        if ordering in (Ordering.VDAD, Ordering.VIAD):
+            for z in (base.z_len, 16, 20, 8):
+                params = replace(base, z_len=z, reference_offset=FAR_OFFSET)
+                plan = plan_for(params)
+                c0 = _anchor_cycle(plan, 0)
+                c1 = c0 if _bit1_agrees(plan, c0) else _anchor_cycle(plan, 1)
+                trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
+                if c0 is None or c1 is None or abs(c1 - c0) < 2:
+                    continue
+                offset = (c0 + c1) // 2
+                final = replace(base, z_len=z, reference_offset=offset)
+                check = plan_for(final)
+                p0 = check.victim_trace(0).pattern_keys()
+                p1 = check.victim_trace(1).pattern_keys()
+                trace.append(f"z={z} offset={offset}: differential={'yes' if p0 != p1 else 'no'}")
+                if p0 != p1:
+                    return Calibration(True, final, trace)
+            return Calibration(False, None, trace)
+
+        # Victim-pair orderings: sweep the reference chain length.
+        g_candidates = [base.g_len] + list(range(4, 64, 4))
+        for z in (base.z_len, 16):
+            for g in g_candidates:
+                params = replace(base, z_len=z, g_len=g)
+                plan = plan_for(params)
+                if _order_flip(plan):
+                    trace.append(f"z={z} g={g}: order flips")
+                    return Calibration(True, params, trace)
+                trace.append(f"z={z} g={g}: no flip")
+        return Calibration(False, None, trace)
     except ConstructionError as e:
         trace.append(f"construction rejected: {e}")
         return Calibration(False, None, trace)
-
-
-def _calibrate_search(
-    gadget: Gadget,
-    ordering: Ordering,
-    base: AttackParams,
-    plan_for: PlanFor,
-    trace: list[str],
-) -> Calibration:
-    if gadget is Gadget.RS:
-        plan = plan_for(base)
-
-        def fetched(bit: int) -> bool:
-            return any(r.line == plan.anchor for r in plan.victim_trace(bit).pattern)
-
-        seen0 = fetched(0)
-        seen1 = seen0 if _bit1_agrees(plan, None) else fetched(1)
-        trace.append(f"rs fetch outcomes: bit0={seen0} bit1={seen1}")
-        if seen0 != seen1:
-            return Calibration(True, base, trace)
-        return Calibration(False, None, trace)
-
-    if ordering in (Ordering.VDAD, Ordering.VIAD):
-        for z in (base.z_len, 16, 20, 8):
-            params = replace(base, z_len=z, reference_offset=FAR_OFFSET)
-            plan = plan_for(params)
-            c0 = _anchor_cycle(plan, 0)
-            c1 = c0 if _bit1_agrees(plan, c0) else _anchor_cycle(plan, 1)
-            trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
-            if c0 is None or c1 is None or abs(c1 - c0) < 2:
-                continue
-            offset = (c0 + c1) // 2
-            final = replace(base, z_len=z, reference_offset=offset)
-            check = plan_for(final)
-            p0 = check.victim_trace(0).pattern_keys()
-            p1 = check.victim_trace(1).pattern_keys()
-            trace.append(f"z={z} offset={offset}: differential={'yes' if p0 != p1 else 'no'}")
-            if p0 != p1:
-                return Calibration(True, final, trace)
-        return Calibration(False, None, trace)
-
-    # Victim-pair orderings: sweep the reference chain length.
-    g_candidates = [base.g_len] + list(range(4, 64, 4))
-    for z in (base.z_len, 16):
-        for g in g_candidates:
-            params = replace(base, z_len=z, g_len=g)
-            plan = plan_for(params)
-            if _order_flip(plan):
-                trace.append(f"z={z} g={g}: order flips")
-                return Calibration(True, params, trace)
-            trace.append(f"z={z} g={g}: no flip")
-    return Calibration(False, None, trace)
 
 
 def calibrate_for_matrix(
@@ -438,9 +428,7 @@ def gen_branch_dense(seed: int, n_ops: int = 90) -> Benchmark:
         else:
             dep = scope.pick(rng, i, 3) if rng.random() < 0.7 else None
             ops.append(MicroOp(i, OpKind.ALU, src_deps=() if dep is None else (dep,)))
-    prog = MicroProgram(ops=ops)
-    prog.validate()
-    return Benchmark("branch_dense", prog, _bench_image(lines, 0.8, rng))
+    return Benchmark("branch_dense", MicroProgram(ops=ops), _bench_image(lines, 0.8, rng))
 
 
 def gen_load_chain(seed: int, n_loads: int = 30) -> Benchmark:
@@ -453,9 +441,7 @@ def gen_load_chain(seed: int, n_loads: int = 30) -> Benchmark:
         if i and i % 8 == 0:
             ops.append(MicroOp(len(ops), OpKind.ALU, src_deps=(len(ops) - 1,)))
         ops.append(MicroOp(len(ops), OpKind.LOAD, addr=Literal(lines[i])))
-    prog = MicroProgram(ops=ops)
-    prog.validate()
-    return Benchmark("load_chain", prog, _bench_image(lines, 0.9, rng))
+    return Benchmark("load_chain", MicroProgram(ops=ops), _bench_image(lines, 0.9, rng))
 
 
 def gen_alu_dense(seed: int, n_ops: int = 80) -> Benchmark:
@@ -466,9 +452,7 @@ def gen_alu_dense(seed: int, n_ops: int = 80) -> Benchmark:
         deps = (rng.randrange(max(0, i - 6), i),) if rng.random() < 0.5 else ()
         kind = OpKind.NPEU if rng.random() < 0.05 else OpKind.ALU
         ops.append(MicroOp(i, kind, src_deps=deps))
-    prog = MicroProgram(ops=ops)
-    prog.validate()
-    return Benchmark("alu_dense", prog, CacheImage())
+    return Benchmark("alu_dense", MicroProgram(ops=ops), CacheImage())
 
 
 def gen_mixed(seed: int, n_ops: int = 100) -> Benchmark:
@@ -495,9 +479,7 @@ def gen_mixed(seed: int, n_ops: int = 100) -> Benchmark:
         else:
             dep = scope.pick(rng, i, 4) if rng.random() < 0.6 else None
             ops.append(MicroOp(i, OpKind.ALU, src_deps=() if dep is None else (dep,)))
-    prog = MicroProgram(ops=ops)
-    prog.validate()
-    return Benchmark("mixed", prog, _bench_image(lines, 0.7, rng))
+    return Benchmark("mixed", MicroProgram(ops=ops), _bench_image(lines, 0.7, rng))
 
 
 def synth_suite(seed: int) -> list[Benchmark]:
@@ -587,6 +569,4 @@ def gen_random_program(seed: int, max_ops: int = 24) -> tuple[MicroProgram, Cach
         else:
             dep = scope.pick(rng, i, 4) if rng.random() < 0.6 else None
             ops.append(MicroOp(i, OpKind.ALU, src_deps=() if dep is None else (dep,)))
-    prog = MicroProgram(ops=ops)
-    prog.validate()
-    return prog, CacheImage(scripts=scripts)
+    return MicroProgram(ops=ops), CacheImage(scripts=scripts)

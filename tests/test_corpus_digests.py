@@ -157,14 +157,14 @@ def mutated_program(seed: int) -> tuple[MicroProgram, CacheImage]:
             op = replace(op, iline=rng.choice(ILINES))
         ops.append(op)
     mutated = MicroProgram(ops=ops)
-    mutated.validate()
     scripts = {**image.scripts, ILINES[0]: Level.LLCHIT, ILINES[1]: Level.MEMMISS}
     llc_set = ILINES[2] % CFG.geometry.llc_sets
     return mutated, CacheImage(llc={llc_set: [(ILINES[2], rng.randrange(4))]}, scripts=scripts)
 
 
 def corner_config(rng: random.Random) -> MachineConfig:
-    return CFG.with_overrides(
+    return replace(
+        CFG,
         issue_width=rng.choice([1, 2, 4]),
         retire_width=rng.choice([1, 4]),
         rob_size=rng.choice([4, 6, 8, 16, 192]),
@@ -193,7 +193,7 @@ def config_corpus_runs():
             kw["max_cycles"] = rng.randint(1, 600)
         for scheme in SchemeId:
             yield f"corner{seed}/{scheme.value}", program, cfg, scheme, kw
-    cfg = CFG.with_overrides(l1d_mshrs=2)
+    cfg = replace(CFG, l1d_mshrs=2)
     image = attack_image(Gadget.MSHR, cfg)
     for ordering in Ordering:
         try:
@@ -204,7 +204,7 @@ def config_corpus_runs():
             kw = {"image": image, "attacker": script, "secrets": {"s0": secret}}
             for scheme in SchemeId:
                 yield f"mshr2-{ordering.value}-s{secret}/{scheme.value}", program, cfg, scheme, kw
-    cfg = CFG.with_overrides(l1d_mshrs=1)
+    cfg = replace(CFG, l1d_mshrs=1)
     program, image = stall_stretch_program(4)
     for max_cycles in (None, 1, 2, 3, 100, 201, 202, 402, 650):
         kw = {"image": image, "max_cycles": max_cycles}
@@ -273,8 +273,6 @@ def reference_run(program, cfg, scheme, secrets=None, image=None, attacker=None,
     every cycle, with no trigger deciding which of them may act, and one
     cycle at a time while the ROB or the frontend holds work. Deadlock and
     the drained jump still go through _next_event."""
-    cfg.validate()
-    program.validate()
     spec = scheme_spec(scheme)
     if spec.fence_model is not None:
         program = insert_fences(program, spec.fence_model)
@@ -355,8 +353,9 @@ def test_mshr_and_resolve_phases_run_only_when_due(monkeypatch):
 
 SENDER_CONFIGS = {
     "default": CFG,
-    "small": CFG.with_overrides(rs_size=4, l1d_mshrs=2),
-    "div": CFG.with_overrides(
+    "small": replace(CFG, rs_size=4, l1d_mshrs=2),
+    "div": replace(
+        CFG,
         rs_size=16,
         l1d_mshrs=8,
         eu={"alu": EuClass(True, 1, 4), "div": EuClass(False, 20, 1), "lsu": EuClass(True, 1, 2)},

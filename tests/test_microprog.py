@@ -1,6 +1,8 @@
 """Program construction, validation, serialization, and gadget builders."""
 
 import random
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -27,39 +29,46 @@ from specsim.microprog import (
 CFG = MachineConfig()
 
 
+def rejected(message: str):
+    """Building the program raises ValueError with exactly this message."""
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
 def test_validate_rejects_forward_deps():
-    prog = MicroProgram(ops=[MicroOp(0, OpKind.ALU, src_deps=(1,)), MicroOp(1, OpKind.ALU)])
-    with pytest.raises(ValueError):
-        prog.validate()
+    with rejected("op 0 depends on non-older op 1"):
+        MicroProgram(ops=[MicroOp(0, OpKind.ALU, src_deps=(1,)), MicroOp(1, OpKind.ALU)])
 
 
 def test_validate_rejects_addr_on_non_load():
-    prog = MicroProgram(ops=[MicroOp(0, OpKind.ALU, addr=Literal(5))])
-    with pytest.raises(ValueError):
-        prog.validate()
+    with rejected("op 0: only LOAD carries an address"):
+        MicroProgram(ops=[MicroOp(0, OpKind.ALU, addr=Literal(5))])
 
 
 def test_validate_rejects_undeclared_secret():
-    prog = MicroProgram(ops=[MicroOp(0, OpKind.LOAD, addr=SecretDep(10, "sx"))])
-    with pytest.raises(ValueError):
-        prog.validate()
+    with rejected("op 0 references undeclared secret 'sx'"):
+        MicroProgram(ops=[MicroOp(0, OpKind.LOAD, addr=SecretDep(10, "sx"))])
 
 
 def test_validate_rejects_double_role():
-    prog = MicroProgram(
-        ops=[MicroOp(0, OpKind.ALU)],
-        annotations={"gadget": (0,), "target": (0,)},
-    )
-    with pytest.raises(ValueError):
-        prog.validate()
+    with rejected("op 0 carries roles gadget and target"):
+        MicroProgram(
+            ops=[MicroOp(0, OpKind.ALU)],
+            annotations={"gadget": (0,), "target": (0,)},
+        )
 
 
 def test_branch_info_only_on_branches():
-    prog = MicroProgram(
-        ops=[MicroOp(0, OpKind.ALU, branch=BranchInfo(True, False, None, 1))]
-    )
-    with pytest.raises(ValueError):
-        prog.validate()
+    with rejected("op 0: branch info iff BRANCH kind"):
+        MicroProgram(ops=[MicroOp(0, OpKind.ALU, branch=BranchInfo(True, False, None, 1))])
+
+
+def test_program_is_frozen_and_checked_when_derived():
+    prog = MicroProgram(ops=[MicroOp(0, OpKind.ALU), MicroOp(1, OpKind.ALU, src_deps=(0,))])
+    assert prog.ops == (MicroOp(0, OpKind.ALU), MicroOp(1, OpKind.ALU, src_deps=(0,)))
+    with rejected("op 1 out of order at position 0"):
+        replace(prog, ops=prog.ops[1:])
+    with pytest.raises(FrozenInstanceError):
+        prog.ops = ()
 
 
 def test_addr_expr_round_trip():
@@ -258,5 +267,4 @@ class TestAttackPrograms:
                 m=rng.randint(2, CFG.l1d_mshrs) if g is Gadget.MSHR else None,
                 reference_offset=rng.randint(10, 200),
             )
-            prog, _ = build_attack_program(o, g, CFG, params)
-            prog.validate()  # invariants hold across the sweep
+            build_attack_program(o, g, CFG, params)  # building checks the invariants

@@ -33,9 +33,7 @@ LAY = AttackLayout(CFG.geometry)
 
 
 def prog_of(*ops, secrets=None, annotations=None):
-    p = MicroProgram(ops=list(ops), secret_slots=secrets or {}, annotations=annotations or {})
-    p.validate()
-    return p
+    return MicroProgram(ops=ops, secret_slots=secrets or {}, annotations=annotations or {})
 
 
 def npeu_image(secret_hits: bool = True) -> CacheImage:
@@ -81,7 +79,7 @@ class TestBasics:
     def test_empty_program_is_zero_cycles(self):
         trace = run(prog_of(), CFG, SchemeId.UNSAFE)
         assert trace.total_cycles == 0
-        assert trace.events == []
+        assert trace.records == []
 
     def test_single_l1_hit_load_completes_at_issue_plus_l1_latency(self):
         image = CacheImage(scripts={100: Level.L1HIT})
@@ -136,7 +134,7 @@ class TestBasics:
         # max_cycles lies ahead. op0 completes and retires at cycle 2;
         # cycle 3 changes nothing.
         monkeypatch.setattr(_Engine, "_next_event", lambda self, max_cycles: None)
-        cfg = CFG.with_overrides(writeback_delay=5)
+        cfg = replace(CFG, writeback_delay=5)
         p = prog_of(MicroOp(0, OpKind.ALU), MicroOp(1, OpKind.ALU, src_deps=(0,)))
         for max_cycles in (None, 100):
             with pytest.raises(SimulationDeadlock) as exc:
@@ -146,7 +144,7 @@ class TestBasics:
     def test_cdb_width_staggers_completions_oldest_first(self):
         # Four ALU ops finish together but only two results broadcast per
         # cycle; the two oldest win the bus.
-        cfg = CFG.with_overrides(cdb_width=2)
+        cfg = replace(CFG, cdb_width=2)
         p = prog_of(*[MicroOp(i, OpKind.ALU) for i in range(4)])
         t = run(p, cfg, SchemeId.UNSAFE)
         completes = [t.times(i, "complete") for i in range(4)]
@@ -231,7 +229,7 @@ class TestSquash:
         ]
         # Long unit: without freeing, the correct-path op would wait out
         # the full residual latency.
-        cfg = CFG.with_overrides(eu={**CFG.eu, "npeu": CFG.eu["npeu"].__class__(False, 150, 1)})
+        cfg = replace(CFG, eu={**CFG.eu, "npeu": CFG.eu["npeu"].__class__(False, 150, 1)})
         t = run(prog_of(*ops), cfg, SchemeId.UNSAFE, image=RESOLVER_IMG)
         squash_cycle = t.times(2, "squash")
         assert squash_cycle != NEVER
@@ -332,10 +330,10 @@ class TestInterference:
         )
         t1 = run(p, CFG, SchemeId.INVISISPEC_SPECTRE, secrets={"s0": 1}, image=img)
         t0 = run(p, CFG, SchemeId.INVISISPEC_SPECTRE, secrets={"s0": 0}, image=img)
-        stalls1 = [e for e in t1.events if e.name == "mshr_stall" and e.op == victim]
+        stalls1 = [r for r in t1.records if r[1:3] == ("mshr_stall", victim)]
         assert stalls1, "victim should stall with MSHRs exhausted"
-        a1 = next(e.cycle for e in t1.events if e.name == "l2access" and e.op == victim)
-        a0 = next(e.cycle for e in t0.events if e.name == "l2access" and e.op == victim)
+        a1 = next(r[0] for r in t1.records if r[1:3] == ("l2access", victim))
+        a0 = next(r[0] for r in t0.records if r[1:3] == ("l2access", victim))
         assert a1 > a0
 
 
@@ -346,7 +344,7 @@ class TestLookahead:
         # With the RS as large as the ROB the whole diamond waits behind the
         # miss, and the look-ahead bound for the older NPEU op walks all of
         # it. Unmemoized, that walk doubles with every pair of ops.
-        cfg = CFG.with_overrides(rs_size=CFG.rob_size)
+        cfg = replace(CFG, rs_size=CFG.rob_size)
         p, image = diamond_program(self.DIAMOND_OPS)
 
         def best_time(scheme):
@@ -355,7 +353,7 @@ class TestLookahead:
                 t0 = time.perf_counter()
                 trace = run(p, cfg, scheme, image=image)
                 times.append(time.perf_counter() - t0)
-            assert sum(e.name == "retire" for e in trace.events) == len(p.ops)
+            assert sum(r[1] == "retire" for r in trace.records) == len(p.ops)
             return min(times)
 
         unsafe = best_time(SchemeId.UNSAFE)
@@ -382,7 +380,7 @@ class TestClockEdges:
         # No event from cycle 3 until op0's write-back lands, 5000 cycles
         # after it completes: far longer than rob_size times any unit or
         # memory latency, and still no deadlock.
-        cfg = CFG.with_overrides(rob_size=4, writeback_delay=5000)
+        cfg = replace(CFG, rob_size=4, writeback_delay=5000)
         p = prog_of(MicroOp(0, OpKind.ALU), MicroOp(1, OpKind.ALU, src_deps=(0,)))
         t = run(p, cfg, SchemeId.UNSAFE)
         assert t.times(1, "issue") == t.times(0, "complete") + 5000
@@ -394,7 +392,7 @@ class TestClockEdges:
     def test_llc_hit_slower_than_memory_completes(self):
         # An LLC hit of 65 cycles with a memory latency of 10: the wait
         # exceeds rob_size times the slowest unit or memory latency (64).
-        cfg = CFG.with_overrides(rob_size=4, geometry=replace(CFG.geometry, lat_mem=10, lat_llc=65))
+        cfg = replace(CFG, rob_size=4, geometry=replace(CFG.geometry, lat_mem=10, lat_llc=65))
         p = prog_of(MicroOp(0, OpKind.LOAD, addr=Literal(100)))
         t = run(p, cfg, SchemeId.UNSAFE, image=CacheImage(scripts={100: Level.LLCHIT}))
         assert t.times(0, "complete") - t.times(0, "issue") == 65
@@ -420,15 +418,15 @@ class TestClockEdges:
         assert len(t.occupancy) == 207
         assert [row[0] for row in t.occupancy[-3:]] == [204, 205, FAR_OFFSET]
         assert t.total_cycles == 205
-        assert t.events[-1].name == "l2access" and t.events[-1].cycle == FAR_OFFSET
+        assert t.records[-1][:2] == (FAR_OFFSET, "l2access")
 
     def test_max_cycles_inside_a_stall_stretch_raises(self):
         # Load 0 holds the only MSHR from cycle 1 to 201; loads 1 and 2
         # retry on every cycle in between, load 3 behind them from 201.
-        cfg = CFG.with_overrides(l1d_mshrs=1)
+        cfg = replace(CFG, l1d_mshrs=1)
         p, image = stall_stretch_program(4)
         t = run(p, cfg, SchemeId.UNSAFE, image=image)
-        stalled = {e.cycle for e in t.events if e.name == "mshr_stall"}
+        stalled = {r[0] for r in t.records if r[1] == "mshr_stall"}
         for k in (3, 100, 200, 300, 500):
             assert k in stalled
             with pytest.raises(SimulationDeadlock, match=f"^exceeded max_cycles={k}$"):
@@ -437,13 +435,13 @@ class TestClockEdges:
         assert capped.occupancy == t.occupancy and capped.serialize() == t.serialize()
 
     def test_stall_stretch_ends_on_the_mshr_fill(self):
-        cfg = CFG.with_overrides(l1d_mshrs=1)
+        cfg = replace(CFG, l1d_mshrs=1)
         p, image = stall_stretch_program(4)
         t = run(p, cfg, SchemeId.UNSAFE, image=image)
         free_at = t.times(0, "issue") + cfg.geometry.lat_mem
         by_cycle: dict[int, list[tuple[str, int | None]]] = {}
-        for e in t.events:
-            by_cycle.setdefault(e.cycle, []).append((e.name, e.op))
+        for cycle, name, op, _ in t.records:
+            by_cycle.setdefault(cycle, []).append((name, op))
         # One retry per stalled op on every cycle of the stretch, in op
         # order, and nothing else until the fill returns.
         for c in range(t.times(0, "issue") + 1, free_at):
@@ -485,7 +483,7 @@ def every_event_program() -> tuple[MicroProgram, CacheImage]:
 class TestTraceRecords:
     def test_event_view_matches_records(self):
         p, image = every_event_program()
-        t = run(p, CFG.with_overrides(l1d_mshrs=1), SchemeId.DOM_SPECTRE, image=image, attacker=[(3, 960)])
+        t = run(p, replace(CFG, l1d_mshrs=1), SchemeId.DOM_SPECTRE, image=image, attacker=[(3, 960)])
         assert {r[1] for r in t.records} == EVENT_KINDS
         accesses = {(r[3]["requester"], r[3].get("fetch")) for r in t.records if r[1] == "l2access"}
         assert accesses == {("attacker", None), ("victim", None), ("victim", 1)}
@@ -499,6 +497,31 @@ class TestTraceRecords:
         for e in t.events:
             e.extra["edited"] = 1
         assert t.serialize() == text
+
+
+class TestValidByConstruction:
+    def test_config_is_checked_when_built_or_replaced(self):
+        with pytest.raises(ValueError, match="^rob_size must be >= 1$"):
+            MachineConfig(rob_size=0)
+        with pytest.raises(ValueError, match="^lat_mem must be >= 1$"):
+            replace(CFG, geometry=replace(CFG.geometry, lat_mem=0))
+
+    def test_run_checks_neither_program_nor_config(self, monkeypatch):
+        calls = {MicroProgram: 0, MachineConfig: 0}
+        for cls in calls:
+            def counted(self, _cls=cls, _check=cls.validate):
+                calls[_cls] += 1
+                _check(self)
+
+            monkeypatch.setattr(cls, "validate", counted)
+        cfg = MachineConfig()
+        p, script = build_attack_program(Ordering.VDAD, Gadget.MSHR, cfg)
+        assert calls == {MicroProgram: 1, MachineConfig: 1}
+        image = attack_image(Gadget.MSHR, cfg)
+        for scheme in (SchemeId.UNSAFE, SchemeId.INVISISPEC_SPECTRE):
+            for bit in (0, 1):
+                run(p, cfg, scheme, secrets={"s0": bit}, image=image, attacker=script)
+        assert calls == {MicroProgram: 1, MachineConfig: 1}
 
 
 def constructible_senders():
@@ -517,11 +540,11 @@ def constructible_senders():
 SENDERS = [(g, o) for g, o, _, _ in constructible_senders()]
 PREFIX_CONFIGS = [
     CFG,
-    CFG.with_overrides(rob_size=16, rs_size=4),
-    CFG.with_overrides(l1d_mshrs=2, cdb_width=1),
-    CFG.with_overrides(l1d_mshrs=1, issue_width=1),
-    CFG.with_overrides(writeback_delay=120, branch_resolve_extra=90),
-    CFG.with_overrides(rs_size=3, cdb_width=1, branch_resolve_extra=300),
+    replace(CFG, rob_size=16, rs_size=4),
+    replace(CFG, l1d_mshrs=2, cdb_width=1),
+    replace(CFG, l1d_mshrs=1, issue_width=1),
+    replace(CFG, writeback_delay=120, branch_resolve_extra=90),
+    replace(CFG, rs_size=3, cdb_width=1, branch_resolve_extra=300),
 ]
 
 

@@ -42,9 +42,12 @@ LAY = AttackLayout(CFG.geometry)
 
 
 def prog_of(*ops, secrets=None):
-    p = MicroProgram(ops=list(ops), secret_slots=secrets or {})
-    p.validate()
-    return p
+    return MicroProgram(ops=ops, secret_slots=secrets or {})
+
+
+def access_cycle(t, op_id: int) -> int:
+    """Cycle of the op's first LLC access in the event log."""
+    return next(c for c, name, op, _ in t.records if name == "l2access" and op == op_id)
 
 
 def shadowed_load(load_level: Level) -> tuple[MicroProgram, CacheImage, int]:
@@ -78,7 +81,7 @@ class TestProtectedLoads:
         prog, image, load = shadowed_load(Level.MEMMISS)
         t = run(prog, CFG, SchemeId.UNSAFE, image=image)
         # Visible access happens at issue, long before the branch resolves.
-        access = next(e.cycle for e in t.events if e.name == "l2access" and e.op == load)
+        access = access_cycle(t, load)
         assert access < t.times(1, "resolved")
 
     def test_dom_speculative_hit_forwards_with_deferred_update(self):
@@ -91,10 +94,10 @@ class TestProtectedLoads:
     def test_dom_speculative_miss_is_delayed_until_safe(self):
         prog, image, load = shadowed_load(Level.MEMMISS)
         t = run(prog, CFG, SchemeId.DOM_SPECTRE, image=image)
-        assert any(e.name == "delayed" and e.op == load for e in t.events)
+        assert any(r[1:3] == ("delayed", load) for r in t.records)
         safe = t.times(load, "safe")
         assert t.times(load, "issue") >= safe  # re-executed once unprotected
-        access = next(e.cycle for e in t.events if e.name == "l2access" and e.op == load)
+        access = access_cycle(t, load)
         assert access >= safe
 
     def test_invisispec_miss_services_invisibly_then_validates(self):
@@ -104,7 +107,7 @@ class TestProtectedLoads:
         assert t.times(load, "complete") == t.times(load, "issue") + CFG.geometry.lat_mem
         safe = t.times(load, "safe")
         assert t.times(load, "complete") < safe
-        access = next(e.cycle for e in t.events if e.name == "l2access" and e.op == load)
+        access = access_cycle(t, load)
         assert access == safe  # the visible validation fill
 
     def test_protection_soundness_no_visible_access_before_safe(self):
@@ -129,8 +132,8 @@ class TestProtectedLoads:
                             continue
                         safe = t.times(rec.op_id, "safe")
                         fetch_entry = any(
-                            e.name == "l2access" and e.op == rec.op_id and "fetch" in e.extra
-                            for e in t.events
+                            name == "l2access" and op == rec.op_id and "fetch" in extra
+                            for _, name, op, extra in t.records
                         )
                         if not fetch_entry:
                             assert safe != NEVER and rec.cycle >= safe
@@ -139,7 +142,7 @@ class TestProtectedLoads:
         prog, image, load = shadowed_load(Level.MEMMISS)
         for scheme in (SchemeId.DOM_SPECTRE, SchemeId.INVISISPEC_FUTURISTIC):
             t = run(prog, CFG, scheme, image=image)
-            safes = [e for e in t.events if e.name == "safe" and e.op == load]
+            safes = [r for r in t.records if r[1:3] == ("safe", load)]
             assert len(safes) == 1
 
     def test_oldest_load_rule_serializes_visible_accesses(self):
@@ -172,7 +175,7 @@ class TestProtectedLoads:
         # The load misses while the older store address is unresolved:
         # delayed until the store-addr op completes.
         assert t.times(4, "safe") > t.times(3, "complete") - 1
-        access = next(e.cycle for e in t.events if e.name == "l2access" and e.op == 4)
+        access = access_cycle(t, 4)
         assert access >= t.times(3, "complete")
 
 

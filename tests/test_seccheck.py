@@ -45,9 +45,7 @@ LAY = AttackLayout(CFG.geometry)
 
 
 def prog_of(*ops, secrets=None):
-    p = MicroProgram(ops=list(ops), secret_slots=secrets or {})
-    p.validate()
-    return p
+    return MicroProgram(ops=ops, secret_slots=secrets or {})
 
 
 def spectre_v1_program():
@@ -60,7 +58,6 @@ def spectre_v1_program():
         MicroOp(3, OpKind.LOAD, src_deps=(2,), addr=SecretDep(LAY.victim_line, "s0", stride=1, k=1)),
     ]
     prog = MicroProgram(ops=ops, secret_slots={"s0": 0})
-    prog.validate()
     image = CacheImage(scripts={LAY.resolver_line: Level.MEMMISS, LAY.access_line: Level.L1HIT})
     return prog, image
 
@@ -168,7 +165,6 @@ class TestCheckDifferential:
             ops=[MicroOp(0, OpKind.LOAD, addr=SecretDep(LAY.victim_line, "s0"))],
             secret_slots={"s0": 0},
         )
-        p.validate()
         with pytest.raises(ValueError):
             check_ideal_differential(p, CFG, SchemeId.UNSAFE)
 
@@ -198,7 +194,7 @@ class TestBenchmarks:
     def test_suite_programs_are_squash_free(self):
         for bench in synth_suite(seed=5):
             t = run(bench.program, CFG, SchemeId.UNSAFE, image=bench.image)
-            assert not any(e.name == "squash" for e in t.events), bench.name
+            assert not any(r[1] == "squash" for r in t.records), bench.name
 
     def test_fence_overhead_ordering(self):
         rep = bench_overhead(synth_suite(seed=3), CFG, [SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC])
@@ -471,7 +467,6 @@ class TestRandomCorpus:
     def test_programs_valid_and_runnable(self):
         for seed in range(40):
             prog, image = gen_random_program(seed)
-            prog.validate()
             t = run(prog, CFG, SchemeId.UNSAFE, image=image)
             assert t.total_cycles >= 0
 
