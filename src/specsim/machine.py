@@ -3,7 +3,9 @@ bus and MSHR capacities, cache geometry and latencies."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .memhier import CacheGeometry
 
@@ -26,7 +28,8 @@ def default_eu_table() -> dict[str, EuClass]:
 @dataclass(frozen=True)
 class MachineConfig:
     """Valid by construction: building one, or deriving one with
-    ``dataclasses.replace``, checks it."""
+    ``dataclasses.replace``, checks it. ``eu`` is a read-only copy of the
+    table it was built from, so the check holds for the config's life."""
 
     fetch_width: int = 4
     dispatch_width: int = 4
@@ -34,7 +37,7 @@ class MachineConfig:
     retire_width: int = 4
     rob_size: int = 192
     rs_size: int = 40
-    eu: dict[str, EuClass] = field(default_factory=default_eu_table)
+    eu: Mapping[str, EuClass] = field(default_factory=default_eu_table)
     cdb_width: int = 4
     l1d_mshrs: int = 4
     branch_resolve_extra: int = 1
@@ -42,6 +45,7 @@ class MachineConfig:
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eu", MappingProxyType(dict(self.eu)))
         self.validate()
 
     def validate(self) -> None:

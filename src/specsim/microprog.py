@@ -11,8 +11,11 @@ branch falls through into its body, a not-taken branch jumps to the join.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 from .machine import MachineConfig
 from .memhier import CacheGeometry
@@ -25,6 +28,30 @@ class OpKind(Enum):
     NPEU = "NPEU"
     BRANCH = "BRANCH"
     NOP = "NOP"
+
+
+class FenceModel(Enum):
+    SPECTRE = "spectre"  # fences after branches
+    FUTURISTIC = "futuristic"  # fences after anything that can squash
+
+
+# The one fence rule, which both insert_fences and the engine read: op i is
+# a fence point if it carries its own fence, or if its kind can squash under
+# the scheme's fence model (None: not a fence scheme).
+_FENCED_KINDS: dict[FenceModel | None, frozenset[OpKind]] = {
+    None: frozenset(),
+    FenceModel.SPECTRE: frozenset({OpKind.BRANCH}),
+    FenceModel.FUTURISTIC: frozenset({OpKind.BRANCH, OpKind.LOAD}),
+}
+
+# The EU class of an op that names none (lat_class None); a marker uses none.
+_KIND_CLASS = {
+    OpKind.LOAD: "lsu",
+    OpKind.STORE_ADDR: "lsu",
+    OpKind.ALU: "alu",
+    OpKind.NPEU: "npeu",
+    OpKind.BRANCH: "alu",
+}
 
 
 class Ordering(Enum):
@@ -121,17 +148,60 @@ class MicroOp:
 
 
 @dataclass(frozen=True)
+class EngineTables:
+    """What the engine reads of a program under any scheme, derived once
+    per program (``MicroProgram.tables``). Every table is a tuple, so the
+    runs that share them cannot change them."""
+
+    eu_classes: tuple[str | None, ...]  # per op: EU class name, None for a marker
+    consumers: tuple[tuple[int, ...], ...]  # per op: the ops that read its result
+    resolves: tuple[tuple[int, ...], ...]  # per op: the branches it resolves
+    # Per fence model (None: no fence scheme), per op: a fence follows it.
+    fence_points: Mapping[FenceModel | None, tuple[bool, ...]]
+
+    @staticmethod
+    def derive(ops: tuple[MicroOp, ...]) -> EngineTables:
+        consumers: list[list[int]] = [[] for _ in ops]
+        resolves: list[list[int]] = [[] for _ in ops]
+        for op in ops:
+            for d in op.src_deps:
+                consumers[d].append(op.id)
+            if op.branch is not None and op.branch.resolver is not None:
+                resolves[op.branch.resolver].append(op.id)
+        return EngineTables(
+            eu_classes=tuple(None if op.kind is OpKind.NOP else op.lat_class or _KIND_CLASS[op.kind] for op in ops),
+            consumers=tuple(map(tuple, consumers)),
+            resolves=tuple(map(tuple, resolves)),
+            fence_points=MappingProxyType({
+                model: tuple(op.fence_after or op.kind in kinds for op in ops)
+                for model, kinds in _FENCED_KINDS.items()
+            }),
+        )
+
+
+@dataclass(frozen=True)
 class MicroProgram:
     """Valid by construction: building one (directly, by ``replace`` or by
-    parsing) checks it once, so a program in hand needs no further check."""
+    parsing) checks it once, so a program in hand needs no further check.
+    Its mappings are read-only copies of the ones it was built from, so
+    nothing in it can change after the check, and ``tables`` can be kept
+    for as long as the program lives."""
 
     ops: tuple[MicroOp, ...]
-    secret_slots: dict[str, int] = field(default_factory=dict)
-    annotations: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    secret_slots: Mapping[str, int] = field(default_factory=dict)
+    annotations: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "secret_slots", MappingProxyType(dict(self.secret_slots)))
+        object.__setattr__(self, "annotations", MappingProxyType(dict(self.annotations)))
         self.validate()
+
+    @cached_property
+    def tables(self) -> EngineTables:
+        """The engine's scheme-independent tables, derived on first use and
+        shared by every later run of this program."""
+        return EngineTables.derive(self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -125,6 +125,17 @@ resolve, safe transition, retire, squash):
     if every older op is, so each cycle's transitions pop a prefix.
 A squash truncates every view to the ops at or older than the branch.
 
+Per-program tables. What the engine reads of a program under any scheme is
+derived once per program and kept on it (MicroProgram.tables): each op's
+EU class name, the ops that consume each result, the branches each op
+resolves, and the fence points under each fence model. The program is
+frozen, so the tables cannot go stale, and they are tuples, so no run can
+change them for the next. A run looks each class up in cfg.eu (an unknown
+class still fails here, per run) and builds its own OpRecs and MemHier.
+A fence scheme runs the program as given: ShadowState reads the fence
+points of the scheme's model, the same points insert_fences marks, so no
+fenced copy is built or checked.
+
 Event log. Each event is logged as a plain tuple record (cycle, name, op,
 extra): op is None for events of no op, and extra is None or a dict of the
 fields that six kinds carry (l2access, mshr_stall, mshr_free, delayed,
@@ -150,27 +161,12 @@ from math import inf
 from .machine import EuClass, MachineConfig
 from .memhier import CacheImage, Level, MemHier, Requester
 from .microprog import AttackScript, MicroOp, MicroProgram, OpKind, SecretDep
-from .schemes import (
-    MissPolicy,
-    SchemeId,
-    SchemeSpec,
-    ShadowState,
-    insert_fences,
-    scheme_spec,
-)
+from .schemes import MissPolicy, SchemeId, SchemeSpec, ShadowState, scheme_spec
 
 
 class SimulationDeadlock(RuntimeError):
     pass
 
-
-_KIND_CLASS = {
-    OpKind.LOAD: "lsu",
-    OpKind.STORE_ADDR: "lsu",
-    OpKind.ALU: "alu",
-    OpKind.NPEU: "npeu",
-    OpKind.BRANCH: "alu",
-}
 
 NEVER = -1
 
@@ -300,11 +296,10 @@ def run(
     ``program`` and ``cfg`` are valid by construction, so neither is
     checked again here. Only what pairs one input with another is checked
     per run: the image against the cache geometry, the secrets against the
-    program's slots, and each op's EU class against the configured table."""
-    spec = scheme_spec(scheme)
-    if spec.fence_model is not None:
-        program = insert_fences(program, spec.fence_model)
-    engine = _Engine(program, cfg, spec, secrets, image, attacker, force_correct_predictions)
+    program's slots, and each op's EU class against the configured table.
+    A fence scheme runs the program as given: the engine reads its fence
+    points from ``program.tables``, so no fenced copy is built."""
+    engine = _Engine(program, cfg, scheme_spec(scheme), secrets, image, attacker, force_correct_predictions)
     return engine.run(max_cycles)
 
 
@@ -326,29 +321,24 @@ class _Engine:
         self.hier = MemHier(cfg.geometry, cfg.l1d_mshrs, image)
         self.force_correct = force_correct
         self.recs = [OpRec(op) for op in program.ops]
+        tables = program.tables
         # Per op: its EU class name and entry, None for a marker.
-        self.lat_classes: list[str | None] = []
-        self.eus: list[EuClass | None] = []
-        for op in program.ops:
-            klass = None if op.kind is OpKind.NOP else op.lat_class or _KIND_CLASS[op.kind]
-            if klass is not None and klass not in cfg.eu:
-                raise ValueError(f"op {op.id}: unknown EU class {klass!r}")
-            self.lat_classes.append(klass)
-            self.eus.append(None if klass is None else cfg.eu[klass])
-        self.consumers: list[list[int]] = [[] for _ in program.ops]
-        self.resolves: list[list[int]] = [[] for _ in program.ops]  # op -> branches it resolves
-        for op in program.ops:
-            for d in op.src_deps:
-                self.consumers[d].append(op.id)
-            if op.branch is not None and op.branch.resolver is not None:
-                self.resolves[op.branch.resolver].append(op.id)
+        self.lat_classes = tables.eu_classes
+        eu = cfg.eu
+        try:
+            self.eus: list[EuClass | None] = [None if k is None else eu[k] for k in self.lat_classes]
+        except KeyError:
+            i, klass = next((i, k) for i, k in enumerate(self.lat_classes) if k is not None and k not in eu)
+            raise ValueError(f"op {i}: unknown EU class {klass!r}") from None
+        self.consumers = tables.consumers
+        self.resolves = tables.resolves  # op -> branches it resolves
         self.rob: deque[int] = deque()
         self.fetch_pos = 0
         self.redirect_at = 0  # earliest cycle the frontend may fetch
         self.cycle = 0
         self.records: list[Record] = []
         self.occupancy: list[tuple[int, int, int, int]] = []
-        self.shadow = ShadowState()
+        self.shadow = ShadowState(tables.fence_points[spec.fence_model])
         # Validation allows exactly one non-pipelined class: one busy list.
         self.npeu_busy_until = [0] * cfg.eu[cfg.npeu_class].count
         self.inflight = 0  # issued, not completed (occupancy reporting)

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .microprog import MicroOp, MicroProgram, OpKind
+from .microprog import FenceModel, MicroOp, MicroProgram, OpKind
 
 
 class SchemeId(Enum):
@@ -53,11 +53,6 @@ class MissPolicy(Enum):
     VISIBLE = "visible"  # no protection: normal fill
     DELAY = "delay"  # park the load, re-execute when safe
     INVISIBLE = "invisible"  # service invisibly now, visible replay when safe
-
-
-class FenceModel(Enum):
-    SPECTRE = "spectre"  # fences after branches
-    FUTURISTIC = "futuristic"  # fences after anything that can squash
 
 
 @dataclass(frozen=True)
@@ -137,15 +132,18 @@ class ShadowState:
     ``open`` when an op enters the ROB, ``settle`` when a branch resolves
     or another op completes, ``squash_after`` when younger ops are killed.
     Each frontier is the head of an age-ordered list of the open op ids.
+    ``fence_points[i]`` says whether a fence follows op i (the program's
+    ``tables.fence_points`` for the scheme's fence model).
     """
 
-    __slots__ = ("_branches", "_loads", "_stores", "_fences")
+    __slots__ = ("_branches", "_loads", "_stores", "_fences", "fence_points")
 
-    def __init__(self):
+    def __init__(self, fence_points: tuple[bool, ...]):
         self._branches: list[int] = []
         self._loads: list[int] = []
         self._stores: list[int] = []
         self._fences: list[int] = []
+        self.fence_points = fence_points
 
     @property
     def oldest_open_fence(self) -> int | None:
@@ -166,7 +164,7 @@ class ShadowState:
         ids = self._ids(op.kind)
         if ids is not None:
             ids.append(op.id)
-        if op.fence_after:
+        if self.fence_points[op.id]:
             self._fences.append(op.id)
 
     def settle(self, op: MicroOp) -> bool:
@@ -178,7 +176,7 @@ class ShadowState:
         if ids is not None:
             moved = ids[0] == op.id
             ids.remove(op.id)
-        if op.fence_after:
+        if self.fence_points[op.id]:
             self._fences.remove(op.id)
         return moved
 
@@ -212,15 +210,12 @@ def insert_fences(program: MicroProgram, model: FenceModel) -> MicroProgram:
     """Mark fence points: after every branch (Spectre model) or after every
     squash-capable op, branches and loads here (Futuristic model). A fence
     lets younger ops enter the ROB but blocks their issue until the op
-    before the fence is non-speculative. Idempotent."""
-    fenced_kinds = {OpKind.BRANCH} if model is FenceModel.SPECTRE else {OpKind.BRANCH, OpKind.LOAD}
-    new_ops: list[MicroOp] = []
-    for op in program.ops:
-        if op.kind in fenced_kinds and not op.fence_after:
-            op = replace(op, fence_after=True)
-        new_ops.append(op)
-    return MicroProgram(
-        ops=new_ops,
-        secret_slots=dict(program.secret_slots),
-        annotations=dict(program.annotations),
-    )
+    before the fence is non-speculative. Idempotent. The engine reads the
+    same points from ``program.tables`` and runs the unfenced program, so
+    a fence scheme never needs this copy."""
+    points = program.tables.fence_points[model]
+    ops = [
+        replace(op, fence_after=True) if fenced and not op.fence_after else op
+        for op, fenced in zip(program.ops, points)
+    ]
+    return replace(program, ops=ops)

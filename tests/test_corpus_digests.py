@@ -272,10 +272,13 @@ def reference_run(program, cfg, scheme, secrets=None, image=None, attacker=None,
     """run() as the plain definition of the engine: all eight phases on
     every cycle, with no trigger deciding which of them may act, and one
     cycle at a time while the ROB or the frontend holds work. Deadlock and
-    the drained jump still go through _next_event."""
+    the drained jump still go through _next_event. A fence scheme runs the
+    fenced copy with no fence model, so the fence points come from the
+    copy's own fence_after flags, not from run()'s fence-point table."""
     spec = scheme_spec(scheme)
     if spec.fence_model is not None:
         program = insert_fences(program, spec.fence_model)
+        spec = replace(spec, fence_model=None)
     e = _Engine(program, cfg, spec, secrets, image, attacker, force_correct_predictions)
     n = len(program.ops)
     while True:
@@ -321,6 +324,22 @@ def trigger_runs():
             runs += [(f"attack-{gadget.value}-{ordering.value}-s{secret}", program, CFG, kw)]
     runs = [(f"{label}/{s.value}", program, cfg, s, kw) for label, program, cfg, kw in runs for s in SchemeId]
     return runs + stepped_slice()
+
+
+def test_engine_fence_points_are_those_insert_fences_marks():
+    # run() reads the fence points from the program's tables instead of
+    # running a fenced copy; both come from one rule, which keeps an op's
+    # own fence.
+    programs = [gen_random_program(seed)[0] for seed in range(TRIGGER_SEEDS)]
+    programs += [mutated_program(seed)[0] for seed in range(CONFIG_SEEDS)]
+    programs += [program for _, _, program, _ in constructible_senders()]
+    assert any(op.fence_after for p in programs for op in p.ops)
+    for program in programs:
+        for scheme in (SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC):
+            spec = scheme_spec(scheme)
+            engine = _Engine(program, CFG, spec, None, None, None, False)
+            fenced = insert_fences(program, spec.fence_model)
+            assert engine.shadow.fence_points == tuple(op.fence_after for op in fenced.ops)
 
 
 def test_phase_triggers_change_no_outcome():

@@ -71,6 +71,21 @@ def test_program_is_frozen_and_checked_when_derived():
         prog.ops = ()
 
 
+def test_program_mappings_are_read_only():
+    slots = {"s0": 0}
+    prog = MicroProgram(
+        ops=[MicroOp(0, OpKind.LOAD, addr=SecretDep(10, "s0"))],
+        secret_slots=slots,
+        annotations={"victim": (0,)},
+    )
+    with pytest.raises(TypeError):
+        prog.annotations["gadget"] = (7,)
+    with pytest.raises(TypeError):
+        prog.secret_slots["s0"] = 1
+    slots["s1"] = 1  # the program holds its own copy
+    assert dict(prog.secret_slots) == {"s0": 0}
+
+
 def test_addr_expr_round_trip():
     for expr in (Literal(640), SecretDep(512, "s0", 1, 3)):
         assert parse_addr(expr.text()) == expr

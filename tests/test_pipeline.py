@@ -2,19 +2,20 @@
 backpressure, determinism, and the interference mechanisms themselves."""
 
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from specsim.attacks import attack_image, plan_attack
-from specsim.machine import MachineConfig
+from specsim.machine import EuClass, MachineConfig
 from specsim.memhier import CacheImage, Level
 from specsim.microprog import (
     AttackLayout,
     AttackParams,
     BranchInfo,
     ConstructionError,
+    EngineTables,
     Gadget,
     Literal,
     MicroOp,
@@ -518,10 +519,49 @@ class TestValidByConstruction:
         p, script = build_attack_program(Ordering.VDAD, Gadget.MSHR, cfg)
         assert calls == {MicroProgram: 1, MachineConfig: 1}
         image = attack_image(Gadget.MSHR, cfg)
-        for scheme in (SchemeId.UNSAFE, SchemeId.INVISISPEC_SPECTRE):
+        # A fence scheme builds no fenced copy either.
+        for scheme in (SchemeId.UNSAFE, SchemeId.INVISISPEC_SPECTRE, SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC):
             for bit in (0, 1):
                 run(p, cfg, scheme, secrets={"s0": bit}, image=image, attacker=script)
         assert calls == {MicroProgram: 1, MachineConfig: 1}
+
+    def test_config_eu_table_is_read_only(self):
+        table = {"alu": EuClass(True, 1, 4), "npeu": EuClass(False, 16, 1), "lsu": EuClass(True, 1, 2)}
+        cfg = MachineConfig(eu=table)
+        with pytest.raises(TypeError):
+            cfg.eu["npeu"] = EuClass(True, 16, 1)
+        table["npeu"] = EuClass(True, 16, 1)  # the config holds its own copy
+        assert cfg.npeu_class == "npeu"
+
+
+class TestProgramTables:
+    """The engine's per-program tables are derived once and shared by every
+    run of the program; a derived program derives its own."""
+
+    def test_derived_once_per_program(self, monkeypatch):
+        derived = []
+        derive = EngineTables.derive
+        monkeypatch.setattr(EngineTables, "derive", staticmethod(lambda ops: derived.append(ops) or derive(ops)))
+        p, script = build_attack_program(Ordering.VDAD, Gadget.MSHR, CFG)
+        image = attack_image(Gadget.MSHR, CFG)
+        for scheme in (SchemeId.UNSAFE, SchemeId.DOM_SPECTRE, SchemeId.FENCE_FUTURISTIC, SchemeId.NOINTERFERENCE):
+            for bit in (0, 1):
+                run(p, CFG, scheme, secrets={"s0": bit}, image=image, attacker=script)
+        assert len(derived) == 1
+        q = replace(p, annotations={})
+        run(q, CFG, SchemeId.UNSAFE, image=image, attacker=script)
+        assert len(derived) == 2
+        assert q.tables is not p.tables and q.tables == p.tables
+
+    def test_tables_are_tuples(self):
+        p, _ = build_attack_program(Ordering.VIVD, Gadget.NPEU, CFG)
+        t = p.tables
+        rows = (t.eu_classes, t.consumers, t.resolves, *t.consumers, *t.resolves, *t.fence_points.values())
+        assert all(type(row) is tuple for row in rows)
+        with pytest.raises(TypeError):
+            t.fence_points[None] = ()
+        with pytest.raises(FrozenInstanceError):
+            t.consumers = ()
 
 
 def constructible_senders():

@@ -63,10 +63,13 @@ def shadowed_load(load_level: Level) -> tuple[MicroProgram, CacheImage, int]:
 
 class TestShadowState:
     def test_rules(self):
-        st = ShadowState()
-        st.open(MicroOp(3, OpKind.LOAD, addr=Literal(900)))
+        # A fence follows the load, and only the load.
+        st = ShadowState(tuple(i == 3 for i in range(11)))
+        load = MicroOp(3, OpKind.LOAD, addr=Literal(900))
+        st.open(load)
         st.open(MicroOp(8, OpKind.STORE_ADDR))
         st.open(MicroOp(10, OpKind.BRANCH, branch=BranchInfo(True, True, resolver=None, join=11)))
+        assert st.oldest_open_fence == 3
         assert st.safe(ShadowRule.ALWAYS_SAFE, 99)
         assert st.safe(ShadowRule.BRANCH, 10) and not st.safe(ShadowRule.BRANCH, 11)
         # Loads cast no shadow under the weak-consistency rule, stores do.
@@ -74,6 +77,7 @@ class TestShadowState:
         assert st.safe(ShadowRule.OLDEST_LOAD, 3) and not st.safe(ShadowRule.OLDEST_LOAD, 4)
         assert not st.safe(ShadowRule.FUTURISTIC, 9)
         assert st.safe(ShadowRule.FUTURISTIC, 3)
+        assert st.settle(load) and st.oldest_open_fence is None
 
 
 class TestProtectedLoads:

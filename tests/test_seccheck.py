@@ -1,6 +1,8 @@
 """Non-interference checker, overhead benchmarks, calibration, and the
 randomized corpus."""
 
+from dataclasses import replace
+
 import pytest
 
 from specsim.machine import MachineConfig
@@ -24,6 +26,7 @@ from specsim.attacks import MATRIX_GROUPS, MATRIX_SCHEMES, REFERENCE_VULNERABLE,
 from specsim.seccheck import (
     Benchmark,
     Calibration,
+    OverheadReport,
     bench_overhead,
     calibrate,
     calibrate_for_matrix,
@@ -211,6 +214,33 @@ class TestBenchmarks:
         bench = gen_load_chain(seed=3)
         rep = bench_overhead([bench], CFG, [SchemeId.FENCE_FUTURISTIC])
         assert rep.slowdowns["load_chain"][SchemeId.FENCE_FUTURISTIC.value] > 1.0
+
+    def test_runs_each_engine_behaviour_once(self, monkeypatch):
+        suite = synth_suite(seed=1)
+        # A marked fetch tells the fetch-shadow schemes apart.
+        first = suite[0].program
+        fetching = replace(first, ops=[replace(op, iline=800_000) if op.id == 0 else op for op in first.ops])
+        suite.append(Benchmark("fetching", fetching, suite[0].image))
+        schemes = list(SchemeId)
+        programs = []
+
+        def counting(program, *args, **kw):
+            programs.append(program)
+            return run(program, *args, **kw)
+
+        monkeypatch.setattr(seccheck, "run", counting)
+        report = bench_overhead(suite, CFG, schemes)
+        for bench in suite:
+            behaviours = {engine_behaviour(s, bench.program is fetching) for s in schemes}
+            assert len(behaviours) == (10 if bench.program is fetching else 8)
+            assert sum(p is bench.program for p in programs) == len(behaviours), bench.name
+        slowdowns, baselines = {}, {}
+        for bench in suite:
+            base = baselines[bench.name] = run(bench.program, CFG, SchemeId.UNSAFE, image=bench.image).total_cycles
+            slowdowns[bench.name] = {
+                s.value: run(bench.program, CFG, s, image=bench.image).total_cycles / base for s in schemes
+            }
+        assert report.csv_lines() == OverheadReport(slowdowns, baselines).csv_lines()
 
     def test_slowdown_at_least_one_for_fence_schemes(self):
         rep = bench_overhead(synth_suite(seed=7), CFG, [SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC])
