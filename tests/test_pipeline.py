@@ -520,7 +520,8 @@ class TestValidByConstruction:
         assert calls == {MicroProgram: 1, MachineConfig: 1}
         image = attack_image(Gadget.MSHR, cfg)
         # A fence scheme builds no fenced copy either.
-        for scheme in (SchemeId.UNSAFE, SchemeId.INVISISPEC_SPECTRE, SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC):
+        schemes = (SchemeId.UNSAFE, SchemeId.INVISISPEC_SPECTRE, SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC)
+        for scheme in schemes:
             for bit in (0, 1):
                 run(p, cfg, scheme, secrets={"s0": bit}, image=image, attacker=script)
         assert calls == {MicroProgram: 1, MachineConfig: 1}
