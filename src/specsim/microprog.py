@@ -203,9 +203,6 @@ class MicroProgram:
         shared by every later run of this program."""
         return EngineTables.derive(self.ops)
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
     def validate(self) -> None:
         n = len(self.ops)
         for i, op in enumerate(self.ops):

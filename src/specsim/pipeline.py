@@ -68,18 +68,20 @@ only mshr_stall retries (a refused MSHR allocation leaves everything as it
 was). Every following cycle then repeats it, the same retries in the same
 op order included, until the clock reaches a threshold that some phase
 compares against:
-  - an MSHR's free_at (phase 1);
-  - an in-flight op's finish (phase 2);
-  - a resolver's complete + branch_resolve_extra (phase 3);
+  - the earliest MSHR free_at, MshrFile.next_free (phase 1);
+  - an in-flight op's finish, the top of finishing (phase 2);
+  - the earliest due branch resolution, resolve_at (phase 3);
   - the next attacker access (phase 5);
-  - a waiting op's last producer complete + writeback_delay, and an NPEU
-    unit's busy_until (phase 6);
+  - a waiting op's last producer complete + writeback_delay, the top of
+    wakeups, and an NPEU unit's busy_until (phase 6);
   - redirect_at and the due I-fetch replays (phase 7).
 _next_event names the earliest of these, or max_cycles if that comes
-first. After an unchanged cycle, while the ROB or the frontend still holds
-work, the engine appends the repeated retries and occupancy rows for every
-cycle up to that target and jumps the clock there, so max_cycles fires on
-the cycle a one-cycle step would reach. If _next_event returns None, no
+first. It reads the same values the phase triggers compare with the
+clock, so no jump can pass a cycle at which a trigger holds. After an
+unchanged cycle, while the ROB or the frontend still holds work, the
+engine appends the repeated retries and occupancy rows for every cycle up
+to that target and jumps the clock there, so max_cycles fires on the
+cycle a one-cycle step would reach. If _next_event returns None, no
 phase can ever act again: that is a deadlock, raised at once with the
 cycle of the last record. Once the ROB is drained and nothing is left to
 fetch, only the attacker script and I-fetch replays remain: the clock
@@ -488,17 +490,12 @@ class _Engine:
         if self.attacker_pos < len(self.attacker):
             times.append(self.attacker[self.attacker_pos][0])
         if self.rob or self.fetch_pos < len(self.recs):
-            times += [m.free_at for m in self.hier.mshrs.entries]
             if self.finishing:
                 times.append(self.finishing[0][0])
             if self.wakeups:
                 times.append(self.wakeups[0][0])
-            later = [self.redirect_at, *self.npeu_busy_until]
-            for i in self.unresolved_done:
-                resolver = self.recs[i].op.branch.resolver
-                if resolver is not None and self.recs[resolver].complete != NEVER:
-                    later.append(self.recs[resolver].complete + self.cfg.branch_resolve_extra)
-            times += [t for t in later if t >= self.cycle]
+            later = (self.hier.mshrs.next_free, self.resolve_at, self.redirect_at, *self.npeu_busy_until)
+            times += [t for t in later if self.cycle <= t < inf]
         if not times:
             return None
         nxt = min(times)

@@ -136,32 +136,24 @@ class ShadowState:
     ``tables.fence_points`` for the scheme's fence model).
     """
 
-    __slots__ = ("_branches", "_loads", "_stores", "_fences", "fence_points")
+    __slots__ = ("_branches", "_loads", "_stores", "_fences", "_by_kind", "fence_points")
 
     def __init__(self, fence_points: tuple[bool, ...]):
         self._branches: list[int] = []
         self._loads: list[int] = []
         self._stores: list[int] = []
         self._fences: list[int] = []
+        # The open-id list of each kind of op that casts a shadow.
+        self._by_kind = {OpKind.BRANCH: self._branches, OpKind.LOAD: self._loads, OpKind.STORE_ADDR: self._stores}
         self.fence_points = fence_points
 
     @property
     def oldest_open_fence(self) -> int | None:
         return self._fences[0] if self._fences else None
 
-    def _ids(self, kind: OpKind) -> list[int] | None:
-        """The open-id list an op of this kind sits in, if it casts a shadow."""
-        if kind is OpKind.LOAD:
-            return self._loads
-        if kind is OpKind.BRANCH:
-            return self._branches
-        if kind is OpKind.STORE_ADDR:
-            return self._stores
-        return None
-
     def open(self, op: MicroOp) -> None:
         """A non-marker op entered the ROB (ids enter in increasing order)."""
-        ids = self._ids(op.kind)
+        ids = self._by_kind.get(op.kind)
         if ids is not None:
             ids.append(op.id)
         if self.fence_points[op.id]:
@@ -171,7 +163,7 @@ class ShadowState:
         """The op no longer casts its shadow: a branch resolved, or another
         op completed. Returns whether a frontier that ``safe`` reads moved,
         which is the only way an op in the ROB can turn safe."""
-        ids = self._ids(op.kind)
+        ids = self._by_kind.get(op.kind)
         moved = False
         if ids is not None:
             moved = ids[0] == op.id

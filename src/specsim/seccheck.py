@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .machine import MachineConfig
@@ -204,22 +204,29 @@ def calibrate(
     scheme: SchemeId | str,
     cfg: MachineConfig | None = None,
     base: AttackParams | None = None,
+    builds: dict[AttackParams, AttackPlan] | None = None,
 ) -> Calibration:
     """Search sender parameters until the designated observable shows a
     stable secret differential: the reference-access offset for the
     attacker-clock orderings, the reference chain length for the
     victim-pair orderings, the fetch outcome for the RS sender. Bounded;
-    reports the sweep on failure."""
+    reports the sweep on failure.
+
+    ``builds`` shares candidate senders between searches of one gadget,
+    ordering and config: it maps parameters to a plan that is never run,
+    each candidate is built into it once, and each search runs a copy for
+    its scheme with empty caches. It saves builds only; the result is the
+    same with or without it."""
     cfg = cfg or MachineConfig()
-    return _calibrate(gadget, ordering, base or AttackParams(), lambda p: plan_attack(gadget, ordering, scheme, cfg, p))
+    scheme = SchemeId(scheme)
+    base = base or AttackParams()
+    builds = {} if builds is None else builds
 
+    def plan_for(params: AttackParams) -> AttackPlan:
+        if params not in builds:
+            builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
+        return replace(builds[params], scheme=scheme, trace_cache={}, outcome_cache={})
 
-# A calibration's source of plans: the sender built with the given
-# parameters, for the scheme under calibration, with no trace run yet.
-PlanFor = Callable[[AttackParams], AttackPlan]
-
-
-def _calibrate(gadget: Gadget, ordering: Ordering, base: AttackParams, plan_for: PlanFor) -> Calibration:
     trace: list[str] = []
     try:
         if gadget is Gadget.RS:
@@ -285,20 +292,12 @@ def calibrate_for_matrix(
     shares one build of each candidate sender."""
     marked_fetch = marks_fetch(gadget, ordering)
     by_behaviour: dict[tuple, Calibration] = {}
-    # One plan per candidate, never run: it holds the build (program,
-    # image, decode table) but no traces. Each search gets a copy for its
-    # scheme with empty caches.
     builds: dict[AttackParams, AttackPlan] = {}
 
     def search(scheme: SchemeId) -> Calibration:
-        def plan_for(params: AttackParams) -> AttackPlan:
-            if params not in builds:
-                builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
-            return replace(builds[params], scheme=scheme, trace_cache={}, outcome_cache={})
-
         key = engine_behaviour(scheme, marked_fetch)
         if key not in by_behaviour:
-            by_behaviour[key] = _calibrate(gadget, ordering, AttackParams(), plan_for)
+            by_behaviour[key] = calibrate(gadget, ordering, scheme, cfg, builds=builds)
         return by_behaviour[key]
 
     cals = {scheme: search(scheme) for scheme in schemes}

@@ -1,7 +1,10 @@
 """Non-interference checker, overhead benchmarks, calibration, and the
 randomized corpus."""
 
+import importlib
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -281,17 +284,15 @@ def own_params(gadget, ordering, scheme) -> AttackParams:
 
 
 class ScriptedCalibrate:
-    """Stands in for seccheck._calibrate, the search behind calibrate and
-    calibrate_for_matrix: feasible exactly for the scripted (gadget,
-    ordering, scheme) triples, counting every call; builds the base sender
-    to learn the scheme, and simulates nothing."""
+    """Stands in for seccheck.calibrate, the search calibrate_for_matrix
+    runs: feasible exactly for the scripted (gadget, ordering, scheme)
+    triples, counting every call; builds and simulates nothing."""
 
     def __init__(self, feasible):
         self.feasible = set(feasible)
         self.calls = []
 
-    def __call__(self, gadget, ordering, base, plan_for):
-        scheme = plan_for(base).scheme
+    def __call__(self, gadget, ordering, scheme, cfg=None, base=None, builds=None):
         self.calls.append((gadget, ordering, scheme))
         if (gadget, ordering, scheme) in self.feasible:
             return Calibration(True, own_params(gadget, ordering, scheme))
@@ -307,7 +308,7 @@ class TestMatrixFallback:
 
     def test_own_params_then_unsafe_then_defaults(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, self.O, self.A), (self.G, self.O, SchemeId.UNSAFE)})
-        monkeypatch.setattr(seccheck, "_calibrate", fake)
+        monkeypatch.setattr(seccheck, "calibrate", fake)
         got = calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
         assert got == {
             self.A: own_params(self.G, self.O, self.A),
@@ -319,13 +320,13 @@ class TestMatrixFallback:
 
     def test_every_scheme_feasible_skips_unsafe(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, self.O, self.A), (self.G, self.O, self.B)})
-        monkeypatch.setattr(seccheck, "_calibrate", fake)
+        monkeypatch.setattr(seccheck, "calibrate", fake)
         calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
         assert fake.calls == [(self.G, self.O, self.A), (self.G, self.O, self.B)]
 
     def test_unsafe_alone_calibrates_once(self, monkeypatch):
         fake = ScriptedCalibrate(set())
-        monkeypatch.setattr(seccheck, "_calibrate", fake)
+        monkeypatch.setattr(seccheck, "calibrate", fake)
         got = calibrate_for_matrix(self.G, self.O, [SchemeId.UNSAFE], CFG)
         assert got == {SchemeId.UNSAFE: AttackParams()}
         assert fake.calls == [(self.G, self.O, SchemeId.UNSAFE)]
@@ -334,7 +335,7 @@ class TestMatrixFallback:
         # npeu/vdad has no marked fetch, so safespec-wfb and muontrap run as
         # invisispec-spectre and invisispec-futuristic do.
         fake = ScriptedCalibrate({(self.G, self.O, s) for s in MATRIX_SCHEMES})
-        monkeypatch.setattr(seccheck, "_calibrate", fake)
+        monkeypatch.setattr(seccheck, "calibrate", fake)
         got = calibrate_for_matrix(self.G, self.O, MATRIX_SCHEMES, CFG)
         assert fake.calls == [
             (self.G, self.O, SchemeId.INVISISPEC_SPECTRE),
@@ -346,7 +347,7 @@ class TestMatrixFallback:
 
     def test_marked_fetch_sender_searches_every_scheme(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES})
-        monkeypatch.setattr(seccheck, "_calibrate", fake)
+        monkeypatch.setattr(seccheck, "calibrate", fake)
         got = calibrate_for_matrix(self.G, Ordering.VIAD, MATRIX_SCHEMES, CFG)
         assert fake.calls == [(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES]
         assert got == {s: own_params(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES}
@@ -381,7 +382,7 @@ class TestMatrixFallback:
         fake = ScriptedCalibrate(
             {(g, o, s) for g, o, _ in cells for s in SchemeId if (g, o, behaviour(g, o, s)) in feasible_classes}
         )
-        monkeypatch.setattr(seccheck, "_calibrate", fake)
+        monkeypatch.setattr(seccheck, "calibrate", fake)
         got = matrix_calibrations(CFG, MATRIX_SCHEMES)
         assert set(got) == cells
         defaults = shared = 0
@@ -420,6 +421,42 @@ class TestMatrixFallback:
         monkeypatch.setattr(attacks, "build_attack_program", counting)
         matrix_calibrations(CFG, MATRIX_SCHEMES)
         assert len(builds) == len(set(builds)) == 143
+
+
+class TestSharedBuilds:
+    def test_shared_builds_give_the_calibration_of_a_fresh_search(self):
+        # mshr/vdad is feasible unprotected and infeasible under dom-nontso,
+        # whose sweep starts from a candidate the first search built.
+        builds = {}
+        for scheme, feasible in ((SchemeId.UNSAFE, True), (SchemeId.DOM_NONTSO, False)):
+            got = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG, builds=builds)
+            fresh = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG)
+            assert got.feasible is feasible
+            assert (got.feasible, got.params, got.trace) == (fresh.feasible, fresh.params, fresh.trace)
+        assert builds
+        for plan in builds.values():
+            assert plan.trace_cache == {} and plan.outcome_cache == {}
+
+
+class TestBenchmarkSeam:
+    def test_calibration_layer_sees_every_matrix_search(self, monkeypatch):
+        # The benchmark traces calibration by wrapping seccheck.calibrate;
+        # a matrix search that went around that name would read 0 there.
+        monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+        import layers
+        from recorder import Recorder
+
+        names = ("pipeline", "microprog", "attacks", "seccheck")
+        m = SimpleNamespace(**{n: importlib.import_module(f"specsim.{n}") for n in names})
+        rec = Recorder()
+        layers.install(m, rec)
+        try:
+            calibrate_for_matrix(Gadget.RS, Ordering.VIAD, [SchemeId.DOM_NONTSO], CFG)
+        finally:
+            rec.restore()
+        assert len(rec.named(layers.CALIBRATE)) == 1
+        runs = rec.named(layers.RUN)
+        assert runs and all(s.attrs["in_calibrate"] for s in runs)
 
 
 class CountingRun:
