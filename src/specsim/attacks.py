@@ -169,10 +169,12 @@ class AttackPlan:
     decode: Mapping[tuple[bool, ...], int]  # probe outcome -> bit
     # The simulator is a pure function of its inputs, so a bit's victim
     # trace is shared across trials; only probe noise varies per trial.
-    trace_cache: dict[int, ExecutionTrace] = field(default_factory=dict)
+    # Both caches start empty in every plan, copies made by replace()
+    # included, so a copy never reads what another scheme ran.
+    trace_cache: dict[int, ExecutionTrace] = field(default_factory=dict, init=False)
     # With the trace fixed, the noiseless probe outcome is a pure function
     # of the bit and the interloper lines drawn: (bit, draws) -> outcome.
-    outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = field(default_factory=dict)
+    outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = field(default_factory=dict, init=False)
     interloper_pool: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -212,13 +214,12 @@ class AttackPlan:
 def plan_attack(
     gadget: Gadget,
     ordering: Ordering,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     cfg: MachineConfig,
     params: AttackParams | None = None,
 ) -> AttackPlan:
     p = params or AttackParams()
     lay = AttackLayout(cfg.geometry)
-    scheme = SchemeId(scheme) if isinstance(scheme, str) else scheme
     program, script = build_attack_program(ordering, gadget, cfg, p)
     anchor = anchor_line(ordering, lay)
     if gadget is Gadget.RS:
@@ -268,7 +269,7 @@ def _decode_bit(votes: list[int]) -> int:
 def run_attack(
     gadget: Gadget,
     ordering: Ordering,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     secret_bits: list[int],
     trials_per_bit: int,
     noise: float,
@@ -457,16 +458,17 @@ class MatrixResult:
 def vulnerability_matrix(
     cfg: MachineConfig,
     seed: int,
+    calibrations: dict[tuple[Gadget, Ordering, SchemeId], AttackParams],
     bits: int = 32,
     trials: int = 3,
     schemes: tuple[SchemeId, ...] = MATRIX_SCHEMES,
-    calibrations: dict[tuple[Gadget, Ordering, SchemeId], AttackParams] | None = None,
 ) -> MatrixResult:
     """Run every constructible (gadget, ordering-group, scheme) attack at
     zero noise and mark cells whose decode error stays under the working
-    threshold. Calibrations map each cell to sender parameters; missing
-    entries use the builder defaults. A cell whose sender, parameters and
-    engine behaviour match an earlier cell's reuses that cell's result."""
+    threshold. Calibrations map every (gadget, ordering, scheme) the cells
+    evaluate to sender parameters, as ``matrix_calibrations`` returns them
+    for the same schemes. A cell whose sender, parameters and engine
+    behaviour match an earlier cell's reuses that cell's result."""
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
     cells: list[MatrixCell] = []
@@ -480,7 +482,7 @@ def vulnerability_matrix(
             for scheme in schemes:
                 best = 1.0
                 for ordering in group_orderings(group, scheme):
-                    params = (calibrations or {}).get((gadget, ordering, scheme))
+                    params = calibrations[(gadget, ordering, scheme)]
                     key = (gadget, ordering, params, engine_behaviour(scheme, marks_fetch(gadget, ordering)))
                     res = results.get(key)
                     if res is None:
@@ -519,7 +521,7 @@ class SweepPoint:
 def sweep_error_vs_rate(
     gadget: Gadget,
     ordering: Ordering,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     noise: float,
     trial_counts: list[int],
     bits: int,

@@ -15,7 +15,7 @@ import argparse
 import configparser
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .attacks import (
     MATRIX_SCHEMES,
@@ -57,29 +57,11 @@ class ConfigError(ValueError):
     pass
 
 
-_MACHINE_KEYS = {
-    "fetch_width",
-    "dispatch_width",
-    "issue_width",
-    "retire_width",
-    "rob_size",
-    "rs_size",
-    "cdb_width",
-    "l1d_mshrs",
-    "branch_resolve_extra",
-    "writeback_delay",
-    "npeu_latency",
-    "npeu_count",
-    "alu_count",
-    "lsu_count",
-    "l1_sets",
-    "l1_ways",
-    "llc_sets",
-    "llc_ways",
-    "lat_l1",
-    "lat_llc",
-    "lat_mem",
-}
+# [machine] keys: every integer field of the config and of its cache
+# geometry under its own name, plus four keys that set EU-table entries.
+_GEOMETRY_KEYS = {f.name for f in fields(CacheGeometry)}
+_EU_KEYS = {"npeu_latency", "npeu_count", "alu_count", "lsu_count"}
+_MACHINE_KEYS = {f.name for f in fields(MachineConfig)} - {"eu", "geometry"} | _GEOMETRY_KEYS | _EU_KEYS
 _SCHEME_KEYS = {"id"}
 _ATTACK_KEYS = {"z_len", "f_len", "fp_len", "g_len", "m", "reference_offset"}
 
@@ -105,10 +87,7 @@ def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, Attac
             raise ConfigError(f"unknown config section [{section}]")
     if parser.has_section("machine"):
         items = _int_items(parser, "machine", _MACHINE_KEYS)
-        geom_kw = {}
-        for key in ("l1_sets", "l1_ways", "llc_sets", "llc_ways", "lat_l1", "lat_llc", "lat_mem"):
-            if key in items:
-                geom_kw[key] = items.pop(key)
+        geom_kw = {key: items.pop(key) for key in _GEOMETRY_KEYS & set(items)}
         eu = dict(cfg.eu)
         if "npeu_latency" in items or "npeu_count" in items:
             eu["npeu"] = EuClass(

@@ -1,6 +1,10 @@
 """Two-level memory hierarchy: per-core L1I/L1D, a shared LLC with the
-QLRU_H11_M1_R0_U0 replacement policy, MSHRs, and the visible/invisible
-access discipline that records the attacker-observable access pattern.
+QLRU_H11_M1_R0_U0 replacement policy, MSHRs, and the attacker-observable
+access pattern. Every access the hierarchy performs is persistent: it
+updates replacement state and, at the LLC, appends to the pattern.
+Invisible service of a protected load belongs to the engine: the load
+holds an MSHR and takes the level's latency, and the hierarchy sees no
+access until the engine replays it at the load's safe cycle.
 
 QLRU_H11_M1_R0_U0 in one breath: lines carry a 2-bit age; inserts land in
 the leftmost free way with age 1; a hit promotes 3->1, 2->1, 1->0, 0->0;
@@ -235,14 +239,10 @@ class CacheImage:
                     raise ValueError(f"{name} set {set_idx} out of range")
                 if len(ways) > n_ways:
                     raise ValueError(f"{name} set {set_idx} lists {len(ways)} ways > {n_ways}")
-                tags = [t for t, _ in ways if t is not None]
-                if len(tags) != len(set(tags)):
-                    raise ValueError(f"{name} set {set_idx} has duplicate tags")
-                for tag, age in ways:
+                _check_ways(name, set_idx, ways)
+                for tag, _ in ways:
                     if tag is None:
                         continue
-                    if not 0 <= age <= AGE_MAX:
-                        raise ValueError(f"{name} line {tag} age {age} out of range")
                     if index(tag) != set_idx:
                         raise ValueError(f"{name} line {tag} does not map to set {set_idx}")
                     placed.add(tag)
@@ -289,38 +289,55 @@ class CacheImage:
         return img
 
 
+def _check_ways(kind: str, set_idx: int, ways: list[tuple[int | None, int]]) -> None:
+    """The rules one set's way list keeps without the geometry: every age
+    in range, no tag twice. Parsing checks them where the error can name
+    the image line; validate() checks images built in code."""
+    seen: set[int] = set()
+    for tag, age in ways:
+        if tag is None:
+            continue
+        if not 0 <= age <= AGE_MAX:
+            raise ValueError(f"{kind} line {tag} age {age} out of range")
+        if tag in seen:
+            raise ValueError(f"{kind} set {set_idx} has duplicate tags")
+        seen.add(tag)
+
+
 def _parse_ways(kind: str, set_idx: int, text: str) -> list[tuple[int | None, int]]:
-    """One set's ways=[TAG:AGE,-,...] list. Ages and repeated tags are
-    checked here, where the error can name the image line; whether a tag
-    maps to its set depends on the geometry and is left to validate()."""
+    """One set's ways=[TAG:AGE,-,...] list. Whether a tag maps to its set
+    depends on the geometry and is left to validate()."""
     body = text[1:-1]
     if len(text) < 2 or text[0] != "[" or text[-1] != "]" or "[" in body or "]" in body:
         raise ValueError(f"ways must be one [...] list, got {text!r}")
+    parts = body.split(",") if body else []
+    if "" in parts:
+        raise ValueError(f"empty item in list {body!r}")
     ways: list[tuple[int | None, int]] = []
-    for part in body.split(",") if body else ():
+    for part in parts:
         if part == "-":
             ways.append((None, 0))
             continue
-        tag_text, age_text = part.split(":")
-        tag, age = int(tag_text), int(age_text)
-        if not 0 <= age <= AGE_MAX:
-            raise ValueError(f"{kind} line {tag} age {age} out of range")
-        if any(t == tag for t, _ in ways):
-            raise ValueError(f"{kind} set {set_idx} has duplicate tags")
-        ways.append((tag, age))
+        tag_text, sep, age_text = part.partition(":")
+        if not sep:
+            raise ValueError(f"{part!r} is not a TAG:AGE pair or -")
+        ways.append((int(tag_text), int(age_text)))
+    _check_ways(kind, set_idx, ways)
     return ways
 
 
-def _record_fields(fields: list[str], keys: tuple[str, ...]) -> dict[str, str]:
-    """A cache image record's key=value fields: each of keys exactly once,
-    and nothing else."""
+def _record_fields(fields: list[str], keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
+    """A text record's key=value fields, in text order: each of keys
+    exactly once, each of optional at most once, and nothing else. Cache
+    image records and program ops both read their fields here."""
+    known = keys + optional
     kv: dict[str, str] = {}
     for f in fields:
         key, sep, val = f.partition("=")
-        if not sep:
+        if not key or not sep:
             raise ValueError(f"expected key=value, got {f!r}")
-        if key not in keys:
-            raise ValueError(f"unknown field {key!r} (expected {', '.join(keys)})")
+        if key not in known:
+            raise ValueError(f"unknown field {key!r} (expected {', '.join(known)})")
         if key in kv:
             raise ValueError(f"repeated field {key!r}")
         kv[key] = val
@@ -371,11 +388,11 @@ class MemHier:
         self.llc = SetArray(geom.llc_sets, geom.llc_ways)
         self.mshrs = MshrFile(mshrs)
         self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
-        self.scripts: dict[int, Level] = {}
+        self.scripts: dict[int, Level] = {}  # read only: the image's own
         self.pattern: list[AccessRecord] = []
         if image is not None:
             image.validate(geom)
-            self.scripts = dict(image.scripts)
+            self.scripts = image.scripts
             for sets, content in ((self.llc, image.llc), (self.l1d, image.l1d), (self.l1i, image.l1i)):
                 for set_idx, ways in content.items():
                     sets[set_idx] = CacheSet(sets.ways, ways)
@@ -395,31 +412,22 @@ class MemHier:
     def latency(self, level: Level) -> int:
         return self._latency[level]
 
-    def llc_access(
-        self,
-        line: int,
-        requester: Requester,
-        visible: bool,
-        cycle: int,
-        op_id: int | None = None,
-    ) -> str:
-        """One LLC access. Visible accesses update QLRU state and append to
-        the pattern; invisible accesses change nothing anywhere. Returns
-        "hit" or "miss" (for phantom lines, per their script level)."""
+    def llc_access(self, line: int, requester: Requester, cycle: int, op_id: int | None = None) -> str:
+        """One LLC access: update QLRU state and append to the pattern.
+        Returns "hit" or "miss" (for phantom lines, per their script level)."""
         script = self.scripts.get(line)
         if script is not None:
-            if visible and script is not Level.L1HIT:
+            if script is not Level.L1HIT:
                 self.pattern.append(AccessRecord(cycle, line, requester, "fill", op_id))
             return "hit" if script is Level.LLCHIT else "miss"
         cset = self.llc[self.geom.llc_index(line)]
         hit = cset.resident(line)
-        if visible:
-            evicted = qlru_touch(cset, line)
-            if evicted is not None:
-                # Inclusive LLC: back-invalidate the L1 copies.
-                self.l1d[self.geom.l1_index(evicted)].invalidate(evicted)
-                self.l1i[self.geom.l1_index(evicted)].invalidate(evicted)
-            self.pattern.append(AccessRecord(cycle, line, requester, "fill", op_id))
+        evicted = qlru_touch(cset, line)
+        if evicted is not None:
+            # Inclusive LLC: back-invalidate the L1 copies.
+            self.l1d[self.geom.l1_index(evicted)].invalidate(evicted)
+            self.l1i[self.geom.l1_index(evicted)].invalidate(evicted)
+        self.pattern.append(AccessRecord(cycle, line, requester, "fill", op_id))
         return "hit" if hit else "miss"
 
     def l1_fill(self, line: int, icache: bool = False) -> None:

@@ -18,7 +18,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .machine import MachineConfig
-from .memhier import CacheGeometry
+from .memhier import CacheGeometry, _record_fields
 
 
 class OpKind(Enum):
@@ -335,6 +335,9 @@ def _parse_ids(text: str) -> tuple[int, ...]:
     return tuple(int(i) for i in items)
 
 
+_OP_FIELDS = ("deps", "addr", "lat", "iline", "fence", "branch")
+
+
 def parse_program(text: str) -> MicroProgram:
     ops: list[MicroOp] = []
     secrets: dict[str, int] = {}
@@ -366,12 +369,7 @@ def parse_program(text: str) -> MicroProgram:
             kind = OpKind(fields[1])
             kw: dict = {}
             deps: tuple[int, ...] = ()
-            seen: set[str] = set()
-            for f in fields[2:]:
-                key, val = f.split("=", 1)
-                if key in seen:
-                    raise ValueError(f"repeated field {key!r}")
-                seen.add(key)
+            for key, val in _record_fields(fields[2:], (), _OP_FIELDS).items():
                 if key == "deps":
                     body = val[1:-1]
                     if val[:1] != "[" or val[-1:] != "]" or "[" in body or "]" in body:
@@ -389,10 +387,8 @@ def parse_program(text: str) -> MicroProgram:
                     if val not in ("0", "1"):
                         raise ValueError(f"fence={val}: want 0 or 1")
                     kw["fence_after"] = val == "1"
-                elif key == "branch":
-                    kw["branch"] = _parse_branch(val)
                 else:
-                    raise ValueError(f"unknown field {key!r}")
+                    kw["branch"] = _parse_branch(val)
             ops.append(MicroOp(id=op_id, kind=kind, src_deps=deps, **kw))
         except (ValueError, IndexError) as e:
             raise ValueError(f"program line {lineno}: {e}") from e

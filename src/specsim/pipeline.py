@@ -117,7 +117,8 @@ resolve, safe transition, retire, squash):
     last write-back still ahead (heap by ready cycle), or inputs ready
     (ascending ids, the issue candidates; a parked load stays here);
   - finishing / cdb_queue: issued ops by finish cycle, then the finished
-    ones awaiting the bus by id;
+    ones awaiting the bus by id; together they are the issued, incomplete
+    ops, so their lengths sum to the occupancy rows' eu_busy column;
   - unresolved_done: completed branches not yet resolved;
   - shadow: one ShadowState whose frontiers (oldest unresolved branch,
     oldest incomplete load and store, oldest open fence) serve both the
@@ -285,7 +286,7 @@ class ExecutionTrace:
 def run(
     program: MicroProgram,
     cfg: MachineConfig,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     secrets: dict[str, int] | None = None,
     image: CacheImage | None = None,
     attacker: AttackScript | list[tuple[int, int]] | None = None,
@@ -343,7 +344,6 @@ class _Engine:
         self.shadow = ShadowState(tables.fence_points[spec.fence_model])
         # Validation allows exactly one non-pipelined class: one busy list.
         self.npeu_busy_until = [0] * cfg.eu[cfg.npeu_class].count
-        self.inflight = 0  # issued, not completed (occupancy reporting)
         self.ifetch_replays: list[tuple[int, int]] = []  # (cycle, op_id)
         if attacker is None:
             self.attacker: list[tuple[int, int]] = []
@@ -470,7 +470,7 @@ class _Engine:
             if rob and recs[rob[0]].complete != NEVER:
                 self._phase_retire()
             held = len(mshrs.entries)
-            occupancy.append((cycle, self.rs_count, held, self.inflight))
+            occupancy.append((cycle, self.rs_count, held, len(self.finishing) + len(self.cdb_queue)))
             assert self.rs_count <= rs_size
             assert held <= n_mshrs
             self.cycle = cycle + 1
@@ -519,7 +519,7 @@ class _Engine:
                 range(self.cycle, target),
                 repeat(self.rs_count),
                 repeat(len(self.hier.mshrs.entries)),
-                repeat(self.inflight),
+                repeat(len(self.finishing) + len(self.cdb_queue)),
             )
         )
         self.cycle = target
@@ -547,7 +547,6 @@ class _Engine:
         for _ in range(min(self.cfg.cdb_width, len(cdb_queue))):
             i = heappop(cdb_queue)
             recs[i].complete = cycle
-            self.inflight -= 1
             records.append((cycle, "complete", i, None))
             self._completed(i)
 
@@ -581,8 +580,6 @@ class _Engine:
             if r.in_rs:
                 r.in_rs = False
                 self.rs_count -= 1
-            if r.finish != NEVER and r.complete == NEVER:
-                self.inflight -= 1
             if r.npeu_unit is not None:
                 self.npeu_busy_until[r.npeu_unit] = self.cycle
             self.hier.mshrs.drop_waiter(i)
@@ -658,7 +655,7 @@ class _Engine:
         while self.attacker_pos < len(self.attacker) and self.attacker[self.attacker_pos][0] <= self.cycle:
             _, line = self.attacker[self.attacker_pos]
             self.attacker_pos += 1
-            res = self.hier.llc_access(line, Requester.ATTACKER, visible=True, cycle=self.cycle)
+            res = self.hier.llc_access(line, Requester.ATTACKER, self.cycle)
             self._event("l2access", None, {"line": line, "requester": "attacker", "result": res})
 
     # -- issue -----------------------------------------------------------
@@ -762,7 +759,6 @@ class _Engine:
         """The op executes from this cycle; its result is due after latency."""
         finish = self.recs[op_id].finish = self.cycle + latency
         heappush(self.finishing, (finish, op_id))
-        self.inflight += 1
 
     def _issue_load(self, op_id: int) -> str:
         """Access the D-side for a load at its issue point. Returns "ok",
@@ -792,9 +788,10 @@ class _Engine:
         if mshr is None:
             self._event("mshr_stall", op_id, {"line": line})
             return "stall"
-        invisible = not safe and self.spec.miss_policy is MissPolicy.INVISIBLE
-        if invisible:
-            self.hier.llc_access(line, Requester.VICTIM, visible=False, cycle=self.cycle, op_id=op_id)
+        if not safe and self.spec.miss_policy is MissPolicy.INVISIBLE:
+            # Serviced invisibly: the MSHR and the latency are all it costs
+            # now. The hierarchy sees the access only when the safe
+            # transition replays it.
             r.pending_replay = True
         else:
             r.delayed = False
@@ -809,7 +806,7 @@ class _Engine:
         if self.hier.service_level(line) is Level.L1HIT:
             self.hier.l1_hit_update(line)
             return
-        res = self.hier.llc_access(line, Requester.VICTIM, visible=True, cycle=self.cycle, op_id=op_id)
+        res = self.hier.llc_access(line, Requester.VICTIM, self.cycle, op_id)
         self.hier.l1_fill(line)
         self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res})
 
@@ -820,7 +817,7 @@ class _Engine:
             self.hier.l1_hit_update(line, icache=True)
             self._event("ifetch", op_id, {"line": line, "level": "l1i"})
             return
-        res = self.hier.llc_access(line, Requester.VICTIM, visible=True, cycle=self.cycle, op_id=op_id)
+        res = self.hier.llc_access(line, Requester.VICTIM, self.cycle, op_id)
         self.hier.l1_fill(line, icache=True)
         self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res, "fetch": 1})
 

@@ -103,13 +103,11 @@ _SPECS: dict[SchemeId, SchemeSpec] = {
 }
 
 
-def scheme_spec(scheme: SchemeId | str) -> SchemeSpec:
-    if isinstance(scheme, str):
-        scheme = SchemeId(scheme)
+def scheme_spec(scheme: SchemeId) -> SchemeSpec:
     return _SPECS[scheme]
 
 
-def engine_behaviour(scheme: SchemeId | str, marked_fetch: bool) -> SchemeSpec:
+def engine_behaviour(scheme: SchemeId, marked_fetch: bool) -> SchemeSpec:
     """The scheme as the engine sees it on a program. Two schemes with
     equal behaviour give byte-identical runs, so a caller may simulate one
     and reuse the result for the other. ``marked_fetch`` false promises a

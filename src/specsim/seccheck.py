@@ -68,7 +68,7 @@ def _first_divergence(a: list[PatternKey], b: list[PatternKey]) -> int:
 def nospec(
     program: MicroProgram,
     cfg: MachineConfig,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     secrets: dict[str, int] | None = None,
     image: CacheImage | None = None,
     attacker: AttackScript | None = None,
@@ -83,7 +83,7 @@ def nospec(
 def check_ideal(
     program: MicroProgram,
     cfg: MachineConfig,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     secrets: dict[str, int] | None = None,
     image: CacheImage | None = None,
     attacker: AttackScript | None = None,
@@ -120,7 +120,7 @@ def _secret_assignments(program: MicroProgram) -> list[dict[str, int]]:
 def check_ideal_differential(
     program: MicroProgram,
     cfg: MachineConfig,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     image: CacheImage | None = None,
     attacker: AttackScript | None = None,
 ) -> CheckResult:
@@ -201,7 +201,7 @@ def _order_flip(plan) -> bool:
 def calibrate(
     gadget: Gadget,
     ordering: Ordering,
-    scheme: SchemeId | str,
+    scheme: SchemeId,
     cfg: MachineConfig | None = None,
     base: AttackParams | None = None,
     builds: dict[AttackParams, AttackPlan] | None = None,
@@ -218,14 +218,13 @@ def calibrate(
     its scheme with empty caches. It saves builds only; the result is the
     same with or without it."""
     cfg = cfg or MachineConfig()
-    scheme = SchemeId(scheme)
     base = base or AttackParams()
     builds = {} if builds is None else builds
 
     def plan_for(params: AttackParams) -> AttackPlan:
         if params not in builds:
             builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
-        return replace(builds[params], scheme=scheme, trace_cache={}, outcome_cache={})
+        return replace(builds[params], scheme=scheme)
 
     trace: list[str] = []
     try:
@@ -345,7 +344,7 @@ def victim_timing(plan: AttackPlan) -> dict[str, tuple[int, int]]:
 
 def interference_gap(
     cfg: MachineConfig | None = None,
-    scheme: SchemeId | str = SchemeId.DOM_NONTSO,
+    scheme: SchemeId = SchemeId.DOM_NONTSO,
 ) -> tuple[int, int]:
     """Victim completion delta for the calibrated non-pipelined-EU sender:
     (gadget executing vs inert, gadget executing vs removed).

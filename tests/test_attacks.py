@@ -25,6 +25,7 @@ from specsim.attacks import (
     run_attack,
     sweep_error_vs_rate,
 )
+from specsim.pipeline import run
 from specsim.schemes import SchemeId
 from specsim.seccheck import calibrate_for_matrix
 
@@ -293,6 +294,17 @@ class TestReceiverReference:
             assert outcome == reference_outcome(plan, state, draws)
             seen.add(outcome)
         assert seen == {(True,), (False,)}
+
+    def test_a_plan_copy_runs_under_its_own_scheme(self):
+        plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG)
+        unsafe = plan.victim_trace(1).serialize()
+        copy = replace(plan, scheme=SchemeId.DOM_NONTSO)
+        assert copy.trace_cache == {} and copy.outcome_cache == {}
+        kw = dict(secrets={"s0": 1}, image=plan.image, attacker=plan.script)
+        fresh = run(plan.program, CFG, SchemeId.DOM_NONTSO, **kw)
+        assert fresh.serialize() != unsafe
+        assert copy.victim_trace(1).serialize() == fresh.serialize()
+        assert plan.victim_trace(1).serialize() == unsafe
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from specsim.attacks import plan_attack, run_attack
 from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
+from specsim.memhier import CacheGeometry
 from specsim.microprog import AttackParams, Gadget, Ordering, build_attack_program, format_program
 from specsim.schemes import SchemeId
 from specsim.seccheck import calibrate, interference_gap, victim_timing
@@ -325,7 +327,7 @@ class TestBenchAndCalibrate:
             complete["gadget_present"] - complete["gadget_inert"],
             complete["gadget_present"] - complete["gadget_removed"],
         )
-        assert gaps == interference_gap(MachineConfig(), "dom-nontso")
+        assert gaps == interference_gap(MachineConfig(), SchemeId.DOM_NONTSO)
 
     def test_calibrate_timing_csv_mshr_rows(self, tmp_path):
         out_file = tmp_path / "timing.csv"
@@ -354,7 +356,7 @@ class TestBenchAndCalibrate:
         )
         assert code == EXIT_INFEASIBLE
         cfg, _, params = load_config(str(cfg_file))
-        plan = plan_attack(Gadget.MSHR, Ordering.VDVD, "unsafe", cfg, params)
+        plan = plan_attack(Gadget.MSHR, Ordering.VDVD, SchemeId.UNSAFE, cfg, params)
         present = victim_timing(plan)["gadget_present"]
         assert out_file.read_text().splitlines()[1] == f"gadget_present,{present[0]},{present[1]}"
 
@@ -395,6 +397,28 @@ class TestDumpPolicy:
         assert "argument --ways: must be >= 1, got 0" in err
 
 
+# Every [machine] key, each naming one config field, geometry field or
+# EU class attribute.
+MACHINE_KEYS = [
+    "fetch_width", "dispatch_width", "issue_width", "retire_width", "rob_size", "rs_size", "cdb_width",
+    "l1d_mshrs", "branch_resolve_extra", "writeback_delay",
+    "l1_sets", "l1_ways", "llc_sets", "llc_ways", "lat_l1", "lat_llc", "lat_mem",
+    "npeu_latency", "npeu_count", "alu_count", "lsu_count",
+]
+EU_KEYS = {"npeu_latency", "npeu_count", "alu_count", "lsu_count"}
+
+
+def config_changes(cfg: MachineConfig) -> set[str]:
+    """Where cfg differs from the default config: top-level and geometry
+    fields by name, EU table entries as eu:<class>."""
+    base = MachineConfig()
+    out = {f.name for f in fields(MachineConfig) if f.name not in ("eu", "geometry")
+           and getattr(cfg, f.name) != getattr(base, f.name)}
+    out |= {f.name for f in fields(CacheGeometry) if getattr(cfg.geometry, f.name) != getattr(base.geometry, f.name)}
+    out |= {f"eu:{k}" for k in base.eu.keys() | cfg.eu.keys() if cfg.eu.get(k) != base.eu.get(k)}
+    return out
+
+
 class TestConfig:
     def test_machine_overrides(self, tmp_path):
         cfg_file = tmp_path / "m.cfg"
@@ -404,6 +428,31 @@ class TestConfig:
         assert cfg.eu["npeu"].latency == 8
         assert cfg.geometry.lat_mem == 150
         assert scheme is None and params is None
+
+    @pytest.mark.parametrize("key", MACHINE_KEYS)
+    def test_each_machine_key_sets_its_own_field(self, tmp_path, key):
+        base = MachineConfig()
+        if key in EU_KEYS:
+            klass, _, attr = key.partition("_")
+            where, value = f"eu:{klass}", getattr(base.eu[klass], attr) + 1
+        else:
+            where, value = key, getattr(base if hasattr(base, key) else base.geometry, key) + 1
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(f"[machine]\n{key} = {value}\n")
+        cfg, _, _ = load_config(str(cfg_file))
+        assert config_changes(cfg) == {where}
+        if key in EU_KEYS:
+            assert getattr(cfg.eu[klass], attr) == value
+        else:
+            assert getattr(cfg if hasattr(cfg, key) else cfg.geometry, key) == value
+
+    @pytest.mark.parametrize("key", ["rob_szie", "llc_set", "eu", "geometry"])
+    def test_misspelt_machine_key_is_a_usage_error(self, tmp_path, program_file, key):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(f"[machine]\n{key} = 3\n")
+        code, _, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE
+        assert f"unknown [machine] keys: ['{key}']" in err
 
     def test_scheme_and_attack_sections(self, tmp_path):
         cfg_file = tmp_path / "m.cfg"

@@ -292,7 +292,7 @@ def reference_run(program, cfg, scheme, secrets=None, image=None, attacker=None,
         n_events = len(e.records)
         for phase in PHASES:
             phase(e)
-        e.occupancy.append((e.cycle, e.rs_count, len(e.hier.mshrs.entries), e.inflight))
+        e.occupancy.append((e.cycle, e.rs_count, len(e.hier.mshrs.entries), len(e.finishing) + len(e.cdb_queue)))
         e.cycle += 1
         new = e.records[n_events:]
         if all(r[1] == "mshr_stall" for r in new) and (e.rob or e.fetch_pos < n):

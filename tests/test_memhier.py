@@ -1,5 +1,6 @@
 """QLRU state machine, MSHR file, cache image, and access-pattern tests."""
 
+import itertools
 import math
 import random
 
@@ -20,6 +21,13 @@ from specsim.memhier import (
     order_sensitivity,
     qlru_touch,
 )
+
+from specsim.attacks import plan_attack
+from specsim.machine import MachineConfig
+from specsim.microprog import Gadget, Ordering, constructible
+from specsim.pipeline import run
+from specsim.schemes import SchemeId
+from specsim.seccheck import gen_random_program
 
 from qlru_ref import new_set, ref_access, ref_state, replay
 
@@ -197,32 +205,56 @@ class TestMemHier:
 
     def test_visible_miss_fills_and_records(self):
         h = self._hier()
-        res = h.llc_access(5, Requester.VICTIM, visible=True, cycle=3, op_id=1)
+        res = h.llc_access(5, Requester.VICTIM, cycle=3, op_id=1)
         assert res == "miss"
         assert h.llc[5].resident(5)
         assert [r.key() for r in h.pattern] == [(5, "victim", "fill")]
 
     def test_visible_hit_promotes_and_records(self):
         h = self._hier()
-        h.llc_access(5, Requester.ATTACKER, visible=True, cycle=0)
-        h.llc_access(5, Requester.VICTIM, visible=True, cycle=1)
+        h.llc_access(5, Requester.ATTACKER, cycle=0)
+        h.llc_access(5, Requester.VICTIM, cycle=1)
         cset = h.llc[5]
         assert cset.ages[cset.find(5)] == 0  # inserted at 1, hit to 0
         assert len(h.pattern) == 2
 
-    def test_invisible_access_changes_nothing(self):
-        image = CacheImage(llc={5: [(5, 1), (133, 2)]})
-        h = self._hier(image)
-        before = h.llc[5].state()
-        for line in (5, 261, 999):
-            h.llc_access(line, Requester.VICTIM, visible=False, cycle=2)
-        assert h.llc[5].state() == before
-        assert h.pattern == []
+    def test_every_hierarchy_llc_access_is_logged(self, monkeypatch):
+        # The hierarchy performs only persistent accesses: each LLC access
+        # it sees is one l2access record of the run, under every scheme.
+        # Invisible service never reaches it (the engine keeps the MSHR
+        # and the latency, and replays the access once the load is safe).
+        calls = []
+        real = MemHier.llc_access
+
+        def spy(hier, *args, **kwargs):
+            calls.append(args[0])
+            return real(hier, *args, **kwargs)
+
+        monkeypatch.setattr(MemHier, "llc_access", spy)
+        cfg = MachineConfig()
+        runs = []
+        for gadget, ordering in itertools.product(Gadget, Ordering):
+            if constructible(gadget, ordering):
+                plan = plan_attack(gadget, ordering, SchemeId.UNSAFE, cfg)
+                label = f"{gadget.value}/{ordering.value}"
+                runs += [(f"{label}/{b}", plan.program, plan.image, plan.script, {"s0": b}) for b in (0, 1)]
+        for seed in range(30):
+            prog, image = gen_random_program(seed)
+            runs.append((f"random:{seed}", prog, image, None, None))
+        bad = []
+        for (label, prog, image, attacker, secrets), scheme in itertools.product(runs, SchemeId):
+            calls.clear()
+            t = run(prog, cfg, scheme, secrets=secrets, image=image, attacker=attacker)
+            logged = sum(1 for r in t.records if r[1] == "l2access")
+            if len(calls) != logged:
+                bad.append((label, scheme.value, len(calls), logged))
+        assert len(runs) * len(SchemeId) == 480
+        assert bad == []
 
     def test_scripted_lines_are_phantom(self):
         image = CacheImage(scripts={77: Level.MEMMISS, 78: Level.L1HIT})
         h = self._hier(image)
-        assert h.llc_access(77, Requester.VICTIM, visible=True, cycle=1) == "miss"
+        assert h.llc_access(77, Requester.VICTIM, cycle=1) == "miss"
         assert not h.llc[77 % 128].resident(77)
         assert [r.key() for r in h.pattern] == [(77, "victim", "fill")]
         assert h.service_level(78) is Level.L1HIT
@@ -230,18 +262,18 @@ class TestMemHier:
     def test_inclusive_eviction_invalidates_l1(self):
         geom = CacheGeometry(llc_sets=2, llc_ways=2, l1_sets=2, l1_ways=2)
         h = MemHier(geom, mshrs=4)
-        h.llc_access(0, Requester.VICTIM, visible=True, cycle=0)
+        h.llc_access(0, Requester.VICTIM, cycle=0)
         h.l1_fill(0)
         assert h.l1d[0].resident(0)
-        h.llc_access(2, Requester.VICTIM, visible=True, cycle=1)
-        h.llc_access(4, Requester.VICTIM, visible=True, cycle=2)  # evicts line 0
+        h.llc_access(2, Requester.VICTIM, cycle=1)
+        h.llc_access(4, Requester.VICTIM, cycle=2)  # evicts line 0
         assert not h.llc[0].resident(0)
         assert not h.l1d[0].resident(0)
 
     def test_service_level_walks_hierarchy(self):
         h = self._hier()
         assert h.service_level(9) is Level.MEMMISS
-        h.llc_access(9, Requester.VICTIM, visible=True, cycle=0)
+        h.llc_access(9, Requester.VICTIM, cycle=0)
         assert h.service_level(9) is Level.LLCHIT
         h.l1_fill(9)
         assert h.service_level(9) is Level.L1HIT
@@ -270,6 +302,9 @@ IMAGE_TYPOS = [
     ("age-too-high", "llc set=9 ways=[]\nllc set=5 ways=[5:4]", "line 2: llc line 5 age 4 out of range"),
     ("age-negative", "l1d set=5 ways=[-,5:-1]", "line 1: l1d line 5 age -1 out of range"),
     ("duplicate-tag", "llc set=5 ways=[5:1,-,5:2]", "line 1: llc set 5 has duplicate tags"),
+    ("empty-way", "llc set=5 ways=[5:1,,6:1]", "line 1: empty item in list '5:1,,6:1'"),
+    ("tag-without-age", "llc set=5 ways=[5]", "line 1: '5' is not a TAG:AGE pair or -"),
+    ("empty-key", "llc set=5 ways=[5:1] =5", "line 1: expected key=value, got '=5'"),
 ]
 
 
@@ -294,7 +329,7 @@ class TestCacheImage:
         h = MemHier(CacheGeometry(), mshrs=4, image=img)
         h.l1_fill(69)
         assert h.l1d[5].state()[:2] == ((69, 1), (5, 1))
-        h.llc_access(261, Requester.VICTIM, visible=True, cycle=0)
+        h.llc_access(261, Requester.VICTIM, cycle=0)
         assert h.llc[5].state()[:3] == ((5, 0), (261, 1), (133, 2))
 
     def test_parse_rejects_garbage(self):
@@ -309,6 +344,16 @@ class TestCacheImage:
     def test_the_same_set_at_another_level_is_not_a_repeat(self):
         img = CacheImage.parse("llc set=5 ways=[5:1]\nl1d set=5 ways=[5:1]\nl1i set=5 ways=[5:1]\n")
         assert img.llc[5] == img.l1d[5] == img.l1i[5] == [(5, 1)]
+
+    @pytest.mark.parametrize("ways, message", [
+        ([(5, 4)], "llc line 5 age 4 out of range"),
+        ([(5, 1), (None, 0), (5, 2)], "llc set 5 has duplicate tags"),
+    ], ids=["age", "duplicate-tag"])
+    def test_validate_gives_the_parse_messages(self, ways, message):
+        # One rule serves both paths; parsing only adds the line number.
+        with pytest.raises(ValueError) as exc:
+            CacheImage(llc={5: ways}).validate(CacheGeometry())
+        assert str(exc.value) == message
 
     def test_validate_rejects_wrong_set(self):
         img = CacheImage(llc={5: [(6, 1)]})

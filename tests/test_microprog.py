@@ -155,13 +155,16 @@ def test_parse_rejects_branch_and_fence_typos(good, typo):
     ("0 ALU deps=[]\n1 ALU deps=[]\n!role victim 0,,1\n", "program line 3: empty item in list '0,,1'"),
     ("0 ALU deps=[]\n1 ALU deps=[0,,0]\n", "program line 2: empty item in list '0,,0'"),
     ("0 ALU deps=[] lat=\n", "program line 1: lat= needs an EU class name"),
+    ("0 ALU deps=[] extra\n", "program line 1: expected key=value, got 'extra'"),
+    ("0 ALU deps=[] =5\n", "program line 1: expected key=value, got '=5'"),
 ], ids=["repeated-field", "repeated-secret", "repeated-role", "secret-default", "deps-open", "deps-close",
-        "directive-prefix", "role-empty-item", "deps-empty-item", "lat-empty"])
+        "directive-prefix", "role-empty-item", "deps-empty-item", "lat-empty", "bare-word", "empty-key"])
 def test_parse_rejects_text_that_format_program_never_writes(text, error):
     # Each used to parse, keeping the last repeat or a default other than
     # 0 or 1, reading a half list as a whole one, a directive by its
     # prefix, or a list with an empty item as one without it; an empty
-    # lat= failed only when the engine started.
+    # lat= failed only when the engine started. A bare word or an empty key
+    # failed with a message that did not name the field.
     with pytest.raises(ValueError) as exc:
         parse_program(text)
     assert str(exc.value) == error

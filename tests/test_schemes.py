@@ -302,7 +302,7 @@ def test_scheme_spec_flags():
         SchemeId.NOINTERFERENCE: ShadowRule.FUTURISTIC,
     }
     assert {s: scheme_spec(s).fetch_shadow for s in SchemeId} == fetch_shadow
-    assert scheme_spec("fence-futuristic").fence_model is FenceModel.FUTURISTIC
+    assert scheme_spec(SchemeId.FENCE_FUTURISTIC).fence_model is FenceModel.FUTURISTIC
 
 
 def data_side_runs():
@@ -343,7 +343,7 @@ class TestEngineBehaviour:
     def test_behaviour_is_the_spec_less_unread_fetch_protection(self):
         for s in SchemeId:
             assert engine_behaviour(s, True) == scheme_spec(s)
-            assert engine_behaviour(s.value, False) == replace(scheme_spec(s), fetch_shadow=None)
+            assert engine_behaviour(s, False) == replace(scheme_spec(s), fetch_shadow=None)
         classes: dict[SchemeSpec, set[SchemeId]] = {}
         for s in SchemeId:
             classes.setdefault(engine_behaviour(s, False), set()).add(s)
