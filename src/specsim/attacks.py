@@ -133,15 +133,13 @@ def attack_image(
     elif gadget is Gadget.RS:
         scripts[s] = Level.L1HIT  # bit 0: chain drains, line gets fetched
         scripts[s + 1] = Level.MEMMISS  # bit 1: chain clogs the RS
+        return CacheImage(scripts=scripts)
     else:
         count = m if m is not None else cfg.l1d_mshrs
         for k in range(count):
             scripts[s + k] = Level.MEMMISS
-    image = CacheImage(scripts=scripts)
-    if gadget is not Gadget.RS:
-        image.llc[lay.set_index] = list(primed_ways(lay, anchor if anchor is not None else lay.victim_line))
-    image.validate(cfg.geometry)
-    return image
+    primed = primed_ways(lay, anchor if anchor is not None else lay.victim_line)
+    return CacheImage(llc={lay.set_index: primed}, scripts=scripts)
 
 
 def anchor_line(ordering: Ordering, layout: AttackLayout) -> int:
@@ -222,12 +220,8 @@ def plan_attack(
     lay = AttackLayout(cfg.geometry)
     program, script = build_attack_program(ordering, gadget, cfg, p)
     anchor = anchor_line(ordering, lay)
-    if gadget is Gadget.RS:
-        image = attack_image(gadget, cfg, m=p.m)
-        decode = PRESENCE_DECODE
-    else:
-        image = attack_image(gadget, cfg, m=p.m, anchor=anchor)
-        decode = derive_decode_table(lay, anchor)
+    image = attack_image(gadget, cfg, m=p.m, anchor=anchor)  # an RS image primes no set
+    decode = PRESENCE_DECODE if gadget is Gadget.RS else derive_decode_table(lay, anchor)
     return AttackPlan(gadget, ordering, scheme, cfg, p, lay, program, script, image, anchor, decode)
 
 

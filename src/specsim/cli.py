@@ -16,6 +16,7 @@ import configparser
 import random
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 from .attacks import (
     MATRIX_SCHEMES,
@@ -25,12 +26,13 @@ from .attacks import (
     sweep_error_vs_rate,
     vulnerability_matrix,
 )
-from .machine import EuClass, MachineConfig
+from .machine import MachineConfig
 from .memhier import CacheGeometry, CacheImage, CacheSet, format_set, qlru_touch
 from .microprog import (
     AttackParams,
     ConstructionError,
     Gadget,
+    MicroProgram,
     Ordering,
     parse_program,
 )
@@ -89,19 +91,10 @@ def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, Attac
         items = _int_items(parser, "machine", _MACHINE_KEYS)
         geom_kw = {key: items.pop(key) for key in _GEOMETRY_KEYS & set(items)}
         eu = dict(cfg.eu)
-        if "npeu_latency" in items or "npeu_count" in items:
-            eu["npeu"] = EuClass(
-                False,
-                items.pop("npeu_latency", eu["npeu"].latency),
-                items.pop("npeu_count", eu["npeu"].count),
-            )
-        if "alu_count" in items:
-            eu["alu"] = EuClass(True, eu["alu"].latency, items.pop("alu_count"))
-        if "lsu_count" in items:
-            eu["lsu"] = EuClass(True, eu["lsu"].latency, items.pop("lsu_count"))
-        if geom_kw:
-            items["geometry"] = replace(CacheGeometry(), **geom_kw)
-        cfg = replace(cfg, eu=eu, **items)
+        for key in _EU_KEYS & set(items):
+            klass, _, attr = key.partition("_")  # npeu_latency -> eu["npeu"].latency
+            eu[klass] = replace(eu[klass], **{attr: items.pop(key)})
+        cfg = replace(cfg, eu=eu, geometry=replace(CacheGeometry(), **geom_kw), **items)
     if parser.has_section("scheme"):
         items = dict(parser.items("scheme"))
         unknown = set(items) - _SCHEME_KEYS
@@ -181,19 +174,21 @@ def probability(text: str) -> float:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as f:
-        f.write(text)
+    Path(path).write_text(text)
+
+
+def _program_inputs(args) -> tuple[MachineConfig, SchemeId, MicroProgram, CacheImage | None]:
+    """What run and check read: the config, the scheme (--scheme, else the
+    config's [scheme] id, else unsafe), the program and the optional image."""
+    cfg, scheme, _ = load_config(args.config)
+    scheme = SchemeId(args.scheme) if args.scheme else (scheme or SchemeId.UNSAFE)
+    program = parse_program(Path(args.program).read_text())
+    image = CacheImage.parse(Path(args.image).read_text()) if args.image else None
+    return cfg, scheme, program, image
 
 
 def cmd_run(args) -> int:
-    cfg, scheme, _ = load_config(args.config)
-    scheme = SchemeId(args.scheme) if args.scheme else (scheme or SchemeId.UNSAFE)
-    with open(args.program) as f:
-        program = parse_program(f.read())
-    image = None
-    if args.image:
-        with open(args.image) as f:
-            image = CacheImage.parse(f.read())
+    cfg, scheme, program, image = _program_inputs(args)
     secrets = parse_secrets(args.secrets, program)
     trace = run(program, cfg, scheme, secrets=secrets, image=image,
                 force_correct_predictions=args.force_correct)
@@ -281,14 +276,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg, scheme, _ = load_config(args.config)
-    scheme = SchemeId(args.scheme) if args.scheme else (scheme or SchemeId.UNSAFE)
-    with open(args.program) as f:
-        program = parse_program(f.read())
-    image = None
-    if args.image:
-        with open(args.image) as f:
-            image = CacheImage.parse(f.read())
+    cfg, scheme, program, image = _program_inputs(args)
     if args.differential:
         result = check_ideal_differential(program, cfg, scheme, image=image)
     else:
@@ -376,12 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="machine/scheme/attack config file")
 
+    def input_flags(p):  # the flags _program_inputs reads, plus --secrets
+        common(p)
+        p.add_argument("--program", required=True)
+        p.add_argument("--scheme", choices=[s.value for s in SchemeId])
+        p.add_argument("--secrets", help="bit string for the program's secret slots")
+        p.add_argument("--image", help="initial cache image file")
+
     p = sub.add_parser("run", help="simulate one program")
-    common(p)
-    p.add_argument("--program", required=True)
-    p.add_argument("--scheme", choices=[s.value for s in SchemeId])
-    p.add_argument("--secrets", help="bit string for the program's secret slots")
-    p.add_argument("--image", help="initial cache image file")
+    input_flags(p)
     p.add_argument("--trace", help="write the event trace here")
     p.add_argument("--occupancy", help="write per-cycle occupancy CSV here")
     p.add_argument("--force-correct", action="store_true", help="no-misspeculation oracle run")
@@ -412,11 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_matrix)
 
     p = sub.add_parser("check", help="non-interference check of the visible pattern")
-    common(p)
-    p.add_argument("--program", required=True)
-    p.add_argument("--scheme", choices=[s.value for s in SchemeId])
-    p.add_argument("--secrets")
-    p.add_argument("--image")
+    input_flags(p)
     p.add_argument("--differential", action="store_true",
                    help="compare across secret assignments instead of against the oracle")
     p.set_defaults(fn=cmd_check)

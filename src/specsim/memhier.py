@@ -15,10 +15,11 @@ it: every hit, fill and eviction in every set goes through it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf
+from types import MappingProxyType
 
 AGE_MAX = 3
 AGE_INSERT = 1
@@ -212,87 +213,89 @@ class MshrFile:
         assert all(m.waiters for m in self.entries), "waiterless MSHR"
 
 
-@dataclass
+# One level's sets: set index -> (tag | None, age) per way, leftmost first.
+Ways = tuple[tuple[int | None, int], ...]
+_NO_SETS: Mapping[int, Ways] = MappingProxyType({})  # the default: shared, never copied
+_LEVELS = ("llc", "l1d", "l1i")
+
+
+@dataclass(frozen=True)
 class CacheImage:
     """Initial cache contents plus per-line service-level scripting.
 
     Scripted lines are phantom: fixed service level and latency, MSHR
     occupancy when they miss the L1, a visible pattern entry when they reach
-    the LLC, but no residency in any tracked set. They must not collide with
-    lines placed in sets.
+    the LLC, but no residency in any tracked set, and none may be placed in
+    a set. Valid by construction, like a program: building one (directly,
+    by ``replace`` or by parsing) checks every rule that needs no geometry;
+    its mappings are read-only copies and its way lists tuples.
     """
 
-    llc: dict[int, list[tuple[int | None, int]]] = field(default_factory=dict)
-    l1d: dict[int, list[tuple[int | None, int]]] = field(default_factory=dict)
-    l1i: dict[int, list[tuple[int | None, int]]] = field(default_factory=dict)
-    scripts: dict[int, Level] = field(default_factory=dict)
+    llc: Mapping[int, Ways] = field(default_factory=lambda: _NO_SETS)
+    l1d: Mapping[int, Ways] = field(default_factory=lambda: _NO_SETS)
+    l1i: Mapping[int, Ways] = field(default_factory=lambda: _NO_SETS)
+    scripts: Mapping[int, Level] = field(default_factory=dict)
 
-    def validate(self, geom: CacheGeometry) -> None:
+    def __post_init__(self) -> None:
         placed: set[int] = set()
-        for name, content, n_sets, n_ways, index in (
-            ("llc", self.llc, geom.llc_sets, geom.llc_ways, geom.llc_index),
-            ("l1d", self.l1d, geom.l1_sets, geom.l1_ways, geom.l1_index),
-            ("l1i", self.l1i, geom.l1_sets, geom.l1_ways, geom.l1_index),
-        ):
+        for name in _LEVELS:
+            content = getattr(self, name)
+            if content is _NO_SETS:  # most images script lines and place no set
+                continue
+            sets = {}
             for set_idx, ways in content.items():
-                if not 0 <= set_idx < n_sets:
-                    raise ValueError(f"{name} set {set_idx} out of range")
-                if len(ways) > n_ways:
-                    raise ValueError(f"{name} set {set_idx} lists {len(ways)} ways > {n_ways}")
+                ways = sets[set_idx] = tuple((tag, age) for tag, age in ways)
                 _check_ways(name, set_idx, ways)
-                for tag, _ in ways:
-                    if tag is None:
-                        continue
-                    if index(tag) != set_idx:
-                        raise ValueError(f"{name} line {tag} does not map to set {set_idx}")
-                    placed.add(tag)
-        overlap = placed & set(self.scripts)
+                placed.update(tag for tag, _ in ways if tag is not None)
+            object.__setattr__(self, name, MappingProxyType(sets))
+        object.__setattr__(self, "scripts", MappingProxyType(dict(self.scripts)))
+        overlap = placed.intersection(self.scripts)
         if overlap:
             raise ValueError(f"scripted lines also placed in sets: {sorted(overlap)}")
 
     def dump(self) -> str:
         out: list[str] = []
-        for name, content in (("llc", self.llc), ("l1d", self.l1d), ("l1i", self.l1i)):
-            for set_idx in sorted(content):
-                ways = ",".join("-" if t is None else f"{t}:{a}" for t, a in content[set_idx])
-                out.append(f"{name} set={set_idx} ways=[{ways}]")
+        for name in _LEVELS:
+            for set_idx, ways in sorted(getattr(self, name).items()):
+                text = ",".join("-" if t is None else f"{t}:{a}" for t, a in ways)
+                out.append(f"{name} set={set_idx} ways=[{text}]")
         for line in sorted(self.scripts):
             out.append(f"script line={line} level={self.scripts[line].value}")
         return "\n".join(out) + ("\n" if out else "")
 
     @classmethod
     def parse(cls, text: str) -> CacheImage:
-        img = cls()
+        sets: dict[str, dict[int, Ways]] = {name: {} for name in _LEVELS}
+        scripts: dict[int, Level] = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             s = raw.strip()
             if not s or s.startswith("#"):
                 continue
             kind, *rest = s.split()
             try:
-                if kind in ("llc", "l1d", "l1i"):
+                if kind in sets:
                     kv = _record_fields(rest, ("set", "ways"))
                     set_idx = int(kv["set"])
-                    content = getattr(img, kind)
-                    if set_idx in content:
+                    if set_idx in sets[kind]:
                         raise ValueError(f"second {kind} record for set {set_idx}")
-                    content[set_idx] = _parse_ways(kind, set_idx, kv["ways"])
+                    sets[kind][set_idx] = _parse_ways(kind, set_idx, kv["ways"])
                 elif kind == "script":
                     kv = _record_fields(rest, ("line", "level"))
                     line = int(kv["line"])
-                    if line in img.scripts:
+                    if line in scripts:
                         raise ValueError(f"second script record for line {line}")
-                    img.scripts[line] = Level(kv["level"])
+                    scripts[line] = Level(kv["level"])
                 else:
                     raise ValueError(f"unknown record {kind!r}")
             except ValueError as e:
                 raise ValueError(f"cache image line {lineno}: {e}") from e
-        return img
+        return cls(**sets, scripts=scripts)
 
 
-def _check_ways(kind: str, set_idx: int, ways: list[tuple[int | None, int]]) -> None:
+def _check_ways(kind: str, set_idx: int, ways: Ways) -> None:
     """The rules one set's way list keeps without the geometry: every age
-    in range, no tag twice. Parsing checks them where the error can name
-    the image line; validate() checks images built in code."""
+    in range, no tag twice. Building an image checks them; parsing checks
+    them per record too, where the error can name the image line."""
     seen: set[int] = set()
     for tag, age in ways:
         if tag is None:
@@ -304,9 +307,9 @@ def _check_ways(kind: str, set_idx: int, ways: list[tuple[int | None, int]]) -> 
         seen.add(tag)
 
 
-def _parse_ways(kind: str, set_idx: int, text: str) -> list[tuple[int | None, int]]:
+def _parse_ways(kind: str, set_idx: int, text: str) -> Ways:
     """One set's ways=[TAG:AGE,-,...] list. Whether a tag maps to its set
-    depends on the geometry and is left to validate()."""
+    depends on the geometry and is checked by the run that loads the image."""
     body = text[1:-1]
     if len(text) < 2 or text[0] != "[" or text[-1] != "]" or "[" in body or "]" in body:
         raise ValueError(f"ways must be one [...] list, got {text!r}")
@@ -323,7 +326,7 @@ def _parse_ways(kind: str, set_idx: int, text: str) -> list[tuple[int | None, in
             raise ValueError(f"{part!r} is not a TAG:AGE pair or -")
         ways.append((int(tag_text), int(age_text)))
     _check_ways(kind, set_idx, ways)
-    return ways
+    return tuple(ways)
 
 
 def _record_fields(fields: list[str], keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
@@ -379,7 +382,8 @@ class SetArray(dict):
 
 class MemHier:
     """The hierarchy owned by one simulation run: victim L1I/L1D, an MSHR
-    file, the shared LLC, line scripting, and the visible access pattern."""
+    file, the shared LLC, line scripting, and the visible access pattern.
+    The image comes checked; a run checks only how it fits the geometry."""
 
     def __init__(self, geom: CacheGeometry, mshrs: int, image: CacheImage | None = None):
         self.geom = geom
@@ -388,13 +392,20 @@ class MemHier:
         self.llc = SetArray(geom.llc_sets, geom.llc_ways)
         self.mshrs = MshrFile(mshrs)
         self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
-        self.scripts: dict[int, Level] = {}  # read only: the image's own
+        self.scripts: Mapping[int, Level] = {}  # read only: the image's own
         self.pattern: list[AccessRecord] = []
         if image is not None:
-            image.validate(geom)
             self.scripts = image.scripts
-            for sets, content in ((self.llc, image.llc), (self.l1d, image.l1d), (self.l1i, image.l1i)):
-                for set_idx, ways in content.items():
+            for name in _LEVELS:
+                sets, index = getattr(self, name), geom.llc_index if name == "llc" else geom.l1_index
+                for set_idx, ways in getattr(image, name).items():
+                    if not 0 <= set_idx < sets.n_sets:
+                        raise ValueError(f"{name} set {set_idx} out of range")
+                    if len(ways) > sets.ways:
+                        raise ValueError(f"{name} set {set_idx} lists {len(ways)} ways > {sets.ways}")
+                    for tag, _ in ways:
+                        if tag is not None and index(tag) != set_idx:
+                            raise ValueError(f"{name} line {tag} does not map to set {set_idx}")
                     sets[set_idx] = CacheSet(sets.ways, ways)
 
     def service_level(self, line: int, icache: bool = False) -> Level:

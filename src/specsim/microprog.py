@@ -347,29 +347,36 @@ def parse_program(text: str) -> MicroProgram:
         if not s or s.startswith("#"):
             continue
         try:
-            directive = s.split()[0]
-            if directive.startswith("!") and directive not in ("!secret", "!role"):
-                raise ValueError(f"unknown directive {directive!r}")
-            if directive == "!secret":
-                _, name, bit = s.split()
+            words = s.split()
+            head = words[0]
+            if head.startswith("!") and head not in ("!secret", "!role"):
+                raise ValueError(f"unknown directive {head!r}")
+            if head == "!secret":
+                if len(words) != 3:
+                    raise ValueError(f"{s}: want !secret NAME 0|1")
+                _, name, bit = words
                 if name in secrets:
                     raise ValueError(f"second !secret {name}")
                 if bit not in ("0", "1"):
                     raise ValueError(f"!secret {name} {bit}: want 0 or 1")
                 secrets[name] = int(bit)
                 continue
-            if directive == "!role":
-                _, role, ids = s.split()
+            if head == "!role":
+                # No ids is the empty role: format_program writes "!role NAME ".
+                if not 2 <= len(words) <= 3:
+                    raise ValueError(f"{s}: want !role NAME [ID,...]")
+                role = words[1]
                 if role in annotations:
                     raise ValueError(f"second !role {role}")
-                annotations[role] = _parse_ids(ids)
+                annotations[role] = _parse_ids(words[2] if len(words) == 3 else "")
                 continue
-            fields = s.split()
-            op_id = int(fields[0])
-            kind = OpKind(fields[1])
+            if len(words) < 2:
+                raise ValueError(f"{s}: want ID KIND [key=value ...]")
+            op_id = int(head)
+            kind = OpKind(words[1])
             kw: dict = {}
             deps: tuple[int, ...] = ()
-            for key, val in _record_fields(fields[2:], (), _OP_FIELDS).items():
+            for key, val in _record_fields(words[2:], (), _OP_FIELDS).items():
                 if key == "deps":
                     body = val[1:-1]
                     if val[:1] != "[" or val[-1:] != "]" or "[" in body or "]" in body:
@@ -390,7 +397,7 @@ def parse_program(text: str) -> MicroProgram:
                 else:
                     kw["branch"] = _parse_branch(val)
             ops.append(MicroOp(id=op_id, kind=kind, src_deps=deps, **kw))
-        except (ValueError, IndexError) as e:
+        except ValueError as e:
             raise ValueError(f"program line {lineno}: {e}") from e
     return MicroProgram(ops=ops, secret_slots=secrets, annotations=annotations)
 

@@ -296,10 +296,10 @@ def run(
     """Simulate one program to completion. Pure function of its inputs:
     identical arguments produce an identical trace, bit for bit.
 
-    ``program`` and ``cfg`` are valid by construction, so neither is
-    checked again here. Only what pairs one input with another is checked
-    per run: the image against the cache geometry, the secrets against the
-    program's slots, and each op's EU class against the configured table.
+    ``program``, ``cfg`` and ``image`` are valid by construction, so none
+    is checked again here. Per run, only what pairs inputs is checked: how
+    the image fits the cache geometry, the secrets against the program's
+    slots, and each op's EU class against the configured table.
     A fence scheme runs the program as given: the engine reads its fence
     points from ``program.tables``, so no fenced copy is built."""
     engine = _Engine(program, cfg, scheme_spec(scheme), secrets, image, attacker, force_correct_predictions)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -22,9 +23,11 @@ from specsim.memhier import (
     qlru_touch,
 )
 
+from specsim import memhier
 from specsim.attacks import plan_attack
+from specsim.cli import EXIT_USAGE, main
 from specsim.machine import MachineConfig
-from specsim.microprog import Gadget, Ordering, constructible
+from specsim.microprog import Gadget, MicroOp, MicroProgram, OpKind, Ordering, constructible
 from specsim.pipeline import run
 from specsim.schemes import SchemeId
 from specsim.seccheck import gen_random_program
@@ -324,7 +327,7 @@ class TestCacheImage:
         # Way position decides QLRU placement: the next miss to this set
         # fills the empty way 0, not a way after line 5.
         img = CacheImage.parse("l1d set=5 ways=[-,5:1]\nllc set=5 ways=[5:0,-,133:2]\n")
-        assert img.l1d[5] == [(None, 0), (5, 1)]
+        assert img.l1d[5] == ((None, 0), (5, 1))
         assert CacheImage.parse(img.dump()).dump() == img.dump()
         h = MemHier(CacheGeometry(), mshrs=4, image=img)
         h.l1_fill(69)
@@ -343,31 +346,90 @@ class TestCacheImage:
 
     def test_the_same_set_at_another_level_is_not_a_repeat(self):
         img = CacheImage.parse("llc set=5 ways=[5:1]\nl1d set=5 ways=[5:1]\nl1i set=5 ways=[5:1]\n")
-        assert img.llc[5] == img.l1d[5] == img.l1i[5] == [(5, 1)]
+        assert img.llc[5] == img.l1d[5] == img.l1i[5] == ((5, 1),)
 
     @pytest.mark.parametrize("ways, message", [
         ([(5, 4)], "llc line 5 age 4 out of range"),
         ([(5, 1), (None, 0), (5, 2)], "llc set 5 has duplicate tags"),
     ], ids=["age", "duplicate-tag"])
-    def test_validate_gives_the_parse_messages(self, ways, message):
+    def test_construction_gives_the_parse_messages(self, ways, message):
         # One rule serves both paths; parsing only adds the line number.
         with pytest.raises(ValueError) as exc:
-            CacheImage(llc={5: ways}).validate(CacheGeometry())
+            CacheImage(llc={5: ways})
         assert str(exc.value) == message
 
-    def test_validate_rejects_wrong_set(self):
-        img = CacheImage(llc={5: [(6, 1)]})
-        with pytest.raises(ValueError):
-            img.validate(CacheGeometry())
+    @pytest.mark.parametrize("llc, message", [
+        ({5: [(6, 1)]}, "llc line 6 does not map to set 5"),
+        ({128: [(128, 1)]}, "llc set 128 out of range"),
+        ({5: [(5 + 128 * k, 0) for k in range(17)]}, "llc set 5 lists 17 ways > 16"),
+    ], ids=["tag-in-another-set", "set-out-of-range", "too-many-ways"])
+    def test_a_run_rejects_an_image_that_does_not_fit_the_geometry(self, tmp_path, capsys, llc, message):
+        # Only the geometry can tell: the image itself is valid.
+        img = CacheImage(llc=llc)
+        with pytest.raises(ValueError) as exc:
+            run(MicroProgram(ops=[MicroOp(0, OpKind.ALU)]), MachineConfig(), SchemeId.UNSAFE, image=img)
+        assert str(exc.value) == message
+        (tmp_path / "p.mprog").write_text("0 ALU deps=[]\n")
+        (tmp_path / "misfit.image").write_text(img.dump())
+        argv = ["run", "--program", str(tmp_path / "p.mprog"), "--image", str(tmp_path / "misfit.image")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_validate_rejects_script_collision(self):
-        img = CacheImage(llc={5: [(5, 1)]}, scripts={5: Level.L1HIT})
-        with pytest.raises(ValueError):
-            img.validate(CacheGeometry())
+    def test_construction_rejects_script_collision(self):
+        with pytest.raises(ValueError, match=r"^scripted lines also placed in sets: \[5\]$"):
+            CacheImage(llc={5: [(5, 1)]}, scripts={5: Level.L1HIT})
 
     def test_format_set_style(self):
         cset = CacheSet(4, [(7, 1)])
         assert format_set(cset, names={7: "L"}) == "ways=[L:1,-,-,-]"
+
+
+class TestImageIsAValue:
+    """A cache image is checked once, when built, and cannot change after:
+    a run checks only how it fits the geometry, and a plan's cached traces
+    stay the traces of its image."""
+
+    def test_read_only_and_checked_when_derived(self):
+        img = CacheImage(llc={5: [(5, 1)]}, scripts={77: Level.MEMMISS})
+        with pytest.raises(TypeError):
+            img.scripts[78] = Level.L1HIT
+        with pytest.raises(TypeError):
+            img.llc[5] = ((5, 0),)
+        with pytest.raises(FrozenInstanceError):
+            img.scripts = {}
+        with pytest.raises(ValueError, match=r"^scripted lines also placed in sets: \[5\]$"):
+            replace(img, scripts={5: Level.L1HIT})
+
+    def test_holds_its_own_copies(self):
+        ways = [(5, 1)]
+        scripts = {77: Level.MEMMISS}
+        img = CacheImage(llc={5: ways}, scripts=scripts)
+        ways.append((133, 1))
+        scripts[5] = Level.L1HIT  # would collide with the placed line
+        assert img.llc[5] == ((5, 1),) and dict(img.scripts) == {77: Level.MEMMISS}
+
+    def test_runs_check_no_image_again(self, monkeypatch):
+        calls = []
+        check = memhier._check_ways
+        monkeypatch.setattr(memhier, "_check_ways", lambda *a: calls.append(a[:2]) or check(*a))
+        cfg = MachineConfig()
+        plan = plan_attack(Gadget.NPEU, Ordering.VDAD, SchemeId.UNSAFE, cfg)
+        assert calls == [("llc", plan.layout.set_index)]
+        for scheme in (SchemeId.UNSAFE, SchemeId.INVISISPEC_SPECTRE):
+            for bit in (0, 1):
+                run(plan.program, cfg, scheme, secrets={"s0": bit}, image=plan.image, attacker=plan.script)
+        assert len(calls) == 1
+
+    def test_a_plan_image_cannot_go_stale(self):
+        # Editing the image in place used to leave the plan's cached trace
+        # (280 cycles) beside a fresh run of the edited inputs (205).
+        plan = plan_attack(Gadget.NPEU, Ordering.VDAD, SchemeId.UNSAFE, MachineConfig())
+        cached = plan.victim_trace(1)
+        with pytest.raises(TypeError):
+            plan.image.scripts[plan.layout.secret_base + 1] = Level.MEMMISS
+        fresh = run(plan.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, plan.script)
+        assert plan.victim_trace(1) is cached
+        assert fresh.total_cycles == cached.total_cycles == 280
 
 
 def test_reference_replay_smoke():

@@ -120,6 +120,14 @@ BRANCH_TEXT = format_program(MicroProgram(ops=[
 ]))
 
 
+def test_an_empty_role_round_trips():
+    # format_program writes it as "!role r " with no ids.
+    prog = MicroProgram(ops=[MicroOp(0, OpKind.ALU)], annotations={"r": ()})
+    text = format_program(prog)
+    assert parse_program(text) == prog
+    assert format_program(parse_program(text)) == text
+
+
 def test_branch_and_fence_tokens_round_trip():
     assert "branch=T,N,res:0,join:3,ends:1" in BRANCH_TEXT and "fence=1" in BRANCH_TEXT
     assert format_program(parse_program(BRANCH_TEXT)) == BRANCH_TEXT
@@ -157,14 +165,20 @@ def test_parse_rejects_branch_and_fence_typos(good, typo):
     ("0 ALU deps=[] lat=\n", "program line 1: lat= needs an EU class name"),
     ("0 ALU deps=[] extra\n", "program line 1: expected key=value, got 'extra'"),
     ("0 ALU deps=[] =5\n", "program line 1: expected key=value, got '=5'"),
+    ("!secret s0\n0 ALU deps=[]\n", "program line 1: !secret s0: want !secret NAME 0|1"),
+    ("0 ALU deps=[]\n1 ALU deps=[]\n!role victim 0 1\n", "program line 3: !role victim 0 1: want !role NAME [ID,...]"),
+    ("0\n", "program line 1: 0: want ID KIND [key=value ...]"),
 ], ids=["repeated-field", "repeated-secret", "repeated-role", "secret-default", "deps-open", "deps-close",
-        "directive-prefix", "role-empty-item", "deps-empty-item", "lat-empty", "bare-word", "empty-key"])
+        "directive-prefix", "role-empty-item", "deps-empty-item", "lat-empty", "bare-word", "empty-key",
+        "secret-missing-bit", "role-extra-word", "op-without-kind"])
 def test_parse_rejects_text_that_format_program_never_writes(text, error):
     # Each used to parse, keeping the last repeat or a default other than
     # 0 or 1, reading a half list as a whole one, a directive by its
     # prefix, or a list with an empty item as one without it; an empty
     # lat= failed only when the engine started. A bare word or an empty key
-    # failed with a message that did not name the field.
+    # failed with a message that did not name the field, and a directive or
+    # op line with a word too few or too many with a Python unpacking or
+    # index message.
     with pytest.raises(ValueError) as exc:
         parse_program(text)
     assert str(exc.value) == error
