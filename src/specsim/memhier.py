@@ -1,7 +1,7 @@
 """Two-level memory hierarchy: per-core L1I/L1D, a shared LLC with the
-QLRU_H11_M1_R0_U0 replacement policy, MSHRs, and the attacker-observable
-access pattern. Every access the hierarchy performs is persistent: it
-updates replacement state and, at the LLC, appends to the pattern.
+QLRU_H11_M1_R0_U0 replacement policy, and MSHRs. Every access the
+hierarchy performs is persistent: it updates replacement state. It keeps
+no log: the engine records each LLC access it makes as an l2access record.
 Invisible service of a protected load belongs to the engine: the load
 holds an MSHR and takes the level's latency, and the hierarchy sees no
 access until the engine replays it at the load's safe cycle.
@@ -34,11 +34,6 @@ class Level(Enum):
     L1HIT = "l1hit"
     LLCHIT = "llchit"
     MEMMISS = "memmiss"
-
-
-class Requester(Enum):
-    VICTIM = "victim"
-    ATTACKER = "attacker"
 
 
 class CacheSet:
@@ -131,21 +126,6 @@ class CacheGeometry:
 
     def llc_index(self, line: int) -> int:
         return line % self.llc_sets
-
-
-@dataclass
-class AccessRecord:
-    """One visible LLC access. Pattern equality uses (line, requester, kind)
-    only; cycle and op are simulator-internal bookkeeping."""
-
-    cycle: int
-    line: int
-    requester: Requester
-    kind: str  # "fill" | "writeback"
-    op_id: int | None = None
-
-    def key(self) -> tuple[int, str, str]:
-        return (self.line, self.requester.value, self.kind)
 
 
 @dataclass
@@ -249,9 +229,7 @@ class CacheImage:
                 placed.update(tag for tag, _ in ways if tag is not None)
             object.__setattr__(self, name, MappingProxyType(sets))
         object.__setattr__(self, "scripts", MappingProxyType(dict(self.scripts)))
-        overlap = placed.intersection(self.scripts)
-        if overlap:
-            raise ValueError(f"scripted lines also placed in sets: {sorted(overlap)}")
+        _check_overlap(placed, self.scripts)
 
     def dump(self) -> str:
         out: list[str] = []
@@ -267,6 +245,7 @@ class CacheImage:
     def parse(cls, text: str) -> CacheImage:
         sets: dict[str, dict[int, Ways]] = {name: {} for name in _LEVELS}
         scripts: dict[int, Level] = {}
+        placed: set[int] = set()
         for lineno, raw in enumerate(text.splitlines(), 1):
             s = raw.strip()
             if not s or s.startswith("#"):
@@ -278,18 +257,29 @@ class CacheImage:
                     set_idx = int(kv["set"])
                     if set_idx in sets[kind]:
                         raise ValueError(f"second {kind} record for set {set_idx}")
-                    sets[kind][set_idx] = _parse_ways(kind, set_idx, kv["ways"])
+                    ways = sets[kind][set_idx] = _parse_ways(kind, set_idx, kv["ways"])
+                    placed.update(tag for tag, _ in ways if tag is not None)
+                    _check_overlap(placed, scripts)
                 elif kind == "script":
                     kv = _record_fields(rest, ("line", "level"))
                     line = int(kv["line"])
                     if line in scripts:
                         raise ValueError(f"second script record for line {line}")
                     scripts[line] = Level(kv["level"])
+                    _check_overlap(placed, (line,))
                 else:
                     raise ValueError(f"unknown record {kind!r}")
             except ValueError as e:
                 raise ValueError(f"cache image line {lineno}: {e}") from e
         return cls(**sets, scripts=scripts)
+
+
+def _check_overlap(placed: set[int], scripted: Iterable[int]) -> None:
+    """No scripted line is also placed in a set. Parsing checks each record
+    against the records before it, so its error names the later one."""
+    overlap = placed.intersection(scripted)
+    if overlap:
+        raise ValueError(f"scripted lines also placed in sets: {sorted(overlap)}")
 
 
 def _check_ways(kind: str, set_idx: int, ways: Ways) -> None:
@@ -382,8 +372,8 @@ class SetArray(dict):
 
 class MemHier:
     """The hierarchy owned by one simulation run: victim L1I/L1D, an MSHR
-    file, the shared LLC, line scripting, and the visible access pattern.
-    The image comes checked; a run checks only how it fits the geometry."""
+    file, the shared LLC and line scripting. The image comes checked; a
+    run checks only how it fits the geometry."""
 
     def __init__(self, geom: CacheGeometry, mshrs: int, image: CacheImage | None = None):
         self.geom = geom
@@ -393,7 +383,6 @@ class MemHier:
         self.mshrs = MshrFile(mshrs)
         self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
         self.scripts: Mapping[int, Level] = {}  # read only: the image's own
-        self.pattern: list[AccessRecord] = []
         if image is not None:
             self.scripts = image.scripts
             for name in _LEVELS:
@@ -423,13 +412,11 @@ class MemHier:
     def latency(self, level: Level) -> int:
         return self._latency[level]
 
-    def llc_access(self, line: int, requester: Requester, cycle: int, op_id: int | None = None) -> str:
-        """One LLC access: update QLRU state and append to the pattern.
-        Returns "hit" or "miss" (for phantom lines, per their script level)."""
+    def llc_access(self, line: int) -> str:
+        """One LLC access: update QLRU state. Returns "hit" or "miss" (for
+        phantom lines, per their script level)."""
         script = self.scripts.get(line)
         if script is not None:
-            if script is not Level.L1HIT:
-                self.pattern.append(AccessRecord(cycle, line, requester, "fill", op_id))
             return "hit" if script is Level.LLCHIT else "miss"
         cset = self.llc[self.geom.llc_index(line)]
         hit = cset.resident(line)
@@ -438,7 +425,6 @@ class MemHier:
             # Inclusive LLC: back-invalidate the L1 copies.
             self.l1d[self.geom.l1_index(evicted)].invalidate(evicted)
             self.l1i[self.geom.l1_index(evicted)].invalidate(evicted)
-        self.pattern.append(AccessRecord(cycle, line, requester, "fill", op_id))
         return "hit" if hit else "miss"
 
     def l1_fill(self, line: int, icache: bool = False) -> None:

@@ -144,11 +144,11 @@ extra): op is None for events of no op, and extra is None or a dict of the
 fields that six kinds carry (l2access, mshr_stall, mshr_free, delayed,
 resolve, ifetch). Records are never mutated, so repeated stall records
 share one extra dict. The hot phases append records directly; the rare
-kinds go through _event. ExecutionTrace keeps them as `records`, which the
-engine and the oracle's squash test read. `events` is a view that
-builds one TraceEvent per record, each with its own extra dict, on first
-read. serialize() renders the records directly, to the same bytes as
-joining the view's line_text().
+kinds go through _event. ExecutionTrace keeps them as `records`, the run's
+only log. Two views are built from them on first read: `pattern`, one
+AccessRecord per l2access record (the hierarchy keeps no copy), and
+`events`, one TraceEvent per record with its own extra dict. serialize()
+renders the records directly, to the same bytes as joining line_text().
 """
 
 from __future__ import annotations
@@ -160,9 +160,10 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from math import inf
+from typing import NamedTuple
 
 from .machine import EuClass, MachineConfig
-from .memhier import CacheImage, Level, MemHier, Requester
+from .memhier import CacheImage, Level, MemHier
 from .microprog import AttackScript, MicroOp, MicroProgram, OpKind, SecretDep
 from .schemes import MissPolicy, SchemeId, SchemeSpec, ShadowState, scheme_spec
 
@@ -241,6 +242,18 @@ class TraceEvent:
         return _record_text(self.cycle, self.name, self.op, self.extra)
 
 
+class AccessRecord(NamedTuple):
+    """One visible LLC access: an l2access record's fields. All are fills."""
+
+    cycle: int
+    line: int
+    requester: str  # "victim" | "attacker"
+    op_id: int | None
+
+    def key(self) -> tuple[int, str, str]:
+        return (self.line, self.requester, "fill")
+
+
 @dataclass
 class ExecutionTrace:
     """Everything observable about one run: the event log, per-op
@@ -250,7 +263,6 @@ class ExecutionTrace:
     records: list[Record]
     op_times: dict[int, dict[str, int]]
     occupancy: list[tuple[int, int, int, int]]  # cycle, rs, mshr, eu_busy
-    pattern: list  # AccessRecord list from the hierarchy
     total_cycles: int
     # Final LLC contents (non-empty sets only), for receiver probes and
     # golden set-state dumps: set index -> ((tag|None, age), ...) per way.
@@ -260,15 +272,18 @@ class ExecutionTrace:
     # agree on everything logged before it, and entirely when it is None.
     secret_read_cycle: int | None = None
 
+    @cached_property
+    def pattern(self) -> list[AccessRecord]:
+        """The visible LLC accesses: the l2access records, in order."""
+        return [AccessRecord(c, x["line"], x["requester"], op) for c, name, op, x in self.records if name == "l2access"]
+
     def pattern_keys(self) -> list[tuple[int, str, str]]:
         return [r.key() for r in self.pattern]
 
     @cached_property
     def events(self) -> list[TraceEvent]:
-        """The event log as TraceEvent objects, built on first read; each
-        event gets its own extra dict. Besides the test that checks it
-        against ``records``, perfbench/layers.py is its only reader, so
-        dropping this view means changing that one file."""
+        """The records as TraceEvent objects, each with its own extra dict.
+        Besides a test, perfbench/layers.py is its only reader."""
         return [TraceEvent(c, name, op, dict(extra) if extra else {}) for c, name, op, extra in self.records]
 
     def serialize(self) -> str:
@@ -655,7 +670,7 @@ class _Engine:
         while self.attacker_pos < len(self.attacker) and self.attacker[self.attacker_pos][0] <= self.cycle:
             _, line = self.attacker[self.attacker_pos]
             self.attacker_pos += 1
-            res = self.hier.llc_access(line, Requester.ATTACKER, self.cycle)
+            res = self.hier.llc_access(line)
             self._event("l2access", None, {"line": line, "requester": "attacker", "result": res})
 
     # -- issue -----------------------------------------------------------
@@ -800,13 +815,13 @@ class _Engine:
         return "ok"
 
     def _visible_access(self, line: int, op_id: int) -> None:
-        """Perform the persistent (visible) side of a D-access now: LLC
-        replacement update + pattern entry on an L1 miss, or the L1
-        promotion when the line already sits in the L1."""
+        """Perform the persistent (visible) side of a D-access now: on an
+        L1 miss, the LLC replacement update, the L1 fill and the l2access
+        record; or the L1 promotion when the line already sits in the L1."""
         if self.hier.service_level(line) is Level.L1HIT:
             self.hier.l1_hit_update(line)
             return
-        res = self.hier.llc_access(line, Requester.VICTIM, self.cycle, op_id)
+        res = self.hier.llc_access(line)
         self.hier.l1_fill(line)
         self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res})
 
@@ -817,7 +832,7 @@ class _Engine:
             self.hier.l1_hit_update(line, icache=True)
             self._event("ifetch", op_id, {"line": line, "level": "l1i"})
             return
-        res = self.hier.llc_access(line, Requester.VICTIM, self.cycle, op_id)
+        res = self.hier.llc_access(line)
         self.hier.l1_fill(line, icache=True)
         self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res, "fetch": 1})
 
@@ -947,7 +962,6 @@ class _Engine:
             records=self.records,
             op_times=op_times,
             occupancy=self.occupancy,
-            pattern=self.hier.pattern,
             total_cycles=self.last_drain_cycle if self.records else 0,
             llc_state=llc_state,
             secret_read_cycle=self.secret_read_cycle,

@@ -177,7 +177,7 @@ def _bit1_agrees(plan, cycle: int | None) -> bool:
 def _anchor_cycle(plan, bit: int) -> int | None:
     t = plan.victim_trace(bit)
     for r in t.pattern:
-        if r.line == plan.anchor and r.requester.value == "victim":
+        if r.line == plan.anchor and r.requester == "victim":
             return r.cycle
     return None
 
@@ -490,9 +490,8 @@ class OverheadReport:
     slowdowns: dict[str, dict[str, float]]
     baseline_cycles: dict[str, int]
 
-    def geomean(self, scheme: SchemeId | str) -> float:
-        key = scheme.value if isinstance(scheme, SchemeId) else str(scheme)
-        return statistics.geometric_mean([per[key] for per in self.slowdowns.values()])
+    def geomean(self, scheme: SchemeId) -> float:
+        return statistics.geometric_mean([per[scheme.value] for per in self.slowdowns.values()])
 
     def csv_lines(self) -> list[str]:
         schemes = sorted({s for per in self.slowdowns.values() for s in per})
@@ -501,7 +500,7 @@ class OverheadReport:
             row = [name, str(self.baseline_cycles[name])]
             row += [f"{self.slowdowns[name][s]:.3f}" for s in schemes]
             out.append(",".join(row))
-        geo = ["geomean,"] + [f"{self.geomean(s):.3f}" for s in schemes]
+        geo = ["geomean,"] + [f"{self.geomean(SchemeId(s)):.3f}" for s in schemes]
         out.append(",".join(geo))
         return out
 

@@ -175,7 +175,7 @@ class TestRunAttack:
         params = calibrate_for_matrix(Gadget.MSHR, Ordering.VDAD, [SchemeId.INVISISPEC_SPECTRE], CFG)[SchemeId.INVISISPEC_SPECTRE]
         plan = plan_attack(Gadget.MSHR, Ordering.VDAD, SchemeId.INVISISPEC_SPECTRE, CFG, params)
         trace = plan.victim_trace(0)
-        attacker_entries = [r for r in trace.pattern if r.requester.value == "attacker"]
+        attacker_entries = [r for r in trace.pattern if r.requester == "attacker"]
         assert len(attacker_entries) == 1
         assert attacker_entries[0].line == LAY.reference_line
         res = run_attack(

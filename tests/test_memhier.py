@@ -17,7 +17,6 @@ from specsim.memhier import (
     Level,
     MemHier,
     MshrFile,
-    Requester,
     format_set,
     order_sensitivity,
     qlru_touch,
@@ -206,32 +205,29 @@ class TestMemHier:
     def _hier(self, image=None):
         return MemHier(CacheGeometry(), mshrs=4, image=image)
 
-    def test_visible_miss_fills_and_records(self):
+    def test_visible_miss_fills(self):
         h = self._hier()
-        res = h.llc_access(5, Requester.VICTIM, cycle=3, op_id=1)
-        assert res == "miss"
-        assert h.llc[5].resident(5)
-        assert [r.key() for r in h.pattern] == [(5, "victim", "fill")]
+        assert h.llc_access(5) == "miss"
+        assert h.llc[5].state()[:2] == ((5, 1), (None, 0))  # leftmost way, age 1
 
-    def test_visible_hit_promotes_and_records(self):
+    def test_visible_hit_promotes(self):
         h = self._hier()
-        h.llc_access(5, Requester.ATTACKER, cycle=0)
-        h.llc_access(5, Requester.VICTIM, cycle=1)
+        assert h.llc_access(5) == "miss"
+        assert h.llc_access(5) == "hit"
         cset = h.llc[5]
         assert cset.ages[cset.find(5)] == 0  # inserted at 1, hit to 0
-        assert len(h.pattern) == 2
 
     def test_every_hierarchy_llc_access_is_logged(self, monkeypatch):
         # The hierarchy performs only persistent accesses: each LLC access
-        # it sees is one l2access record of the run, under every scheme.
-        # Invisible service never reaches it (the engine keeps the MSHR
-        # and the latency, and replays the access once the load is safe).
+        # it sees is one l2access record of the run, in order, under every
+        # scheme. Invisible service never reaches it (the engine keeps the
+        # MSHR and the latency, and replays the access once the load is safe).
         calls = []
         real = MemHier.llc_access
 
-        def spy(hier, *args, **kwargs):
-            calls.append(args[0])
-            return real(hier, *args, **kwargs)
+        def spy(hier, line):
+            calls.append(line)
+            return real(hier, line)
 
         monkeypatch.setattr(MemHier, "llc_access", spy)
         cfg = MachineConfig()
@@ -248,35 +244,34 @@ class TestMemHier:
         for (label, prog, image, attacker, secrets), scheme in itertools.product(runs, SchemeId):
             calls.clear()
             t = run(prog, cfg, scheme, secrets=secrets, image=image, attacker=attacker)
-            logged = sum(1 for r in t.records if r[1] == "l2access")
-            if len(calls) != logged:
-                bad.append((label, scheme.value, len(calls), logged))
+            logged = [r[3]["line"] for r in t.records if r[1] == "l2access"]
+            if calls != logged:
+                bad.append((label, scheme.value, calls[:], logged))
         assert len(runs) * len(SchemeId) == 480
         assert bad == []
 
     def test_scripted_lines_are_phantom(self):
-        image = CacheImage(scripts={77: Level.MEMMISS, 78: Level.L1HIT})
+        image = CacheImage(scripts={77: Level.MEMMISS, 78: Level.L1HIT, 79: Level.LLCHIT})
         h = self._hier(image)
-        assert h.llc_access(77, Requester.VICTIM, cycle=1) == "miss"
-        assert not h.llc[77 % 128].resident(77)
-        assert [r.key() for r in h.pattern] == [(77, "victim", "fill")]
+        assert [h.llc_access(line) for line in (77, 78, 79)] == ["miss", "miss", "hit"]
+        assert dict(h.llc) == {}  # no set was touched
         assert h.service_level(78) is Level.L1HIT
 
     def test_inclusive_eviction_invalidates_l1(self):
         geom = CacheGeometry(llc_sets=2, llc_ways=2, l1_sets=2, l1_ways=2)
         h = MemHier(geom, mshrs=4)
-        h.llc_access(0, Requester.VICTIM, cycle=0)
+        h.llc_access(0)
         h.l1_fill(0)
         assert h.l1d[0].resident(0)
-        h.llc_access(2, Requester.VICTIM, cycle=1)
-        h.llc_access(4, Requester.VICTIM, cycle=2)  # evicts line 0
+        h.llc_access(2)
+        h.llc_access(4)  # evicts line 0
         assert not h.llc[0].resident(0)
         assert not h.l1d[0].resident(0)
 
     def test_service_level_walks_hierarchy(self):
         h = self._hier()
         assert h.service_level(9) is Level.MEMMISS
-        h.llc_access(9, Requester.VICTIM, cycle=0)
+        h.llc_access(9)
         assert h.service_level(9) is Level.LLCHIT
         h.l1_fill(9)
         assert h.service_level(9) is Level.L1HIT
@@ -332,7 +327,7 @@ class TestCacheImage:
         h = MemHier(CacheGeometry(), mshrs=4, image=img)
         h.l1_fill(69)
         assert h.l1d[5].state()[:2] == ((69, 1), (5, 1))
-        h.llc_access(261, Requester.VICTIM, cycle=0)
+        h.llc_access(261)
         assert h.llc[5].state()[:3] == ((5, 0), (261, 1), (133, 2))
 
     def test_parse_rejects_garbage(self):
@@ -378,6 +373,21 @@ class TestCacheImage:
     def test_construction_rejects_script_collision(self):
         with pytest.raises(ValueError, match=r"^scripted lines also placed in sets: \[5\]$"):
             CacheImage(llc={5: [(5, 1)]}, scripts={5: Level.L1HIT})
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("script line=5 level=l1hit\nllc set=5 ways=[5:1]\n", 2),
+        ("l1d set=5 ways=[-,5:1]\n# placed first\nllc set=9 ways=[]\nscript line=5 level=memmiss\n", 4),
+    ], ids=["set-after-script", "script-after-set"])
+    def test_parse_names_the_later_record_of_a_script_collision(self, tmp_path, capsys, text, lineno):
+        message = f"cache image line {lineno}: scripted lines also placed in sets: [5]"
+        with pytest.raises(ValueError) as exc:
+            CacheImage.parse(text)
+        assert str(exc.value) == message
+        (tmp_path / "p.mprog").write_text("0 ALU deps=[]\n")
+        (tmp_path / "collide.image").write_text(text)
+        argv = ["run", "--program", str(tmp_path / "p.mprog"), "--image", str(tmp_path / "collide.image")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_format_set_style(self):
         cset = CacheSet(4, [(7, 1)])

@@ -488,6 +488,10 @@ class TestTraceRecords:
         assert {r[1] for r in t.records} == EVENT_KINDS
         accesses = {(r[3]["requester"], r[3].get("fetch")) for r in t.records if r[1] == "l2access"}
         assert accesses == {("attacker", None), ("victim", None), ("victim", 1)}
+        # The pattern is the l2access records, field for field, in order.
+        l2 = [(c, x["line"], x["requester"], op) for c, name, op, x in t.records if name == "l2access"]
+        assert [(r.cycle, r.line, r.requester, r.op_id) for r in t.pattern] == l2
+        assert t.pattern_keys() == [(line, who, "fill") for _, line, who, _ in l2]
         assert len(t.events) == len(t.records)
         for e, (cycle, name, op, extra) in zip(t.events, t.records):
             assert (e.cycle, e.name, e.op) == (cycle, name, op)
@@ -498,6 +502,14 @@ class TestTraceRecords:
         for e in t.events:
             e.extra["edited"] = 1
         assert t.serialize() == text
+
+    def test_an_attacker_access_to_a_scripted_l1hit_line_is_visible(self):
+        # A scripted l1hit line reaches the LLC only through the attacker.
+        # The access is logged, so it is in the pattern too.
+        p = MicroProgram(ops=[MicroOp(0, OpKind.ALU)])
+        t = run(p, CFG, SchemeId.UNSAFE, image=CacheImage(scripts={5: Level.L1HIT}), attacker=[(0, 5)])
+        assert t.records[0] == (0, "l2access", None, {"line": 5, "requester": "attacker", "result": "miss"})
+        assert t.pattern_keys() == [(5, "attacker", "fill")]
 
 
 class TestValidByConstruction:

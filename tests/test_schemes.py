@@ -132,7 +132,7 @@ class TestProtectedLoads:
                 for bit in (0, 1):
                     t = run(prog, CFG, scheme, secrets={"s0": bit}, image=image, attacker=script)
                     for rec in t.pattern:
-                        if rec.op_id is None or rec.requester.value != "victim":
+                        if rec.op_id is None or rec.requester != "victim":
                             continue
                         safe = t.times(rec.op_id, "safe")
                         fetch_entry = any(
