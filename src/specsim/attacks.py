@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import random
 from types import MappingProxyType
 
@@ -173,10 +173,11 @@ class AttackPlan:
     # With the trace fixed, the noiseless probe outcome is a pure function
     # of the bit and the interloper lines drawn: (bit, draws) -> outcome.
     outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = field(default_factory=dict, init=False)
-    interloper_pool: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.interloper_pool = self.layout.interlopers(INTERLOPER_POOL)
+    @cached_property
+    def interloper_pool(self) -> tuple[int, ...]:
+        """The same-set lines a noisy trial draws from; built on first read."""
+        return self.layout.interlopers(INTERLOPER_POOL)
 
     def victim_trace(self, bit: int) -> ExecutionTrace:
         if bit not in self.trace_cache:
@@ -384,7 +385,6 @@ class MatrixCell:
 @dataclass
 class MatrixResult:
     cells: list[MatrixCell]
-    not_constructible: list[tuple[Gadget, str]]
 
     def verdicts(self) -> dict[tuple[Gadget, str], set[SchemeId]]:
         out: dict[tuple[Gadget, str], set[SchemeId]] = {}
@@ -394,32 +394,30 @@ class MatrixResult:
                 out[(c.gadget, c.group)].add(c.scheme)
         return out
 
-    def matches_reference(self) -> bool:
-        got = self.verdicts()
-        for key, expected in REFERENCE_VULNERABLE.items():
-            if expected is None:
-                if key in got:
-                    return False
-                continue
-            if got.get(key) != expected:
-                return False
-        return True
-
-    def diff_lines(self) -> list[str]:
+    def _compared(self) -> list[tuple[str, bool]]:
+        """Per reference cell, in (gadget, group) order: its expected and
+        actual verdicts as text, and whether they agree. A cell that is not
+        constructible agrees when no cell of it ran."""
         out = []
         got = self.verdicts()
         for key, expected in sorted(REFERENCE_VULNERABLE.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
             gadget, group = key
             if expected is None:
-                state = "ok" if key not in got else "MISMATCH"
-                out.append(f"{gadget.value:5s} {group:10s} expected=- got=- [{state}]")
-                continue
-            actual = got.get(key, set())
-            state = "ok" if actual == expected else "MISMATCH"
-            exp = ",".join(sorted(s.value for s in expected)) or "-"
-            act = ",".join(sorted(s.value for s in actual)) or "-"
-            out.append(f"{gadget.value:5s} {group:10s} expected={exp} got={act} [{state}]")
+                exp = act = "-"
+                ok = key not in got
+            else:
+                actual = got.get(key, set())
+                exp = ",".join(sorted(s.value for s in expected)) or "-"
+                act = ",".join(sorted(s.value for s in actual)) or "-"
+                ok = actual == expected
+            out.append((f"{gadget.value:5s} {group:10s} expected={exp} got={act}", ok))
         return out
+
+    def matches_reference(self) -> bool:
+        return all(ok for _, ok in self._compared())
+
+    def diff_lines(self) -> list[str]:
+        return [f"{text} [{'ok' if ok else 'MISMATCH'}]" for text, ok in self._compared()]
 
     def table_lines(self) -> list[str]:
         """Aligned text table: rows gadgets, columns ordering groups."""
@@ -444,7 +442,8 @@ class MatrixResult:
         for c in sorted(self.cells, key=lambda c: (c.gadget.value, c.group, c.scheme.value)):
             verdict = "vulnerable" if c.vulnerable else "blocked"
             out.append(f"{c.gadget.value},{c.group},{c.scheme.value},{c.error_rate:.4f},{verdict}")
-        for gadget, group in sorted(self.not_constructible, key=lambda t: (t[0].value, t[1])):
+        skipped = [key for key, expected in REFERENCE_VULNERABLE.items() if expected is None]
+        for gadget, group in sorted(skipped, key=lambda t: (t[0].value, t[1])):
             out.append(f"{gadget.value},{group},,,not_constructible")
         return out
 
@@ -466,12 +465,10 @@ def vulnerability_matrix(
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
     cells: list[MatrixCell] = []
-    skipped: list[tuple[Gadget, str]] = []
     results: dict[tuple, AttackResult] = {}
     for gadget in Gadget:
         for group in MATRIX_GROUPS:
             if REFERENCE_VULNERABLE[(gadget, group)] is None:
-                skipped.append((gadget, group))
                 continue
             for scheme in schemes:
                 best = 1.0
@@ -495,7 +492,7 @@ def vulnerability_matrix(
                     rate = 0.5 if res.discard_rate >= 0.5 else res.error_rate
                     best = min(best, rate)
                 cells.append(MatrixCell(gadget, group, scheme, best, best < VULNERABLE_THRESHOLD))
-    return MatrixResult(cells=cells, not_constructible=skipped)
+    return MatrixResult(cells=cells)
 
 
 # --- error-rate / throughput sweep -------------------------------------------

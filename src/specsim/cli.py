@@ -196,8 +196,8 @@ def cmd_run(args) -> int:
         _write(args.trace, trace.serialize())
     if args.occupancy:
         _write(args.occupancy, trace.occupancy_csv())
-    retired = sum(1 for t in trace.op_times.values() if t["retire"] != NEVER)
-    squashed = sum(1 for t in trace.op_times.values() if t["squash"] != NEVER)
+    retired = sum(1 for r in trace.ops if r.retire != NEVER)
+    squashed = sum(1 for r in trace.ops if r.squash != NEVER)
     print(f"scheme={scheme.value} total_cycles={trace.total_cycles} "
           f"retired={retired} squashed={squashed} visible_accesses={len(trace.pattern)}")
     return EXIT_OK

@@ -414,10 +414,11 @@ class MemHier:
 
     def llc_access(self, line: int) -> str:
         """One LLC access: update QLRU state. Returns "hit" or "miss" (for
-        phantom lines, per their script level)."""
+        phantom lines, per their script level: the LLC is inclusive, so an
+        l1hit line is in it too)."""
         script = self.scripts.get(line)
         if script is not None:
-            return "hit" if script is Level.LLCHIT else "miss"
+            return "miss" if script is Level.MEMMISS else "hit"
         cset = self.llc[self.geom.llc_index(line)]
         hit = cset.resident(line)
         evicted = qlru_touch(cset, line)

@@ -125,8 +125,11 @@ resolve, safe transition, retire, squash):
     load shadow rule and the fetch shadow rule;
   - unsafe / ifetch_waiting: ROB ops still awaiting their safe transition
     or their deferred I-access. Under every shadow rule an op is safe only
-    if every older op is, so each cycle's transitions pop a prefix.
-A squash truncates every view to the ops at or older than the branch.
+    if every older op is, so each cycle's transitions pop a prefix. Retire
+    holds the ROB head while it heads ifetch_waiting; no flag restates it.
+A squash truncates every view to the ops at or older than the branch, and
+each killed op that is fetched again gets a fresh OpRec. The OpRecs hold
+the per-op stamps; the trace keeps the final one of each op as `ops`.
 
 Per-program tables. What the engine reads of a program under any scheme is
 derived once per program and kept on it (MicroProgram.tables): each op's
@@ -149,6 +152,8 @@ only log. Two views are built from them on first read: `pattern`, one
 AccessRecord per l2access record (the hierarchy keeps no copy), and
 `events`, one TraceEvent per record with its own extra dict. serialize()
 renders the records directly, to the same bytes as joining line_text().
+The per-op timing is not copied either: the trace keeps the engine's final
+OpRec of each op as `ops`, and times(op, key) reads one stamp from it.
 """
 
 from __future__ import annotations
@@ -176,7 +181,11 @@ NEVER = -1
 
 
 class OpRec:
-    """Runtime record of one op: lifecycle timestamps plus load state."""
+    """Runtime record of one op: lifecycle timestamps plus load state. The
+    engine updates it in place; a squash followed by a refetch replaces it.
+    Each run's trace keeps the final record of every op as ``ops``, so its
+    stamps (dispatch, issue, complete, retire, squash, safe, resolved; NEVER
+    if the op never reached that point) are the trace's per-op timing."""
 
     __slots__ = (
         "op",
@@ -192,8 +201,7 @@ class OpRec:
         "line",
         "delayed",
         "pending_replay",
-        "deferred_l1_update",
-        "ifetch_pending",
+        "deferred_l1",
         "npeu_unit",
     )
 
@@ -211,8 +219,7 @@ class OpRec:
         self.line: int | None = None
         self.delayed = False  # protected miss parked until safe
         self.pending_replay = False  # invisibly serviced, visible replay owed
-        self.deferred_l1_update: int | None = None
-        self.ifetch_pending = False  # protected speculative fetch, replay owed
+        self.deferred_l1 = False  # L1 hit whose replacement update waits until safe
         self.npeu_unit: int | None = None
 
 
@@ -258,10 +265,12 @@ class AccessRecord(NamedTuple):
 class ExecutionTrace:
     """Everything observable about one run: the event log, per-op
     timestamps, per-cycle occupancy, the visible-access pattern, and the
-    total cycle count (last retirement or squash)."""
+    total cycle count (last retirement or squash). records, ops and
+    occupancy are kept as the engine left them; ops holds the final OpRec
+    of each op, whose stamps times() reads. Nothing may change them."""
 
     records: list[Record]
-    op_times: dict[int, dict[str, int]]
+    ops: tuple[OpRec, ...]  # the final OpRec of each op, by op id
     occupancy: list[tuple[int, int, int, int]]  # cycle, rs, mshr, eu_busy
     total_cycles: int
     # Final LLC contents (non-empty sets only), for receiver probes and
@@ -295,7 +304,8 @@ class ExecutionTrace:
         return "\n".join(rows) + "\n"
 
     def times(self, op_id: int, key: str) -> int:
-        return self.op_times[op_id][key]
+        """One stamp of one op, e.g. times(3, "issue"); NEVER if not reached."""
+        return getattr(self.ops[op_id], key)
 
 
 def run(
@@ -601,8 +611,7 @@ class _Engine:
             r.squash = self.cycle
             r.delayed = False
             r.pending_replay = False
-            r.deferred_l1_update = None
-            r.ifetch_pending = False
+            r.deferred_l1 = False
             self._event("squash", i)
         self.ifetch_replays = [(c, i) for c, i in self.ifetch_replays if i <= branch_id]
         self.fetch_holds = [(j, b) for j, b in self.fetch_holds if b <= branch_id]
@@ -642,10 +651,10 @@ class _Engine:
             r = self.recs[i]
             r.safe = cycle
             self.records.append((cycle, "safe", i, None))
-            if r.deferred_l1_update is not None:
-                self.hier.l1_hit_update(r.deferred_l1_update)
-                r.deferred_l1_update = None
-            if r.pending_replay and r.line is not None:
+            if r.deferred_l1:
+                self.hier.l1_hit_update(r.line)
+                r.deferred_l1 = False
+            if r.pending_replay:
                 self._visible_access(r.line, i)
                 r.pending_replay = False
             if r.delayed:
@@ -661,9 +670,7 @@ class _Engine:
         idx = 0
         waiting, rule = self.ifetch_waiting, self.spec.fetch_shadow
         while waiting and safe(rule, waiting[0]):
-            op_id = waiting.popleft()
-            self.recs[op_id].ifetch_pending = False
-            self.ifetch_replays.append((cycle + 1 + idx // self.cfg.fetch_width, op_id))
+            self.ifetch_replays.append((cycle + 1 + idx // self.cfg.fetch_width, waiting.popleft()))
             idx += 1
 
     def _phase_attacker(self) -> None:
@@ -790,7 +797,7 @@ class _Engine:
             if safe or self.spec.miss_policy is MissPolicy.VISIBLE:
                 self.hier.l1_hit_update(line)
             else:
-                r.deferred_l1_update = line
+                r.deferred_l1 = True
             self._start(op_id, self.hier.latency(level))
             return "ok"
         if not safe and self.spec.miss_policy is MissPolicy.DELAY:
@@ -809,7 +816,6 @@ class _Engine:
             # transition replays it.
             r.pending_replay = True
         else:
-            r.delayed = False
             self._visible_access(line, op_id)
         self._start(op_id, lat)
         return "ok"
@@ -849,7 +855,6 @@ class _Engine:
             self.shadow_moved = True  # a new head, which may be safe already
         self.unsafe.append(i)
         if op.kind is OpKind.NOP:
-            r.finish = NEVER
             r.complete = cycle  # markers complete at dispatch
         else:
             r.in_rs = True
@@ -898,7 +903,6 @@ class _Engine:
                 # If so it stays so until a frontier moves: no need to flag
                 # the safe transitions.
                 if fetch_shadow is not None and not self.shadow.safe(fetch_shadow, op.id):
-                    recs[op.id].ifetch_pending = True
                     self.ifetch_waiting.append(op.id)
                 else:
                     self._ifetch_access(op.id)
@@ -913,7 +917,7 @@ class _Engine:
 
     def _phase_retire(self) -> None:
         cycle = self.cycle
-        rob, recs, unsafe = self.rob, self.recs, self.unsafe
+        rob, recs, unsafe, ifetch_waiting = self.rob, self.recs, self.unsafe, self.ifetch_waiting
         retired = 0
         while rob and retired < self.cfg.retire_width:
             i = rob[0]
@@ -922,7 +926,9 @@ class _Engine:
                 break
             if r.op.kind is OpKind.BRANCH and r.resolved == NEVER:
                 break
-            if r.delayed or r.pending_replay or r.ifetch_pending:
+            # ifetch_waiting is age-ordered and holds only ROB ops, so the
+            # head owes a deferred I-access exactly when it heads that list.
+            if r.delayed or r.pending_replay or (ifetch_waiting and ifetch_waiting[0] == i):
                 break
             rob.popleft()
             if unsafe and unsafe[0] == i:
@@ -940,18 +946,6 @@ class _Engine:
             retired += 1
 
     def _finish(self) -> ExecutionTrace:
-        op_times: dict[int, dict[str, int]] = {}
-        for r in self.recs:
-            op_times[r.op.id] = {
-                "fetch": r.dispatch,
-                "dispatch": r.dispatch,
-                "issue": r.issue,
-                "complete": r.complete,
-                "retire": r.retire,
-                "squash": r.squash,
-                "safe": r.safe,
-                "resolved": r.resolved,
-            }
         llc_state: dict[int, tuple[tuple[int | None, int], ...]] = {}
         empty = [None] * self.cfg.geometry.llc_ways
         for idx in sorted(self.hier.llc):
@@ -960,7 +954,7 @@ class _Engine:
                 llc_state[idx] = cset.state()
         return ExecutionTrace(
             records=self.records,
-            op_times=op_times,
+            ops=tuple(self.recs),
             occupancy=self.occupancy,
             total_cycles=self.last_drain_cycle if self.records else 0,
             llc_state=llc_state,

@@ -18,6 +18,7 @@ from specsim.attacks import (
     REFERENCE_VULNERABLE,
     derive_decode_table,
     group_orderings,
+    observe_trial,
     plan_attack,
     prime,
     primed_ways,
@@ -305,6 +306,16 @@ class TestReceiverReference:
         assert fresh.serialize() != unsafe
         assert copy.victim_trace(1).serialize() == fresh.serialize()
         assert plan.victim_trace(1).serialize() == unsafe
+
+    def test_interloper_pool_is_built_only_when_a_trial_reads_it(self):
+        # Only trials with interlopers draw from the pool, so neither a plan
+        # nor its copy builds it until one runs.
+        plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG)
+        copy = replace(plan, scheme=SchemeId.DOM_NONTSO)
+        assert "interloper_pool" not in vars(plan) and "interloper_pool" not in vars(copy)
+        observe_trial(copy, 1, random.Random(5), 0.0, interlopers=1)
+        assert vars(copy)["interloper_pool"] == LAY.interlopers(INTERLOPER_POOL)
+        assert "interloper_pool" not in vars(plan)
 
 
 class TestSweep:

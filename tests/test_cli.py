@@ -70,6 +70,27 @@ class TestRun:
         assert body.splitlines()[0].startswith("cycle=0 event=fetch op=0")
         assert occ.read_text().splitlines()[0] == "cycle,rs_fill,mshr_fill,eu_busy"
 
+    def test_summary_counts_each_op_by_its_final_state(self, tmp_path):
+        # The branch is predicted taken and falls through: its body (ops
+        # 2-4) and the post-join ops 5-7 are fetched while the resolver
+        # misses. The squash kills all six; only 5-7 are refetched. So six
+        # ops log a squash, but an op counts as squashed only if it never
+        # came back: squashed=3, retired=5 (0, 1 and the refetched 5-7).
+        prog = tmp_path / "branchy.mprog"
+        prog.write_text(
+            "0 LOAD deps=[] addr=100001\n1 BRANCH deps=[] branch=T,N,res:0,join:5\n"
+            + "".join(f"{i} ALU deps=[]\n" for i in range(2, 8))
+        )
+        image = tmp_path / "branchy.image"
+        image.write_text("script line=100001 level=memmiss\n")
+        trace = tmp_path / "branchy.trace"
+        code, out, _ = call(["run", "--program", str(prog), "--image", str(image), "--trace", str(trace)])
+        assert code == EXIT_OK
+        assert out == "scheme=unsafe total_cycles=205 retired=5 squashed=3 visible_accesses=1\n"
+        events = [line.split()[1:3] for line in trace.read_text().splitlines()]
+        assert sorted(int(op[3:]) for name, op in events if name == "event=squash") == [2, 3, 4, 5, 6, 7]
+        assert sorted(int(op[3:]) for name, op in events if name == "event=retire") == [0, 1, 5, 6, 7]
+
     def test_bad_secrets_usage_error(self, program_file):
         code, _, err = call(["run", "--program", program_file, "--secrets", "01"])
         assert code == EXIT_USAGE and "secrets" in err

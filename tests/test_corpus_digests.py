@@ -4,7 +4,10 @@ Every run below is reduced to one sha256 digest of its complete observable
 output: the event log, the occupancy CSV, the per-op timestamps, the final
 LLC state and the total cycle count. The digests in tests/golden/corpus.sha256
 were recorded from the stepping engine; an engine change that moves any
-byte of any of these traces fails here.
+byte of any of these traces fails here. The timestamps are read from the
+trace's final OpRec of each op (trace.ops) and rendered in the text they
+were recorded with, the repr of a dict of per-op stamp dicts with a "fetch"
+key equal to "dispatch" (op_stamps), so the pins still hold every stamp.
 
 tests/golden/config_corpus.sha256 pins the same digests over the corners of
 the configuration space: mutated random programs (NPEU and NOP ops, fence
@@ -77,11 +80,21 @@ CONFIG_SEEDS = 64
 TRIGGER_SEEDS = 30
 
 
+STAMPS = ("dispatch", "issue", "complete", "retire", "squash", "safe", "resolved")
+
+
+def op_stamps(trace: ExecutionTrace) -> dict[int, dict[str, int]]:
+    """Every op's stamps by op id, as the trace once kept them: a "fetch"
+    key (always the dispatch cycle) first, then STAMPS in order. Its repr
+    is the text the digests were recorded with."""
+    return {r.op.id: {"fetch": r.dispatch, **{k: getattr(r, k) for k in STAMPS}} for r in trace.ops}
+
+
 def trace_digest(trace: ExecutionTrace) -> str:
     text = (
         trace.serialize()
         + trace.occupancy_csv()
-        + repr(trace.op_times)
+        + repr(op_stamps(trace))
         + repr(trace.llc_state)
         + str(trace.total_cycles)
     )
@@ -307,7 +320,7 @@ def run_fields(runner, program, cfg, scheme, kw):
         t = runner(program, cfg, scheme, **kw)
     except SimulationDeadlock as exc:
         return f"raise:{exc}"
-    return (t.records, t.op_times, t.occupancy, t.pattern, t.llc_state, t.total_cycles, t.secret_read_cycle)
+    return (t.records, op_stamps(t), t.occupancy, t.pattern, t.llc_state, t.total_cycles, t.secret_read_cycle)
 
 
 def trigger_runs():

@@ -253,7 +253,7 @@ class TestMemHier:
     def test_scripted_lines_are_phantom(self):
         image = CacheImage(scripts={77: Level.MEMMISS, 78: Level.L1HIT, 79: Level.LLCHIT})
         h = self._hier(image)
-        assert [h.llc_access(line) for line in (77, 78, 79)] == ["miss", "miss", "hit"]
+        assert [h.llc_access(line) for line in (77, 78, 79)] == ["miss", "hit", "hit"]
         assert dict(h.llc) == {}  # no set was touched
         assert h.service_level(78) is Level.L1HIT
 

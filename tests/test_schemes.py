@@ -37,6 +37,8 @@ from specsim.schemes import (
     scheme_spec,
 )
 
+from test_corpus_digests import op_stamps
+
 CFG = MachineConfig()
 LAY = AttackLayout(CFG.geometry)
 
@@ -215,13 +217,14 @@ class TestFences:
         from specsim.attacks import attack_image
 
         t = run(prog, CFG, SchemeId.FENCE_FUTURISTIC, secrets={"s0": 1}, image=attack_image(Gadget.NPEU, CFG))
-        issue_cycle = {i: times.get("issue") for i, times in t.op_times.items()}
+        stamps = op_stamps(t)
+        issue_cycle = {i: times.get("issue") for i, times in stamps.items()}
         for i, op in enumerate(prog.ops):
             if issue_cycle[i] in (None, NEVER):
                 continue
             for j in range(i):
                 older = prog.ops[j]
-                tj = t.op_times[j]
+                tj = stamps[j]
                 if older.kind is OpKind.BRANCH and tj["resolved"] != NEVER:
                     assert tj["resolved"] <= issue_cycle[i]
                 if older.kind is OpKind.LOAD and tj["complete"] != NEVER:
@@ -284,7 +287,7 @@ class TestNoInterference:
         occ = lambda t: [(c, r) for c, r, _, _ in t.occupancy]
         assert occ(t1) == occ(t0)
         marker = prog.role_ops("itarget")[0]
-        assert t1.times(marker, "fetch") == t0.times(marker, "fetch")
+        assert t1.times(marker, "dispatch") == t0.times(marker, "dispatch")
 
 
 def test_scheme_spec_flags():
@@ -331,7 +334,7 @@ class TestEngineBehaviour:
                 for scheme, t in zip(schemes[1:], rest):
                     where = (label, schemes[0].value, scheme.value)
                     assert t.serialize() == first.serialize(), where
-                    assert t.op_times == first.op_times, where
+                    assert op_stamps(t) == op_stamps(first), where
                     assert t.occupancy == first.occupancy, where
                     assert t.llc_state == first.llc_state, where
                     assert t.pattern_keys() == first.pattern_keys(), where
