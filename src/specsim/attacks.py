@@ -396,17 +396,20 @@ class MatrixResult:
 
     def _compared(self) -> list[tuple[str, bool]]:
         """Per reference cell, in (gadget, group) order: its expected and
-        actual verdicts as text, and whether they agree. A cell that is not
-        constructible agrees when no cell of it ran."""
+        actual verdicts as text, and whether they agree. Both are read over
+        the reference's schemes that ran, so a run on a scheme subset is
+        compared on that subset. A cell that is not constructible agrees
+        when no cell of it ran."""
         out = []
         got = self.verdicts()
+        ran = _ALL & {c.scheme for c in self.cells}
         for key, expected in sorted(REFERENCE_VULNERABLE.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
             gadget, group = key
             if expected is None:
                 exp = act = "-"
                 ok = key not in got
             else:
-                actual = got.get(key, set())
+                expected, actual = expected & ran, got.get(key, set()) & ran
                 exp = ",".join(sorted(s.value for s in expected)) or "-"
                 act = ",".join(sorted(s.value for s in actual)) or "-"
                 ok = actual == expected

@@ -127,9 +127,12 @@ resolve, safe transition, retire, squash):
     or their deferred I-access. Under every shadow rule an op is safe only
     if every older op is, so each cycle's transitions pop a prefix. Retire
     holds the ROB head while it heads ifetch_waiting; no flag restates it.
-A squash truncates every view to the ops at or older than the branch, and
-each killed op that is fetched again gets a fresh OpRec. The OpRecs hold
-the per-op stamps; the trace keeps the final one of each op as `ops`.
+A squash truncates every view to the ops at or older than the branch and
+frees the non-pipelined unit of each killed op that is still executing; a
+killed op that finished earlier leaves the unit to whichever op has booked
+it since. Each killed op that is fetched again gets a fresh OpRec. The
+OpRecs hold the per-op stamps; the trace keeps the final one of each op as
+`ops`.
 
 Per-program tables. What the engine reads of a program under any scheme is
 derived once per program and kept on it (MicroProgram.tables): each op's
@@ -605,7 +608,7 @@ class _Engine:
             if r.in_rs:
                 r.in_rs = False
                 self.rs_count -= 1
-            if r.npeu_unit is not None:
+            if r.npeu_unit is not None and r.finish > self.cycle:
                 self.npeu_busy_until[r.npeu_unit] = self.cycle
             self.hier.mshrs.drop_waiter(i)
             r.squash = self.cycle

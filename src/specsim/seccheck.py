@@ -5,7 +5,9 @@ The ideal-invisible-speculation property compares the visible LLC access
 pattern of a run against the run with every branch prediction forced
 correct at fetch (the no-misspeculation oracle): equal sequences means the
 speculation left no attacker-visible trace. The differential variant
-compares patterns across secret assignments instead.
+compares patterns across secret assignments instead. Both properties, and
+the calibration's final leak test on a sender's two bits, decide through
+one comparison of two runs' visible patterns, _compare.
 """
 
 from __future__ import annotations
@@ -57,12 +59,15 @@ class CheckResult:
         return self.holds
 
 
-def _first_divergence(a: list[PatternKey], b: list[PatternKey]) -> int:
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
+def _compare(a: ExecutionTrace, b: ExecutionTrace, label_a: str, label_b: str) -> CheckResult:
+    """Holds when the two runs' visible patterns are equal. Otherwise the
+    witness is the first index at which they differ, or the shorter length
+    when one pattern is a prefix of the other."""
+    pa, pb = a.pattern_keys(), b.pattern_keys()
+    if pa == pb:
+        return CheckResult(holds=True)
+    witness = next((i for i, (x, y) in enumerate(zip(pa, pb)) if x != y), min(len(pa), len(pb)))
+    return CheckResult(False, witness, pa, pb, label_a, label_b)
 
 
 def nospec(
@@ -95,18 +100,7 @@ def check_ideal(
     e = run(program, cfg, scheme, secrets, image, attacker)
     if not any(op.branch is not None and op.branch.mispredicted() for op in program.ops):
         return CheckResult(holds=True)
-    ns = nospec(program, cfg, scheme, secrets, image, attacker)
-    pa, pb = e.pattern_keys(), ns.pattern_keys()
-    if pa == pb:
-        return CheckResult(holds=True)
-    return CheckResult(
-        holds=False,
-        witness_index=_first_divergence(pa, pb),
-        pattern_a=pa,
-        pattern_b=pb,
-        label_a="run",
-        label_b="nospec",
-    )
+    return _compare(e, nospec(program, cfg, scheme, secrets, image, attacker), "run", "nospec")
 
 
 def _secret_assignments(program: MicroProgram) -> list[dict[str, int]]:
@@ -138,18 +132,11 @@ def check_ideal_differential(
     first = run(program, cfg, scheme, combos[0], image, attacker)
     if first.secret_read_cycle is None:
         return CheckResult(holds=True)
-    base = first.pattern_keys()
     for assignment in combos[1:]:
-        other = run(program, cfg, scheme, assignment, image, attacker).pattern_keys()
-        if other != base:
-            return CheckResult(
-                holds=False,
-                witness_index=_first_divergence(base, other),
-                pattern_a=base,
-                pattern_b=other,
-                label_a=str(combos[0]),
-                label_b=str(assignment),
-            )
+        other = run(program, cfg, scheme, assignment, image, attacker)
+        result = _compare(first, other, str(combos[0]), str(assignment))
+        if not result.holds:
+            return result
     return CheckResult(holds=True)
 
 
@@ -253,10 +240,9 @@ def calibrate(
                 offset = (c0 + c1) // 2
                 final = replace(base, z_len=z, reference_offset=offset)
                 check = plan_for(final)
-                p0 = check.victim_trace(0).pattern_keys()
-                p1 = check.victim_trace(1).pattern_keys()
-                trace.append(f"z={z} offset={offset}: differential={'yes' if p0 != p1 else 'no'}")
-                if p0 != p1:
+                leaks = not _compare(check.victim_trace(0), check.victim_trace(1), "bit 0", "bit 1").holds
+                trace.append(f"z={z} offset={offset}: differential={'yes' if leaks else 'no'}")
+                if leaks:
                     return Calibration(True, final, trace)
             return Calibration(False, None, trace)
 

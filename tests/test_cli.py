@@ -281,6 +281,26 @@ class TestMatrix:
         assert lines[2 + len(Gadget)] == ""
         assert lines[-1] == "reference match: yes"
 
+    def test_a_scheme_subset_is_compared_on_the_schemes_that_ran(self):
+        # unsafe has no reference verdict; dom-nontso agrees with its own.
+        code, out, _ = call(["matrix", "--seed", "1", "--schemes", "unsafe,dom-nontso"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        start = lines.index("") + 1
+        assert lines[start:] == [
+            "mshr  vdad       expected=- got=- [ok]",
+            "mshr  vdvd+vivd  expected=- got=- [ok]",
+            "mshr  viad       expected=- got=- [ok]",
+            "npeu  vdad       expected=dom-nontso got=dom-nontso [ok]",
+            "npeu  vdvd+vivd  expected=dom-nontso got=dom-nontso [ok]",
+            "npeu  viad       expected=dom-nontso got=dom-nontso [ok]",
+            "rs    vdad       expected=- got=- [ok]",
+            "rs    vdvd+vivd  expected=- got=- [ok]",
+            "rs    viad       expected=dom-nontso got=dom-nontso [ok]",
+            "",
+            "reference match: yes",
+        ]
+
     @pytest.mark.parametrize("flag", ["--bits", "--trials"])
     def test_zero_count_is_a_usage_error(self, flag):
         code, out, err = call(["matrix", "--seed", "1", flag, "0"])

@@ -2,7 +2,9 @@
 backpressure, determinism, and the interference mechanisms themselves."""
 
 import time
+from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, replace
+from math import inf
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -204,6 +206,31 @@ def branchy_program(predicted=True, actual=False, body=2):
 RESOLVER_IMG = CacheImage(scripts={LAY.resolver_line: Level.MEMMISS})
 
 
+def overbooked_cycles(trace, program: MicroProgram, cfg: MachineConfig) -> list[int]:
+    """Cycles at which more ops of a non-pipelined class execute than the
+    class has units, read from the run's records. An op executes from its
+    issue record for its class's latency, or until its squash record if
+    that comes first."""
+    classes = program.tables.eu_classes
+    started: dict[int, int] = {}
+    busy: dict[str, Counter] = defaultdict(Counter)
+
+    def close(i: int, end: float) -> None:
+        klass, start = classes[i], started.pop(i)
+        busy[klass].update(range(start, min(start + cfg.eu[klass].latency, end)))
+
+    for cycle, name, i, _ in trace.records:
+        if i is None or classes[i] is None or cfg.eu[classes[i]].pipelined:
+            continue
+        if name == "issue":
+            started[i] = cycle
+        elif name == "squash" and i in started:
+            close(i, cycle)
+    for i in list(started):
+        close(i, inf)
+    return sorted(c for klass, n in busy.items() for c, k in n.items() if k > cfg.eu[klass].count)
+
+
 class TestSquash:
     def test_mispredicted_branch_squashes_younger_only(self):
         p = branchy_program()
@@ -235,6 +262,34 @@ class TestSquash:
         squash_cycle = t.times(2, "squash")
         assert squash_cycle != NEVER
         assert t.times(3, "issue") <= squash_cycle + 2
+
+    def test_squash_keeps_a_survivors_booking_of_a_non_pipelined_unit(self):
+        # Ops 6 and 7 take the only unit early and finish long before the
+        # squash; op 1, older than the branch, books it at 42 for 16 cycles.
+        # The squash at 48 must not hand op 1's unit to the refetched op 7.
+        ops = [
+            MicroOp(0, OpKind.LOAD, addr=Literal(777)),
+            MicroOp(1, OpKind.NPEU, src_deps=(0,)),
+            MicroOp(2, OpKind.ALU, src_deps=(0,)),
+            MicroOp(3, OpKind.ALU, src_deps=(2,)),
+            MicroOp(4, OpKind.ALU, src_deps=(3,)),
+            MicroOp(5, OpKind.BRANCH, branch=BranchInfo(True, False, resolver=4, join=7)),
+            MicroOp(6, OpKind.NPEU),
+            MicroOp(7, OpKind.NPEU),
+        ]
+        prog = prog_of(*ops)
+        t = run(prog, CFG, SchemeId.UNSAFE, image=CacheImage(scripts={777: Level.LLCHIT}))
+        assert overbooked_cycles(t, prog, CFG) == []
+        assert [(r[0], r[2]) for r in t.records if r[1] == "issue" and r[2] in (1, 6, 7)] == [
+            (2, 6), (18, 7), (42, 1), (58, 7)
+        ]
+        assert [(r[0], r[2]) for r in t.records if r[1] == "squash"] == [(48, 6), (48, 7)]
+
+    def test_non_pipelined_units_are_never_overbooked(self):
+        from test_corpus_digests import corpus_runs  # it imports this module
+
+        for label, program, scheme, kw in corpus_runs():
+            assert overbooked_cycles(run(program, CFG, scheme, **kw), program, CFG) == [], label
 
     def test_unknown_eu_class_is_rejected_before_the_first_cycle(self):
         # The bad op waits on the missing resolver on the wrong path, so it

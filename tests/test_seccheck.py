@@ -29,6 +29,7 @@ from specsim.attacks import MATRIX_GROUPS, MATRIX_SCHEMES, REFERENCE_VULNERABLE,
 from specsim.seccheck import (
     Benchmark,
     Calibration,
+    CheckResult,
     OverheadReport,
     bench_overhead,
     calibrate,
@@ -79,10 +80,13 @@ class TestCheckIdeal:
     def test_spectre_v1_violates_under_unsafe(self):
         prog, image = spectre_v1_program()
         res = check_ideal(prog, CFG, SchemeId.UNSAFE, secrets={"s0": 1}, image=image)
-        assert not res.holds
-        assert res.witness_index is not None
-        # The transient secret-indexed fill is the divergence.
-        assert (LAY.victim_line + 1, "victim", "fill") in res.pattern_a
+        # The transient secret-indexed fill is the divergence; the oracle's
+        # pattern is a prefix of the run's, so the witness is its length.
+        resolver = (LAY.resolver_line, "victim", "fill")
+        assert res == CheckResult(
+            False, 1, [resolver, (LAY.victim_line + 1, "victim", "fill")], [resolver], "run", "nospec"
+        )
+        assert not res
 
     def test_spectre_v1_holds_under_fence_futuristic(self):
         prog, image = spectre_v1_program()
@@ -133,9 +137,14 @@ class TestCheckDifferential:
     def test_attack_program_violated_under_vulnerable_scheme(self):
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, CFG)
         res = check_ideal_differential(plan.program, CFG, SchemeId.DOM_NONTSO, plan.image, plan.script)
-        assert not res.holds
         # Witness: the victim/reference pair swaps.
-        assert res.witness_index is not None
+        resolver, victim, reference = (
+            (line, "victim", "fill") for line in (LAY.resolver_line, LAY.victim_line, LAY.reference_line)
+        )
+        assert res == CheckResult(
+            False, 1, [resolver, victim, reference], [resolver, reference, victim], "{'s0': 0}", "{'s0': 1}"
+        )
+        assert not res
 
     def test_attack_program_holds_under_nointerference(self):
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.NOINTERFERENCE, CFG)
