@@ -261,24 +261,19 @@ def _decode_bit(votes: list[int]) -> int:
     return 1 if ones > zeros else 0
 
 
-def run_attack(
-    gadget: Gadget,
-    ordering: Ordering,
-    scheme: SchemeId,
+def transmit(
+    plan: AttackPlan,
     secret_bits: list[int],
     trials_per_bit: int,
     noise: float,
     seed: int,
-    cfg: MachineConfig | None = None,
-    params: AttackParams | None = None,
     interlopers: int = 0,
 ) -> AttackResult:
-    """Transmit the given bits over the configured channel: per bit, run
+    """Transmit the given bits over a planned channel: per bit, run
     trials_per_bit prime/victim/probe rounds and majority-vote the decodes.
-    All randomness derives from the root seed per (bit, trial).
+    All randomness derives from the root seed per (bit, trial); calls over
+    one plan reuse its victim runs.
     """
-    cfg = cfg or MachineConfig()
-    plan = plan_attack(gadget, ordering, scheme, cfg, params)
     trial_cost = _prime_probe_cost(plan)
     seeded = noise > 0 or interlopers > 0
     decoded_bits = []
@@ -304,6 +299,23 @@ def run_attack(
         cycles_per_bit=cycles_per_bit,
         trials_per_bit=trials_per_bit,
     )
+
+
+def run_attack(
+    gadget: Gadget,
+    ordering: Ordering,
+    scheme: SchemeId,
+    secret_bits: list[int],
+    trials_per_bit: int,
+    noise: float,
+    seed: int,
+    cfg: MachineConfig | None = None,
+    params: AttackParams | None = None,
+    interlopers: int = 0,
+) -> AttackResult:
+    """Plan the configured attack and transmit the given bits over it."""
+    plan = plan_attack(gadget, ordering, scheme, cfg or MachineConfig(), params)
+    return transmit(plan, secret_bits, trials_per_bit, noise, seed, interlopers)
 
 
 # --- vulnerability matrix ----------------------------------------------------
@@ -456,14 +468,15 @@ def vulnerability_matrix(
     seed: int,
     calibrations: dict[tuple[Gadget, Ordering, SchemeId], AttackParams],
     bits: int = 32,
-    trials: int = 3,
     schemes: tuple[SchemeId, ...] = MATRIX_SCHEMES,
 ) -> MatrixResult:
     """Run every constructible (gadget, ordering-group, scheme) attack at
     zero noise and mark cells whose decode error stays under the working
     threshold. Calibrations map every (gadget, ordering, scheme) the cells
     evaluate to sender parameters, as ``matrix_calibrations`` returns them
-    for the same schemes. A cell whose sender, parameters and engine
+    for the same schemes. Each bit gets one trial: with no noise and no
+    interlopers every trial of a bit reads the same, so a vote over more
+    would decide nothing. A cell whose sender, parameters and engine
     behaviour match an earlier cell's reuses that cell's result."""
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
@@ -480,12 +493,13 @@ def vulnerability_matrix(
                     key = (gadget, ordering, params, engine_behaviour(scheme, marks_fetch(gadget, ordering)))
                     res = results.get(key)
                     if res is None:
+                        # At zero noise with no interlopers every trial of a bit reads the same.
                         res = results[key] = run_attack(
                             gadget,
                             ordering,
                             scheme,
                             secret_bits,
-                            trials_per_bit=trials,
+                            trials_per_bit=1,
                             noise=0.0,
                             seed=seed,
                             cfg=cfg,
@@ -500,17 +514,6 @@ def vulnerability_matrix(
 
 # --- error-rate / throughput sweep -------------------------------------------
 
-@dataclass
-class SweepPoint:
-    trials: int
-    error_rate: float
-    discard_rate: float
-    cycles_per_bit: float
-
-    @property
-    def bits_per_mcycle(self) -> float:
-        return 1e6 / self.cycles_per_bit if self.cycles_per_bit else 0.0
-
 
 def sweep_error_vs_rate(
     gadget: Gadget,
@@ -522,33 +525,21 @@ def sweep_error_vs_rate(
     seed: int,
     cfg: MachineConfig | None = None,
     params: AttackParams | None = None,
-) -> list[SweepPoint]:
+) -> list[AttackResult]:
     """Error rate vs cost for increasing trials-per-bit at a fixed flip
-    probability; the raw material for the channel quality curve."""
-    cfg = cfg or MachineConfig()
+    probability; the raw material for the channel quality curve. Every
+    count transmits over one plan, so the sender runs once per bit value."""
     rng = random.Random(f"sweep:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
-    points = []
-    for trials in trial_counts:
-        res = run_attack(
-            gadget,
-            ordering,
-            scheme,
-            secret_bits,
-            trials_per_bit=trials,
-            noise=noise,
-            seed=seed,
-            cfg=cfg,
-            params=params,
-        )
-        points.append(SweepPoint(trials, res.error_rate, res.discard_rate, res.cycles_per_bit))
-    return points
+    plan = plan_attack(gadget, ordering, scheme, cfg or MachineConfig(), params)
+    return [transmit(plan, secret_bits, trials, noise, seed) for trials in trial_counts]
 
 
-def sweep_csv(points: list[SweepPoint]) -> str:
+def sweep_csv(points: list[AttackResult]) -> str:
     rows = ["trials,error_rate,discard_rate,cycles_per_bit,bits_per_mcycle"]
     for p in points:
+        bits_per_mcycle = 1e6 / p.cycles_per_bit if p.cycles_per_bit else 0.0
         rows.append(
-            f"{p.trials},{p.error_rate:.4f},{p.discard_rate:.4f},{p.cycles_per_bit:.1f},{p.bits_per_mcycle:.3f}"
+            f"{p.trials_per_bit},{p.error_rate:.4f},{p.discard_rate:.4f},{p.cycles_per_bit:.1f},{bits_per_mcycle:.3f}"
         )
     return "\n".join(rows) + "\n"

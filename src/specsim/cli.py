@@ -259,7 +259,7 @@ def cmd_matrix(args) -> int:
     schemes = args.schemes or MATRIX_SCHEMES
     cals = matrix_calibrations(cfg, schemes)
     res = vulnerability_matrix(
-        cfg, seed=args.seed, bits=args.bits, trials=args.trials, schemes=schemes,
+        cfg, seed=args.seed, bits=args.bits, schemes=schemes,
         calibrations=cals,
     )
     csv_text = "\n".join(res.csv_lines()) + "\n"
@@ -397,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bits", type=positive_int, default=32)
-    p.add_argument("--trials", type=positive_int, default=3)
     p.add_argument("--out")
     p.add_argument("--schemes", type=scheme_list, help="comma-separated scheme subset")
     p.set_defaults(fn=cmd_matrix)

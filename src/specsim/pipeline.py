@@ -268,7 +268,8 @@ class AccessRecord(NamedTuple):
 class ExecutionTrace:
     """Everything observable about one run: the event log, per-op
     timestamps, per-cycle occupancy, the visible-access pattern, and the
-    total cycle count (last retirement or squash). records, ops and
+    total cycle count (the last retirement: a squashing branch stays in
+    the ROB and retires at or after its squash). records, ops and
     occupancy are kept as the engine left them; ops holds the final OpRec
     of each op, whose stamps times() reads. Nothing may change them."""
 
@@ -381,7 +382,6 @@ class _Engine:
             self.attacker = sorted(attacker)
         self.attacker_pos = 0
         self.rs_count = 0
-        self.last_drain_cycle = 0
         # (join position, branch id): fetch holds at the join while the
         # predicted-taken branch whose region ends there is unresolved.
         self.fetch_holds: list[tuple[int, int]] = []
@@ -641,7 +641,6 @@ class _Engine:
                 self.recs[i] = OpRec(self.recs[i].op)
         self.fetch_pos = resume
         self.redirect_at = self.cycle + 1
-        self.last_drain_cycle = self.cycle
 
     def _phase_safe_transitions(self) -> None:
         # Safety is monotone in age under every rule, so the ops that turn
@@ -944,7 +943,6 @@ class _Engine:
                 r.in_rs = False
                 self.rs_count -= 1
             r.retire = cycle
-            self.last_drain_cycle = cycle
             self.records.append((cycle, "retire", i, None))
             retired += 1
 
@@ -959,7 +957,7 @@ class _Engine:
             records=self.records,
             ops=tuple(self.recs),
             occupancy=self.occupancy,
-            total_cycles=self.last_drain_cycle if self.records else 0,
+            total_cycles=next((c for c, name, _, _ in reversed(self.records) if name == "retire"), 0),
             llc_state=llc_state,
             secret_read_cycle=self.secret_read_cycle,
         )

@@ -21,6 +21,7 @@ from specsim.attacks import (
     MatrixResult,
     attack_image,
     group_orderings,
+    observe_trial,
     plan_attack,
     prime,
     probe,
@@ -172,21 +173,28 @@ def calibrations(calibration_runs):
 
 
 def golden_matrix(calibrations) -> MatrixResult:
-    return vulnerability_matrix(CFG, seed=1, bits=32, trials=3, calibrations=calibrations)
+    return vulnerability_matrix(CFG, seed=1, bits=32, calibrations=calibrations)
 
 
 def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
     # safespec-wfb and muontrap differ from the two InvisiSpec schemes only
     # at marked fetches. On the npeu and mshr vdvd/vdad senders, which have
     # none, they reuse those schemes' results: 2 senders x 2 orderings x 2
-    # fewer run_attack calls than cells x orderings.
+    # fewer run_attack calls than cells x orderings. Each transmits its 32
+    # noiseless bits with one trial per bit.
     calls = []
+    observed = []
 
     def counting(gadget, ordering, scheme, *args, **kw):
         calls.append((gadget, ordering, scheme))
         return run_attack(gadget, ordering, scheme, *args, **kw)
 
+    def observing(*args, **kw):
+        observed.append(args)
+        return observe_trial(*args, **kw)
+
     monkeypatch.setattr(attacks, "run_attack", counting)
+    monkeypatch.setattr(attacks, "observe_trial", observing)
     runs = CountingRun(attacks.run)
     monkeypatch.setattr(attacks, "run", runs)
     calibrations, calibration = calibration_runs
@@ -201,6 +209,7 @@ def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
     ok &= len(calls) == sum(len(group_orderings(c.group, c.scheme)) for c in res.cells) - 8
     reused = {SchemeId.SAFESPEC_WFB, SchemeId.MUONTRAP}
     ok &= not {s for g, o, s in calls if not marks_fetch(g, o)} & reused
+    ok &= len(observed) == 32 * len(calls) == 1056
     # Engine runs of the whole seed-1 matrix, calibration included: bit-1
     # runs the secret cannot reach are skipped.
     ok &= calibration.calls + runs.calls == MATRIX_RUNS
@@ -290,8 +299,8 @@ def test_criterion_7_error_rate_vs_throughput(calibrations):
         )
     ok = True
     for label, pts in curves.items():
-        err1 = next(p.error_rate for p in pts if p.trials == 1)
-        err15 = next(p.error_rate for p in pts if p.trials == 15)
+        err1 = next(p.error_rate for p in pts if p.trials_per_bit == 1)
+        err15 = next(p.error_rate for p in pts if p.trials_per_bit == 15)
         ok &= err1 > 0 and err15 <= err1 / 2
 
     def matched(pts, target=0.05):

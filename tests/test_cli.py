@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from specsim import attacks
 from specsim.attacks import plan_attack, run_attack
 from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
@@ -196,6 +197,30 @@ class TestAttack:
         assert code == EXIT_USAGE and out == ""
         assert "argument --sweep-trials: expected comma-separated integers, got '1,x'" in err
 
+    def test_sweep_runs_the_sender_once_per_bit_value(self, monkeypatch):
+        runs = []
+        real_run = attacks.run
+
+        def counting(*args, **kw):
+            runs.append(kw["secrets"])
+            return real_run(*args, **kw)
+
+        monkeypatch.setattr(attacks, "run", counting)
+        code, out, _ = call(["attack", "--gadget", "npeu", "--ordering", "vdad", "--scheme", "dom-nontso",
+                             "--seed", "1", "--sweep-trials", "1,3,5,7", "--no-calibrate", "--noise", "0.1"])
+        assert code == EXIT_OK
+        assert sorted(s["s0"] for s in runs) == [0, 1]
+        # The same rows as one run_attack per count, each planning afresh.
+        rng = random.Random("sweep:1")
+        bits = [rng.randrange(2) for _ in range(64)]
+        rows = ["trials,error_rate,discard_rate,cycles_per_bit,bits_per_mcycle"]
+        for trials in (1, 3, 5, 7):
+            res = run_attack(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO, bits, trials, 0.1, 1,
+                             cfg=MachineConfig(), params=AttackParams())
+            rows.append(f"{trials},{res.error_rate:.4f},{res.discard_rate:.4f},"
+                        f"{res.cycles_per_bit:.1f},{1e6 / res.cycles_per_bit:.3f}")
+        assert out.splitlines() == rows
+
     def test_not_constructible_pair(self):
         code, _, err = call(
             ["attack", "--gadget", "rs", "--ordering", "vdvd", "--scheme", "unsafe",
@@ -301,11 +326,17 @@ class TestMatrix:
             "reference match: yes",
         ]
 
-    @pytest.mark.parametrize("flag", ["--bits", "--trials"])
+    @pytest.mark.parametrize("flag", ["--bits"])
     def test_zero_count_is_a_usage_error(self, flag):
         code, out, err = call(["matrix", "--seed", "1", flag, "0"])
         assert code == EXIT_USAGE and out == ""
         assert f"argument {flag}: must be >= 1, got 0" in err
+
+    def test_trials_is_not_a_matrix_flag(self):
+        # The matrix runs noiseless, where every trial of a bit reads the same.
+        code, out, err = call(["matrix", "--seed", "1", "--trials", "3"])
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --trials" in err
 
     def test_unknown_scheme_is_a_usage_error(self):
         code, out, err = call(["matrix", "--seed", "1", "--schemes", "unsafe,dom"])
