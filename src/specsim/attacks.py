@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 import random
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .machine import MachineConfig
 from .memhier import CacheImage, CacheSet, Level, qlru_touch
@@ -150,6 +151,14 @@ def anchor_line(ordering: Ordering, layout: AttackLayout) -> int:
     return layout.itarget_line
 
 
+class VictimRun(NamedTuple):
+    """What a trial reads of one victim run: the target set's final ways
+    and the run's length. No trial needs more of the trace."""
+
+    ways: tuple[tuple[int | None, int], ...]
+    total_cycles: int
+
+
 @dataclass
 class AttackPlan:
     """Everything needed to run trials of one configured attack."""
@@ -166,30 +175,43 @@ class AttackPlan:
     anchor: int
     decode: Mapping[tuple[bool, ...], int]  # probe outcome -> bit
     # The simulator is a pure function of its inputs, so a bit's victim
-    # trace is shared across trials; only probe noise varies per trial.
-    # Both caches start empty in every plan, copies made by replace()
+    # run is shared across trials; only probe noise varies per trial.
+    # Every cache starts empty in every plan, copies made by replace()
     # included, so a copy never reads what another scheme ran.
     trace_cache: dict[int, ExecutionTrace] = field(default_factory=dict, init=False)
-    # With the trace fixed, the noiseless probe outcome is a pure function
+    # What the trials read of each bit's victim run (victim_run).
+    run_cache: dict[int, VictimRun] = field(default_factory=dict, init=False)
+    # With the run fixed, the noiseless probe outcome is a pure function
     # of the bit and the interloper lines drawn: (bit, draws) -> outcome.
     outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = field(default_factory=dict, init=False)
+    # The fetch-shadow rules that would have held a marked fetch in some
+    # run this plan made (each trace's fetch_shadowed, joined).
+    fetch_shadowed: set[ShadowRule] = field(default_factory=set, init=False)
 
     @cached_property
     def interloper_pool(self) -> tuple[int, ...]:
         """The same-set lines a noisy trial draws from; built on first read."""
         return self.layout.interlopers(INTERLOPER_POOL)
 
+    def _run(self, bit: int) -> ExecutionTrace:
+        trace = run(self.program, self.cfg, self.scheme, secrets={"s0": bit}, image=self.image, attacker=self.script)
+        self.fetch_shadowed |= trace.fetch_shadowed
+        return trace
+
     def victim_trace(self, bit: int) -> ExecutionTrace:
         if bit not in self.trace_cache:
-            self.trace_cache[bit] = run(
-                self.program,
-                self.cfg,
-                self.scheme,
-                secrets={"s0": bit},
-                image=self.image,
-                attacker=self.script,
-            )
+            self.trace_cache[bit] = self._run(bit)
         return self.trace_cache[bit]
+
+    def victim_run(self, bit: int) -> VictimRun:
+        """What a trial reads of the bit's victim run. Read off the cached
+        trace if there is one; otherwise the run is made here and only this
+        much of it is kept."""
+        got = self.run_cache.get(bit)
+        if got is None:
+            trace = self.trace_cache[bit] if bit in self.trace_cache else self._run(bit)
+            got = self.run_cache[bit] = VictimRun(trace.llc_state.get(self.layout.set_index, ()), trace.total_cycles)
+        return got
 
     def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[bool, ...]:
         """The noiseless reading of one trial: copy the victim's target set,
@@ -198,8 +220,7 @@ class AttackPlan:
         key = (bit, draws)
         outcome = self.outcome_cache.get(key)
         if outcome is None:
-            ways = self.victim_trace(bit).llc_state.get(self.layout.set_index, ())
-            cset = CacheSet(self.cfg.geometry.llc_ways, ways)
+            cset = CacheSet(self.cfg.geometry.llc_ways, self.victim_run(bit).ways)
             for line in draws:
                 qlru_touch(cset, line)
             if self.gadget is Gadget.RS:
@@ -240,14 +261,13 @@ def observe_trial(
     """One prime+run+probe trial; returns (decoded bit or DISCARD, cycles).
     rng is read only when noise > 0 or interlopers > 0: first one draw per
     interloper, then one flip draw per observed line."""
-    trace = plan.victim_trace(bit)
     draws = ()
     if interlopers > 0:
         draws = tuple([rng.choice(plan.interloper_pool) for _ in range(interlopers)])
     outcome = plan.probe_outcome(bit, draws)
     if noise > 0:
         outcome = tuple([hit != (rng.random() < noise) for hit in outcome])
-    return plan.decode.get(outcome, DISCARD), trace.total_cycles
+    return plan.decode.get(outcome, DISCARD), plan.victim_run(bit).total_cycles
 
 
 def _decode_bit(votes: list[int]) -> int:
@@ -466,18 +486,20 @@ class MatrixResult:
 def vulnerability_matrix(
     cfg: MachineConfig,
     seed: int,
-    calibrations: dict[tuple[Gadget, Ordering, SchemeId], AttackParams],
+    calibrations: Mapping[tuple[Gadget, Ordering, SchemeId], AttackPlan],
     bits: int = 32,
     schemes: tuple[SchemeId, ...] = MATRIX_SCHEMES,
 ) -> MatrixResult:
     """Run every constructible (gadget, ordering-group, scheme) attack at
     zero noise and mark cells whose decode error stays under the working
     threshold. Calibrations map every (gadget, ordering, scheme) the cells
-    evaluate to sender parameters, as ``matrix_calibrations`` returns them
-    for the same schemes. Each bit gets one trial: with no noise and no
-    interlopers every trial of a bit reads the same, so a vote over more
-    would decide nothing. A cell whose sender, parameters and engine
-    behaviour match an earlier cell's reuses that cell's result."""
+    evaluate to the calibrated sender under that scheme and config, as
+    ``matrix_calibrations`` returns them for the same schemes; the trials
+    transmit over it, so a victim run its calibration already made is not
+    made again. Each bit gets one trial: with no noise and no interlopers
+    every trial of a bit reads the same, so a vote over more would decide
+    nothing. A cell whose sender, parameters and engine behaviour match an
+    earlier cell's reuses that cell's result."""
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
     cells: list[MatrixCell] = []
@@ -489,22 +511,14 @@ def vulnerability_matrix(
             for scheme in schemes:
                 best = 1.0
                 for ordering in group_orderings(group, scheme):
-                    params = calibrations[(gadget, ordering, scheme)]
-                    key = (gadget, ordering, params, engine_behaviour(scheme, marks_fetch(gadget, ordering)))
+                    plan = calibrations[(gadget, ordering, scheme)]
+                    if (plan.gadget, plan.ordering, plan.scheme, plan.cfg) != (gadget, ordering, scheme, cfg):
+                        cell = f"{gadget.value}/{ordering.value}/{scheme.value}"
+                        raise ValueError(f"the calibration for {cell} is a sender of another cell or config")
+                    key = (gadget, ordering, plan.params, engine_behaviour(scheme, marks_fetch(gadget, ordering)))
                     res = results.get(key)
                     if res is None:
-                        # At zero noise with no interlopers every trial of a bit reads the same.
-                        res = results[key] = run_attack(
-                            gadget,
-                            ordering,
-                            scheme,
-                            secret_bits,
-                            trials_per_bit=1,
-                            noise=0.0,
-                            seed=seed,
-                            cfg=cfg,
-                            params=params,
-                        )
+                        res = results[key] = transmit(plan, secret_bits, trials_per_bit=1, noise=0.0, seed=seed)
                     # Undecodable (all-discard) counts as chance level.
                     rate = 0.5 if res.discard_rate >= 0.5 else res.error_rate
                     best = min(best, rate)

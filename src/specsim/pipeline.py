@@ -63,6 +63,19 @@ address it is None, and the two runs are identical throughout. The
 checker and the calibration skip the second run wherever this fixes its
 outcome.
 
+Fetch-shadow-free runs. The fetch shadow is read at one point only: when a
+marked fetch (an op with an iline) is dispatched, phase 7 asks whether the
+scheme's fetch-shadow rule holds it, and defers its I-access if so. The
+shadow frontiers do not depend on the scheme's fetch shadow, so the engine
+asks the same of every rule some scheme uses there (schemes.FETCH_SHADOWS)
+and the trace reports those that held some marked fetch as fetch_shadowed.
+Take two runs whose schemes differ only in the fetch shadow. Up to the
+first marked fetch that either one defers they are the same run, so that
+fetch finds the same frontiers in both, and its rule enters the set of
+both. So when neither shadow is in the set, neither run defers a fetch and
+they are the same run throughout, the set included. schemes.serves states
+the rule; the matrix calibration reuses a whole search under it.
+
 Clock advance. A stepped cycle changes no state when it logs no event, or
 only mshr_stall retries (a refused MSHR allocation leaves everything as it
 was). Every following cycle then repeats it, the same retries in the same
@@ -173,7 +186,7 @@ from typing import NamedTuple
 from .machine import EuClass, MachineConfig
 from .memhier import CacheImage, Level, MemHier
 from .microprog import AttackScript, MicroOp, MicroProgram, OpKind, SecretDep
-from .schemes import MissPolicy, SchemeId, SchemeSpec, ShadowState, scheme_spec
+from .schemes import FETCH_SHADOWS, MissPolicy, SchemeId, SchemeSpec, ShadowRule, ShadowState, scheme_spec
 
 
 class SimulationDeadlock(RuntimeError):
@@ -284,6 +297,10 @@ class ExecutionTrace:
     # its line; None if none did. Runs that differ only in their secrets
     # agree on everything logged before it, and entirely when it is None.
     secret_read_cycle: int | None = None
+    # The fetch-shadow rules (schemes.FETCH_SHADOWS) that would have held
+    # one of this run's marked fetches at its dispatch. The run is also the
+    # run under a fetch shadow outside this set (schemes.serves).
+    fetch_shadowed: frozenset[ShadowRule] = frozenset()
 
     @cached_property
     def pattern(self) -> list[AccessRecord]:
@@ -399,6 +416,7 @@ class _Engine:
         self.shadow_moved = False  # a frontier or a waiting-list head moved
         self.fetch_held_by: int | None = None  # branch whose join last held fetch
         self.secret_read_cycle: int | None = None
+        self.fetch_shadowed: set[ShadowRule] = set()
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -882,6 +900,7 @@ class _Engine:
         cfg = self.cfg
         width = min(cfg.fetch_width, cfg.dispatch_width)
         fetch_shadow = self.spec.fetch_shadow
+        safe = self.shadow.safe
         fetched = 0
         while fetched < width and self.fetch_pos < n:
             if self.fetch_holds:
@@ -900,11 +919,13 @@ class _Engine:
                 break
             self._dispatch(op)
             if op.iline is not None:
-                # Is the fetch covered by an unresolved speculation shadow
-                # right now (including ops dispatched earlier this cycle)?
-                # If so it stays so until a frontier moves: no need to flag
+                # Which fetch shadows cover the fetch right now (including
+                # ops dispatched earlier this cycle)? The scheme's own one, if
+                # among them, holds it until a frontier moves: no need to flag
                 # the safe transitions.
-                if fetch_shadow is not None and not self.shadow.safe(fetch_shadow, op.id):
+                shadowed = [rule for rule in FETCH_SHADOWS if not safe(rule, op.id)]
+                self.fetch_shadowed.update(shadowed)
+                if fetch_shadow in shadowed:
                     self.ifetch_waiting.append(op.id)
                 else:
                     self._ifetch_access(op.id)
@@ -960,4 +981,5 @@ class _Engine:
             total_cycles=next((c for c, name, _, _ in reversed(self.records) if name == "retire"), 0),
             llc_state=llc_state,
             secret_read_cycle=self.secret_read_cycle,
+            fetch_shadowed=frozenset(self.fetch_shadowed),
         )

@@ -103,6 +103,14 @@ _SPECS: dict[SchemeId, SchemeSpec] = {
 }
 
 
+# Every rule some scheme uses as its fetch shadow, in first-use order. A
+# run reports which of them would have held one of its marked fetches
+# (ExecutionTrace.fetch_shadowed), whatever its own scheme's fetch shadow.
+FETCH_SHADOWS: tuple[ShadowRule, ...] = tuple(
+    dict.fromkeys(spec.fetch_shadow for spec in _SPECS.values() if spec.fetch_shadow is not None)
+)
+
+
 def scheme_spec(scheme: SchemeId) -> SchemeSpec:
     return _SPECS[scheme]
 
@@ -112,9 +120,28 @@ def engine_behaviour(scheme: SchemeId, marked_fetch: bool) -> SchemeSpec:
     equal behaviour give byte-identical runs, so a caller may simulate one
     and reuse the result for the other. ``marked_fetch`` false promises a
     program with no marked fetch (no op with an ``iline``): the engine
-    never reads ``fetch_shadow`` there, so it is dropped."""
+    never reads ``fetch_shadow`` there, so it is dropped. ``serves``
+    extends this from programs to runs: a run whose marked fetches no
+    fetch shadow would have held serves both behaviours alike."""
     spec = scheme_spec(scheme)
     return spec if marked_fetch else replace(spec, fetch_shadow=None)
+
+
+def serves(behaviour: SchemeSpec, other: SchemeSpec, fetch_shadowed: frozenset[ShadowRule]) -> bool:
+    """Whether a run under ``behaviour`` whose trace reports
+    ``fetch_shadowed`` is byte for byte the run of the same inputs under
+    ``other``. Equal behaviours always are. Otherwise they must differ only
+    in ``fetch_shadow``, and neither one's fetch shadow may be among the
+    rules that would have held a marked fetch of the run (``None`` never
+    is). Then no marked fetch was deferred under either, and the engine
+    reads ``fetch_shadow`` nowhere else, so both runs take the same path."""
+    if behaviour == other:
+        return True
+    return (
+        replace(behaviour, fetch_shadow=None) == replace(other, fetch_shadow=None)
+        and behaviour.fetch_shadow not in fetch_shadowed
+        and other.fetch_shadow not in fetch_shadowed
+    )
 
 
 class ShadowState:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 
 from .machine import MachineConfig
@@ -37,11 +37,12 @@ from .attacks import (
     MATRIX_GROUPS,
     REFERENCE_VULNERABLE,
     AttackPlan,
+    VictimRun,
     group_orderings,
     plan_attack,
 )
 from .pipeline import ExecutionTrace, run
-from .schemes import SchemeId, SchemeSpec, engine_behaviour
+from .schemes import SchemeId, SchemeSpec, ShadowRule, engine_behaviour, serves
 
 PatternKey = tuple[int, str, str]
 
@@ -150,6 +151,14 @@ class Calibration:
     feasible: bool
     params: AttackParams | None
     trace: list[str] = field(default_factory=list)
+    # The fetch-shadow rules that would have held a marked fetch in some
+    # run of the search (each trace's fetch_shadowed, joined); None when
+    # not known, which certifies nothing.
+    fetch_shadowed: frozenset[ShadowRule] | None = None
+    # What a trial reads of the victim runs the search made of two senders,
+    # by parameters and bit: the calibrated one and the base one, which the
+    # matrix falls back to when nothing calibrates.
+    victim_runs: Mapping[AttackParams, Mapping[int, VictimRun]] = field(default_factory=dict)
 
 
 def _bit1_agrees(plan, cycle: int | None) -> bool:
@@ -199,6 +208,13 @@ def calibrate(
     victim-pair orderings, the fetch outcome for the RS sender. Bounded;
     reports the sweep on failure.
 
+    The result also reports the fetch-shadow rules that would have held a
+    marked fetch in any run of the search, and what a trial reads of the
+    victim runs it made of the calibrated sender and of the base one. The
+    search is a pure function of the traces it reads, so it comes out the
+    same, runs and all, under every behaviour its runs serve
+    (schemes.serves).
+
     ``builds`` shares candidate senders between searches of one gadget,
     ordering and config: it maps parameters to a plan that is never run,
     each candidate is built into it once, and each search runs a copy for
@@ -207,14 +223,33 @@ def calibrate(
     cfg = cfg or MachineConfig()
     base = base or AttackParams()
     builds = {} if builds is None else builds
+    shadowed: list[set[ShadowRule]] = []  # every plan's fetch_shadowed, which outlives its traces
+    base_runs: dict[int, VictimRun] = {}
+    base_plan: AttackPlan | None = None  # until the next plan is made
+
+    def keep_base_runs() -> None:
+        # A search is done with a plan once it makes the next one: keep
+        # what a trial reads of the base sender's runs, and not the traces.
+        nonlocal base_plan
+        if base_plan is not None:
+            base_runs.update({bit: base_plan.victim_run(bit) for bit in base_plan.trace_cache})
+            base_plan = None
 
     def plan_for(params: AttackParams) -> AttackPlan:
+        nonlocal base_plan
+        keep_base_runs()
         if params not in builds:
             builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
-        return replace(builds[params], scheme=scheme)
+        plan = replace(builds[params], scheme=scheme)
+        shadowed.append(plan.fetch_shadowed)
+        if params == base:
+            base_plan = plan
+        return plan
 
     trace: list[str] = []
-    try:
+
+    def search() -> AttackPlan | None:
+        """The calibrated sender, or None if the search finds none."""
         if gadget is Gadget.RS:
             plan = plan_for(base)
 
@@ -224,42 +259,89 @@ def calibrate(
             seen0 = fetched(0)
             seen1 = seen0 if _bit1_agrees(plan, None) else fetched(1)
             trace.append(f"rs fetch outcomes: bit0={seen0} bit1={seen1}")
-            if seen0 != seen1:
-                return Calibration(True, base, trace)
-            return Calibration(False, None, trace)
+            return plan if seen0 != seen1 else None
 
         if ordering in (Ordering.VDAD, Ordering.VIAD):
             for z in (base.z_len, 16, 20, 8):
-                params = replace(base, z_len=z, reference_offset=FAR_OFFSET)
-                plan = plan_for(params)
+                plan = plan_for(replace(base, z_len=z, reference_offset=FAR_OFFSET))
                 c0 = _anchor_cycle(plan, 0)
                 c1 = c0 if _bit1_agrees(plan, c0) else _anchor_cycle(plan, 1)
                 trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
                 if c0 is None or c1 is None or abs(c1 - c0) < 2:
                     continue
                 offset = (c0 + c1) // 2
-                final = replace(base, z_len=z, reference_offset=offset)
-                check = plan_for(final)
+                check = plan_for(replace(base, z_len=z, reference_offset=offset))
                 leaks = not _compare(check.victim_trace(0), check.victim_trace(1), "bit 0", "bit 1").holds
                 trace.append(f"z={z} offset={offset}: differential={'yes' if leaks else 'no'}")
                 if leaks:
-                    return Calibration(True, final, trace)
-            return Calibration(False, None, trace)
+                    return check
+            return None
 
         # Victim-pair orderings: sweep the reference chain length.
         g_candidates = [base.g_len] + list(range(4, 64, 4))
         for z in (base.z_len, 16):
             for g in g_candidates:
-                params = replace(base, z_len=z, g_len=g)
-                plan = plan_for(params)
+                plan = plan_for(replace(base, z_len=z, g_len=g))
                 if _order_flip(plan):
                     trace.append(f"z={z} g={g}: order flips")
-                    return Calibration(True, params, trace)
+                    return plan
                 trace.append(f"z={z} g={g}: no flip")
-        return Calibration(False, None, trace)
+        return None
+
+    try:
+        found = search()
     except ConstructionError as e:
         trace.append(f"construction rejected: {e}")
-        return Calibration(False, None, trace)
+        found = None
+    keep_base_runs()
+    runs = {base: base_runs} if base_runs else {}
+    held = frozenset().union(*shadowed)
+    if found is None:
+        return Calibration(False, None, trace, held, runs)
+    runs[found.params] = {bit: found.victim_run(bit) for bit in found.trace_cache}
+    return Calibration(True, found.params, trace, held, runs)
+
+
+def _matrix_senders(
+    gadget: Gadget,
+    ordering: Ordering,
+    schemes: Iterable[SchemeId],
+    cfg: MachineConfig,
+) -> dict[SchemeId, AttackPlan]:
+    """The calibrated sender under each scheme; see calibrate_for_matrix.
+    Each sender comes with what a trial reads of the victim runs that its
+    scheme's search made of it."""
+    marked_fetch = marks_fetch(gadget, ordering)
+    searched: dict[SchemeSpec, Calibration] = {}  # by the behaviour searched under
+    builds: dict[AttackParams, AttackPlan] = {}
+
+    def search(scheme: SchemeId) -> Calibration:
+        key = engine_behaviour(scheme, marked_fetch)
+        for behaviour, cal in searched.items():
+            if behaviour == key or cal.fetch_shadowed is not None and serves(behaviour, key, cal.fetch_shadowed):
+                return cal
+        cal = searched[key] = calibrate(gadget, ordering, scheme, cfg, builds=builds)
+        return cal
+
+    cals = {scheme: search(scheme) for scheme in schemes}
+    fallback = None
+    if not all(cal.feasible for cal in cals.values()):
+        unsafe = search(SchemeId.UNSAFE)
+        # No differential even unprotected (the MSHR wait queue serializes
+        # the victim-pair ordering): run the well-formed sender with
+        # defaults; it decodes at chance, which is the honest verdict.
+        fallback = unsafe.params if unsafe.feasible else AttackParams()
+
+    def sender(scheme: SchemeId, cal: Calibration) -> AttackPlan:
+        params = cal.params if cal.feasible else fallback
+        if params not in builds:
+            builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
+        plan = replace(builds[params], scheme=scheme)
+        # The search's runs are this scheme's runs: same behaviour, or served.
+        plan.run_cache.update(cal.victim_runs.get(params, {}))
+        return plan
+
+    return {scheme: sender(scheme, cal) for scheme, cal in cals.items()}
 
 
 def calibrate_for_matrix(
@@ -272,45 +354,33 @@ def calibrate_for_matrix(
     cells need well-formed parameters even when the scheme blocks the
     channel: a scheme without a feasible calibration of its own falls back
     to the one found against the unprotected machine, searched at most once
-    per sender and only when some scheme needs it. Schemes the engine
-    cannot tell apart on this sender share one search, and every search
-    shares one build of each candidate sender."""
-    marked_fetch = marks_fetch(gadget, ordering)
-    by_behaviour: dict[tuple, Calibration] = {}
-    builds: dict[AttackParams, AttackPlan] = {}
-
-    def search(scheme: SchemeId) -> Calibration:
-        key = engine_behaviour(scheme, marked_fetch)
-        if key not in by_behaviour:
-            by_behaviour[key] = calibrate(gadget, ordering, scheme, cfg, builds=builds)
-        return by_behaviour[key]
-
-    cals = {scheme: search(scheme) for scheme in schemes}
-    if all(cal.feasible for cal in cals.values()):
-        return {scheme: cal.params for scheme, cal in cals.items()}
-    unsafe = search(SchemeId.UNSAFE)
-    # No differential even unprotected (the MSHR wait queue serializes the
-    # victim-pair ordering): run the well-formed sender with defaults; it
-    # decodes at chance, which is the honest verdict.
-    fallback = unsafe.params if unsafe.feasible else AttackParams()
-    return {scheme: cal.params if cal.feasible else fallback for scheme, cal in cals.items()}
+    per sender and only when some scheme needs it. A scheme reuses a
+    finished search when the engine cannot tell it apart from the scheme
+    searched on this sender (engine_behaviour), or when every run of that
+    search serves its behaviour (schemes.serves: they differ only in a
+    fetch shadow that held none of the search's marked fetches). Every
+    search shares one build of each candidate sender."""
+    return {scheme: plan.params for scheme, plan in _matrix_senders(gadget, ordering, schemes, cfg).items()}
 
 
 def matrix_calibrations(
     cfg: MachineConfig,
     schemes,
-) -> dict[tuple[Gadget, Ordering, SchemeId], AttackParams]:
-    """Sender parameters for every matrix cell, calibrated once per
-    (gadget, ordering) over the schemes that evaluate that ordering."""
-    out: dict[tuple[Gadget, Ordering, SchemeId], AttackParams] = {}
+) -> dict[tuple[Gadget, Ordering, SchemeId], AttackPlan]:
+    """The calibrated sender of every matrix cell, calibrated once per
+    (gadget, ordering) over the schemes that evaluate that ordering (see
+    calibrate_for_matrix). Each carries what a trial reads of the victim
+    runs its calibration made, and no trace, so ``vulnerability_matrix``
+    makes none of those runs again."""
+    out: dict[tuple[Gadget, Ordering, SchemeId], AttackPlan] = {}
     for gadget in Gadget:
         for group, orderings in MATRIX_GROUPS.items():
             if REFERENCE_VULNERABLE[(gadget, group)] is None:
                 continue
             for ordering in orderings:
                 cell_schemes = [s for s in schemes if ordering in group_orderings(group, s)]
-                for scheme, params in calibrate_for_matrix(gadget, ordering, cell_schemes, cfg).items():
-                    out[(gadget, ordering, scheme)] = params
+                for scheme, plan in _matrix_senders(gadget, ordering, cell_schemes, cfg).items():
+                    out[(gadget, ordering, scheme)] = plan
     return out
 
 

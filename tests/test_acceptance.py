@@ -27,6 +27,7 @@ from specsim.attacks import (
     probe,
     run_attack,
     sweep_error_vs_rate,
+    transmit,
     vulnerability_matrix,
 )
 from specsim.pipeline import run
@@ -51,8 +52,8 @@ MATRIX_GOLDEN = GOLDEN_DIR / "matrix_seed1.csv"
 
 # run() calls of the seed-1 matrix, calibration included, and the cycles
 # they simulate (occupancy rows).
-MATRIX_RUNS = 654
-MATRIX_CYCLES = 190_161
+MATRIX_RUNS = 533
+MATRIX_CYCLES = 157_715
 DEFENSES = (SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC, SchemeId.NOINTERFERENCE)
 
 
@@ -180,20 +181,20 @@ def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
     # safespec-wfb and muontrap differ from the two InvisiSpec schemes only
     # at marked fetches. On the npeu and mshr vdvd/vdad senders, which have
     # none, they reuse those schemes' results: 2 senders x 2 orderings x 2
-    # fewer run_attack calls than cells x orderings. Each transmits its 32
-    # noiseless bits with one trial per bit.
+    # fewer transmit calls than cells x orderings. Each transmits its 32
+    # noiseless bits with one trial per bit over the calibrated sender.
     calls = []
     observed = []
 
-    def counting(gadget, ordering, scheme, *args, **kw):
-        calls.append((gadget, ordering, scheme))
-        return run_attack(gadget, ordering, scheme, *args, **kw)
+    def counting(plan, *args, **kw):
+        calls.append((plan.gadget, plan.ordering, plan.scheme))
+        return transmit(plan, *args, **kw)
 
     def observing(*args, **kw):
         observed.append(args)
         return observe_trial(*args, **kw)
 
-    monkeypatch.setattr(attacks, "run_attack", counting)
+    monkeypatch.setattr(attacks, "transmit", counting)
     monkeypatch.setattr(attacks, "observe_trial", observing)
     runs = CountingRun(attacks.run)
     monkeypatch.setattr(attacks, "run", runs)
@@ -211,7 +212,8 @@ def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
     ok &= not {s for g, o, s in calls if not marks_fetch(g, o)} & reused
     ok &= len(observed) == 32 * len(calls) == 1056
     # Engine runs of the whole seed-1 matrix, calibration included: bit-1
-    # runs the secret cannot reach are skipped.
+    # runs the secret cannot reach are skipped, a search is reused where its
+    # runs serve another scheme, and no trial repeats a calibration run.
     ok &= calibration.calls + runs.calls == MATRIX_RUNS
     ok &= calibration.cycles + runs.cycles == MATRIX_CYCLES
     report(3, "vulnerability matrix equals the reference cell-for-cell", ok, time.time() - t0, 300.0)
@@ -240,7 +242,7 @@ def test_criterion_5_noninterference_of_defenses(calibrations):
         if key in seen:
             continue
         seen.add(key)
-        params = calibrations[key]
+        params = calibrations[key].params
         # Defenses hold on every attack program, at both secrets and
         # differentially. Control flow is the only squash source here, so
         # the control-flow-only scope includes all of them.
@@ -261,7 +263,7 @@ def test_criterion_5_noninterference_of_defenses(calibrations):
                         p2.program, CFG, scheme, p2.image, p2.script
                     ).holds
                     for o2 in group_orderings(group, scheme)
-                    for p2 in [plan_attack(gadget, o2, scheme, CFG, calibrations[(gadget, o2, scheme)])]
+                    for p2 in [plan_attack(gadget, o2, scheme, CFG, calibrations[(gadget, o2, scheme)].params)]
                 ]
                 ok &= any(others)
             else:
@@ -295,7 +297,7 @@ def test_criterion_7_error_rate_vs_throughput(calibrations):
     for label, (gadget, ordering, scheme) in (("dcache", d_key), ("icache", i_key)):
         curves[label] = sweep_error_vs_rate(
             gadget, ordering, scheme, noise, [1, 3, 5, 15], bits, seed=42, cfg=CFG,
-            params=calibrations[(gadget, ordering, scheme)],
+            params=calibrations[(gadget, ordering, scheme)].params,
         )
     ok = True
     for label, pts in curves.items():

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheGeometry, CacheImage, CacheSet
 from specsim.microprog import AttackLayout, AttackParams, Gadget, Ordering, constructible
+from specsim import attacks
 from specsim.attacks import (
     DISCARD,
     INTERLOPER_POOL,
     MATRIX_SCHEMES,
     PRIME_PASSES,
     REFERENCE_VULNERABLE,
+    VictimRun,
     derive_decode_table,
     group_orderings,
     observe_trial,
@@ -25,10 +27,12 @@ from specsim.attacks import (
     probe,
     run_attack,
     sweep_error_vs_rate,
+    transmit,
+    vulnerability_matrix,
 )
 from specsim.pipeline import run
 from specsim.schemes import SchemeId
-from specsim.seccheck import calibrate_for_matrix
+from specsim.seccheck import calibrate_for_matrix, matrix_calibrations
 
 from qlru_ref import new_set, ref_access, ref_state
 
@@ -316,6 +320,72 @@ class TestReceiverReference:
         observe_trial(copy, 1, random.Random(5), 0.0, interlopers=1)
         assert vars(copy)["interloper_pool"] == LAY.interlopers(INTERLOPER_POOL)
         assert "interloper_pool" not in vars(plan)
+
+
+HANDOVER_SCHEMES = (SchemeId.UNSAFE, SchemeId.DOM_NONTSO)
+
+
+@pytest.fixture(scope="module")
+def handed():
+    """The calibrated senders a two-scheme matrix hands to its trials. On
+    the mshr senders dom-nontso finds no parameters and falls back."""
+    return matrix_calibrations(CFG, HANDOVER_SCHEMES)
+
+
+def fresh_run(plan, bit) -> VictimRun:
+    """What a trial reads of the plan's victim run, from a run of its own
+    inputs made here."""
+    t = run(plan.program, plan.cfg, plan.scheme, secrets={"s0": bit}, image=plan.image, attacker=plan.script)
+    return VictimRun(t.llc_state.get(LAY.set_index, ()), t.total_cycles)
+
+
+class TestHandover:
+    def test_handed_senders_carry_their_own_runs_and_no_trace(self, handed):
+        fallback = 0
+        for (gadget, ordering, scheme), plan in handed.items():
+            assert (plan.gadget, plan.ordering, plan.scheme) == (gadget, ordering, scheme)
+            assert plan.trace_cache == {}
+            for bit, got in plan.run_cache.items():
+                assert got == fresh_run(plan, bit), (gadget, ordering, scheme, bit)
+            fallback += gadget is Gadget.MSHR and scheme is SchemeId.DOM_NONTSO
+        assert fallback and sum(len(plan.run_cache) for plan in handed.values()) > len(handed)
+
+    def test_a_copy_reads_only_its_own_runs(self, handed):
+        plan = handed[(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO)]
+        assert set(plan.run_cache) == {0, 1}
+        unprimed = CacheImage(scripts=plan.image.scripts)
+        for copy in (replace(plan, scheme=SchemeId.FENCE_FUTURISTIC), replace(plan, image=unprimed)):
+            assert copy.run_cache == {} and copy.trace_cache == {}
+            got = [copy.victim_run(bit) for bit in (0, 1)]
+            assert got == [fresh_run(copy, bit) for bit in (0, 1)]
+            assert got != [plan.victim_run(bit) for bit in (0, 1)]
+
+    def test_trials_over_handed_senders_equal_trials_over_fresh_plans(self, handed, monkeypatch):
+        fresh = {(g, o, s): plan_attack(g, o, s, CFG, plan.params) for (g, o, s), plan in handed.items()}
+        copies = {}
+        for key, plan in handed.items():
+            copies[key] = replace(plan)  # the fixture's plans stay as handed
+            copies[key].run_cache.update(plan.run_cache)
+        runs = []
+        real = attacks.run
+
+        def counting(*args, **kw):
+            runs.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(attacks, "run", counting)
+        expected = vulnerability_matrix(CFG, seed=1, calibrations=fresh, schemes=HANDOVER_SCHEMES).csv_lines()
+        fresh_runs = len(runs)
+        got = vulnerability_matrix(CFG, seed=1, calibrations=copies, schemes=HANDOVER_SCHEMES).csv_lines()
+        assert got == expected
+        assert len(runs) - fresh_runs < fresh_runs
+
+    def test_a_sender_of_another_cell_is_refused(self, handed):
+        cals = dict(handed)
+        key = (Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO)
+        cals[key] = replace(cals[key], scheme=SchemeId.UNSAFE)
+        with pytest.raises(ValueError, match="calibration for npeu/vdad/dom-nontso is a sender of another cell"):
+            vulnerability_matrix(CFG, seed=1, calibrations=cals, schemes=HANDOVER_SCHEMES)
 
 
 class TestSweep:

@@ -3,9 +3,11 @@ the advanced no-interference defense, and which schemes the engine can
 tell apart."""
 
 import itertools
+import random
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheImage, Level
@@ -24,9 +26,11 @@ from specsim.microprog import (
     constructible,
     marks_fetch,
 )
-from specsim.pipeline import NEVER, run
+from specsim.attacks import MATRIX_SCHEMES
+from specsim.pipeline import NEVER, _Engine, run
 from specsim.seccheck import gen_random_program
 from specsim.schemes import (
+    FETCH_SHADOWS,
     FenceModel,
     SchemeId,
     SchemeSpec,
@@ -35,6 +39,7 @@ from specsim.schemes import (
     engine_behaviour,
     insert_fences,
     scheme_spec,
+    serves,
 )
 
 from test_corpus_digests import op_stamps
@@ -376,3 +381,73 @@ class TestEngineBehaviour:
                 prog, _ = build_attack_program(ordering, gadget, CFG, params)
                 has_iline = any(op.iline is not None for op in prog.ops)
                 assert marks_fetch(gadget, ordering) == has_iline, (gadget, ordering, params)
+
+
+def gen_fetching_program(seed: int) -> tuple[MicroProgram, CacheImage]:
+    """A random corpus program (gen_random_program) with marked fetches:
+    a seeded share of its ops, wrong-path ones included, fetch one of a
+    few instruction lines, so some fetches repeat and hit in the L1I."""
+    program, image = gen_random_program(seed)
+    rng = random.Random(f"fetching:{seed}")
+    share = rng.choice([0.2, 0.5, 1.0])
+    lines = [810_000 + k for k in range(rng.randint(1, 4))]
+    ops = [replace(op, iline=rng.choice(lines)) if rng.random() < share else op for op in program.ops]
+    return replace(program, ops=ops), image
+
+
+# Behaviours that differ only in the fetch shadow: each load-side choice of
+# the matrix schemes, under no fetch shadow and under each one in use.
+LOAD_SIDES = list(dict.fromkeys(replace(scheme_spec(s), fetch_shadow=None) for s in MATRIX_SCHEMES))
+FETCH_PAIRS = [
+    (replace(side, fetch_shadow=a), replace(side, fetch_shadow=b))
+    for side in LOAD_SIDES
+    for a, b in itertools.permutations((None, *FETCH_SHADOWS), 2)
+]
+
+
+def run_behaviour(program, spec, image):
+    return _Engine(program, CFG, spec, None, image, None, False).run(None)
+
+
+class TestFetchShadowCertificate:
+    """A run reports the fetch shadows that would have held one of its
+    marked fetches; under any behaviour it then serves (schemes.serves),
+    a fresh run is the same run."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 100_000), pair=st.sampled_from(FETCH_PAIRS))
+    def test_a_run_is_the_run_of_every_behaviour_it_serves(self, seed, pair):
+        program, image = gen_fetching_program(seed)
+        behaviour, other = pair
+        t = run_behaviour(program, behaviour, image)
+        assert t.fetch_shadowed <= set(FETCH_SHADOWS)
+        if not serves(behaviour, other, t.fetch_shadowed):
+            return
+        u = run_behaviour(program, other, image)
+        assert u.serialize() == t.serialize()
+        assert op_stamps(u) == op_stamps(t)
+        assert u.occupancy == t.occupancy
+        assert u.llc_state == t.llc_state
+        assert u.total_cycles == t.total_cycles
+        assert u.secret_read_cycle == t.secret_read_cycle
+        assert u.fetch_shadowed == t.fetch_shadowed
+
+    def test_the_generator_reaches_every_case(self):
+        # Some runs serve the other behaviour with a non-empty set, some
+        # are held by one fetch shadow only, and some serve nothing.
+        sets = [
+            run_behaviour(program, LOAD_SIDES[0], image).fetch_shadowed
+            for program, image in map(gen_fetching_program, range(40))
+        ]
+        assert frozenset() in sets
+        assert frozenset({ShadowRule.FUTURISTIC}) in sets
+        assert frozenset(FETCH_SHADOWS) in sets
+
+    def test_serves_needs_fetch_shadows_outside_the_set(self):
+        spectre, wfb = scheme_spec(SchemeId.INVISISPEC_SPECTRE), scheme_spec(SchemeId.SAFESPEC_WFB)
+        assert serves(spectre, wfb, frozenset()) and serves(wfb, spectre, frozenset())
+        assert not serves(spectre, wfb, frozenset({ShadowRule.BRANCH}))
+        assert serves(spectre, wfb, frozenset({ShadowRule.FUTURISTIC}))
+        assert serves(wfb, wfb, frozenset(FETCH_SHADOWS))
+        # The load side must match.
+        assert not serves(spectre, scheme_spec(SchemeId.MUONTRAP), frozenset())

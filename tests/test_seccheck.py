@@ -24,7 +24,7 @@ from specsim.microprog import (
     marks_fetch,
 )
 from specsim import attacks, seccheck
-from specsim.schemes import SchemeId, engine_behaviour
+from specsim.schemes import SchemeId, ShadowRule, engine_behaviour
 from specsim.attacks import MATRIX_GROUPS, MATRIX_SCHEMES, REFERENCE_VULNERABLE, group_orderings, plan_attack
 from specsim.seccheck import (
     Benchmark,
@@ -410,11 +410,11 @@ class TestMatrixFallback:
             for s in schemes:
                 searched = first[behaviour(g, o, s)]
                 if (g, o, searched) in fake.feasible:
-                    assert got[(g, o, s)] == own_params(g, o, searched)
+                    assert got[(g, o, s)].params == own_params(g, o, searched)
                 elif (g, o, SchemeId.UNSAFE) in fake.feasible:
-                    assert got[(g, o, s)] == own_params(g, o, SchemeId.UNSAFE)
+                    assert got[(g, o, s)].params == own_params(g, o, SchemeId.UNSAFE)
                 else:
-                    assert got[(g, o, s)] == AttackParams()
+                    assert got[(g, o, s)].params == AttackParams()
                     defaults += 1
         assert defaults > 0 and shared > 0
         assert 0 < sum(fake.count(g, o, SchemeId.UNSAFE) for g, o in senders) < len(senders)
@@ -432,6 +432,55 @@ class TestMatrixFallback:
         monkeypatch.setattr(attacks, "build_attack_program", counting)
         matrix_calibrations(CFG, MATRIX_SCHEMES)
         assert len(builds) == len(set(builds)) == 143
+
+
+class RecordingCalibrate:
+    """Wraps seccheck.calibrate, recording each search's scheme and result."""
+
+    def __init__(self):
+        self.real = seccheck.calibrate
+        self.calls = []
+
+    def __call__(self, gadget, ordering, scheme, *args, **kw):
+        cal = self.real(gadget, ordering, scheme, *args, **kw)
+        self.calls.append((scheme, cal))
+        return cal
+
+
+class TestSearchSharing:
+    def test_a_search_whose_runs_serve_a_scheme_is_its_search(self, monkeypatch):
+        # npeu/vivd: no fetch shadow holds the marked fetch in any run of
+        # the InvisiSpec searches, so safespec-wfb and muontrap, which differ
+        # from them only in that shadow, take their searches as they are.
+        searches = RecordingCalibrate()
+        monkeypatch.setattr(seccheck, "calibrate", searches)
+        got = calibrate_for_matrix(Gadget.NPEU, Ordering.VIVD, MATRIX_SCHEMES, CFG)
+        schemes = [s for s, _ in searches.calls]
+        assert schemes == [
+            SchemeId.INVISISPEC_SPECTRE,
+            SchemeId.INVISISPEC_FUTURISTIC,
+            SchemeId.DOM_NONTSO,
+            SchemeId.UNSAFE,
+        ]
+        assert len(schemes) < len({engine_behaviour(s, True) for s in (*MATRIX_SCHEMES, SchemeId.UNSAFE)})
+        searched = dict(searches.calls)
+        monkeypatch.undo()
+        for scheme, served_by in ((SchemeId.SAFESPEC_WFB, SchemeId.INVISISPEC_SPECTRE),
+                                  (SchemeId.MUONTRAP, SchemeId.INVISISPEC_FUTURISTIC)):
+            fresh = calibrate(Gadget.NPEU, Ordering.VIVD, scheme, CFG)
+            assert searched[served_by] == fresh
+            assert ShadowRule.BRANCH not in fresh.fetch_shadowed
+            assert got[scheme] == got[served_by]
+
+    def test_a_fetch_shadow_that_holds_the_marked_line_searches_again(self, monkeypatch):
+        # rs/viad: the BRANCH fetch shadow holds the marked line, which is
+        # the verdict under safespec-wfb and muontrap.
+        searches = RecordingCalibrate()
+        monkeypatch.setattr(seccheck, "calibrate", searches)
+        calibrate_for_matrix(Gadget.RS, Ordering.VIAD, MATRIX_SCHEMES, CFG)
+        schemes = [s for s, _ in searches.calls]
+        assert SchemeId.SAFESPEC_WFB in schemes and SchemeId.MUONTRAP in schemes
+        assert all(ShadowRule.BRANCH in cal.fetch_shadowed for _, cal in searches.calls)
 
 
 class TestSharedBuilds:
