@@ -19,7 +19,7 @@ more-leftward line also hits 3).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 import random
 from types import MappingProxyType
@@ -37,8 +37,8 @@ from .microprog import (
     build_attack_program,
     marks_fetch,
 )
-from .pipeline import ExecutionTrace, run
-from .schemes import SchemeId, ShadowRule, engine_behaviour, scheme_spec
+from .pipeline import AccessRecord, ExecutionTrace, run
+from .schemes import SchemeId, ShadowRule, engine_behaviour, scheme_spec, serves
 
 DISCARD = -1
 PRIME_PASSES = 2  # filler passes to saturate ages at 0 (test-asserted minimum)
@@ -151,12 +151,79 @@ def anchor_line(ordering: Ordering, layout: AttackLayout) -> int:
     return layout.itarget_line
 
 
-class VictimRun(NamedTuple):
-    """What a trial reads of one victim run: the target set's final ways
-    and the run's length. No trial needs more of the trace."""
+class RunSummary(NamedTuple):
+    """What the harness reads of one victim run: the visible pattern, the
+    cycle the secret was first read, the fetch-shadow rules that would
+    have held a marked fetch, the target set's final ways and the run's
+    length. No calibration step or trial needs more of the trace."""
 
+    pattern: tuple[AccessRecord, ...]
+    secret_read_cycle: int | None
+    fetch_shadowed: frozenset[ShadowRule]
     ways: tuple[tuple[int | None, int], ...]
     total_cycles: int
+
+    @classmethod
+    def of(cls, trace: ExecutionTrace, set_index: int) -> RunSummary:
+        return cls(
+            tuple(trace.pattern),
+            trace.secret_read_cycle,
+            trace.fetch_shadowed,
+            trace.llc_state.get(set_index, ()),
+            trace.total_cycles,
+        )
+
+
+class RunMemo:
+    """The victim runs of one matrix pass, as summaries, and the candidate
+    builds of the sender being calibrated (a pass calibrates one sender at
+    a time).
+
+    ``plan`` builds each candidate once, as a plan that is never run, and
+    hands out a copy under the asked scheme that reads this memo. No other
+    plan reads it, so a run here is of the inputs that its gadget,
+    ordering, parameters and config build, and is filed by them.
+    ``summary`` returns a stored run of the bit when its scheme is the
+    asked one or its run serves the asked one (schemes.serves: the two
+    differ only in a fetch shadow that held none of the run's marked
+    fetches), and files it under the asked scheme too; otherwise it runs
+    the plan and stores what the harness reads of it."""
+
+    def __init__(self) -> None:
+        self.sender: tuple[Gadget, Ordering, MachineConfig] | None = None
+        self.plans: dict[AttackParams, AttackPlan] = {}  # of self.sender
+        # (gadget, ordering, params, bit) -> scheme -> (config, summary): each
+        # run under the scheme it ran under and each scheme it serves.
+        self.summaries: dict[tuple, dict[SchemeId, tuple[MachineConfig, RunSummary]]] = {}
+        self.values: dict = {}  # every summary field value, kept once
+
+    def plan(
+        self, gadget: Gadget, ordering: Ordering, scheme: SchemeId, cfg: MachineConfig, params: AttackParams
+    ) -> AttackPlan:
+        if self.sender != (gadget, ordering, cfg):
+            self.sender, self.plans = (gadget, ordering, cfg), {}
+        if params not in self.plans:
+            self.plans[params] = plan_attack(gadget, ordering, scheme, cfg, params)
+        copy = replace(self.plans[params], scheme=scheme)
+        copy.memo = self
+        return copy
+
+    def summary(self, plan: AttackPlan, bit: int) -> RunSummary:
+        runs = self.summaries.setdefault((plan.gadget, plan.ordering, plan.params, bit), {})
+        stored = runs.get(plan.scheme)
+        if stored is not None and stored[0] == plan.cfg:
+            return stored[1]
+        asked = scheme_spec(plan.scheme)
+        for scheme, (cfg, got) in runs.items():
+            if cfg == plan.cfg and serves(scheme_spec(scheme), asked, got.fetch_shadowed):
+                break
+        else:
+            # Few runs end in a target set, pattern or fetch-shadow set of
+            # their own: each equal field value is kept once.
+            fields = RunSummary.of(plan.trace(bit), plan.layout.set_index)
+            got = RunSummary._make(self.values.setdefault(v, v) for v in fields)
+        runs[plan.scheme] = (plan.cfg, got)
+        return got
 
 
 @dataclass
@@ -175,60 +242,49 @@ class AttackPlan:
     anchor: int
     decode: Mapping[tuple[bool, ...], int]  # probe outcome -> bit
     # The simulator is a pure function of its inputs, so a bit's victim
-    # run is shared across trials; only probe noise varies per trial.
-    # Every cache starts empty in every plan, copies made by replace()
-    # included, so a copy never reads what another scheme ran.
-    trace_cache: dict[int, ExecutionTrace] = field(default_factory=dict, init=False)
-    # What the trials read of each bit's victim run (victim_run).
-    run_cache: dict[int, VictimRun] = field(default_factory=dict, init=False)
-    # With the run fixed, the noiseless probe outcome is a pure function
-    # of the bit and the interloper lines drawn: (bit, draws) -> outcome.
-    outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = field(default_factory=dict, init=False)
-    # The fetch-shadow rules that would have held a marked fetch in some
-    # run this plan made (each trace's fetch_shadowed, joined).
-    fetch_shadowed: set[ShadowRule] = field(default_factory=set, init=False)
+    # run is shared across trials, and across the plans of one matrix pass
+    # (RunMemo.plan). Every other plan, a replace() copy included, starts
+    # with a memo of its own, so it never reads what another plan ran.
+    memo: RunMemo = field(default_factory=RunMemo, init=False, repr=False, compare=False)
+    # With the run fixed, the noiseless reading of a trial is a pure
+    # function of the bit and the interloper lines drawn: (bit, draws) ->
+    # (probe outcome, victim run length). A copy starts with it empty.
+    outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[tuple[bool, ...], int]] = field(
+        default_factory=dict, init=False
+    )
 
     @cached_property
     def interloper_pool(self) -> tuple[int, ...]:
         """The same-set lines a noisy trial draws from; built on first read."""
         return self.layout.interlopers(INTERLOPER_POOL)
 
-    def _run(self, bit: int) -> ExecutionTrace:
-        trace = run(self.program, self.cfg, self.scheme, secrets={"s0": bit}, image=self.image, attacker=self.script)
-        self.fetch_shadowed |= trace.fetch_shadowed
-        return trace
+    def trace(self, bit: int) -> ExecutionTrace:
+        """A fresh run of the bit's victim, kept by no one: the one place
+        a plan runs."""
+        return run(self.program, self.cfg, self.scheme, secrets={"s0": bit}, image=self.image, attacker=self.script)
 
-    def victim_trace(self, bit: int) -> ExecutionTrace:
-        if bit not in self.trace_cache:
-            self.trace_cache[bit] = self._run(bit)
-        return self.trace_cache[bit]
+    def summary(self, bit: int) -> RunSummary:
+        """What the harness reads of the bit's victim run, from the memo."""
+        return self.memo.summary(self, bit)
 
-    def victim_run(self, bit: int) -> VictimRun:
-        """What a trial reads of the bit's victim run. Read off the cached
-        trace if there is one; otherwise the run is made here and only this
-        much of it is kept."""
-        got = self.run_cache.get(bit)
-        if got is None:
-            trace = self.trace_cache[bit] if bit in self.trace_cache else self._run(bit)
-            got = self.run_cache[bit] = VictimRun(trace.llc_state.get(self.layout.set_index, ()), trace.total_cycles)
-        return got
-
-    def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[bool, ...]:
-        """The noiseless reading of one trial: copy the victim's target set,
-        touch the drawn interlopers, then read (anchor present,) for the
-        RS sender or probe for (a_hit, b_hit)."""
+    def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[tuple[bool, ...], int]:
+        """The noiseless reading of one trial and its victim run's length:
+        copy the victim's target set, touch the drawn interlopers, then
+        read (anchor present,) for the RS sender or probe for (a_hit,
+        b_hit)."""
         key = (bit, draws)
-        outcome = self.outcome_cache.get(key)
-        if outcome is None:
-            cset = CacheSet(self.cfg.geometry.llc_ways, self.victim_run(bit).ways)
+        got = self.outcome_cache.get(key)
+        if got is None:
+            victim = self.summary(bit)
+            cset = CacheSet(self.cfg.geometry.llc_ways, victim.ways)
             for line in draws:
                 qlru_touch(cset, line)
             if self.gadget is Gadget.RS:
                 outcome = (cset.resident(self.anchor),)
             else:
                 outcome = probe(cset, self.layout.evs2, self.anchor, self.layout.reference_line)
-            self.outcome_cache[key] = outcome
-        return outcome
+            got = self.outcome_cache[key] = (outcome, victim.total_cycles)
+        return got
 
 
 def plan_attack(
@@ -264,10 +320,10 @@ def observe_trial(
     draws = ()
     if interlopers > 0:
         draws = tuple([rng.choice(plan.interloper_pool) for _ in range(interlopers)])
-    outcome = plan.probe_outcome(bit, draws)
+    outcome, cycles = plan.probe_outcome(bit, draws)
     if noise > 0:
         outcome = tuple([hit != (rng.random() < noise) for hit in outcome])
-    return plan.decode.get(outcome, DISCARD), plan.victim_run(bit).total_cycles
+    return plan.decode.get(outcome, DISCARD), cycles
 
 
 def _decode_bit(votes: list[int]) -> int:
@@ -494,11 +550,11 @@ def vulnerability_matrix(
     zero noise and mark cells whose decode error stays under the working
     threshold. Calibrations map every (gadget, ordering, scheme) the cells
     evaluate to the calibrated sender under that scheme and config, as
-    ``matrix_calibrations`` returns them for the same schemes; the trials
-    transmit over it, so a victim run its calibration already made is not
-    made again. Each bit gets one trial: with no noise and no interlopers
-    every trial of a bit reads the same, so a vote over more would decide
-    nothing. A cell whose sender, parameters and engine behaviour match an
+    ``matrix_calibrations`` returns them for the same schemes. The trials
+    transmit over it and read their victim runs through its memo, so no run
+    the pass made, or one such a run serves, is made again. Each bit gets
+    one trial: with no noise and no interlopers every trial of a bit reads
+    the same, so a vote over more would decide nothing. A cell whose sender, parameters and engine behaviour match an
     earlier cell's reuses that cell's result."""
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]

@@ -74,7 +74,7 @@ first marked fetch that either one defers they are the same run, so that
 fetch finds the same frontiers in both, and its rule enters the set of
 both. So when neither shadow is in the set, neither run defers a fetch and
 they are the same run throughout, the set included. schemes.serves states
-the rule; the matrix calibration reuses a whole search under it.
+the rule; a matrix pass's run memo (attacks.RunMemo) reuses a run under it.
 
 Clock advance. A stepped cycle changes no state when it logs no event, or
 only mshr_stall retries (a refused MSHR allocation leaves everything as it

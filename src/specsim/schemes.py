@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 from .microprog import FenceModel, MicroOp, MicroProgram, OpKind
 
@@ -127,6 +128,7 @@ def engine_behaviour(scheme: SchemeId, marked_fetch: bool) -> SchemeSpec:
     return spec if marked_fetch else replace(spec, fetch_shadow=None)
 
 
+@lru_cache(maxsize=None)  # pure over a few values; the run memo asks it on every miss
 def serves(behaviour: SchemeSpec, other: SchemeSpec, fetch_shadowed: frozenset[ShadowRule]) -> bool:
     """Whether a run under ``behaviour`` whose trace reports
     ``fetch_shadowed`` is byte for byte the run of the same inputs under

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from .machine import MachineConfig
@@ -31,18 +31,18 @@ from .microprog import (
     OpKind,
     Ordering,
     SecretDep,
-    marks_fetch,
 )
 from .attacks import (
     MATRIX_GROUPS,
     REFERENCE_VULNERABLE,
     AttackPlan,
-    VictimRun,
+    RunMemo,
+    RunSummary,
     group_orderings,
     plan_attack,
 )
 from .pipeline import ExecutionTrace, run
-from .schemes import SchemeId, SchemeSpec, ShadowRule, engine_behaviour, serves
+from .schemes import SchemeId, SchemeSpec, engine_behaviour
 
 PatternKey = tuple[int, str, str]
 
@@ -60,11 +60,13 @@ class CheckResult:
         return self.holds
 
 
-def _compare(a: ExecutionTrace, b: ExecutionTrace, label_a: str, label_b: str) -> CheckResult:
+def _compare(
+    a: ExecutionTrace | RunSummary, b: ExecutionTrace | RunSummary, label_a: str, label_b: str
+) -> CheckResult:
     """Holds when the two runs' visible patterns are equal. Otherwise the
     witness is the first index at which they differ, or the shorter length
     when one pattern is a prefix of the other."""
-    pa, pb = a.pattern_keys(), b.pattern_keys()
+    pa, pb = [r.key() for r in a.pattern], [r.key() for r in b.pattern]
     if pa == pb:
         return CheckResult(holds=True)
     witness = next((i for i, (x, y) in enumerate(zip(pa, pb)) if x != y), min(len(pa), len(pb)))
@@ -151,14 +153,6 @@ class Calibration:
     feasible: bool
     params: AttackParams | None
     trace: list[str] = field(default_factory=list)
-    # The fetch-shadow rules that would have held a marked fetch in some
-    # run of the search (each trace's fetch_shadowed, joined); None when
-    # not known, which certifies nothing.
-    fetch_shadowed: frozenset[ShadowRule] | None = None
-    # What a trial reads of the victim runs the search made of two senders,
-    # by parameters and bit: the calibrated one and the base one, which the
-    # matrix falls back to when nothing calibrates.
-    victim_runs: Mapping[AttackParams, Mapping[int, VictimRun]] = field(default_factory=dict)
 
 
 def _bit1_agrees(plan, cycle: int | None) -> bool:
@@ -166,13 +160,12 @@ def _bit1_agrees(plan, cycle: int | None) -> bool:
     including bit 0's event at this cycle, without running it. The two runs
     differ only in the secret, so they agree on every cycle before the
     secret is first read, and entirely when it never is."""
-    read = plan.victim_trace(0).secret_read_cycle
+    read = plan.summary(0).secret_read_cycle
     return read is None or (cycle is not None and cycle < read)
 
 
 def _anchor_cycle(plan, bit: int) -> int | None:
-    t = plan.victim_trace(bit)
-    for r in t.pattern:
+    for r in plan.summary(bit).pattern:
         if r.line == plan.anchor and r.requester == "victim":
             return r.cycle
     return None
@@ -184,7 +177,7 @@ def _order_flip(plan) -> bool:
     pair = (plan.anchor, plan.layout.reference_line)
 
     def order(bit: int) -> list:
-        return [r for r in plan.victim_trace(bit).pattern if r.line in pair]
+        return [r for r in plan.summary(bit).pattern if r.line in pair]
 
     # Bit 1 is run only when the verdict is still open: bit 0 must see the
     # anchor first, and bit 1 sees it first too if it agrees that far.
@@ -200,7 +193,7 @@ def calibrate(
     scheme: SchemeId,
     cfg: MachineConfig | None = None,
     base: AttackParams | None = None,
-    builds: dict[AttackParams, AttackPlan] | None = None,
+    memo: RunMemo | None = None,
 ) -> Calibration:
     """Search sender parameters until the designated observable shows a
     stable secret differential: the reference-access offset for the
@@ -208,58 +201,31 @@ def calibrate(
     victim-pair orderings, the fetch outcome for the RS sender. Bounded;
     reports the sweep on failure.
 
-    The result also reports the fetch-shadow rules that would have held a
-    marked fetch in any run of the search, and what a trial reads of the
-    victim runs it made of the calibrated sender and of the base one. The
-    search is a pure function of the traces it reads, so it comes out the
-    same, runs and all, under every behaviour its runs serve
-    (schemes.serves).
-
-    ``builds`` shares candidate senders between searches of one gadget,
-    ordering and config: it maps parameters to a plan that is never run,
-    each candidate is built into it once, and each search runs a copy for
-    its scheme with empty caches. It saves builds only; the result is the
-    same with or without it."""
+    The search reads only run summaries, and takes its candidates and their
+    runs from ``memo`` (a memo of its own without one). A search under a
+    scheme whose every run the memo already holds, or serves from another
+    scheme's run (schemes.serves), makes no run at all and comes out the
+    same as a fresh one."""
     cfg = cfg or MachineConfig()
     base = base or AttackParams()
-    builds = {} if builds is None else builds
-    shadowed: list[set[ShadowRule]] = []  # every plan's fetch_shadowed, which outlives its traces
-    base_runs: dict[int, VictimRun] = {}
-    base_plan: AttackPlan | None = None  # until the next plan is made
-
-    def keep_base_runs() -> None:
-        # A search is done with a plan once it makes the next one: keep
-        # what a trial reads of the base sender's runs, and not the traces.
-        nonlocal base_plan
-        if base_plan is not None:
-            base_runs.update({bit: base_plan.victim_run(bit) for bit in base_plan.trace_cache})
-            base_plan = None
-
-    def plan_for(params: AttackParams) -> AttackPlan:
-        nonlocal base_plan
-        keep_base_runs()
-        if params not in builds:
-            builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
-        plan = replace(builds[params], scheme=scheme)
-        shadowed.append(plan.fetch_shadowed)
-        if params == base:
-            base_plan = plan
-        return plan
-
+    memo = RunMemo() if memo is None else memo
     trace: list[str] = []
 
-    def search() -> AttackPlan | None:
-        """The calibrated sender, or None if the search finds none."""
+    def plan_for(params: AttackParams) -> AttackPlan:
+        return memo.plan(gadget, ordering, scheme, cfg, params)
+
+    def search() -> AttackParams | None:
+        """The calibrated parameters, or None if the search finds none."""
         if gadget is Gadget.RS:
             plan = plan_for(base)
 
             def fetched(bit: int) -> bool:
-                return any(r.line == plan.anchor for r in plan.victim_trace(bit).pattern)
+                return any(r.line == plan.anchor for r in plan.summary(bit).pattern)
 
             seen0 = fetched(0)
             seen1 = seen0 if _bit1_agrees(plan, None) else fetched(1)
             trace.append(f"rs fetch outcomes: bit0={seen0} bit1={seen1}")
-            return plan if seen0 != seen1 else None
+            return base if seen0 != seen1 else None
 
         if ordering in (Ordering.VDAD, Ordering.VIAD):
             for z in (base.z_len, 16, 20, 8):
@@ -271,10 +237,10 @@ def calibrate(
                     continue
                 offset = (c0 + c1) // 2
                 check = plan_for(replace(base, z_len=z, reference_offset=offset))
-                leaks = not _compare(check.victim_trace(0), check.victim_trace(1), "bit 0", "bit 1").holds
+                leaks = not _compare(check.summary(0), check.summary(1), "bit 0", "bit 1").holds
                 trace.append(f"z={z} offset={offset}: differential={'yes' if leaks else 'no'}")
                 if leaks:
-                    return check
+                    return check.params
             return None
 
         # Victim-pair orderings: sweep the reference chain length.
@@ -284,7 +250,7 @@ def calibrate(
                 plan = plan_for(replace(base, z_len=z, g_len=g))
                 if _order_flip(plan):
                     trace.append(f"z={z} g={g}: order flips")
-                    return plan
+                    return plan.params
                 trace.append(f"z={z} g={g}: no flip")
         return None
 
@@ -293,13 +259,7 @@ def calibrate(
     except ConstructionError as e:
         trace.append(f"construction rejected: {e}")
         found = None
-    keep_base_runs()
-    runs = {base: base_runs} if base_runs else {}
-    held = frozenset().union(*shadowed)
-    if found is None:
-        return Calibration(False, None, trace, held, runs)
-    runs[found.params] = {bit: found.victim_run(bit) for bit in found.trace_cache}
-    return Calibration(True, found.params, trace, held, runs)
+    return Calibration(found is not None, found, trace)
 
 
 def _matrix_senders(
@@ -307,41 +267,22 @@ def _matrix_senders(
     ordering: Ordering,
     schemes: Iterable[SchemeId],
     cfg: MachineConfig,
+    memo: RunMemo,
 ) -> dict[SchemeId, AttackPlan]:
-    """The calibrated sender under each scheme; see calibrate_for_matrix.
-    Each sender comes with what a trial reads of the victim runs that its
-    scheme's search made of it."""
-    marked_fetch = marks_fetch(gadget, ordering)
-    searched: dict[SchemeSpec, Calibration] = {}  # by the behaviour searched under
-    builds: dict[AttackParams, AttackPlan] = {}
-
-    def search(scheme: SchemeId) -> Calibration:
-        key = engine_behaviour(scheme, marked_fetch)
-        for behaviour, cal in searched.items():
-            if behaviour == key or cal.fetch_shadowed is not None and serves(behaviour, key, cal.fetch_shadowed):
-                return cal
-        cal = searched[key] = calibrate(gadget, ordering, scheme, cfg, builds=builds)
-        return cal
-
-    cals = {scheme: search(scheme) for scheme in schemes}
+    """The calibrated sender under each scheme, reading ``memo``; see
+    calibrate_for_matrix."""
+    cals = {scheme: calibrate(gadget, ordering, scheme, cfg, memo=memo) for scheme in schemes}
     fallback = None
     if not all(cal.feasible for cal in cals.values()):
-        unsafe = search(SchemeId.UNSAFE)
+        unsafe = cals.get(SchemeId.UNSAFE) or calibrate(gadget, ordering, SchemeId.UNSAFE, cfg, memo=memo)
         # No differential even unprotected (the MSHR wait queue serializes
         # the victim-pair ordering): run the well-formed sender with
         # defaults; it decodes at chance, which is the honest verdict.
         fallback = unsafe.params if unsafe.feasible else AttackParams()
-
-    def sender(scheme: SchemeId, cal: Calibration) -> AttackPlan:
-        params = cal.params if cal.feasible else fallback
-        if params not in builds:
-            builds[params] = plan_attack(gadget, ordering, scheme, cfg, params)
-        plan = replace(builds[params], scheme=scheme)
-        # The search's runs are this scheme's runs: same behaviour, or served.
-        plan.run_cache.update(cal.victim_runs.get(params, {}))
-        return plan
-
-    return {scheme: sender(scheme, cal) for scheme, cal in cals.items()}
+    return {
+        scheme: memo.plan(gadget, ordering, scheme, cfg, cal.params if cal.feasible else fallback)
+        for scheme, cal in cals.items()
+    }
 
 
 def calibrate_for_matrix(
@@ -354,13 +295,11 @@ def calibrate_for_matrix(
     cells need well-formed parameters even when the scheme blocks the
     channel: a scheme without a feasible calibration of its own falls back
     to the one found against the unprotected machine, searched at most once
-    per sender and only when some scheme needs it. A scheme reuses a
-    finished search when the engine cannot tell it apart from the scheme
-    searched on this sender (engine_behaviour), or when every run of that
-    search serves its behaviour (schemes.serves: they differ only in a
-    fetch shadow that held none of the search's marked fetches). Every
-    search shares one build of each candidate sender."""
-    return {scheme: plan.params for scheme, plan in _matrix_senders(gadget, ordering, schemes, cfg).items()}
+    per sender and only when some scheme needs it. Every scheme's search
+    reads one run memo, so each candidate sender is built once and a run
+    is made once for every scheme it serves."""
+    senders = _matrix_senders(gadget, ordering, schemes, cfg, RunMemo())
+    return {scheme: plan.params for scheme, plan in senders.items()}
 
 
 def matrix_calibrations(
@@ -369,9 +308,10 @@ def matrix_calibrations(
 ) -> dict[tuple[Gadget, Ordering, SchemeId], AttackPlan]:
     """The calibrated sender of every matrix cell, calibrated once per
     (gadget, ordering) over the schemes that evaluate that ordering (see
-    calibrate_for_matrix). Each carries what a trial reads of the victim
-    runs its calibration made, and no trace, so ``vulnerability_matrix``
-    makes none of those runs again."""
+    calibrate_for_matrix). Every search and every sender reads one run memo
+    made here for the pass, so ``vulnerability_matrix`` makes none of the
+    calibration's runs again."""
+    memo = RunMemo()
     out: dict[tuple[Gadget, Ordering, SchemeId], AttackPlan] = {}
     for gadget in Gadget:
         for group, orderings in MATRIX_GROUPS.items():
@@ -379,7 +319,7 @@ def matrix_calibrations(
                 continue
             for ordering in orderings:
                 cell_schemes = [s for s in schemes if ordering in group_orderings(group, s)]
-                for scheme, plan in _matrix_senders(gadget, ordering, cell_schemes, cfg).items():
+                for scheme, plan in _matrix_senders(gadget, ordering, cell_schemes, cfg, memo).items():
                     out[(gadget, ordering, scheme)] = plan
     return out
 
@@ -391,8 +331,8 @@ def victim_timing(plan: AttackPlan) -> dict[str, tuple[int, int]]:
     fetches a transient op; bit 1, no attacker access)."""
     victim = plan.program.role_ops("victim_a")[0]
     runs = (
-        ("gadget_present", plan.victim_trace(1)),
-        ("gadget_inert", plan.victim_trace(0)),
+        ("gadget_present", plan.trace(1)),
+        ("gadget_inert", plan.trace(0)),
         ("gadget_removed", nospec(plan.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, None)),
     )
     return {label: (t.times(victim, "issue"), t.times(victim, "complete")) for label, t in runs}

@@ -3,13 +3,14 @@
 import itertools
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheGeometry, CacheImage, CacheSet
-from specsim.microprog import AttackLayout, AttackParams, Gadget, Ordering, constructible
+from specsim.microprog import AttackLayout, AttackParams, ConstructionError, Gadget, Ordering, constructible
 from specsim import attacks
 from specsim.attacks import (
     DISCARD,
@@ -17,7 +18,8 @@ from specsim.attacks import (
     MATRIX_SCHEMES,
     PRIME_PASSES,
     REFERENCE_VULNERABLE,
-    VictimRun,
+    RunMemo,
+    RunSummary,
     derive_decode_table,
     group_orderings,
     observe_trial,
@@ -31,7 +33,7 @@ from specsim.attacks import (
     vulnerability_matrix,
 )
 from specsim.pipeline import run
-from specsim.schemes import SchemeId
+from specsim.schemes import SchemeId, scheme_spec, serves
 from specsim.seccheck import calibrate_for_matrix, matrix_calibrations
 
 from qlru_ref import new_set, ref_access, ref_state
@@ -179,8 +181,7 @@ class TestRunAttack:
     def test_vdad_uses_attacker_reference(self):
         params = calibrate_for_matrix(Gadget.MSHR, Ordering.VDAD, [SchemeId.INVISISPEC_SPECTRE], CFG)[SchemeId.INVISISPEC_SPECTRE]
         plan = plan_attack(Gadget.MSHR, Ordering.VDAD, SchemeId.INVISISPEC_SPECTRE, CFG, params)
-        trace = plan.victim_trace(0)
-        attacker_entries = [r for r in trace.pattern if r.requester == "attacker"]
+        attacker_entries = [r for r in plan.summary(0).pattern if r.requester == "attacker"]
         assert len(attacker_entries) == 1
         assert attacker_entries[0].line == LAY.reference_line
         res = run_attack(
@@ -193,7 +194,7 @@ class TestRunAttack:
         # identical seeds; decoding is then mechanical.
         for scheme, expect_vulnerable in ((SchemeId.DOM_NONTSO, True), (SchemeId.MUONTRAP, False)):
             plan = plan_attack(Gadget.NPEU, Ordering.VDVD, scheme, CFG)
-            t0, t1 = plan.victim_trace(0), plan.victim_trace(1)
+            t0, t1 = plan.trace(0), plan.trace(1)
             differs = t0.pattern_keys() != t1.pattern_keys()
             assert differs == expect_vulnerable
 
@@ -239,9 +240,10 @@ def reference_receiver(gadget, ordering, scheme, secret_bits, trials, noise, see
     presence = plan.gadget is Gadget.RS
     lat = GEOM.lat_llc
     trial_cost = 2 * lat if presence else (len(LAY.evs1) * PRIME_PASSES + 1 + len(LAY.evs2)) * lat
+    traces = {bit: plan.trace(bit) for bit in (0, 1)}
     decoded_bits, total_cycles = [], 0
     for idx, bit in enumerate(secret_bits):
-        trace = plan.victim_trace(bit)
+        trace = traces[bit]
         state = trace.llc_state.get(LAY.set_index, ())
         votes = []
         for trial in range(trials):
@@ -290,26 +292,32 @@ class TestReceiverReference:
     def test_outcome_cache_is_keyed_by_the_draws(self):
         # One free way and the anchor as the leftmost age-3 line: a repeated
         # interloper hits and the anchor stays, a second distinct one evicts it.
+        # The victim run is a summary with that set, read through a stub memo.
         plan = plan_attack(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG, AttackParams())
         state = ((plan.anchor, 3),) + tuple((line, 0) for line in LAY.evs1[:14])
-        plan.trace_cache[0] = replace(plan.victim_trace(0), llc_state={LAY.set_index: state})
+        victim = plan.summary(0)._replace(ways=state)
+        plan.memo = SimpleNamespace(summary=lambda plan, bit: victim)
         seen = set()
-        for draws in itertools.product(plan.interloper_pool[:3], repeat=2):
-            outcome = plan.probe_outcome(0, draws)
+        all_draws = list(itertools.product(plan.interloper_pool[:3], repeat=2))
+        for draws in all_draws:
+            outcome, cycles = plan.probe_outcome(0, draws)
             assert outcome == reference_outcome(plan, state, draws)
+            assert cycles == victim.total_cycles
             seen.add(outcome)
         assert seen == {(True,), (False,)}
+        assert list(plan.outcome_cache) == [(0, draws) for draws in all_draws]
 
     def test_a_plan_copy_runs_under_its_own_scheme(self):
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG)
-        unsafe = plan.victim_trace(1).serialize()
-        copy = replace(plan, scheme=SchemeId.DOM_NONTSO)
-        assert copy.trace_cache == {} and copy.outcome_cache == {}
+        unsafe = plan.summary(1)
+        copy = replace(plan, scheme=SchemeId.FENCE_FUTURISTIC)
+        assert copy.memo is not plan.memo and copy.outcome_cache == {}
         kw = dict(secrets={"s0": 1}, image=plan.image, attacker=plan.script)
-        fresh = run(plan.program, CFG, SchemeId.DOM_NONTSO, **kw)
-        assert fresh.serialize() != unsafe
-        assert copy.victim_trace(1).serialize() == fresh.serialize()
-        assert plan.victim_trace(1).serialize() == unsafe
+        fresh = run(plan.program, CFG, SchemeId.FENCE_FUTURISTIC, **kw)
+        assert RunSummary.of(fresh, LAY.set_index) != unsafe
+        assert copy.summary(1) == RunSummary.of(fresh, LAY.set_index)
+        assert copy.trace(1).serialize() == fresh.serialize()
+        assert plan.summary(1) is unsafe
 
     def test_interloper_pool_is_built_only_when_a_trial_reads_it(self):
         # Only trials with interlopers draw from the pool, so neither a plan
@@ -332,53 +340,80 @@ def handed():
     return matrix_calibrations(CFG, HANDOVER_SCHEMES)
 
 
-def fresh_run(plan, bit) -> VictimRun:
-    """What a trial reads of the plan's victim run, from a run of its own
-    inputs made here."""
+def fresh_run(plan, bit) -> RunSummary:
+    """The summary of the plan's victim run, from a run of its own inputs
+    made here."""
     t = run(plan.program, plan.cfg, plan.scheme, secrets={"s0": bit}, image=plan.image, attacker=plan.script)
-    return VictimRun(t.llc_state.get(LAY.set_index, ()), t.total_cycles)
+    return RunSummary.of(t, LAY.set_index)
+
+
+class CountingRun:
+    """Wraps attacks.run, counting the calls."""
+
+    def __init__(self):
+        self.real = attacks.run
+        self.calls = 0
+
+    def __call__(self, *args, **kw):
+        self.calls += 1
+        return self.real(*args, **kw)
 
 
 class TestHandover:
-    def test_handed_senders_carry_their_own_runs_and_no_trace(self, handed):
+    def test_handed_senders_carry_their_own_runs_and_no_trace(self, handed, monkeypatch):
+        # Every sender reads the pass's one memo, which holds summaries
+        # only; what it returns is the sender's own run, and the trials'
+        # runs are mostly the calibration's.
+        memos = {id(plan.memo) for plan in handed.values()}
+        assert len(memos) == 1
+        memo = next(iter(handed.values())).memo
+        stored = [got for runs in memo.summaries.values() for _, got in runs.values()]
+        assert stored and all(type(got) is RunSummary for got in stored)
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
         fallback = 0
         for (gadget, ordering, scheme), plan in handed.items():
             assert (plan.gadget, plan.ordering, plan.scheme) == (gadget, ordering, scheme)
-            assert plan.trace_cache == {}
-            for bit, got in plan.run_cache.items():
-                assert got == fresh_run(plan, bit), (gadget, ordering, scheme, bit)
+            for bit in (0, 1):
+                assert plan.summary(bit) == fresh_run(plan, bit), (gadget, ordering, scheme, bit)
             fallback += gadget is Gadget.MSHR and scheme is SchemeId.DOM_NONTSO
-        assert fallback and sum(len(plan.run_cache) for plan in handed.values()) > len(handed)
+        assert fallback and runs.calls < len(handed)
 
-    def test_a_copy_reads_only_its_own_runs(self, handed):
-        plan = handed[(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO)]
-        assert set(plan.run_cache) == {0, 1}
-        unprimed = CacheImage(scripts=plan.image.scripts)
-        for copy in (replace(plan, scheme=SchemeId.FENCE_FUTURISTIC), replace(plan, image=unprimed)):
-            assert copy.run_cache == {} and copy.trace_cache == {}
-            got = [copy.victim_run(bit) for bit in (0, 1)]
+    def test_a_copy_reads_only_its_own_runs(self, handed, monkeypatch):
+        # A copy under another scheme, image, program, attacker script or
+        # config starts with a memo of its own, so it runs both bits itself
+        # and never reads the pass's runs.
+        plan = handed[(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO)]
+        own = [plan.summary(bit) for bit in (0, 1)]
+        longer = replace(plan.params, z_len=plan.params.z_len + 4)
+        other = plan_attack(plan.gadget, plan.ordering, plan.scheme, CFG, longer)
+        assert other.program != plan.program
+        slower = MachineConfig(geometry=replace(GEOM, lat_mem=GEOM.lat_mem + 40))
+        copies = (
+            replace(plan, scheme=SchemeId.FENCE_FUTURISTIC),
+            replace(plan, image=CacheImage(scripts=plan.image.scripts)),
+            replace(plan, program=other.program),
+            replace(plan, script=replace(plan.script, offset_cycle=plan.script.offset_cycle + 30)),
+            replace(plan, cfg=slower),
+        )
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        for k, copy in enumerate(copies, 1):
+            assert copy.memo is not plan.memo
+            got = [copy.summary(bit) for bit in (0, 1)]
+            assert runs.calls == 2 * k
             assert got == [fresh_run(copy, bit) for bit in (0, 1)]
-            assert got != [plan.victim_run(bit) for bit in (0, 1)]
+        assert [plan.summary(bit) for bit in (0, 1)] == own and runs.calls == 2 * len(copies)
 
     def test_trials_over_handed_senders_equal_trials_over_fresh_plans(self, handed, monkeypatch):
         fresh = {(g, o, s): plan_attack(g, o, s, CFG, plan.params) for (g, o, s), plan in handed.items()}
-        copies = {}
-        for key, plan in handed.items():
-            copies[key] = replace(plan)  # the fixture's plans stay as handed
-            copies[key].run_cache.update(plan.run_cache)
-        runs = []
-        real = attacks.run
-
-        def counting(*args, **kw):
-            runs.append(args)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(attacks, "run", counting)
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
         expected = vulnerability_matrix(CFG, seed=1, calibrations=fresh, schemes=HANDOVER_SCHEMES).csv_lines()
-        fresh_runs = len(runs)
-        got = vulnerability_matrix(CFG, seed=1, calibrations=copies, schemes=HANDOVER_SCHEMES).csv_lines()
+        fresh_runs = runs.calls
+        got = vulnerability_matrix(CFG, seed=1, calibrations=handed, schemes=HANDOVER_SCHEMES).csv_lines()
         assert got == expected
-        assert len(runs) - fresh_runs < fresh_runs
+        assert runs.calls - fresh_runs < fresh_runs
 
     def test_a_sender_of_another_cell_is_refused(self, handed):
         cals = dict(handed)
@@ -386,6 +421,59 @@ class TestHandover:
         cals[key] = replace(cals[key], scheme=SchemeId.UNSAFE)
         with pytest.raises(ValueError, match="calibration for npeu/vdad/dom-nontso is a sender of another cell"):
             vulnerability_matrix(CFG, seed=1, calibrations=cals, schemes=HANDOVER_SCHEMES)
+
+
+SENDERS = [(g, o) for g, o in itertools.product(Gadget, Ordering) if constructible(g, o)]
+MEMO_SCHEMES = (*MATRIX_SCHEMES, SchemeId.UNSAFE)
+
+
+class TestRunMemo:
+    """The memo returns the summary of a fresh run of the asked inputs, and
+    serves a stored run only to a behaviour it serves (schemes.serves)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sender=st.sampled_from(SENDERS),
+        z_len=st.sampled_from([1, 8, 12, 16, 20]),
+        g_len=st.integers(0, 64),
+        reference_offset=st.integers(0, 300),
+        first=st.sampled_from(MEMO_SCHEMES),
+        then=st.sampled_from(MEMO_SCHEMES),
+        bit=st.integers(0, 1),
+    )
+    def test_every_summary_is_the_summary_of_a_fresh_run(
+        self, sender, z_len, g_len, reference_offset, first, then, bit
+    ):
+        gadget, ordering = sender
+        params = AttackParams(z_len=z_len, g_len=g_len, reference_offset=reference_offset)
+        memo = RunMemo()
+        try:
+            a = memo.plan(gadget, ordering, first, CFG, params)
+        except ConstructionError:
+            reject()
+        b = memo.plan(gadget, ordering, then, CFG, params)
+        runs = CountingRun()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(attacks, "run", runs)
+            stored = a.summary(bit)
+            made = runs.calls
+            got = b.summary(bit)
+        assert made == 1
+        assert stored == fresh_run(a, bit)
+        assert got == fresh_run(b, bit)
+        served = serves(scheme_spec(first), scheme_spec(then), stored.fetch_shadowed)
+        assert runs.calls - made == (0 if served else 1)
+        assert (got is stored) == served
+
+    def test_both_cases_occur_on_the_matrix_senders(self):
+        # npeu/vivd: no fetch shadow holds the marked fetch, so the InvisiSpec
+        # run serves safespec-wfb. rs/viad: the BRANCH fetch shadow holds it,
+        # so safespec-wfb runs again.
+        for ordering, gadget, served in ((Ordering.VIVD, Gadget.NPEU, True), (Ordering.VIAD, Gadget.RS, False)):
+            memo = RunMemo()
+            stored = memo.plan(gadget, ordering, SchemeId.INVISISPEC_SPECTRE, CFG, AttackParams()).summary(0)
+            got = memo.plan(gadget, ordering, SchemeId.SAFESPEC_WFB, CFG, AttackParams()).summary(0)
+            assert (got is stored) == served, gadget
 
 
 class TestSweep:

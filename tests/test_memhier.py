@@ -431,15 +431,15 @@ class TestImageIsAValue:
         assert len(calls) == 1
 
     def test_a_plan_image_cannot_go_stale(self):
-        # Editing the image in place used to leave the plan's cached trace
+        # Editing the image in place used to leave the plan's stored run
         # (280 cycles) beside a fresh run of the edited inputs (205).
         plan = plan_attack(Gadget.NPEU, Ordering.VDAD, SchemeId.UNSAFE, MachineConfig())
-        cached = plan.victim_trace(1)
+        stored = plan.summary(1)
         with pytest.raises(TypeError):
             plan.image.scripts[plan.layout.secret_base + 1] = Level.MEMMISS
         fresh = run(plan.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, plan.script)
-        assert plan.victim_trace(1) is cached
-        assert fresh.total_cycles == cached.total_cycles == 280
+        assert plan.summary(1) is stored
+        assert fresh.total_cycles == stored.total_cycles == 280
 
 
 def test_reference_replay_smoke():

@@ -513,6 +513,24 @@ class TestClockEdges:
         assert all(t.occupancy[c][1:] == first[1:] for c in range(first[0], free_at))
 
 
+    def test_a_stall_stretch_is_stepped_once_then_jumped(self, monkeypatch):
+        # A cycle that logs only MSHR retries changes nothing, so the engine
+        # steps the first cycle of each stretch and jumps to the fill,
+        # writing the repeated retries itself. Stepping every stalled cycle
+        # logs the same trace, so only the phase calls tell them apart.
+        issued_at = []
+        real = _Engine._phase_issue
+
+        def counting(engine):
+            issued_at.append(engine.cycle)
+            return real(engine)
+
+        monkeypatch.setattr(_Engine, "_phase_issue", counting)
+        p, image = stall_stretch_program(4)
+        t = run(p, replace(CFG, l1d_mshrs=1), SchemeId.UNSAFE, image=image)
+        assert issued_at == [1, 2, 201, 202, 401, 402, 601]
+        assert len(t.occupancy) == 802
+
 EVENT_KINDS = {
     "fetch", "dispatch", "issue", "complete", "retire", "safe", "resolve", "squash",
     "reissue", "delayed", "mshr_stall", "mshr_free", "l2access", "ifetch",
@@ -680,7 +698,7 @@ class TestSecretFreePrefix:
             plan = plan_attack(gadget, ordering, scheme, cfg, params)
         except ConstructionError:
             reject()  # e.g. an MSHR sender on a one-MSHR machine
-        t0, t1 = plan.victim_trace(0), plan.victim_trace(1)
+        t0, t1 = plan.trace(0), plan.trace(1)
         read = t0.secret_read_cycle
         assert t1.secret_read_cycle == read
         if read is None:

@@ -25,7 +25,14 @@ from specsim.microprog import (
 )
 from specsim import attacks, seccheck
 from specsim.schemes import SchemeId, ShadowRule, engine_behaviour
-from specsim.attacks import MATRIX_GROUPS, MATRIX_SCHEMES, REFERENCE_VULNERABLE, group_orderings, plan_attack
+from specsim.attacks import (
+    MATRIX_GROUPS,
+    MATRIX_SCHEMES,
+    REFERENCE_VULNERABLE,
+    RunMemo,
+    group_orderings,
+    plan_attack,
+)
 from specsim.seccheck import (
     Benchmark,
     Calibration,
@@ -303,7 +310,7 @@ class ScriptedCalibrate:
         self.feasible = set(feasible)
         self.calls = []
 
-    def __call__(self, gadget, ordering, scheme, cfg=None, base=None, builds=None):
+    def __call__(self, gadget, ordering, scheme, cfg=None, base=None, memo=None):
         self.calls.append((gadget, ordering, scheme))
         if (gadget, ordering, scheme) in self.feasible:
             return Calibration(True, own_params(gadget, ordering, scheme))
@@ -342,19 +349,22 @@ class TestMatrixFallback:
         assert got == {SchemeId.UNSAFE: AttackParams()}
         assert fake.calls == [(self.G, self.O, SchemeId.UNSAFE)]
 
-    def test_data_side_sender_searches_once_per_behaviour(self, monkeypatch):
+    def test_data_side_sender_runs_once_per_behaviour(self, monkeypatch):
         # npeu/vdad has no marked fetch, so safespec-wfb and muontrap run as
-        # invisispec-spectre and invisispec-futuristic do.
-        fake = ScriptedCalibrate({(self.G, self.O, s) for s in MATRIX_SCHEMES})
-        monkeypatch.setattr(seccheck, "calibrate", fake)
+        # invisispec-spectre and invisispec-futuristic do: their searches
+        # read those schemes' runs from the memo and make none.
+        searches = RecordingCalibrate()
+        monkeypatch.setattr(seccheck, "calibrate", searches)
+        monkeypatch.setattr(attacks, "run", searches.count_runs)
         got = calibrate_for_matrix(self.G, self.O, MATRIX_SCHEMES, CFG)
-        assert fake.calls == [
-            (self.G, self.O, SchemeId.INVISISPEC_SPECTRE),
-            (self.G, self.O, SchemeId.INVISISPEC_FUTURISTIC),
-            (self.G, self.O, SchemeId.DOM_NONTSO),
+        assert [s for s, _ in searches.calls] == list(MATRIX_SCHEMES)
+        assert [s for s, n in searches.runs.items() if n] == [
+            SchemeId.INVISISPEC_SPECTRE,
+            SchemeId.INVISISPEC_FUTURISTIC,
+            SchemeId.DOM_NONTSO,
         ]
-        assert got[SchemeId.SAFESPEC_WFB] == own_params(self.G, self.O, SchemeId.INVISISPEC_SPECTRE)
-        assert got[SchemeId.MUONTRAP] == own_params(self.G, self.O, SchemeId.INVISISPEC_FUTURISTIC)
+        assert got[SchemeId.SAFESPEC_WFB] == got[SchemeId.INVISISPEC_SPECTRE]
+        assert got[SchemeId.MUONTRAP] == got[SchemeId.INVISISPEC_FUTURISTIC]
 
     def test_marked_fetch_sender_searches_every_scheme(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES})
@@ -396,27 +406,22 @@ class TestMatrixFallback:
         monkeypatch.setattr(seccheck, "calibrate", fake)
         got = matrix_calibrations(CFG, MATRIX_SCHEMES)
         assert set(got) == cells
-        defaults = shared = 0
+        defaults = 0
         senders = {(g, o) for g, o, _ in cells}
         for g, o in senders:
             schemes = [s for s in MATRIX_SCHEMES if (g, o, s) in cells]
-            first: dict[tuple, SchemeId] = {}  # behaviour -> the scheme searched for it
-            for s in schemes:
-                first.setdefault(behaviour(g, o, s), s)
-            shared += len(schemes) - len(first)
             needs_fallback = any((g, o, s) not in fake.feasible for s in schemes)
             calls = [s for gg, oo, s in fake.calls if (gg, oo) == (g, o)]
-            assert calls == [*first.values(), *[SchemeId.UNSAFE] * needs_fallback]
+            assert calls == [*schemes, *[SchemeId.UNSAFE] * needs_fallback]
             for s in schemes:
-                searched = first[behaviour(g, o, s)]
-                if (g, o, searched) in fake.feasible:
-                    assert got[(g, o, s)].params == own_params(g, o, searched)
+                if (g, o, s) in fake.feasible:
+                    assert got[(g, o, s)].params == own_params(g, o, s)
                 elif (g, o, SchemeId.UNSAFE) in fake.feasible:
                     assert got[(g, o, s)].params == own_params(g, o, SchemeId.UNSAFE)
                 else:
                     assert got[(g, o, s)].params == AttackParams()
                     defaults += 1
-        assert defaults > 0 and shared > 0
+        assert defaults > 0
         assert 0 < sum(fake.count(g, o, SchemeId.UNSAFE) for g, o in senders) < len(senders)
 
     def test_matrix_builds_each_candidate_sender_once(self, monkeypatch):
@@ -435,67 +440,82 @@ class TestMatrixFallback:
 
 
 class RecordingCalibrate:
-    """Wraps seccheck.calibrate, recording each search's scheme and result."""
+    """Wraps seccheck.calibrate, recording each search's scheme and result
+    and, through count_runs in place of attacks.run, the runs it made."""
 
     def __init__(self):
         self.real = seccheck.calibrate
+        self.real_run = attacks.run
         self.calls = []
+        self.runs: dict[SchemeId, int] = {}
 
     def __call__(self, gadget, ordering, scheme, *args, **kw):
+        self.runs.setdefault(scheme, 0)
         cal = self.real(gadget, ordering, scheme, *args, **kw)
         self.calls.append((scheme, cal))
         return cal
+
+    def count_runs(self, program, cfg, scheme, **kw):
+        self.runs[scheme] += 1
+        return self.real_run(program, cfg, scheme, **kw)
 
 
 class TestSearchSharing:
     def test_a_search_whose_runs_serve_a_scheme_is_its_search(self, monkeypatch):
         # npeu/vivd: no fetch shadow holds the marked fetch in any run of
-        # the InvisiSpec searches, so safespec-wfb and muontrap, which differ
-        # from them only in that shadow, take their searches as they are.
+        # the InvisiSpec searches, so the searches of safespec-wfb and
+        # muontrap, which differ from them only in that shadow, read every
+        # run from the memo, make none, and come out as fresh searches do.
         searches = RecordingCalibrate()
         monkeypatch.setattr(seccheck, "calibrate", searches)
+        monkeypatch.setattr(attacks, "run", searches.count_runs)
         got = calibrate_for_matrix(Gadget.NPEU, Ordering.VIVD, MATRIX_SCHEMES, CFG)
-        schemes = [s for s, _ in searches.calls]
-        assert schemes == [
+        assert [s for s, _ in searches.calls] == [*MATRIX_SCHEMES, SchemeId.UNSAFE]
+        assert [s for s, n in searches.runs.items() if n] == [
             SchemeId.INVISISPEC_SPECTRE,
             SchemeId.INVISISPEC_FUTURISTIC,
             SchemeId.DOM_NONTSO,
             SchemeId.UNSAFE,
         ]
-        assert len(schemes) < len({engine_behaviour(s, True) for s in (*MATRIX_SCHEMES, SchemeId.UNSAFE)})
         searched = dict(searches.calls)
         monkeypatch.undo()
         for scheme, served_by in ((SchemeId.SAFESPEC_WFB, SchemeId.INVISISPEC_SPECTRE),
                                   (SchemeId.MUONTRAP, SchemeId.INVISISPEC_FUTURISTIC)):
             fresh = calibrate(Gadget.NPEU, Ordering.VIVD, scheme, CFG)
-            assert searched[served_by] == fresh
-            assert ShadowRule.BRANCH not in fresh.fetch_shadowed
+            assert searched[scheme] == searched[served_by] == fresh
             assert got[scheme] == got[served_by]
 
     def test_a_fetch_shadow_that_holds_the_marked_line_searches_again(self, monkeypatch):
         # rs/viad: the BRANCH fetch shadow holds the marked line, which is
-        # the verdict under safespec-wfb and muontrap.
+        # the verdict under safespec-wfb and muontrap, so their searches run.
         searches = RecordingCalibrate()
         monkeypatch.setattr(seccheck, "calibrate", searches)
+        monkeypatch.setattr(attacks, "run", searches.count_runs)
         calibrate_for_matrix(Gadget.RS, Ordering.VIAD, MATRIX_SCHEMES, CFG)
-        schemes = [s for s, _ in searches.calls]
-        assert SchemeId.SAFESPEC_WFB in schemes and SchemeId.MUONTRAP in schemes
-        assert all(ShadowRule.BRANCH in cal.fetch_shadowed for _, cal in searches.calls)
+        assert searches.runs[SchemeId.SAFESPEC_WFB] and searches.runs[SchemeId.MUONTRAP]
+        plan = plan_attack(Gadget.RS, Ordering.VIAD, SchemeId.INVISISPEC_SPECTRE, CFG)
+        assert ShadowRule.BRANCH in plan.summary(0).fetch_shadowed
 
 
 class TestSharedBuilds:
-    def test_shared_builds_give_the_calibration_of_a_fresh_search(self):
+    def test_shared_builds_give_the_calibration_of_a_fresh_search(self, monkeypatch):
         # mshr/vdad is feasible unprotected and infeasible under dom-nontso,
-        # whose sweep starts from a candidate the first search built.
-        builds = {}
+        # whose sweep starts from a candidate the first search built. The
+        # memo's candidates are never run themselves.
+        memo = RunMemo()
         for scheme, feasible in ((SchemeId.UNSAFE, True), (SchemeId.DOM_NONTSO, False)):
-            got = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG, builds=builds)
+            got = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG, memo=memo)
             fresh = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG)
             assert got.feasible is feasible
-            assert (got.feasible, got.params, got.trace) == (fresh.feasible, fresh.params, fresh.trace)
-        assert builds
-        for plan in builds.values():
-            assert plan.trace_cache == {} and plan.outcome_cache == {}
+            assert got == fresh
+        assert memo.plans and memo.summaries
+        for plan in memo.plans.values():
+            assert plan.memo is not memo and plan.memo.summaries == {} and plan.outcome_cache == {}
+        # A second search under a scheme reads all of its runs.
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        assert calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.DOM_NONTSO, CFG, memo=memo) == fresh
+        assert runs.bits == []
 
 
 class TestBenchmarkSeam:
@@ -552,8 +572,7 @@ class TestOrderFlip:
         plan = plan_attack(Gadget.MSHR, Ordering.VDVD, SchemeId.UNSAFE, CFG, AttackParams(g_len=60))
         assert not seccheck._order_flip(plan)
         assert runs.bits == [0]
-        t = plan.victim_trace(0)
-        assert seccheck._anchor_cycle(plan, 0) == 25 and t.secret_read_cycle == 75
+        assert seccheck._anchor_cycle(plan, 0) == 25 and plan.summary(0).secret_read_cycle == 75
 
     def test_anchor_first_bit0_runs_bit1(self, monkeypatch):
         runs = CountingRun()
