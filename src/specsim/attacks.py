@@ -35,10 +35,9 @@ from .microprog import (
     MicroProgram,
     Ordering,
     build_attack_program,
-    marks_fetch,
 )
 from .pipeline import AccessRecord, ExecutionTrace, run
-from .schemes import SchemeId, ShadowRule, engine_behaviour, scheme_spec, serves
+from .schemes import SchemeId, ShadowRule, scheme_spec, serves
 
 DISCARD = -1
 PRIME_PASSES = 2  # filler passes to saturate ages at 0 (test-asserted minimum)
@@ -183,11 +182,11 @@ class RunMemo:
     hands out a copy under the asked scheme that reads this memo. No other
     plan reads it, so a run here is of the inputs that its gadget,
     ordering, parameters and config build, and is filed by them.
-    ``summary`` returns a stored run of the bit when its scheme is the
-    asked one or its run serves the asked one (schemes.serves: the two
-    differ only in a fetch shadow that held none of the run's marked
-    fetches), and files it under the asked scheme too; otherwise it runs
-    the plan and stores what the harness reads of it."""
+    ``summary`` returns a stored run of the bit whose run serves the asked
+    scheme (schemes.serves: the two are equal, or differ only in a fetch
+    shadow that held none of the run's marked fetches), and files it under
+    the asked scheme too; otherwise it runs the plan and stores what the
+    harness reads of it."""
 
     def __init__(self) -> None:
         self.sender: tuple[Gadget, Ordering, MachineConfig] | None = None
@@ -210,9 +209,6 @@ class RunMemo:
 
     def summary(self, plan: AttackPlan, bit: int) -> RunSummary:
         runs = self.summaries.setdefault((plan.gadget, plan.ordering, plan.params, bit), {})
-        stored = runs.get(plan.scheme)
-        if stored is not None and stored[0] == plan.cfg:
-            return stored[1]
         asked = scheme_spec(plan.scheme)
         for scheme, (cfg, got) in runs.items():
             if cfg == plan.cfg and serves(scheme_spec(scheme), asked, got.fetch_shadowed):
@@ -554,12 +550,10 @@ def vulnerability_matrix(
     transmit over it and read their victim runs through its memo, so no run
     the pass made, or one such a run serves, is made again. Each bit gets
     one trial: with no noise and no interlopers every trial of a bit reads
-    the same, so a vote over more would decide nothing. A cell whose sender, parameters and engine behaviour match an
-    earlier cell's reuses that cell's result."""
+    the same, so a vote over more would decide nothing."""
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
     cells: list[MatrixCell] = []
-    results: dict[tuple, AttackResult] = {}
     for gadget in Gadget:
         for group in MATRIX_GROUPS:
             if REFERENCE_VULNERABLE[(gadget, group)] is None:
@@ -571,10 +565,7 @@ def vulnerability_matrix(
                     if (plan.gadget, plan.ordering, plan.scheme, plan.cfg) != (gadget, ordering, scheme, cfg):
                         cell = f"{gadget.value}/{ordering.value}/{scheme.value}"
                         raise ValueError(f"the calibration for {cell} is a sender of another cell or config")
-                    key = (gadget, ordering, plan.params, engine_behaviour(scheme, marks_fetch(gadget, ordering)))
-                    res = results.get(key)
-                    if res is None:
-                        res = results[key] = transmit(plan, secret_bits, trials_per_bit=1, noise=0.0, seed=seed)
+                    res = transmit(plan, secret_bits, trials_per_bit=1, noise=0.0, seed=seed)
                     # Undecodable (all-discard) counts as chance level.
                     rate = 0.5 if res.discard_rate >= 0.5 else res.error_rate
                     best = min(best, rate)

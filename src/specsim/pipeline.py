@@ -194,6 +194,9 @@ class SimulationDeadlock(RuntimeError):
 
 
 NEVER = -1
+# The fetch_shadowed of every run whose marked fetches no fetch shadow held,
+# which is most runs: one shared empty set, not a new one per run.
+UNSHADOWED: frozenset[ShadowRule] = frozenset()
 
 
 class OpRec:
@@ -300,7 +303,7 @@ class ExecutionTrace:
     # The fetch-shadow rules (schemes.FETCH_SHADOWS) that would have held
     # one of this run's marked fetches at its dispatch. The run is also the
     # run under a fetch shadow outside this set (schemes.serves).
-    fetch_shadowed: frozenset[ShadowRule] = frozenset()
+    fetch_shadowed: frozenset[ShadowRule] = UNSHADOWED
 
     @cached_property
     def pattern(self) -> list[AccessRecord]:
@@ -981,5 +984,5 @@ class _Engine:
             total_cycles=next((c for c, name, _, _ in reversed(self.records) if name == "retire"), 0),
             llc_state=llc_state,
             secret_read_cycle=self.secret_read_cycle,
-            fetch_shadowed=frozenset(self.fetch_shadowed),
+            fetch_shadowed=frozenset(self.fetch_shadowed) if self.fetch_shadowed else UNSHADOWED,
         )

@@ -116,27 +116,18 @@ def scheme_spec(scheme: SchemeId) -> SchemeSpec:
     return _SPECS[scheme]
 
 
-def engine_behaviour(scheme: SchemeId, marked_fetch: bool) -> SchemeSpec:
-    """The scheme as the engine sees it on a program. Two schemes with
-    equal behaviour give byte-identical runs, so a caller may simulate one
-    and reuse the result for the other. ``marked_fetch`` false promises a
-    program with no marked fetch (no op with an ``iline``): the engine
-    never reads ``fetch_shadow`` there, so it is dropped. ``serves``
-    extends this from programs to runs: a run whose marked fetches no
-    fetch shadow would have held serves both behaviours alike."""
-    spec = scheme_spec(scheme)
-    return spec if marked_fetch else replace(spec, fetch_shadow=None)
-
-
 @lru_cache(maxsize=None)  # pure over a few values; the run memo asks it on every miss
 def serves(behaviour: SchemeSpec, other: SchemeSpec, fetch_shadowed: frozenset[ShadowRule]) -> bool:
     """Whether a run under ``behaviour`` whose trace reports
     ``fetch_shadowed`` is byte for byte the run of the same inputs under
-    ``other``. Equal behaviours always are. Otherwise they must differ only
-    in ``fetch_shadow``, and neither one's fetch shadow may be among the
-    rules that would have held a marked fetch of the run (``None`` never
-    is). Then no marked fetch was deferred under either, and the engine
-    reads ``fetch_shadow`` nowhere else, so both runs take the same path."""
+    ``other``: the one rule for when a caller may simulate one scheme and
+    reuse the result for another. Equal behaviours always are. Otherwise
+    they must differ only in ``fetch_shadow``, and neither one's fetch
+    shadow may be among the rules that would have held a marked fetch of
+    the run (``None`` never is). Then no marked fetch was deferred under
+    either, and the engine reads ``fetch_shadow`` nowhere else, so both
+    runs take the same path. A program with no marked fetch reports the
+    empty set, so there every such pair shares its runs."""
     if behaviour == other:
         return True
     return (

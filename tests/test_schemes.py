@@ -36,13 +36,12 @@ from specsim.schemes import (
     SchemeSpec,
     ShadowRule,
     ShadowState,
-    engine_behaviour,
     insert_fences,
     scheme_spec,
     serves,
 )
 
-from test_corpus_digests import op_stamps
+from test_corpus_digests import op_stamps, reference_run
 
 CFG = MachineConfig()
 LAY = AttackLayout(CFG.geometry)
@@ -325,19 +324,31 @@ def data_side_runs():
             yield f"{gadget.value}/{ordering.value}/{bit}", plan.program, plan.image, plan.script, {"s0": bit}
 
 
+def shared_runs(shadowed: frozenset) -> list[list[SchemeId]]:
+    """The schemes in classes of those whose runs reporting ``shadowed``
+    serve one another (schemes.serves), in SchemeId order."""
+    classes: list[list[SchemeId]] = []
+    for scheme in SchemeId:
+        home = next((c for c in classes if serves(scheme_spec(c[0]), scheme_spec(scheme), shadowed)), None)
+        if home is None:
+            classes.append([scheme])
+        else:
+            home.append(scheme)
+    return classes
+
+
 class TestEngineBehaviour:
     def test_equal_data_side_behaviour_runs_byte_identically(self):
-        classes: dict[tuple, list[SchemeId]] = {}
-        for scheme in SchemeId:
-            classes.setdefault(engine_behaviour(scheme, False), []).append(scheme)
-        shared = [schemes for schemes in classes.values() if len(schemes) > 1]
+        shared = [schemes for schemes in shared_runs(frozenset()) if len(schemes) > 1]
         assert shared
         for label, prog, image, attacker, secrets in data_side_runs():
             assert all(op.iline is None for op in prog.ops), label
             for schemes in shared:
                 first, *rest = (run(prog, CFG, s, secrets=secrets, image=image, attacker=attacker) for s in schemes)
+                assert first.fetch_shadowed == frozenset(), label
                 for scheme, t in zip(schemes[1:], rest):
                     where = (label, schemes[0].value, scheme.value)
+                    assert t.fetch_shadowed == frozenset(), where
                     assert t.serialize() == first.serialize(), where
                     assert op_stamps(t) == op_stamps(first), where
                     assert t.occupancy == first.occupancy, where
@@ -346,21 +357,24 @@ class TestEngineBehaviour:
                     assert t.total_cycles == first.total_cycles, where
 
     def test_marked_fetch_tells_every_scheme_apart(self):
-        assert len({engine_behaviour(s, True) for s in SchemeId}) == len(SchemeId)
+        # All ten specs are distinct, so a run whose marked fetches every
+        # fetch shadow would hold serves no other scheme.
+        assert len({scheme_spec(s) for s in SchemeId}) == len(SchemeId)
+        assert shared_runs(frozenset(FETCH_SHADOWS)) == [[s] for s in SchemeId]
 
     def test_behaviour_is_the_spec_less_unread_fetch_protection(self):
-        for s in SchemeId:
-            assert engine_behaviour(s, True) == scheme_spec(s)
-            assert engine_behaviour(s, False) == replace(scheme_spec(s), fetch_shadow=None)
-        classes: dict[SchemeSpec, set[SchemeId]] = {}
-        for s in SchemeId:
-            classes.setdefault(engine_behaviour(s, False), set()).add(s)
-        shared = [c for c in classes.values() if len(c) > 1]
+        # Runs with no shadowed fetch serve one another exactly when the
+        # specs agree once the fetch shadow is dropped.
+        classes = shared_runs(frozenset())
         assert len(classes) == 8
-        assert shared == [
-            {SchemeId.INVISISPEC_SPECTRE, SchemeId.SAFESPEC_WFB},
-            {SchemeId.INVISISPEC_FUTURISTIC, SchemeId.MUONTRAP},
+        assert [c for c in classes if len(c) > 1] == [
+            [SchemeId.INVISISPEC_SPECTRE, SchemeId.SAFESPEC_WFB],
+            [SchemeId.INVISISPEC_FUTURISTIC, SchemeId.MUONTRAP],
         ]
+        home = {s: i for i, c in enumerate(classes) for s in c}
+        for a, b in itertools.product(SchemeId, repeat=2):
+            unread = replace(scheme_spec(a), fetch_shadow=None) == replace(scheme_spec(b), fetch_shadow=None)
+            assert serves(scheme_spec(a), scheme_spec(b), frozenset()) == unread == (home[a] == home[b]), (a, b)
 
     def test_spec_holds_only_engine_choices(self):
         assert [f.name for f in fields(SchemeSpec)] == [
@@ -442,6 +456,26 @@ class TestFetchShadowCertificate:
         assert frozenset() in sets
         assert frozenset({ShadowRule.FUTURISTIC}) in sets
         assert frozenset(FETCH_SHADOWS) in sets
+
+    def test_runs_with_no_shadowed_fetch_share_one_empty_set(self):
+        runs = (run(prog, CFG, SchemeId.UNSAFE, image=image) for prog, image in map(gen_random_program, (0, 1)))
+        first, second = runs
+        assert first.fetch_shadowed == frozenset()
+        assert first.fetch_shadowed is second.fetch_shadowed
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 100_000))
+    def test_run_is_the_reference_run_on_fetching_programs(self, seed):
+        # The phase triggers and the fetch-shadow report hold on programs
+        # outside the fixed corpora, under every scheme.
+        program, image = gen_fetching_program(seed)
+        for scheme in SchemeId:
+            got, want = (runner(program, CFG, scheme, image=image) for runner in (run, reference_run))
+            assert got.records == want.records, scheme
+            assert got.occupancy == want.occupancy, scheme
+            assert op_stamps(got) == op_stamps(want), scheme
+            assert got.llc_state == want.llc_state, scheme
+            assert got.fetch_shadowed == want.fetch_shadowed, scheme
 
     def test_serves_needs_fetch_shadows_outside_the_set(self):
         spectre, wfb = scheme_spec(SchemeId.INVISISPEC_SPECTRE), scheme_spec(SchemeId.SAFESPEC_WFB)
