@@ -174,51 +174,46 @@ class RunSummary(NamedTuple):
 
 
 class RunMemo:
-    """The victim runs of one matrix pass, as summaries, and the candidate
-    builds of the sender being calibrated (a pass calibrates one sender at
-    a time).
+    """The victim runs of one sender, (gadget, ordering, config), as
+    summaries, and the candidate builds of its calibration.
 
     ``plan`` builds each candidate once, as a plan that is never run, and
     hands out a copy under the asked scheme that reads this memo. No other
-    plan reads it, so a run here is of the inputs that its gadget,
-    ordering, parameters and config build, and is filed by them.
+    plan reads it, so a run here is of the inputs that the sender and its
+    parameters build, and is filed by the parameters and the bit.
     ``summary`` returns a stored run of the bit whose run serves the asked
     scheme (schemes.serves: the two are equal, or differ only in a fetch
     shadow that held none of the run's marked fetches), and files it under
     the asked scheme too; otherwise it runs the plan and stores what the
     harness reads of it."""
 
-    def __init__(self) -> None:
-        self.sender: tuple[Gadget, Ordering, MachineConfig] | None = None
-        self.plans: dict[AttackParams, AttackPlan] = {}  # of self.sender
-        # (gadget, ordering, params, bit) -> scheme -> (config, summary): each
-        # run under the scheme it ran under and each scheme it serves.
-        self.summaries: dict[tuple, dict[SchemeId, tuple[MachineConfig, RunSummary]]] = {}
+    def __init__(self, gadget: Gadget, ordering: Ordering, cfg: MachineConfig) -> None:
+        self.gadget, self.ordering, self.cfg = gadget, ordering, cfg
+        self.plans: dict[AttackParams, AttackPlan] = {}
+        # (params, bit) -> scheme -> summary: each run under the scheme it
+        # ran under and each scheme it serves.
+        self.summaries: dict[tuple[AttackParams, int], dict[SchemeId, RunSummary]] = {}
         self.values: dict = {}  # every summary field value, kept once
 
-    def plan(
-        self, gadget: Gadget, ordering: Ordering, scheme: SchemeId, cfg: MachineConfig, params: AttackParams
-    ) -> AttackPlan:
-        if self.sender != (gadget, ordering, cfg):
-            self.sender, self.plans = (gadget, ordering, cfg), {}
+    def plan(self, scheme: SchemeId, params: AttackParams) -> AttackPlan:
         if params not in self.plans:
-            self.plans[params] = plan_attack(gadget, ordering, scheme, cfg, params)
+            self.plans[params] = plan_attack(self.gadget, self.ordering, scheme, self.cfg, params)
         copy = replace(self.plans[params], scheme=scheme)
         copy.memo = self
         return copy
 
     def summary(self, plan: AttackPlan, bit: int) -> RunSummary:
-        runs = self.summaries.setdefault((plan.gadget, plan.ordering, plan.params, bit), {})
+        runs = self.summaries.setdefault((plan.params, bit), {})
         asked = scheme_spec(plan.scheme)
-        for scheme, (cfg, got) in runs.items():
-            if cfg == plan.cfg and serves(scheme_spec(scheme), asked, got.fetch_shadowed):
+        for scheme, got in runs.items():
+            if serves(scheme_spec(scheme), asked, got.fetch_shadowed):
                 break
         else:
             # Few runs end in a target set, pattern or fetch-shadow set of
             # their own: each equal field value is kept once.
             fields = RunSummary.of(plan.trace(bit), plan.layout.set_index)
             got = RunSummary._make(self.values.setdefault(v, v) for v in fields)
-        runs[plan.scheme] = (plan.cfg, got)
+        runs[plan.scheme] = got
         return got
 
 
@@ -238,10 +233,11 @@ class AttackPlan:
     anchor: int
     decode: Mapping[tuple[bool, ...], int]  # probe outcome -> bit
     # The simulator is a pure function of its inputs, so a bit's victim
-    # run is shared across trials, and across the plans of one matrix pass
-    # (RunMemo.plan). Every other plan, a replace() copy included, starts
-    # with a memo of its own, so it never reads what another plan ran.
-    memo: RunMemo = field(default_factory=RunMemo, init=False, repr=False, compare=False)
+    # run is shared across trials, and across the plans of one sender
+    # (RunMemo.plan). Every other plan, a replace() copy included, gets a
+    # memo of its own on its first read, so it never reads what another
+    # plan ran.
+    memo: RunMemo | None = field(default=None, init=False, repr=False, compare=False)
     # With the run fixed, the noiseless reading of a trial is a pure
     # function of the bit and the interloper lines drawn: (bit, draws) ->
     # (probe outcome, victim run length). A copy starts with it empty.
@@ -261,6 +257,8 @@ class AttackPlan:
 
     def summary(self, bit: int) -> RunSummary:
         """What the harness reads of the bit's victim run, from the memo."""
+        if self.memo is None:
+            self.memo = RunMemo(self.gadget, self.ordering, self.cfg)
         return self.memo.summary(self, bit)
 
     def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[tuple[bool, ...], int]:
@@ -547,10 +545,11 @@ def vulnerability_matrix(
     threshold. Calibrations map every (gadget, ordering, scheme) the cells
     evaluate to the calibrated sender under that scheme and config, as
     ``matrix_calibrations`` returns them for the same schemes. The trials
-    transmit over it and read their victim runs through its memo, so no run
-    the pass made, or one such a run serves, is made again. Each bit gets
-    one trial: with no noise and no interlopers every trial of a bit reads
-    the same, so a vote over more would decide nothing."""
+    transmit over it and read their victim runs through its memo, one per
+    sender, so no run its calibration made, or one such a run serves, is
+    made again. Each bit gets one trial: with no noise and no interlopers
+    every trial of a bit reads the same, so a vote over more would decide
+    nothing."""
     rng = random.Random(f"matrix:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
     cells: list[MatrixCell] = []
@@ -577,22 +576,19 @@ def vulnerability_matrix(
 
 
 def sweep_error_vs_rate(
-    gadget: Gadget,
-    ordering: Ordering,
-    scheme: SchemeId,
+    plan: AttackPlan,
     noise: float,
     trial_counts: list[int],
     bits: int,
     seed: int,
-    cfg: MachineConfig | None = None,
-    params: AttackParams | None = None,
 ) -> list[AttackResult]:
     """Error rate vs cost for increasing trials-per-bit at a fixed flip
     probability; the raw material for the channel quality curve. Every
-    count transmits over one plan, so the sender runs once per bit value."""
+    count transmits over the given plan, so its sender runs at most once
+    per bit value, and not at all for a bit whose run its memo holds (a
+    calibrated sender's)."""
     rng = random.Random(f"sweep:{seed}")
     secret_bits = [rng.randrange(2) for _ in range(bits)]
-    plan = plan_attack(gadget, ordering, scheme, cfg or MachineConfig(), params)
     return [transmit(plan, secret_bits, trials, noise, seed) for trials in trial_counts]
 
 

@@ -20,10 +20,11 @@ from pathlib import Path
 
 from .attacks import (
     MATRIX_SCHEMES,
+    AttackPlan,
     plan_attack,
-    run_attack,
     sweep_csv,
     sweep_error_vs_rate,
+    transmit,
     vulnerability_matrix,
 )
 from .machine import MachineConfig
@@ -154,14 +155,17 @@ def count_list(text: str) -> list[int]:
 
 
 def scheme_list(text: str) -> tuple[SchemeId, ...]:
-    """argparse type for comma-separated scheme ids."""
+    """argparse type for comma-separated scheme ids, each named once."""
     schemes = []
     for name in text.split(","):
         try:
-            schemes.append(SchemeId(name))
+            scheme = SchemeId(name)
         except ValueError:
             known = ", ".join(s.value for s in SchemeId)
             raise argparse.ArgumentTypeError(f"unknown scheme {name!r} (known: {known})") from None
+        if scheme in schemes:
+            raise argparse.ArgumentTypeError(f"scheme {name!r} is named twice")
+        schemes.append(scheme)
     return tuple(schemes)
 
 
@@ -203,11 +207,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _auto_params(args, cfg, gadget, ordering, scheme, file_params) -> AttackParams:
-    if file_params is not None:
-        return file_params
-    if args.no_calibrate:
-        return AttackParams()
+def _attack_plan(args, cfg, gadget, ordering, scheme, file_params) -> AttackPlan:
+    """The sender to transmit over: the config's [attack] parameters or
+    the builder defaults (--no-calibrate) as given, else the calibrated
+    sender, which carries its calibration's runs."""
+    if file_params is not None or args.no_calibrate:
+        return plan_attack(gadget, ordering, scheme, cfg, file_params)
     return calibrate_for_matrix(gadget, ordering, [scheme], cfg)[scheme]
 
 
@@ -216,14 +221,11 @@ def cmd_attack(args) -> int:
     gadget = Gadget(args.gadget)
     ordering = Ordering(args.ordering)
     scheme = SchemeId(args.scheme)
-    params = _auto_params(args, cfg, gadget, ordering, scheme, file_params)
+    plan = _attack_plan(args, cfg, gadget, ordering, scheme, file_params)
     if args.sweep_trials:
         # Plot-ready channel-quality curve: error rate vs throughput for
         # increasing trials-per-bit at the given noise level.
-        points = sweep_error_vs_rate(
-            gadget, ordering, scheme, args.noise, args.sweep_trials, args.bits,
-            seed=args.seed, cfg=cfg, params=params,
-        )
+        points = sweep_error_vs_rate(plan, args.noise, args.sweep_trials, args.bits, seed=args.seed)
         text = sweep_csv(points)
         if args.out:
             _write(args.out, text)
@@ -231,17 +233,7 @@ def cmd_attack(args) -> int:
         return EXIT_OK
     rng = random.Random(f"bits:{args.seed}")
     bits = [rng.randrange(2) for _ in range(args.bits)]
-    res = run_attack(
-        gadget,
-        ordering,
-        scheme,
-        bits,
-        trials_per_bit=args.trials,
-        noise=args.noise,
-        seed=args.seed,
-        cfg=cfg,
-        params=params,
-    )
+    res = transmit(plan, bits, trials_per_bit=args.trials, noise=args.noise, seed=args.seed)
     header = "gadget,ordering,scheme,bits,trials,noise,error_rate,discard_rate,cycles_per_bit"
     row = (
         f"{gadget.value},{ordering.value},{scheme.value},{args.bits},{args.trials},"

@@ -74,7 +74,7 @@ first marked fetch that either one defers they are the same run, so that
 fetch finds the same frontiers in both, and its rule enters the set of
 both. So when neither shadow is in the set, neither run defers a fetch and
 they are the same run throughout, the set included. schemes.serves states
-the rule; a matrix pass's run memo (attacks.RunMemo) reuses a run under it.
+the rule; a sender's run memo (attacks.RunMemo) reuses a run under it.
 
 Clock advance. A stepped cycle changes no state when it logs no event, or
 only mshr_stall retries (a refused MSHR allocation leaves everything as it
@@ -309,9 +309,6 @@ class ExecutionTrace:
     def pattern(self) -> list[AccessRecord]:
         """The visible LLC accesses: the l2access records, in order."""
         return [AccessRecord(c, x["line"], x["requester"], op) for c, name, op, x in self.records if name == "l2access"]
-
-    def pattern_keys(self) -> list[tuple[int, str, str]]:
-        return [r.key() for r in self.pattern]
 
     @cached_property
     def events(self) -> list[TraceEvent]:

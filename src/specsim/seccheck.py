@@ -202,22 +202,22 @@ def calibrate(
     reports the sweep on failure.
 
     The search reads only run summaries, and takes its candidates and their
-    runs from ``memo`` (a memo of its own without one). A search under a
-    scheme whose every run the memo already holds, or serves from another
-    scheme's run (schemes.serves), makes no run at all and comes out the
-    same as a fresh one."""
+    runs from ``memo``, which must be this sender's (a memo of its own
+    without one). A search under a scheme whose every run the memo already
+    holds, or serves from another scheme's run (schemes.serves), makes no
+    run at all and comes out the same as a fresh one."""
     cfg = cfg or MachineConfig()
     base = base or AttackParams()
-    memo = RunMemo() if memo is None else memo
+    if memo is None:
+        memo = RunMemo(gadget, ordering, cfg)
+    elif (memo.gadget, memo.ordering, memo.cfg) != (gadget, ordering, cfg):
+        raise ValueError(f"the run memo is of another sender or config than {gadget.value}/{ordering.value}")
     trace: list[str] = []
-
-    def plan_for(params: AttackParams) -> AttackPlan:
-        return memo.plan(gadget, ordering, scheme, cfg, params)
 
     def search() -> AttackParams | None:
         """The calibrated parameters, or None if the search finds none."""
         if gadget is Gadget.RS:
-            plan = plan_for(base)
+            plan = memo.plan(scheme, base)
 
             def fetched(bit: int) -> bool:
                 return any(r.line == plan.anchor for r in plan.summary(bit).pattern)
@@ -229,14 +229,14 @@ def calibrate(
 
         if ordering in (Ordering.VDAD, Ordering.VIAD):
             for z in (base.z_len, 16, 20, 8):
-                plan = plan_for(replace(base, z_len=z, reference_offset=FAR_OFFSET))
+                plan = memo.plan(scheme, replace(base, z_len=z, reference_offset=FAR_OFFSET))
                 c0 = _anchor_cycle(plan, 0)
                 c1 = c0 if _bit1_agrees(plan, c0) else _anchor_cycle(plan, 1)
                 trace.append(f"z={z}: anchor access bit0={c0} bit1={c1}")
                 if c0 is None or c1 is None or abs(c1 - c0) < 2:
                     continue
                 offset = (c0 + c1) // 2
-                check = plan_for(replace(base, z_len=z, reference_offset=offset))
+                check = memo.plan(scheme, replace(base, z_len=z, reference_offset=offset))
                 leaks = not _compare(check.summary(0), check.summary(1), "bit 0", "bit 1").holds
                 trace.append(f"z={z} offset={offset}: differential={'yes' if leaks else 'no'}")
                 if leaks:
@@ -247,7 +247,7 @@ def calibrate(
         g_candidates = [base.g_len] + list(range(4, 64, 4))
         for z in (base.z_len, 16):
             for g in g_candidates:
-                plan = plan_for(replace(base, z_len=z, g_len=g))
+                plan = memo.plan(scheme, replace(base, z_len=z, g_len=g))
                 if _order_flip(plan):
                     trace.append(f"z={z} g={g}: order flips")
                     return plan.params
@@ -262,15 +262,22 @@ def calibrate(
     return Calibration(found is not None, found, trace)
 
 
-def _matrix_senders(
+def calibrate_for_matrix(
     gadget: Gadget,
     ordering: Ordering,
     schemes: Iterable[SchemeId],
     cfg: MachineConfig,
-    memo: RunMemo,
 ) -> dict[SchemeId, AttackPlan]:
-    """The calibrated sender under each scheme, reading ``memo``; see
-    calibrate_for_matrix."""
+    """The calibrated sender under each of the given schemes. Matrix cells
+    need well-formed parameters even when the scheme blocks the channel: a
+    scheme without a feasible calibration of its own falls back to the one
+    found against the unprotected machine, searched at most once per sender
+    and only when some scheme needs it. Every search and every sender reads
+    one run memo, so each candidate sender is built once, a run is made
+    once for every scheme it serves, and transmitting over a sender makes
+    none of its calibration's runs again. The senders are copies, so the
+    memo drops its builds once they are made."""
+    memo = RunMemo(gadget, ordering, cfg)
     cals = {scheme: calibrate(gadget, ordering, scheme, cfg, memo=memo) for scheme in schemes}
     fallback = None
     if not all(cal.feasible for cal in cals.values()):
@@ -279,27 +286,11 @@ def _matrix_senders(
         # the victim-pair ordering): run the well-formed sender with
         # defaults; it decodes at chance, which is the honest verdict.
         fallback = unsafe.params if unsafe.feasible else AttackParams()
-    return {
-        scheme: memo.plan(gadget, ordering, scheme, cfg, cal.params if cal.feasible else fallback)
-        for scheme, cal in cals.items()
+    senders = {
+        scheme: memo.plan(scheme, cal.params if cal.feasible else fallback) for scheme, cal in cals.items()
     }
-
-
-def calibrate_for_matrix(
-    gadget: Gadget,
-    ordering: Ordering,
-    schemes: Iterable[SchemeId],
-    cfg: MachineConfig,
-) -> dict[SchemeId, AttackParams]:
-    """Parameters for one sender under each of the given schemes. Matrix
-    cells need well-formed parameters even when the scheme blocks the
-    channel: a scheme without a feasible calibration of its own falls back
-    to the one found against the unprotected machine, searched at most once
-    per sender and only when some scheme needs it. Every scheme's search
-    reads one run memo, so each candidate sender is built once and a run
-    is made once for every scheme it serves."""
-    senders = _matrix_senders(gadget, ordering, schemes, cfg, RunMemo())
-    return {scheme: plan.params for scheme, plan in senders.items()}
+    memo.plans.clear()
+    return senders
 
 
 def matrix_calibrations(
@@ -308,10 +299,9 @@ def matrix_calibrations(
 ) -> dict[tuple[Gadget, Ordering, SchemeId], AttackPlan]:
     """The calibrated sender of every matrix cell, calibrated once per
     (gadget, ordering) over the schemes that evaluate that ordering (see
-    calibrate_for_matrix). Every search and every sender reads one run memo
-    made here for the pass, so ``vulnerability_matrix`` makes none of the
-    calibration's runs again."""
-    memo = RunMemo()
+    calibrate_for_matrix). The senders of one (gadget, ordering) read one
+    run memo, so ``vulnerability_matrix`` makes none of the calibration's
+    runs again."""
     out: dict[tuple[Gadget, Ordering, SchemeId], AttackPlan] = {}
     for gadget in Gadget:
         for group, orderings in MATRIX_GROUPS.items():
@@ -319,7 +309,7 @@ def matrix_calibrations(
                 continue
             for ordering in orderings:
                 cell_schemes = [s for s in schemes if ordering in group_orderings(group, s)]
-                for scheme, plan in _matrix_senders(gadget, ordering, cell_schemes, cfg, memo).items():
+                for scheme, plan in calibrate_for_matrix(gadget, ordering, cell_schemes, cfg).items():
                     out[(gadget, ordering, scheme)] = plan
     return out
 

@@ -296,11 +296,8 @@ def test_criterion_7_error_rate_vs_throughput(calibrations):
     d_key = (Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO)
     i_key = (Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO)
     curves = {}
-    for label, (gadget, ordering, scheme) in (("dcache", d_key), ("icache", i_key)):
-        curves[label] = sweep_error_vs_rate(
-            gadget, ordering, scheme, noise, [1, 3, 5, 15], bits, seed=42, cfg=CFG,
-            params=calibrations[(gadget, ordering, scheme)].params,
-        )
+    for label, key in (("dcache", d_key), ("icache", i_key)):
+        curves[label] = sweep_error_vs_rate(calibrations[key], noise, [1, 3, 5, 15], bits, seed=42)
     ok = True
     for label, pts in curves.items():
         err1 = next(p.error_rate for p in pts if p.trials_per_bit == 1)

@@ -169,17 +169,17 @@ class TestRunAttack:
         assert abs(res.error_rate - 0.5) < 0.1
 
     def test_rs_viad_muontrap_fails(self):
-        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, [SchemeId.MUONTRAP], CFG)[SchemeId.MUONTRAP]
+        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, [SchemeId.MUONTRAP], CFG)[SchemeId.MUONTRAP].params
         res = run_attack(Gadget.RS, Ordering.VIAD, SchemeId.MUONTRAP, bits_for(64, 3), 1, 0.0, seed=5, cfg=CFG, params=params)
         assert abs(res.error_rate - 0.5) < 0.2  # chance-level
 
     def test_rs_viad_dom_decodes(self):
-        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, [SchemeId.DOM_NONTSO], CFG)[SchemeId.DOM_NONTSO]
+        params = calibrate_for_matrix(Gadget.RS, Ordering.VIAD, [SchemeId.DOM_NONTSO], CFG)[SchemeId.DOM_NONTSO].params
         res = run_attack(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, bits_for(32, 4), 1, 0.0, seed=5, cfg=CFG, params=params)
         assert res.error_rate == 0.0
 
     def test_vdad_uses_attacker_reference(self):
-        params = calibrate_for_matrix(Gadget.MSHR, Ordering.VDAD, [SchemeId.INVISISPEC_SPECTRE], CFG)[SchemeId.INVISISPEC_SPECTRE]
+        params = calibrate_for_matrix(Gadget.MSHR, Ordering.VDAD, [SchemeId.INVISISPEC_SPECTRE], CFG)[SchemeId.INVISISPEC_SPECTRE].params
         plan = plan_attack(Gadget.MSHR, Ordering.VDAD, SchemeId.INVISISPEC_SPECTRE, CFG, params)
         attacker_entries = [r for r in plan.summary(0).pattern if r.requester == "attacker"]
         assert len(attacker_entries) == 1
@@ -195,7 +195,7 @@ class TestRunAttack:
         for scheme, expect_vulnerable in ((SchemeId.DOM_NONTSO, True), (SchemeId.MUONTRAP, False)):
             plan = plan_attack(Gadget.NPEU, Ordering.VDVD, scheme, CFG)
             t0, t1 = plan.trace(0), plan.trace(1)
-            differs = t0.pattern_keys() != t1.pattern_keys()
+            differs = [r.key() for r in t0.pattern] != [r.key() for r in t1.pattern]
             assert differs == expect_vulnerable
 
     def test_discards_excluded_from_error_denominator(self):
@@ -311,11 +311,14 @@ class TestReceiverReference:
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG)
         unsafe = plan.summary(1)
         copy = replace(plan, scheme=SchemeId.FENCE_FUTURISTIC)
-        assert copy.memo is not plan.memo and copy.outcome_cache == {}
+        assert copy.memo is None and copy.outcome_cache == {}
         kw = dict(secrets={"s0": 1}, image=plan.image, attacker=plan.script)
         fresh = run(plan.program, CFG, SchemeId.FENCE_FUTURISTIC, **kw)
         assert RunSummary.of(fresh, LAY.set_index) != unsafe
         assert copy.summary(1) == RunSummary.of(fresh, LAY.set_index)
+        # Its first read gave it a memo of its own sender.
+        assert copy.memo is not plan.memo
+        assert (copy.memo.gadget, copy.memo.ordering, copy.memo.cfg) == (plan.gadget, plan.ordering, CFG)
         assert copy.trace(1).serialize() == fresh.serialize()
         assert plan.summary(1) is unsafe
 
@@ -361,14 +364,18 @@ class CountingRun:
 
 class TestHandover:
     def test_handed_senders_carry_their_own_runs_and_no_trace(self, handed, monkeypatch):
-        # Every sender reads the pass's one memo, which holds summaries
-        # only; what it returns is the sender's own run, and the trials'
-        # runs are mostly the calibration's.
-        memos = {id(plan.memo) for plan in handed.values()}
-        assert len(memos) == 1
-        memo = next(iter(handed.values())).memo
-        stored = [got for runs in memo.summaries.values() for _, got in runs.values()]
-        assert stored and all(type(got) is RunSummary for got in stored)
+        # The senders of one (gadget, ordering) read one memo of that
+        # sender, which holds summaries only; what it returns is the
+        # sender's own run, and the trials' runs are mostly the
+        # calibration's.
+        memos = {}
+        for (gadget, ordering, _), plan in handed.items():
+            assert memos.setdefault((gadget, ordering), plan.memo) is plan.memo
+        assert len({id(memo) for memo in memos.values()}) == len(memos)
+        for (gadget, ordering), memo in memos.items():
+            assert (memo.gadget, memo.ordering, memo.cfg) == (gadget, ordering, CFG)
+            stored = [got for runs in memo.summaries.values() for got in runs.values()]
+            assert stored and all(type(got) is RunSummary for got in stored)
         runs = CountingRun()
         monkeypatch.setattr(attacks, "run", runs)
         fallback = 0
@@ -379,10 +386,16 @@ class TestHandover:
             fallback += gadget is Gadget.MSHR and scheme is SchemeId.DOM_NONTSO
         assert fallback and runs.calls < len(handed)
 
+    def test_handed_senders_read_memos_that_hold_no_builds(self, handed):
+        # The candidate builds served only the searches, and the senders
+        # are copies of them, so a handed sender keeps no build alive.
+        for plan in handed.values():
+            assert plan.memo.plans == {} and plan.memo.summaries
+
     def test_a_copy_reads_only_its_own_runs(self, handed, monkeypatch):
         # A copy under another scheme, image, program, attacker script or
-        # config starts with a memo of its own, so it runs both bits itself
-        # and never reads the pass's runs.
+        # config gets a memo of its own, so it runs both bits itself and
+        # never reads the calibration's runs.
         plan = handed[(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO)]
         own = [plan.summary(bit) for bit in (0, 1)]
         longer = replace(plan.params, z_len=plan.params.z_len + 4)
@@ -446,12 +459,12 @@ class TestRunMemo:
     ):
         gadget, ordering = sender
         params = AttackParams(z_len=z_len, g_len=g_len, reference_offset=reference_offset)
-        memo = RunMemo()
+        memo = RunMemo(gadget, ordering, CFG)
         try:
-            a = memo.plan(gadget, ordering, first, CFG, params)
+            a = memo.plan(first, params)
         except ConstructionError:
             reject()
-        b = memo.plan(gadget, ordering, then, CFG, params)
+        b = memo.plan(then, params)
         runs = CountingRun()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(attacks, "run", runs)
@@ -470,22 +483,18 @@ class TestRunMemo:
         # run serves safespec-wfb. rs/viad: the BRANCH fetch shadow holds it,
         # so safespec-wfb runs again.
         for ordering, gadget, served in ((Ordering.VIVD, Gadget.NPEU, True), (Ordering.VIAD, Gadget.RS, False)):
-            memo = RunMemo()
-            stored = memo.plan(gadget, ordering, SchemeId.INVISISPEC_SPECTRE, CFG, AttackParams()).summary(0)
-            got = memo.plan(gadget, ordering, SchemeId.SAFESPEC_WFB, CFG, AttackParams()).summary(0)
+            memo = RunMemo(gadget, ordering, CFG)
+            stored = memo.plan(SchemeId.INVISISPEC_SPECTRE, AttackParams()).summary(0)
+            got = memo.plan(SchemeId.SAFESPEC_WFB, AttackParams()).summary(0)
             assert (got is stored) == served, gadget
 
 
 class TestSweep:
     def test_majority_vote_monotone_and_noiseless_exact(self):
-        params = calibrate_for_matrix(Gadget.NPEU, Ordering.VDVD, [SchemeId.DOM_NONTSO], CFG)[SchemeId.DOM_NONTSO]
-        noiseless = sweep_error_vs_rate(
-            Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, 0.0, [1, 3], 32, seed=3, cfg=CFG, params=params
-        )
+        plan = calibrate_for_matrix(Gadget.NPEU, Ordering.VDVD, [SchemeId.DOM_NONTSO], CFG)[SchemeId.DOM_NONTSO]
+        noiseless = sweep_error_vs_rate(plan, 0.0, [1, 3], 32, seed=3)
         assert all(p.error_rate == 0.0 for p in noiseless)
-        noisy = sweep_error_vs_rate(
-            Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, 0.2, [1, 5, 15], 128, seed=3, cfg=CFG, params=params
-        )
+        noisy = sweep_error_vs_rate(plan, 0.2, [1, 5, 15], 128, seed=3)
         # Non-increasing within a small tolerance band for odd trials.
         assert noisy[1].error_rate <= noisy[0].error_rate + 0.02
         assert noisy[2].error_rate <= noisy[1].error_rate + 0.02

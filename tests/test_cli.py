@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from specsim import attacks
+from specsim import attacks, seccheck
 from specsim.attacks import plan_attack, run_attack
 from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
@@ -221,6 +221,58 @@ class TestAttack:
                         f"{res.cycles_per_bit:.1f},{1e6 / res.cycles_per_bit:.3f}")
         assert out.splitlines() == rows
 
+    @pytest.mark.parametrize(
+        "sender, flags, made",
+        [
+            (["npeu", "vdvd", "dom-nontso"], ["--bits", "16"], 2),
+            (["mshr", "vdad", "muontrap"], ["--sweep-trials", "1,3"], 4),
+        ],
+    )
+    def test_a_calibrated_attack_runs_each_distinct_input_once(self, monkeypatch, sender, flags, made):
+        # The attack transmits over the calibrated sender, whose memo holds
+        # the calibration's runs, so no run is made twice.
+        inputs = []
+        for module in (attacks, seccheck):
+            def counting(program, cfg, scheme, *args, real=module.run, **kw):
+                inputs.append((program, cfg, scheme, args, kw))
+                return real(program, cfg, scheme, *args, **kw)
+
+            monkeypatch.setattr(module, "run", counting)
+        gadget, ordering, scheme = sender
+        code, _, _ = call(["attack", "--gadget", gadget, "--ordering", ordering, "--scheme", scheme,
+                           "--seed", "1", *flags])
+        assert code == EXIT_OK
+        distinct = []
+        for key in inputs:
+            if key not in distinct:
+                distinct.append(key)
+        assert len(inputs) == len(distinct) == made
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--gadget", "npeu", "--ordering", "viad", "--bits", "16", "--seed", "1"],
+                "npeu,viad,muontrap,16,3,0.0,0.0000,0.0000,6132.0\n",
+            ),
+            (
+                ["--gadget", "npeu", "--ordering", "viad", "--bits", "16", "--seed", "1", "--no-calibrate"],
+                "npeu,viad,muontrap,16,3,0.0,0.6250,0.0000,6132.0\n",
+            ),
+            (
+                ["--gadget", "mshr", "--ordering", "vdad", "--bits", "32", "--seed", "3", "--noise", "0.1",
+                 "--sweep-trials", "1,3,5"],
+                "1,0.0455,0.3125,2132.1,469.029\n3,0.0000,0.0312,6396.2,156.343\n5,0.0000,0.0000,10660.3,93.806\n",
+            ),
+        ],
+    )
+    def test_attack_output_is_pinned(self, argv, expected):
+        # Pinned rows: transmitting over the calibration's plan, rather than
+        # over a fresh build of its parameters, must change no byte.
+        code, out, _ = call(["attack", "--scheme", "muontrap", *argv])
+        assert code == EXIT_OK
+        assert out.split("\n", 1)[1] == expected
+
     def test_not_constructible_pair(self):
         code, _, err = call(
             ["attack", "--gadget", "rs", "--ordering", "vdvd", "--scheme", "unsafe",
@@ -337,6 +389,14 @@ class TestMatrix:
         code, out, err = call(["matrix", "--seed", "1", "--trials", "3"])
         assert code == EXIT_USAGE and out == ""
         assert "unrecognized arguments: --trials" in err
+
+    @pytest.mark.parametrize("command", ["matrix", "bench"])
+    def test_a_repeated_scheme_is_a_usage_error(self, command):
+        # A repeat would make the matrix write each of its rows twice and
+        # be dropped silently by bench.
+        code, out, err = call([command, "--seed", "1", "--schemes", "unsafe,dom-nontso,unsafe"])
+        assert code == EXIT_USAGE and out == ""
+        assert "argument --schemes: scheme 'unsafe' is named twice" in err
 
     def test_unknown_scheme_is_a_usage_error(self):
         code, out, err = call(["matrix", "--seed", "1", "--schemes", "unsafe,dom"])

@@ -319,7 +319,7 @@ class TestSquash:
         remap = {0: 0, 1: 1, 5: 2}  # join op id 5 in the full program
         for full_id, pruned_id in remap.items():
             assert op_stamps(nospec)[full_id] == op_stamps(pruned)[pruned_id]
-        assert nospec.pattern_keys() == pruned.pattern_keys()
+        assert [r.key() for r in nospec.pattern] == [r.key() for r in pruned.pattern]
 
 
 def rs_image(secret_miss_on_1: bool = True) -> CacheImage:
@@ -350,7 +350,7 @@ class TestFrontend:
     def test_marked_fetch_touches_llc_when_line_absent(self):
         p = build_attack_program(Ordering.VIAD, Gadget.RS, CFG)[0]
         t0 = run(p, CFG, SchemeId.UNSAFE, secrets={"s0": 0}, image=rs_image())
-        assert (LAY.itarget_line, "victim", "fill") in t0.pattern_keys()
+        assert (LAY.itarget_line, "victim", "fill") in [r.key() for r in t0.pattern]
 
     def test_program_exhausted_frontend_noop(self):
         p = prog_of(MicroOp(0, OpKind.ALU))
@@ -566,7 +566,7 @@ class TestTraceRecords:
         # The pattern is the l2access records, field for field, in order.
         l2 = [(c, x["line"], x["requester"], op) for c, name, op, x in t.records if name == "l2access"]
         assert [(r.cycle, r.line, r.requester, r.op_id) for r in t.pattern] == l2
-        assert t.pattern_keys() == [(line, who, "fill") for _, line, who, _ in l2]
+        assert [r.key() for r in t.pattern] == [(line, who, "fill") for _, line, who, _ in l2]
         assert len(t.events) == len(t.records)
         for e, (cycle, name, op, extra) in zip(t.events, t.records):
             assert (e.cycle, e.name, e.op) == (cycle, name, op)
@@ -585,7 +585,7 @@ class TestTraceRecords:
         p = MicroProgram(ops=[MicroOp(0, OpKind.ALU)])
         t = run(p, CFG, SchemeId.UNSAFE, image=CacheImage(scripts={5: Level.L1HIT}), attacker=[(0, 5)])
         assert t.records[0] == (0, "l2access", None, {"line": 5, "requester": "attacker", "result": "hit"})
-        assert t.pattern_keys() == [(5, "attacker", "fill")]
+        assert [r.key() for r in t.pattern] == [(5, "attacker", "fill")]
 
 
 class TestValidByConstruction:

@@ -353,7 +353,7 @@ class TestEngineBehaviour:
                     assert op_stamps(t) == op_stamps(first), where
                     assert t.occupancy == first.occupancy, where
                     assert t.llc_state == first.llc_state, where
-                    assert t.pattern_keys() == first.pattern_keys(), where
+                    assert [r.key() for r in t.pattern] == [r.key() for r in first.pattern], where
                     assert t.total_cycles == first.total_cycles, where
 
     def test_marked_fetch_tells_every_scheme_apart(self):

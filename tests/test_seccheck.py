@@ -130,13 +130,13 @@ class TestCheckIdeal:
                 assert e.serialize() == ns.serialize(), scheme
                 assert op_stamps(e) == op_stamps(ns), scheme
                 assert e.occupancy == ns.occupancy, scheme
-                assert e.pattern_keys() == ns.pattern_keys(), scheme
+                assert [r.key() for r in e.pattern] == [r.key() for r in ns.pattern], scheme
 
     def test_nospec_oracle_of_squash_free_program_is_the_run_itself(self):
         bench = gen_branch_dense(seed=9)
         e = run(bench.program, CFG, SchemeId.UNSAFE, image=bench.image)
         ns = nospec(bench.program, CFG, SchemeId.UNSAFE, image=bench.image)
-        assert e.pattern_keys() == ns.pattern_keys()
+        assert [r.key() for r in e.pattern] == [r.key() for r in ns.pattern]
         assert e.serialize() == ns.serialize()
 
 
@@ -205,7 +205,7 @@ class TestCheckDifferential:
         ]
         bits = [0, 1] * 8
         for gadget, ordering, scheme, vulnerable in cases:
-            params = calibrate_for_matrix(gadget, ordering, [scheme], CFG)[scheme]
+            params = calibrate_for_matrix(gadget, ordering, [scheme], CFG)[scheme].params
             res = run_attack(gadget, ordering, scheme, bits, 1, 0.0, seed=3, cfg=CFG, params=params)
             decodes = res.error_rate < 0.25
             plan = plan_attack(gadget, ordering, scheme, CFG, params)
@@ -307,6 +307,11 @@ def own_params(gadget, ordering, scheme) -> AttackParams:
     )
 
 
+def params_of(senders) -> dict:
+    """The parameters of each calibrated sender, by scheme."""
+    return {scheme: plan.params for scheme, plan in senders.items()}
+
+
 class ScriptedCalibrate:
     """Stands in for seccheck.calibrate, the search calibrate_for_matrix
     runs: feasible exactly for the scripted (gadget, ordering, scheme)
@@ -333,13 +338,13 @@ class TestMatrixFallback:
     def test_own_params_then_unsafe_then_defaults(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, self.O, self.A), (self.G, self.O, SchemeId.UNSAFE)})
         monkeypatch.setattr(seccheck, "calibrate", fake)
-        got = calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
+        got = params_of(calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG))
         assert got == {
             self.A: own_params(self.G, self.O, self.A),
             self.B: own_params(self.G, self.O, SchemeId.UNSAFE),
         }
         fake.feasible.discard((self.G, self.O, SchemeId.UNSAFE))
-        got = calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG)
+        got = params_of(calibrate_for_matrix(self.G, self.O, [self.A, self.B], CFG))
         assert got == {self.A: own_params(self.G, self.O, self.A), self.B: AttackParams()}
 
     def test_every_scheme_feasible_skips_unsafe(self, monkeypatch):
@@ -351,7 +356,7 @@ class TestMatrixFallback:
     def test_unsafe_alone_calibrates_once(self, monkeypatch):
         fake = ScriptedCalibrate(set())
         monkeypatch.setattr(seccheck, "calibrate", fake)
-        got = calibrate_for_matrix(self.G, self.O, [SchemeId.UNSAFE], CFG)
+        got = params_of(calibrate_for_matrix(self.G, self.O, [SchemeId.UNSAFE], CFG))
         assert got == {SchemeId.UNSAFE: AttackParams()}
         assert fake.calls == [(self.G, self.O, SchemeId.UNSAFE)]
 
@@ -362,7 +367,7 @@ class TestMatrixFallback:
         searches = RecordingCalibrate()
         monkeypatch.setattr(seccheck, "calibrate", searches)
         monkeypatch.setattr(attacks, "run", searches.count_runs)
-        got = calibrate_for_matrix(self.G, self.O, MATRIX_SCHEMES, CFG)
+        got = params_of(calibrate_for_matrix(self.G, self.O, MATRIX_SCHEMES, CFG))
         assert [s for s, _ in searches.calls] == list(MATRIX_SCHEMES)
         assert [s for s, n in searches.runs.items() if n] == [
             SchemeId.INVISISPEC_SPECTRE,
@@ -375,7 +380,7 @@ class TestMatrixFallback:
     def test_marked_fetch_sender_searches_every_scheme(self, monkeypatch):
         fake = ScriptedCalibrate({(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES})
         monkeypatch.setattr(seccheck, "calibrate", fake)
-        got = calibrate_for_matrix(self.G, Ordering.VIAD, MATRIX_SCHEMES, CFG)
+        got = params_of(calibrate_for_matrix(self.G, Ordering.VIAD, MATRIX_SCHEMES, CFG))
         assert fake.calls == [(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES]
         assert got == {s: own_params(self.G, Ordering.VIAD, s) for s in MATRIX_SCHEMES}
 
@@ -478,7 +483,7 @@ class TestSearchSharing:
         searches = RecordingCalibrate()
         monkeypatch.setattr(seccheck, "calibrate", searches)
         monkeypatch.setattr(attacks, "run", searches.count_runs)
-        got = calibrate_for_matrix(Gadget.NPEU, Ordering.VIVD, MATRIX_SCHEMES, CFG)
+        got = params_of(calibrate_for_matrix(Gadget.NPEU, Ordering.VIVD, MATRIX_SCHEMES, CFG))
         assert [s for s, _ in searches.calls] == [*MATRIX_SCHEMES, SchemeId.UNSAFE]
         assert [s for s, n in searches.runs.items() if n] == [
             SchemeId.INVISISPEC_SPECTRE,
@@ -511,7 +516,7 @@ class TestSharedBuilds:
         # mshr/vdad is feasible unprotected and infeasible under dom-nontso,
         # whose sweep starts from a candidate the first search built. The
         # memo's candidates are never run themselves.
-        memo = RunMemo()
+        memo = RunMemo(Gadget.MSHR, Ordering.VDAD, CFG)
         for scheme, feasible in ((SchemeId.UNSAFE, True), (SchemeId.DOM_NONTSO, False)):
             got = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG, memo=memo)
             fresh = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG)
@@ -519,12 +524,33 @@ class TestSharedBuilds:
             assert got == fresh
         assert memo.plans and memo.summaries
         for plan in memo.plans.values():
-            assert plan.memo is not memo and plan.memo.summaries == {} and plan.outcome_cache == {}
+            assert plan.memo is None and plan.outcome_cache == {}
         # A second search under a scheme reads all of its runs.
         runs = CountingRun()
         monkeypatch.setattr(attacks, "run", runs)
         assert calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.DOM_NONTSO, CFG, memo=memo) == fresh
         assert runs.bits == []
+
+    @pytest.mark.parametrize(
+        "gadget, ordering, cfg",
+        [
+            (Gadget.NPEU, Ordering.VDAD, CFG),
+            (Gadget.MSHR, Ordering.VIAD, CFG),
+            (Gadget.MSHR, Ordering.VDAD, MachineConfig(geometry=replace(LAY.geometry, lat_mem=300))),
+        ],
+    )
+    def test_a_memo_of_another_sender_or_config_is_refused(self, gadget, ordering, cfg, monkeypatch):
+        # A memo files its runs by parameters and bit alone, so a search of
+        # another sender would read runs of other inputs.
+        memo = RunMemo(gadget, ordering, cfg)
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        with pytest.raises(ValueError, match="run memo is of another sender or config than mshr/vdad"):
+            calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.UNSAFE, CFG, memo=memo)
+        assert memo.plans == memo.summaries == {} and runs.bits == []
+        # An equal config is the same sender.
+        own = RunMemo(Gadget.MSHR, Ordering.VDAD, MachineConfig())
+        assert calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.UNSAFE, CFG, memo=own).feasible
 
 
 class TestBenchmarkSeam:
