@@ -153,23 +153,27 @@ def anchor_line(ordering: Ordering, layout: AttackLayout) -> int:
 class RunSummary(NamedTuple):
     """What the harness reads of one victim run: the visible pattern, the
     cycle the secret was first read, the fetch-shadow rules that would
-    have held a marked fetch, the target set's final ways and the run's
-    length. No calibration step or trial needs more of the trace."""
+    have held a marked fetch, the target set's final ways, the run's
+    length and the victim_a op's (issue, complete), None for the RS sender.
+    No calibration step, trial or timing row needs more of the trace."""
 
     pattern: tuple[AccessRecord, ...]
     secret_read_cycle: int | None
     fetch_shadowed: frozenset[ShadowRule]
     ways: tuple[tuple[int | None, int], ...]
     total_cycles: int
+    victim: tuple[int, int] | None
 
     @classmethod
-    def of(cls, trace: ExecutionTrace, set_index: int) -> RunSummary:
+    def of(cls, trace: ExecutionTrace, plan: AttackPlan) -> RunSummary:
+        victim = plan.program.role_ops("victim_a")
         return cls(
             tuple(trace.pattern),
             trace.secret_read_cycle,
             trace.fetch_shadowed,
-            trace.llc_state.get(set_index, ()),
+            trace.llc_state.get(plan.layout.set_index, ()),
             trace.total_cycles,
+            (trace.times(victim[0], "issue"), trace.times(victim[0], "complete")) if victim else None,
         )
 
 
@@ -211,7 +215,7 @@ class RunMemo:
         else:
             # Few runs end in a target set, pattern or fetch-shadow set of
             # their own: each equal field value is kept once.
-            fields = RunSummary.of(plan.trace(bit), plan.layout.set_index)
+            fields = RunSummary.of(plan.trace(bit), plan)
             got = RunSummary._make(self.values.setdefault(v, v) for v in fields)
         runs[plan.scheme] = got
         return got

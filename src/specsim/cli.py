@@ -21,6 +21,7 @@ from pathlib import Path
 from .attacks import (
     MATRIX_SCHEMES,
     AttackPlan,
+    RunMemo,
     plan_attack,
     sweep_csv,
     sweep_error_vs_rate,
@@ -303,13 +304,14 @@ def cmd_calibrate(args) -> int:
     scheme = SchemeId(args.scheme)
     if args.timing_csv and gadget is Gadget.RS:
         raise ConfigError("--timing-csv needs a victim op to time: the rs sender has none")
-    cal = calibrate(gadget, ordering, scheme, cfg, base=base)
+    memo = RunMemo(gadget, ordering, cfg)
+    cal = calibrate(gadget, ordering, scheme, cfg, base=base, memo=memo)
     for line in cal.trace:
         print(f"# {line}")
     if args.timing_csv:
         # Plot-ready interference-target timing: victim issue/complete with
         # the gadget executing, inert, and physically removed.
-        plan = plan_attack(gadget, ordering, scheme, cfg, cal.params or base or AttackParams())
+        plan = memo.plan(scheme, cal.params or base or AttackParams())
         rows = ["label,victim_issue,victim_complete"]
         for label, (issue, complete) in victim_timing(plan).items():
             rows.append(f"{label},{issue},{complete}")

@@ -91,7 +91,9 @@ compares against:
 _next_event names the earliest of these, or max_cycles if that comes
 first. It reads the same values the phase triggers compare with the
 clock, so no jump can pass a cycle at which a trigger holds. After an
-unchanged cycle, while the ROB or the frontend still holds work, the
+unchanged cycle with work in the ROB (ops left to fetch mean work there:
+with the ROB empty, fetch logs unless held, and only redirect_at, set in a
+cycle that logged its squash, or a branch in the ROB can hold it), the
 engine appends the repeated retries and occupancy rows for every cycle up
 to that target and jumps the clock there, so max_cycles fires on the
 cycle a one-cycle step would reach. If _next_event returns None, no
@@ -128,7 +130,8 @@ resolve, safe transition, retire, squash):
     one of them: producers still incomplete (count, decremented by
     dependence wakeup at each producer's completion), all complete but the
     last write-back still ahead (heap by ready cycle), or inputs ready
-    (ascending ids, the issue candidates; a parked load stays here);
+    (ascending ids, the issue candidates, each holding an RS entry; a
+    parked load stays here);
   - finishing / cdb_queue: issued ops by finish cycle, then the finished
     ones awaiting the bus by id; together they are the issued, incomplete
     ops, so their lengths sum to the occupancy rows' eu_busy column;
@@ -138,14 +141,17 @@ resolve, safe transition, retire, squash):
     load shadow rule and the fetch shadow rule;
   - unsafe / ifetch_waiting: ROB ops still awaiting their safe transition
     or their deferred I-access. Under every shadow rule an op is safe only
-    if every older op is, so each cycle's transitions pop a prefix. Retire
-    holds the ROB head while it heads ifetch_waiting; no flag restates it.
+    if every older op is, so each cycle's transitions pop a prefix. The
+    ROB head is safe under every rule, and phase 4 ran after the last
+    older frontier op settled (phase 2 or 3, heading its list): a retiring
+    op owes no I-access or replay, holds no RS entry, and is not parked.
 A squash truncates every view to the ops at or older than the branch and
 frees the non-pipelined unit of each killed op that is still executing; a
 killed op that finished earlier leaves the unit to whichever op has booked
-it since. Each killed op that is fetched again gets a fresh OpRec. The
-OpRecs hold the per-op stamps; the trace keeps the final one of each op as
-`ops`.
+it since. Both fetch shadows hold a fetch behind an older unresolved
+branch, so no killed op has left ifetch_waiting for ifetch_replays. Each
+killed op that is fetched again gets a fresh OpRec. The OpRecs hold the
+per-op stamps; the trace keeps the final one of each op as `ops`.
 
 Per-program tables. What the engine reads of a program under any scheme is
 derived once per program and kept on it (MicroProgram.tables): each op's
@@ -452,11 +458,11 @@ class _Engine:
         elif self.shadow.settle(op):
             self.shadow_moved = True
         for b in self.resolves[op_id]:
-            # A completed, unresolved branch it resolves falls due. (A
-            # marker resolver completes at dispatch, always before the
-            # branch does: validate() puts it older, off every skipped body.)
+            # A completed branch it resolves falls due. It is unresolved: a
+            # resolver completes again only after a squash that replaced the
+            # branch's OpRec. (A marker resolver completes at dispatch.)
             r = recs[b]
-            if r.complete != NEVER and r.resolved == NEVER and r.squash == NEVER:
+            if r.complete != NEVER and r.squash == NEVER:
                 self.resolve_at = min(self.resolve_at, self.cycle + self.cfg.branch_resolve_extra)
         waiting = self.waiting
         for k in self.consumers[op_id]:
@@ -523,7 +529,7 @@ class _Engine:
             if len(records) == n_events or records[-1][1] == "mshr_stall" and all(
                 r[1] == "mshr_stall" for r in islice(records, n_events, None)
             ):
-                if rob or self.fetch_pos < n:
+                if rob:
                     self._repeat_unchanged(n_events, max_cycles)
         return self._finish()
 
@@ -535,7 +541,7 @@ class _Engine:
         times = [c for c, _ in self.ifetch_replays]
         if self.attacker_pos < len(self.attacker):
             times.append(self.attacker[self.attacker_pos][0])
-        if self.rob or self.fetch_pos < len(self.recs):
+        if self.rob:
             if self.finishing:
                 times.append(self.finishing[0][0])
             if self.wakeups:
@@ -634,7 +640,6 @@ class _Engine:
             r.pending_replay = False
             r.deferred_l1 = False
             self._event("squash", i)
-        self.ifetch_replays = [(c, i) for c, i in self.ifetch_replays if i <= branch_id]
         self.fetch_holds = [(j, b) for j, b in self.fetch_holds if b <= branch_id]
         self.shadow.squash_after(branch_id)
         self.waiting = {i: left for i, left in self.waiting.items() if i <= branch_id}
@@ -705,8 +710,8 @@ class _Engine:
     def _earliest_ready_lb(self, op_id: int, memo: dict[int, int]) -> int:
         """Lower bound on when an un-issued op could demand a unit; used by
         the advanced-defense look-ahead. Unknown-latency inputs (parked or
-        un-issued loads) bound at next cycle. memo holds the bounds already
-        derived in this look-ahead, which keeps a dependence DAG linear."""
+        un-issued loads) bound at next cycle; an older, dispatched marker has
+        completed. memo holds this look-ahead's bounds: a dependence DAG stays linear."""
         if op_id in memo:
             return memo[op_id]
         r = self.recs[op_id]
@@ -720,9 +725,7 @@ class _Engine:
             elif dep.op.kind is OpKind.LOAD:
                 t = self.cycle + 1
             else:
-                eu = self.eus[d]
-                lat = eu.latency if eu else 1
-                t = self._earliest_ready_lb(d, memo) + lat + self.cfg.writeback_delay
+                t = self._earliest_ready_lb(d, memo) + self.eus[d].latency + self.cfg.writeback_delay
             worst = max(worst, t)
         memo[op_id] = worst
         return worst
@@ -790,7 +793,7 @@ class _Engine:
                     r.npeu_unit = unit
             r.issue = cycle
             started.append(i)
-            if r.in_rs and not (rs_hold and r.safe == NEVER):
+            if not (rs_hold and r.safe == NEVER):
                 r.in_rs = False
                 self.rs_count -= 1
             records.append((cycle, "issue", i, None))
@@ -821,9 +824,8 @@ class _Engine:
             self._start(op_id, self.hier.latency(level))
             return "ok"
         if not safe and self.spec.miss_policy is MissPolicy.DELAY:
-            if not r.delayed:
-                r.delayed = True
-                self._event("delayed", op_id, {"line": line})
+            r.delayed = True
+            self._event("delayed", op_id, {"line": line})
             return "delayed"
         lat = self.hier.latency(level)
         mshr = self.hier.mshrs.allocate(line, op_id, free_at=self.cycle + lat)
@@ -940,18 +942,12 @@ class _Engine:
 
     def _phase_retire(self) -> None:
         cycle = self.cycle
-        rob, recs, unsafe, ifetch_waiting = self.rob, self.recs, self.unsafe, self.ifetch_waiting
+        rob, recs, unsafe = self.rob, self.recs, self.unsafe
         retired = 0
         while rob and retired < self.cfg.retire_width:
             i = rob[0]
             r = recs[i]
-            if r.complete == NEVER:
-                break
-            if r.op.kind is OpKind.BRANCH and r.resolved == NEVER:
-                break
-            # ifetch_waiting is age-ordered and holds only ROB ops, so the
-            # head owes a deferred I-access exactly when it heads that list.
-            if r.delayed or r.pending_replay or (ifetch_waiting and ifetch_waiting[0] == i):
+            if r.complete == NEVER or (r.op.kind is OpKind.BRANCH and r.resolved == NEVER):
                 break
             rob.popleft()
             if unsafe and unsafe[0] == i:
@@ -960,9 +956,6 @@ class _Engine:
                 # ran, so the first of them entered an empty list and
                 # shadow_moved is still set.
                 unsafe.popleft()
-            if r.in_rs:
-                r.in_rs = False
-                self.rs_count -= 1
             r.retire = cycle
             self.records.append((cycle, "retire", i, None))
             retired += 1

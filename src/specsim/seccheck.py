@@ -39,7 +39,7 @@ from .attacks import (
     RunMemo,
     RunSummary,
     group_orderings,
-    plan_attack,
+    plan_attack,  # unused here; perfbench/layers.py wraps seccheck.plan_attack by getattr
 )
 from .pipeline import ExecutionTrace, run
 from .schemes import SchemeId, SchemeSpec, scheme_spec, serves
@@ -316,16 +316,16 @@ def matrix_calibrations(
 
 def victim_timing(plan: AttackPlan) -> dict[str, tuple[int, int]]:
     """(issue, complete) of the sender's interference target, the first
-    victim op, in three runs: gadget executing (bit 1), gadget inert
-    (bit 0), and gadget removed (the no-misspeculation oracle, which never
-    fetches a transient op; bit 1, no attacker access)."""
+    victim op, in three runs: gadget executing (bit 1) and inert (bit 0),
+    from the plan's run memo, and gadget removed (the no-misspeculation
+    oracle, which never fetches a transient op; bit 1, no attacker access)."""
     victim = plan.program.role_ops("victim_a")[0]
-    runs = (
-        ("gadget_present", plan.trace(1)),
-        ("gadget_inert", plan.trace(0)),
-        ("gadget_removed", nospec(plan.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, None)),
-    )
-    return {label: (t.times(victim, "issue"), t.times(victim, "complete")) for label, t in runs}
+    removed = nospec(plan.program, plan.cfg, plan.scheme, {"s0": 1}, plan.image, None)
+    return {
+        "gadget_present": plan.summary(1).victim,
+        "gadget_inert": plan.summary(0).victim,
+        "gadget_removed": (removed.times(victim, "issue"), removed.times(victim, "complete")),
+    }
 
 
 def interference_gap(
@@ -336,9 +336,9 @@ def interference_gap(
     (gadget executing vs inert, gadget executing vs removed).
     Both are strictly positive when the interference exists."""
     cfg = cfg or MachineConfig()
-    cal = calibrate(Gadget.NPEU, Ordering.VDAD, scheme, cfg)
-    params = cal.params if cal.feasible else AttackParams()
-    timing = victim_timing(plan_attack(Gadget.NPEU, Ordering.VDAD, scheme, cfg, params))
+    memo = RunMemo(Gadget.NPEU, Ordering.VDAD, cfg)
+    cal = calibrate(Gadget.NPEU, Ordering.VDAD, scheme, cfg, memo=memo)
+    timing = victim_timing(memo.plan(scheme, cal.params if cal.feasible else AttackParams()))
     present = timing["gadget_present"][1]
     return present - timing["gadget_inert"][1], present - timing["gadget_removed"][1]
 

@@ -314,13 +314,24 @@ class TestReceiverReference:
         assert copy.memo is None and copy.outcome_cache == {}
         kw = dict(secrets={"s0": 1}, image=plan.image, attacker=plan.script)
         fresh = run(plan.program, CFG, SchemeId.FENCE_FUTURISTIC, **kw)
-        assert RunSummary.of(fresh, LAY.set_index) != unsafe
-        assert copy.summary(1) == RunSummary.of(fresh, LAY.set_index)
+        assert RunSummary.of(fresh, plan) != unsafe
+        assert copy.summary(1) == RunSummary.of(fresh, plan)
         # Its first read gave it a memo of its own sender.
         assert copy.memo is not plan.memo
         assert (copy.memo.gadget, copy.memo.ordering, copy.memo.cfg) == (plan.gadget, plan.ordering, CFG)
         assert copy.trace(1).serialize() == fresh.serialize()
         assert plan.summary(1) is unsafe
+
+    def test_a_summary_times_the_victim_op_of_its_sender(self):
+        for gadget, ordering in ((Gadget.NPEU, Ordering.VDAD), (Gadget.MSHR, Ordering.VDVD)):
+            plan = plan_attack(gadget, ordering, SchemeId.DOM_NONTSO, CFG)
+            victim = plan.program.role_ops("victim_a")[0]
+            for bit in (0, 1):
+                t = plan.trace(bit)
+                assert plan.summary(bit).victim == (t.times(victim, "issue"), t.times(victim, "complete"))
+        # The RS sender has no victim op.
+        plan = plan_attack(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG)
+        assert plan.program.role_ops("victim_a") == () and plan.summary(0).victim is None
 
     def test_interloper_pool_is_built_only_when_a_trial_reads_it(self):
         # Only trials with interlopers draw from the pool, so neither a plan
@@ -347,7 +358,7 @@ def fresh_run(plan, bit) -> RunSummary:
     """The summary of the plan's victim run, from a run of its own inputs
     made here."""
     t = run(plan.program, plan.cfg, plan.scheme, secrets={"s0": bit}, image=plan.image, attacker=plan.script)
-    return RunSummary.of(t, LAY.set_index)
+    return RunSummary.of(t, plan)
 
 
 class CountingRun:

@@ -47,6 +47,27 @@ def image_file(tmp_path):
 
 
 @pytest.fixture()
+def run_inputs(monkeypatch):
+    """The inputs of every run() the harness makes, in call order."""
+    inputs = []
+    for module in (attacks, seccheck):
+        def counting(program, cfg, scheme, *args, real=module.run, **kw):
+            inputs.append((program, cfg, scheme, args, kw))
+            return real(program, cfg, scheme, *args, **kw)
+
+        monkeypatch.setattr(module, "run", counting)
+    return inputs
+
+
+def distinct(inputs: list) -> list:
+    out = []
+    for key in inputs:
+        if key not in out:
+            out.append(key)
+    return out
+
+
+@pytest.fixture()
 def empty_program_file(tmp_path):
     path = tmp_path / "empty.mprog"
     path.write_text("")
@@ -91,6 +112,15 @@ class TestRun:
         events = [line.split()[1:3] for line in trace.read_text().splitlines()]
         assert sorted(int(op[3:]) for name, op in events if name == "event=squash") == [2, 3, 4, 5, 6, 7]
         assert sorted(int(op[3:]) for name, op in events if name == "event=retire") == [0, 1, 5, 6, 7]
+
+    def test_comment_and_blank_lines_are_skipped(self, program_file, tmp_path):
+        text = Path(program_file).read_text()
+        commented = tmp_path / "commented.mprog"
+        commented.write_text("# an npeu sender\n\n" + text.replace("\n", "\n  \n# next op\n", 3))
+        argv = ["--scheme", "dom-nontso", "--secrets", "1"]
+        code, out, _ = call(["run", "--program", str(commented), *argv])
+        assert code == EXIT_OK
+        assert out == call(["run", "--program", program_file, *argv])[1]
 
     def test_bad_secrets_usage_error(self, program_file):
         code, _, err = call(["run", "--program", program_file, "--secrets", "01"])
@@ -228,25 +258,14 @@ class TestAttack:
             (["mshr", "vdad", "muontrap"], ["--sweep-trials", "1,3"], 4),
         ],
     )
-    def test_a_calibrated_attack_runs_each_distinct_input_once(self, monkeypatch, sender, flags, made):
+    def test_a_calibrated_attack_runs_each_distinct_input_once(self, run_inputs, sender, flags, made):
         # The attack transmits over the calibrated sender, whose memo holds
         # the calibration's runs, so no run is made twice.
-        inputs = []
-        for module in (attacks, seccheck):
-            def counting(program, cfg, scheme, *args, real=module.run, **kw):
-                inputs.append((program, cfg, scheme, args, kw))
-                return real(program, cfg, scheme, *args, **kw)
-
-            monkeypatch.setattr(module, "run", counting)
         gadget, ordering, scheme = sender
         code, _, _ = call(["attack", "--gadget", gadget, "--ordering", ordering, "--scheme", scheme,
                            "--seed", "1", *flags])
         assert code == EXIT_OK
-        distinct = []
-        for key in inputs:
-            if key not in distinct:
-                distinct.append(key)
-        assert len(inputs) == len(distinct) == made
+        assert len(run_inputs) == len(distinct(run_inputs)) == made
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -416,6 +435,31 @@ class TestCheck:
         assert code == EXIT_VIOLATED
         assert "Violated at index" in out
 
+    def test_oracle_check_violated_exit_one_with_witness_window(self, program_file, image_file):
+        # With bit 1 the gadget delays the victim line (133) past the
+        # reference line (261); the no-misspeculation oracle keeps it first.
+        code, out, _ = call(["check", "--program", program_file, "--image", image_file,
+                             "--scheme", "invisispec-spectre", "--secrets", "1"])
+        assert code == EXIT_VIOLATED
+        assert out.splitlines() == [
+            "Violated at index 1 (run vs nospec)",
+            "  run: ...[(100001, 'victim', 'fill'), (261, 'victim', 'fill'), (133, 'victim', 'fill')]...",
+            "  nospec: ...[(100001, 'victim', 'fill'), (133, 'victim', 'fill'), (261, 'victim', 'fill')]...",
+        ]
+
+    def test_oracle_check_holds_under_fence_futuristic(self, program_file, image_file):
+        for secrets in ("0", "1"):
+            code, out, _ = call(["check", "--program", program_file, "--image", image_file,
+                                 "--scheme", "fence-futuristic", "--secrets", secrets])
+            assert code == EXIT_OK
+            assert out == "Holds: visible pattern invariant under fence-futuristic\n"
+
+    @pytest.mark.parametrize("secrets", ["2", "01", ""])
+    def test_oracle_check_malformed_secrets_is_a_usage_error(self, program_file, secrets):
+        code, out, err = call(["check", "--program", program_file, "--secrets", secrets])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: secrets must be a 1-bit string for slots ['s0']\n"
+
     def test_bare_program_without_image_holds(self, program_file):
         # Without the priming/scripting image the sender has no secret
         # differential: the resolver miss squashes the gadget first.
@@ -443,6 +487,26 @@ class TestBenchAndCalibrate:
         code, out, _ = call(["calibrate", "--gadget", "npeu", "--ordering", "vdad", "--scheme", "dom-nontso"])
         assert code == EXIT_OK
         assert "[attack]" in out and "reference_offset" in out
+
+    def test_calibrate_out_writes_the_printed_attack_section(self, tmp_path):
+        out_file = tmp_path / "attack.cfg"
+        code, out, _ = call(["calibrate", "--gadget", "npeu", "--ordering", "vdad", "--scheme", "dom-nontso",
+                             "--out", str(out_file)])
+        assert code == EXIT_OK
+        text = out_file.read_text()
+        assert out.endswith(text) and text.startswith("[attack]\n")
+        _, _, params = load_config(str(out_file))
+        assert params == calibrate(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO).params
+
+    @pytest.mark.parametrize("sender", [["npeu", "vdad", "dom-nontso"], ["mshr", "vdad", "invisispec-spectre"]])
+    def test_calibrate_timing_csv_runs_each_distinct_input_once(self, run_inputs, sender, tmp_path):
+        # The rows of bits 1 and 0 read the search's runs from its run memo:
+        # the search's four runs and the oracle's one are all it makes.
+        gadget, ordering, scheme = sender
+        code, _, _ = call(["calibrate", "--gadget", gadget, "--ordering", ordering, "--scheme", scheme,
+                           "--timing-csv", str(tmp_path / "timing.csv")])
+        assert code == EXIT_OK
+        assert len(run_inputs) == len(distinct(run_inputs)) == 5
 
     def test_calibrate_timing_csv_rows_match_interference_gap(self, tmp_path):
         out_file = tmp_path / "timing.csv"

@@ -26,6 +26,8 @@ from specsim.microprog import (
     Ordering,
     SecretDep,
     build_attack_program,
+    format_program,
+    parse_program,
 )
 from specsim.pipeline import NEVER, SimulationDeadlock, _Engine, run
 from specsim.schemes import SchemeId
@@ -722,3 +724,37 @@ class TestSecretFreePrefix:
     def test_programs_without_secrets_never_read_one(self, seed, scheme):
         program, image = gen_random_program(seed)
         assert run(program, CFG, scheme, image=image).secret_read_cycle is None
+
+
+class TestRarePaths:
+    """Engine paths that no corpus run reaches."""
+
+    def test_a_replay_finds_its_line_already_in_the_l1(self):
+        # Op 13 misses in the shadow of branch 12, whose resolver (op 11)
+        # misses to memory, so it is serviced invisibly at cycle 4. Op 10,
+        # at the end of an ALU chain, reads the same line later but safely:
+        # its visible access fills the L1. When op 13 turns safe, its replay
+        # finds the line there and only promotes it: no LLC access.
+        ops = [MicroOp(i, OpKind.ALU, src_deps=(i - 1,) if i else ()) for i in range(10)]
+        ops += [
+            MicroOp(10, OpKind.LOAD, src_deps=(9,), addr=Literal(3000)),
+            MicroOp(11, OpKind.LOAD, addr=Literal(4000)),
+            MicroOp(12, OpKind.BRANCH, branch=BranchInfo(True, True, resolver=11, join=14)),
+            MicroOp(13, OpKind.LOAD, addr=Literal(3000)),
+        ]
+        image = CacheImage(scripts={4000: Level.MEMMISS})
+        t = run(prog_of(*ops), CFG, SchemeId.INVISISPEC_SPECTRE, image=image)
+        assert (t.times(13, "issue"), t.times(13, "safe")) == (4, 204)
+        assert [(r.cycle, r.op_id) for r in t.pattern] == [(3, 11), (21, 10)]
+        assert t.times(13, "retire") != NEVER
+
+    def test_a_branch_without_a_resolver_resolves_when_it_completes(self):
+        text = "0 ALU deps=[]\n1 BRANCH deps=[] branch=T,N,res:-,join:3\n2 ALU deps=[]\n3 ALU deps=[]\n"
+        prog = parse_program(text)
+        assert prog.ops[1].branch.resolver is None
+        assert format_program(prog) == text
+        t = run(prog, CFG, SchemeId.UNSAFE)
+        # Mispredicted: its body (op 2) and the join (op 3) are squashed in
+        # the cycle it completes, and only the join is fetched again.
+        assert t.times(1, "complete") == t.times(1, "resolved") == 2
+        assert [(r.squash, r.retire) for r in t.ops] == [(NEVER, 2), (NEVER, 2), (2, NEVER), (NEVER, 5)]

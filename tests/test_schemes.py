@@ -41,7 +41,7 @@ from specsim.schemes import (
     serves,
 )
 
-from test_corpus_digests import op_stamps, reference_run
+from test_corpus_digests import corner_config, op_stamps, reference_run
 
 CFG = MachineConfig()
 LAY = AttackLayout(CFG.geometry)
@@ -485,3 +485,34 @@ class TestFetchShadowCertificate:
         assert serves(wfb, wfb, frozenset(FETCH_SHADOWS))
         # The load side must match.
         assert not serves(spectre, scheme_spec(SchemeId.MUONTRAP), frozenset())
+
+
+# Small machines that keep every structure near full: corner configs of
+# the config corpus, drawn by seed.
+CORNERS = [corner_config(random.Random(f"corner:{seed}")) for seed in range(8)]
+
+
+class TestRetirement:
+    """Nothing retires before it is safe, and a retired op leaves nothing
+    behind: the engine keeps no check of its own for either."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 100_000), cfg=st.sampled_from(CORNERS))
+    def test_retirement_invariants_on_fetching_programs(self, seed, cfg):
+        program, image = gen_fetching_program(seed)
+        for scheme in SchemeId:
+            t = run(program, cfg, scheme, image=image)
+            for r in t.ops:
+                if r.retire != NEVER and r.op.kind is not OpKind.NOP:
+                    assert r.safe != NEVER and r.safe <= r.retire, (scheme, r.op.id)
+            assert t.occupancy[-1][1] == 0, scheme  # no RS entry is left held
+            # Each I-access (an L1I hit, or an LLC access by a fetch) follows
+            # a dispatch of its op with no squash in between, and each
+            # dispatch makes at most one.
+            owed: dict[int, bool] = {}
+            for _, name, op, x in t.records:
+                if name in ("dispatch", "squash"):
+                    owed[op] = name == "dispatch"
+                elif name == "ifetch" or name == "l2access" and "fetch" in x:
+                    assert owed.get(op), (scheme, op)
+                    owed[op] = False

@@ -643,6 +643,16 @@ class TestInterferenceGap:
         assert (g1a, g2a) == (g1b, g2b)
         assert g1a > 0 and g2a > 0
 
+    def test_times_the_calibrated_sender_from_the_search_runs(self, monkeypatch):
+        # Bits 1 and 0 of the calibrated sender are read from the search's
+        # run memo, so the only victim runs are the search's.
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        calibrate(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO, CFG)
+        searched, runs.bits = runs.bits, []
+        interference_gap(CFG)
+        assert runs.bits == searched
+
 
 class TestRandomCorpus:
     def test_programs_valid_and_runnable(self):
