@@ -710,8 +710,8 @@ class _Engine:
     def _earliest_ready_lb(self, op_id: int, memo: dict[int, int]) -> int:
         """Lower bound on when an un-issued op could demand a unit; used by
         the advanced-defense look-ahead. Unknown-latency inputs (parked or
-        un-issued loads) bound at next cycle; an older, dispatched marker has
-        completed. memo holds this look-ahead's bounds: a dependence DAG stays linear."""
+        un-issued loads) bound at next cycle. memo holds the bounds already
+        derived in this look-ahead, which keeps a dependence DAG linear."""
         if op_id in memo:
             return memo[op_id]
         r = self.recs[op_id]
@@ -725,7 +725,10 @@ class _Engine:
             elif dep.op.kind is OpKind.LOAD:
                 t = self.cycle + 1
             else:
-                t = self._earliest_ready_lb(d, memo) + self.eus[d].latency + self.cfg.writeback_delay
+                # A marker in a body that a not-taken prediction skipped was
+                # never dispatched, yet the wrong path past the join may use it.
+                eu = self.eus[d]
+                t = self._earliest_ready_lb(d, memo) + (eu.latency if eu else 1) + self.cfg.writeback_delay
             worst = max(worst, t)
         memo[op_id] = worst
         return worst
@@ -738,11 +741,8 @@ class _Engine:
         for i in self.rob:
             if i >= op_id:
                 break
-            r = self.recs[i]
-            if r.issue != NEVER or r.op.kind is OpKind.NOP:
-                continue
-            if self.lat_classes[i] != klass:
-                continue
+            if self.recs[i].issue != NEVER or self.lat_classes[i] != klass:
+                continue  # issued, or a marker (no class) or another class
             if self._earliest_ready_lb(i, memo) < release:
                 return True
         return False

@@ -758,3 +758,20 @@ class TestRarePaths:
         # the cycle it completes, and only the join is fetched again.
         assert t.times(1, "complete") == t.times(1, "resolved") == 2
         assert [(r.squash, r.retire) for r in t.ops] == [(NEVER, 2), (NEVER, 2), (2, NEVER), (NEVER, 5)]
+
+    def test_the_look_ahead_bounds_a_marker_that_a_prediction_skipped(self):
+        # Branch 1 is predicted not taken but is taken. While its resolver
+        # (op 0) misses to memory, fetch goes straight to the join, so the
+        # marker in its body (op 2) is never dispatched, yet op 3 on the
+        # wrong path consumes it. Unsafe issues op 4 at cycle 1; the
+        # look-ahead bounds op 3's start through op 2 and holds op 4 off
+        # the one NPEU unit until the squash.
+        text = (
+            "0 LOAD deps=[] addr=100001\n1 BRANCH deps=[] branch=N,T,res:0,join:3\n"
+            "2 NOP deps=[]\n3 NPEU deps=[2]\n4 NPEU deps=[]\n"
+        )
+        image = CacheImage(scripts={100001: Level.MEMMISS})
+        t = run(parse_program(text), CFG, SchemeId.NOINTERFERENCE, image=image)
+        moves = [(c, name, op) for c, name, op, _ in t.records if name in ("issue", "squash") and op in (3, 4)]
+        assert moves == [(202, "squash", 3), (202, "squash", 4), (204, "issue", 3), (220, "issue", 4)]
+        assert t.total_cycles == 236

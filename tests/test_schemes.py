@@ -492,14 +492,31 @@ class TestFetchShadowCertificate:
 CORNERS = [corner_config(random.Random(f"corner:{seed}")) for seed in range(8)]
 
 
+def with_markers(program: MicroProgram, seed: int) -> MicroProgram:
+    """The program with a seeded share of its non-branch ops turned into
+    markers (NOPs) that keep their inputs, a load's excepted. The wrong
+    path past a join may then consume a marker that was never dispatched."""
+    rng = random.Random(f"markers:{seed}")
+    share = rng.choice([0.15, 0.3, 0.5])
+    ops = [
+        replace(op, kind=OpKind.NOP, addr=None, src_deps=() if op.kind is OpKind.LOAD else op.src_deps)
+        if op.kind is not OpKind.BRANCH and rng.random() < share
+        else op
+        for op in program.ops
+    ]
+    return replace(program, ops=ops)
+
+
 class TestRetirement:
     """Nothing retires before it is safe, and a retired op leaves nothing
     behind: the engine keeps no check of its own for either."""
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 100_000), cfg=st.sampled_from(CORNERS))
-    def test_retirement_invariants_on_fetching_programs(self, seed, cfg):
+    @given(seed=st.integers(0, 100_000), cfg=st.sampled_from(CORNERS), markers=st.booleans())
+    def test_retirement_invariants_on_fetching_programs(self, seed, cfg, markers):
         program, image = gen_fetching_program(seed)
+        if markers:
+            program = with_markers(program, seed)
         for scheme in SchemeId:
             t = run(program, cfg, scheme, image=image)
             for r in t.ops:
