@@ -9,8 +9,8 @@ Per-cycle phase order (fixed; ties inside a phase go by op id):
   1. MSHR fills return
   2. CDB arbitration: finished ops complete, capped at cdb_width
   3. branch resolution and squash
-  4. safe transitions: deferred replacement updates, delayed-load
-     re-issues, visible replays of invisibly-serviced loads
+  4. safe transitions: each protected load does what it owes (OpRec.owed):
+     a re-issue, a visible replay or a deferred replacement update
   5. attacker-core scripted accesses
   6. issue select + D-cache accesses
   7. frontend: due I-fetch replays, then fetch/dispatch + I-accesses
@@ -28,8 +28,8 @@ nothing and log nothing:
   5. the next attacker access is due;
   6. some op is ready to issue, or a wakeup is due;
   7. an I-fetch replay is owed, or fetch is open: redirect_at reached, ops
-     left to fetch, the ROB and the RS not full, and the branch whose join
-     last held fetch (fetch_held_by) resolved;
+     left to fetch, the ROB and the RS not full, and no unresolved fetch
+     hold at fetch_pos (_fetch_held, the test the frontend makes itself);
   8. the ROB head has completed.
 The occupancy snapshot and its two bounds checks run every stepped cycle.
 
@@ -45,13 +45,13 @@ and an op enters ifetch_waiting only just found unsafe. Only an op that
 enters an empty unsafe list is a new head that may be safe at once. (A
 marker that retires in its dispatch cycle pops the head of unsafe, but the
 ops behind it came in the same cycle, and the first of them entered an
-empty list.) A fetch hold lifts only when its branch resolves or a squash
-redirects fetch, which clears fetch_held_by (the killed branch's OpRec is
-replaced and would read unresolved forever); the ROB and the RS are read
-after every phase of the cycle that frees an entry, except retirement,
-which follows the frontend anyway. So run() logs exactly what calling all
-eight phases on every cycle would log, field for field; a test holds it
-to that reference loop.
+empty list.) Phase 7 reads the fetch holds themselves: a hold lifts when
+its branch resolves, and a squash moves fetch_pos and drops the holds of
+the branches it kills (a killed branch's OpRec is replaced and would read
+unresolved forever); the ROB and the RS are read after every phase of the
+cycle that frees an entry, except retirement, which follows the frontend
+anyway. So run() logs exactly what calling all eight phases on every cycle
+would log, field for field; a test holds it to that reference loop.
 
 Secret-free prefix. A secret enters the machine only through the address
 of a SecretDep load, when _issue_load resolves it. So two runs that differ
@@ -89,37 +89,37 @@ compares against:
     wakeups, and an NPEU unit's busy_until (phase 6);
   - redirect_at and the due I-fetch replays (phase 7).
 _next_event names the earliest of these, or max_cycles if that comes
-first. It reads the same values the phase triggers compare with the
-clock, so no jump can pass a cycle at which a trigger holds. After an
-unchanged cycle with work in the ROB (ops left to fetch mean work there:
-with the ROB empty, fetch logs unless held, and only redirect_at, set in a
-cycle that logged its squash, or a branch in the ROB can hold it), the
-engine appends the repeated retries and occupancy rows for every cycle up
-to that target and jumps the clock there, so max_cycles fires on the
-cycle a one-cycle step would reach. If _next_event returns None, no
-phase can ever act again: that is a deadlock, raised at once with the
-cycle of the last record. Once the ROB is drained and nothing is left to
-fetch, only the attacker script and I-fetch replays remain: the clock
-jumps to the next of them (or to max_cycles) and leaves no rows for the
-cycles between.
+first. It reads the same values the phase triggers compare with the clock,
+so no jump can pass a cycle at which a trigger holds. An unchanged cycle
+always ends with work in the ROB: ops leave it only at logged events
+(retire, squash), a cycle that starts drained logs the access it was
+jumped to, and with the ROB empty fetch logs unless redirect_at (set in a
+cycle that logged its squash) or a fetch hold, whose branch is unresolved
+and so in the ROB, holds it. After such a cycle the engine appends the
+repeated retries and occupancy rows for every cycle up to the target and
+jumps the clock there, so max_cycles fires on the cycle a one-cycle step
+would reach. If _next_event returns None, no phase can ever act again:
+that is a deadlock, raised at once with the cycle of the last record. Once
+the ROB is drained and nothing is left to fetch, only the attacker script
+and I-fetch replays remain: the clock jumps to the next of them (or to
+max_cycles) and leaves no rows for the cycles between.
 
 "Logs nothing" means "changes nothing" up to the trigger bookkeeping and
 two silent moves. The bookkeeping (next_free, resolve_at, shadow_moved,
-fetch_held_by, dropping resolved fetch holds) only records when a phase
-can act next; a phase it skips would have logged and changed nothing, so
-a run is the one that calling all eight phases every cycle gives, and the
-rest of this argument is about that run. The issue phase moves an op
-whose wakeup is due from wakeups to ready, and the safe transitions move
-an op that has left its fetch shadow from ifetch_waiting to
-ifetch_replays; neither logs an event. Neither hides progress from
-_next_event. An op moved to ready that does not issue in that cycle is held
-by a fence, a parked miss, a busy NPEU unit or the look-ahead (a full
-issue width or pipelined class means another op issued, and a refused
-MSHR logs a retry). Each of these lets go only at a logged event or at an
-NPEU unit's busy_until: the look-ahead's bounds never fall behind the
-clock, so once it holds an op it holds it while the clock alone advances.
-A replay moved to ifetch_replays is due at a cycle that _next_event
-reports.
+dropping resolved fetch holds) only records when a phase can act next; a
+phase it skips would have logged and changed nothing, so a run is the one
+that calling all eight phases every cycle gives, and the rest of this
+argument is about that run. The issue phase moves an op whose wakeup is
+due from wakeups to ready, and the safe transitions move an op that has
+left its fetch shadow from ifetch_waiting to ifetch_replays; neither logs
+an event. Neither hides progress from _next_event. An op moved to ready
+that does not issue in that cycle is held by a fence, a parked miss, a
+busy NPEU unit or the look-ahead (a full issue width or pipelined class
+means another op issued, and a refused MSHR logs a retry). Each of these
+lets go only at a logged event or at an NPEU unit's busy_until: the
+look-ahead's bounds never fall behind the clock, so once it holds an op it
+holds it while the clock alone advances. A replay moved to ifetch_replays
+is due at a cycle that _next_event reports.
 
 Incremental state. Instead of rescanning the ROB, the engine keeps these
 views current at the events that change them (dispatch, issue, complete,
@@ -130,8 +130,10 @@ resolve, safe transition, retire, squash):
     one of them: producers still incomplete (count, decremented by
     dependence wakeup at each producer's completion), all complete but the
     last write-back still ahead (heap by ready cycle), or inputs ready
-    (ascending ids, the issue candidates, each holding an RS entry; a
-    parked load stays here);
+    (ascending ids, the issue candidates; a parked load stays here);
+  - rs_count: the RS entries held. A non-marker op holds one from dispatch
+    until it issues, or under rs_hold until it turns safe if it issued
+    first; issue, the safe transition and a squash free them by that rule;
   - finishing / cdb_queue: issued ops by finish cycle, then the finished
     ones awaiting the bus by id; together they are the issued, incomplete
     ops, so their lengths sum to the occupancy rows' eu_busy column;
@@ -144,11 +146,15 @@ resolve, safe transition, retire, squash):
     if every older op is, so each cycle's transitions pop a prefix. The
     ROB head is safe under every rule, and phase 4 ran after the last
     older frontier op settled (phase 2 or 3, heading its list): a retiring
-    op owes no I-access or replay, holds no RS entry, and is not parked.
-A squash truncates every view to the ops at or older than the branch and
-frees the non-pipelined unit of each killed op that is still executing; a
-killed op that finished earlier leaves the unit to whichever op has booked
-it since. Both fetch shadows hold a fetch behind an older unresolved
+    op owes nothing and no I-access, and holds no RS entry;
+  - OpRec.owed: set by _issue_load, at most once per load (a parked load
+    re-issues safe), and done and cleared by the safe transition.
+A squash truncates every view to the ops at or older than the branch,
+drops the fetch holds of killed branches, and frees the non-pipelined unit
+of each killed op that is still executing; a killed op that finished
+earlier leaves the unit to whichever op has booked it since. A killed op
+keeps its owed value, but it has left ready and unsafe, so nothing reads
+it again. Both fetch shadows hold a fetch behind an older unresolved
 branch, so no killed op has left ifetch_waiting for ifetch_replays. Each
 killed op that is fetched again gets a fresh OpRec. The OpRecs hold the
 per-op stamps; the trace keeps the final one of each op as `ops`.
@@ -204,6 +210,11 @@ NEVER = -1
 # which is most runs: one shared empty set, not a new one per run.
 UNSHADOWED: frozenset[ShadowRule] = frozenset()
 
+# What a protected load's safe transition owes (OpRec.owed), compared by identity.
+PARKED = "parked"  # a parked miss: it re-issues
+REPLAY = "replay"  # an invisibly serviced load: its visible access is replayed
+L1_UPDATE = "l1_update"  # an L1 hit: its replacement update is applied
+
 
 class OpRec:
     """Runtime record of one op: lifecycle timestamps plus load state. The
@@ -221,12 +232,8 @@ class OpRec:
         "squash",
         "safe",
         "resolved",
-        "in_rs",
         "finish",
-        "line",
-        "delayed",
-        "pending_replay",
-        "deferred_l1",
+        "owed",
         "npeu_unit",
     )
 
@@ -239,12 +246,8 @@ class OpRec:
         self.squash = NEVER
         self.safe = NEVER
         self.resolved = NEVER
-        self.in_rs = False
         self.finish = NEVER  # scheduled execution end, awaiting CDB
-        self.line: int | None = None
-        self.delayed = False  # protected miss parked until safe
-        self.pending_replay = False  # invisibly serviced, visible replay owed
-        self.deferred_l1 = False  # L1 hit whose replacement update waits until safe
+        self.owed: str | None = None  # PARKED, REPLAY or L1_UPDATE, until safe
         self.npeu_unit: int | None = None
 
 
@@ -420,7 +423,6 @@ class _Engine:
         # Phase triggers (see the module docstring).
         self.resolve_at: int | float = inf  # earliest due of an unresolved_done branch
         self.shadow_moved = False  # a frontier or a waiting-list head moved
-        self.fetch_held_by: int | None = None  # branch whose join last held fetch
         self.secret_read_cycle: int | None = None
         self.fetch_shadowed: set[ShadowRule] = set()
 
@@ -516,7 +518,7 @@ class _Engine:
                 and cycle >= self.redirect_at
                 and len(rob) < rob_size
                 and self.rs_count < rs_size
-                and (self.fetch_held_by is None or recs[self.fetch_held_by].resolved != NEVER)
+                and not (self.fetch_holds and self._fetch_held())
             ):
                 self._phase_frontend()
             if rob and recs[rob[0]].complete != NEVER:
@@ -529,8 +531,7 @@ class _Engine:
             if len(records) == n_events or records[-1][1] == "mshr_stall" and all(
                 r[1] == "mshr_stall" for r in islice(records, n_events, None)
             ):
-                if rob:
-                    self._repeat_unchanged(n_events, max_cycles)
+                self._repeat_unchanged(n_events, max_cycles)
         return self._finish()
 
     def _next_event(self, max_cycles: int | None) -> int | None:
@@ -627,18 +628,16 @@ class _Engine:
         killed: list[int] = []
         while self.rob and self.rob[-1] > branch_id:
             killed.append(self.rob.pop())
+        rs_hold = self.spec.rs_hold
         for i in reversed(killed):
             r = self.recs[i]
-            if r.in_rs:
-                r.in_rs = False
+            # Its RS entry, if it holds one (see rs_count in the module docstring).
+            if r.op.kind is not OpKind.NOP and (r.issue == NEVER or (rs_hold and r.safe == NEVER)):
                 self.rs_count -= 1
             if r.npeu_unit is not None and r.finish > self.cycle:
                 self.npeu_busy_until[r.npeu_unit] = self.cycle
             self.hier.mshrs.drop_waiter(i)
             r.squash = self.cycle
-            r.delayed = False
-            r.pending_replay = False
-            r.deferred_l1 = False
             self._event("squash", i)
         self.fetch_holds = [(j, b) for j, b in self.fetch_holds if b <= branch_id]
         self.shadow.squash_after(branch_id)
@@ -654,9 +653,6 @@ class _Engine:
         for ids in (self.unsafe, self.ifetch_waiting):
             while ids and ids[-1] > branch_id:
                 ids.pop()
-        # Fetch restarts at resume; a hold at the old join no longer applies
-        # and the branch behind it may be killed, its OpRec replaced.
-        self.fetch_held_by = None
         # Correct-path ops fetched down the wrong direction get refetched.
         resume = branch_id + 1 if b.actual_taken else b.join
         for i in range(resume, len(self.recs)):
@@ -671,23 +667,23 @@ class _Engine:
         self.shadow_moved = False
         cycle = self.cycle
         unsafe, safe, rule = self.unsafe, self.shadow.safe, self.spec.shadow
+        rs_hold = self.spec.rs_hold
         while unsafe and safe(rule, unsafe[0]):
             i = unsafe.popleft()
             r = self.recs[i]
             r.safe = cycle
             self.records.append((cycle, "safe", i, None))
-            if r.deferred_l1:
-                self.hier.l1_hit_update(r.line)
-                r.deferred_l1 = False
-            if r.pending_replay:
-                self._visible_access(r.line, i)
-                r.pending_replay = False
-            if r.delayed:
-                r.delayed = False  # parked miss: re-executes this cycle
-                self._event("reissue", i)
-            if r.in_rs and self.spec.rs_hold and r.issue != NEVER:
-                r.in_rs = False
-                self.rs_count -= 1
+            owed = r.owed
+            if owed is not None:
+                r.owed = None
+                if owed is PARKED:
+                    self._event("reissue", i)  # re-executes this cycle
+                elif owed is REPLAY:
+                    self._visible_access(r.op.resolve_line(self.secrets), i)
+                else:
+                    self.hier.l1_hit_update(r.op.resolve_line(self.secrets))
+            if rs_hold and r.issue != NEVER:
+                self.rs_count -= 1  # it issued before this, so while unsafe
         # Deferred I-accesses replay on a refetch-shaped schedule: starting
         # the cycle after the op left its fetch shadow, fetch-width per
         # cycle. They fire in the frontend phase so a replay and an actual
@@ -766,7 +762,7 @@ class _Engine:
             if fence_frontier is not None and i > fence_frontier:
                 break  # so is every younger candidate
             r = recs[i]
-            if r.delayed:
+            if r.owed is PARKED:
                 continue
             eu = eus[i]
             unit = None
@@ -794,7 +790,6 @@ class _Engine:
             r.issue = cycle
             started.append(i)
             if not (rs_hold and r.safe == NEVER):
-                r.in_rs = False
                 self.rs_count -= 1
             records.append((cycle, "issue", i, None))
         for i in started:
@@ -813,18 +808,17 @@ class _Engine:
         line = r.op.resolve_line(self.secrets)
         if self.secret_read_cycle is None and isinstance(r.op.addr, SecretDep):
             self.secret_read_cycle = self.cycle
-        r.line = line
         safe = r.safe != NEVER
         level = self.hier.service_level(line)
         if level is Level.L1HIT:
             if safe or self.spec.miss_policy is MissPolicy.VISIBLE:
                 self.hier.l1_hit_update(line)
             else:
-                r.deferred_l1 = True
+                r.owed = L1_UPDATE
             self._start(op_id, self.hier.latency(level))
             return "ok"
         if not safe and self.spec.miss_policy is MissPolicy.DELAY:
-            r.delayed = True
+            r.owed = PARKED
             self._event("delayed", op_id, {"line": line})
             return "delayed"
         lat = self.hier.latency(level)
@@ -836,7 +830,7 @@ class _Engine:
             # Serviced invisibly: the MSHR and the latency are all it costs
             # now. The hierarchy sees the access only when the safe
             # transition replays it.
-            r.pending_replay = True
+            r.owed = REPLAY
         else:
             self._visible_access(line, op_id)
         self._start(op_id, lat)
@@ -866,6 +860,13 @@ class _Engine:
 
     # -- frontend ----------------------------------------------------------
 
+    def _fetch_held(self) -> bool:
+        """Is fetch at a join whose predicted-taken branch is unresolved?"""
+        for j, b in self.fetch_holds:  # a loop: any() over a generator costs several times more
+            if j == self.fetch_pos and self.recs[b].resolved == NEVER:
+                return True
+        return False
+
     def _dispatch(self, op: MicroOp) -> None:
         cycle = self.cycle
         i = op.id
@@ -879,7 +880,6 @@ class _Engine:
         if op.kind is OpKind.NOP:
             r.complete = cycle  # markers complete at dispatch
         else:
-            r.in_rs = True
             self.rs_count += 1
             self.shadow.open(op)
             left = sum([recs[d].complete == NEVER for d in op.src_deps])
@@ -903,15 +903,12 @@ class _Engine:
         width = min(cfg.fetch_width, cfg.dispatch_width)
         fetch_shadow = self.spec.fetch_shadow
         safe = self.shadow.safe
+        if self.fetch_holds:  # drop resolved holds: the list is empty in most cycles
+            self.fetch_holds = [(j, b) for j, b in self.fetch_holds if recs[b].resolved == NEVER]
         fetched = 0
         while fetched < width and self.fetch_pos < n:
-            if self.fetch_holds:
-                self.fetch_holds = [(j, b) for j, b in self.fetch_holds if recs[b].resolved == NEVER]
-                held = next((b for j, b in self.fetch_holds if j == self.fetch_pos), None)
-                if held is not None:
-                    # Taken region ended; nothing to fetch until resolution.
-                    self.fetch_held_by = held
-                    break
+            if self.fetch_holds and self._fetch_held():
+                break  # a taken region ended: nothing to fetch until its branch resolves
             op = ops[self.fetch_pos]
             if len(rob) >= cfg.rob_size:
                 break

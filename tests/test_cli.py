@@ -704,6 +704,20 @@ class TestConfig:
         assert f"{key} must be >= 1" in err
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("npeu_latency = 1", "the non-pipelined EU class needs latency >= 2"),
+            ("alu_count = 0", "eu class alu has invalid latency/count"),
+        ],
+    )
+    def test_bad_eu_entry_is_a_usage_error(self, tmp_path, program_file, line, message):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(f"[machine]\n{line}\n")
+        code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("[machine]\nrs_size = x\n", "[machine] rs_size: expected an integer, got 'x'"),

@@ -287,6 +287,27 @@ class TestSquash:
         ]
         assert [(r[0], r[2]) for r in t.records if r[1] == "squash"] == [(48, 6), (48, 7)]
 
+    def test_a_squash_frees_the_rs_entries_its_killed_ops_hold(self):
+        # Branch 1 is predicted taken but falls through; its resolver (op
+        # 0) misses to memory, so the squash lands at 202. It kills ALUs 2
+        # and 6, issued at 1 and 2, marker 3, and ALUs 4 and 5, which wait
+        # on op 0. No-interference holds the entries of 2 and 6 (issued
+        # while unsafe) and of branch 1 until it turns safe at 201; unsafe
+        # frees 2 and 6 at issue, after they turned safe. The refetched
+        # join takes one entry at 203.
+        text = (
+            "0 LOAD deps=[] addr=100001\n1 BRANCH deps=[] branch=T,N,res:0,join:6\n2 ALU deps=[]\n"
+            "3 NOP deps=[]\n4 ALU deps=[0]\n5 ALU deps=[4]\n6 ALU deps=[]\n"
+        )
+        image = CacheImage(scripts={100001: Level.MEMMISS})
+        changes = {}
+        for scheme in (SchemeId.NOINTERFERENCE, SchemeId.UNSAFE):
+            rows = run(parse_program(text), CFG, scheme, image=image).occupancy
+            changes[scheme] = [(c, rs) for k, (c, rs, _, _) in enumerate(rows) if k == 0 or rs != rows[k - 1][1]]
+            assert [c for c, *_ in rows] == list(range(206))
+        assert changes[SchemeId.NOINTERFERENCE] == [(0, 3), (1, 5), (201, 4), (202, 0), (203, 1), (204, 0)]
+        assert changes[SchemeId.UNSAFE] == [(0, 3), (2, 2), (202, 0), (203, 1), (204, 0)]
+
     def test_non_pipelined_units_are_never_overbooked(self):
         from test_corpus_digests import corpus_runs  # it imports this module
 
@@ -596,6 +617,8 @@ class TestValidByConstruction:
             MachineConfig(rob_size=0)
         with pytest.raises(ValueError, match="^lat_mem must be >= 1$"):
             replace(CFG, geometry=replace(CFG.geometry, lat_mem=0))
+        with pytest.raises(ValueError, match="^exactly one EU class must be non-pipelined$"):
+            replace(CFG, eu={**CFG.eu, "alu": EuClass(False, 2, 4)})
 
     def test_run_checks_neither_program_nor_config(self, monkeypatch):
         calls = {MicroProgram: 0, MachineConfig: 0}
@@ -747,6 +770,31 @@ class TestRarePaths:
         assert (t.times(13, "issue"), t.times(13, "safe")) == (4, 204)
         assert [(r.cycle, r.op_id) for r in t.pattern] == [(3, 11), (21, 10)]
         assert t.times(13, "retire") != NEVER
+
+    def test_a_deferred_l1_update_finds_its_line_gone(self):
+        # Op 13 hits line 3000 in the L1 at cycle 4 in the shadow of branch
+        # 12, so its replacement update waits until it turns safe at 204.
+        # Before that, op 10, older and safe, fills line 3064 into the same
+        # full L1 set at 21 and evicts 3000, the leftmost age-3 way. The
+        # update then finds nothing to promote: op 14, which reads 3000 at
+        # 204 too, still misses the L1 and hits in the LLC.
+        x, z = 3000, 3064  # L1 set 56
+        ops = [MicroOp(i, OpKind.ALU, src_deps=(i - 1,) if i else ()) for i in range(10)]
+        ops += [
+            MicroOp(10, OpKind.LOAD, src_deps=(9,), addr=Literal(z)),
+            MicroOp(11, OpKind.LOAD, addr=Literal(4000)),
+            MicroOp(12, OpKind.BRANCH, branch=BranchInfo(True, True, resolver=11, join=14)),
+            MicroOp(13, OpKind.LOAD, addr=Literal(x)),
+            MicroOp(14, OpKind.LOAD, src_deps=(11,), addr=Literal(x)),
+        ]
+        l1_set = [(x, 3)] + [(56 + 64 * k, 1) for k in range(7)]
+        image = CacheImage(l1d={56: l1_set}, llc={x % 128: [(x, 1)]}, scripts={4000: Level.MEMMISS})
+        t = run(prog_of(*ops), CFG, SchemeId.INVISISPEC_SPECTRE, image=image)
+        assert [(t.times(13, k), t.times(14, k)) for k in ("issue", "safe", "complete")] == [
+            (4, 204), (204, 204), (8, 244)
+        ]
+        assert [(r.cycle, r.line, r.op_id) for r in t.pattern] == [(3, 4000, 11), (21, z, 10), (204, x, 14)]
+        assert t.total_cycles == 244
 
     def test_a_branch_without_a_resolver_resolves_when_it_completes(self):
         text = "0 ALU deps=[]\n1 BRANCH deps=[] branch=T,N,res:-,join:3\n2 ALU deps=[]\n3 ALU deps=[]\n"
