@@ -18,9 +18,11 @@ more-leftward line also hits 3).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import repeat
 import random
 from types import MappingProxyType
 from typing import NamedTuple
@@ -310,18 +312,85 @@ def _prime_probe_cost(plan: AttackPlan) -> int:
 
 
 def observe_trial(
-    plan: AttackPlan, bit: int, rng: random.Random | None, noise: float, interlopers: int = 0
+    plan: AttackPlan, bit: int, noise: float, draws: tuple[int, ...] = (), flips: Sequence[float] = ()
 ) -> tuple[int, int]:
     """One prime+run+probe trial; returns (decoded bit or DISCARD, cycles).
-    rng is read only when noise > 0 or interlopers > 0: first one draw per
-    interloper, then one flip draw per observed line."""
-    draws = ()
-    if interlopers > 0:
-        draws = tuple([rng.choice(plan.interloper_pool) for _ in range(interlopers)])
+    draws are the interloper lines touched before the probe; with noise >
+    0, observed line i flips when flips[i] < noise."""
     outcome, cycles = plan.probe_outcome(bit, draws)
     if noise > 0:
-        outcome = tuple([hit != (rng.random() < noise) for hit in outcome])
+        outcome = tuple([hit != (u < noise) for hit, u in zip(outcome, flips)])
     return plan.decode.get(outcome, DISCARD), cycles
+
+
+_POOL_POSITIONS = range(INTERLOPER_POOL)
+
+
+class TrialTable:
+    """The random values of every noisy trial for one (seed, interlopers).
+
+    Trial t of bit index i reads the first values of
+    random.Random(f"{seed}:{i}:{t}") in their one order: one pool position
+    per interloper (a choice over the pool consumes exactly what a choice
+    over its positions does), then two flip uniforms, the widest probe
+    outcome. A trial's randomness depends on nothing else, so every sender
+    transmitting under one seed, and every trial count of a sweep, reads
+    the same values; each stream is seeded once, the costly part of a
+    noisy trial. The table holds k position bytes and two doubles per
+    (bit index, trial) and grows to the largest request."""
+
+    __slots__ = ("seed", "interlopers", "positions", "uniforms")
+
+    def __init__(self, seed: int, interlopers: int) -> None:
+        self.seed = seed
+        self.interlopers = interlopers
+        self.positions: list[bytearray] = []  # per trial: k pool positions per bit index
+        self.uniforms: list[array] = []  # per trial: two flip uniforms per bit index
+
+    def extend(self, bits: int, trials: int) -> TrialTable:
+        while len(self.uniforms) < trials:
+            self.positions.append(bytearray())
+            self.uniforms.append(array("d"))
+        new_stream, seed, per_trial = random.Random, self.seed, range(self.interlopers)
+        for trial in range(trials):
+            draw, flip = self.positions[trial].append, self.uniforms[trial].append
+            for idx in range(len(self.uniforms[trial]) // 2, bits):
+                rng = new_stream(f"{seed}:{idx}:{trial}")
+                for _ in per_trial:
+                    draw(rng.choice(_POOL_POSITIONS))
+                flip(rng.random())
+                flip(rng.random())
+        return self
+
+
+@lru_cache(maxsize=1, typed=True)
+def trial_table(seed: int, interlopers: int) -> TrialTable:
+    """The table of the most recent (seed, interlopers): one is kept."""
+    return TrialTable(seed, interlopers)
+
+
+def _in_groups(values: Iterable, k: int) -> Iterator[tuple]:
+    """Consecutive values, k at a time."""
+    it = iter(values)
+    return zip(*[it] * k)
+
+
+def _trial_values(
+    plan: AttackPlan, bits: int, trials: int, noise: float, seed: int, interlopers: int
+) -> Iterator[tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]]:
+    """Per bit index, each trial's (interloper lines, flip uniforms). A
+    noiseless trial with no interlopers reads no random values, so none
+    are drawn for it."""
+    if trials == 0 or not (noise > 0 or interlopers > 0):
+        return repeat((((), ()),) * trials)
+    table = trial_table(seed, interlopers).extend(bits, trials)
+    if interlopers:
+        line = plan.interloper_pool.__getitem__
+        draws = [_in_groups(map(line, positions), interlopers) for positions in table.positions[:trials]]
+    else:
+        draws = [repeat(())] * trials
+    flips = [_in_groups(uniforms, 2) for uniforms in table.uniforms[:trials]]
+    return zip(*map(zip, draws, flips))
 
 
 def _decode_bit(votes: list[int]) -> int:
@@ -345,18 +414,17 @@ def transmit(
 ) -> AttackResult:
     """Transmit the given bits over a planned channel: per bit, run
     trials_per_bit prime/victim/probe rounds and majority-vote the decodes.
-    All randomness derives from the root seed per (bit, trial); calls over
-    one plan reuse its victim runs.
+    All randomness derives from the root seed per (bit, trial), read from
+    the seed's TrialTable; calls over one plan reuse its victim runs.
     """
     trial_cost = _prime_probe_cost(plan)
-    seeded = noise > 0 or interlopers > 0
     decoded_bits = []
     total_cycles = 0
-    for idx, bit in enumerate(secret_bits):
+    rows = _trial_values(plan, len(secret_bits), trials_per_bit, noise, seed, interlopers)
+    for bit, row in zip(secret_bits, rows):
         votes = []
-        for trial in range(trials_per_bit):
-            rng = random.Random(f"{seed}:{idx}:{trial}") if seeded else None
-            decoded, cycles = observe_trial(plan, bit, rng, noise, interlopers)
+        for draws, flips in row:
+            decoded, cycles = observe_trial(plan, bit, noise, draws, flips)
             votes.append(decoded)
             total_cycles += cycles + trial_cost
         decoded_bits.append(_decode_bit(votes))

@@ -263,15 +263,24 @@ class MicroProgram:
     def role_ops(self, role: str) -> tuple[int, ...]:
         return self.annotations.get(role, ())
 
+    @cached_property
+    def actual_path(self) -> tuple[int, ...]:
+        """The ops that retire, in order: from op 0, step to the next op,
+        or to the join after a branch that is not actually taken. A body
+        skipped this way may hold branches and joins of its own; they are
+        never reached, so they never steer the walk."""
+        path: list[int] = []
+        i = 0
+        while i < len(self.ops):
+            path.append(i)
+            b = self.ops[i].branch
+            i = b.join if b is not None and not b.actual_taken else i + 1
+        return tuple(path)
+
     def wrong_path_ids(self) -> set[int]:
-        """Ops only ever fetched transiently: bodies of predicted-taken,
-        actually-not-taken branches (the gadget shape)."""
-        out: set[int] = set()
-        for op in self.ops:
-            b = op.branch
-            if b and b.predicted_taken and not b.actual_taken:
-                out.update(range(op.id + 1, b.join))
-        return out
+        """Ops the actual path never reaches: fetched only transiently (the
+        gadget shape, behind a predicted-taken branch), if at all."""
+        return set(range(len(self.ops))).difference(self.actual_path)
 
 
 # --- serialization ---------------------------------------------------------

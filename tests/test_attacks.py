@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from specsim.attacks import (
     run_attack,
     sweep_error_vs_rate,
     transmit,
+    trial_table,
     vulnerability_matrix,
 )
 from specsim.pipeline import run
@@ -335,13 +337,99 @@ class TestReceiverReference:
 
     def test_interloper_pool_is_built_only_when_a_trial_reads_it(self):
         # Only trials with interlopers draw from the pool, so neither a plan
-        # nor its copy builds it until one runs.
+        # nor its copy builds it until one runs; flip noise alone does not.
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG)
         copy = replace(plan, scheme=SchemeId.DOM_NONTSO)
         assert "interloper_pool" not in vars(plan) and "interloper_pool" not in vars(copy)
-        observe_trial(copy, 1, random.Random(5), 0.0, interlopers=1)
+        transmit(copy, [1], 1, 0.1, 5)
+        assert "interloper_pool" not in vars(copy)
+        transmit(copy, [1], 1, 0.0, 5, interlopers=1)
         assert vars(copy)["interloper_pool"] == LAY.interlopers(INTERLOPER_POOL)
         assert "interloper_pool" not in vars(plan)
+
+
+class CountingRandom(random.Random):
+    """random.Random, recording the seed of every stream built."""
+
+    seeds: list = []
+
+    def __init__(self, x=None):
+        CountingRandom.seeds.append(x)
+        super().__init__(x)
+
+
+class TestTrialTable:
+    @pytest.mark.parametrize("interlopers", [0, 1, 2, 3])
+    def test_every_entry_is_the_head_of_its_trial_stream(self, interlopers):
+        # Filled in two steps, growing both bits and trials: each entry is
+        # what a trial's own stream yields, interlopers drawn from the pool
+        # first, then the two flip uniforms.
+        trial_table(41, interlopers).extend(7, 2)
+        table = trial_table(41, interlopers).extend(20, 4)
+        pool = LAY.interlopers(INTERLOPER_POOL)
+        k = interlopers
+        assert len(table.uniforms) == len(table.positions) == 4
+        for trial in range(4):
+            assert len(table.uniforms[trial]) == 2 * 20 and len(table.positions[trial]) == k * 20
+            for idx in range(20):
+                rng = random.Random(f"41:{idx}:{trial}")
+                drawn = [pool.index(rng.choice(pool)) for _ in range(k)]
+                assert list(table.positions[trial][idx * k : idx * k + k]) == drawn
+                assert list(table.uniforms[trial][2 * idx : 2 * idx + 2]) == [rng.random(), rng.random()]
+
+    def test_one_table_is_kept_and_it_holds_no_generator(self):
+        first = trial_table(42, 1).extend(4, 3)
+        assert trial_table(42, 1) is first
+        other = trial_table(42, 2)
+        assert other is not first and trial_table.cache_info().currsize == 1
+        assert trial_table(42, 1) is not first
+        assert all(type(v) is bytearray for v in first.positions)
+        assert all(type(v) is array for v in first.uniforms)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((Gadget.NPEU, Ordering.VDVD), (Gadget.RS, Ordering.VIAD)),
+            ((Gadget.RS, Ordering.VIAD), (Gadget.NPEU, Ordering.VDVD)),
+        ],
+    )
+    def test_a_sender_reads_the_same_trials_after_another(self, first, second):
+        # The RS sender reads one flip uniform per trial, the npeu sender
+        # two: whichever fills the table, the other reads what its own
+        # streams would give.
+        bits = bits_for(96, 10)
+        kw = dict(trials_per_bit=3, noise=0.1, seed=43, interlopers=1)
+        trial_table.cache_clear()
+        alone = transmit(plan_attack(*second, SchemeId.DOM_NONTSO, CFG), bits, **kw)
+        trial_table.cache_clear()
+        transmit(plan_attack(*first, SchemeId.DOM_NONTSO, CFG), bits, **kw)
+        after = transmit(plan_attack(*second, SchemeId.DOM_NONTSO, CFG), bits, **kw)
+        assert after == alone
+
+    def test_a_sweep_seeds_each_trial_stream_once(self, monkeypatch):
+        plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, CFG)
+        counts, n, seed = [1, 3, 5, 15], 24, 44
+        rng = random.Random(f"sweep:{seed}")
+        secret_bits = [rng.randrange(2) for _ in range(n)]
+        separate = []
+        for trials in counts:
+            trial_table.cache_clear()
+            separate.append(transmit(plan, secret_bits, trials, 0.2, seed))
+        trial_table.cache_clear()
+        CountingRandom.seeds = []
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        points = sweep_error_vs_rate(plan, 0.2, counts, n, seed)
+        assert points == separate
+        streams = [s for s in CountingRandom.seeds if s != f"sweep:{seed}"]
+        assert sorted(streams) == sorted(f"{seed}:{idx}:{t}" for idx in range(n) for t in range(15))
+
+    def test_a_noiseless_transmit_seeds_nothing(self, monkeypatch):
+        plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, CFG)
+        bits = bits_for(16, 11)
+        CountingRandom.seeds = []
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        res = transmit(plan, bits, 3, 0.0, 45)
+        assert res.error_rate == 0.0 and CountingRandom.seeds == []
 
 
 HANDOVER_SCHEMES = (SchemeId.UNSAFE, SchemeId.DOM_NONTSO)

@@ -460,6 +460,25 @@ class TestCheck:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: secrets must be a 1-bit string for slots ['s0']\n"
 
+    @pytest.mark.parametrize("scheme", ["fence-spectre", "fence-futuristic", "nointerference"])
+    def test_a_secret_load_past_a_skipping_join_is_refused(self, tmp_path, scheme):
+        # Op 1 lies in the body that op 0 skips, and its own body reaches
+        # past op 0's join to op 2: the actual path reaches op 2, which
+        # retires, so the secret read is not transient.
+        prog = tmp_path / "join.mprog"
+        prog.write_text(
+            "!secret s0 0\n"
+            "0 BRANCH deps=[] branch=N,N,res:-,join:2\n"
+            "1 BRANCH deps=[] branch=T,N,res:-,join:3\n"
+            "2 LOAD deps=[] addr=700000+s0*1*1\n"
+        )
+        image = tmp_path / "join.image"
+        image.write_text("script line=700000 level=l1hit\nscript line=700001 level=memmiss\n")
+        code, out, err = call(["check", "--program", str(prog), "--image", str(image),
+                               "--scheme", scheme, "--differential"])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: op 2 reads a secret on the bound-to-retire path; the property does not apply\n"
+
     def test_bare_program_without_image_holds(self, program_file):
         # Without the priming/scripting image the sender has no secret
         # differential: the resolver miss squashes the gadget first.

@@ -300,3 +300,24 @@ class TestAttackPrograms:
                 reference_offset=rng.randint(10, 200),
             )
             build_attack_program(o, g, CFG, params)  # building checks the invariants
+
+
+def test_the_actual_path_steps_over_skipped_bodies_only():
+    # Op 1 sits in op 0's skipped body; its predicted-taken body would
+    # reach op 2, but the walk never reaches op 1, so op 2 stays on it.
+    prog = parse_program(
+        "0 BRANCH deps=[] branch=N,N,res:-,join:2\n"
+        "1 BRANCH deps=[] branch=T,N,res:-,join:3\n"
+        "2 ALU deps=[]\n"
+    )
+    assert prog.actual_path == (0, 2)
+    assert prog.wrong_path_ids() == {1}
+    # A taken branch's body is on the path; a not-taken one's join ends it.
+    prog = parse_program(
+        "0 BRANCH deps=[] branch=N,T,res:-,join:2\n"
+        "1 ALU deps=[]\n"
+        "2 BRANCH deps=[] branch=T,N,res:-,join:4\n"
+        "3 ALU deps=[]\n"
+    )
+    assert prog.actual_path == (0, 1, 2)
+    assert prog.wrong_path_ids() == {3}

@@ -533,3 +533,13 @@ class TestRetirement:
                 elif name == "ifetch" or name == "l2access" and "fetch" in x:
                     assert owed.get(op), (scheme, op)
                     owed[op] = False
+
+
+class TestActualPath:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 100_000), cfg=st.sampled_from(CORNERS[:2]))
+    def test_the_retired_ops_are_the_actual_path(self, seed, cfg):
+        program, image = gen_random_program(seed)
+        for scheme in (SchemeId.UNSAFE, SchemeId.DOM_NONTSO, SchemeId.NOINTERFERENCE):
+            t = run(program, cfg, scheme, image=image)
+            assert tuple(r.op.id for r in t.ops if r.retire != NEVER) == program.actual_path, scheme
