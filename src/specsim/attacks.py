@@ -84,10 +84,9 @@ def probe(cset: CacheSet, evs2: tuple[int, ...], a: int, b: int) -> tuple[bool, 
 
 @lru_cache(maxsize=64)
 def primed_ways(layout: AttackLayout, anchor: int) -> tuple[tuple[int, int], ...]:
-    """The target set's (tag, age) ways right after the prime."""
-    cset = CacheSet(layout.geometry.llc_ways)
-    prime(cset, layout.evs1, anchor)
-    return tuple((t, a) for t, a in zip(cset.tags, cset.ages) if t is not None)
+    """The target set's (tag, age) ways right after the prime, which fills
+    every way: llc_ways - 1 filler lines and the anchor."""
+    return prime(CacheSet(layout.geometry.llc_ways), layout.evs1, anchor).state()
 
 
 @lru_cache(maxsize=64)
@@ -97,8 +96,7 @@ def derive_decode_table(layout: AttackLayout, anchor: int) -> Mapping[tuple[bool
     anchor-first order (no interference), bit 1 the reference-first order."""
     table: dict[tuple[bool, ...], int] = {}
     for bit, order in ((0, (anchor, layout.reference_line)), (1, (layout.reference_line, anchor))):
-        cset = CacheSet(layout.geometry.llc_ways)
-        prime(cset, layout.evs1, anchor)
+        cset = CacheSet(layout.geometry.llc_ways, primed_ways(layout, anchor))
         for line in order:
             qlru_touch(cset, line)
         key = probe(cset, layout.evs2, anchor, layout.reference_line)

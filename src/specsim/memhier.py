@@ -15,9 +15,11 @@ it: every hit, fill and eviction in every set goes through it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from math import inf
 from types import MappingProxyType
 
@@ -352,50 +354,36 @@ def format_set(cset: CacheSet, names: dict[int, str] | None = None) -> str:
     return "ways=[" + ",".join(parts) + "]"
 
 
-class SetArray(dict):
-    """One cache level's sets, indexed by set number. A set is built empty
-    on first touch: a run touches few of the LLC's sets."""
-
-    __slots__ = ("n_sets", "ways")
-
-    def __init__(self, n_sets: int, ways: int):
-        super().__init__()
-        self.n_sets = n_sets
-        self.ways = ways
-
-    def __missing__(self, idx: int) -> CacheSet:
-        if not 0 <= idx < self.n_sets:
-            raise IndexError(f"set {idx} out of range")
-        cset = self[idx] = CacheSet(self.ways)
-        return cset
-
-
 class MemHier:
     """The hierarchy owned by one simulation run: victim L1I/L1D, an MSHR
     file, the shared LLC and line scripting. The image comes checked; a
-    run checks only how it fits the geometry."""
+    run checks only how it fits the geometry. Each level's sets are built
+    empty on first touch (a run touches few of the LLC's sets), always at a
+    set index the geometry gives, or one checked here."""
 
     def __init__(self, geom: CacheGeometry, mshrs: int, image: CacheImage | None = None):
         self.geom = geom
-        self.l1d = SetArray(geom.l1_sets, geom.l1_ways)
-        self.l1i = SetArray(geom.l1_sets, geom.l1_ways)
-        self.llc = SetArray(geom.llc_sets, geom.llc_ways)
+        self.l1d = defaultdict(partial(CacheSet, geom.l1_ways))
+        self.l1i = defaultdict(partial(CacheSet, geom.l1_ways))
+        self.llc = defaultdict(partial(CacheSet, geom.llc_ways))
         self.mshrs = MshrFile(mshrs)
         self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
         self.scripts: Mapping[int, Level] = {}  # read only: the image's own
         if image is not None:
             self.scripts = image.scripts
             for name in _LEVELS:
-                sets, index = getattr(self, name), geom.llc_index if name == "llc" else geom.l1_index
+                llc = name == "llc"
+                index = geom.llc_index if llc else geom.l1_index
+                n_sets, n_ways = (geom.llc_sets, geom.llc_ways) if llc else (geom.l1_sets, geom.l1_ways)
                 for set_idx, ways in getattr(image, name).items():
-                    if not 0 <= set_idx < sets.n_sets:
+                    if not 0 <= set_idx < n_sets:
                         raise ValueError(f"{name} set {set_idx} out of range")
-                    if len(ways) > sets.ways:
-                        raise ValueError(f"{name} set {set_idx} lists {len(ways)} ways > {sets.ways}")
+                    if len(ways) > n_ways:
+                        raise ValueError(f"{name} set {set_idx} lists {len(ways)} ways > {n_ways}")
                     for tag, _ in ways:
                         if tag is not None and index(tag) != set_idx:
                             raise ValueError(f"{name} line {tag} does not map to set {set_idx}")
-                    sets[set_idx] = CacheSet(sets.ways, ways)
+                    getattr(self, name)[set_idx] = CacheSet(n_ways, ways)
 
     def service_level(self, line: int, icache: bool = False) -> Level:
         """Where a demand access to this line would be serviced from now."""

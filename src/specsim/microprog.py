@@ -225,23 +225,15 @@ class MicroProgram:
                     raise ValueError(f"branch {op.id} join {b.join} out of range")
                 if b.resolver is not None and not 0 <= b.resolver < op.id:
                     raise ValueError(f"branch {op.id} resolver must be older")
-        # Liveness: an op that executes on the actual path must not consume
-        # a producer confined to a body the actual path skips (the value
-        # would never be produced). Branch resolvers count as consumed.
-        for op in self.ops:
-            b = op.branch
-            if b is None or b.actual_taken:
-                continue
-            dead = range(op.id + 1, b.join)
-            for consumer in self.ops[b.join :]:
-                uses = set(consumer.src_deps)
-                if consumer.branch is not None and consumer.branch.resolver is not None:
-                    uses.add(consumer.branch.resolver)
-                for d in uses:
-                    if d in dead:
-                        raise ValueError(
-                            f"op {consumer.id} uses op {d} inside the not-taken body of branch {op.id}"
-                        )
+        # Liveness: an op on the actual path uses (as an input or as its
+        # resolver) only ops on that path; any other value is never produced.
+        on_path = set(self.actual_path)
+        for i in self.actual_path:
+            op = self.ops[i]
+            uses = op.src_deps if op.branch is None else (*op.src_deps, op.branch.resolver)
+            for d in uses:
+                if d is not None and d not in on_path:
+                    raise ValueError(f"op {i} uses op {d}, which the actual path skips")
         seen: dict[int, str] = {}
         for role, ids in self.annotations.items():
             for i in ids:
@@ -276,11 +268,6 @@ class MicroProgram:
             b = self.ops[i].branch
             i = b.join if b is not None and not b.actual_taken else i + 1
         return tuple(path)
-
-    def wrong_path_ids(self) -> set[int]:
-        """Ops the actual path never reaches: fetched only transiently (the
-        gadget shape, behind a predicted-taken branch), if at all."""
-        return set(range(len(self.ops))).difference(self.actual_path)
 
 
 # --- serialization ---------------------------------------------------------

@@ -193,7 +193,7 @@ class TestMshrGadget:
         lines0 = {prog.ops[i].resolve_line({"s0": 0}) for i in gadget}
         assert len(lines1) == 4  # distinct lines: one MSHR each
         assert len(lines0) == 1  # all the same line: merged
-        assert gadget[0] in prog.wrong_path_ids()
+        assert gadget[0] not in prog.actual_path
 
     def test_rejects_single_mshr(self):
         with pytest.raises(ConstructionError):
@@ -213,7 +213,7 @@ class TestNpeuGadget:
         assert all(prog.ops[i].kind is OpKind.NPEU for i in target + gadget)
         # Gadget ops are mutually independent, all hanging off the transmitter.
         assert all(prog.ops[i].src_deps == (transmitter,) for i in gadget)
-        assert set(gadget) <= prog.wrong_path_ids()
+        assert set(gadget).isdisjoint(prog.actual_path)
 
     def test_rejects_empty_target_chain(self):
         with pytest.raises(ConstructionError):
@@ -226,7 +226,7 @@ class TestRsGadget:
         assert len(prog.role_ops("gadget")) == CFG.rs_size
         marker = prog.role_ops("itarget")[0]
         assert prog.ops[marker].iline is not None
-        assert marker in prog.wrong_path_ids()  # target sits on the transient path
+        assert marker not in prog.actual_path  # target sits on the transient path
 
     def test_rejects_below_capacity(self):
         with pytest.raises(ConstructionError):
@@ -261,7 +261,7 @@ class TestAttackPrograms:
         assert branch.branch.resolver == a
         marker = prog.role_ops("itarget")[0]
         assert marker == branch.branch.join  # first correct-path op
-        assert marker not in prog.wrong_path_ids()
+        assert marker in prog.actual_path
 
     def test_rejects_negative_reference_chain(self):
         for o in (Ordering.VDVD, Ordering.VIVD):
@@ -311,7 +311,6 @@ def test_the_actual_path_steps_over_skipped_bodies_only():
         "2 ALU deps=[]\n"
     )
     assert prog.actual_path == (0, 2)
-    assert prog.wrong_path_ids() == {1}
     # A taken branch's body is on the path; a not-taken one's join ends it.
     prog = parse_program(
         "0 BRANCH deps=[] branch=N,T,res:-,join:2\n"
@@ -320,4 +319,39 @@ def test_the_actual_path_steps_over_skipped_bodies_only():
         "3 ALU deps=[]\n"
     )
     assert prog.actual_path == (0, 1, 2)
-    assert prog.wrong_path_ids() == {3}
+
+
+def test_validate_rejects_a_path_op_that_uses_a_skipped_op():
+    # Op 2 sits in the body op 1 skips; op 3 is on the path and reads it.
+    head = "0 ALU deps=[]\n1 BRANCH deps=[] branch=N,N,res:0,join:3\n2 ALU deps=[]\n"
+    with rejected("op 3 uses op 2, which the actual path skips"):
+        parse_program(head + "3 ALU deps=[2]\n")
+    # A resolver counts as a use.
+    with rejected("op 3 uses op 2, which the actual path skips"):
+        parse_program(head + "3 BRANCH deps=[] branch=T,T,res:2,join:4\n")
+
+
+def test_validate_admits_every_use_the_actual_path_keeps():
+    # Op 3 lies in the body of op 2, a not-taken branch, but op 1's join
+    # puts it on the path, so op 5 may read it.
+    prog = parse_program(
+        "0 ALU deps=[]\n"
+        "1 BRANCH deps=[] branch=N,N,res:0,join:3\n"
+        "2 BRANCH deps=[] branch=T,N,res:0,join:5\n"
+        "3 ALU deps=[]\n"
+        "4 ALU deps=[]\n"
+        "5 ALU deps=[3]\n"
+    )
+    assert prog.actual_path == (0, 1, 3, 4, 5)
+    # An op off the path may read one that no path fetches: op 4, on the
+    # wrong path of op 3, reads op 2, which op 1 skips under both its
+    # prediction and its outcome.
+    prog = parse_program(
+        "0 ALU deps=[]\n"
+        "1 BRANCH deps=[] branch=N,N,res:0,join:3\n"
+        "2 ALU deps=[]\n"
+        "3 BRANCH deps=[] branch=T,N,res:0,join:5\n"
+        "4 ALU deps=[2]\n"
+        "5 ALU deps=[]\n"
+    )
+    assert prog.actual_path == (0, 1, 3, 5)

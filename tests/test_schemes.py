@@ -25,6 +25,7 @@ from specsim.microprog import (
     build_attack_program,
     constructible,
     marks_fetch,
+    parse_program,
 )
 from specsim.attacks import MATRIX_SCHEMES
 from specsim.pipeline import NEVER, _Engine, run
@@ -240,7 +241,7 @@ class TestFences:
 
         for model in (SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC):
             t = run(prog, CFG, model, secrets={"s0": 1}, image=attack_image(Gadget.NPEU, CFG))
-            for i in prog.wrong_path_ids():
+            for i in set(range(len(prog.ops))).difference(prog.actual_path):
                 assert t.times(i, "issue") == NEVER
 
 
@@ -535,11 +536,117 @@ class TestRetirement:
                     owed[op] = False
 
 
+def gen_path_program(seed: int) -> tuple[MicroProgram, CacheImage]:
+    """Programs at the edge of the liveness rule. Branch bodies may overlap,
+    so the path can reach ops inside the body of a branch that it skips.
+    An op on the path reads only ops on the path; an op off it reads any
+    older op. Most uses read an op inside some not-taken branch's body:
+    on the path, one that the path reaches past a skipped body; off the
+    path, often one that no path fetches."""
+    rng = random.Random(f"path:{seed}")
+    lines = [710_000 + i for i in range(6)]
+    image = CacheImage(scripts={line: rng.choice(list(Level)) for line in lines})
+    n = rng.randint(6, 18)
+    ops = [MicroOp(0, OpKind.ALU)]
+
+    def branch(predicted: bool, actual: bool, join: int) -> None:
+        ops.append(MicroOp(len(ops), OpKind.BRANCH, branch=BranchInfo(predicted, actual, None, join)))
+
+    while len(ops) < n:
+        i = len(ops)
+        roll = rng.random()
+        if roll < 0.15 and i + 3 < n:
+            # The witness shape: op i skips op i + 1, a not-taken branch
+            # whose body reaches past op i's join.
+            branch(rng.random() < 0.5, False, i + 2)
+            branch(rng.random() < 0.5, False, rng.randint(i + 3, min(n, i + 6)))
+        elif roll < 0.35 and i + 1 < n:
+            branch(rng.random() < 0.5, rng.random() < 0.5, rng.randint(i + 1, min(n, i + 5)))
+        elif roll < 0.55:
+            ops.append(MicroOp(i, OpKind.LOAD, addr=Literal(rng.choice(lines))))
+        else:
+            ops.append(MicroOp(i, rng.choice((OpKind.ALU, OpKind.ALU, OpKind.NPEU, OpKind.NOP))))
+    path = set(MicroProgram(ops=ops).actual_path)
+    in_body = {d for op in ops if op.branch and not op.branch.actual_taken for d in range(op.id + 1, op.branch.join)}
+
+    def pick(i: int) -> int:
+        allowed = [d for d in range(i) if d in path or i not in path]
+        edge = [d for d in allowed if d in in_body]
+        return rng.choice(edge if edge and rng.random() < 0.7 else allowed)
+
+    for i, op in enumerate(ops[1:], 1):
+        if op.branch is not None:
+            ops[i] = replace(op, branch=replace(op.branch, resolver=pick(i)))
+        elif op.kind is not OpKind.LOAD and rng.random() < 0.7:
+            ops[i] = replace(op, src_deps=tuple(sorted({pick(i) for _ in range(rng.randint(1, 2))})))
+    return MicroProgram(ops=ops), image
+
+
+def old_rule_rejects(program: MicroProgram, on_path: bool) -> bool:
+    """Whether an op on the path (or off it) uses an op inside the body of
+    a not-taken branch whose join it lies past: the rule that held every
+    not-taken body dead rejected each such use."""
+    path = set(program.actual_path)
+    for op in program.ops:
+        b = op.branch
+        if b is None or b.actual_taken:
+            continue
+        for user in program.ops[b.join :]:
+            uses = (*user.src_deps, *(() if user.branch is None else (user.branch.resolver,)))
+            if (user.id in path) == on_path and any(op.id < d < b.join for d in uses):
+                return True
+    return False
+
+
+# Op 5 reads op 3, which lies in the body of branch 2, but which the path
+# reaches through op 1's join. A rule that held every not-taken body dead
+# rejected this program.
+PAST_A_SKIPPED_BODY = """\
+0 ALU deps=[]
+1 BRANCH deps=[] branch=N,N,res:0,join:3
+2 BRANCH deps=[] branch=T,N,res:0,join:5
+3 ALU deps=[]
+4 ALU deps=[]
+5 ALU deps=[3]
+"""
+
+
+def retired(t) -> tuple[int, ...]:
+    return tuple(r.op.id for r in t.ops if r.retire != NEVER)
+
+
 class TestActualPath:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 100_000), cfg=st.sampled_from(CORNERS[:2]))
     def test_the_retired_ops_are_the_actual_path(self, seed, cfg):
         program, image = gen_random_program(seed)
-        for scheme in (SchemeId.UNSAFE, SchemeId.DOM_NONTSO, SchemeId.NOINTERFERENCE):
-            t = run(program, cfg, scheme, image=image)
-            assert tuple(r.op.id for r in t.ops if r.retire != NEVER) == program.actual_path, scheme
+        for scheme in SchemeId:
+            assert retired(run(program, cfg, scheme, image=image)) == program.actual_path, scheme
+
+    def test_a_path_op_reads_an_op_the_path_reaches_past_a_skipped_body(self):
+        program = parse_program(PAST_A_SKIPPED_BODY)
+        assert program.actual_path == (0, 1, 3, 4, 5)
+        for scheme in SchemeId:
+            for force in (False, True):
+                assert retired(run(program, CFG, scheme, force_correct_predictions=force)) == (0, 1, 3, 4, 5)
+
+    def test_the_generator_makes_both_kinds_of_use(self):
+        programs = [gen_path_program(seed)[0] for seed in range(40)]
+        assert sum(old_rule_rejects(p, on_path=True) for p in programs) >= 5
+        assert sum(old_rule_rejects(p, on_path=False) for p in programs) >= 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        cfg=st.sampled_from([CFG, *CORNERS[:2]]),
+        force=st.booleans(),
+        sampled=st.sampled_from(list(SchemeId)),
+    )
+    def test_every_use_the_path_keeps_runs_as_the_reference(self, seed, cfg, force, sampled):
+        program, image = gen_path_program(seed)
+        for scheme in SchemeId:
+            t = run(program, cfg, scheme, image=image, force_correct_predictions=force, max_cycles=20_000)
+            assert retired(t) == program.actual_path, scheme
+            if scheme is sampled:
+                want = reference_run(program, cfg, scheme, image=image, force_correct_predictions=force)
+                assert t.records == want.records and op_stamps(t) == op_stamps(want), scheme
