@@ -19,10 +19,11 @@ more-leftward line also hits 3).
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
+from operator import lt
 import random
 from types import MappingProxyType
 from typing import NamedTuple
@@ -310,14 +311,14 @@ def _prime_probe_cost(plan: AttackPlan) -> int:
 
 
 def observe_trial(
-    plan: AttackPlan, bit: int, noise: float, draws: tuple[int, ...] = (), flips: Sequence[float] = ()
+    plan: AttackPlan, bit: int, draws: tuple[int, ...] = (), flips: Sequence[bool] = ()
 ) -> tuple[int, int]:
     """One prime+run+probe trial; returns (decoded bit or DISCARD, cycles).
-    draws are the interloper lines touched before the probe; with noise >
-    0, observed line i flips when flips[i] < noise."""
+    draws are the interloper lines touched before the probe; observed line
+    i flips when flips[i] is true."""
     outcome, cycles = plan.probe_outcome(bit, draws)
-    if noise > 0:
-        outcome = tuple([hit != (u < noise) for hit, u in zip(outcome, flips)])
+    if flips:
+        outcome = tuple([hit != flip for hit, flip in zip(outcome, flips)])
     return plan.decode.get(outcome, DISCARD), cycles
 
 
@@ -367,31 +368,19 @@ def trial_table(seed: int, interlopers: int) -> TrialTable:
     return TrialTable(seed, interlopers)
 
 
-def _in_groups(values: Iterable, k: int) -> Iterator[tuple]:
-    """Consecutive values, k at a time."""
-    it = iter(values)
-    return zip(*[it] * k)
+class _Memo(dict):
+    """A dict that fills each missing key with fill(key), once."""
+
+    def __init__(self, fill: Callable) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-def _trial_values(
-    plan: AttackPlan, bits: int, trials: int, noise: float, seed: int, interlopers: int
-) -> Iterator[tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]]:
-    """Per bit index, each trial's (interloper lines, flip uniforms). A
-    noiseless trial with no interlopers reads no random values, so none
-    are drawn for it."""
-    if trials == 0 or not (noise > 0 or interlopers > 0):
-        return repeat((((), ()),) * trials)
-    table = trial_table(seed, interlopers).extend(bits, trials)
-    if interlopers:
-        line = plan.interloper_pool.__getitem__
-        draws = [_in_groups(map(line, positions), interlopers) for positions in table.positions[:trials]]
-    else:
-        draws = [repeat(())] * trials
-    flips = [_in_groups(uniforms, 2) for uniforms in table.uniforms[:trials]]
-    return zip(*map(zip, draws, flips))
-
-
-def _decode_bit(votes: list[int]) -> int:
+def _decode_bit(votes: Sequence[int]) -> int:
     counted = [v for v in votes if v != DISCARD]
     if not counted:
         return DISCARD
@@ -414,18 +403,46 @@ def transmit(
     trials_per_bit prime/victim/probe rounds and majority-vote the decodes.
     All randomness derives from the root seed per (bit, trial), read from
     the seed's TrialTable; calls over one plan reuse its victim runs.
-    """
-    trial_cost = _prime_probe_cost(plan)
-    decoded_bits = []
-    total_cycles = 0
-    rows = _trial_values(plan, len(secret_bits), trials_per_bit, noise, seed, interlopers)
-    for bit, row in zip(secret_bits, rows):
-        votes = []
-        for draws, flips in row:
-            decoded, cycles = observe_trial(plan, bit, noise, draws, flips)
-            votes.append(decoded)
-            total_cycles += cycles + trial_cost
-        decoded_bits.append(_decode_bit(votes))
+
+    A trial's decode is a pure function of its key: the bit, its
+    interloper pool positions and, with noise above 0, whether each of its
+    two flip uniforms falls below the noise. The trials go one trial number
+    at a time, as a column of every bit index's key; each distinct key is
+    decoded once (observe_trial) and each distinct tuple of a bit's votes
+    is voted once. A noiseless transmit with no interlopers thus decodes
+    once per bit value and draws no random value. Within one transmit a
+    victim run's length depends only on the bit, so the cycle total is a
+    sum over bit values."""
+    if trials_per_bit < 0 or interlopers < 0:
+        raise ValueError(f"trials and interlopers must be >= 0, got {trials_per_bit} and {interlopers}")
+    n, k = len(secret_bits), interlopers
+    table = trial_table(seed, k).extend(n, trials_per_bit) if trials_per_bit and (noise > 0 or k) else None
+    columns = []  # per trial number, each bit index's key
+    for trial in range(trials_per_bit):
+        parts = [secret_bits]
+        if k:
+            positions = table.positions[trial]
+            parts += [positions[j : n * k : k] for j in range(k)]
+        if noise > 0:
+            uniforms = table.uniforms[trial]
+            parts += [map(lt, uniforms[j : 2 * n : 2], repeat(noise)) for j in (0, 1)]
+        columns.append(zip(*parts))
+
+    victim_cycles: dict[int, int] = {}  # bit -> its victim run's length
+
+    def decode_trial(key: tuple) -> int:
+        bit = key[0]
+        draws = tuple([plan.interloper_pool[p] for p in key[1 : 1 + k]])
+        decoded, victim_cycles[bit] = observe_trial(plan, bit, draws, key[1 + k :])
+        return decoded
+
+    # Column 0 is decoded first, so the victim runs are read in the order
+    # the bits first appear.
+    decode = _Memo(decode_trial).__getitem__
+    votes = [list(map(decode, keys)) for keys in columns]
+    decoded_bits = list(map(_Memo(_decode_bit).__getitem__, zip(*votes))) if votes else [DISCARD] * n
+    victim = sum(cycles * secret_bits.count(bit) for bit, cycles in victim_cycles.items())
+    total_cycles = trials_per_bit * (victim + n * _prime_probe_cost(plan))
     counted = [(d, t) for d, t in zip(decoded_bits, secret_bits) if d != DISCARD]
     errors = sum(1 for d, t in counted if d != t)
     error_rate = errors / len(counted) if counted else 0.5

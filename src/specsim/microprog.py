@@ -75,6 +75,15 @@ class ConstructionError(ValueError):
     a working sender."""
 
 
+class OpError(ValueError):
+    """A program check that fails at one op; ``op`` is its position in the
+    program, so that a parser can name the line the op came from."""
+
+    def __init__(self, op: int, message: str) -> None:
+        super().__init__(message)
+        self.op = op
+
+
 @dataclass(frozen=True)
 class Literal:
     line: int
@@ -207,24 +216,24 @@ class MicroProgram:
         n = len(self.ops)
         for i, op in enumerate(self.ops):
             if op.id != i:
-                raise ValueError(f"op {op.id} out of order at position {i}")
+                raise OpError(i, f"op {op.id} out of order at position {i}")
             for d in op.src_deps:
                 if not 0 <= d < op.id:
-                    raise ValueError(f"op {op.id} depends on non-older op {d}")
+                    raise OpError(i, f"op {op.id} depends on non-older op {d}")
             if op.addr is not None and op.kind is not OpKind.LOAD:
-                raise ValueError(f"op {op.id}: only LOAD carries an address")
+                raise OpError(i, f"op {op.id}: only LOAD carries an address")
             if op.kind is OpKind.LOAD and op.addr is None:
-                raise ValueError(f"load {op.id} has no address")
+                raise OpError(i, f"load {op.id} has no address")
             if isinstance(op.addr, SecretDep) and op.addr.secret not in self.secret_slots:
-                raise ValueError(f"op {op.id} references undeclared secret {op.addr.secret!r}")
+                raise OpError(i, f"op {op.id} references undeclared secret {op.addr.secret!r}")
             if (op.branch is not None) != (op.kind is OpKind.BRANCH):
-                raise ValueError(f"op {op.id}: branch info iff BRANCH kind")
+                raise OpError(i, f"op {op.id}: branch info iff BRANCH kind")
             if op.branch is not None:
                 b = op.branch
                 if not op.id < b.join <= n:
-                    raise ValueError(f"branch {op.id} join {b.join} out of range")
+                    raise OpError(i, f"branch {op.id} join {b.join} out of range")
                 if b.resolver is not None and not 0 <= b.resolver < op.id:
-                    raise ValueError(f"branch {op.id} resolver must be older")
+                    raise OpError(i, f"branch {op.id} resolver must be older")
         # Liveness: an op on the actual path uses (as an input or as its
         # resolver) only ops on that path; any other value is never produced.
         on_path = set(self.actual_path)
@@ -233,14 +242,14 @@ class MicroProgram:
             uses = op.src_deps if op.branch is None else (*op.src_deps, op.branch.resolver)
             for d in uses:
                 if d is not None and d not in on_path:
-                    raise ValueError(f"op {i} uses op {d}, which the actual path skips")
+                    raise OpError(i, f"op {i} uses op {d}, which the actual path skips")
         seen: dict[int, str] = {}
         for role, ids in self.annotations.items():
             for i in ids:
                 if not 0 <= i < n:
                     raise ValueError(f"annotation {role} references op {i}")
                 if i in seen:
-                    raise ValueError(f"op {i} carries roles {seen[i]} and {role}")
+                    raise OpError(i, f"op {i} carries roles {seen[i]} and {role}")
                 seen[i] = role
 
     def secrets_with(self, assignment: dict[str, int] | None) -> dict[str, int]:
@@ -338,6 +347,7 @@ def parse_program(text: str) -> MicroProgram:
     ops: list[MicroOp] = []
     secrets: dict[str, int] = {}
     annotations: dict[str, tuple[int, ...]] = {}
+    op_lines: list[int] = []  # per op, the line it came from
     for lineno, raw in enumerate(text.splitlines(), 1):
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -393,9 +403,13 @@ def parse_program(text: str) -> MicroProgram:
                 else:
                     kw["branch"] = _parse_branch(val)
             ops.append(MicroOp(id=op_id, kind=kind, src_deps=deps, **kw))
+            op_lines.append(lineno)
         except ValueError as e:
             raise ValueError(f"program line {lineno}: {e}") from e
-    return MicroProgram(ops=ops, secret_slots=secrets, annotations=annotations)
+    try:
+        return MicroProgram(ops=ops, secret_slots=secrets, annotations=annotations)
+    except OpError as e:
+        raise ValueError(f"program line {op_lines[e.op]}: {e}") from e
 
 
 # --- attack address layout -------------------------------------------------

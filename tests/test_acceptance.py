@@ -210,7 +210,9 @@ def test_criterion_3_vulnerability_matrix(calibration_runs, monkeypatch):
         for line in res.diff_lines():
             print("  " + line)
     ok &= len(calls) == sum(len(group_orderings(c.group, c.scheme)) for c in res.cells) == 41
-    ok &= len(observed) == 32 * len(calls) == 1312
+    # Noiseless with no interlopers, every trial of a bit value reads the
+    # same, so a transmit decodes once per bit value: both occur in the 32.
+    ok &= len(observed) == 2 * len(calls) == 82
     reused = {SchemeId.SAFESPEC_WFB, SchemeId.MUONTRAP}
     ok &= not any(n for g, o, s, n in calls if s in reused and not marks_fetch(g, o))
     # Engine runs of the whole seed-1 matrix, calibration included: bit-1

@@ -283,13 +283,46 @@ class TestReceiverReference:
             (Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO),
         ],
     )
-    @pytest.mark.parametrize("noise, interlopers", [(0.0, 0), (0.02, 1), (0.1, 3)])
-    def test_run_attack_matches_per_trial_replay(self, gadget, ordering, scheme, noise, interlopers):
+    @pytest.mark.parametrize("noise, interlopers, trials", [
+        (0.0, 0, 3), (0.02, 1, 3), (0.1, 3, 3),
+        # One trial, an even count (a tied vote is a discard) and five.
+        (0.0, 2, 1), (0.3, 0, 2), (0.5, 1, 5),
+    ], ids=["0.0-0", "0.02-1", "0.1-3", "0.0-2-1trial", "0.3-0-2trials", "0.5-1-5trials"])
+    def test_run_attack_matches_per_trial_replay(self, gadget, ordering, scheme, noise, interlopers, trials):
         bits = bits_for(256, 9)
-        kw = dict(trials_per_bit=3, noise=noise, seed=17, cfg=CFG, params=AttackParams(), interlopers=interlopers)
+        kw = dict(trials_per_bit=trials, noise=noise, seed=17, cfg=CFG, params=AttackParams(), interlopers=interlopers)
         res = run_attack(gadget, ordering, scheme, bits, **kw)
-        expected = reference_receiver(gadget, ordering, scheme, bits, 3, noise, 17, interlopers)
+        expected = reference_receiver(gadget, ordering, scheme, bits, trials, noise, 17, interlopers)
         assert (res.decoded_bits, res.error_rate, res.discard_rate, res.cycles_per_bit) == expected
+
+    @pytest.mark.parametrize("bits, trials", [(bits_for(16, 12), 0), ([], 3)], ids=["no-trials", "no-bits"])
+    @pytest.mark.parametrize("noise, interlopers", [(0.0, 0), (0.3, 2)])
+    def test_a_transmit_of_no_trials_or_no_bits_runs_nothing(self, monkeypatch, bits, trials, noise, interlopers):
+        runs = CountingRun()
+        monkeypatch.setattr(attacks, "run", runs)
+        plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, CFG)
+        res = transmit(plan, bits, trials, noise, 18, interlopers)
+        assert runs.calls == 0
+        assert res.decoded_bits == [DISCARD] * len(bits) and res.cycles_per_bit == 0.0
+
+    def test_a_noiseless_transmit_decodes_once_per_bit_value(self, monkeypatch):
+        observed = []
+
+        def observing(plan, bit, *args):
+            observed.append(bit)
+            return observe_trial(plan, bit, *args)
+
+        monkeypatch.setattr(attacks, "observe_trial", observing)
+        plan = plan_attack(Gadget.MSHR, Ordering.VDAD, SchemeId.MUONTRAP, CFG)
+        bits = [1, 1, 0, 1] + bits_for(60, 13)
+        res = transmit(plan, bits, 5, 0.0, 19)
+        assert observed == [1, 0] and res.decoded_bits == bits
+
+    @pytest.mark.parametrize("trials, interlopers", [(-1, 0), (3, -1)])
+    def test_a_negative_count_is_refused(self, trials, interlopers):
+        plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.DOM_NONTSO, CFG)
+        with pytest.raises(ValueError, match="trials and interlopers must be >= 0"):
+            transmit(plan, [0, 1], trials, 0.1, 20, interlopers)
 
     def test_outcome_cache_is_keyed_by_the_draws(self):
         # One free way and the anchor as the leftmost age-3 line: a repeated

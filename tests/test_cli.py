@@ -155,6 +155,20 @@ class TestRun:
         assert code == EXIT_USAGE and out == ""
         assert error in err
 
+    def test_a_use_of_a_skipped_op_names_its_line(self, tmp_path):
+        # Op 2 sits in the body that op 1 skips; op 3, on the path, reads it.
+        bad = tmp_path / "skipped.mprog"
+        bad.write_text(
+            "0 ALU deps=[]\n"
+            "1 BRANCH deps=[] branch=N,N,res:0,join:3\n"
+            "# op 2 never retires\n"
+            "2 ALU deps=[]\n"
+            "3 ALU deps=[2]\n"
+        )
+        code, out, err = call(["run", "--program", str(bad)])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: program line 5: op 3 uses op 2, which the actual path skips\n"
+
     def test_repeated_image_record_is_a_usage_error(self, program_file, image_file, tmp_path):
         text = Path(image_file).read_text()
         first = text.splitlines()[0]

@@ -324,11 +324,27 @@ def test_the_actual_path_steps_over_skipped_bodies_only():
 def test_validate_rejects_a_path_op_that_uses_a_skipped_op():
     # Op 2 sits in the body op 1 skips; op 3 is on the path and reads it.
     head = "0 ALU deps=[]\n1 BRANCH deps=[] branch=N,N,res:0,join:3\n2 ALU deps=[]\n"
-    with rejected("op 3 uses op 2, which the actual path skips"):
+    with rejected("program line 4: op 3 uses op 2, which the actual path skips"):
         parse_program(head + "3 ALU deps=[2]\n")
     # A resolver counts as a use.
-    with rejected("op 3 uses op 2, which the actual path skips"):
+    with rejected("program line 4: op 3 uses op 2, which the actual path skips"):
         parse_program(head + "3 BRANCH deps=[] branch=T,T,res:2,join:4\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("0 ALU deps=[]\n\n# reads ahead\n1 ALU deps=[2]\n2 ALU deps=[]\n",
+     "program line 4: op 1 depends on non-older op 2"),
+    ("0 ALU deps=[]\n2 ALU deps=[]\n", "program line 2: op 2 out of order at position 1"),
+    ("!secret s0 0\n0 LOAD deps=[] addr=10+sx*1*1\n", "program line 2: op 0 references undeclared secret 'sx'"),
+    ("0 ALU deps=[]\n1 BRANCH deps=[] branch=T,T,res:0,join:7\n", "program line 2: branch 1 join 7 out of range"),
+    ("0 ALU deps=[]\n1 ALU deps=[]\n!role a 1\n!role b 1\n", "program line 2: op 1 carries roles a and b"),
+    ("0 ALU deps=[]\n!role a 3\n", "annotation a references op 3"),
+], ids=["forward-dep", "out-of-order", "undeclared-secret", "join-range", "double-role", "missing-op"])
+def test_parse_names_the_line_of_the_op_a_program_check_rejects(text, error):
+    # Checks of the whole program name the op's line, as a line's own
+    # fields do; a role naming a missing op has no line to name.
+    with rejected(error):
+        parse_program(text)
 
 
 def test_validate_admits_every_use_the_actual_path_keeps():
