@@ -38,6 +38,12 @@ class Level(Enum):
     MEMMISS = "memmiss"
 
 
+# Bound once for MemHier's per-access tests: on CPython 3.11 naming an enum
+# member through its class, or hashing one, costs about 200 ns ("Enum
+# costs" in the pipeline module docstring).
+_L1HIT, _LLCHIT, _MEMMISS = Level.L1HIT, Level.LLCHIT, Level.MEMMISS
+
+
 class CacheSet:
     """One set: an ordered array of ways, each empty or holding (tag, age).
 
@@ -367,7 +373,7 @@ class MemHier:
         self.l1i = defaultdict(partial(CacheSet, geom.l1_ways))
         self.llc = defaultdict(partial(CacheSet, geom.llc_ways))
         self.mshrs = MshrFile(mshrs)
-        self._latency = {Level.L1HIT: geom.lat_l1, Level.LLCHIT: geom.lat_llc, Level.MEMMISS: geom.lat_mem}
+        self.lat_l1, self.lat_llc, self.lat_mem = geom.lat_l1, geom.lat_llc, geom.lat_mem
         self.scripts: Mapping[int, Level] = {}  # read only: the image's own
         if image is not None:
             self.scripts = image.scripts
@@ -392,13 +398,15 @@ class MemHier:
             return script
         l1 = self.l1i if icache else self.l1d
         if l1[self.geom.l1_index(line)].resident(line):
-            return Level.L1HIT
+            return _L1HIT
         if self.llc[self.geom.llc_index(line)].resident(line):
-            return Level.LLCHIT
-        return Level.MEMMISS
+            return _LLCHIT
+        return _MEMMISS
 
     def latency(self, level: Level) -> int:
-        return self._latency[level]
+        if level is _L1HIT:
+            return self.lat_l1
+        return self.lat_llc if level is _LLCHIT else self.lat_mem
 
     def llc_access(self, line: int) -> str:
         """One LLC access: update QLRU state. Returns "hit" or "miss" (for
@@ -406,7 +414,7 @@ class MemHier:
         l1hit line is in it too)."""
         script = self.scripts.get(line)
         if script is not None:
-            return "miss" if script is Level.MEMMISS else "hit"
+            return "miss" if script is _MEMMISS else "hit"
         cset = self.llc[self.geom.llc_index(line)]
         hit = cset.resident(line)
         evicted = qlru_touch(cset, line)

@@ -35,23 +35,17 @@ class FenceModel(Enum):
     FUTURISTIC = "futuristic"  # fences after anything that can squash
 
 
-# The one fence rule, which both insert_fences and the engine read: op i is
-# a fence point if it carries its own fence, or if its kind can squash under
-# the scheme's fence model (None: not a fence scheme).
-_FENCED_KINDS: dict[FenceModel | None, frozenset[OpKind]] = {
-    None: frozenset(),
-    FenceModel.SPECTRE: frozenset({OpKind.BRANCH}),
-    FenceModel.FUTURISTIC: frozenset({OpKind.BRANCH, OpKind.LOAD}),
-}
+# Bound once for EngineTables.derive, which tests every op's kind: on
+# CPython 3.11 naming an enum member through its class, or hashing one,
+# costs about 200 ns ("Enum costs" in the pipeline module docstring).
+_LOAD, _STORE_ADDR, _NPEU, _BRANCH, _NOP = OpKind.LOAD, OpKind.STORE_ADDR, OpKind.NPEU, OpKind.BRANCH, OpKind.NOP
 
-# The EU class of an op that names none (lat_class None); a marker uses none.
-_KIND_CLASS = {
-    OpKind.LOAD: "lsu",
-    OpKind.STORE_ADDR: "lsu",
-    OpKind.ALU: "alu",
-    OpKind.NPEU: "npeu",
-    OpKind.BRANCH: "alu",
-}
+
+def _default_class(kind: OpKind) -> str:
+    """The EU class of a non-marker op that names none (lat_class None)."""
+    if kind is _LOAD or kind is _STORE_ADDR:
+        return "lsu"
+    return "npeu" if kind is _NPEU else "alu"  # ALU and BRANCH
 
 
 class Ordering(Enum):
@@ -177,13 +171,18 @@ class EngineTables:
                 consumers[d].append(op.id)
             if op.branch is not None and op.branch.resolver is not None:
                 resolves[op.branch.resolver].append(op.id)
+        # The one fence rule, which both insert_fences and the engine read:
+        # op i is a fence point if it carries its own fence, or if its kind
+        # can squash under the scheme's fence model: branches under Spectre,
+        # branches and loads under Futuristic (None: not a fence scheme).
         return EngineTables(
-            eu_classes=tuple(None if op.kind is OpKind.NOP else op.lat_class or _KIND_CLASS[op.kind] for op in ops),
+            eu_classes=tuple(None if op.kind is _NOP else op.lat_class or _default_class(op.kind) for op in ops),
             consumers=tuple(map(tuple, consumers)),
             resolves=tuple(map(tuple, resolves)),
             fence_points=MappingProxyType({
-                model: tuple(op.fence_after or op.kind in kinds for op in ops)
-                for model, kinds in _FENCED_KINDS.items()
+                None: tuple(op.fence_after for op in ops),
+                FenceModel.SPECTRE: tuple(op.fence_after or op.kind is _BRANCH for op in ops),
+                FenceModel.FUTURISTIC: tuple(op.fence_after or op.kind is _BRANCH or op.kind is _LOAD for op in ops),
             }),
         )
 
@@ -557,6 +556,8 @@ def build_attack_program(
     victim_pair = ordering in (Ordering.VDVD, Ordering.VIVD)
     if victim_pair and p.g_len < 0:
         raise ValueError(f"g_len must be >= 0, got {p.g_len}")
+    if not victim_pair and p.reference_offset < 0:
+        raise ValueError(f"reference_offset must be >= 0, got {p.reference_offset}")
 
     lay = AttackLayout(cfg.geometry)
     npeu = cfg.npeu_class

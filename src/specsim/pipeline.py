@@ -170,6 +170,18 @@ A fence scheme runs the program as given: ShadowState reads the fence
 points of the scheme's model, the same points insert_fences marks, so no
 fenced copy is built or checked.
 
+Enum costs. The per-event path (the phases, ShadowState, MemHier and
+EngineTables.derive) reads each enum member it compares against from a
+name bound once at module level, and keys no dict or set by an enum; the
+one enum set, fetch_shadowed, grows only at a marked fetch that a fetch
+shadow holds. Both costs are CPython 3.11's: EnumType defines
+__getattr__, so naming a member through its class (OpKind.LOAD) takes the
+metaclass's slow attribute path, about 220 ns against about 30 ns for a
+module-level name; and Enum.__hash__ is a Python function of about 210 ns
+a call. A run hashes a few members in all (its scheme, its fence model,
+the fetch shadows that held a marked fetch), however many ops it has; a
+test counts them.
+
 Event log. Each event is logged as a plain tuple record (cycle, name, op,
 extra): op is None for events of no op, and extra is None or a dict of the
 fields that six kinds carry (l2access, mshr_stall, mshr_free, delayed,
@@ -209,6 +221,13 @@ NEVER = -1
 # The fetch_shadowed of every run whose marked fetches no fetch shadow held,
 # which is most runs: one shared empty set, not a new one per run.
 UNSHADOWED: frozenset[ShadowRule] = frozenset()
+
+# The enum members the phases compare against, bound once each: on CPython
+# 3.11 a load such as OpKind.LOAD takes EnumType's slow attribute path,
+# about 220 ns against about 30 ns for a module-level name ("Enum costs").
+_BRANCH, _LOAD, _NOP = OpKind.BRANCH, OpKind.LOAD, OpKind.NOP
+_L1HIT = Level.L1HIT
+_VISIBLE, _DELAY, _INVISIBLE = MissPolicy.VISIBLE, MissPolicy.DELAY, MissPolicy.INVISIBLE
 
 # What a protected load's safe transition owes (OpRec.owed), compared by identity.
 PARKED = "parked"  # a parked miss: it re-issues
@@ -454,7 +473,7 @@ class _Engine:
     def _completed(self, op_id: int) -> None:
         recs = self.recs
         op = recs[op_id].op
-        if op.kind is OpKind.BRANCH:
+        if op.kind is _BRANCH:
             insort(self.unresolved_done, op_id)
             self.resolve_at = min(self.resolve_at, self._resolve_due(op_id))
         elif self.shadow.settle(op):
@@ -632,7 +651,7 @@ class _Engine:
         for i in reversed(killed):
             r = self.recs[i]
             # Its RS entry, if it holds one (see rs_count in the module docstring).
-            if r.op.kind is not OpKind.NOP and (r.issue == NEVER or (rs_hold and r.safe == NEVER)):
+            if r.op.kind is not _NOP and (r.issue == NEVER or (rs_hold and r.safe == NEVER)):
                 self.rs_count -= 1
             if r.npeu_unit is not None and r.finish > self.cycle:
                 self.npeu_busy_until[r.npeu_unit] = self.cycle
@@ -718,7 +737,7 @@ class _Engine:
                 t = dep.complete + self.cfg.writeback_delay
             elif dep.finish != NEVER:
                 t = dep.finish + self.cfg.writeback_delay
-            elif dep.op.kind is OpKind.LOAD:
+            elif dep.op.kind is _LOAD:
                 t = self.cycle + 1
             else:
                 # A marker in a body that a not-taken prediction skipped was
@@ -779,7 +798,7 @@ class _Engine:
                 if unit is None:
                     continue
             issued += 1  # load attempts consume the slot whether or not they land
-            if r.op.kind is OpKind.LOAD:
+            if r.op.kind is _LOAD:
                 if self._issue_load(i) != "ok":
                     continue
             else:
@@ -810,14 +829,14 @@ class _Engine:
             self.secret_read_cycle = self.cycle
         safe = r.safe != NEVER
         level = self.hier.service_level(line)
-        if level is Level.L1HIT:
-            if safe or self.spec.miss_policy is MissPolicy.VISIBLE:
+        if level is _L1HIT:
+            if safe or self.spec.miss_policy is _VISIBLE:
                 self.hier.l1_hit_update(line)
             else:
                 r.owed = L1_UPDATE
             self._start(op_id, self.hier.latency(level))
             return "ok"
-        if not safe and self.spec.miss_policy is MissPolicy.DELAY:
+        if not safe and self.spec.miss_policy is _DELAY:
             r.owed = PARKED
             self._event("delayed", op_id, {"line": line})
             return "delayed"
@@ -826,7 +845,7 @@ class _Engine:
         if mshr is None:
             self._event("mshr_stall", op_id, {"line": line})
             return "stall"
-        if not safe and self.spec.miss_policy is MissPolicy.INVISIBLE:
+        if not safe and self.spec.miss_policy is _INVISIBLE:
             # Serviced invisibly: the MSHR and the latency are all it costs
             # now. The hierarchy sees the access only when the safe
             # transition replays it.
@@ -840,7 +859,7 @@ class _Engine:
         """Perform the persistent (visible) side of a D-access now: on an
         L1 miss, the LLC replacement update, the L1 fill and the l2access
         record; or the L1 promotion when the line already sits in the L1."""
-        if self.hier.service_level(line) is Level.L1HIT:
+        if self.hier.service_level(line) is _L1HIT:
             self.hier.l1_hit_update(line)
             return
         res = self.hier.llc_access(line)
@@ -850,7 +869,7 @@ class _Engine:
     def _ifetch_access(self, op_id: int) -> None:
         line = self.recs[op_id].op.iline
         assert line is not None
-        if self.hier.service_level(line, icache=True) is Level.L1HIT:
+        if self.hier.service_level(line, icache=True) is _L1HIT:
             self.hier.l1_hit_update(line, icache=True)
             self._event("ifetch", op_id, {"line": line, "level": "l1i"})
             return
@@ -877,7 +896,7 @@ class _Engine:
         if not self.unsafe:
             self.shadow_moved = True  # a new head, which may be safe already
         self.unsafe.append(i)
-        if op.kind is OpKind.NOP:
+        if op.kind is _NOP:
             r.complete = cycle  # markers complete at dispatch
         else:
             self.rs_count += 1
@@ -928,7 +947,7 @@ class _Engine:
                     self.ifetch_waiting.append(op.id)
                 else:
                     self._ifetch_access(op.id)
-            if op.kind is OpKind.BRANCH:
+            if op.kind is _BRANCH:
                 taken = op.branch.actual_taken if self.force_correct else op.branch.predicted_taken
                 self.fetch_pos = op.id + 1 if taken else op.branch.join
                 if taken and op.branch.taken_stream_ends:
@@ -944,7 +963,7 @@ class _Engine:
         while rob and retired < self.cfg.retire_width:
             i = rob[0]
             r = recs[i]
-            if r.complete == NEVER or (r.op.kind is OpKind.BRANCH and r.resolved == NEVER):
+            if r.complete == NEVER or (r.op.kind is _BRANCH and r.resolved == NEVER):
                 break
             rob.popleft()
             if unsafe and unsafe[0] == i:

@@ -137,6 +137,14 @@ def serves(behaviour: SchemeSpec, other: SchemeSpec, fetch_shadowed: frozenset[S
     )
 
 
+# ShadowState's per-event reads, bound once: on CPython 3.11 naming an enum
+# member through its class, or hashing one, costs about 200 ns ("Enum
+# costs" in the pipeline module docstring).
+_BRANCH_OP, _LOAD_OP, _STORE_OP = OpKind.BRANCH, OpKind.LOAD, OpKind.STORE_ADDR
+_ALWAYS_SAFE, _BRANCH, _NONTSO = ShadowRule.ALWAYS_SAFE, ShadowRule.BRANCH, ShadowRule.NONTSO
+_OLDEST_LOAD, _FUTURISTIC = ShadowRule.OLDEST_LOAD, ShadowRule.FUTURISTIC
+
+
 class ShadowState:
     """O(1)-per-query shadow predicates over the speculation frontiers.
 
@@ -154,15 +162,13 @@ class ShadowState:
     ``tables.fence_points`` for the scheme's fence model).
     """
 
-    __slots__ = ("_branches", "_loads", "_stores", "_fences", "_by_kind", "fence_points")
+    __slots__ = ("_branches", "_loads", "_stores", "_fences", "fence_points")
 
     def __init__(self, fence_points: tuple[bool, ...]):
         self._branches: list[int] = []
         self._loads: list[int] = []
         self._stores: list[int] = []
         self._fences: list[int] = []
-        # The open-id list of each kind of op that casts a shadow.
-        self._by_kind = {OpKind.BRANCH: self._branches, OpKind.LOAD: self._loads, OpKind.STORE_ADDR: self._stores}
         self.fence_points = fence_points
 
     @property
@@ -171,7 +177,14 @@ class ShadowState:
 
     def open(self, op: MicroOp) -> None:
         """A non-marker op entered the ROB (ids enter in increasing order)."""
-        ids = self._by_kind.get(op.kind)
+        kind = op.kind
+        # The open-id list of the kind, if it casts a shadow.
+        ids = (
+            self._branches if kind is _BRANCH_OP
+            else self._loads if kind is _LOAD_OP
+            else self._stores if kind is _STORE_OP
+            else None
+        )
         if ids is not None:
             ids.append(op.id)
         if self.fence_points[op.id]:
@@ -181,7 +194,13 @@ class ShadowState:
         """The op no longer casts its shadow: a branch resolved, or another
         op completed. Returns whether a frontier that ``safe`` reads moved,
         which is the only way an op in the ROB can turn safe."""
-        ids = self._by_kind.get(op.kind)
+        kind = op.kind
+        ids = (
+            self._branches if kind is _BRANCH_OP
+            else self._loads if kind is _LOAD_OP
+            else self._stores if kind is _STORE_OP
+            else None
+        )
         moved = False
         if ids is not None:
             moved = ids[0] == op.id
@@ -195,24 +214,23 @@ class ShadowState:
         for ids in (self._branches, self._loads, self._stores, self._fences):
             del ids[bisect_right(ids, op_id) :]
 
-    @staticmethod
-    def _older(ids: list[int], op_id: int) -> bool:
-        """Some op in the age-ordered list is older than op_id."""
-        return ids[0] < op_id if ids else False
-
     def safe(self, rule: ShadowRule, op_id: int) -> bool:
-        if rule is ShadowRule.ALWAYS_SAFE:
+        """No frontier the rule reads holds an op older than op_id. Each
+        list is age-ordered, so its head is its oldest op."""
+        if rule is _ALWAYS_SAFE:
             return True
-        if self._older(self._branches, op_id):
+        branches = self._branches
+        if branches and branches[0] < op_id:
             return False
-        if rule is ShadowRule.BRANCH:
+        if rule is _BRANCH:
             return True
-        if rule is ShadowRule.NONTSO:
-            return not self._older(self._stores, op_id)
-        if rule is ShadowRule.OLDEST_LOAD:
-            return not self._older(self._loads, op_id)
-        if rule is ShadowRule.FUTURISTIC:
-            return not self._older(self._loads, op_id) and not self._older(self._stores, op_id)
+        loads, stores = self._loads, self._stores
+        if rule is _NONTSO:
+            return not (stores and stores[0] < op_id)
+        if rule is _OLDEST_LOAD:
+            return not (loads and loads[0] < op_id)
+        if rule is _FUTURISTIC:
+            return not (loads and loads[0] < op_id) and not (stores and stores[0] < op_id)
         raise AssertionError(rule)
 
 

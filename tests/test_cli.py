@@ -369,6 +369,14 @@ class TestAttackParams:
         # A row of its own: neither the calibrated nor the default one.
         assert out.splitlines()[1] == self.row(AttackParams(z_len=16, reference_offset=120))
 
+    def test_negative_reference_offset_is_a_usage_error(self, tmp_path):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text("[attack]\nreference_offset = -5\n")
+        argv = ["attack", "--gadget", "npeu", "--ordering", "vdad", "--scheme", "unsafe", "--seed", "1"]
+        code, out, err = call([*argv, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: reference_offset must be >= 0, got -5\n"
+
     def test_sweep_trials_one_row_per_count(self, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, out, _ = call([*self.ARGV, "--sweep-trials", "1,3", "--out", str(out_file)])

@@ -269,6 +269,14 @@ class TestAttackPrograms:
                 build_attack_program(o, Gadget.NPEU, CFG, AttackParams(g_len=-1))
         build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG, AttackParams(g_len=-1))  # no load B
 
+    def test_rejects_negative_reference_offset(self):
+        for g, o in ((Gadget.NPEU, Ordering.VDAD), (Gadget.MSHR, Ordering.VIAD), (Gadget.RS, Ordering.VIAD)):
+            with pytest.raises(ValueError, match="reference_offset must be >= 0, got -5"):
+                build_attack_program(o, g, CFG, AttackParams(reference_offset=-5))
+        build_attack_program(Ordering.VDVD, Gadget.NPEU, CFG, AttackParams(reference_offset=-5))  # no attacker
+        _, script = build_attack_program(Ordering.VDAD, Gadget.NPEU, CFG, AttackParams(reference_offset=0))
+        assert script.offset_cycle == 0
+
     def test_ad_orderings_emit_attacker_script(self):
         for g, o in ((Gadget.NPEU, Ordering.VDAD), (Gadget.MSHR, Ordering.VIAD), (Gadget.RS, Ordering.VIAD)):
             _, script = build_attack_program(o, g, CFG, AttackParams(reference_offset=77))

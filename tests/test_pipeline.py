@@ -1,9 +1,13 @@
 """Cycle engine tests: single-op timing, ordering, squash, frontend
 backpressure, determinism, and the interference mechanisms themselves."""
 
+import enum
+import random
+import sys
 import time
 from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, replace
+from functools import partial
 from math import inf
 
 import pytest
@@ -18,6 +22,7 @@ from specsim.microprog import (
     BranchInfo,
     ConstructionError,
     EngineTables,
+    FenceModel,
     Gadget,
     Literal,
     MicroOp,
@@ -678,6 +683,61 @@ class TestProgramTables:
             t.consumers = ()
 
 
+# The tables' kind-dependent rows by set membership and a kind-keyed
+# lookup: a reference for the identity tests that EngineTables.derive
+# makes instead.
+REF_FENCED_KINDS = {
+    None: frozenset(),
+    FenceModel.SPECTRE: frozenset({OpKind.BRANCH}),
+    FenceModel.FUTURISTIC: frozenset({OpKind.BRANCH, OpKind.LOAD}),
+}
+REF_KIND_CLASS = {OpKind.LOAD: "lsu", OpKind.STORE_ADDR: "lsu", OpKind.ALU: "alu", OpKind.NPEU: "npeu", OpKind.BRANCH: "alu"}
+
+
+def reference_rows(program: MicroProgram) -> tuple[tuple, dict]:
+    """(eu_classes, fence_points) of the program by the reference rules."""
+    ops = program.ops
+    eu = tuple(None if op.kind is OpKind.NOP else op.lat_class or REF_KIND_CLASS[op.kind] for op in ops)
+    fences = {model: tuple(op.fence_after or op.kind in kinds for op in ops) for model, kinds in REF_FENCED_KINDS.items()}
+    return eu, fences
+
+
+def with_classes_and_fences(program: MicroProgram, seed: int) -> MicroProgram:
+    """The program with some ops naming an EU class, some carrying their
+    own fence (some both) and some ALU ops turned into markers."""
+    rng = random.Random(f"tables:{seed}")
+    ops = []
+    for op in program.ops:
+        if rng.random() < 0.3:
+            op = replace(op, lat_class=rng.choice(("alu", "lsu", "npeu")))
+        if rng.random() < 0.3:
+            op = replace(op, fence_after=True)
+        if op.kind is OpKind.ALU and rng.random() < 0.2:
+            op = replace(op, kind=OpKind.NOP)
+        ops.append(op)
+    return replace(program, ops=ops)
+
+
+def enum_hashes(call) -> int:
+    """How many times call() runs Enum.__hash__, a Python function, which a
+    profile hook sees called."""
+    code = enum.Enum.__hash__.__code__
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 def constructible_senders():
     """(gadget, ordering, program, script) for every sender that can be
     built on the default machine with default parameters; blocked cells
@@ -700,6 +760,51 @@ PREFIX_CONFIGS = [
     replace(CFG, writeback_delay=120, branch_resolve_extra=90),
     replace(CFG, rs_size=3, cdb_width=1, branch_resolve_extra=300),
 ]
+
+
+class TestDerivedRows:
+    """EngineTables.derive tests op kinds by identity; it derives the rows
+    that set membership and a kind-keyed lookup give."""
+
+    def test_eu_classes_and_fence_points_match_the_reference(self):
+        programs = [program for _, _, program, _ in constructible_senders()]
+        for seed in range(150):
+            program, _ = gen_random_program(seed)
+            programs += [program, with_classes_and_fences(program, seed)]
+        ops = [op for program in programs for op in program.ops]
+        assert {op.kind for op in ops} == set(OpKind)
+        assert any(op.lat_class and op.fence_after for op in ops)
+        assert any(op.lat_class and op.kind is OpKind.NOP for op in ops)
+        for program in programs:
+            eu, fences = reference_rows(program)
+            assert program.tables.eu_classes == eu
+            assert dict(program.tables.fence_points) == fences
+
+
+class TestEnumCosts:
+    """On CPython 3.11 Enum.__hash__ is a Python function of about 210 ns,
+    so the engine keys no dict or set by an enum per op: a run hashes a
+    few members in all (its scheme, its fence model, the fetch shadows
+    that held a marked fetch), however many ops it has."""
+
+    def test_a_sender_run_hashes_at_most_eight_enum_members(self):
+        for gadget, ordering in SENDERS:
+            for scheme in SchemeId:
+                plan = plan_attack(gadget, ordering, scheme, CFG)  # a new program: its first run derives the tables
+                for bit in (0, 1):
+                    assert enum_hashes(partial(plan.trace, bit)) <= 8, (gadget, ordering, scheme, bit)
+
+    def test_a_hundred_more_ops_hash_no_more_members(self):
+        for gadget, ordering in SENDERS:
+            plan = plan_attack(gadget, ordering, SchemeId.UNSAFE, CFG)
+            n = len(plan.program.ops)
+            padded = replace(plan.program, ops=(*plan.program.ops, *(MicroOp(n + k, OpKind.ALU) for k in range(100))))
+            for scheme in SchemeId:
+                counts = [
+                    enum_hashes(partial(run, p, CFG, scheme, secrets={"s0": 1}, image=plan.image, attacker=plan.script))
+                    for p in (plan.program, padded)
+                ]
+                assert counts[0] == counts[1], (gadget, ordering, scheme, counts)
 
 
 class TestSecretFreePrefix:
