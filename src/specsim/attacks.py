@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from operator import lt
 import random
@@ -241,19 +241,9 @@ class AttackPlan:
     # run is shared across trials, and across the plans of one sender
     # (RunMemo.plan). Every other plan, a replace() copy included, gets a
     # memo of its own on its first read, so it never reads what another
-    # plan ran.
+    # plan ran. It is the plan's only state: what lives for one transmit
+    # (the interloper pool, the trial readings) is kept by the transmit.
     memo: RunMemo | None = field(default=None, init=False, repr=False, compare=False)
-    # With the run fixed, the noiseless reading of a trial is a pure
-    # function of the bit and the interloper lines drawn: (bit, draws) ->
-    # (probe outcome, victim run length). A copy starts with it empty.
-    outcome_cache: dict[tuple[int, tuple[int, ...]], tuple[tuple[bool, ...], int]] = field(
-        default_factory=dict, init=False
-    )
-
-    @cached_property
-    def interloper_pool(self) -> tuple[int, ...]:
-        """The same-set lines a noisy trial draws from; built on first read."""
-        return self.layout.interlopers(INTERLOPER_POOL)
 
     def trace(self, bit: int) -> ExecutionTrace:
         """A fresh run of the bit's victim, kept by no one: the one place
@@ -265,25 +255,6 @@ class AttackPlan:
         if self.memo is None:
             self.memo = RunMemo(self.gadget, self.ordering, self.cfg)
         return self.memo.summary(self, bit)
-
-    def probe_outcome(self, bit: int, draws: tuple[int, ...]) -> tuple[tuple[bool, ...], int]:
-        """The noiseless reading of one trial and its victim run's length:
-        copy the victim's target set, touch the drawn interlopers, then
-        read (anchor present,) for the RS sender or probe for (a_hit,
-        b_hit)."""
-        key = (bit, draws)
-        got = self.outcome_cache.get(key)
-        if got is None:
-            victim = self.summary(bit)
-            cset = CacheSet(self.cfg.geometry.llc_ways, victim.ways)
-            for line in draws:
-                qlru_touch(cset, line)
-            if self.gadget is Gadget.RS:
-                outcome = (cset.resident(self.anchor),)
-            else:
-                outcome = probe(cset, self.layout.evs2, self.anchor, self.layout.reference_line)
-            got = self.outcome_cache[key] = (outcome, victim.total_cycles)
-        return got
 
 
 def plan_attack(
@@ -310,16 +281,16 @@ def _prime_probe_cost(plan: AttackPlan) -> int:
     return n * lat
 
 
-def observe_trial(
-    plan: AttackPlan, bit: int, draws: tuple[int, ...] = (), flips: Sequence[bool] = ()
-) -> tuple[int, int]:
-    """One prime+run+probe trial; returns (decoded bit or DISCARD, cycles).
-    draws are the interloper lines touched before the probe; observed line
-    i flips when flips[i] is true."""
-    outcome, cycles = plan.probe_outcome(bit, draws)
-    if flips:
-        outcome = tuple([hit != flip for hit, flip in zip(outcome, flips)])
-    return plan.decode.get(outcome, DISCARD), cycles
+def observe_trial(plan: AttackPlan, bit: int, draws: tuple[int, ...] = ()) -> tuple[bool, ...]:
+    """The noiseless reading of one prime+run+probe trial: copy the target
+    set the bit's victim run left, touch the drawn interloper lines, then
+    read (anchor present,) for the RS sender or probe for (a_hit, b_hit)."""
+    cset = CacheSet(plan.cfg.geometry.llc_ways, plan.summary(bit).ways)
+    for line in draws:
+        qlru_touch(cset, line)
+    if plan.gadget is Gadget.RS:
+        return (cset.resident(plan.anchor),)
+    return probe(cset, plan.layout.evs2, plan.anchor, plan.layout.reference_line)
 
 
 _POOL_POSITIONS = range(INTERLOPER_POOL)
@@ -407,12 +378,13 @@ def transmit(
     A trial's decode is a pure function of its key: the bit, its
     interloper pool positions and, with noise above 0, whether each of its
     two flip uniforms falls below the noise. The trials go one trial number
-    at a time, as a column of every bit index's key; each distinct key is
-    decoded once (observe_trial) and each distinct tuple of a bit's votes
-    is voted once. A noiseless transmit with no interlopers thus decodes
-    once per bit value and draws no random value. Within one transmit a
-    victim run's length depends only on the bit, so the cycle total is a
-    sum over bit values."""
+    at a time, as a column of every bit index's key. Each distinct (bit,
+    pool positions) is read once (observe_trial), each distinct key is
+    decoded once from its reading, and each distinct tuple of a bit's
+    votes is voted once; the pool and these memos live for this call only.
+    A noiseless transmit with no interlopers thus reads once per bit value
+    and draws no random value. A victim run's length depends only on the
+    bit, so the cycle total is a sum over the bit values read."""
     if trials_per_bit < 0 or interlopers < 0:
         raise ValueError(f"trials and interlopers must be >= 0, got {trials_per_bit} and {interlopers}")
     n, k = len(secret_bits), interlopers
@@ -428,20 +400,21 @@ def transmit(
             parts += [map(lt, uniforms[j : 2 * n : 2], repeat(noise)) for j in (0, 1)]
         columns.append(zip(*parts))
 
-    victim_cycles: dict[int, int] = {}  # bit -> its victim run's length
+    pool = plan.layout.interlopers(INTERLOPER_POOL) if k else ()
+    readings = _Memo(lambda key: observe_trial(plan, key[0], tuple([pool[p] for p in key[1:]])))
 
     def decode_trial(key: tuple) -> int:
-        bit = key[0]
-        draws = tuple([plan.interloper_pool[p] for p in key[1 : 1 + k]])
-        decoded, victim_cycles[bit] = observe_trial(plan, bit, draws, key[1 + k :])
-        return decoded
+        reading, flips = readings[key[: 1 + k]], key[1 + k :]
+        if flips:
+            reading = tuple([hit != flip for hit, flip in zip(reading, flips)])
+        return plan.decode.get(reading, DISCARD)
 
     # Column 0 is decoded first, so the victim runs are read in the order
     # the bits first appear.
     decode = _Memo(decode_trial).__getitem__
     votes = [list(map(decode, keys)) for keys in columns]
     decoded_bits = list(map(_Memo(_decode_bit).__getitem__, zip(*votes))) if votes else [DISCARD] * n
-    victim = sum(cycles * secret_bits.count(bit) for bit, cycles in victim_cycles.items())
+    victim = sum(plan.summary(bit).total_cycles * secret_bits.count(bit) for bit in {key[0] for key in readings})
     total_cycles = trials_per_bit * (victim + n * _prime_probe_cost(plan))
     counted = [(d, t) for d, t in zip(decoded_bits, secret_bits) if d != DISCARD]
     errors = sum(1 for d, t in counted if d != t)

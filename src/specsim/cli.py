@@ -15,6 +15,7 @@ import argparse
 import configparser
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -71,7 +72,8 @@ _ATTACK_KEYS = {"z_len", "f_len", "fp_len", "g_len", "m", "reference_offset"}
 
 
 def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, AttackParams | None]:
-    """Flat sectioned key=value file with strict unknown-key rejection."""
+    """Flat sectioned key=value file with strict unknown-key rejection. An
+    error in a section or a value names its line in the file."""
     cfg = MachineConfig()
     scheme: SchemeId | None = None
     params: AttackParams | None = None
@@ -80,52 +82,80 @@ def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, Attac
     # Values are plain integers and names, so no interpolation.
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        text = Path(path).read_text()
+        parser.read_string(text, source=path)
+    except OSError:
+        raise ConfigError(f"cannot read config file {path!r}") from None
     except configparser.Error as e:
         # configparser's message names the file and the line; fold it onto one line.
         raise ConfigError(" ".join(str(e).split())) from e
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    where = _config_lines(text, parser)
     for section in parser.sections():
         if section not in ("machine", "scheme", "attack"):
-            raise ConfigError(f"unknown config section [{section}]")
+            raise ConfigError(f"unknown config section [{section}]{where(section)}")
     if parser.has_section("machine"):
-        items = _int_items(parser, "machine", _MACHINE_KEYS)
-        geom_kw = {key: items.pop(key) for key in _GEOMETRY_KEYS & set(items)}
-        eu = dict(cfg.eu)
-        for key in _EU_KEYS & set(items):
+        # One key at a time: the config checks itself, so a bad value raises at its key.
+        for key, value in _int_items(parser, "machine", _MACHINE_KEYS, where).items():
             klass, _, attr = key.partition("_")  # npeu_latency -> eu["npeu"].latency
-            eu[klass] = replace(eu[klass], **{attr: items.pop(key)})
-        cfg = replace(cfg, eu=eu, geometry=replace(CacheGeometry(), **geom_kw), **items)
+            try:
+                if key in _GEOMETRY_KEYS:
+                    cfg = replace(cfg, geometry=replace(cfg.geometry, **{key: value}))
+                elif key in _EU_KEYS:
+                    cfg = replace(cfg, eu={**cfg.eu, klass: replace(cfg.eu[klass], **{attr: value})})
+                else:
+                    cfg = replace(cfg, **{key: value})
+            except ValueError as e:
+                raise ConfigError(f"{e}{where('machine', key)}") from None
     if parser.has_section("scheme"):
         items = dict(parser.items("scheme"))
-        unknown = set(items) - _SCHEME_KEYS
+        unknown = [key for key in items if key not in _SCHEME_KEYS]
         if unknown:
-            raise ConfigError(f"unknown [scheme] keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown [scheme] keys: {sorted(unknown)}{where('scheme', unknown[0])}")
         if "id" in items:
             try:
                 scheme = SchemeId(items["id"])
             except ValueError:
                 known = ", ".join(s.value for s in SchemeId)
-                raise ConfigError(f"[scheme] id: unknown scheme {items['id']!r} (known: {known})") from None
+                raise ConfigError(
+                    f"[scheme] id: unknown scheme {items['id']!r} (known: {known}){where('scheme', 'id')}"
+                ) from None
     if parser.has_section("attack"):
-        params = AttackParams(**_int_items(parser, "attack", _ATTACK_KEYS))
+        params = AttackParams(**_int_items(parser, "attack", _ATTACK_KEYS, where))
     return cfg, scheme, params
 
 
-def _int_items(parser: configparser.ConfigParser, section: str, keys: set[str]) -> dict[str, int]:
+def _config_lines(text: str, parser: configparser.ConfigParser) -> Callable[..., str]:
+    """The suffix " (config line N)" for a section header, or for a key as
+    the parser names it (lowercased) under its section or [DEFAULT].
+    configparser keeps no line numbers: the text is scanned with its patterns."""
+    found: dict[tuple[str | None, str | None], int] = {}
+    section = None
+    for n, line in enumerate(text.split("\n"), 1):  # as configparser counts lines
+        if header := parser.SECTCRE.match(line.strip()):
+            section = header.group("header")
+            found.setdefault((section, None), n)
+        elif option := parser.OPTCRE.match(line.strip()):
+            found.setdefault((section, parser.optionxform(option.group("option").rstrip())), n)
+
+    def where(section: str, key: str | None = None) -> str:
+        return f" (config line {found.get((section, key)) or found[parser.default_section, key]})"
+
+    return where
+
+
+def _int_items(parser: configparser.ConfigParser, section: str, keys: set[str], where: Callable) -> dict[str, int]:
     """A section's integer values, keyed by name; an unknown key or a value
-    that is not an integer names the section and the key."""
+    that is not an integer names the section, the key and its line."""
     items = dict(parser.items(section))
-    unknown = set(items) - keys
+    unknown = [key for key in items if key not in keys]
     if unknown:
-        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown [{section}] keys: {sorted(unknown)}{where(section, unknown[0])}")
     out = {}
     for key, value in items.items():
         try:
             out[key] = int(value)
         except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {value!r}") from None
+            raise ConfigError(f"[{section}] {key}: expected an integer, got {value!r}{where(section, key)}") from None
     return out
 
 
@@ -287,8 +317,6 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg, _, _ = load_config(args.config)
-    if args.suite != "synth":
-        raise ConfigError(f"unknown suite {args.suite!r}")
     report = bench_overhead(synth_suite(args.seed), cfg, list(args.schemes))
     text = "\n".join(report.csv_lines()) + "\n"
     if args.out:
@@ -403,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="defense overhead on the synthetic suite")
     common(p)
-    p.add_argument("--suite", default="synth")
     p.add_argument("--schemes", type=scheme_list, default="fence-spectre,fence-futuristic")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")

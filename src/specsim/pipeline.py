@@ -855,27 +855,20 @@ class _Engine:
         self._start(op_id, lat)
         return "ok"
 
-    def _visible_access(self, line: int, op_id: int) -> None:
-        """Perform the persistent (visible) side of a D-access now: on an
-        L1 miss, the LLC replacement update, the L1 fill and the l2access
-        record; or the L1 promotion when the line already sits in the L1."""
-        if self.hier.service_level(line) is _L1HIT:
-            self.hier.l1_hit_update(line)
+    def _visible_access(self, line: int, op_id: int, icache: bool = False) -> None:
+        """Perform the persistent (visible) side of a D-access, or of an
+        I-fetch with icache, now: on an L1 miss, the LLC replacement update,
+        the L1 fill and the l2access record (fetch=1 for an I-fetch); or the
+        L1 promotion when the line sits in the L1 (an l1i ifetch record)."""
+        if self.hier.service_level(line, icache) is _L1HIT:
+            self.hier.l1_hit_update(line, icache)
+            if icache:
+                self._event("ifetch", op_id, {"line": line, "level": "l1i"})
             return
         res = self.hier.llc_access(line)
-        self.hier.l1_fill(line)
-        self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res})
-
-    def _ifetch_access(self, op_id: int) -> None:
-        line = self.recs[op_id].op.iline
-        assert line is not None
-        if self.hier.service_level(line, icache=True) is _L1HIT:
-            self.hier.l1_hit_update(line, icache=True)
-            self._event("ifetch", op_id, {"line": line, "level": "l1i"})
-            return
-        res = self.hier.llc_access(line)
-        self.hier.l1_fill(line, icache=True)
-        self._event("l2access", op_id, {"line": line, "requester": "victim", "result": res, "fetch": 1})
+        self.hier.l1_fill(line, icache)
+        extra = {"line": line, "requester": "victim", "result": res}
+        self._event("l2access", op_id, extra | {"fetch": 1} if icache else extra)
 
     # -- frontend ----------------------------------------------------------
 
@@ -913,7 +906,7 @@ class _Engine:
             due = sorted([e for e in self.ifetch_replays if e[0] <= self.cycle], key=lambda e: e[1])
             self.ifetch_replays = [e for e in self.ifetch_replays if e[0] > self.cycle]
             for _, op_id in due:
-                self._ifetch_access(op_id)
+                self._visible_access(self.recs[op_id].op.iline, op_id, icache=True)
         if self.cycle < self.redirect_at:
             return
         ops, recs, rob = self.program.ops, self.recs, self.rob
@@ -946,7 +939,7 @@ class _Engine:
                 if fetch_shadow in shadowed:
                     self.ifetch_waiting.append(op.id)
                 else:
-                    self._ifetch_access(op.id)
+                    self._visible_access(op.iline, op.id, icache=True)
             if op.kind is _BRANCH:
                 taken = op.branch.actual_taken if self.force_correct else op.branch.predicted_taken
                 self.fetch_pos = op.id + 1 if taken else op.branch.join

@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 from .microprog import FenceModel, MicroOp, MicroProgram, OpKind
 
@@ -116,7 +115,6 @@ def scheme_spec(scheme: SchemeId) -> SchemeSpec:
     return _SPECS[scheme]
 
 
-@lru_cache(maxsize=None)  # pure over a few values; the run memo asks it on every miss
 def serves(behaviour: SchemeSpec, other: SchemeSpec, fetch_shadowed: frozenset[ShadowRule]) -> bool:
     """Whether a run under ``behaviour`` whose trace reports
     ``fetch_shadowed`` is byte for byte the run of the same inputs under
@@ -131,7 +129,11 @@ def serves(behaviour: SchemeSpec, other: SchemeSpec, fetch_shadowed: frozenset[S
     if behaviour == other:
         return True
     return (
-        replace(behaviour, fetch_shadow=None) == replace(other, fetch_shadow=None)
+        behaviour.shadow is other.shadow
+        and behaviour.miss_policy is other.miss_policy
+        and behaviour.fence_model is other.fence_model
+        and behaviour.rs_hold == other.rs_hold
+        and behaviour.npeu_lookahead == other.npeu_lookahead
         and behaviour.fetch_shadow not in fetch_shadowed
         and other.fetch_shadow not in fetch_shadowed
     )

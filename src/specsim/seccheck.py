@@ -382,10 +382,11 @@ def _bench_image(lines: list[int], hot_ratio: float, rng: random.Random) -> Cach
     return CacheImage(scripts=scripts)
 
 
-def gen_branch_dense(seed: int, n_ops: int = 90) -> Benchmark:
+def gen_branch_dense(seed: int) -> Benchmark:
     """Every few ops a correctly-predicted branch resolved by recent work,
     with a sprinkling of loads; fences after branches hurt here."""
     rng = random.Random(f"branch-dense:{seed}")
+    n_ops = 90
     lines = [BENCH_LINE_BASE + i for i in range(8)]
     scope = _DepScope()
     ops: list[MicroOp] = [MicroOp(0, OpKind.ALU)]
@@ -410,32 +411,33 @@ def gen_branch_dense(seed: int, n_ops: int = 90) -> Benchmark:
     return Benchmark("branch_dense", MicroProgram(ops=ops), _bench_image(lines, 0.8, rng))
 
 
-def gen_load_chain(seed: int, n_loads: int = 30) -> Benchmark:
+def gen_load_chain(seed: int) -> Benchmark:
     """Bursts of independent loads (memory-level parallelism) with short
     address chains between bursts; per-load fences serialize the bursts."""
     rng = random.Random(f"load-chain:{seed}")
-    lines = [BENCH_LINE_BASE + 100 + i for i in range(n_loads)]
+    lines = [BENCH_LINE_BASE + 100 + i for i in range(30)]  # 30 loads
     ops: list[MicroOp] = []
-    for i in range(n_loads):
+    for i, line in enumerate(lines):
         if i and i % 8 == 0:
             ops.append(MicroOp(len(ops), OpKind.ALU, src_deps=(len(ops) - 1,)))
-        ops.append(MicroOp(len(ops), OpKind.LOAD, addr=Literal(lines[i])))
+        ops.append(MicroOp(len(ops), OpKind.LOAD, addr=Literal(line)))
     return Benchmark("load_chain", MicroProgram(ops=ops), _bench_image(lines, 0.9, rng))
 
 
-def gen_alu_dense(seed: int, n_ops: int = 80) -> Benchmark:
+def gen_alu_dense(seed: int) -> Benchmark:
     """Straight-line arithmetic, a few short chains; no branches or loads."""
     rng = random.Random(f"alu-dense:{seed}")
     ops: list[MicroOp] = [MicroOp(0, OpKind.ALU)]
-    for i in range(1, n_ops):
+    for i in range(1, 80):  # 80 ops
         deps = (rng.randrange(max(0, i - 6), i),) if rng.random() < 0.5 else ()
         kind = OpKind.NPEU if rng.random() < 0.05 else OpKind.ALU
         ops.append(MicroOp(i, kind, src_deps=deps))
     return Benchmark("alu_dense", MicroProgram(ops=ops), CacheImage())
 
 
-def gen_mixed(seed: int, n_ops: int = 100) -> Benchmark:
+def gen_mixed(seed: int) -> Benchmark:
     rng = random.Random(f"mixed:{seed}")
+    n_ops = 100
     lines = [BENCH_LINE_BASE + 300 + i for i in range(12)]
     scope = _DepScope()
     ops: list[MicroOp] = [MicroOp(0, OpKind.ALU)]

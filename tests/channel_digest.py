@@ -6,10 +6,10 @@ Each of the three senders of the benchmark's channel workload
 parameters on the default machine) is planned once. Its plan then
 transmits every combination of 0, 1, 7 and 300 seed-derived bits, 0 to 5
 trials per bit, flip noise 0, 0.02 and 0.3, 0 to 3 interlopers and two
-seeds, so that later transmits read the victim runs and outcome cache that
-earlier ones filled. Each case adds the repr of its AttackResult (decoded
-and true bits, error and discard rates, cycles per bit, trials) to one
-SHA-256. The script prints
+seeds, so that later transmits read the victim runs that earlier ones
+filled (a transmit keeps its trial readings for itself). Each case adds
+the repr of its AttackResult (decoded and true bits, error and discard
+rates, cycles per bit, trials) to one SHA-256. The script prints
 
     cases=N digest=SHA256
 

@@ -324,7 +324,7 @@ class TestReceiverReference:
         with pytest.raises(ValueError, match="trials and interlopers must be >= 0"):
             transmit(plan, [0, 1], trials, 0.1, 20, interlopers)
 
-    def test_outcome_cache_is_keyed_by_the_draws(self):
+    def test_a_reading_is_keyed_by_the_draws(self):
         # One free way and the anchor as the leftmost age-3 line: a repeated
         # interloper hits and the anchor stays, a second distinct one evicts it.
         # The victim run is a summary with that set, read through a stub memo.
@@ -332,21 +332,30 @@ class TestReceiverReference:
         state = ((plan.anchor, 3),) + tuple((line, 0) for line in LAY.evs1[:14])
         victim = plan.summary(0)._replace(ways=state)
         plan.memo = SimpleNamespace(summary=lambda plan, bit: victim)
+        pool = LAY.interlopers(INTERLOPER_POOL)
         seen = set()
-        all_draws = list(itertools.product(plan.interloper_pool[:3], repeat=2))
-        for draws in all_draws:
-            outcome, cycles = plan.probe_outcome(0, draws)
+        for draws in itertools.product(pool[:3], repeat=2):
+            outcome = observe_trial(plan, 0, draws)
             assert outcome == reference_outcome(plan, state, draws)
-            assert cycles == victim.total_cycles
             seen.add(outcome)
         assert seen == {(True,), (False,)}
-        assert list(plan.outcome_cache) == [(0, draws) for draws in all_draws]
+        # A transmit reads each trial under its own draws: trial by trial,
+        # on the same planted set, the decodes vary within each bit value.
+        bits, seed = bits_for(64, 21), 22
+        res = transmit(plan, bits, 1, 0.0, seed, interlopers=2)
+        expected = []
+        for idx in range(len(bits)):
+            rng = random.Random(f"{seed}:{idx}:0")
+            expected.append(0 if reference_outcome(plan, state, [rng.choice(pool) for _ in range(2)])[0] else 1)
+        assert res.decoded_bits == expected
+        assert all(len({d for d, b in zip(expected, bits) if b == bit}) == 2 for bit in (0, 1))
+        assert res.cycles_per_bit == victim.total_cycles + 2 * GEOM.lat_llc
 
     def test_a_plan_copy_runs_under_its_own_scheme(self):
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG)
         unsafe = plan.summary(1)
         copy = replace(plan, scheme=SchemeId.FENCE_FUTURISTIC)
-        assert copy.memo is None and copy.outcome_cache == {}
+        assert copy.memo is None
         kw = dict(secrets={"s0": 1}, image=plan.image, attacker=plan.script)
         fresh = run(plan.program, CFG, SchemeId.FENCE_FUTURISTIC, **kw)
         assert RunSummary.of(fresh, plan) != unsafe
@@ -368,17 +377,23 @@ class TestReceiverReference:
         plan = plan_attack(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG)
         assert plan.program.role_ops("victim_a") == () and plan.summary(0).victim is None
 
-    def test_interloper_pool_is_built_only_when_a_trial_reads_it(self):
-        # Only trials with interlopers draw from the pool, so neither a plan
-        # nor its copy builds it until one runs; flip noise alone does not.
+    def test_a_transmit_leaves_its_plan_as_it_was(self, monkeypatch):
+        # A plan's only state is its run memo: the interloper pool and the
+        # trial readings live for one transmit, and only a transmit with
+        # interlopers builds the pool.
+        pools = []
+        interlopers = AttackLayout.interlopers
+        monkeypatch.setattr(AttackLayout, "interlopers", lambda lay, n: pools.append(n) or interlopers(lay, n))
         plan = plan_attack(Gadget.NPEU, Ordering.VDVD, SchemeId.UNSAFE, CFG)
-        copy = replace(plan, scheme=SchemeId.DOM_NONTSO)
-        assert "interloper_pool" not in vars(plan) and "interloper_pool" not in vars(copy)
-        transmit(copy, [1], 1, 0.1, 5)
-        assert "interloper_pool" not in vars(copy)
-        transmit(copy, [1], 1, 0.0, 5, interlopers=1)
-        assert vars(copy)["interloper_pool"] == LAY.interlopers(INTERLOPER_POOL)
-        assert "interloper_pool" not in vars(plan)
+        transmit(plan, [0, 1], 1, 0.0, 5)
+        before = dict(vars(plan))
+        transmit(plan, [1, 0, 1], 3, 0.1, 5)
+        assert pools == []
+        for noise in (0.0, 0.1):
+            transmit(plan, [1, 0, 1], 3, noise, 5, interlopers=2)
+        assert pools == [INTERLOPER_POOL] * 2
+        assert vars(plan).keys() == before.keys()
+        assert all(vars(plan)[name] is value for name, value in before.items())
 
 
 class CountingRandom(random.Random):

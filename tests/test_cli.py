@@ -512,7 +512,7 @@ class TestBenchAndCalibrate:
     def test_bench_csv(self, tmp_path):
         out_file = tmp_path / "overhead.csv"
         code, out, _ = call(
-            ["bench", "--suite", "synth", "--schemes", "fence-spectre,fence-futuristic",
+            ["bench", "--schemes", "fence-spectre,fence-futuristic",
              "--seed", "3", "--out", str(out_file)]
         )
         assert code == EXIT_OK
@@ -773,6 +773,27 @@ class TestConfig:
         code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
         assert code == EXIT_USAGE and out == ""
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[machine]\nlat_mem = 0\n", "lat_mem must be >= 1 (config line 2)"),
+            ("[machine]\nrob_size = 100\n\n# the LLC\nLLC_Ways = 0\n", "llc_ways must be >= 1 (config line 5)"),
+            ("[machine]\nrs_size = 12\nalu_count = 0\n", "eu class alu has invalid latency/count (config line 3)"),
+            ("[scheme]\nid = unsafe\n\n[attack]\nz_len = 9\ng_len = many\n",
+             "[attack] g_len: expected an integer, got 'many' (config line 6)"),
+            ("[DEFAULT]\nrs_size = x\n[machine]\nrob_size = 100\n",
+             "[machine] rs_size: expected an integer, got 'x' (config line 2)"),
+            ("[machine]\nrs_size = 12\nBogus = 1\n", "unknown [machine] keys: ['bogus'] (config line 3)"),
+            ("[machine]\nrs_size = 12\n\n[mystery]\n", "unknown config section [mystery] (config line 4)"),
+        ],
+    )
+    def test_bad_section_key_or_value_names_its_line(self, tmp_path, program_file, text, message):
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(text)
+        code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
 
     def test_usage_error_exit_two(self):
         code, _, _ = call(["attack", "--gadget", "npeu"])  # missing required args

@@ -387,6 +387,34 @@ class TestEngineBehaviour:
             "npeu_lookahead",
         ]
 
+    def test_serves_is_the_rule_over_the_specs_less_their_fetch_shadows(self):
+        # The rule as stated over copies of the two specs with the fetch
+        # shadow dropped, against the direct field comparison, for the ten
+        # specs, an equal copy that is another object, and copies that
+        # change one field of a spec to each value the ten specs use.
+        def rule(behaviour, other, shadowed):
+            if behaviour == other:
+                return True
+            return (
+                replace(behaviour, fetch_shadow=None) == replace(other, fetch_shadow=None)
+                and behaviour.fetch_shadow not in shadowed
+                and other.fetch_shadow not in shadowed
+            )
+
+        specs = [scheme_spec(s) for s in SchemeId]
+        base = scheme_spec(SchemeId.MUONTRAP)
+        copy = replace(base)
+        assert copy == base and copy is not base
+        specs.append(copy)
+        for f in fields(SchemeSpec):
+            for value in dict.fromkeys(getattr(spec, f.name) for spec in specs):
+                specs.append(replace(base, **{f.name: value}))
+        subsets = [frozenset(c) for n in range(len(FETCH_SHADOWS) + 1)
+                   for c in itertools.combinations(FETCH_SHADOWS, n)]
+        for a, b in itertools.product(specs, repeat=2):
+            for shadowed in subsets:
+                assert serves(a, b, shadowed) == rule(a, b, shadowed), (a, b, shadowed)
+
     def test_marks_fetch_matches_the_built_sender(self):
         for gadget, ordering in itertools.product(Gadget, Ordering):
             if not constructible(gadget, ordering):
