@@ -333,7 +333,7 @@ def cmd_calibrate(args) -> int:
     if args.timing_csv and gadget is Gadget.RS:
         raise ConfigError("--timing-csv needs a victim op to time: the rs sender has none")
     memo = RunMemo(gadget, ordering, cfg)
-    cal = calibrate(gadget, ordering, scheme, cfg, base=base, memo=memo)
+    cal = calibrate(memo, scheme, base)
     for line in cal.trace:
         print(f"# {line}")
     if args.timing_csv:

@@ -36,7 +36,7 @@ The occupancy snapshot and its two bounds checks run every stepped cycle.
 Why each trigger is exact. Phases 1 and 3 compare the clock with the
 thresholds _next_event lists; resolve_at falls when a branch completes or
 the resolver of a completed, unresolved branch does, and is recomputed
-from unresolved_done whenever phase 3 runs. Phase 4 asks, for the head of
+from shadow.branches whenever phase 3 runs. Phase 4 asks, for the head of
 unsafe and of ifetch_waiting, whether the oldest unresolved branch,
 incomplete load or incomplete store is older; after it runs, both heads
 are unsafe. Neither turns safe until such a frontier head settles: opening
@@ -137,10 +137,10 @@ resolve, safe transition, retire, squash):
   - finishing / cdb_queue: issued ops by finish cycle, then the finished
     ones awaiting the bus by id; together they are the issued, incomplete
     ops, so their lengths sum to the occupancy rows' eu_busy column;
-  - unresolved_done: completed branches not yet resolved;
   - shadow: one ShadowState whose frontiers (oldest unresolved branch,
     oldest incomplete load and store, oldest open fence) serve both the
-    load shadow rule and the fetch shadow rule;
+    load shadow rule and the fetch shadow rule; the completed members of
+    its branch list are the branches phase 3 may resolve;
   - unsafe / ifetch_waiting: ROB ops still awaiting their safe transition
     or their deferred I-access. Under every shadow rule an op is safe only
     if every older op is, so each cycle's transitions pop a prefix. The
@@ -157,7 +157,8 @@ keeps its owed value, but it has left ready and unsafe, so nothing reads
 it again. Both fetch shadows hold a fetch behind an older unresolved
 branch, so no killed op has left ifetch_waiting for ifetch_replays. Each
 killed op that is fetched again gets a fresh OpRec. The OpRecs hold the
-per-op stamps; the trace keeps the final one of each op as `ops`.
+per-op stamps, not the op (program.ops[i]); the trace keeps the final one
+of each op as `ops`.
 
 Per-program tables. What the engine reads of a program under any scheme is
 derived once per program and kept on it (MicroProgram.tables): each op's
@@ -236,14 +237,14 @@ L1_UPDATE = "l1_update"  # an L1 hit: its replacement update is applied
 
 
 class OpRec:
-    """Runtime record of one op: lifecycle timestamps plus load state. The
-    engine updates it in place; a squash followed by a refetch replaces it.
+    """Runtime record of one op: lifecycle timestamps plus load state, not
+    the op. The engine updates it in place; a squash followed by a refetch
+    replaces it.
     Each run's trace keeps the final record of every op as ``ops``, so its
     stamps (dispatch, issue, complete, retire, squash, safe, resolved; NEVER
     if the op never reached that point) are the trace's per-op timing."""
 
     __slots__ = (
-        "op",
         "dispatch",
         "issue",
         "complete",
@@ -256,8 +257,7 @@ class OpRec:
         "npeu_unit",
     )
 
-    def __init__(self, op: MicroOp):
-        self.op = op
+    def __init__(self):
         self.dispatch = NEVER  # fetched and dispatched in the same cycle
         self.issue = NEVER
         self.complete = NEVER
@@ -391,13 +391,13 @@ class _Engine:
         attacker: AttackScript | list[tuple[int, int]] | None,
         force_correct: bool,
     ):
-        self.program = program
+        self.ops = program.ops
         self.cfg = cfg
         self.spec = spec
         self.secrets = program.secrets_with(secrets)
         self.hier = MemHier(cfg.geometry, cfg.l1d_mshrs, image)
         self.force_correct = force_correct
-        self.recs = [OpRec(op) for op in program.ops]
+        self.recs = [OpRec() for _ in program.ops]
         tables = program.tables
         # Per op: its EU class name and entry, None for a marker.
         self.lat_classes = tables.eu_classes
@@ -436,11 +436,10 @@ class _Engine:
         self.ready: list[int] = []  # ascending: un-issued ops whose inputs are ready
         self.finishing: list[tuple[int, int]] = []  # heap of (finish, op), result not yet due
         self.cdb_queue: list[int] = []  # heap of ops whose result is due, awaiting the bus
-        self.unresolved_done: list[int] = []  # ascending: completed, unresolved branches
         self.unsafe: deque[int] = deque()  # ROB ops without a safe transition yet
         self.ifetch_waiting: deque[int] = deque()  # ROB ops owing a deferred I-access
         # Phase triggers (see the module docstring).
-        self.resolve_at: int | float = inf  # earliest due of an unresolved_done branch
+        self.resolve_at: int | float = inf  # earliest due of a completed, unresolved branch
         self.shadow_moved = False  # a frontier or a waiting-list head moved
         self.secret_read_cycle: int | None = None
         self.fetch_shadowed: set[ShadowRule] = set()
@@ -454,7 +453,7 @@ class _Engine:
         """Every producer of op_id has completed: it may issue once the
         last result has been written back."""
         recs = self.recs
-        deps = recs[op_id].op.src_deps
+        deps = self.ops[op_id].src_deps
         at = max([recs[d].complete for d in deps]) + self.cfg.writeback_delay if deps else 0
         if at <= self.cycle:
             insort(self.ready, op_id)
@@ -464,7 +463,7 @@ class _Engine:
     def _resolve_due(self, branch_id: int) -> int | float:
         """First cycle at which a completed branch may resolve: at once
         without a resolver, inf while its resolver is incomplete."""
-        resolver = self.recs[branch_id].op.branch.resolver
+        resolver = self.ops[branch_id].branch.resolver
         if resolver is None:
             return 0
         done = self.recs[resolver].complete
@@ -472,9 +471,8 @@ class _Engine:
 
     def _completed(self, op_id: int) -> None:
         recs = self.recs
-        op = recs[op_id].op
+        op = self.ops[op_id]
         if op.kind is _BRANCH:
-            insort(self.unresolved_done, op_id)
             self.resolve_at = min(self.resolve_at, self._resolve_due(op_id))
         elif self.shadow.settle(op):
             self.shadow_moved = True
@@ -499,7 +497,7 @@ class _Engine:
     # -- clock -----------------------------------------------------------
 
     def run(self, max_cycles: int | None) -> ExecutionTrace:
-        n = len(self.program.ops)
+        n = len(self.ops)
         mshrs = self.hier.mshrs
         recs = self.recs
         rob = self.rob
@@ -598,7 +596,7 @@ class _Engine:
 
     def _deadlock_diagnostic(self) -> str:
         stuck = [
-            f"op{i}:{self.recs[i].op.kind.value}"
+            f"op{i}:{self.ops[i].kind.value}"
             f"(issue={self.recs[i].issue},complete={self.recs[i].complete})"
             for i in islice(self.rob, 8)
         ]
@@ -624,26 +622,26 @@ class _Engine:
 
     def _phase_resolve_and_squash(self) -> None:
         cycle = self.cycle
+        recs, ops = self.recs, self.ops
         squash_branch: int | None = None
-        for i in list(self.unresolved_done):
+        for i in [j for j in self.shadow.branches if recs[j].complete != NEVER]:
             if cycle < self._resolve_due(i):
                 continue
-            r = self.recs[i]
-            b = r.op.branch
-            r.resolved = cycle
-            self.unresolved_done.remove(i)
-            if self.shadow.settle(r.op):
+            b = ops[i].branch
+            recs[i].resolved = cycle
+            if self.shadow.settle(ops[i]):
                 self.shadow_moved = True
             self._event("resolve", i, {"mispredicted": int(b.mispredicted() and not self.force_correct)})
             if b.mispredicted() and not self.force_correct and squash_branch is None:
                 squash_branch = i
         if squash_branch is not None:
             self.squash(squash_branch)
-        self.resolve_at = min(map(self._resolve_due, self.unresolved_done), default=inf)
+        done = [j for j in self.shadow.branches if recs[j].complete != NEVER]
+        self.resolve_at = min(map(self._resolve_due, done), default=inf)
 
     def squash(self, branch_id: int) -> None:
         """Kill everything younger than the branch and redirect fetch."""
-        b = self.recs[branch_id].op.branch
+        b = self.ops[branch_id].branch
         killed: list[int] = []
         while self.rob and self.rob[-1] > branch_id:
             killed.append(self.rob.pop())
@@ -651,7 +649,7 @@ class _Engine:
         for i in reversed(killed):
             r = self.recs[i]
             # Its RS entry, if it holds one (see rs_count in the module docstring).
-            if r.op.kind is not _NOP and (r.issue == NEVER or (rs_hold and r.safe == NEVER)):
+            if self.ops[i].kind is not _NOP and (r.issue == NEVER or (rs_hold and r.safe == NEVER)):
                 self.rs_count -= 1
             if r.npeu_unit is not None and r.finish > self.cycle:
                 self.npeu_busy_until[r.npeu_unit] = self.cycle
@@ -667,8 +665,7 @@ class _Engine:
         heapify(self.finishing)
         self.cdb_queue = [i for i in self.cdb_queue if i <= branch_id]
         heapify(self.cdb_queue)
-        for ids in (self.ready, self.unresolved_done):
-            del ids[bisect_right(ids, branch_id) :]
+        del self.ready[bisect_right(self.ready, branch_id) :]
         for ids in (self.unsafe, self.ifetch_waiting):
             while ids and ids[-1] > branch_id:
                 ids.pop()
@@ -676,7 +673,7 @@ class _Engine:
         resume = branch_id + 1 if b.actual_taken else b.join
         for i in range(resume, len(self.recs)):
             if self.recs[i].squash != NEVER:
-                self.recs[i] = OpRec(self.recs[i].op)
+                self.recs[i] = OpRec()
         self.fetch_pos = resume
         self.redirect_at = self.cycle + 1
 
@@ -698,9 +695,9 @@ class _Engine:
                 if owed is PARKED:
                     self._event("reissue", i)  # re-executes this cycle
                 elif owed is REPLAY:
-                    self._visible_access(r.op.resolve_line(self.secrets), i)
+                    self._visible_access(self.ops[i].resolve_line(self.secrets), i)
                 else:
-                    self.hier.l1_hit_update(r.op.resolve_line(self.secrets))
+                    self.hier.l1_hit_update(self.ops[i].resolve_line(self.secrets))
             if rs_hold and r.issue != NEVER:
                 self.rs_count -= 1  # it issued before this, so while unsafe
         # Deferred I-accesses replay on a refetch-shaped schedule: starting
@@ -729,15 +726,14 @@ class _Engine:
         derived in this look-ahead, which keeps a dependence DAG linear."""
         if op_id in memo:
             return memo[op_id]
-        r = self.recs[op_id]
         worst = self.cycle
-        for d in r.op.src_deps:
+        for d in self.ops[op_id].src_deps:
             dep = self.recs[d]
             if dep.complete != NEVER:
                 t = dep.complete + self.cfg.writeback_delay
             elif dep.finish != NEVER:
                 t = dep.finish + self.cfg.writeback_delay
-            elif dep.op.kind is _LOAD:
+            elif self.ops[d].kind is _LOAD:
                 t = self.cycle + 1
             else:
                 # A marker in a body that a not-taken prediction skipped was
@@ -768,7 +764,7 @@ class _Engine:
         while wakeups and wakeups[0][0] <= cycle:
             insort(ready, heappop(wakeups)[1])
         fence_frontier = self.shadow.oldest_open_fence
-        recs, eus, records = self.recs, self.eus, self.records
+        recs, ops, eus, records = self.recs, self.ops, self.eus, self.records
         issue_width = self.cfg.issue_width
         rs_hold = self.spec.rs_hold
         busy_until = self.npeu_busy_until
@@ -798,7 +794,7 @@ class _Engine:
                 if unit is None:
                     continue
             issued += 1  # load attempts consume the slot whether or not they land
-            if r.op.kind is _LOAD:
+            if ops[i].kind is _LOAD:
                 if self._issue_load(i) != "ok":
                     continue
             else:
@@ -824,8 +820,9 @@ class _Engine:
         "stall" (no MSHR, retry next cycle) or "delayed" (protected miss
         parked until safe)."""
         r = self.recs[op_id]
-        line = r.op.resolve_line(self.secrets)
-        if self.secret_read_cycle is None and isinstance(r.op.addr, SecretDep):
+        op = self.ops[op_id]
+        line = op.resolve_line(self.secrets)
+        if self.secret_read_cycle is None and isinstance(op.addr, SecretDep):
             self.secret_read_cycle = self.cycle
         safe = r.safe != NEVER
         level = self.hier.service_level(line)
@@ -906,10 +903,10 @@ class _Engine:
             due = sorted([e for e in self.ifetch_replays if e[0] <= self.cycle], key=lambda e: e[1])
             self.ifetch_replays = [e for e in self.ifetch_replays if e[0] > self.cycle]
             for _, op_id in due:
-                self._visible_access(self.recs[op_id].op.iline, op_id, icache=True)
+                self._visible_access(self.ops[op_id].iline, op_id, icache=True)
         if self.cycle < self.redirect_at:
             return
-        ops, recs, rob = self.program.ops, self.recs, self.rob
+        ops, recs, rob = self.ops, self.recs, self.rob
         n = len(ops)
         cfg = self.cfg
         width = min(cfg.fetch_width, cfg.dispatch_width)
@@ -951,12 +948,12 @@ class _Engine:
 
     def _phase_retire(self) -> None:
         cycle = self.cycle
-        rob, recs, unsafe = self.rob, self.recs, self.unsafe
+        rob, recs, ops, unsafe = self.rob, self.recs, self.ops, self.unsafe
         retired = 0
         while rob and retired < self.cfg.retire_width:
             i = rob[0]
             r = recs[i]
-            if r.complete == NEVER or (r.op.kind is _BRANCH and r.resolved == NEVER):
+            if r.complete == NEVER or (ops[i].kind is _BRANCH and r.resolved == NEVER):
                 break
             rob.popleft()
             if unsafe and unsafe[0] == i:

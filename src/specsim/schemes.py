@@ -160,14 +160,16 @@ class ShadowState:
     ``open`` when an op enters the ROB, ``settle`` when a branch resolves
     or another op completes, ``squash_after`` when younger ops are killed.
     Each frontier is the head of an age-ordered list of the open op ids.
+    The branch list, ``branches``, is public: its completed members are the
+    branches the engine's resolution phase may resolve.
     ``fence_points[i]`` says whether a fence follows op i (the program's
     ``tables.fence_points`` for the scheme's fence model).
     """
 
-    __slots__ = ("_branches", "_loads", "_stores", "_fences", "fence_points")
+    __slots__ = ("branches", "_loads", "_stores", "_fences", "fence_points")
 
     def __init__(self, fence_points: tuple[bool, ...]):
-        self._branches: list[int] = []
+        self.branches: list[int] = []
         self._loads: list[int] = []
         self._stores: list[int] = []
         self._fences: list[int] = []
@@ -182,7 +184,7 @@ class ShadowState:
         kind = op.kind
         # The open-id list of the kind, if it casts a shadow.
         ids = (
-            self._branches if kind is _BRANCH_OP
+            self.branches if kind is _BRANCH_OP
             else self._loads if kind is _LOAD_OP
             else self._stores if kind is _STORE_OP
             else None
@@ -198,7 +200,7 @@ class ShadowState:
         which is the only way an op in the ROB can turn safe."""
         kind = op.kind
         ids = (
-            self._branches if kind is _BRANCH_OP
+            self.branches if kind is _BRANCH_OP
             else self._loads if kind is _LOAD_OP
             else self._stores if kind is _STORE_OP
             else None
@@ -213,7 +215,7 @@ class ShadowState:
 
     def squash_after(self, op_id: int) -> None:
         """Everything younger than op_id left the ROB."""
-        for ids in (self._branches, self._loads, self._stores, self._fences):
+        for ids in (self.branches, self._loads, self._stores, self._fences):
             del ids[bisect_right(ids, op_id) :]
 
     def safe(self, rule: ShadowRule, op_id: int) -> bool:
@@ -221,7 +223,7 @@ class ShadowState:
         list is age-ordered, so its head is its oldest op."""
         if rule is _ALWAYS_SAFE:
             return True
-        branches = self._branches
+        branches = self.branches
         if branches and branches[0] < op_id:
             return False
         if rule is _BRANCH:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 import statistics
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 from .machine import MachineConfig
 from .memhier import CacheImage, Level
@@ -106,12 +107,15 @@ def check_ideal(
     return _compare(e, nospec(program, cfg, scheme, secrets, image, attacker), "run", "nospec")
 
 
-def _secret_assignments(program: MicroProgram) -> list[dict[str, int]]:
-    names = sorted(program.secret_slots)
-    combos: list[dict[str, int]] = [{}]
-    for name in names:
-        combos = [dict(c, **{name: bit}) for c in combos for bit in (0, 1)]
-    return combos
+def _secret_assignments(program: MicroProgram) -> Iterator[dict[str, int]]:
+    """Lazily, the assignments a differential check runs, each over every
+    declared name in sorted order: the secrets some load reads vary in
+    binary order (first sorted name most significant); the rest, which no
+    run reads, stay 0. So no violation is found later than by varying all."""
+    zero = dict.fromkeys(sorted(program.secret_slots), 0)
+    read = sorted({op.addr.secret for op in program.ops if isinstance(op.addr, SecretDep)})
+    for bits in product((0, 1), repeat=len(read)):
+        yield zero | dict(zip(read, bits))
 
 
 def check_ideal_differential(
@@ -129,12 +133,13 @@ def check_ideal_differential(
         if isinstance(program.ops[i].addr, SecretDep):
             raise ValueError(f"op {i} reads a secret on the bound-to-retire path; the property does not apply")
     combos = _secret_assignments(program)
-    first = run(program, cfg, scheme, combos[0], image, attacker)
+    zero = next(combos)
+    first = run(program, cfg, scheme, zero, image, attacker)
     if first.secret_read_cycle is None:
         return CheckResult(holds=True)
-    for assignment in combos[1:]:
+    for assignment in combos:
         other = run(program, cfg, scheme, assignment, image, attacker)
-        result = _compare(first, other, str(combos[0]), str(assignment))
+        result = _compare(first, other, str(zero), str(assignment))
         if not result.holds:
             return result
     return CheckResult(holds=True)
@@ -147,9 +152,12 @@ FAR_OFFSET = 1_000_000  # parks the scripted attacker access out of the run
 
 @dataclass
 class Calibration:
-    feasible: bool
     params: AttackParams | None
     trace: list[str] = field(default_factory=list)
+
+    @property
+    def feasible(self) -> bool:
+        return self.params is not None
 
 
 def _bit1_agrees(plan, cycle: int | None) -> bool:
@@ -184,31 +192,20 @@ def _order_flip(plan) -> bool:
     return [r.line for r in order(1)] == list(reversed(pair))
 
 
-def calibrate(
-    gadget: Gadget,
-    ordering: Ordering,
-    scheme: SchemeId,
-    cfg: MachineConfig | None = None,
-    base: AttackParams | None = None,
-    memo: RunMemo | None = None,
-) -> Calibration:
+def calibrate(memo: RunMemo, scheme: SchemeId, base: AttackParams | None = None) -> Calibration:
     """Search sender parameters until the designated observable shows a
     stable secret differential: the reference-access offset for the
     attacker-clock orderings, the reference chain length for the
     victim-pair orderings, the fetch outcome for the RS sender. Bounded;
     reports the sweep on failure.
 
-    The search reads only run summaries, and takes its candidates and their
-    runs from ``memo``, which must be this sender's (a memo of its own
-    without one). A search under a scheme whose every run the memo already
-    holds, or serves from another scheme's run (schemes.serves), makes no
-    run at all and comes out the same as a fresh one."""
-    cfg = cfg or MachineConfig()
+    The sender is the memo's (gadget, ordering) on the memo's config. The
+    search reads only run summaries, and takes its candidates and their
+    runs from ``memo``. A search under a scheme whose every run the memo
+    already holds, or serves from another scheme's run (schemes.serves),
+    makes no run at all and comes out the same as a fresh one."""
+    gadget, ordering = memo.gadget, memo.ordering
     base = base or AttackParams()
-    if memo is None:
-        memo = RunMemo(gadget, ordering, cfg)
-    elif (memo.gadget, memo.ordering, memo.cfg) != (gadget, ordering, cfg):
-        raise ValueError(f"the run memo is of another sender or config than {gadget.value}/{ordering.value}")
     trace: list[str] = []
 
     def search() -> AttackParams | None:
@@ -252,7 +249,7 @@ def calibrate(
     except ConstructionError as e:
         trace.append(f"construction rejected: {e}")
         found = None
-    return Calibration(found is not None, found, trace)
+    return Calibration(found, trace)
 
 
 def calibrate_for_matrix(
@@ -271,10 +268,10 @@ def calibrate_for_matrix(
     none of its calibration's runs again. The senders are copies, so the
     memo drops its builds once they are made."""
     memo = RunMemo(gadget, ordering, cfg)
-    cals = {scheme: calibrate(gadget, ordering, scheme, cfg, memo=memo) for scheme in schemes}
+    cals = {scheme: calibrate(memo, scheme) for scheme in schemes}
     fallback = None
     if not all(cal.feasible for cal in cals.values()):
-        unsafe = cals.get(SchemeId.UNSAFE) or calibrate(gadget, ordering, SchemeId.UNSAFE, cfg, memo=memo)
+        unsafe = cals.get(SchemeId.UNSAFE) or calibrate(memo, SchemeId.UNSAFE)
         # No differential even unprotected (the MSHR wait queue serializes
         # the victim-pair ordering): run the well-formed sender with
         # defaults; it decodes at chance, which is the honest verdict.
@@ -330,7 +327,7 @@ def interference_gap(
     Both are strictly positive when the interference exists."""
     cfg = cfg or MachineConfig()
     memo = RunMemo(Gadget.NPEU, Ordering.VDAD, cfg)
-    cal = calibrate(Gadget.NPEU, Ordering.VDAD, scheme, cfg, memo=memo)
+    cal = calibrate(memo, scheme)
     timing = victim_timing(memo.plan(scheme, cal.params if cal.feasible else AttackParams()))
     present = timing["gadget_present"][1]
     return present - timing["gadget_inert"][1], present - timing["gadget_removed"][1]

@@ -20,6 +20,10 @@ keep every run the same when they print the same line. pytest does not
 collect this file; run it from the repository root:
 
     PYTHONPATH=src python3 tests/run_digest.py [--seeds 600]
+
+The tier-1 suite checks the line of the first 20 seeds against
+tests/golden/run_digest_seeds20.txt, which make_golden.py regenerates and
+checks with the other golden files; the full run stays a script.
 """
 
 from __future__ import annotations
@@ -67,13 +71,11 @@ def run_kwargs(seed: int, image) -> dict:
     return kw
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", type=int, default=600, help="programs to draw (180 runs each)")
-    args = ap.parse_args()
+def digest_line(seeds: int) -> str:
+    """The line this script prints for the first ``seeds`` programs."""
     total = hashlib.sha256()
     runs = after_drain = cut = 0
-    for seed in range(args.seeds):
+    for seed in range(seeds):
         program, image = program_of(seed)
         kw = run_kwargs(seed, image)
         for cfg in CONFIGS:
@@ -90,7 +92,14 @@ def main() -> None:
                     total.update(f"{trace_digest(t)} {t.secret_read_cycle} {shadowed}\n".encode())
                     if any(name == "l2access" and op is None and c > t.total_cycles for c, name, op, _ in t.records):
                         after_drain += 1
-    print(f"runs={runs} after_drain={after_drain} cut={cut} digest={total.hexdigest()}")
+    return f"runs={runs} after_drain={after_drain} cut={cut} digest={total.hexdigest()}"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, default=600, help="programs to draw (180 runs each)")
+    args = ap.parse_args()
+    print(digest_line(args.seeds))
 
 
 if __name__ == "__main__":

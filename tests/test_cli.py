@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from specsim import attacks, seccheck
-from specsim.attacks import plan_attack, run_attack
+from specsim.attacks import RunMemo, plan_attack, run_attack
 from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheGeometry
@@ -353,7 +353,7 @@ class TestAttackParams:
     def test_calibrated_by_default(self):
         code, out, _ = call(self.ARGV)
         assert code == EXIT_OK
-        params = calibrate(Gadget.NPEU, Ordering.VIAD, SchemeId.MUONTRAP, MachineConfig()).params
+        params = calibrate(RunMemo(Gadget.NPEU, Ordering.VIAD, MachineConfig()), SchemeId.MUONTRAP).params
         assert out.splitlines()[1] == self.row(params) != self.row(AttackParams())
 
     def test_no_calibrate_runs_builder_defaults(self):
@@ -537,7 +537,7 @@ class TestBenchAndCalibrate:
         text = out_file.read_text()
         assert out.endswith(text) and text.startswith("[attack]\n")
         _, _, params = load_config(str(out_file))
-        assert params == calibrate(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO).params
+        assert params == calibrate(RunMemo(Gadget.NPEU, Ordering.VDAD, MachineConfig()), SchemeId.DOM_NONTSO).params
 
     @pytest.mark.parametrize("sender", [["npeu", "vdad", "dom-nontso"], ["mshr", "vdad", "invisispec-spectre"]])
     def test_calibrate_timing_csv_runs_each_distinct_input_once(self, run_inputs, sender, tmp_path):

@@ -48,7 +48,7 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
-from specsim.attacks import attack_image
+from specsim.attacks import RunMemo, attack_image
 from specsim.machine import EuClass, MachineConfig
 from specsim.memhier import CacheImage, Level
 from specsim.microprog import (
@@ -75,6 +75,7 @@ CORPUS_DIGESTS = Path(__file__).parent / "golden" / "corpus.sha256"
 CONFIG_CORPUS_DIGESTS = Path(__file__).parent / "golden" / "config_corpus.sha256"
 SENDER_DIGESTS = Path(__file__).parent / "golden" / "sender_programs.sha256"
 CALIBRATION_DIGESTS = Path(__file__).parent / "golden" / "calibrations.sha256"
+RUN_DIGEST_SEEDS_20 = Path(__file__).parent / "golden" / "run_digest_seeds20.txt"
 RANDOM_SEEDS = 60
 CONFIG_SEEDS = 64
 TRIGGER_SEEDS = 30
@@ -87,7 +88,7 @@ def op_stamps(trace: ExecutionTrace) -> dict[int, dict[str, int]]:
     """Every op's stamps by op id, as the trace once kept them: a "fetch"
     key (always the dispatch cycle) first, then STAMPS in order. Its repr
     is the text the digests were recorded with."""
-    return {r.op.id: {"fetch": r.dispatch, **{k: getattr(r, k) for k in STAMPS}} for r in trace.ops}
+    return {i: {"fetch": r.dispatch, **{k: getattr(r, k) for k in STAMPS}} for i, r in enumerate(trace.ops)}
 
 
 def trace_digest(trace: ExecutionTrace) -> str:
@@ -460,7 +461,7 @@ def calibration_digests() -> dict[str, str]:
     out = {}
     for gadget, ordering, _, _ in constructible_senders():
         for scheme in SchemeId:
-            cal = calibrate(gadget, ordering, scheme, CFG)
+            cal = calibrate(RunMemo(gadget, ordering, CFG), scheme)
             text = repr((cal.feasible, cal.params, cal.trace))
             out[f"{gadget.value}-{ordering.value}/{scheme.value}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
@@ -472,6 +473,15 @@ def test_calibrations_match_pinned_digests():
     assert actual.keys() == pinned.keys()
     moved = [label for label in actual if actual[label] != pinned[label]]
     assert not moved, f"{len(moved)} calibrations changed, first: {moved[:5]}"
+
+
+def test_run_digest_slice_matches_pinned_line():
+    # The first 20 seeds of tests/run_digest.py: generated programs on the
+    # default machine and the corner configs, attacker accesses after the
+    # drain and max_cycles cuts, 3,600 runs. The full run stays a script.
+    from run_digest import digest_line
+
+    assert digest_line(20) + "\n" == RUN_DIGEST_SEEDS_20.read_text()
 
 
 def test_make_golden_check_writes_nothing_and_exits_1_on_a_change(tmp_path, monkeypatch, capsys):

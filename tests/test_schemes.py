@@ -548,9 +548,9 @@ class TestRetirement:
             program = with_markers(program, seed)
         for scheme in SchemeId:
             t = run(program, cfg, scheme, image=image)
-            for r in t.ops:
-                if r.retire != NEVER and r.op.kind is not OpKind.NOP:
-                    assert r.safe != NEVER and r.safe <= r.retire, (scheme, r.op.id)
+            for op, r in zip(program.ops, t.ops):
+                if r.retire != NEVER and op.kind is not OpKind.NOP:
+                    assert r.safe != NEVER and r.safe <= r.retire, (scheme, op.id)
             assert t.occupancy[-1][1] == 0, scheme  # no RS entry is left held
             # Each I-access (an L1I hit, or an LLC access by a fetch) follows
             # a dispatch of its op with no squash in between, and each
@@ -640,7 +640,7 @@ PAST_A_SKIPPED_BODY = """\
 
 
 def retired(t) -> tuple[int, ...]:
-    return tuple(r.op.id for r in t.ops if r.retire != NEVER)
+    return tuple(i for i, r in enumerate(t.ops) if r.retire != NEVER)
 
 
 class TestActualPath:

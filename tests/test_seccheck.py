@@ -2,6 +2,7 @@
 randomized corpus."""
 
 import importlib
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -180,6 +181,80 @@ class TestCheckDifferential:
         assert check_ideal_differential(plan.program, CFG, scheme, plan.image, plan.script).holds
         assert len(calls) == runs
 
+    @staticmethod
+    def secret_program(read, unread):
+        """spectre_v1_program with one wrong-path load per name in
+        ``read``, each reading that secret, and ``unread`` declared too."""
+        ops = [
+            MicroOp(0, OpKind.LOAD, addr=Literal(LAY.resolver_line)),
+            MicroOp(1, OpKind.BRANCH, branch=BranchInfo(True, False, resolver=0, join=3 + len(read))),
+            MicroOp(2, OpKind.LOAD, addr=Literal(LAY.access_line)),
+            *(
+                MicroOp(3 + k, OpKind.LOAD, src_deps=(2,), addr=SecretDep(LAY.victim_line + k, name))
+                for k, name in enumerate(read)
+            ),
+        ]
+        prog = MicroProgram(ops=ops, secret_slots=dict.fromkeys([*read, *unread], 0))
+        return prog, CacheImage(scripts={LAY.resolver_line: Level.MEMMISS, LAY.access_line: Level.L1HIT})
+
+    @staticmethod
+    def eager_differential(program, cfg, scheme, image):
+        """The check as it was: every assignment of every declared secret,
+        built before the first run, in binary order (first sorted name most
+        significant), each compared with the first."""
+        combos = [{}]
+        for name in sorted(program.secret_slots):
+            combos = [dict(c, **{name: bit}) for c in combos for bit in (0, 1)]
+        first = run(program, cfg, scheme, combos[0], image)
+        if first.secret_read_cycle is None:
+            return CheckResult(holds=True)
+        for assignment in combos[1:]:
+            result = seccheck._compare(first, run(program, cfg, scheme, assignment, image), str(combos[0]), str(assignment))
+            if not result.holds:
+                return result
+        return CheckResult(holds=True)
+
+    def test_unread_secrets_add_no_runs(self, monkeypatch):
+        # One read secret, named to sort first, and ten no load reads:
+        # enumerating all eleven made 1,025 runs before the violation.
+        unread = [f"u{k:02}" for k in range(10)]
+        prog, image = self.secret_program(["a0"], unread)
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return run(*args, **kw)
+
+        monkeypatch.setattr(seccheck, "run", counting)
+        res = check_ideal_differential(prog, CFG, SchemeId.UNSAFE, image)
+        assert not res.holds
+        assert len(calls) == 2
+        zeros = dict.fromkeys(unread, 0)
+        assert (res.label_a, res.label_b) == (str({"a0": 0, **zeros}), str({"a0": 1, **zeros}))
+
+    def test_unread_secrets_take_no_memory(self):
+        # Sixteen declared secrets and no secret load: one run decides, so
+        # no assignment past the first is built.
+        prog = prog_of(MicroOp(0, OpKind.ALU), secrets={f"u{k:02}": 0 for k in range(16)})
+        tracemalloc.start()
+        try:
+            assert check_ideal_differential(prog, CFG, SchemeId.UNSAFE).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize(
+        "scheme", [SchemeId.UNSAFE, SchemeId.DOM_NONTSO, SchemeId.NOINTERFERENCE, SchemeId.FENCE_SPECTRE]
+    )
+    def test_the_result_of_enumerating_every_secret(self, scheme):
+        # Read and unread names interleave in sorted order; the schemes
+        # cover violating, holding after every run, and holding at once.
+        for read, unread in ((["b", "d"], ["a", "c"]), (["a", "c"], ["b", "d"]), (["b"], []), ([], ["a"])):
+            prog, image = self.secret_program(read, unread)
+            got = check_ideal_differential(prog, CFG, scheme, image)
+            assert got == self.eager_differential(prog, CFG, scheme, image), (scheme, read, unread)
+
     def test_no_secrets_holds_vacuously(self):
         p = prog_of(MicroOp(0, OpKind.ALU))
         assert check_ideal_differential(p, CFG, SchemeId.UNSAFE).holds
@@ -278,22 +353,22 @@ class TestBenchmarks:
 
 class TestCalibrate:
     def test_npeu_under_dom_finds_positive_gap(self):
-        cal = calibrate(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO, CFG)
+        cal = calibrate(RunMemo(Gadget.NPEU, Ordering.VDAD, CFG), SchemeId.DOM_NONTSO)
         assert cal.feasible
         assert cal.params.reference_offset > 0
 
     def test_single_mshr_is_infeasible(self):
-        cal = calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.INVISISPEC_SPECTRE, CFG, base=AttackParams(m=1))
+        cal = calibrate(RunMemo(Gadget.MSHR, Ordering.VDAD, CFG), SchemeId.INVISISPEC_SPECTRE, base=AttackParams(m=1))
         assert not cal.feasible
         assert any("rejected" in line for line in cal.trace)
 
     def test_blocked_scheme_reports_sweep_trace(self):
-        cal = calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.DOM_NONTSO, CFG)
+        cal = calibrate(RunMemo(Gadget.MSHR, Ordering.VDAD, CFG), SchemeId.DOM_NONTSO)
         assert not cal.feasible
         assert cal.trace  # the sweep is reported
 
     def test_rs_frontend_stall_differential(self):
-        cal = calibrate(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG)
+        cal = calibrate(RunMemo(Gadget.RS, Ordering.VIAD, CFG), SchemeId.DOM_NONTSO)
         assert cal.feasible
 
 
@@ -321,11 +396,12 @@ class ScriptedCalibrate:
         self.feasible = set(feasible)
         self.calls = []
 
-    def __call__(self, gadget, ordering, scheme, cfg=None, base=None, memo=None):
+    def __call__(self, memo, scheme, base=None):
+        gadget, ordering = memo.gadget, memo.ordering
         self.calls.append((gadget, ordering, scheme))
         if (gadget, ordering, scheme) in self.feasible:
-            return Calibration(True, own_params(gadget, ordering, scheme))
-        return Calibration(False, None)
+            return Calibration(own_params(gadget, ordering, scheme))
+        return Calibration(None)
 
     def count(self, gadget, ordering, scheme):
         return self.calls.count((gadget, ordering, scheme))
@@ -463,9 +539,9 @@ class RecordingCalibrate:
         self.calls = []
         self.runs: dict[SchemeId, int] = {}
 
-    def __call__(self, gadget, ordering, scheme, *args, **kw):
+    def __call__(self, memo, scheme, base=None):
         self.runs.setdefault(scheme, 0)
-        cal = self.real(gadget, ordering, scheme, *args, **kw)
+        cal = self.real(memo, scheme, base)
         self.calls.append((scheme, cal))
         return cal
 
@@ -495,7 +571,7 @@ class TestSearchSharing:
         monkeypatch.undo()
         for scheme, served_by in ((SchemeId.SAFESPEC_WFB, SchemeId.INVISISPEC_SPECTRE),
                                   (SchemeId.MUONTRAP, SchemeId.INVISISPEC_FUTURISTIC)):
-            fresh = calibrate(Gadget.NPEU, Ordering.VIVD, scheme, CFG)
+            fresh = calibrate(RunMemo(Gadget.NPEU, Ordering.VIVD, CFG), scheme)
             assert searched[scheme] == searched[served_by] == fresh
             assert got[scheme] == got[served_by]
 
@@ -518,8 +594,8 @@ class TestSharedBuilds:
         # memo's candidates are never run themselves.
         memo = RunMemo(Gadget.MSHR, Ordering.VDAD, CFG)
         for scheme, feasible in ((SchemeId.UNSAFE, True), (SchemeId.DOM_NONTSO, False)):
-            got = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG, memo=memo)
-            fresh = calibrate(Gadget.MSHR, Ordering.VDAD, scheme, CFG)
+            got = calibrate(memo, scheme)
+            fresh = calibrate(RunMemo(Gadget.MSHR, Ordering.VDAD, CFG), scheme)
             assert got.feasible is feasible
             assert got == fresh
         assert memo.plans and memo.summaries
@@ -528,29 +604,8 @@ class TestSharedBuilds:
         # A second search under a scheme reads all of its runs.
         runs = CountingRun()
         monkeypatch.setattr(attacks, "run", runs)
-        assert calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.DOM_NONTSO, CFG, memo=memo) == fresh
+        assert calibrate(memo, SchemeId.DOM_NONTSO) == fresh
         assert runs.bits == []
-
-    @pytest.mark.parametrize(
-        "gadget, ordering, cfg",
-        [
-            (Gadget.NPEU, Ordering.VDAD, CFG),
-            (Gadget.MSHR, Ordering.VIAD, CFG),
-            (Gadget.MSHR, Ordering.VDAD, MachineConfig(geometry=replace(LAY.geometry, lat_mem=300))),
-        ],
-    )
-    def test_a_memo_of_another_sender_or_config_is_refused(self, gadget, ordering, cfg, monkeypatch):
-        # A memo files its runs by parameters and bit alone, so a search of
-        # another sender would read runs of other inputs.
-        memo = RunMemo(gadget, ordering, cfg)
-        runs = CountingRun()
-        monkeypatch.setattr(attacks, "run", runs)
-        with pytest.raises(ValueError, match="run memo is of another sender or config than mshr/vdad"):
-            calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.UNSAFE, CFG, memo=memo)
-        assert memo.plans == memo.summaries == {} and runs.bits == []
-        # An equal config is the same sender.
-        own = RunMemo(Gadget.MSHR, Ordering.VDAD, MachineConfig())
-        assert calibrate(Gadget.MSHR, Ordering.VDAD, SchemeId.UNSAFE, CFG, memo=own).feasible
 
 
 class TestBenchmarkSeam:
@@ -624,7 +679,7 @@ class TestRsFetchOutcome:
         # runs as bit 0 does and fetches what bit 0 fetched.
         runs = CountingRun()
         monkeypatch.setattr(attacks, "run", runs)
-        cal = calibrate(Gadget.RS, Ordering.VIAD, scheme, CFG)
+        cal = calibrate(RunMemo(Gadget.RS, Ordering.VIAD, CFG), scheme)
         assert not cal.feasible
         assert cal.trace == ["rs fetch outcomes: bit0=False bit1=False"]
         assert runs.bits == [0]
@@ -632,7 +687,7 @@ class TestRsFetchOutcome:
     def test_read_secret_runs_bit1(self, monkeypatch):
         runs = CountingRun()
         monkeypatch.setattr(attacks, "run", runs)
-        assert calibrate(Gadget.RS, Ordering.VIAD, SchemeId.DOM_NONTSO, CFG).feasible
+        assert calibrate(RunMemo(Gadget.RS, Ordering.VIAD, CFG), SchemeId.DOM_NONTSO).feasible
         assert runs.bits == [0, 1]
 
 
@@ -648,7 +703,7 @@ class TestInterferenceGap:
         # run memo, so the only victim runs are the search's.
         runs = CountingRun()
         monkeypatch.setattr(attacks, "run", runs)
-        calibrate(Gadget.NPEU, Ordering.VDAD, SchemeId.DOM_NONTSO, CFG)
+        calibrate(RunMemo(Gadget.NPEU, Ordering.VDAD, CFG), SchemeId.DOM_NONTSO)
         searched, runs.bits = runs.bits, []
         interference_gap(CFG)
         assert runs.bits == searched
