@@ -68,7 +68,7 @@ _GEOMETRY_KEYS = {f.name for f in fields(CacheGeometry)}
 _EU_KEYS = {"npeu_latency", "npeu_count", "alu_count", "lsu_count"}
 _MACHINE_KEYS = {f.name for f in fields(MachineConfig)} - {"eu", "geometry"} | _GEOMETRY_KEYS | _EU_KEYS
 _SCHEME_KEYS = {"id"}
-_ATTACK_KEYS = {"z_len", "f_len", "fp_len", "g_len", "m", "reference_offset"}
+_ATTACK_KEYS = {f.name for f in fields(AttackParams)}
 
 
 def load_config(path: str | None) -> tuple[MachineConfig, SchemeId | None, AttackParams | None]:
@@ -218,7 +218,7 @@ def _program_inputs(args) -> tuple[MachineConfig, SchemeId, MicroProgram, CacheI
     cfg, scheme, _ = load_config(args.config)
     scheme = SchemeId(args.scheme) if args.scheme else (scheme or SchemeId.UNSAFE)
     program = parse_program(Path(args.program).read_text())
-    image = CacheImage.parse(Path(args.image).read_text()) if args.image else None
+    image = CacheImage.parse(Path(args.image).read_text(), cfg.geometry) if args.image else None
     return cfg, scheme, program, image
 
 
@@ -347,13 +347,9 @@ def cmd_calibrate(args) -> int:
     if not cal.feasible:
         print("infeasible: no stable secret differential in the searched range")
         return EXIT_INFEASIBLE
-    p = cal.params
-    text = (
-        f"[attack]\nz_len = {p.z_len}\nf_len = {p.f_len}\nfp_len = {p.fp_len}\n"
-        f"g_len = {p.g_len}\nreference_offset = {p.reference_offset}\n"
+    text = "[attack]\n" + "".join(
+        f"{f.name} = {v}\n" for f in fields(AttackParams) if (v := getattr(cal.params, f.name)) is not None
     )
-    if p.m is not None:
-        text += f"m = {p.m}\n"
     if args.out:
         _write(args.out, text)
     print(text, end="")

@@ -250,7 +250,8 @@ class CacheImage:
         return "\n".join(out) + ("\n" if out else "")
 
     @classmethod
-    def parse(cls, text: str) -> CacheImage:
+    def parse(cls, text: str, geom: CacheGeometry | None = None) -> CacheImage:
+        """With a geometry, each set record must fit it too (_check_fit)."""
         sets: dict[str, dict[int, Ways]] = {name: {} for name in _LEVELS}
         scripts: dict[int, Level] = {}
         placed: set[int] = set()
@@ -266,6 +267,8 @@ class CacheImage:
                     if set_idx in sets[kind]:
                         raise ValueError(f"second {kind} record for set {set_idx}")
                     ways = sets[kind][set_idx] = _parse_ways(kind, set_idx, kv["ways"])
+                    if geom is not None:
+                        _check_fit(geom, kind, set_idx, ways)
                     placed.update(tag for tag, _ in ways if tag is not None)
                     _check_overlap(placed, scripts)
                 elif kind == "script":
@@ -305,9 +308,23 @@ def _check_ways(kind: str, set_idx: int, ways: Ways) -> None:
         seen.add(tag)
 
 
+def _check_fit(geom: CacheGeometry, kind: str, set_idx: int, ways: Ways) -> None:
+    """The one rule for how a set's way list fits a geometry: the set
+    exists, lists no more ways than the level has, and each tag maps to it."""
+    llc = kind == "llc"
+    n_sets, n_ways = (geom.llc_sets, geom.llc_ways) if llc else (geom.l1_sets, geom.l1_ways)
+    if not 0 <= set_idx < n_sets:
+        raise ValueError(f"{kind} set {set_idx} out of range")
+    if len(ways) > n_ways:
+        raise ValueError(f"{kind} set {set_idx} lists {len(ways)} ways > {n_ways}")
+    index = geom.llc_index if llc else geom.l1_index
+    for tag, _ in ways:
+        if tag is not None and index(tag) != set_idx:
+            raise ValueError(f"{kind} line {tag} does not map to set {set_idx}")
+
+
 def _parse_ways(kind: str, set_idx: int, text: str) -> Ways:
-    """One set's ways=[TAG:AGE,-,...] list. Whether a tag maps to its set
-    depends on the geometry and is checked by the run that loads the image."""
+    """One set's ways=[TAG:AGE,-,...] list; how it fits a geometry is _check_fit's rule."""
     body = text[1:-1]
     if len(text) < 2 or text[0] != "[" or text[-1] != "]" or "[" in body or "]" in body:
         raise ValueError(f"ways must be one [...] list, got {text!r}")
@@ -378,17 +395,9 @@ class MemHier:
         if image is not None:
             self.scripts = image.scripts
             for name in _LEVELS:
-                llc = name == "llc"
-                index = geom.llc_index if llc else geom.l1_index
-                n_sets, n_ways = (geom.llc_sets, geom.llc_ways) if llc else (geom.l1_sets, geom.l1_ways)
+                n_ways = geom.llc_ways if name == "llc" else geom.l1_ways
                 for set_idx, ways in getattr(image, name).items():
-                    if not 0 <= set_idx < n_sets:
-                        raise ValueError(f"{name} set {set_idx} out of range")
-                    if len(ways) > n_ways:
-                        raise ValueError(f"{name} set {set_idx} lists {len(ways)} ways > {n_ways}")
-                    for tag, _ in ways:
-                        if tag is not None and index(tag) != set_idx:
-                            raise ValueError(f"{name} line {tag} does not map to set {set_idx}")
+                    _check_fit(geom, name, set_idx, ways)
                     getattr(self, name)[set_idx] = CacheSet(n_ways, ways)
 
     def service_level(self, line: int, icache: bool = False) -> Level:

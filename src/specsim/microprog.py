@@ -161,6 +161,7 @@ class EngineTables:
     resolves: tuple[tuple[int, ...], ...]  # per op: the branches it resolves
     # Per fence model (None: no fence scheme), per op: a fence follows it.
     fence_points: Mapping[FenceModel | None, tuple[bool, ...]]
+    frontiers: tuple[int | None, ...]  # per op: 0 branch, 1 load, 2 store address, else None
 
     @staticmethod
     def derive(ops: tuple[MicroOp, ...]) -> EngineTables:
@@ -184,6 +185,10 @@ class EngineTables:
                 FenceModel.SPECTRE: tuple(op.fence_after or op.kind is _BRANCH for op in ops),
                 FenceModel.FUTURISTIC: tuple(op.fence_after or op.kind is _BRANCH or op.kind is _LOAD for op in ops),
             }),
+            frontiers=tuple(
+                0 if op.kind is _BRANCH else 1 if op.kind is _LOAD else 2 if op.kind is _STORE_ADDR else None
+                for op in ops
+            ),
         )
 
 
@@ -481,15 +486,15 @@ class AttackScript:
 
 @dataclass(frozen=True)
 class AttackParams:
-    """Sender shape knobs; calibration picks working values per machine."""
+    """Sender shape knobs, in the order of the ``[attack]`` config keys;
+    calibration picks working values per machine."""
 
     z_len: int = 12
     f_len: int = 2
     fp_len: int = 4
     g_len: int = 25
-    m: int | None = None  # MSHR gadget loads; default: the configured count
-    rs_slots: int | None = None  # RS gadget chain; default: configured RS size
     reference_offset: int = 60  # attacker reference cycle for *-AD orderings
+    m: int | None = None  # MSHR gadget loads; default: the configured count
 
 
 def constructible(gadget: Gadget, ordering: Ordering) -> bool:
@@ -536,11 +541,6 @@ def build_attack_program(
     if not constructible(gadget, ordering):
         raise ConstructionError(f"({gadget.value}, {ordering.value}) is a blocked cell: no sender exists")
     m = p.m if p.m is not None else cfg.l1d_mshrs
-    rs_slots = p.rs_slots if p.rs_slots is not None else cfg.rs_size
-    if gadget is Gadget.RS and rs_slots < cfg.rs_size:
-        raise ConstructionError(
-            f"rs gadget needs at least rs_size={cfg.rs_size} dependent ops to guarantee a frontend stall"
-        )
     if gadget is Gadget.NPEU:
         if p.f_len < 1:
             raise ConstructionError("npeu gadget needs f_len >= 1: no target chain to interfere with")
@@ -593,7 +593,7 @@ def build_attack_program(
             chain(p.g_len, OpKind.ALU, (z_tail,))
             reference_b = add(OpKind.LOAD, (len(ops) - 1,), addr=Literal(lay.reference_line))
     resolver = add(OpKind.LOAD, addr=Literal(lay.resolver_line))
-    body = {Gadget.MSHR: m, Gadget.NPEU: 1 + p.fp_len, Gadget.RS: 2 + rs_slots}[gadget]
+    body = {Gadget.MSHR: m, Gadget.NPEU: 1 + p.fp_len, Gadget.RS: 2 + cfg.rs_size}[gadget]
     info = BranchInfo(
         predicted_taken=True,
         actual_taken=False,
@@ -613,7 +613,7 @@ def build_attack_program(
             roles["gadget"] = tuple(add(OpKind.NPEU, (transmitter,), lat_class=npeu) for _ in range(p.fp_len))
         else:
             adds: list[int] = []
-            for _ in range(rs_slots):
+            for _ in range(cfg.rs_size):
                 adds.append(add(OpKind.ALU, (transmitter, *adds[-1:])))
             roles["gadget"] = tuple(adds)
     if victim_pair:

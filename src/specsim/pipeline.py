@@ -163,13 +163,13 @@ of each op as `ops`.
 Per-program tables. What the engine reads of a program under any scheme is
 derived once per program and kept on it (MicroProgram.tables): each op's
 EU class name, the ops that consume each result, the branches each op
-resolves, and the fence points under each fence model. The program is
-frozen, so the tables cannot go stale, and they are tuples, so no run can
-change them for the next. A run looks each class up in cfg.eu (an unknown
-class still fails here, per run) and builds its own OpRecs and MemHier.
-A fence scheme runs the program as given: ShadowState reads the fence
-points of the scheme's model, the same points insert_fences marks, so no
-fenced copy is built or checked.
+resolves, the shadow frontier it opens and the fence points under each
+fence model. The program is frozen, so the tables cannot go stale, and
+they are tuples, so no run can change them for the next. A run looks each
+class up in cfg.eu (an unknown class still fails here, per run) and builds
+its own OpRecs and MemHier. A fence scheme runs the program as given:
+ShadowState reads the fence points of the scheme's model, the same points
+insert_fences marks, so no fenced copy is built or checked.
 
 Enum costs. The per-event path (the phases, ShadowState, MemHier and
 EngineTables.derive) reads each enum member it compares against from a
@@ -415,7 +415,7 @@ class _Engine:
         self.cycle = 0
         self.records: list[Record] = []
         self.occupancy: list[tuple[int, int, int, int]] = []
-        self.shadow = ShadowState(tables.fence_points[spec.fence_model])
+        self.shadow = ShadowState(tables.frontiers, tables.fence_points[spec.fence_model])
         # Validation allows exactly one non-pipelined class: one busy list.
         self.npeu_busy_until = [0] * cfg.eu[cfg.npeu_class].count
         self.ifetch_replays: list[tuple[int, int]] = []  # (cycle, op_id)
@@ -474,7 +474,7 @@ class _Engine:
         op = self.ops[op_id]
         if op.kind is _BRANCH:
             self.resolve_at = min(self.resolve_at, self._resolve_due(op_id))
-        elif self.shadow.settle(op):
+        elif self.shadow.settle(op_id):
             self.shadow_moved = True
         for b in self.resolves[op_id]:
             # A completed branch it resolves falls due. It is unresolved: a
@@ -629,7 +629,7 @@ class _Engine:
                 continue
             b = ops[i].branch
             recs[i].resolved = cycle
-            if self.shadow.settle(ops[i]):
+            if self.shadow.settle(i):
                 self.shadow_moved = True
             self._event("resolve", i, {"mispredicted": int(b.mispredicted() and not self.force_correct)})
             if b.mispredicted() and not self.force_correct and squash_branch is None:
@@ -649,7 +649,8 @@ class _Engine:
         for i in reversed(killed):
             r = self.recs[i]
             # Its RS entry, if it holds one (see rs_count in the module docstring).
-            if self.ops[i].kind is not _NOP and (r.issue == NEVER or (rs_hold and r.safe == NEVER)):
+            # Under rs_hold it does: this branch has shadowed it since it entered.
+            if self.ops[i].kind is not _NOP and (r.issue == NEVER or rs_hold):
                 self.rs_count -= 1
             if r.npeu_unit is not None and r.finish > self.cycle:
                 self.npeu_busy_until[r.npeu_unit] = self.cycle
@@ -890,7 +891,7 @@ class _Engine:
             r.complete = cycle  # markers complete at dispatch
         else:
             self.rs_count += 1
-            self.shadow.open(op)
+            self.shadow.open(i)
             left = sum([recs[d].complete == NEVER for d in op.src_deps])
             if left:
                 self.waiting[i] = left

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .microprog import FenceModel, MicroOp, MicroProgram, OpKind
+from .microprog import FenceModel, MicroProgram
 
 
 class SchemeId(Enum):
@@ -142,7 +142,6 @@ def serves(behaviour: SchemeSpec, other: SchemeSpec, fetch_shadowed: frozenset[S
 # ShadowState's per-event reads, bound once: on CPython 3.11 naming an enum
 # member through its class, or hashing one, costs about 200 ns ("Enum
 # costs" in the pipeline module docstring).
-_BRANCH_OP, _LOAD_OP, _STORE_OP = OpKind.BRANCH, OpKind.LOAD, OpKind.STORE_ADDR
 _ALWAYS_SAFE, _BRANCH, _NONTSO = ShadowRule.ALWAYS_SAFE, ShadowRule.BRANCH, ShadowRule.NONTSO
 _OLDEST_LOAD, _FUTURISTIC = ShadowRule.OLDEST_LOAD, ShadowRule.FUTURISTIC
 
@@ -162,55 +161,47 @@ class ShadowState:
     Each frontier is the head of an age-ordered list of the open op ids.
     The branch list, ``branches``, is public: its completed members are the
     branches the engine's resolution phase may resolve.
-    ``fence_points[i]`` says whether a fence follows op i (the program's
-    ``tables.fence_points`` for the scheme's fence model).
+    ``frontiers[i]`` indexes the list op i opens, if any, in
+    ``(branches, loads, stores)``, and ``fence_points[i]`` says whether a
+    fence follows op i: the program's ``tables.frontiers`` and its
+    ``tables.fence_points`` for the scheme's fence model.
     """
 
-    __slots__ = ("branches", "_loads", "_stores", "_fences", "fence_points")
+    __slots__ = ("branches", "_loads", "_stores", "_fences", "_lists", "frontiers", "fence_points")
 
-    def __init__(self, fence_points: tuple[bool, ...]):
+    def __init__(self, frontiers: tuple[int | None, ...], fence_points: tuple[bool, ...]):
         self.branches: list[int] = []
         self._loads: list[int] = []
         self._stores: list[int] = []
         self._fences: list[int] = []
+        self._lists = (self.branches, self._loads, self._stores)
+        self.frontiers = frontiers
         self.fence_points = fence_points
 
     @property
     def oldest_open_fence(self) -> int | None:
         return self._fences[0] if self._fences else None
 
-    def open(self, op: MicroOp) -> None:
+    def open(self, op_id: int) -> None:
         """A non-marker op entered the ROB (ids enter in increasing order)."""
-        kind = op.kind
-        # The open-id list of the kind, if it casts a shadow.
-        ids = (
-            self.branches if kind is _BRANCH_OP
-            else self._loads if kind is _LOAD_OP
-            else self._stores if kind is _STORE_OP
-            else None
-        )
-        if ids is not None:
-            ids.append(op.id)
-        if self.fence_points[op.id]:
-            self._fences.append(op.id)
+        frontier = self.frontiers[op_id]
+        if frontier is not None:
+            self._lists[frontier].append(op_id)
+        if self.fence_points[op_id]:
+            self._fences.append(op_id)
 
-    def settle(self, op: MicroOp) -> bool:
+    def settle(self, op_id: int) -> bool:
         """The op no longer casts its shadow: a branch resolved, or another
         op completed. Returns whether a frontier that ``safe`` reads moved,
         which is the only way an op in the ROB can turn safe."""
-        kind = op.kind
-        ids = (
-            self.branches if kind is _BRANCH_OP
-            else self._loads if kind is _LOAD_OP
-            else self._stores if kind is _STORE_OP
-            else None
-        )
+        frontier = self.frontiers[op_id]
         moved = False
-        if ids is not None:
-            moved = ids[0] == op.id
-            ids.remove(op.id)
-        if self.fence_points[op.id]:
-            self._fences.remove(op.id)
+        if frontier is not None:
+            ids = self._lists[frontier]
+            moved = ids[0] == op_id
+            ids.remove(op_id)
+        if self.fence_points[op_id]:
+            self._fences.remove(op_id)
         return moved
 
     def squash_after(self, op_id: int) -> None:

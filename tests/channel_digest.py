@@ -17,6 +17,9 @@ Two commits keep every transmit the same when they print the same line.
 pytest does not collect this file; run it from the repository root:
 
     PYTHONPATH=src python3 tests/channel_digest.py
+
+The tier-1 suite checks the line against tests/golden/channel_digest.txt,
+which make_golden.py regenerates and checks with the other golden files.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ INTERLOPERS = range(4)
 SEEDS = (1, 2)
 
 
-def main() -> None:
-    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+def digest_line() -> str:
+    """The line this script prints."""
     cfg = MachineConfig()
     total = hashlib.sha256()
     cases = 0
@@ -59,7 +62,12 @@ def main() -> None:
                 res = transmit(plan, bits, trials, noise, seed, interlopers)
                 cases += 1
                 total.update(f"{sender} {n} {trials} {noise} {seed} {interlopers} {res!r}\n".encode())
-    print(f"cases={cases} digest={total.hexdigest()}")
+    return f"cases={cases} digest={total.hexdigest()}"
+
+
+def main() -> None:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+    print(digest_line())
 
 
 if __name__ == "__main__":

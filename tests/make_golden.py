@@ -3,8 +3,9 @@ corpus trace digests (tests/golden/corpus.sha256 and
 tests/golden/config_corpus.sha256), the sender program digests
 (tests/golden/sender_programs.sha256), the calibration digests
 (tests/golden/calibrations.sha256), the seed-1 matrix CSV
-(tests/golden/matrix_seed1.csv) and the line tests/run_digest.py prints
-for its first 20 seeds (tests/golden/run_digest_seeds20.txt).
+(tests/golden/matrix_seed1.csv), the line tests/run_digest.py prints
+for its first 20 seeds (tests/golden/run_digest_seeds20.txt) and the line
+tests/channel_digest.py prints (tests/golden/channel_digest.txt).
 
 Run after an intentional engine change: python3 tests/make_golden.py
 For each file it prints how many of its lines (one pinned entry per line
@@ -28,10 +29,12 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from specsim.attacks import MATRIX_SCHEMES
 from specsim.seccheck import matrix_calibrations
-from run_digest import digest_line
+import channel_digest
+import run_digest
 from test_acceptance import CFG, GOLDEN_DIR, GOLDEN_RUNS, MATRIX_GOLDEN, golden_matrix, golden_trace_text
 from test_corpus_digests import (
     CALIBRATION_DIGESTS,
+    CHANNEL_DIGEST,
     CONFIG_CORPUS_DIGESTS,
     CORPUS_DIGESTS,
     RUN_DIGEST_SEEDS_20,
@@ -54,7 +57,8 @@ def golden_texts() -> Iterator[tuple[Path, str]]:
     yield CALIBRATION_DIGESTS, format_digests(calibration_digests())
     res = golden_matrix(matrix_calibrations(CFG, MATRIX_SCHEMES))
     yield MATRIX_GOLDEN, "\n".join(res.csv_lines()) + "\n"
-    yield RUN_DIGEST_SEEDS_20, digest_line(20) + "\n"
+    yield RUN_DIGEST_SEEDS_20, run_digest.digest_line(20) + "\n"
+    yield CHANNEL_DIGEST, channel_digest.digest_line() + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

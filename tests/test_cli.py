@@ -11,7 +11,7 @@ import pytest
 
 from specsim import attacks, seccheck
 from specsim.attacks import RunMemo, plan_attack, run_attack
-from specsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
+from specsim.cli import _ATTACK_KEYS, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_config, main
 from specsim.machine import MachineConfig
 from specsim.memhier import CacheGeometry
 from specsim.microprog import AttackParams, Gadget, Ordering, build_attack_program, format_program
@@ -185,6 +185,21 @@ class TestRun:
         code, out, err = call(["run", "--program", program_file, "--image", str(bad)])
         assert code == EXIT_USAGE and out == ""
         assert "cache image line 2: ways must be one [...] list" in err
+
+    @pytest.mark.parametrize("machine, record, message", [
+        ("", "llc set=3 ways=[5:1]", "llc line 5 does not map to set 3"),
+        ("llc_sets = 64", "llc set=100 ways=[100:1]", "llc set 100 out of range"),
+        ("l1_ways = 2", "l1d set=2 ways=[2:1,66:1,130:1]", "l1d set 2 lists 3 ways > 2"),
+    ], ids=["tag-in-another-set", "set-out-of-range", "too-many-ways"])
+    def test_image_that_does_not_fit_the_config_names_its_line(self, program_file, tmp_path, machine, record, message):
+        # The image's last record does not fit the config's geometry; the
+        # second and third cases' would fit the default machine.
+        cfg_file, bad = tmp_path / "m.cfg", tmp_path / "misfit.image"
+        cfg_file.write_text(f"[machine]\n{machine}\n")
+        bad.write_text(f"# a set that fits\nl1d set=1 ways=[1:1]\n{record}\n")
+        code, out, err = call(["run", "--program", program_file, "--config", str(cfg_file), "--image", str(bad)])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: cache image line 3: {message}\n"
 
 
 class TestAttack:
@@ -539,6 +554,20 @@ class TestBenchAndCalibrate:
         _, _, params = load_config(str(out_file))
         assert params == calibrate(RunMemo(Gadget.NPEU, Ordering.VDAD, MachineConfig()), SchemeId.DOM_NONTSO).params
 
+    def test_calibrate_out_writes_a_set_mshr_count_last(self, tmp_path):
+        # The [attack] section lists AttackParams' fields in order, m last
+        # when it is set, and load_config reads back the calibrated params.
+        cfg_file, out_file = tmp_path / "m3.cfg", tmp_path / "attack.cfg"
+        cfg_file.write_text("[attack]\nm = 3\n")
+        code, out, _ = call(["calibrate", "--gadget", "mshr", "--ordering", "vdad", "--scheme", "unsafe",
+                             "--config", str(cfg_file), "--out", str(out_file)])
+        assert code == EXIT_OK
+        text = out_file.read_text()
+        assert out.endswith(text) and text.splitlines()[-1] == "m = 3"
+        _, _, params = load_config(str(out_file))
+        memo = RunMemo(Gadget.MSHR, Ordering.VDAD, MachineConfig())
+        assert params == calibrate(memo, SchemeId.UNSAFE, AttackParams(m=3)).params
+
     @pytest.mark.parametrize("sender", [["npeu", "vdad", "dom-nontso"], ["mshr", "vdad", "invisispec-spectre"]])
     def test_calibrate_timing_csv_runs_each_distinct_input_once(self, run_inputs, sender, tmp_path):
         # The rows of bits 1 and 0 read the search's runs from its run memo:
@@ -697,6 +726,9 @@ class TestConfig:
         _, scheme, params = load_config(str(cfg_file))
         assert scheme is not None and scheme.value == "dom-nontso"
         assert params.z_len == 9 and params.g_len == 30
+
+    def test_attack_keys_are_the_fields_of_attack_params(self):
+        assert _ATTACK_KEYS == {f.name for f in fields(AttackParams)}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "m.cfg"

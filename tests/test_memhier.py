@@ -359,7 +359,8 @@ class TestCacheImage:
         ({5: [(5 + 128 * k, 0) for k in range(17)]}, "llc set 5 lists 17 ways > 16"),
     ], ids=["tag-in-another-set", "set-out-of-range", "too-many-ways"])
     def test_a_run_rejects_an_image_that_does_not_fit_the_geometry(self, tmp_path, capsys, llc, message):
-        # Only the geometry can tell: the image itself is valid.
+        # Only the geometry can tell: the image itself is valid. The CLI
+        # parses the image against the config, so its message names the line.
         img = CacheImage(llc=llc)
         with pytest.raises(ValueError) as exc:
             run(MicroProgram(ops=[MicroOp(0, OpKind.ALU)]), MachineConfig(), SchemeId.UNSAFE, image=img)
@@ -368,7 +369,7 @@ class TestCacheImage:
         (tmp_path / "misfit.image").write_text(img.dump())
         argv = ["run", "--program", str(tmp_path / "p.mprog"), "--image", str(tmp_path / "misfit.image")]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: cache image line 1: {message}\n"
 
     def test_construction_rejects_script_collision(self):
         with pytest.raises(ValueError, match=r"^scripted lines also placed in sets: \[5\]$"):

@@ -228,10 +228,6 @@ class TestRsGadget:
         assert prog.ops[marker].iline is not None
         assert marker not in prog.actual_path  # target sits on the transient path
 
-    def test_rejects_below_capacity(self):
-        with pytest.raises(ConstructionError):
-            build_attack_program(Ordering.VIAD, Gadget.RS, CFG, AttackParams(rs_slots=CFG.rs_size - 1))
-
 
 class TestAttackPrograms:
     def test_constructibility_matches_blocked_cells(self):

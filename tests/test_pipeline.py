@@ -675,7 +675,7 @@ class TestProgramTables:
     def test_tables_are_tuples(self):
         p, _ = build_attack_program(Ordering.VIVD, Gadget.NPEU, CFG)
         t = p.tables
-        rows = (t.eu_classes, t.consumers, t.resolves, *t.consumers, *t.resolves, *t.fence_points.values())
+        rows = (t.eu_classes, t.consumers, t.resolves, t.frontiers, *t.consumers, *t.resolves, *t.fence_points.values())
         assert all(type(row) is tuple for row in rows)
         with pytest.raises(TypeError):
             t.fence_points[None] = ()
@@ -691,6 +691,7 @@ REF_FENCED_KINDS = {
     FenceModel.SPECTRE: frozenset({OpKind.BRANCH}),
     FenceModel.FUTURISTIC: frozenset({OpKind.BRANCH, OpKind.LOAD}),
 }
+REF_FRONTIERS = {OpKind.BRANCH: 0, OpKind.LOAD: 1, OpKind.STORE_ADDR: 2}
 REF_KIND_CLASS = {OpKind.LOAD: "lsu", OpKind.STORE_ADDR: "lsu", OpKind.ALU: "alu", OpKind.NPEU: "npeu", OpKind.BRANCH: "alu"}
 
 
@@ -779,6 +780,13 @@ class TestDerivedRows:
             eu, fences = reference_rows(program)
             assert program.tables.eu_classes == eu
             assert dict(program.tables.fence_points) == fences
+
+    def test_frontiers_match_the_reference(self):
+        programs = [program for _, _, program, _ in constructible_senders()]
+        programs += [gen_random_program(seed)[0] for seed in range(150)]
+        assert {op.kind for program in programs for op in program.ops} >= set(REF_FRONTIERS)
+        for program in programs:
+            assert program.tables.frontiers == tuple(REF_FRONTIERS.get(op.kind) for op in program.ops)
 
 
 class TestEnumCosts:

@@ -70,12 +70,12 @@ def shadowed_load(load_level: Level) -> tuple[MicroProgram, CacheImage, int]:
 
 class TestShadowState:
     def test_rules(self):
-        # A fence follows the load, and only the load.
-        st = ShadowState(tuple(i == 3 for i in range(11)))
-        load = MicroOp(3, OpKind.LOAD, addr=Literal(900))
-        st.open(load)
-        st.open(MicroOp(8, OpKind.STORE_ADDR))
-        st.open(MicroOp(10, OpKind.BRANCH, branch=BranchInfo(True, True, resolver=None, join=11)))
+        # Op 3 is a load, 8 a store address and 10 a branch (frontiers 1, 2
+        # and 0); a fence follows the load, and only the load.
+        frontiers = tuple({3: 1, 8: 2, 10: 0}.get(i) for i in range(11))
+        st = ShadowState(frontiers, tuple(i == 3 for i in range(11)))
+        for i in (3, 8, 10):
+            st.open(i)
         assert st.oldest_open_fence == 3
         assert st.safe(ShadowRule.ALWAYS_SAFE, 99)
         assert st.safe(ShadowRule.BRANCH, 10) and not st.safe(ShadowRule.BRANCH, 11)
@@ -84,7 +84,7 @@ class TestShadowState:
         assert st.safe(ShadowRule.OLDEST_LOAD, 3) and not st.safe(ShadowRule.OLDEST_LOAD, 4)
         assert not st.safe(ShadowRule.FUTURISTIC, 9)
         assert st.safe(ShadowRule.FUTURISTIC, 3)
-        assert st.settle(load) and st.oldest_open_fence is None
+        assert st.settle(3) and st.oldest_open_fence is None
 
 
 class TestProtectedLoads:
