@@ -149,9 +149,10 @@ resolve, safe transition, retire, squash):
     op owes nothing and no I-access, and holds no RS entry;
   - OpRec.owed: set by _issue_load, at most once per load (a parked load
     re-issues safe), and done and cleared by the safe transition.
-A squash truncates every view to the ops at or older than the branch,
-drops the fetch holds of killed branches, and frees the non-pipelined unit
-of each killed op that is still executing; a killed op that finished
+A squash truncates every view to the ops at or older than the branch (the
+four issue and CDB queues in place, since run() holds them for the whole
+run), drops the fetch holds of killed branches, and frees the non-pipelined
+unit of each killed op that is still executing; a killed op that finished
 earlier leaves the unit to whichever op has booked it since. A killed op
 keeps its owed value, but it has left ready and unsafe, so nothing reads
 it again. Both fetch shadows hold a fetch behind an older unresolved
@@ -189,9 +190,11 @@ fields that six kinds carry (l2access, mshr_stall, mshr_free, delayed,
 resolve, ifetch). Records are never mutated, so repeated stall records
 share one extra dict. The hot phases append records directly; the rare
 kinds go through _event. ExecutionTrace keeps them as `records`, the run's
-only log. Two views are built from them on first read: `pattern`, one
-AccessRecord per l2access record (the hierarchy keeps no copy), and
-`events`, one TraceEvent per record with its own extra dict. serialize()
+only log, and `accesses`, the positions of its l2access records, which the
+engine notes as it logs them. Two views are built on first read: `pattern`,
+one AccessRecord per l2access record, read at those positions instead of
+scanning the log (the hierarchy keeps no copy), and `events`, one
+TraceEvent per record with its own extra dict. serialize()
 renders the records directly, to the same bytes as joining line_text().
 The per-op timing is not copied either: the trace keeps the engine's final
 OpRec of each op as `ops`, and times(op, key) reads one stamp from it.
@@ -210,7 +213,7 @@ from typing import NamedTuple
 
 from .machine import EuClass, MachineConfig
 from .memhier import CacheImage, Level, MemHier
-from .microprog import AttackScript, MicroOp, MicroProgram, OpKind, SecretDep
+from .microprog import AttackScript, MicroProgram, OpKind, SecretDep
 from .schemes import FETCH_SHADOWS, MissPolicy, SchemeId, SchemeSpec, ShadowRule, ShadowState, scheme_spec
 
 
@@ -318,6 +321,7 @@ class ExecutionTrace:
     of each op, whose stamps times() reads. Nothing may change them."""
 
     records: list[Record]
+    accesses: list[int]  # the positions of the l2access records in records
     ops: tuple[OpRec, ...]  # the final OpRec of each op, by op id
     occupancy: list[tuple[int, int, int, int]]  # cycle, rs, mshr, eu_busy
     total_cycles: int
@@ -335,8 +339,9 @@ class ExecutionTrace:
 
     @cached_property
     def pattern(self) -> list[AccessRecord]:
-        """The visible LLC accesses: the l2access records, in order."""
-        return [AccessRecord(c, x["line"], x["requester"], op) for c, name, op, x in self.records if name == "l2access"]
+        """The visible LLC accesses: the l2access records at `accesses`, in order."""
+        records = self.records
+        return [AccessRecord(c, x["line"], x["requester"], op) for c, _, op, x in map(records.__getitem__, self.accesses)]
 
     @cached_property
     def events(self) -> list[TraceEvent]:
@@ -414,6 +419,7 @@ class _Engine:
         self.redirect_at = 0  # earliest cycle the frontend may fetch
         self.cycle = 0
         self.records: list[Record] = []
+        self.accesses: list[int] = []  # positions of the l2access records
         self.occupancy: list[tuple[int, int, int, int]] = []
         self.shadow = ShadowState(tables.frontiers, tables.fence_points[spec.fence_model])
         # Validation allows exactly one non-pipelined class: one busy list.
@@ -453,8 +459,11 @@ class _Engine:
         """Every producer of op_id has completed: it may issue once the
         last result has been written back."""
         recs = self.recs
-        deps = self.ops[op_id].src_deps
-        at = max([recs[d].complete for d in deps]) + self.cfg.writeback_delay if deps else 0
+        at = 0
+        for d in self.ops[op_id].src_deps:
+            done = recs[d].complete + self.cfg.writeback_delay
+            if done > at:
+                at = done
         if at <= self.cycle:
             insort(self.ready, op_id)
         else:
@@ -469,42 +478,16 @@ class _Engine:
         done = self.recs[resolver].complete
         return inf if done == NEVER else done + self.cfg.branch_resolve_extra
 
-    def _completed(self, op_id: int) -> None:
-        recs = self.recs
-        op = self.ops[op_id]
-        if op.kind is _BRANCH:
-            self.resolve_at = min(self.resolve_at, self._resolve_due(op_id))
-        elif self.shadow.settle(op_id):
-            self.shadow_moved = True
-        for b in self.resolves[op_id]:
-            # A completed branch it resolves falls due. It is unresolved: a
-            # resolver completes again only after a squash that replaced the
-            # branch's OpRec. (A marker resolver completes at dispatch.)
-            r = recs[b]
-            if r.complete != NEVER and r.squash == NEVER:
-                self.resolve_at = min(self.resolve_at, self.cycle + self.cfg.branch_resolve_extra)
-        waiting = self.waiting
-        for k in self.consumers[op_id]:
-            left = waiting.get(k)
-            if left is None:
-                continue
-            if left > 1:
-                waiting[k] = left - 1
-            else:
-                del waiting[k]
-                self._wake(k)
-
     # -- clock -----------------------------------------------------------
 
     def run(self, max_cycles: int | None) -> ExecutionTrace:
-        n = len(self.ops)
-        mshrs = self.hier.mshrs
-        recs = self.recs
-        rob = self.rob
-        records = self.records
-        occupancy = self.occupancy
-        attacker = self.attacker
+        n, mshrs = len(self.ops), self.hier.mshrs
+        recs, rob, records, occupancy, attacker = self.recs, self.rob, self.records, self.occupancy, self.attacker
         rob_size, rs_size, n_mshrs = self.cfg.rob_size, self.cfg.rs_size, self.cfg.l1d_mshrs
+        # Bound once: a squash truncates these queues in place.
+        ready, wakeups, finishing, cdb_queue = self.ready, self.wakeups, self.finishing, self.cdb_queue
+        phase_cdb, phase_issue = self._phase_cdb, self._phase_issue
+        phase_frontend, phase_retire = self._phase_frontend, self._phase_retire
         while True:
             if self.fetch_pos >= n and not rob:
                 # Drained: jump to the next attacker access or I-fetch replay.
@@ -520,16 +503,16 @@ class _Engine:
             # would change nothing (see the module docstring).
             if mshrs.next_free <= cycle:
                 self._phase_mshr_returns()
-            if self.cdb_queue or (self.finishing and self.finishing[0][0] <= cycle):
-                self._phase_cdb()
+            if cdb_queue or (finishing and finishing[0][0] <= cycle):
+                phase_cdb()
             if self.resolve_at <= cycle:
                 self._phase_resolve_and_squash()
             if self.shadow_moved:
                 self._phase_safe_transitions()
             if self.attacker_pos < len(attacker) and attacker[self.attacker_pos][0] <= cycle:
                 self._phase_attacker()
-            if self.ready or (self.wakeups and self.wakeups[0][0] <= cycle):
-                self._phase_issue()
+            if ready or (wakeups and wakeups[0][0] <= cycle):
+                phase_issue()
             if self.ifetch_replays or (
                 self.fetch_pos < n
                 and cycle >= self.redirect_at
@@ -537,11 +520,11 @@ class _Engine:
                 and self.rs_count < rs_size
                 and not (self.fetch_holds and self._fetch_held())
             ):
-                self._phase_frontend()
+                phase_frontend()
             if rob and recs[rob[0]].complete != NEVER:
-                self._phase_retire()
+                phase_retire()
             held = len(mshrs.entries)
-            occupancy.append((cycle, self.rs_count, held, len(self.finishing) + len(self.cdb_queue)))
+            occupancy.append((cycle, self.rs_count, held, len(finishing) + len(cdb_queue)))
             assert self.rs_count <= rs_size
             assert held <= n_mshrs
             self.cycle = cycle + 1
@@ -584,14 +567,9 @@ class _Engine:
             stalls = [(op, extra) for _, _, op, extra in islice(self.records, first, None)]
             for c in range(self.cycle, target):
                 self.records.extend([(c, "mshr_stall", op, extra) for op, extra in stalls])
-        self.occupancy.extend(
-            zip(
-                range(self.cycle, target),
-                repeat(self.rs_count),
-                repeat(len(self.hier.mshrs.entries)),
-                repeat(len(self.finishing) + len(self.cdb_queue)),
-            )
-        )
+        busy = len(self.finishing) + len(self.cdb_queue)
+        rows = zip(range(self.cycle, target), repeat(self.rs_count), repeat(len(self.hier.mshrs.entries)), repeat(busy))
+        self.occupancy.extend(rows)
         self.cycle = target
 
     def _deadlock_diagnostic(self) -> str:
@@ -613,12 +591,30 @@ class _Engine:
         finishing, cdb_queue = self.finishing, self.cdb_queue
         while finishing and finishing[0][0] <= cycle:
             heappush(cdb_queue, heappop(finishing)[1])
-        recs, records = self.recs, self.records
+        recs, records, ops, shadow = self.recs, self.records, self.ops, self.shadow
+        resolves, consumers, waiting = self.resolves, self.consumers, self.waiting
         for _ in range(min(self.cfg.cdb_width, len(cdb_queue))):
             i = heappop(cdb_queue)
             recs[i].complete = cycle
             records.append((cycle, "complete", i, None))
-            self._completed(i)
+            if ops[i].kind is _BRANCH:
+                self.resolve_at = min(self.resolve_at, self._resolve_due(i))
+            elif shadow.settle(i):
+                self.shadow_moved = True
+            for b in resolves[i]:
+                # A completed branch it resolves falls due. It is unresolved:
+                # a resolver completes again only after a squash that replaced
+                # the branch's OpRec. (A marker resolver completes at dispatch.)
+                r = recs[b]
+                if r.complete != NEVER and r.squash == NEVER:
+                    self.resolve_at = min(self.resolve_at, cycle + self.cfg.branch_resolve_extra)
+            for k in consumers[i]:
+                left = waiting.get(k)  # None: k waits on no producer
+                if left == 1:
+                    del waiting[k]
+                    self._wake(k)
+                elif left:
+                    waiting[k] = left - 1
 
     def _phase_resolve_and_squash(self) -> None:
         cycle = self.cycle
@@ -660,11 +656,11 @@ class _Engine:
         self.fetch_holds = [(j, b) for j, b in self.fetch_holds if b <= branch_id]
         self.shadow.squash_after(branch_id)
         self.waiting = {i: left for i, left in self.waiting.items() if i <= branch_id}
-        self.wakeups = [(t, i) for t, i in self.wakeups if i <= branch_id]
-        heapify(self.wakeups)
-        self.finishing = [(t, i) for t, i in self.finishing if i <= branch_id]
-        heapify(self.finishing)
-        self.cdb_queue = [i for i in self.cdb_queue if i <= branch_id]
+        # In place: run() holds these four queues for the whole run.
+        for queue in (self.wakeups, self.finishing):
+            queue[:] = [(t, i) for t, i in queue if i <= branch_id]
+            heapify(queue)
+        self.cdb_queue[:] = [i for i in self.cdb_queue if i <= branch_id]
         heapify(self.cdb_queue)
         del self.ready[bisect_right(self.ready, branch_id) :]
         for ids in (self.unsafe, self.ifetch_waiting):
@@ -716,6 +712,7 @@ class _Engine:
             _, line = self.attacker[self.attacker_pos]
             self.attacker_pos += 1
             res = self.hier.llc_access(line)
+            self.accesses.append(len(self.records))
             self._event("l2access", None, {"line": line, "requester": "attacker", "result": res})
 
     # -- issue -----------------------------------------------------------
@@ -765,10 +762,10 @@ class _Engine:
         while wakeups and wakeups[0][0] <= cycle:
             insort(ready, heappop(wakeups)[1])
         fence_frontier = self.shadow.oldest_open_fence
-        recs, ops, eus, records = self.recs, self.ops, self.eus, self.records
+        recs, ops, eus, lat_classes, records = self.recs, self.ops, self.eus, self.lat_classes, self.records
         issue_width = self.cfg.issue_width
         rs_hold = self.spec.rs_hold
-        busy_until = self.npeu_busy_until
+        busy_until, finishing = self.npeu_busy_until, self.finishing
         issued = 0
         started: list[int] = []
         pipelined_used: dict[str, int] = {}
@@ -783,13 +780,13 @@ class _Engine:
             eu = eus[i]
             unit = None
             if eu.pipelined:
-                klass = self.lat_classes[i]
+                klass = lat_classes[i]
                 used = pipelined_used.get(klass, 0)
                 if used >= eu.count:
                     continue
                 pipelined_used[klass] = used + 1
             else:
-                if self.spec.npeu_lookahead and self._lookahead_blocks(i, self.lat_classes[i]):
+                if self.spec.npeu_lookahead and self._lookahead_blocks(i, lat_classes[i]):
                     continue
                 unit = next((u for u, until in enumerate(busy_until) if until <= cycle), None)
                 if unit is None:
@@ -799,22 +796,21 @@ class _Engine:
                 if self._issue_load(i) != "ok":
                     continue
             else:
-                self._start(i, eu.latency)
+                finish = r.finish = cycle + eu.latency
+                heappush(finishing, (finish, i))
                 if unit is not None:
-                    busy_until[unit] = cycle + eu.latency
+                    busy_until[unit] = finish
                     r.npeu_unit = unit
             r.issue = cycle
             started.append(i)
             if not (rs_hold and r.safe == NEVER):
                 self.rs_count -= 1
             records.append((cycle, "issue", i, None))
-        for i in started:
-            ready.remove(i)
-
-    def _start(self, op_id: int, latency: int) -> None:
-        """The op executes from this cycle; its result is due after latency."""
-        finish = self.recs[op_id].finish = self.cycle + latency
-        heappush(self.finishing, (finish, op_id))
+        if len(started) == len(ready):
+            ready.clear()
+        else:
+            for i in started:
+                ready.remove(i)
 
     def _issue_load(self, op_id: int) -> str:
         """Access the D-side for a load at its issue point. Returns "ok",
@@ -832,7 +828,8 @@ class _Engine:
                 self.hier.l1_hit_update(line)
             else:
                 r.owed = L1_UPDATE
-            self._start(op_id, self.hier.latency(level))
+            r.finish = self.cycle + self.hier.latency(level)  # it executes from now
+            heappush(self.finishing, (r.finish, op_id))
             return "ok"
         if not safe and self.spec.miss_policy is _DELAY:
             r.owed = PARKED
@@ -850,7 +847,8 @@ class _Engine:
             r.owed = REPLAY
         else:
             self._visible_access(line, op_id)
-        self._start(op_id, lat)
+        r.finish = self.cycle + lat
+        heappush(self.finishing, (r.finish, op_id))
         return "ok"
 
     def _visible_access(self, line: int, op_id: int, icache: bool = False) -> None:
@@ -866,6 +864,7 @@ class _Engine:
         res = self.hier.llc_access(line)
         self.hier.l1_fill(line, icache)
         extra = {"line": line, "requester": "victim", "result": res}
+        self.accesses.append(len(self.records))
         self._event("l2access", op_id, extra | {"fetch": 1} if icache else extra)
 
     # -- frontend ----------------------------------------------------------
@@ -877,42 +876,21 @@ class _Engine:
                 return True
         return False
 
-    def _dispatch(self, op: MicroOp) -> None:
-        cycle = self.cycle
-        i = op.id
-        recs = self.recs
-        r = recs[i]
-        r.dispatch = cycle
-        self.rob.append(i)
-        if not self.unsafe:
-            self.shadow_moved = True  # a new head, which may be safe already
-        self.unsafe.append(i)
-        if op.kind is _NOP:
-            r.complete = cycle  # markers complete at dispatch
-        else:
-            self.rs_count += 1
-            self.shadow.open(i)
-            left = sum([recs[d].complete == NEVER for d in op.src_deps])
-            if left:
-                self.waiting[i] = left
-            else:
-                self._wake(i)
-        self.records += ((cycle, "fetch", i, None), (cycle, "dispatch", i, None))
-
     def _phase_frontend(self) -> None:
+        cycle = self.cycle
         if self.ifetch_replays:
-            due = sorted([e for e in self.ifetch_replays if e[0] <= self.cycle], key=lambda e: e[1])
-            self.ifetch_replays = [e for e in self.ifetch_replays if e[0] > self.cycle]
+            due = sorted([e for e in self.ifetch_replays if e[0] <= cycle], key=lambda e: e[1])
+            self.ifetch_replays = [e for e in self.ifetch_replays if e[0] > cycle]
             for _, op_id in due:
                 self._visible_access(self.ops[op_id].iline, op_id, icache=True)
-        if self.cycle < self.redirect_at:
+        if cycle < self.redirect_at:
             return
-        ops, recs, rob = self.ops, self.recs, self.rob
+        ops, recs, rob, unsafe, records = self.ops, self.recs, self.rob, self.unsafe, self.records
         n = len(ops)
         cfg = self.cfg
         width = min(cfg.fetch_width, cfg.dispatch_width)
         fetch_shadow = self.spec.fetch_shadow
-        safe = self.shadow.safe
+        shadow, safe = self.shadow, self.shadow.safe
         if self.fetch_holds:  # drop resolved holds: the list is empty in most cycles
             self.fetch_holds = [(j, b) for j, b in self.fetch_holds if recs[b].resolved == NEVER]
         fetched = 0
@@ -926,7 +904,27 @@ class _Engine:
             # even for ops (markers) that will not occupy an RS slot.
             if self.rs_count >= cfg.rs_size:
                 break
-            self._dispatch(op)
+            i = op.id
+            r = recs[i]
+            r.dispatch = cycle
+            rob.append(i)
+            if not unsafe:
+                self.shadow_moved = True  # a new head, which may be safe already
+            unsafe.append(i)
+            if op.kind is _NOP:
+                r.complete = cycle  # markers complete at dispatch
+            else:
+                self.rs_count += 1
+                shadow.open(i)
+                left = 0  # its producers not yet complete
+                for d in op.src_deps:
+                    if recs[d].complete == NEVER:
+                        left += 1
+                if left:
+                    self.waiting[i] = left
+                else:
+                    self._wake(i)
+            records += ((cycle, "fetch", i, None), (cycle, "dispatch", i, None))
             if op.iline is not None:
                 # Which fetch shadows cover the fetch right now (including
                 # ops dispatched earlier this cycle)? The scheme's own one, if
@@ -976,6 +974,7 @@ class _Engine:
                 llc_state[idx] = cset.state()
         return ExecutionTrace(
             records=self.records,
+            accesses=self.accesses,
             ops=tuple(self.recs),
             occupancy=self.occupancy,
             total_cycles=next((c for c, name, _, _ in reversed(self.records) if name == "retire"), 0),

@@ -1,10 +1,30 @@
+import os
 import signal
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Hypothesis profiles, chosen by SPECSIM_HYPOTHESIS_PROFILE:
+#   - "tier1" (the default) draws the same examples on every run, seeded
+#     from each test, and reads no example database, so a red run is
+#     reproduced by running the same commit again;
+#   - "deep" draws fresh random examples, DEEP_SCALE times as many per test
+#     (see examples()), to explore beyond tier-1's fixed draw.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("deep", derandomize=False)
+PROFILE = os.environ.get("SPECSIM_HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(PROFILE)
+DEEP_SCALE = 10
+
+
+def examples(n: int) -> int:
+    """A property's example count: n under tier-1, DEEP_SCALE * n under deep."""
+    return n * DEEP_SCALE if PROFILE == "deep" else n
+
 
 # Wall-clock limit per test, set-up and tear-down included. The slowest
 # test takes a few seconds, so only an engine that never ends reaches it,

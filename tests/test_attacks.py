@@ -38,6 +38,7 @@ from specsim.pipeline import run
 from specsim.schemes import SchemeId, scheme_spec, serves
 from specsim.seccheck import calibrate_for_matrix, matrix_calibrations
 
+from conftest import examples
 from qlru_ref import new_set, ref_access, ref_state
 
 CFG = MachineConfig()
@@ -46,7 +47,7 @@ LAY = AttackLayout(GEOM)
 
 
 class TestLayout:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(llc_sets=st.integers(1, 512), llc_ways=st.integers(1, 32))
     def test_lines_follow_the_geometry(self, llc_sets, llc_ways):
         geom = CacheGeometry(llc_sets=llc_sets, llc_ways=llc_ways)
@@ -591,7 +592,7 @@ class TestRunMemo:
     """The memo returns the summary of a fresh run of the asked inputs, and
     serves a stored run only to a behaviour it serves (schemes.serves)."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(
         sender=st.sampled_from(SENDERS),
         z_len=st.sampled_from([1, 8, 12, 16, 20]),

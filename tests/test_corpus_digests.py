@@ -44,7 +44,10 @@ Regenerate only after an intended behaviour change: python3 tests/make_golden.py
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,7 +67,7 @@ from specsim.microprog import (
     format_program,
     parse_program,
 )
-from specsim.pipeline import ExecutionTrace, SimulationDeadlock, _Engine, run
+from specsim.pipeline import AccessRecord, ExecutionTrace, SimulationDeadlock, _Engine, run
 from specsim.schemes import SchemeId, insert_fences, scheme_spec
 from specsim.seccheck import calibrate, gen_random_program, synth_suite
 
@@ -366,6 +369,20 @@ def test_phase_triggers_change_no_outcome():
         assert run_fields(run, program, cfg, scheme, kw) == expected, label
 
 
+def test_pattern_is_every_l2access_record_in_order():
+    # The engine notes the position of each l2access record it logs, and
+    # pattern reads those positions; here it is held to its definition, a
+    # scan of the whole log, which run_fields cannot do (reference_run
+    # reads the same pattern property).
+    for label, program, cfg, scheme, kw in trigger_runs():
+        try:
+            t = run(program, cfg, scheme, **kw)
+        except SimulationDeadlock:
+            continue
+        want = [AccessRecord(c, x["line"], x["requester"], op) for c, name, op, x in t.records if name == "l2access"]
+        assert t.pattern == want, label
+
+
 def test_mshr_and_resolve_phases_run_only_when_due(monkeypatch):
     # Their triggers are exact: every call frees an MSHR or resolves a
     # branch, so it logs at least one record.
@@ -491,6 +508,18 @@ def test_channel_digest_matches_pinned_line():
     from channel_digest import digest_line
 
     assert digest_line() + "\n" == CHANNEL_DIGEST.read_text()
+
+
+def test_golden_trace_is_the_same_under_any_hash_seed():
+    # A fresh interpreter per seed: str and enum hashes, and so set and
+    # dict orders, differ between the two, and the trace must not.
+    tests = Path(__file__).parent
+    code = "import sys; from test_acceptance import golden_trace_text; sys.stdout.write(golden_trace_text('npeu'))"
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == (tests / "golden" / "npeu.trace").read_text(), seed
 
 
 def test_make_golden_check_writes_nothing_and_exits_1_on_a_change(tmp_path, monkeypatch, capsys):

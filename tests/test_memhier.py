@@ -31,6 +31,7 @@ from specsim.pipeline import run
 from specsim.schemes import SchemeId
 from specsim.seccheck import gen_random_program
 
+from conftest import examples
 from qlru_ref import new_set, ref_access, ref_state, replay
 
 
@@ -118,7 +119,7 @@ class TestQlruProperties:
             assert impl.state() == ref_state(ref)
             impl.check_invariants()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(access_runs())
     def test_victim_and_state_match_reference_at_every_step(self, run):
         ways, accesses = run

@@ -38,6 +38,8 @@ from specsim.pipeline import NEVER, SimulationDeadlock, _Engine, run
 from specsim.schemes import SchemeId
 from specsim.seccheck import FAR_OFFSET, gen_random_program
 
+from conftest import examples
+
 CFG = MachineConfig()
 LAY = AttackLayout(CFG.geometry)
 
@@ -820,7 +822,7 @@ class TestSecretFreePrefix:
     secret-dependent load first resolves its address: the calibration and
     the differential check skip runs on this invariant."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         sender=st.sampled_from(SENDERS),
         scheme=st.sampled_from(list(SchemeId)),
@@ -855,7 +857,7 @@ class TestSecretFreePrefix:
         assert [r for r in t0.pattern if r.cycle < read] == [r for r in t1.pattern if r.cycle < read]
         assert [r for r in t0.occupancy if r[0] < read] == [r for r in t1.occupancy if r[0] < read]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(seed=st.integers(0, 10_000), scheme=st.sampled_from(list(SchemeId)))
     def test_programs_without_secrets_never_read_one(self, seed, scheme):
         program, image = gen_random_program(seed)

@@ -42,6 +42,7 @@ from specsim.schemes import (
     serves,
 )
 
+from conftest import examples
 from test_corpus_digests import corner_config, op_stamps, reference_run
 
 CFG = MachineConfig()
@@ -245,6 +246,16 @@ class TestFences:
                 assert t.times(i, "issue") == NEVER
 
 
+# Op 0 misses to memory; op 1, an L1 hit, reads it; NPEU op 2 reads op 1,
+# and NPEU op 3 reads nothing.
+LOAD_INPUT_OF_AN_NPEU_OP = """\
+0 LOAD deps=[] addr=7000
+1 LOAD deps=[0] addr=7001
+2 NPEU deps=[1]
+3 NPEU deps=[]
+"""
+
+
 class TestNoInterference:
     def test_lookahead_stalls_younger_npeu_op(self):
         # Older NPEU op turns ready inside the younger op's occupancy
@@ -257,6 +268,19 @@ class TestNoInterference:
         ]
         t = run(prog_of(*ops), CFG, SchemeId.NOINTERFERENCE)
         assert t.times(2, "issue") < t.times(3, "issue")
+
+    def test_an_unissued_load_input_bounds_the_lookahead_at_next_cycle(self):
+        # Op 2's input is a load that cannot issue before its own input, a
+        # memory miss, returns; its latency is unknown, so the look-ahead
+        # bounds op 2's demand at next cycle and holds op 3 until op 2 has
+        # the unit. Bounding the load as a fixed-latency op, through its
+        # input, would put op 2's demand past op 3's release and let op 3
+        # issue at once, as it does with no look-ahead.
+        program = parse_program(LOAD_INPUT_OF_AN_NPEU_OP)
+        image = CacheImage(scripts={7000: Level.MEMMISS, 7001: Level.L1HIT})
+        t = run(program, CFG, SchemeId.NOINTERFERENCE, image=image)
+        assert (t.times(2, "issue"), t.times(3, "issue")) == (207, 223)
+        assert run(program, CFG, SchemeId.UNSAFE, image=image).times(3, "issue") == 1
 
     def test_all_safe_reduces_to_age_order(self):
         # Without speculation the directives reduce to plain age-ordered
@@ -438,6 +462,11 @@ def gen_fetching_program(seed: int) -> tuple[MicroProgram, CacheImage]:
     return replace(program, ops=ops), image
 
 
+# Small machines that keep every structure near full: corner configs of
+# the config corpus, drawn by seed.
+CORNERS = [corner_config(random.Random(f"corner:{seed}")) for seed in range(8)]
+
+
 # Behaviours that differ only in the fetch shadow: each load-side choice of
 # the matrix schemes, under no fetch shadow and under each one in use.
 LOAD_SIDES = list(dict.fromkeys(replace(scheme_spec(s), fetch_shadow=None) for s in MATRIX_SCHEMES))
@@ -457,7 +486,7 @@ class TestFetchShadowCertificate:
     marked fetches; under any behaviour it then serves (schemes.serves),
     a fresh run is the same run."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(seed=st.integers(0, 100_000), pair=st.sampled_from(FETCH_PAIRS))
     def test_a_run_is_the_run_of_every_behaviour_it_serves(self, seed, pair):
         program, image = gen_fetching_program(seed)
@@ -492,19 +521,23 @@ class TestFetchShadowCertificate:
         assert first.fetch_shadowed == frozenset()
         assert first.fetch_shadowed is second.fetch_shadowed
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 100_000))
-    def test_run_is_the_reference_run_on_fetching_programs(self, seed):
+    @settings(max_examples=examples(30), deadline=None)
+    @given(seed=st.integers(0, 100_000), cfg=st.sampled_from([CFG, *CORNERS]))
+    def test_run_is_the_reference_run_on_fetching_programs(self, seed, cfg):
         # The phase triggers and the fetch-shadow report hold on programs
-        # outside the fixed corpora, under every scheme.
+        # outside the fixed corpora, under every scheme, on the default
+        # machine and on small, squash-heavy corner machines.
         program, image = gen_fetching_program(seed)
         for scheme in SchemeId:
-            got, want = (runner(program, CFG, scheme, image=image) for runner in (run, reference_run))
+            got, want = (runner(program, cfg, scheme, image=image) for runner in (run, reference_run))
             assert got.records == want.records, scheme
             assert got.occupancy == want.occupancy, scheme
             assert op_stamps(got) == op_stamps(want), scheme
             assert got.llc_state == want.llc_state, scheme
             assert got.fetch_shadowed == want.fetch_shadowed, scheme
+            assert got.pattern == want.pattern, scheme
+            assert got.total_cycles == want.total_cycles, scheme
+            assert got.secret_read_cycle == want.secret_read_cycle, scheme
 
     def test_serves_needs_fetch_shadows_outside_the_set(self):
         spectre, wfb = scheme_spec(SchemeId.INVISISPEC_SPECTRE), scheme_spec(SchemeId.SAFESPEC_WFB)
@@ -514,11 +547,6 @@ class TestFetchShadowCertificate:
         assert serves(wfb, wfb, frozenset(FETCH_SHADOWS))
         # The load side must match.
         assert not serves(spectre, scheme_spec(SchemeId.MUONTRAP), frozenset())
-
-
-# Small machines that keep every structure near full: corner configs of
-# the config corpus, drawn by seed.
-CORNERS = [corner_config(random.Random(f"corner:{seed}")) for seed in range(8)]
 
 
 def with_markers(program: MicroProgram, seed: int) -> MicroProgram:
@@ -540,7 +568,7 @@ class TestRetirement:
     """Nothing retires before it is safe, and a retired op leaves nothing
     behind: the engine keeps no check of its own for either."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(seed=st.integers(0, 100_000), cfg=st.sampled_from(CORNERS), markers=st.booleans())
     def test_retirement_invariants_on_fetching_programs(self, seed, cfg, markers):
         program, image = gen_fetching_program(seed)
@@ -644,7 +672,7 @@ def retired(t) -> tuple[int, ...]:
 
 
 class TestActualPath:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(seed=st.integers(0, 100_000), cfg=st.sampled_from(CORNERS[:2]))
     def test_the_retired_ops_are_the_actual_path(self, seed, cfg):
         program, image = gen_random_program(seed)
@@ -663,7 +691,7 @@ class TestActualPath:
         assert sum(old_rule_rejects(p, on_path=True) for p in programs) >= 5
         assert sum(old_rule_rejects(p, on_path=False) for p in programs) >= 5
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(
         seed=st.integers(0, 100_000),
         cfg=st.sampled_from([CFG, *CORNERS[:2]]),
