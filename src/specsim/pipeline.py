@@ -823,31 +823,28 @@ class _Engine:
             self.secret_read_cycle = self.cycle
         safe = r.safe != NEVER
         level = self.hier.service_level(line)
+        lat = self.hier.latency(level)
         if level is _L1HIT:
             if safe or self.spec.miss_policy is _VISIBLE:
                 self.hier.l1_hit_update(line)
             else:
                 r.owed = L1_UPDATE
-            r.finish = self.cycle + self.hier.latency(level)  # it executes from now
-            heappush(self.finishing, (r.finish, op_id))
-            return "ok"
-        if not safe and self.spec.miss_policy is _DELAY:
-            r.owed = PARKED
-            self._event("delayed", op_id, {"line": line})
-            return "delayed"
-        lat = self.hier.latency(level)
-        mshr = self.hier.mshrs.allocate(line, op_id, free_at=self.cycle + lat)
-        if mshr is None:
-            self._event("mshr_stall", op_id, {"line": line})
-            return "stall"
-        if not safe and self.spec.miss_policy is _INVISIBLE:
-            # Serviced invisibly: the MSHR and the latency are all it costs
-            # now. The hierarchy sees the access only when the safe
-            # transition replays it.
-            r.owed = REPLAY
         else:
-            self._visible_access(line, op_id)
-        r.finish = self.cycle + lat
+            if not safe and self.spec.miss_policy is _DELAY:
+                r.owed = PARKED
+                self._event("delayed", op_id, {"line": line})
+                return "delayed"
+            if self.hier.mshrs.allocate(line, op_id, free_at=self.cycle + lat) is None:
+                self._event("mshr_stall", op_id, {"line": line})
+                return "stall"
+            if not safe and self.spec.miss_policy is _INVISIBLE:
+                # Serviced invisibly: the MSHR and the latency are all it
+                # costs now. The hierarchy sees the access only when the
+                # safe transition replays it.
+                r.owed = REPLAY
+            else:
+                self._visible_access(line, op_id)
+        r.finish = self.cycle + lat  # it executes from now
         heappush(self.finishing, (r.finish, op_id))
         return "ok"
 

@@ -8,7 +8,8 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-# Hypothesis profiles, chosen by SPECSIM_HYPOTHESIS_PROFILE:
+# Hypothesis profiles, chosen by SPECSIM_HYPOTHESIS_PROFILE (or pytest's
+# --hypothesis-profile):
 #   - "tier1" (the default) draws the same examples on every run, seeded
 #     from each test, and reads no example database, so a red run is
 #     reproduced by running the same commit again;
@@ -16,14 +17,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 #     (see examples()), to explore beyond tier-1's fixed draw.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("deep", derandomize=False)
-PROFILE = os.environ.get("SPECSIM_HYPOTHESIS_PROFILE", "tier1")
-settings.load_profile(PROFILE)
+settings.load_profile(os.environ.get("SPECSIM_HYPOTHESIS_PROFILE", "tier1"))
 DEEP_SCALE = 10
 
 
 def examples(n: int) -> int:
     """A property's example count: n under tier-1, DEEP_SCALE * n under deep."""
-    return n * DEEP_SCALE if PROFILE == "deep" else n
+    return n * DEEP_SCALE if settings.get_current_profile_name() == "deep" else n
 
 
 # Wall-clock limit per test, set-up and tear-down included. The slowest
