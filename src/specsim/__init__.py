@@ -20,7 +20,7 @@ from .microprog import (
     parse_program,
 )
 from .pipeline import ExecutionTrace, SimulationDeadlock, run
-from .schemes import SchemeId, insert_fences, scheme_spec
+from .schemes import SchemeId, scheme_spec
 from .attacks import run_attack, sweep_error_vs_rate, vulnerability_matrix
 from .seccheck import (
     bench_overhead,
@@ -55,7 +55,6 @@ __all__ = [
     "check_ideal",
     "check_ideal_differential",
     "format_program",
-    "insert_fences",
     "nospec",
     "order_sensitivity",
     "parse_program",

@@ -4,7 +4,7 @@ bus and MSHR capacities, cache geometry and latencies."""
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 from .memhier import CacheGeometry
@@ -28,8 +28,9 @@ def default_eu_table() -> dict[str, EuClass]:
 @dataclass(frozen=True)
 class MachineConfig:
     """Valid by construction: building one, or deriving one with
-    ``dataclasses.replace``, checks it. ``eu`` is a read-only copy of the
-    table it was built from, so the check holds for the config's life."""
+    ``dataclasses.replace``, checks it. Every int field is at least 1, or
+    at least the ``min`` declared beside it. ``eu`` is a read-only copy of
+    the table it was built from, so the check holds for the config's life."""
 
     fetch_width: int = 4
     dispatch_width: int = 4
@@ -40,8 +41,8 @@ class MachineConfig:
     eu: Mapping[str, EuClass] = field(default_factory=default_eu_table)
     cdb_width: int = 4
     l1d_mshrs: int = 4
-    branch_resolve_extra: int = 1
-    writeback_delay: int = 1
+    branch_resolve_extra: int = field(default=1, metadata={"min": 0})
+    writeback_delay: int = field(default=1, metadata={"min": 0})
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
 
     def __post_init__(self) -> None:
@@ -49,21 +50,10 @@ class MachineConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in (
-            "fetch_width",
-            "dispatch_width",
-            "issue_width",
-            "retire_width",
-            "rob_size",
-            "rs_size",
-            "cdb_width",
-            "l1d_mshrs",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("l1_sets", "l1_ways", "llc_sets", "llc_ways", "lat_l1", "lat_llc", "lat_mem"):
-            if getattr(self.geometry, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            low = f.metadata.get("min", 1)
+            if f.type == "int" and getattr(self, f.name) < low:
+                raise ValueError(f"{f.name} must be >= {low}")
         nonpipe = [n for n, e in self.eu.items() if not e.pipelined]
         if len(nonpipe) != 1:
             raise ValueError("exactly one EU class must be non-pipelined")
@@ -76,7 +66,4 @@ class MachineConfig:
 
     @property
     def npeu_class(self) -> str:
-        for name, e in self.eu.items():
-            if not e.pipelined:
-                return name
-        raise ValueError("no non-pipelined EU class configured")
+        return next(name for name, e in self.eu.items() if not e.pipelined)

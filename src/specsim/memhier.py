@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from math import inf
@@ -119,7 +119,7 @@ def qlru_touch(cset: CacheSet, line: int) -> int | None:
 
 @dataclass(frozen=True)
 class CacheGeometry:
-    """Set/way counts and service latencies (cycles, total per level)."""
+    """Set/way counts and service latencies (cycles, total per level), each >= 1."""
 
     l1_sets: int = 64
     l1_ways: int = 8
@@ -128,6 +128,11 @@ class CacheGeometry:
     lat_l1: int = 4
     lat_llc: int = 40
     lat_mem: int = 200
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
 
     def l1_index(self, line: int) -> int:
         return line % self.l1_sets

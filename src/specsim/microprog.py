@@ -172,10 +172,10 @@ class EngineTables:
                 consumers[d].append(op.id)
             if op.branch is not None and op.branch.resolver is not None:
                 resolves[op.branch.resolver].append(op.id)
-        # The one fence rule, which both insert_fences and the engine read:
-        # op i is a fence point if it carries its own fence, or if its kind
-        # can squash under the scheme's fence model: branches under Spectre,
-        # branches and loads under Futuristic (None: not a fence scheme).
+        # The one fence rule: op i is a fence point if it carries its own
+        # fence, or if its kind can squash under the scheme's fence model,
+        # branches under Spectre, branches and loads under Futuristic (None:
+        # not a fence scheme).
         return EngineTables(
             eu_classes=tuple(None if op.kind is _NOP else op.lat_class or _default_class(op.kind) for op in ops),
             consumers=tuple(map(tuple, consumers)),
@@ -224,13 +224,13 @@ class MicroProgram:
             for d in op.src_deps:
                 if not 0 <= d < op.id:
                     raise OpError(i, f"op {op.id} depends on non-older op {d}")
-            if op.addr is not None and op.kind is not OpKind.LOAD:
+            if op.addr is not None and op.kind is not _LOAD:
                 raise OpError(i, f"op {op.id}: only LOAD carries an address")
-            if op.kind is OpKind.LOAD and op.addr is None:
+            if op.kind is _LOAD and op.addr is None:
                 raise OpError(i, f"load {op.id} has no address")
             if isinstance(op.addr, SecretDep) and op.addr.secret not in self.secret_slots:
                 raise OpError(i, f"op {op.id} references undeclared secret {op.addr.secret!r}")
-            if (op.branch is not None) != (op.kind is OpKind.BRANCH):
+            if (op.branch is not None) != (op.kind is _BRANCH):
                 raise OpError(i, f"op {op.id}: branch info iff BRANCH kind")
             if op.branch is not None:
                 b = op.branch

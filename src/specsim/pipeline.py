@@ -169,8 +169,8 @@ fence model. The program is frozen, so the tables cannot go stale, and
 they are tuples, so no run can change them for the next. A run looks each
 class up in cfg.eu (an unknown class still fails here, per run) and builds
 its own OpRecs and MemHier. A fence scheme runs the program as given:
-ShadowState reads the fence points of the scheme's model, the same points
-insert_fences marks, so no fenced copy is built or checked.
+ShadowState reads the fence points of the scheme's model, so no fenced
+copy is built or checked.
 
 Enum costs. The per-event path (the phases, ShadowState, MemHier and
 EngineTables.derive) reads each enum member it compares against from a

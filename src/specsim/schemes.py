@@ -11,10 +11,10 @@ fence gating, and the advanced-defense scheduling/deallocation rules.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .microprog import FenceModel, MicroProgram
+from .microprog import FenceModel
 
 
 class SchemeId(Enum):
@@ -228,17 +228,3 @@ class ShadowState:
             return not (loads and loads[0] < op_id) and not (stores and stores[0] < op_id)
         raise AssertionError(rule)
 
-
-def insert_fences(program: MicroProgram, model: FenceModel) -> MicroProgram:
-    """Mark fence points: after every branch (Spectre model) or after every
-    squash-capable op, branches and loads here (Futuristic model). A fence
-    lets younger ops enter the ROB but blocks their issue until the op
-    before the fence is non-speculative. Idempotent. The engine reads the
-    same points from ``program.tables`` and runs the unfenced program, so
-    a fence scheme never needs this copy."""
-    points = program.tables.fence_points[model]
-    ops = [
-        replace(op, fence_after=True) if fenced and not op.fence_after else op
-        for op, fenced in zip(program.ops, points)
-    ]
-    return replace(program, ops=ops)

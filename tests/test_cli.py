@@ -810,6 +810,8 @@ class TestConfig:
         "text, message",
         [
             ("[machine]\nlat_mem = 0\n", "lat_mem must be >= 1 (config line 2)"),
+            ("[machine]\nwriteback_delay = -1\n", "writeback_delay must be >= 0 (config line 2)"),
+            ("[machine]\nrob_size = 100\nbranch_resolve_extra = -1\n", "branch_resolve_extra must be >= 0 (config line 3)"),
             ("[machine]\nrob_size = 100\n\n# the LLC\nLLC_Ways = 0\n", "llc_ways must be >= 1 (config line 5)"),
             ("[machine]\nrs_size = 12\nalu_count = 0\n", "eu class alu has invalid latency/count (config line 3)"),
             ("[scheme]\nid = unsafe\n\n[attack]\nz_len = 9\ng_len = many\n",

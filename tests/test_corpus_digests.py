@@ -57,6 +57,7 @@ from specsim.memhier import CacheImage, Level
 from specsim.microprog import (
     AttackParams,
     ConstructionError,
+    FenceModel,
     Gadget,
     Literal,
     MicroOp,
@@ -68,7 +69,7 @@ from specsim.microprog import (
     parse_program,
 )
 from specsim.pipeline import AccessRecord, ExecutionTrace, SimulationDeadlock, _Engine, run
-from specsim.schemes import SchemeId, insert_fences, scheme_spec
+from specsim.schemes import SchemeId, scheme_spec
 from specsim.seccheck import calibrate, gen_random_program, synth_suite
 
 from test_pipeline import constructible_senders, diamond_program, stall_stretch_program
@@ -285,6 +286,15 @@ PHASES = (
 )
 
 
+def fenced(program: MicroProgram, model: FenceModel) -> MicroProgram:
+    """The program with its own fence_after set at every fence point of the
+    model, by the rule restated here rather than read from program.tables:
+    an op's own fence, a branch under Spectre, a branch or load under
+    Futuristic."""
+    kinds = (OpKind.BRANCH,) if model is FenceModel.SPECTRE else (OpKind.BRANCH, OpKind.LOAD)
+    return replace(program, ops=[replace(op, fence_after=op.fence_after or op.kind in kinds) for op in program.ops])
+
+
 def reference_run(program, cfg, scheme, secrets=None, image=None, attacker=None,
                   force_correct_predictions=False, max_cycles=None) -> ExecutionTrace:
     """run() as the plain definition of the engine: all eight phases on
@@ -295,7 +305,7 @@ def reference_run(program, cfg, scheme, secrets=None, image=None, attacker=None,
     copy's own fence_after flags, not from run()'s fence-point table."""
     spec = scheme_spec(scheme)
     if spec.fence_model is not None:
-        program = insert_fences(program, spec.fence_model)
+        program = fenced(program, spec.fence_model)
         spec = replace(spec, fence_model=None)
     e = _Engine(program, cfg, spec, secrets, image, attacker, force_correct_predictions)
     n = len(program.ops)
@@ -325,7 +335,8 @@ def run_fields(runner, program, cfg, scheme, kw):
         t = runner(program, cfg, scheme, **kw)
     except SimulationDeadlock as exc:
         return f"raise:{exc}"
-    return (t.records, op_stamps(t), t.occupancy, t.pattern, t.llc_state, t.total_cycles, t.secret_read_cycle)
+    return (t.records, op_stamps(t), t.occupancy, t.pattern, t.llc_state, t.total_cycles, t.secret_read_cycle,
+            t.fetch_shadowed)
 
 
 def trigger_runs():
@@ -344,10 +355,10 @@ def trigger_runs():
     return runs + stepped_slice()
 
 
-def test_engine_fence_points_are_those_insert_fences_marks():
+def test_engine_fence_points_are_those_of_the_fenced_copy():
     # run() reads the fence points from the program's tables instead of
-    # running a fenced copy; both come from one rule, which keeps an op's
-    # own fence.
+    # running a fenced copy; the copy's flags come from the rule restated
+    # in fenced(), which keeps an op's own fence.
     programs = [gen_random_program(seed)[0] for seed in range(TRIGGER_SEEDS)]
     programs += [mutated_program(seed)[0] for seed in range(CONFIG_SEEDS)]
     programs += [program for _, _, program, _ in constructible_senders()]
@@ -356,8 +367,8 @@ def test_engine_fence_points_are_those_insert_fences_marks():
         for scheme in (SchemeId.FENCE_SPECTRE, SchemeId.FENCE_FUTURISTIC):
             spec = scheme_spec(scheme)
             engine = _Engine(program, CFG, spec, None, None, None, False)
-            fenced = insert_fences(program, spec.fence_model)
-            assert engine.shadow.fence_points == tuple(op.fence_after for op in fenced.ops)
+            copy = fenced(program, spec.fence_model)
+            assert engine.shadow.fence_points == tuple(op.fence_after for op in copy.ops)
 
 
 def test_phase_triggers_change_no_outcome():

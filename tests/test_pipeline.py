@@ -15,7 +15,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from specsim.attacks import attack_image, plan_attack
 from specsim.machine import EuClass, MachineConfig
-from specsim.memhier import CacheImage, Level
+from specsim.memhier import CacheGeometry, CacheImage, Level
 from specsim.microprog import (
     AttackLayout,
     AttackParams,
@@ -626,6 +626,20 @@ class TestValidByConstruction:
             replace(CFG, geometry=replace(CFG.geometry, lat_mem=0))
         with pytest.raises(ValueError, match="^exactly one EU class must be non-pipelined$"):
             replace(CFG, eu={**CFG.eu, "alu": EuClass(False, 2, 4)})
+
+    def test_geometry_is_checked_when_built(self):
+        # Here, not later where AttackLayout divides by the set count.
+        with pytest.raises(ValueError, match="^llc_sets must be >= 1$"):
+            CacheGeometry(llc_sets=0)
+        with pytest.raises(ValueError, match="^lat_l1 must be >= 1$"):
+            replace(CFG.geometry, lat_l1=0)
+
+    def test_the_two_delays_may_be_zero_but_not_negative(self):
+        cfg = replace(CFG, writeback_delay=0, branch_resolve_extra=0)
+        assert (cfg.writeback_delay, cfg.branch_resolve_extra) == (0, 0)
+        for name in ("writeback_delay", "branch_resolve_extra"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+                replace(CFG, **{name: -1})
 
     def test_run_checks_neither_program_nor_config(self, monkeypatch):
         calls = {MicroProgram: 0, MachineConfig: 0}
