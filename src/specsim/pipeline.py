@@ -27,9 +27,9 @@ nothing and log nothing:
      or store frontier settled, or an op entered an empty unsafe list;
   5. the next attacker access is due;
   6. some op is ready to issue, or a wakeup is due;
-  7. an I-fetch replay is owed, or fetch is open: redirect_at reached, ops
-     left to fetch, the ROB and the RS not full, and no unresolved fetch
-     hold at fetch_pos (_fetch_held, the test the frontend makes itself);
+  7. the earliest I-fetch replay is due, or fetch is open: redirect_at
+     reached, ops left to fetch, the ROB and the RS not full, and no fetch
+     hold at fetch_pos (the test the frontend makes itself);
   8. the ROB head has completed.
 The occupancy snapshot and its two bounds checks run every stepped cycle.
 
@@ -45,13 +45,14 @@ and an op enters ifetch_waiting only just found unsafe. Only an op that
 enters an empty unsafe list is a new head that may be safe at once. (A
 marker that retires in its dispatch cycle pops the head of unsafe, but the
 ops behind it came in the same cycle, and the first of them entered an
-empty list.) Phase 7 reads the fetch holds themselves: a hold lifts when
-its branch resolves, and a squash moves fetch_pos and drops the holds of
-the branches it kills (a killed branch's OpRec is replaced and would read
-unresolved forever); the ROB and the RS are read after every phase of the
-cycle that frees an entry, except retirement, which follows the frontend
-anyway. So run() logs exactly what calling all eight phases on every cycle
-would log, field for field; a test holds it to that reference loop.
+empty list.) Phase 7 compares the clock with the top of ifetch_replays
+and reads the current fetch holds (a hold goes when its branch resolves or
+is squashed); the ROB and the RS are read after every phase of the cycle
+that frees an entry, except retirement, which follows the frontend
+anyway. So when it holds, the frontend logs a due replay or a fetch.
+Therefore run() logs exactly what calling all eight phases on every
+cycle would log, field for field; a test holds it to that reference loop,
+and another holds phases 1, 3 and 7 to logging at every call.
 
 Secret-free prefix. A secret enters the machine only through the address
 of a SecretDep load, when _issue_load resolves it. So two runs that differ
@@ -105,21 +106,21 @@ and I-fetch replays remain: the clock jumps to the next of them (or to
 max_cycles) and leaves no rows for the cycles between.
 
 "Logs nothing" means "changes nothing" up to the trigger bookkeeping and
-two silent moves. The bookkeeping (next_free, resolve_at, shadow_moved,
-dropping resolved fetch holds) only records when a phase can act next; a
-phase it skips would have logged and changed nothing, so a run is the one
-that calling all eight phases every cycle gives, and the rest of this
-argument is about that run. The issue phase moves an op whose wakeup is
-due from wakeups to ready, and the safe transitions move an op that has
-left its fetch shadow from ifetch_waiting to ifetch_replays; neither logs
-an event. Neither hides progress from _next_event. An op moved to ready
-that does not issue in that cycle is held by a fence, a parked miss, a
-busy NPEU unit or the look-ahead (a full issue width or pipelined class
-means another op issued, and a refused MSHR logs a retry). Each of these
-lets go only at a logged event or at an NPEU unit's busy_until: the
-look-ahead's bounds never fall behind the clock, so once it holds an op it
-holds it while the clock alone advances. A replay moved to ifetch_replays
-is due at a cycle that _next_event reports.
+two silent moves. The bookkeeping (next_free, resolve_at, shadow_moved)
+only records when a phase can act next; a phase it skips would have logged
+and changed nothing, so a run is the one that calling all eight phases
+every cycle gives, and the rest of this argument is about that run. The
+issue phase moves an op whose wakeup is due from wakeups to ready, and the
+safe transitions move an op that has left its fetch shadow from
+ifetch_waiting to ifetch_replays; neither logs an event. Neither hides
+progress from _next_event. An op moved to ready that does not issue in
+that cycle is held by a fence, a parked miss, a busy NPEU unit or the
+look-ahead (a full issue width or pipelined class means another op issued,
+and a refused MSHR logs a retry). Each of these lets go only at a logged
+event or at an NPEU unit's busy_until: the look-ahead's bounds never fall
+behind the clock, so once it holds an op it holds it while the clock alone
+advances. A replay moved to ifetch_replays is due at a cycle that
+_next_event reports.
 
 Incremental state. Instead of rescanning the ROB, the engine keeps these
 views current at the events that change them (dispatch, issue, complete,
@@ -148,7 +149,13 @@ resolve, safe transition, retire, squash):
     older frontier op settled (phase 2 or 3, heading its list): a retiring
     op owes nothing and no I-access, and holds no RS entry;
   - OpRec.owed: set by _issue_load, at most once per load (a parked load
-    re-issues safe), and done and cleared by the safe transition.
+    re-issues safe), and done and cleared by the safe transition;
+  - fetch_holds: branch id -> join of each fetched predicted-taken branch
+    whose taken region ends at the join, from its fetch until it resolves;
+  - ifetch_replays: a heap of (due cycle, op), pushed by the safe
+    transitions and popped by the frontend. The frontend runs at every due
+    cycle and _next_event lists the top, so a due entry is due now and
+    heap order is op order.
 A squash truncates every view to the ops at or older than the branch (the
 four issue and CDB queues in place, since run() holds them for the whole
 run), drops the fetch holds of killed branches, and frees the non-pipelined
@@ -194,10 +201,10 @@ only log, and `accesses`, the positions of its l2access records, which the
 engine notes as it logs them. Two views are built on first read: `pattern`,
 one AccessRecord per l2access record, read at those positions instead of
 scanning the log (the hierarchy keeps no copy), and `events`, one
-TraceEvent per record with its own extra dict. serialize()
-renders the records directly, to the same bytes as joining line_text().
-The per-op timing is not copied either: the trace keeps the engine's final
-OpRec of each op as `ops`, and times(op, key) reads one stamp from it.
+TraceEvent per record with its own extra dict. serialize() renders the
+records directly. The per-op timing is not copied either: the trace keeps
+the engine's final OpRec of each op as `ops`, and times(op, key) reads one
+stamp from it.
 """
 
 from __future__ import annotations
@@ -222,9 +229,6 @@ class SimulationDeadlock(RuntimeError):
 
 
 NEVER = -1
-# The fetch_shadowed of every run whose marked fetches no fetch shadow held,
-# which is most runs: one shared empty set, not a new one per run.
-UNSHADOWED: frozenset[ShadowRule] = frozenset()
 
 # The enum members the phases compare against, bound once each: on CPython
 # 3.11 a load such as OpKind.LOAD takes EnumType's slow attribute path,
@@ -295,9 +299,6 @@ class TraceEvent:
     op: int | None
     extra: dict = field(default_factory=dict)
 
-    def line_text(self) -> str:
-        return _record_text(self.cycle, self.name, self.op, self.extra)
-
 
 class AccessRecord(NamedTuple):
     """One visible LLC access: an l2access record's fields. All are fills."""
@@ -335,7 +336,7 @@ class ExecutionTrace:
     # The fetch-shadow rules (schemes.FETCH_SHADOWS) that would have held
     # one of this run's marked fetches at its dispatch. The run is also the
     # run under a fetch shadow outside this set (schemes.serves).
-    fetch_shadowed: frozenset[ShadowRule] = UNSHADOWED
+    fetch_shadowed: frozenset[ShadowRule] = frozenset()
 
     @cached_property
     def pattern(self) -> list[AccessRecord]:
@@ -424,7 +425,7 @@ class _Engine:
         self.shadow = ShadowState(tables.frontiers, tables.fence_points[spec.fence_model])
         # Validation allows exactly one non-pipelined class: one busy list.
         self.npeu_busy_until = [0] * cfg.eu[cfg.npeu_class].count
-        self.ifetch_replays: list[tuple[int, int]] = []  # (cycle, op_id)
+        self.ifetch_replays: list[tuple[int, int]] = []  # heap of (due cycle, op)
         if attacker is None:
             self.attacker: list[tuple[int, int]] = []
         elif isinstance(attacker, AttackScript):
@@ -433,9 +434,9 @@ class _Engine:
             self.attacker = sorted(attacker)
         self.attacker_pos = 0
         self.rs_count = 0
-        # (join position, branch id): fetch holds at the join while the
+        # branch id -> join position: fetch holds at the join while the
         # predicted-taken branch whose region ends there is unresolved.
-        self.fetch_holds: list[tuple[int, int]] = []
+        self.fetch_holds: dict[int, int] = {}
         # Incremental views of the ROB (see the module docstring).
         self.waiting: dict[int, int] = {}  # op -> its producers not yet complete
         self.wakeups: list[tuple[int, int]] = []  # heap of (ready cycle, op)
@@ -488,6 +489,7 @@ class _Engine:
         ready, wakeups, finishing, cdb_queue = self.ready, self.wakeups, self.finishing, self.cdb_queue
         phase_cdb, phase_issue = self._phase_cdb, self._phase_issue
         phase_frontend, phase_retire = self._phase_frontend, self._phase_retire
+        replays = self.ifetch_replays
         while True:
             if self.fetch_pos >= n and not rob:
                 # Drained: jump to the next attacker access or I-fetch replay.
@@ -513,12 +515,12 @@ class _Engine:
                 self._phase_attacker()
             if ready or (wakeups and wakeups[0][0] <= cycle):
                 phase_issue()
-            if self.ifetch_replays or (
+            if (replays and replays[0][0] <= cycle) or (
                 self.fetch_pos < n
                 and cycle >= self.redirect_at
                 and len(rob) < rob_size
                 and self.rs_count < rs_size
-                and not (self.fetch_holds and self._fetch_held())
+                and not (self.fetch_holds and self.fetch_pos in self.fetch_holds.values())
             ):
                 phase_frontend()
             if rob and recs[rob[0]].complete != NEVER:
@@ -539,7 +541,7 @@ class _Engine:
         can come out differently, or max_cycles if that comes first; None if
         no phase has such a cycle ahead. With the ROB drained and nothing
         left to fetch, only the attacker's script and I-fetch replays remain."""
-        times = [c for c, _ in self.ifetch_replays]
+        times = [self.ifetch_replays[0][0]] if self.ifetch_replays else []
         if self.attacker_pos < len(self.attacker):
             times.append(self.attacker[self.attacker_pos][0])
         if self.rob:
@@ -625,6 +627,7 @@ class _Engine:
                 continue
             b = ops[i].branch
             recs[i].resolved = cycle
+            self.fetch_holds.pop(i, None)
             if self.shadow.settle(i):
                 self.shadow_moved = True
             self._event("resolve", i, {"mispredicted": int(b.mispredicted() and not self.force_correct)})
@@ -653,7 +656,7 @@ class _Engine:
             self.hier.mshrs.drop_waiter(i)
             r.squash = self.cycle
             self._event("squash", i)
-        self.fetch_holds = [(j, b) for j, b in self.fetch_holds if b <= branch_id]
+        self.fetch_holds = {b: j for b, j in self.fetch_holds.items() if b <= branch_id}
         self.shadow.squash_after(branch_id)
         self.waiting = {i: left for i, left in self.waiting.items() if i <= branch_id}
         # In place: run() holds these four queues for the whole run.
@@ -704,7 +707,7 @@ class _Engine:
         idx = 0
         waiting, rule = self.ifetch_waiting, self.spec.fetch_shadow
         while waiting and safe(rule, waiting[0]):
-            self.ifetch_replays.append((cycle + 1 + idx // self.cfg.fetch_width, waiting.popleft()))
+            heappush(self.ifetch_replays, (cycle + 1 + idx // self.cfg.fetch_width, waiting.popleft()))
             idx += 1
 
     def _phase_attacker(self) -> None:
@@ -866,20 +869,14 @@ class _Engine:
 
     # -- frontend ----------------------------------------------------------
 
-    def _fetch_held(self) -> bool:
-        """Is fetch at a join whose predicted-taken branch is unresolved?"""
-        for j, b in self.fetch_holds:  # a loop: any() over a generator costs several times more
-            if j == self.fetch_pos and self.recs[b].resolved == NEVER:
-                return True
-        return False
-
     def _phase_frontend(self) -> None:
         cycle = self.cycle
-        if self.ifetch_replays:
-            due = sorted([e for e in self.ifetch_replays if e[0] <= cycle], key=lambda e: e[1])
-            self.ifetch_replays = [e for e in self.ifetch_replays if e[0] > cycle]
-            for _, op_id in due:
-                self._visible_access(self.ops[op_id].iline, op_id, icache=True)
+        replays = self.ifetch_replays
+        while replays and replays[0][0] <= cycle:
+            # Every due replay is due now (none is ever passed), so heap
+            # order is op order.
+            op_id = heappop(replays)[1]
+            self._visible_access(self.ops[op_id].iline, op_id, icache=True)
         if cycle < self.redirect_at:
             return
         ops, recs, rob, unsafe, records = self.ops, self.recs, self.rob, self.unsafe, self.records
@@ -888,11 +885,10 @@ class _Engine:
         width = min(cfg.fetch_width, cfg.dispatch_width)
         fetch_shadow = self.spec.fetch_shadow
         shadow, safe = self.shadow, self.shadow.safe
-        if self.fetch_holds:  # drop resolved holds: the list is empty in most cycles
-            self.fetch_holds = [(j, b) for j, b in self.fetch_holds if recs[b].resolved == NEVER]
+        holds = self.fetch_holds
         fetched = 0
         while fetched < width and self.fetch_pos < n:
-            if self.fetch_holds and self._fetch_held():
+            if holds and self.fetch_pos in holds.values():
                 break  # a taken region ended: nothing to fetch until its branch resolves
             op = ops[self.fetch_pos]
             if len(rob) >= cfg.rob_size:
@@ -937,7 +933,7 @@ class _Engine:
                 taken = op.branch.actual_taken if self.force_correct else op.branch.predicted_taken
                 self.fetch_pos = op.id + 1 if taken else op.branch.join
                 if taken and op.branch.taken_stream_ends:
-                    self.fetch_holds.append((op.branch.join, op.id))
+                    holds[op.id] = op.branch.join
             else:
                 self.fetch_pos += 1
             fetched += 1
@@ -977,5 +973,5 @@ class _Engine:
             total_cycles=next((c for c, name, _, _ in reversed(self.records) if name == "retire"), 0),
             llc_state=llc_state,
             secret_read_cycle=self.secret_read_cycle,
-            fetch_shadowed=frozenset(self.fetch_shadowed) if self.fetch_shadowed else UNSHADOWED,
+            fetch_shadowed=frozenset(self.fetch_shadowed),
         )

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import random
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -719,6 +720,18 @@ class TestConfig:
         code, _, err = call(["run", "--program", program_file, "--config", str(cfg_file)])
         assert code == EXIT_USAGE
         assert f"unknown [machine] keys: ['{key}']" in err
+
+    def test_readme_sample_loads(self, tmp_path):
+        # README's --config sample, verbatim: it sets the default machine,
+        # a scheme and two non-default sender knobs.
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        sample = re.search(r"\*\*Config file\*\*.*?\n```\n(.*?)```", readme, re.S).group(1)
+        cfg_file = tmp_path / "m.cfg"
+        cfg_file.write_text(sample)
+        cfg, scheme, params = load_config(str(cfg_file))
+        assert cfg == MachineConfig()
+        assert scheme is SchemeId.DOM_NONTSO
+        assert params == AttackParams(reference_offset=70, m=4)
 
     def test_scheme_and_attack_sections(self, tmp_path):
         cfg_file = tmp_path / "m.cfg"

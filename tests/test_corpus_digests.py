@@ -394,11 +394,12 @@ def test_pattern_is_every_l2access_record_in_order():
         assert t.pattern == want, label
 
 
-def test_mshr_and_resolve_phases_run_only_when_due(monkeypatch):
-    # Their triggers are exact: every call frees an MSHR or resolves a
-    # branch, so it logs at least one record.
+def test_mshr_resolve_and_frontend_phases_run_only_when_due(monkeypatch):
+    # Their triggers are exact: every call frees an MSHR, resolves a
+    # branch, or replays a due I-fetch or fetches, so it logs at least one
+    # record.
     idle = []
-    for name in ("_phase_mshr_returns", "_phase_resolve_and_squash"):
+    for name in ("_phase_mshr_returns", "_phase_resolve_and_squash", "_phase_frontend"):
         phase = getattr(_Engine, name)
 
         def logged(self, _phase=phase, _name=name):

@@ -505,12 +505,6 @@ class TestFetchShadowCertificate:
         assert frozenset({ShadowRule.FUTURISTIC}) in sets
         assert frozenset(FETCH_SHADOWS) in sets
 
-    def test_runs_with_no_shadowed_fetch_share_one_empty_set(self):
-        runs = (run(prog, CFG, SchemeId.UNSAFE, image=image) for prog, image in map(gen_random_program, (0, 1)))
-        first, second = runs
-        assert first.fetch_shadowed == frozenset()
-        assert first.fetch_shadowed is second.fetch_shadowed
-
     @settings(max_examples=examples(30), deadline=None)
     @given(
         seed=st.integers(0, 100_000),

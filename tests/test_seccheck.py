@@ -588,6 +588,19 @@ class TestSearchSharing:
 
 
 class TestSharedBuilds:
+    def test_equal_summary_values_are_kept_once(self):
+        # The memo keeps each equal summary field value once, across its
+        # runs and schemes: the empty fetch-shadow set of most runs too.
+        memo = RunMemo(Gadget.MSHR, Ordering.VDAD, CFG)
+        for scheme in (SchemeId.UNSAFE, SchemeId.DOM_NONTSO):
+            calibrate(memo, scheme)
+        summaries = {id(s): s for runs in memo.summaries.values() for s in runs.values()}.values()
+        for name in ("fetch_shadowed", "ways", "pattern"):
+            values = [getattr(s, name) for s in summaries]
+            assert len(set(values)) < len(values), name  # some value repeats
+            assert len({id(v) for v in values}) == len(set(values)), name
+        assert frozenset() in [s.fetch_shadowed for s in summaries]
+
     def test_shared_builds_give_the_calibration_of_a_fresh_search(self, monkeypatch):
         # mshr/vdad is feasible unprotected and infeasible under dom-nontso,
         # whose sweep starts from a candidate the first search built. The
